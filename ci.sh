@@ -67,12 +67,12 @@ grep -q '"cache_misses":0' ci-opt/warm-stats.json
 grep -q '"strictly_improved":[1-9]' ci-opt/cold.json
 rm -rf ci-opt
 
-echo "==> 1-vs-N worker determinism smoke (run_experiments fig2, byte-compared CSVs)"
+echo "==> 1-vs-N worker determinism smoke (shared-population drivers, byte-compared CSVs)"
 rm -rf ci-threads-1 ci-threads-4
 cargo run --release -p cpa-experiments --bin run_experiments -- \
-  --quick --threads 1 --out ci-threads-1 fig2 > /dev/null
+  --quick --threads 1 --out ci-threads-1 fig2 fig3b fig3d ablation gain > /dev/null
 cargo run --release -p cpa-experiments --bin run_experiments -- \
-  --quick --threads 4 --out ci-threads-4 fig2 > /dev/null
+  --quick --threads 4 --out ci-threads-4 fig2 fig3b fig3d ablation gain > /dev/null
 diff -r ci-threads-1 ci-threads-4
 rm -rf ci-threads-1 ci-threads-4
 

@@ -343,11 +343,11 @@ pub fn bao_span(
 }
 
 /// The window- and response-time-independent inputs one band member
-/// contributes to [`bao`], precomputed once per `(level, core, band)` key:
+/// contributes to [`bao`], precomputed once per `(core, split)` key:
 /// rebuilding a [`BaoSegment`] walks these compact records instead of
 /// re-filtering the task set and re-reading the CRPD/CPRO matrices on
 /// every rebuild.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaoMember {
     /// The member's index into the response-time estimate slice.
     idx: usize,
@@ -367,14 +367,21 @@ pub struct BaoMember {
     period: Time,
 }
 
-/// Both priority bands' [`BaoMember`] records for one `(level, core)` key:
-/// the `hep(k)` members first, then the `lp(k)` members from
-/// [`BaoMembers::split`] on, each sub-slice in its band's iteration order
-/// (the saturating accumulation order of [`bao`]). The bands are kept
-/// together because the FP bus consumes both at the same window — one
-/// fused record set (and one [`BaoSegment`]) serves every `BAO` query of
-/// the key.
-#[derive(Debug, Clone, Default)]
+/// Both priority bands' [`BaoMember`] records for one level `k` and
+/// remote core `y`: the `hep(k)` members first, then the `lp(k)` members
+/// from [`BaoMembers::split`] on, each sub-slice in its band's iteration
+/// order (the saturating accumulation order of [`bao`]). The bands are
+/// kept together because the FP bus consumes both at the same window —
+/// one fused record set (and one [`BaoSegment`]) serves every `BAO` query
+/// of the key.
+///
+/// The records depend on `k` only through the split — the number of
+/// tasks on `y` with id ≤ `k`: `γ_{k,l}` reads the `y`-tasks with ids in
+/// `(l, k]` and the CPRO overlap of `l` within `k`'s window the
+/// `y`-tasks with ids ≤ `k`, under every [`crate::CrpdApproach`]. The
+/// engine therefore keys its slots by `(core, split)` (DESIGN.md §17),
+/// and the `bao_split` proptests pin the identity.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BaoMembers {
     /// `hep(k)` prefix followed by `lp(k)` suffix.
     members: Vec<BaoMember>,

@@ -17,7 +17,10 @@
 //!    segments in a [`crate::curve::StepCurve`] over
 //!    [`crate::bas::releases_span`]. `BAO` steps on the much finer `d_mem`
 //!    grid, so it is cached as [`crate::bao::BaoSegment`]s instead — one
-//!    fused segment per `(level, core)` serving both priority bands and
+//!    fused segment per remote core `y` and split `s` (the number of
+//!    tasks on `y` with id ≤ the level; a slot's members depend on the
+//!    level only through `s`, DESIGN.md §17) serving every level with
+//!    that split, both priority bands and
 //!    both carry-out modes: per-member terms valid on a whole period-scale
 //!    `N`-interval, re-evaluated in a few operations per hit (no band
 //!    filtering, no persistence/CPRO/CRPD re-derivation). `BAO` curves
@@ -66,7 +69,11 @@ use crate::{bas, AnalysisConfig, AnalysisContext, PersistenceMode};
 /// [`BaoSegment::refresh`] against the current run's estimates.
 const CARRIED_STAMP: u64 = u64::MAX;
 
-/// One memoized `BAO` slot for a fixed `(level, core)` key: the
+/// One memoized `BAO` slot for a fixed `(core, split)` key — remote core
+/// `y` and split `s`, the number of tasks on `y` with id ≤ the queried
+/// level. Every level with the same split on `y` has identical members
+/// (γ(k,l) and the CPRO overlap(l,k) depend on the level `k` only
+/// through `s`), so they all share the slot: the
 /// precomputed member statics of both priority bands plus the most
 /// recently built [`BaoSegment`]. When the window leaves the segment's
 /// span or a response time on the remote core moves (tracked by the
@@ -130,7 +137,11 @@ struct CachedBao<'e, 'ctx, 'a> {
     ctx: &'ctx AnalysisContext<'a>,
     resp: &'e [Time],
     core_version: &'e [u64],
-    slots: &'e mut [BaoSlot],
+    /// Slots per remote core, indexed by split.
+    slots: &'e mut [Vec<BaoSlot>],
+    /// Split of every `(level, core)` pair, flat-indexed
+    /// `level · cores + core`.
+    splits: &'e [usize],
     /// Per-core task ids in id order (the fast path of
     /// [`crate::bao::bao_members_on`]).
     on_core: &'e [Vec<TaskId>],
@@ -144,17 +155,19 @@ struct CachedBao<'e, 'ctx, 'a> {
 }
 
 impl CachedBao<'_, '_, '_> {
-    /// The `(hep, lower)` pair from the `(level, core)` slot. Neither the
-    /// priority band nor the carry-out mode is part of the key: one
-    /// segment's terms serve both bands and both modes (see
-    /// [`BaoSegment`]), so the FP bus's two band queries and the Exact
-    /// refine phase all hit the segments the Capped bracket phase filled.
+    /// The `(hep, lower)` pair from the `(core, split)` slot of `level`.
+    /// Neither the level itself, the priority band nor the carry-out mode
+    /// is part of the key: one segment's terms serve every level with the
+    /// same split, both bands and both modes (see [`BaoSegment`]), so
+    /// neighbouring FP levels, RR's lowest-level queries, the FP bus's two
+    /// band queries and the Exact refine phase all hit the segments the
+    /// Capped bracket phase filled.
     fn lookup(&mut self, level: TaskId, core: CoreId, t: Time, carry: CarryOut) -> (u64, u64) {
-        let idx = level.index() * self.cores + core.index();
+        let split = self.splits[level.index() * self.cores + core.index()];
         let version = self.core_version[core.index()];
         let ctx = self.ctx;
         let d_mem = ctx.d_mem();
-        let slot = &mut self.slots[idx];
+        let slot = &mut self.slots[core.index()][split];
         if slot.stamp == version && slot.seg.span.contains(t) {
             *self.hits += 1;
             return slot.seg.eval(t, d_mem, carry);
@@ -232,9 +245,10 @@ impl BaoSource for CachedBao<'_, '_, '_> {
 ///   higher-priority tasks and their CRPD/CPRO rows) all have indices
 ///   `≤ i`, and the curve caches both persistence modes, so it survives
 ///   configuration changes too;
-/// * the `BAO` slot `(level, core)` when `level` lies in the prefix and
-///   `core` is stable — member lists and member-derived table rows are
-///   then provably identical. Members are mode-independent and always
+/// * every `BAO` slot `(core, split)` of a stable `core` — its member
+///   list and member-derived table rows read only the tasks on `core`,
+///   which then lie in the prefix, so they are provably identical.
+///   Members are mode-independent and always
 ///   kept; segment terms are kept only when the persistence mode also
 ///   matched, and are re-validated against the new run's estimates by
 ///   [`BaoSegment::refresh`] before they serve a value.
@@ -280,9 +294,13 @@ pub struct AnalysisScratch {
     /// persistence modes are cached, and the values are d_mem- and
     /// bus-independent access counts.
     same_core: Vec<StepCurve<(u64, u64, u64)>>,
-    /// `BAO` curves, flat-indexed by `(level, core)` — one segment serves
-    /// both priority bands and both carry-out modes.
-    bao_slots: Vec<BaoSlot>,
+    /// `BAO` curves per remote core, indexed by split (`0..=` the core's
+    /// task count) — one segment serves every level with that split, both
+    /// priority bands and both carry-out modes.
+    bao_slots: Vec<Vec<BaoSlot>>,
+    /// Split of every `(level, core)` pair: the number of tasks on the
+    /// core with id ≤ the level, flat-indexed `level · cores + core`.
+    bao_split: Vec<usize>,
     /// Window-independent `+1` blocking access per task (policy fact ×
     /// existence of a same-core lower-priority task).
     blocking: Vec<u64>,
@@ -299,6 +317,8 @@ pub struct AnalysisScratch {
     certified: Vec<bool>,
     /// Runs this scratch has served (drives `engine.scratch_reuses`).
     uses: u64,
+    /// `BAO` `(hits, misses)` of the most recent run.
+    last_bao: (u64, u64),
     /// Fingerprint of the task set of the previous run, the comparison
     /// base for warm retention. `None` after [`AnalysisScratch::new`] or
     /// [`AnalysisScratch::forget_warm`].
@@ -324,6 +344,21 @@ impl AnalysisScratch {
     #[must_use]
     pub fn new() -> Self {
         AnalysisScratch::default()
+    }
+
+    /// Runs this scratch served after its first — its own share of the
+    /// process-wide `engine.scratch_reuses` counter.
+    #[must_use]
+    pub fn reuses(&self) -> u64 {
+        self.uses.saturating_sub(1)
+    }
+
+    /// `BAO` `(hits, misses)` of the most recent run on this scratch — its
+    /// own share of `engine.bao_hit` / `engine.bao_miss`. A warm run
+    /// scores exactly what a cold run on a fresh scratch scores.
+    #[must_use]
+    pub fn bao_tallies(&self) -> (u64, u64) {
+        self.last_bao
     }
 
     /// Severs the warm-retention chain: the next run starts cold, as if
@@ -396,21 +431,40 @@ impl AnalysisScratch {
             }
         }
 
-        let slots = n * cores;
-        if self.bao_slots.len() < slots {
-            self.bao_slots.resize_with(slots, BaoSlot::default);
+        if self.on_core.len() < cores {
+            self.on_core.resize_with(cores, Vec::new);
         }
-        for (sidx, slot) in self.bao_slots[..slots].iter_mut().enumerate() {
-            let level = sidx / cores;
-            let core = sidx % cores;
-            let certified = level < unchanged
-                && delta.as_ref().is_some_and(|d| d.core_stable(core))
-                && slot.filled;
-            if certified {
-                reused += 1;
-                slot.carry_over(mode_stable);
-            } else {
-                slot.reset();
+        for list in &mut self.on_core[..cores] {
+            list.clear();
+        }
+        self.hp_prefix.clear();
+        self.bao_split.clear();
+        for i in tasks.ids() {
+            let list = &mut self.on_core[tasks[i].core().index()];
+            self.hp_prefix.push(list.len());
+            list.push(i);
+            self.bao_split
+                .extend(self.on_core[..cores].iter().map(Vec::len));
+        }
+
+        if self.bao_slots.len() < cores {
+            self.bao_slots.resize_with(cores, Vec::new);
+        }
+        for (core, slots) in self.bao_slots[..cores].iter_mut().enumerate() {
+            let splits = self.on_core[core].len() + 1;
+            if slots.len() < splits {
+                slots.resize_with(splits, BaoSlot::default);
+            }
+            // A stable core keeps its task count, so its slots line up
+            // split for split with the previous run's.
+            let stable = delta.as_ref().is_some_and(|d| d.core_stable(core));
+            for slot in &mut slots[..splits] {
+                if stable && slot.filled {
+                    reused += 1;
+                    slot.carry_over(mode_stable);
+                } else {
+                    slot.reset();
+                }
             }
         }
 
@@ -425,19 +479,6 @@ impl AnalysisScratch {
         self.blocking.extend(tasks.ids().map(|i| {
             u64::from(charges_blocking && tasks.lp_on(i, tasks[i].core()).next().is_some())
         }));
-
-        if self.on_core.len() < cores {
-            self.on_core.resize_with(cores, Vec::new);
-        }
-        for list in &mut self.on_core[..cores] {
-            list.clear();
-        }
-        self.hp_prefix.clear();
-        for i in tasks.ids() {
-            let list = &mut self.on_core[tasks[i].core().index()];
-            self.hp_prefix.push(list.len());
-            list.push(i);
-        }
 
         self.dirty.clear();
         self.dirty.resize(n, true);
@@ -655,6 +696,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             resp: &scratch.resp,
             core_version: &scratch.core_version,
             slots: &mut scratch.bao_slots,
+            splits: &scratch.bao_split,
             on_core: &scratch.on_core,
             hits: &mut self.bao_hits,
             misses: &mut self.bao_misses,
@@ -674,7 +716,8 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
 
     /// Flushes the run's cache/worklist tallies into the always-on
     /// counters and hands the result back.
-    fn finish(&self, result: AnalysisResult) -> AnalysisResult {
+    fn finish(&mut self, result: AnalysisResult) -> AnalysisResult {
+        self.scratch.last_bao = (self.bao_hits, self.bao_misses);
         cpa_obs::counter("engine.curve_hit").add(self.same_core_hits + self.bao_hits);
         cpa_obs::counter("engine.curve_miss").add(self.same_core_misses + self.bao_misses);
         cpa_obs::counter("engine.same_core_hit").add(self.same_core_hits);
@@ -983,10 +1026,17 @@ mod tests {
         let _ = analyze_with(&ctx, &config, &mut scratch);
         let _ = analyze_with(&ctx, &config, &mut scratch);
         let _ = analyze_with(&ctx, &config, &mut scratch);
+        // The exact tally comes from the scratch itself: the process-wide
+        // counter also moves with the analyses other tests run in
+        // parallel, so it can only be checked from below.
         assert_eq!(
-            reuses.get() - before,
+            scratch.reuses(),
             2,
             "first run is a fill, the next two are reuses"
+        );
+        assert!(
+            reuses.get() - before >= 2,
+            "every reuse reaches the counter"
         );
     }
 

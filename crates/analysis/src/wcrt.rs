@@ -117,7 +117,12 @@ pub fn analyze_with(
 ) -> AnalysisResult {
     let result = crate::engine::AnalysisEngine::new(ctx, config, scratch).run();
     if warm_cross_check_enabled() {
-        cross_check_against_cold(ctx, config, &result);
+        let cold_bao = cross_check_against_cold(ctx, config, &result);
+        assert_eq!(
+            scratch.bao_tallies(),
+            cold_bao,
+            "warm/cold divergence: BAO hit/miss tallies"
+        );
     }
     result
 }
@@ -144,7 +149,12 @@ pub fn analyze_with_seed(
     engine.offer_seed(seed);
     let result = engine.run();
     if warm_cross_check_enabled() {
-        cross_check_against_cold(ctx, config, &result);
+        let cold_bao = cross_check_against_cold(ctx, config, &result);
+        assert_eq!(
+            scratch.bao_tallies(),
+            cold_bao,
+            "warm/cold divergence: BAO hit/miss tallies"
+        );
     }
     result
 }
@@ -243,7 +253,9 @@ pub fn analyze_with_parent(
     engine.offer_parent(parent);
     let result = engine.run();
     if warm_cross_check_enabled() {
-        cross_check_against_cold(ctx, config, &result);
+        // A certified or replayed parent skips lookups a cold solve pays,
+        // so only the result is compared, not the BAO tallies.
+        let _ = cross_check_against_cold(ctx, config, &result);
     }
     result
 }
@@ -257,16 +269,16 @@ fn warm_cross_check_enabled() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("CPA_WARM_CROSS_CHECK").is_some_and(|v| v != "0"))
 }
 
-/// Re-runs `ctx` × `config` cold (fresh scratch, no retention) and
-/// asserts the warm result matches field for field.
+/// Re-runs `ctx` × `config` cold (fresh scratch, no retention), asserts
+/// the warm result matches field for field, and returns the cold run's
+/// BAO `(hits, misses)` for the callers whose tallies must match too.
 fn cross_check_against_cold(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
     warm: &AnalysisResult,
-) {
-    let cold =
-        crate::engine::AnalysisEngine::new(ctx, config, &mut crate::engine::AnalysisScratch::new())
-            .run();
+) -> (u64, u64) {
+    let mut scratch = crate::engine::AnalysisScratch::new();
+    let cold = crate::engine::AnalysisEngine::new(ctx, config, &mut scratch).run();
     assert_eq!(
         warm.response_times, cold.response_times,
         "warm/cold divergence: response times"
@@ -287,6 +299,7 @@ fn cross_check_against_cold(
         warm.hit_outer_cap, cold.hit_outer_cap,
         "warm/cold divergence: outer cap"
     );
+    scratch.bao_tallies()
 }
 
 /// The perfect-bus residual bus-utilization gate shared by [`analyze`] and

@@ -13,6 +13,12 @@
 //! and arbitrary junk. A hint is only ever adopted when it equals the
 //! value the cold iteration starts from anyway, so no vector — however
 //! wrong — may move any output bit.
+//!
+//! Warm runs must also score the `BAO` cache exactly like cold runs:
+//! [`AnalysisScratch::bao_tallies`] (the scratch's own share of
+//! `engine.bao_hit` / `engine.bao_miss`) is compared after every warm
+//! solve, so carried `(core, split)` slots (DESIGN.md §17) are booked as
+//! the misses a cold run pays.
 
 use cpa_analysis::{
     analyze, analyze_with, analyze_with_seed, AnalysisConfig, AnalysisContext, AnalysisResult,
@@ -34,8 +40,12 @@ fn platform_for(config: &GeneratorConfig) -> Platform {
 }
 
 fn generate(seed: u64, util: f64) -> (TaskSet, Platform) {
+    generate_on(seed, 2, util)
+}
+
+fn generate_on(seed: u64, cores: usize, util: f64) -> (TaskSet, Platform) {
     let gen_cfg = GeneratorConfig {
-        cores: 2,
+        cores,
         tasks_per_core: 4,
         ..GeneratorConfig::paper_default()
     }
@@ -63,6 +73,41 @@ fn configs() -> Vec<AnalysisConfig> {
         }
     }
     out
+}
+
+/// A cold solve on a fresh scratch, with that scratch's `BAO` tallies.
+fn cold_solve(ctx: &AnalysisContext<'_>, config: &AnalysisConfig) -> (AnalysisResult, (u64, u64)) {
+    let mut scratch = AnalysisScratch::new();
+    let result = analyze_with(ctx, config, &mut scratch);
+    (result, scratch.bao_tallies())
+}
+
+/// `tasks` with the memory demand of the task at `victim` raised by
+/// `extra` accesses — an input of every `BAO` member record of that task
+/// — while every task before it, and every core whose tasks all precede
+/// it, stays certified for warm retention.
+fn bump(tasks: &TaskSet, victim: usize, extra: u64) -> TaskSet {
+    let rebuilt: Vec<Task> = tasks
+        .iter()
+        .enumerate()
+        .map(|(idx, t)| {
+            let extra = if idx == victim { extra } else { 0 };
+            Task::builder(t.name())
+                .processing_demand(t.processing_demand())
+                .memory_demand(t.memory_demand() + extra)
+                .residual_memory_demand(t.residual_memory_demand())
+                .period(t.period())
+                .deadline(t.deadline())
+                .core(t.core())
+                .priority(t.priority())
+                .ecb(t.ecb().clone())
+                .ucb(t.ucb().clone())
+                .pcb(t.pcb().clone())
+                .build()
+                .expect("bumped task stays valid")
+        })
+        .collect();
+    TaskSet::new(rebuilt).expect("bumped set stays valid")
 }
 
 fn assert_bitwise(warm: &AnalysisResult, cold: &AnalysisResult, tag: &str) {
@@ -146,8 +191,13 @@ fn fig1_warm_chain_and_seeded_solves_match_cold() {
     let mut warm = AnalysisScratch::new();
     for config in configs() {
         let w = analyze_with(&ctx, &config, &mut warm);
-        let c = analyze(&ctx, &config);
+        let (c, cold_bao) = cold_solve(&ctx, &config);
         assert_bitwise(&w, &c, &format!("fig1 {config:?}"));
+        assert_eq!(
+            warm.bao_tallies(),
+            cold_bao,
+            "fig1 {config:?}: BAO hit/miss"
+        );
     }
     let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
     let cold = analyze(&ctx, &config);
@@ -181,8 +231,39 @@ proptest! {
             let ctx = AnalysisContext::new(&platform, tasks).expect("context");
             for config in configs() {
                 let w = analyze_with(&ctx, &config, &mut warm);
-                let c = analyze(&ctx, &config);
-                assert_bitwise(&w, &c, &format!("seed={seed} util={util} {config:?}"));
+                let (c, cold_bao) = cold_solve(&ctx, &config);
+                let tag = format!("seed={seed} util={util} {config:?}");
+                assert_bitwise(&w, &c, &tag);
+                prop_assert_eq!(warm.bao_tallies(), cold_bao, "{}: BAO hit/miss", tag);
+            }
+        }
+    }
+
+    /// Partially certified chains at 2–6 cores: each set is followed by a
+    /// neighbour with one task bumped, so the cores whose tasks all sit
+    /// before the bumped one stay stable and carry their `(core, split)`
+    /// `BAO` slots while the others are rebuilt. Results and `BAO`
+    /// hit/miss tallies must match cold solves exactly.
+    #[test]
+    fn split_keyed_slots_carry_over_bitwise(
+        seed in any::<u64>(),
+        cores in 2usize..7,
+        util in 0.1f64..0.8,
+        victim_back in 0usize..4,
+        extra in 1u64..50,
+    ) {
+        let (tasks_a, platform) = generate_on(seed, cores, util);
+        let victim = tasks_a.len() - 1 - victim_back.min(tasks_a.len() - 1);
+        let tasks_b = bump(&tasks_a, victim, extra);
+        let mut warm = AnalysisScratch::new();
+        for config in configs() {
+            for tasks in [&tasks_a, &tasks_b, &tasks_a] {
+                let ctx = AnalysisContext::new(&platform, tasks).expect("context");
+                let w = analyze_with(&ctx, &config, &mut warm);
+                let (c, cold_bao) = cold_solve(&ctx, &config);
+                let tag = format!("seed={seed} cores={cores} victim={victim} {config:?}");
+                assert_bitwise(&w, &c, &tag);
+                prop_assert_eq!(warm.bao_tallies(), cold_bao, "{}: BAO hit/miss", tag);
             }
         }
     }

@@ -16,12 +16,13 @@ use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    evaluate_point, evaluate_point_with, CurvePoint, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
 
 /// Schedulable task sets vs utilization under each CRPD approach
 /// (persistence-aware FP bus; the ordering among approaches is
-/// workload-dependent, which is exactly what the ablation shows).
+/// workload-dependent, which is exactly what the ablation shows). Every
+/// approach sees the same population, generated once per point.
 #[must_use]
 pub fn crpd_ablation(opts: &SweepOptions) -> ExperimentResult {
     let approaches = [
@@ -29,10 +30,17 @@ pub fn crpd_ablation(opts: &SweepOptions) -> ExperimentResult {
         CrpdApproach::UcbUnion,
         CrpdApproach::EcbOnly,
     ];
-    let configs = [AnalysisConfig::new(
-        BusPolicy::FixedPriority,
-        PersistenceMode::Aware,
-    )];
+    let base = GeneratorConfig::paper_default();
+    let evaluations: Vec<Evaluation> = approaches
+        .iter()
+        .map(|&approach| {
+            let configs = vec![AnalysisConfig::new(
+                BusPolicy::FixedPriority,
+                PersistenceMode::Aware,
+            )];
+            Evaluation::new(base.d_mem, approach, configs)
+        })
+        .collect();
     let mut series: Vec<Series> = approaches
         .iter()
         .map(|a| Series {
@@ -40,19 +48,24 @@ pub fn crpd_ablation(opts: &SweepOptions) -> ExperimentResult {
             points: Vec::with_capacity(opts.utilization_grid.len()),
         })
         .collect();
-    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
-        let gen = GeneratorConfig::paper_default().with_per_core_utilization(utilization);
-        for (si, &approach) in approaches.iter().enumerate() {
-            let stats = evaluate_point_with(&gen, &configs, opts, ui as u64, approach);
-            let acc = stats.config(0);
-            series[si].points.push(CurvePoint {
-                x: utilization,
-                schedulable: acc.schedulable_count(),
-                total: acc.samples(),
-                weighted: acc.value(),
-            });
-        }
-    }
+    let mut chain = ChainState::default();
+    sweep_utilization(
+        opts,
+        &base,
+        &evaluations,
+        &mut chain,
+        |utilization, stats| {
+            for (s, point_stats) in series.iter_mut().zip(stats) {
+                let acc = point_stats.config(0);
+                s.points.push(CurvePoint {
+                    x: utilization,
+                    schedulable: acc.schedulable_count(),
+                    total: acc.samples(),
+                    weighted: acc.value(),
+                });
+            }
+        },
+    );
     ExperimentResult {
         id: "ablation_crpd".to_string(),
         title: "Ablation — CRPD approach (FP bus, persistence-aware)".to_string(),
@@ -65,11 +78,23 @@ pub fn crpd_ablation(opts: &SweepOptions) -> ExperimentResult {
 /// The persistence *gain* per bus policy: schedulable-set difference
 /// between the aware analysis and its oblivious counterpart, per
 /// utilization point. The curve's maximum is the paper's headline number.
+/// Every bus sees the same population, generated once per point.
 #[must_use]
 pub fn persistence_gain(opts: &SweepOptions) -> ExperimentResult {
     let buses: Vec<(&str, BusPolicy)> = ["FP", "RR", "TDMA"]
         .into_iter()
         .zip(BusPolicy::paper_buses(opts.slots))
+        .collect();
+    let base = GeneratorConfig::paper_default();
+    let evaluations: Vec<Evaluation> = buses
+        .iter()
+        .map(|&(_, bus)| {
+            let configs = vec![
+                AnalysisConfig::new(bus, PersistenceMode::Aware),
+                AnalysisConfig::new(bus, PersistenceMode::Oblivious),
+            ];
+            Evaluation::new(base.d_mem, CrpdApproach::EcbUnion, configs)
+        })
         .collect();
     let mut series: Vec<Series> = buses
         .iter()
@@ -78,29 +103,30 @@ pub fn persistence_gain(opts: &SweepOptions) -> ExperimentResult {
             points: Vec::with_capacity(opts.utilization_grid.len()),
         })
         .collect();
-    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
-        let gen = GeneratorConfig::paper_default().with_per_core_utilization(utilization);
-        for (si, &(_, bus)) in buses.iter().enumerate() {
-            let configs = [
-                AnalysisConfig::new(bus, PersistenceMode::Aware),
-                AnalysisConfig::new(bus, PersistenceMode::Oblivious),
-            ];
-            let stats = evaluate_point(&gen, &configs, opts, ui as u64);
-            let aware = stats.config(0).schedulable_count();
-            let oblivious = stats.config(1).schedulable_count();
-            let total = stats.config(0).samples();
-            series[si].points.push(CurvePoint {
-                x: utilization,
-                schedulable: aware - oblivious, // dominance guarantees ≥ 0
-                total,
-                weighted: if total == 0 {
-                    0.0
-                } else {
-                    (aware - oblivious) as f64 / total as f64
-                },
-            });
-        }
-    }
+    let mut chain = ChainState::default();
+    sweep_utilization(
+        opts,
+        &base,
+        &evaluations,
+        &mut chain,
+        |utilization, stats| {
+            for (s, point_stats) in series.iter_mut().zip(stats) {
+                let aware = point_stats.config(0).schedulable_count();
+                let oblivious = point_stats.config(1).schedulable_count();
+                let total = point_stats.config(0).samples();
+                s.points.push(CurvePoint {
+                    x: utilization,
+                    schedulable: aware - oblivious, // dominance guarantees ≥ 0
+                    total,
+                    weighted: if total == 0 {
+                        0.0
+                    } else {
+                        (aware - oblivious) as f64 / total as f64
+                    },
+                });
+            }
+        },
+    );
     ExperimentResult {
         id: "ablation_gain".to_string(),
         title: "Persistence gain per bus policy (percentage points of task sets)".to_string(),

@@ -6,30 +6,29 @@
 //! persistence-oblivious counterpart, and the "perfect bus" reference line
 //! (no bus interference as long as total bus utilization ≤ 1).
 
-use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode};
+use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    evaluate_point_chained, ChainState, CurvePoint, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
-use cpa_analysis::CrpdApproach;
 
-/// The three panels of Fig. 2 in paper order (a: FP, b: RR, c: TDMA).
+/// The three panels of Fig. 2 in paper order (a: FP, b: RR, c: TDMA),
+/// evaluated over one generated population per utilization point.
 #[must_use]
 pub fn fig2(opts: &SweepOptions) -> Vec<ExperimentResult> {
-    [
-        ("fig2a", "FP bus", BusPolicy::FixedPriority),
-        (
-            "fig2b",
-            "RR bus",
-            BusPolicy::RoundRobin { slots: opts.slots },
-        ),
-        ("fig2c", "TDMA bus", BusPolicy::Tdma { slots: opts.slots }),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(panel, (id, name, bus))| fig2_panel(opts, id, name, bus, panel as u64))
-    .collect()
+    fig2_panels(
+        opts,
+        &[
+            ("fig2a", "FP bus", BusPolicy::FixedPriority),
+            (
+                "fig2b",
+                "RR bus",
+                BusPolicy::RoundRobin { slots: opts.slots },
+            ),
+            ("fig2c", "TDMA bus", BusPolicy::Tdma { slots: opts.slots }),
+        ],
+    )
 }
 
 /// One Fig. 2 panel for an arbitrary bus policy.
@@ -41,60 +40,79 @@ pub fn fig2_panel(
     bus: BusPolicy,
     panel: u64,
 ) -> ExperimentResult {
-    let configs = [
-        AnalysisConfig::new(bus, PersistenceMode::Aware),
-        AnalysisConfig::new(bus, PersistenceMode::Oblivious),
-        AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
-    ];
-    let labels = [
-        format!("{name} persistence-aware"),
-        format!("{name} oblivious"),
-        "perfect bus".to_string(),
-    ];
+    let _ = panel; // panel kept for API stability / future per-panel seeding
+    fig2_panels(opts, &[(id, name, bus)]).remove(0)
+}
 
-    let mut series: Vec<Series> = labels
+/// Fig. 2 panels `(id, name, bus)` over one shared population: every
+/// panel sees the same task sets at a utilization point, exactly as one
+/// generated population evaluated under each policy, so each set is
+/// generated once and the perfect-bus line is solved once for all panels.
+fn fig2_panels(opts: &SweepOptions, panels: &[(&str, &str, BusPolicy)]) -> Vec<ExperimentResult> {
+    let base = GeneratorConfig::paper_default();
+    let evaluations: Vec<Evaluation> = panels
         .iter()
-        .map(|label| Series {
-            label: label.clone(),
-            points: Vec::with_capacity(opts.utilization_grid.len()),
+        .map(|&(_, _, bus)| {
+            let configs = vec![
+                AnalysisConfig::new(bus, PersistenceMode::Aware),
+                AnalysisConfig::new(bus, PersistenceMode::Oblivious),
+                AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
+            ];
+            Evaluation::new(base.d_mem, CrpdApproach::EcbUnion, configs)
+        })
+        .collect();
+    let mut series: Vec<Vec<Series>> = panels
+        .iter()
+        .map(|&(_, name, _)| {
+            [
+                format!("{name} persistence-aware"),
+                format!("{name} oblivious"),
+                "perfect bus".to_string(),
+            ]
+            .into_iter()
+            .map(|label| Series {
+                label,
+                points: Vec::with_capacity(opts.utilization_grid.len()),
+            })
+            .collect()
         })
         .collect();
 
-    // One warm chain per panel: worker scratches persist across the
-    // utilization points, so allocations and certified cache entries
-    // carry from point to point (results identical to unchained).
+    // One warm chain for the whole figure: worker scratches persist
+    // across the utilization points, so allocations and certified cache
+    // entries carry from point to point (results identical to unchained).
     let mut chain = ChainState::default();
-    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
-        let gen = GeneratorConfig::paper_default().with_per_core_utilization(utilization);
-        // Same point id across panels ⇒ same task sets for FP/RR/TDMA,
-        // exactly as one generated population evaluated under each policy.
-        let stats = evaluate_point_chained(
-            &gen,
-            &configs,
-            opts,
-            ui as u64,
-            CrpdApproach::EcbUnion,
-            &mut chain,
-        );
-        for (si, s) in series.iter_mut().enumerate() {
-            let acc = stats.config(si);
-            s.points.push(CurvePoint {
-                x: utilization,
-                schedulable: acc.schedulable_count(),
-                total: acc.samples(),
-                weighted: acc.value(),
-            });
-        }
-    }
-    let _ = panel; // panel kept for API stability / future per-panel seeding
+    sweep_utilization(
+        opts,
+        &base,
+        &evaluations,
+        &mut chain,
+        |utilization, stats| {
+            for (panel, panel_stats) in series.iter_mut().zip(stats) {
+                for (si, s) in panel.iter_mut().enumerate() {
+                    let acc = panel_stats.config(si);
+                    s.points.push(CurvePoint {
+                        x: utilization,
+                        schedulable: acc.schedulable_count(),
+                        total: acc.samples(),
+                        weighted: acc.value(),
+                    });
+                }
+            }
+        },
+    );
 
-    ExperimentResult {
-        id: id.to_string(),
-        title: format!("Fig. 2 — schedulable task sets vs core utilization ({name})"),
-        x_label: "per-core utilization".to_string(),
-        y_label: "schedulable task sets".to_string(),
-        series,
-    }
+    panels
+        .iter()
+        .zip(series)
+        .map(|(&(id, name, _), series)| ExperimentResult {
+            id: id.to_string(),
+            title: format!("Fig. 2 — schedulable task sets vs core utilization ({name})"),
+            x_label: "per-core utilization".to_string(),
+            y_label: "schedulable task sets".to_string(),
+            series,
+        })
+        .collect()
 }
 
 #[cfg(test)]

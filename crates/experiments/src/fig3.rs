@@ -9,14 +9,13 @@
 //! * **3c** — cache size (32..1024 sets, powers of two);
 //! * **3d** — RR/TDMA slot size `s` (1..6).
 
-use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode, WeightedAccumulator};
+use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode, WeightedAccumulator};
 use cpa_model::Time;
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    evaluate_point_chained, ChainState, CurvePoint, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
-use cpa_analysis::CrpdApproach;
 
 /// Cycles per microsecond in the evaluation timebase. One benchmark-table
 /// cycle is interpreted as 1 µs (see `cpa_workload::GeneratorConfig::d_mem`
@@ -31,27 +30,33 @@ pub fn fig3a(opts: &SweepOptions) -> ExperimentResult {
         "fig3a",
         "number of cores",
         &[2.0, 4.0, 6.0, 8.0, 10.0],
-        |x| GeneratorConfig::paper_default().with_cores(x as usize),
+        |x| {
+            let population = GeneratorConfig::paper_default().with_cores(x as usize);
+            let evaluation = paper_evaluation(population.d_mem, opts.slots);
+            (population, evaluation)
+        },
     )
 }
 
 /// Fig. 3b: weighted schedulability vs memory latency `d_mem`
 /// (2, 4, 6, 8, 10 µs).
+///
+/// Periods stay sized for the default 5 µs latency; only the analysed
+/// latency varies, so larger `d_mem` means genuinely heavier memory load
+/// (the paper's observed decline). The population therefore does not
+/// depend on `d_mem`: it is generated once and analysed at every latency.
 #[must_use]
 pub fn fig3b(opts: &SweepOptions) -> ExperimentResult {
+    let reference = GeneratorConfig::paper_default().d_mem;
     sweep(
         opts,
         "fig3b",
         "d_mem (µs)",
         &[2.0, 4.0, 6.0, 8.0, 10.0],
         |x| {
-            // Periods stay sized for the default 5 µs latency; only the
-            // analysed latency varies, so larger d_mem means genuinely
-            // heavier memory load (the paper's observed decline).
-            let reference = GeneratorConfig::paper_default().d_mem;
-            GeneratorConfig::paper_default()
-                .with_d_mem(Time::from_cycles(x as u64 * CYCLES_PER_US))
-                .with_period_d_mem(reference)
+            let population = GeneratorConfig::paper_default().with_period_d_mem(reference);
+            let d_mem = Time::from_cycles(x as u64 * CYCLES_PER_US);
+            (population, paper_evaluation(d_mem, opts.slots))
         },
     )
 }
@@ -64,7 +69,11 @@ pub fn fig3c(opts: &SweepOptions) -> ExperimentResult {
         "fig3c",
         "cache sets",
         &[32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
-        |x| GeneratorConfig::paper_default().with_cache_sets(x as usize),
+        |x| {
+            let population = GeneratorConfig::paper_default().with_cache_sets(x as usize);
+            let evaluation = paper_evaluation(population.d_mem, opts.slots);
+            (population, evaluation)
+        },
     )
 }
 
@@ -72,33 +81,18 @@ pub fn fig3c(opts: &SweepOptions) -> ExperimentResult {
 ///
 /// The same task-set population is evaluated at every slot count (only the
 /// analysis parameter changes), so the FP curves — which have no slot
-/// parameter — are exactly flat references, as in the paper.
+/// parameter — are exactly flat references, as in the paper; the FP
+/// configurations are solved once per set for all six slot counts.
 #[must_use]
 pub fn fig3d(opts: &SweepOptions) -> ExperimentResult {
     let xs: Vec<f64> = (1..=6).map(f64::from).collect();
-    let (_, labels) = paper_configs(opts.slots);
-    let mut series: Vec<Series> = labels
-        .iter()
-        .map(|l| Series {
-            label: l.clone(),
-            points: Vec::with_capacity(xs.len()),
-        })
-        .collect();
-    let mut chain = ChainState::default();
-    for &x in &xs {
-        let (configs, _) = paper_configs(x as u64);
-        let base = GeneratorConfig::paper_default();
-        let accs = integrate_utilization(opts, &(|| base.clone()), &configs, &mut chain);
-        for (s, acc) in series.iter_mut().zip(&accs) {
-            s.points.push(point(x, acc));
-        }
-    }
     ExperimentResult {
-        id: "fig3d".to_string(),
         title: "Fig. 3d — weighted schedulability vs RR/TDMA slot size".to_string(),
-        x_label: "slots per core (s)".to_string(),
-        y_label: "weighted schedulability".to_string(),
-        series,
+        ..sweep(opts, "fig3d", "slots per core (s)", &xs, |x| {
+            let population = GeneratorConfig::paper_default();
+            let evaluation = paper_evaluation(population.d_mem, x as u64);
+            (population, evaluation)
+        })
     }
 }
 
@@ -127,6 +121,13 @@ fn paper_configs(slots: u64) -> ([AnalysisConfig; 6], [String; 6]) {
     (configs, labels)
 }
 
+/// The paper's six configurations at latency `d_mem` and slot count
+/// `slots`, under the paper's ECB-union CRPD bound.
+fn paper_evaluation(d_mem: Time, slots: u64) -> Evaluation {
+    let (configs, _) = paper_configs(slots);
+    Evaluation::new(d_mem, CrpdApproach::EcbUnion, configs.to_vec())
+}
+
 fn point(x: f64, acc: &WeightedAccumulator) -> CurvePoint {
     CurvePoint {
         x,
@@ -136,64 +137,53 @@ fn point(x: f64, acc: &WeightedAccumulator) -> CurvePoint {
     }
 }
 
-/// Integrates one parameter point over the utilization grid, returning one
-/// accumulator per analysis configuration. The point id depends only on
-/// the utilization index, so sweeps that keep the generator fixed (e.g.
-/// the slot-size sweep) see the same task-set population at every
-/// parameter value.
+/// Generic Fig. 3 sweep over a platform parameter: `at(x)` gives the
+/// population an x-value draws its task sets from and the evaluation it
+/// reports. Adjacent x-values with the same population are evaluated in
+/// one pass over it; each x-value integrates the utilization dimension
+/// into one accumulator per configuration, merged in grid order.
 ///
-/// Worker state chains across the utilization points (and, because the
-/// callers hoist the [`ChainState`], across adjacent parameter values
-/// too); a parameter change that touches the engine's retention key
-/// (d_mem, cores) simply disables carry-over at the boundary.
-fn integrate_utilization(
-    opts: &SweepOptions,
-    base: &dyn Fn() -> GeneratorConfig,
-    configs: &[AnalysisConfig],
-    chain: &mut ChainState,
-) -> Vec<WeightedAccumulator> {
-    let mut totals = vec![WeightedAccumulator::new(); configs.len()];
-    for (ui, &u) in opts.utilization_grid.iter().enumerate() {
-        let gen = base().with_per_core_utilization(u);
-        let stats = evaluate_point_chained(
-            &gen,
-            configs,
-            opts,
-            ui as u64,
-            CrpdApproach::EcbUnion,
-            chain,
-        );
-        for (t, i) in totals.iter_mut().zip(0..) {
-            t.merge(stats.config(i));
-        }
-    }
-    totals
-}
-
-/// Generic Fig. 3 sweep over a platform parameter.
+/// One warm chain serves the whole sweep; a parameter change that
+/// touches the engine's retention key (d_mem, cores) simply disables
+/// carry-over at the boundary.
 fn sweep(
     opts: &SweepOptions,
     id: &str,
     x_label: &str,
     xs: &[f64],
-    config_of: impl Fn(f64) -> GeneratorConfig,
+    at: impl Fn(f64) -> (GeneratorConfig, Evaluation),
 ) -> ExperimentResult {
-    let (configs, labels) = paper_configs(opts.slots);
-    let mut series: Vec<Series> = labels
+    let points: Vec<(GeneratorConfig, Evaluation)> = xs.iter().map(|&x| at(x)).collect();
+    let mut totals: Vec<Vec<WeightedAccumulator>> = Vec::with_capacity(xs.len());
+    let mut chain = ChainState::default();
+    for group in points.chunk_by(|a, b| a.0 == b.0) {
+        let evaluations: Vec<Evaluation> = group.iter().map(|(_, e)| e.clone()).collect();
+        let mut group_totals: Vec<Vec<WeightedAccumulator>> = evaluations
+            .iter()
+            .map(|e| vec![WeightedAccumulator::new(); e.configs.len()])
+            .collect();
+        sweep_utilization(opts, &group[0].0, &evaluations, &mut chain, |_, stats| {
+            for (total, point_stats) in group_totals.iter_mut().zip(stats) {
+                for (i, t) in total.iter_mut().enumerate() {
+                    t.merge(point_stats.config(i));
+                }
+            }
+        });
+        totals.extend(group_totals);
+    }
+    let (_, labels) = paper_configs(opts.slots);
+    let series = labels
         .iter()
-        .map(|l| Series {
-            label: l.clone(),
-            points: Vec::with_capacity(xs.len()),
+        .enumerate()
+        .map(|(si, label)| Series {
+            label: label.clone(),
+            points: xs
+                .iter()
+                .zip(&totals)
+                .map(|(&x, accs)| point(x, &accs[si]))
+                .collect(),
         })
         .collect();
-    let mut chain = ChainState::default();
-    for &x in xs {
-        let base = config_of(x);
-        let accs = integrate_utilization(opts, &(|| base.clone()), &configs, &mut chain);
-        for (s, acc) in series.iter_mut().zip(&accs) {
-            s.points.push(point(x, acc));
-        }
-    }
     ExperimentResult {
         id: id.to_string(),
         title: format!("Fig. 3 — weighted schedulability vs {x_label}"),

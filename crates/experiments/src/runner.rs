@@ -5,7 +5,7 @@ use cpa_analysis::{
     analyze_with, AnalysisConfig, AnalysisContext, AnalysisScratch, ContextBuffers, CrpdApproach,
     WeightedAccumulator,
 };
-use cpa_model::{CacheGeometry, Platform};
+use cpa_model::{CacheGeometry, Platform, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -175,7 +175,7 @@ impl PointStats {
 /// Per-worker engine state chained across adjacent sweep points.
 ///
 /// A driver that owns one of these and calls
-/// [`evaluate_point_chained`] per point keeps each worker's
+/// [`evaluate_population`] per point keeps each worker's
 /// [`AnalysisScratch`] and [`ContextBuffers`] alive from one
 /// utilization point to the next: allocations survive, and the engine's
 /// certified warm retention decides per solve what may carry over.
@@ -203,12 +203,98 @@ pub fn derive_seed(base: u64, point: u64, set: u64) -> u64 {
 /// lines, direct-mapped, as in the paper).
 #[must_use]
 pub fn platform_for(config: &GeneratorConfig) -> Platform {
+    platform(config, config.d_mem)
+}
+
+/// [`platform_for`] with the memory latency overridden.
+fn platform(config: &GeneratorConfig, d_mem: Time) -> Platform {
     Platform::builder()
         .cores(config.cores)
         .cache(CacheGeometry::direct_mapped(config.cache_sets, 32))
-        .memory_latency(config.d_mem)
+        .memory_latency(d_mem)
         .build()
         .expect("generator configs always map to valid platforms")
+}
+
+/// One panel or x-value of an experiment, evaluated over a population
+/// shared with the experiment's other panels: the memory latency and
+/// CRPD approach its [`AnalysisContext`] is built with, and the analysis
+/// configurations it reports (one accumulator each).
+///
+/// The population's generator fixes the task sets, the core count and
+/// the cache geometry; an evaluation only varies what the analysis sees.
+/// That is exactly what separates Fig. 2's panels (bus policy), Fig. 3b's
+/// x-values (`d_mem`, with periods sized by `period_d_mem`), Fig. 3d's
+/// (slot count) and the CRPD ablation's series (CRPD approach).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Evaluation {
+    /// Memory latency of the analysed platform (and of the reported
+    /// utilization).
+    pub d_mem: Time,
+    /// CRPD bound the context's `γ` table is filled with.
+    pub crpd: CrpdApproach,
+    /// Configurations solved and reported, in report order.
+    pub configs: Vec<AnalysisConfig>,
+}
+
+impl Evaluation {
+    /// An evaluation of `configs` at latency `d_mem` under `crpd`.
+    #[must_use]
+    pub fn new(d_mem: Time, crpd: CrpdApproach, configs: Vec<AnalysisConfig>) -> Self {
+        Evaluation {
+            d_mem,
+            crpd,
+            configs,
+        }
+    }
+}
+
+/// Which work one set of a population costs: every distinct context
+/// built once, every distinct (context, configuration) solved once, and
+/// the route from each evaluation's configurations back to those solves.
+#[derive(Debug)]
+struct SolvePlan {
+    /// Distinct `(d_mem, CRPD approach)` contexts, in first-use order.
+    contexts: Vec<(Time, CrpdApproach)>,
+    /// Distinct `(context, configuration)` solves, in first-use order; a
+    /// solve's index is its bit in a set's schedulability mask.
+    solves: Vec<(usize, AnalysisConfig)>,
+    /// Per evaluation: its context index and, per configuration, the
+    /// index of the solve that answers it.
+    routes: Vec<(usize, Vec<usize>)>,
+}
+
+impl SolvePlan {
+    fn new(evaluations: &[Evaluation]) -> Self {
+        let mut contexts = Vec::new();
+        let mut solves = Vec::new();
+        let routes = evaluations
+            .iter()
+            .map(|e| {
+                let context = index_or_push(&mut contexts, (e.d_mem, e.crpd));
+                let bits = e
+                    .configs
+                    .iter()
+                    .map(|&cfg| index_or_push(&mut solves, (context, cfg)))
+                    .collect();
+                (context, bits)
+            })
+            .collect();
+        assert!(solves.len() <= 64, "schedulability mask is 64 bits");
+        SolvePlan {
+            contexts,
+            solves,
+            routes,
+        }
+    }
+}
+
+/// Index of `item` in `items`, appending it first if it is new.
+fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
 }
 
 /// Evaluates `sets_per_point` random task sets drawn from `gen_config`
@@ -229,29 +315,13 @@ pub fn evaluate_point(
     evaluate_point_with(gen_config, configs, opts, point_id, CrpdApproach::EcbUnion)
 }
 
-/// [`evaluate_point`] with a selectable CRPD approach (the CRPD ablation
-/// of [`crate::ablation`]).
-///
-/// Work is scheduled on the deterministic [`cpa_pool`] chunk-claiming
-/// pool; each worker keeps one [`AnalysisScratch`] plus recycled
-/// [`ContextBuffers`] for all its sets (and all of each set's
-/// configurations), and the per-set outcomes are folded into the
-/// [`PointStats`] in set-index order — so every tally, including the
-/// non-associative `f64` utilization sums, is byte-identical at any
-/// thread count and chunk size.
-///
-/// Warm-start retention is strictly *item-local*: the scratch forgets its
-/// previous fingerprint at the start of every set, so the engine only
-/// carries cached segments across the configurations of one set (which
-/// are identical task sets) and never across sets — whose assignment to
-/// workers depends on thread count and chunk size. The sweep drivers
-/// use [`evaluate_point_chained`] instead, which lets chains run freely.
+/// [`evaluate_point`] with a selectable CRPD approach: one
+/// [`Evaluation`] of the population, with warm retention severed per set
+/// (see [`evaluate_population`]).
 ///
 /// # Panics
 ///
-/// Panics if `gen_config` is invalid (the experiment definitions in this
-/// crate only produce valid ones) or if `configs` has more than 64
-/// entries (per-set outcomes travel as a schedulability bitmask).
+/// Same conditions as [`evaluate_population`].
 #[must_use]
 pub fn evaluate_point_with(
     gen_config: &GeneratorConfig,
@@ -260,32 +330,57 @@ pub fn evaluate_point_with(
     point_id: u64,
     crpd: CrpdApproach,
 ) -> PointStats {
+    let evaluation = Evaluation::new(gen_config.d_mem, crpd, configs.to_vec());
     let mut chain = ChainState::default();
-    evaluate_point_impl(gen_config, configs, opts, point_id, crpd, &mut chain, false)
+    population_impl(gen_config, &[evaluation], opts, point_id, &mut chain, false).remove(0)
 }
 
-/// [`evaluate_point_with`] over a caller-owned [`ChainState`]: worker
-/// states persist across calls, and warm chains run freely — across the
-/// sets of one point *and* across adjacent points — instead of being
-/// severed per set. The engine's retention certificates keep every
-/// analysis result (and the deterministic hit/miss meters) bitwise
-/// identical to the unchained path at any thread count; only the warm
-/// bookkeeping meters (`engine.warm_starts` et al.) and the
-/// `experiments.chain_*` meters vary with scheduling, and all of those
-/// are classified as scheduling meters in `cpa-telemetry`.
+/// Evaluates one utilization point's population under every
+/// [`Evaluation`] at once, returning one [`PointStats`] per evaluation.
+///
+/// Each of the `sets_per_point` task sets is generated once from
+/// `gen_config` (deterministically in `opts.seed`, `point_id` and the set
+/// index); one [`AnalysisContext`] is built per distinct
+/// `(d_mem, CRPD approach)`, each distinct configuration of a context is
+/// solved once, and its verdict is recorded for every evaluation that
+/// lists it. The tallies are exactly those of one
+/// [`evaluate_point_with`] call per evaluation, each with its own
+/// generator — the population depends only on the generator, not on the
+/// analysed latency or configurations.
+///
+/// Work is scheduled on the deterministic [`cpa_pool`] chunk-claiming
+/// pool; each worker keeps one [`AnalysisScratch`] plus recycled
+/// [`ContextBuffers`], and the per-set outcomes are folded into each
+/// evaluation's [`PointStats`] in set-index order — so every tally,
+/// including the non-associative `f64` utilization sums, is
+/// byte-identical at any thread count and chunk size.
+///
+/// Worker states live in the caller's [`ChainState`] and warm chains run
+/// freely — across sets, configurations and adjacent points. The
+/// engine's retention certificates keep every analysis result (and the
+/// deterministic hit/miss meters) bitwise identical to cold solves at
+/// any thread count; only the warm bookkeeping meters
+/// (`engine.warm_starts` et al.) and the `experiments.chain_*` meters vary
+/// with scheduling, and all of those are classified as scheduling meters
+/// in `cpa-telemetry`.
+///
+/// `experiments.sets_evaluated` counts reported samples (set ×
+/// evaluation); `workload.sets_generated` and `pool.items` count sets.
 ///
 /// # Panics
 ///
-/// Same conditions as [`evaluate_point_with`].
+/// Panics if `gen_config` is invalid (the experiment definitions in this
+/// crate only produce valid ones) or if the evaluations need more than
+/// 64 distinct solves (per-set outcomes travel as a schedulability
+/// bitmask).
 #[must_use]
-pub fn evaluate_point_chained(
+pub fn evaluate_population(
     gen_config: &GeneratorConfig,
-    configs: &[AnalysisConfig],
+    evaluations: &[Evaluation],
     opts: &SweepOptions,
     point_id: u64,
-    crpd: CrpdApproach,
     chain: &mut ChainState,
-) -> PointStats {
+) -> Vec<PointStats> {
     if !chain.states.is_empty() {
         // How many points linked into an existing chain, and over how
         // many worker states: scheduling meters (the chain shape depends
@@ -293,30 +388,54 @@ pub fn evaluate_point_chained(
         cpa_obs::counter("experiments.chain_points_linked").incr();
         cpa_obs::counter("experiments.chain_workers").add(chain.states.len() as u64);
     }
-    evaluate_point_impl(gen_config, configs, opts, point_id, crpd, chain, true)
+    population_impl(gen_config, evaluations, opts, point_id, chain, true)
 }
 
-fn evaluate_point_impl(
+/// Runs `evaluations` over the population of every point of
+/// `opts.utilization_grid` (`base` at that per-core utilization, point id
+/// = grid index) on one warm chain, handing each point's per-evaluation
+/// stats to `visit` in grid order.
+///
+/// # Panics
+///
+/// Same conditions as [`evaluate_population`].
+pub(crate) fn sweep_utilization(
+    opts: &SweepOptions,
+    base: &GeneratorConfig,
+    evaluations: &[Evaluation],
+    chain: &mut ChainState,
+    mut visit: impl FnMut(f64, &[PointStats]),
+) {
+    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
+        let gen = base.clone().with_per_core_utilization(utilization);
+        let stats = evaluate_population(&gen, evaluations, opts, ui as u64, chain);
+        visit(utilization, &stats);
+    }
+}
+
+fn population_impl(
     gen_config: &GeneratorConfig,
-    configs: &[AnalysisConfig],
+    evaluations: &[Evaluation],
     opts: &SweepOptions,
     point_id: u64,
-    crpd: CrpdApproach,
     chain: &mut ChainState,
     link: bool,
-) -> PointStats {
-    assert!(configs.len() <= 64, "schedulability mask is 64 bits");
+) -> Vec<PointStats> {
+    let plan = SolvePlan::new(evaluations);
     let generator = TaskSetGenerator::new(gen_config.clone()).expect("valid generator config");
-    let platform = platform_for(gen_config);
-    let d_mem = gen_config.d_mem;
+    let platforms: Vec<Platform> = plan
+        .contexts
+        .iter()
+        .map(|&(d_mem, _)| platform(gen_config, d_mem))
+        .collect();
 
     let _span = cpa_obs::span!("experiments.evaluate_point");
     let evaluated = cpa_obs::counter("experiments.sets_evaluated");
     // Evaluations run sequentially from the driver, so a process-wide epoch
     // gives each call a scope block of its own even when point ids repeat
-    // across experiments (fig2 reuses one id per panel to share task sets).
+    // across experiments.
     let epoch = cpa_obs::next_scope_epoch();
-    let outcomes: Vec<(f64, u64)> = cpa_pool::map_with(
+    let outcomes: Vec<(Vec<f64>, u64)> = cpa_pool::map_with(
         opts.sets_per_point,
         opts.pool_options(),
         epoch,
@@ -334,28 +453,44 @@ fn evaluate_point_impl(
             let set_seed = derive_seed(opts.seed, point_id, set as u64);
             let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
             let tasks = generator.generate(&mut rng).expect("generation succeeds");
-            let ctx = AnalysisContext::with_crpd_approach_buffers(&platform, &tasks, crpd, buffers)
-                .expect("task set fits platform");
-            let utilization = tasks.total_utilization(d_mem);
+            let mut utilizations = Vec::with_capacity(plan.contexts.len());
             let mut schedulable_mask = 0u64;
-            for (i, cfg) in configs.iter().enumerate() {
-                if analyze_with(&ctx, cfg, scratch).is_schedulable() {
-                    schedulable_mask |= 1 << i;
+            for (context, (platform, &(d_mem, crpd))) in
+                platforms.iter().zip(&plan.contexts).enumerate()
+            {
+                let ctx =
+                    AnalysisContext::with_crpd_approach_buffers(platform, &tasks, crpd, buffers)
+                        .expect("task set fits platform");
+                utilizations.push(tasks.total_utilization(d_mem));
+                for (bit, (_, cfg)) in plan
+                    .solves
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (c, _))| *c == context)
+                {
+                    if analyze_with(&ctx, cfg, scratch).is_schedulable() {
+                        schedulable_mask |= 1 << bit;
+                    }
                 }
+                ctx.recycle(buffers);
             }
-            ctx.recycle(buffers);
-            evaluated.incr();
-            (utilization, schedulable_mask)
+            evaluated.add(evaluations.len() as u64);
+            (utilizations, schedulable_mask)
         },
     );
 
-    let mut total = PointStats::new(configs.len());
-    for (utilization, mask) in outcomes {
-        for (i, acc) in total.accumulators.iter_mut().enumerate() {
-            acc.record(utilization, mask & (1 << i) != 0);
-        }
-    }
-    total
+    plan.routes
+        .iter()
+        .map(|(context, bits)| {
+            let mut stats = PointStats::new(bits.len());
+            for (utilizations, mask) in &outcomes {
+                for (acc, &bit) in stats.accumulators.iter_mut().zip(bits) {
+                    acc.record(utilizations[*context], mask & (1 << bit) != 0);
+                }
+            }
+            stats
+        })
+        .collect()
 }
 
 /// The pre-pool evaluation path, kept verbatim as the performance and
@@ -487,14 +622,11 @@ mod tests {
             let mut chain = ChainState::default();
             for (ui, _) in grid.iter().enumerate() {
                 let gen = GeneratorConfig::paper_default().with_per_core_utilization(grid[ui]);
-                let chained = evaluate_point_chained(
-                    &gen,
-                    &configs,
-                    &opts,
-                    ui as u64,
-                    CrpdApproach::EcbUnion,
-                    &mut chain,
-                );
+                let evaluation =
+                    Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
+                let chained =
+                    evaluate_population(&gen, &[evaluation], &opts, ui as u64, &mut chain)
+                        .remove(0);
                 let cold = evaluate_point(&gen, &configs, &opts, ui as u64);
                 for i in 0..configs.len() {
                     assert_eq!(

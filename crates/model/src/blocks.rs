@@ -397,8 +397,32 @@ impl CacheBlockSet {
             return out;
         }
         let shift = shift % self.capacity;
-        for block in self.iter() {
-            out.set_bit((block + shift) % self.capacity);
+        // Rotating a `capacity`-bit integer: `(x << shift) | (x >> (capacity
+        // − shift))`, word by word. Bits beyond `capacity` are zero, so the
+        // right shift brings in exactly the wrapped blocks; the left shift
+        // pushes blocks past `capacity`, which the tail mask clears.
+        let (ws, bs) = (shift / WORD_BITS, shift % WORD_BITS);
+        for i in ws..out.words.len() {
+            let mut word = self.words[i - ws] << bs;
+            if bs != 0 && i > ws {
+                word |= self.words[i - ws - 1] >> (WORD_BITS - bs);
+            }
+            out.words[i] = word;
+        }
+        let back = self.capacity - shift;
+        let (ws, bs) = (back / WORD_BITS, back % WORD_BITS);
+        for i in 0..self.words.len().saturating_sub(ws) {
+            let mut word = self.words[i + ws] >> bs;
+            if bs != 0 && i + ws + 1 < self.words.len() {
+                word |= self.words[i + ws + 1] << (WORD_BITS - bs);
+            }
+            out.words[i] |= word;
+        }
+        let tail = self.capacity % WORD_BITS;
+        if tail != 0 {
+            if let Some(last) = out.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
         }
         out
     }
@@ -633,7 +657,55 @@ mod tests {
         assert!(s.insert(255).unwrap());
     }
 
+    /// Bit-by-bit rotation: the definition [`CacheBlockSet::rotated`]
+    /// computes word by word.
+    fn rotated_reference(s: &CacheBlockSet, shift: usize) -> CacheBlockSet {
+        let mut out = CacheBlockSet::new(s.capacity());
+        for block in s.iter() {
+            out.set_bit((block + shift) % s.capacity());
+        }
+        out
+    }
+
+    #[test]
+    fn rotated_matches_reference_at_every_capacity_up_to_1100() {
+        // Every capacity, including all that are not multiples of 64, at
+        // shifts on and around the word boundaries plus the wrap points.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for capacity in 1..=1100usize {
+            let mut s = CacheBlockSet::new(capacity);
+            for _ in 0..capacity.div_ceil(3) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                s.set_bit(state as usize % capacity);
+            }
+            for shift in [
+                0,
+                1,
+                31,
+                63,
+                64,
+                65,
+                127,
+                128,
+                129,
+                capacity - 1,
+                capacity,
+                capacity + 7,
+            ] {
+                assert_eq!(
+                    s.rotated(shift),
+                    rotated_reference(&s, shift),
+                    "capacity {capacity} shift {shift}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         #[test]
         fn contiguous_matches_bit_by_bit_reference(
             capacity in 1usize..300,
@@ -646,6 +718,29 @@ mod tests {
                 reference.set_bit((start + offset) % capacity);
             }
             prop_assert_eq!(fast, reference);
+        }
+
+        #[test]
+        fn rotated_matches_bit_by_bit_reference(
+            capacity in 1usize..1101,
+            seeds in proptest::collection::vec(0usize..1100, 0..96),
+            shift in 0usize..2300,
+        ) {
+            let blocks: Vec<usize> = seeds.iter().map(|b| b % capacity).collect();
+            let s = CacheBlockSet::from_blocks(capacity, blocks).unwrap();
+            prop_assert_eq!(s.rotated(shift), rotated_reference(&s, shift));
+        }
+
+        #[test]
+        fn rotated_full_and_contiguous_sets_match_reference(
+            capacity in 1usize..1101,
+            start in 0usize..1100,
+            len in 0usize..1100,
+            shift in 0usize..2300,
+        ) {
+            // Dense runs cross every word boundary the sparse case misses.
+            let s = CacheBlockSet::contiguous(capacity, start, len);
+            prop_assert_eq!(s.rotated(shift), rotated_reference(&s, shift));
         }
 
         #[test]

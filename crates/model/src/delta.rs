@@ -4,7 +4,7 @@
 //! task sets: adjacent candidates differ in one task's core, rank or
 //! cache coloring, and consecutive configurations of the same set differ
 //! in nothing at all. The analysis engine can retain per-task and
-//! per-`(level, core)` cached state across such solves — but only when it
+//! per-`(core, split)` cached state across such solves — but only when it
 //! can *certify* that the retained entries were derived from identical
 //! inputs. A [`TaskSetFingerprint`] captures exactly the inputs the
 //! engine's caches consume (the canonical per-task content hashes of

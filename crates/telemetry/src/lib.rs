@@ -63,7 +63,7 @@ pub enum ExportScope {
 /// The three `engine.warm_*`-family meters measure warm-start chain
 /// history — what the *previous* solve on the same per-worker scratch
 /// left behind. The optimizer and the chained sweep drivers
-/// (`evaluate_point_chained`) chain freely per worker, so which item
+/// (`evaluate_population`) chain freely per worker, so which item
 /// warms which is a pool artifact; the `experiments.chain_*` meters
 /// count those cross-point links and scale with the worker count.
 /// (Analysis *results* and the hit/miss meters stay bitwise-equal warm
