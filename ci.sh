@@ -50,7 +50,7 @@ cargo run --release -p cpa-validate --bin cpa-trace -- optimize --seed 7 --sets 
 echo "==> optimizer determinism smoke (exhaustive-vs-local agreement, thread invariance)"
 cargo test -q -p cpa-optimize --release --test optimizer_determinism
 
-echo "==> cpa-optimize service smoke (1-vs-4 threads byte-compared, then 100% cache hits)"
+echo "==> cpa-optimize service smoke (1-vs-4 threads byte-compared, 100% cache hits, 4 x 5 under every bus)"
 rm -rf ci-opt && mkdir ci-opt
 cargo run --release -p cpa-optimize -- gen --sets 3 --seed 42 --cores 2 \
   --tasks-per-core 3 --cache-sets 32 --util 0.5 --toy --out ci-opt/batch.json
@@ -65,6 +65,18 @@ diff ci-opt/t1.json ci-opt/warm.json
 grep -q '"cache_hits":3' ci-opt/warm-stats.json
 grep -q '"cache_misses":0' ci-opt/warm-stats.json
 grep -q '"strictly_improved":[1-9]' ci-opt/cold.json
+# Paper-scale 4 x 5 requests take the local-search path, so Audsley
+# seeding runs under every bus policy; 1-vs-4 threads byte-compared.
+for bus in fp rr tdma perfect; do
+  cargo run --release -p cpa-optimize -- gen --sets 2 --seed 42 --cores 4 \
+    --tasks-per-core 5 --util 0.3 --bus "$bus" --toy --out "ci-opt/$bus.json"
+  for threads in 1 4; do
+    cargo run --release -p cpa-optimize -- run --requests "ci-opt/$bus.json" \
+      --threads "$threads" --out "ci-opt/$bus-t$threads.json" 2> /dev/null
+  done
+  diff "ci-opt/$bus-t1.json" "ci-opt/$bus-t4.json"
+  grep -q '"strategy":"local-search"' "ci-opt/$bus-t1.json"
+done
 rm -rf ci-opt
 
 echo "==> 1-vs-N worker determinism smoke (shared-population drivers, byte-compared CSVs)"

@@ -615,33 +615,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         }
     }
 
-    /// Offers per-task response-time hints from a neighbouring solve
-    /// (see [`crate::analyze_with_seed`]). A hint is *adopted* only when
-    /// it is provably the value the cold iteration starts from anyway —
-    /// i.e. it equals the initial estimate `PD_i + MD_i · d_mem`. No
-    /// other certificate short of re-running the fixed point exists, so
-    /// every other component (over-estimates in particular) is rejected
-    /// and re-derived by the unmodified cold iterate chain; seeded runs
-    /// are therefore bitwise identical to unseeded ones, and the warm
-    /// speedup comes from the scratch's certified structural retention
-    /// instead. Tallies land in `engine.seed_hints_adopted` /
-    /// `engine.seed_hints_rejected`.
-    pub(crate) fn offer_seed(&mut self, seed: &[Time]) {
-        let n = self.scratch.init.len();
-        let mut adopted = 0u64;
-        // Length mismatches reject the excess outright.
-        let mut rejected = (seed.len().abs_diff(n)) as u64;
-        for (hint, &init) in seed.iter().zip(&self.scratch.init[..n.min(seed.len())]) {
-            if *hint == init {
-                adopted += 1;
-            } else {
-                rejected += 1;
-            }
-        }
-        cpa_obs::counter("engine.seed_hints_adopted").add(adopted);
-        cpa_obs::counter("engine.seed_hints_rejected").add(rejected);
-    }
-
     /// Eq. (19)'s right-hand side at window length `r`, evaluated through
     /// the curve caches. Agrees pointwise with the reference evaluator
     /// (`rhs` in [`crate::wcrt`]) — that is the whole equivalence argument.

@@ -108,6 +108,6 @@ pub use diagnose::{decompose, DominantTerm, TermDecomposition};
 pub use engine::AnalysisScratch;
 pub use sched::{weighted_schedulability, WeightedAccumulator};
 pub use wcrt::{
-    analyze, analyze_reference, analyze_with, analyze_with_parent, analyze_with_seed, explain,
-    AnalysisResult, ParentSolution, WcrtBreakdown,
+    analyze, analyze_reference, analyze_with, analyze_with_parent, explain, AnalysisResult,
+    ParentSolution, WcrtBreakdown,
 };

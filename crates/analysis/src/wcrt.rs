@@ -127,38 +127,6 @@ pub fn analyze_with(
     result
 }
 
-/// [`analyze_with`] additionally offered per-task response-time hints
-/// from a neighbouring solve (a parent optimizer candidate, the previous
-/// configuration of the same set). The seed is a *hint, never an input*:
-/// a component is adopted only when it provably equals the value the
-/// cold iteration starts from, and every other component — over-estimates
-/// in particular — is rejected and re-derived by the unmodified cold
-/// iterate chain. Results are therefore bitwise identical to
-/// [`analyze_with`] and [`analyze`] (the warm-equivalence proptests pin
-/// every output field, iteration counts included); the actual speedup
-/// comes from the scratch's certified structural retention, which the
-/// seeded call path keeps alive across neighbouring solves.
-#[must_use]
-pub fn analyze_with_seed(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    scratch: &mut crate::engine::AnalysisScratch,
-    seed: &[Time],
-) -> AnalysisResult {
-    let mut engine = crate::engine::AnalysisEngine::new(ctx, config, scratch);
-    engine.offer_seed(seed);
-    let result = engine.run();
-    if warm_cross_check_enabled() {
-        let cold_bao = cross_check_against_cold(ctx, config, &result);
-        assert_eq!(
-            scratch.bao_tallies(),
-            cold_bao,
-            "warm/cold divergence: BAO hit/miss tallies"
-        );
-    }
-    result
-}
-
 /// A fully converged solve of one task set, captured as the certification
 /// base for partial re-solve (DESIGN.md §16).
 ///
@@ -261,9 +229,9 @@ pub fn analyze_with_parent(
 }
 
 /// Whether `CPA_WARM_CROSS_CHECK` is set (to anything but `0`): every
-/// warm/seeded analysis then re-runs cold on a fresh scratch and asserts
-/// full bitwise equality — the belt-and-braces mode ci.sh uses for the
-/// warm-equivalence smoke test. Read once per process.
+/// warm or parent-certified analysis then re-runs cold on a fresh scratch
+/// and asserts full bitwise equality — the belt-and-braces mode ci.sh
+/// uses for the warm-equivalence smoke test. Read once per process.
 fn warm_cross_check_enabled() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| std::env::var_os("CPA_WARM_CROSS_CHECK").is_some_and(|v| v != "0"))

@@ -28,6 +28,19 @@ use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// `certification_paths_are_taken` reads the process-global
+/// `engine.tasks_certified` / `engine.parent_replays` counters, which
+/// every test in this file moves. Tests of one binary run in parallel,
+/// so each holds this lock while it solves.
+static PARENT_COUNTERS: Mutex<()> = Mutex::new(());
+
+fn counters_lock() -> MutexGuard<'static, ()> {
+    PARENT_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn platform_for(config: &GeneratorConfig) -> Platform {
     Platform::builder()
@@ -127,6 +140,7 @@ fn perturb(tasks: &TaskSet, victim: usize, extra: u64, move_core: bool, cores: u
 /// rejected without influencing the result — the full cross matrix.
 #[test]
 fn identical_replay_and_env_mismatch_matrix() {
+    let _counters = counters_lock();
     let (tasks, platform) = generate(7, 0.3);
     let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
     let parents: Vec<Option<ParentSolution>> = configs()
@@ -156,6 +170,7 @@ fn identical_replay_and_env_mismatch_matrix() {
 /// replay path must light `engine.parent_replays`.
 #[test]
 fn certification_paths_are_taken() {
+    let _counters = counters_lock();
     let (tasks, platform) = generate(11, 0.3);
     let perturbed = perturb(&tasks, 0, 17, false, 2);
     let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
@@ -207,6 +222,7 @@ proptest! {
         extra in 1u64..200,
         move_core in any::<bool>(),
     ) {
+        let _counters = counters_lock();
         let (tasks_a, platform) = generate(seed, util);
         let victim = victim % tasks_a.len();
         let tasks_b = perturb(&tasks_a, victim, extra, move_core, 2);

@@ -7,13 +7,6 @@
 //! tallies, cap flag). `AnalysisResult` is `Eq`, so one comparison pins
 //! all of them at once.
 //!
-//! Seeded solves ([`analyze_with_seed`]) are held to the same standard
-//! against adversarial hints: exact responses from a *converged* run
-//! (over-estimates of the init floor), truncated and over-long vectors,
-//! and arbitrary junk. A hint is only ever adopted when it equals the
-//! value the cold iteration starts from anyway, so no vector — however
-//! wrong — may move any output bit.
-//!
 //! Warm runs must also score the `BAO` cache exactly like cold runs:
 //! [`AnalysisScratch::bao_tallies`] (the scratch's own share of
 //! `engine.bao_hit` / `engine.bao_miss`) is compared after every warm
@@ -21,8 +14,8 @@
 //! the misses a cold run pays.
 
 use cpa_analysis::{
-    analyze, analyze_with, analyze_with_seed, AnalysisConfig, AnalysisContext, AnalysisResult,
-    AnalysisScratch, BusPolicy, PersistenceMode,
+    analyze_with, AnalysisConfig, AnalysisContext, AnalysisResult, AnalysisScratch, BusPolicy,
+    PersistenceMode,
 };
 use cpa_model::{CacheBlockSet, CacheGeometry, CoreId, Platform, Priority, Task, TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -179,13 +172,11 @@ fn fig1() -> (Platform, TaskSet) {
     (platform, TaskSet::new(vec![tau1, tau2, tau3]).unwrap())
 }
 
-/// Warm chains and seeded solves on the paper's own worked example: the
-/// deterministic anchor of this suite (the proptests randomize around
-/// it). Chains every config on one scratch, then replays the FP/Aware
-/// solve seeded with its own responses (deadline-missed entries mapped
-/// to the `u64::MAX` sentinel, exactly as the optimizer hands hints on).
+/// Warm chains on the paper's own worked example: the deterministic
+/// anchor of this suite (the proptests randomize around it). Chains every
+/// config on one scratch.
 #[test]
-fn fig1_warm_chain_and_seeded_solves_match_cold() {
+fn fig1_warm_chain_matches_cold() {
     let (platform, tasks) = fig1();
     let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
     let mut warm = AnalysisScratch::new();
@@ -199,15 +190,6 @@ fn fig1_warm_chain_and_seeded_solves_match_cold() {
             "fig1 {config:?}: BAO hit/miss"
         );
     }
-    let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
-    let cold = analyze(&ctx, &config);
-    let hint: Vec<Time> = cold
-        .response_times()
-        .iter()
-        .map(|r| r.unwrap_or(Time::from_cycles(u64::MAX)))
-        .collect();
-    let seeded = analyze_with_seed(&ctx, &config, &mut warm, &hint);
-    assert_bitwise(&seeded, &cold, "fig1 seeded with own responses");
 }
 
 proptest! {
@@ -265,56 +247,6 @@ proptest! {
                 assert_bitwise(&w, &c, &tag);
                 prop_assert_eq!(warm.bao_tallies(), cold_bao, "{}: BAO hit/miss", tag);
             }
-        }
-    }
-
-    /// Adversarial seed vectors: converged responses (over-estimates of
-    /// the init floor — the dangerous direction: trusting one would skip
-    /// iterations and could hide a deadline miss), truncated, over-long,
-    /// zeroed, and junk hints. None may change a single output bit, on a
-    /// cold scratch or mid-chain.
-    #[test]
-    fn seeded_solves_match_unseeded_bitwise(
-        seed in any::<u64>(),
-        util in 0.1f64..0.7,
-        junk in prop::collection::vec(any::<u64>(), 0..12),
-    ) {
-        let (tasks, platform) = generate(seed, util);
-        let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
-        let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
-        let cold = analyze(&ctx, &config);
-
-        // The optimizer's actual hint: the parent's converged responses,
-        // each ≥ its init floor (strictly greater whenever the task sees
-        // any interference), i.e. an over-estimate the engine must refuse.
-        let parent: Vec<Time> = cold
-            .response_times()
-            .iter()
-            .map(|r| r.unwrap_or(Time::from_cycles(u64::MAX)))
-            .collect();
-        let mut truncated = parent.clone();
-        truncated.truncate(parent.len() / 2);
-        let mut overlong = parent.clone();
-        overlong.push(Time::from_cycles(1));
-        let zeroed = vec![Time::from_cycles(0); parent.len()];
-        let junk: Vec<Time> = junk.into_iter().map(Time::from_cycles).collect();
-
-        for (name, hint) in [
-            ("parent", &parent),
-            ("truncated", &truncated),
-            ("overlong", &overlong),
-            ("zeroed", &zeroed),
-            ("junk", &junk),
-        ] {
-            // Cold scratch + hint.
-            let seeded = analyze_with_seed(&ctx, &config, &mut AnalysisScratch::new(), hint);
-            assert_bitwise(&seeded, &cold, &format!("seed={seed} hint={name} (cold scratch)"));
-            // Warm scratch (previous solve of the same set) + hint: the
-            // optimizer's steady state.
-            let mut chained = AnalysisScratch::new();
-            let _ = analyze_with(&ctx, &config, &mut chained);
-            let seeded = analyze_with_seed(&ctx, &config, &mut chained, hint);
-            assert_bitwise(&seeded, &cold, &format!("seed={seed} hint={name} (warm scratch)"));
         }
     }
 }

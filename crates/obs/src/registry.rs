@@ -119,6 +119,27 @@ pub fn restore_scope_state(state: (u64, u64)) {
     SEQ.with(|s| s.set(state.1));
 }
 
+/// Detaches the spans open on this thread, so spans opened until
+/// [`reattach_spans`] record at the profile root — where every span of a
+/// freshly spawned thread starts. An inline parallel region (a pool
+/// running its items on the calling thread) brackets its items with the
+/// pair, so its span tree does not depend on whether it ran inline.
+/// Costs one flag load while timing is off.
+#[must_use]
+pub fn detach_spans() -> Vec<&'static str> {
+    if !timing_enabled() {
+        return Vec::new();
+    }
+    SPAN_PATH.with(|path| std::mem::take(&mut *path.borrow_mut()))
+}
+
+/// Reopens the spans [`detach_spans`] took off this thread.
+pub fn reattach_spans(spans: Vec<&'static str>) {
+    if !spans.is_empty() {
+        SPAN_PATH.with(|path| *path.borrow_mut() = spans);
+    }
+}
+
 /// Process-wide scope-epoch allocator: drivers that run many scoped
 /// parallel regions in sequence (the experiment sweeps re-use point ids
 /// across panels) take one epoch per region and derive their per-unit

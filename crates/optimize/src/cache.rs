@@ -25,8 +25,6 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cpa_model::Time;
-
 use crate::score::Evaluation;
 
 /// A content-addressed store of serialized response documents.
@@ -108,14 +106,6 @@ impl ResultCache {
     }
 }
 
-/// One memoized candidate solve: its [`Evaluation`] and, when the solve
-/// tracked them, the per-task response-time vector.
-#[derive(Debug)]
-struct MemoEntry {
-    eval: Evaluation,
-    responses: Option<Vec<Time>>,
-}
-
 /// A batch-scoped, content-addressed memo of candidate solves, shared
 /// across every candidate and request in one `process_batch` call.
 ///
@@ -125,7 +115,7 @@ struct MemoEntry {
 /// the memo lives exactly as long as its batch.
 #[derive(Debug, Default)]
 pub struct SolveMemo {
-    entries: HashMap<u64, MemoEntry>,
+    entries: HashMap<u64, Evaluation>,
 }
 
 impl SolveMemo {
@@ -147,38 +137,21 @@ impl SolveMemo {
         self.entries.is_empty()
     }
 
-    /// Looks up a solve. When `need_responses` is set, an entry without a
-    /// response vector counts as a miss so the caller re-solves (and
-    /// upgrades the entry via [`SolveMemo::insert`]).
-    pub(crate) fn get(&self, key: u64, need_responses: bool) -> Option<(Evaluation, Vec<Time>)> {
-        let entry = self.entries.get(&key)?;
-        if need_responses {
-            entry.responses.clone().map(|resp| (entry.eval, resp))
-        } else {
-            Some((entry.eval, Vec::new()))
-        }
+    /// Looks up a solve.
+    pub(crate) fn get(&self, key: u64) -> Option<Evaluation> {
+        self.entries.get(&key).copied()
     }
 
-    /// Stores (or upgrades) a solve. An existing entry's response vector
-    /// is never downgraded to `None`.
-    pub(crate) fn insert(&mut self, key: u64, eval: Evaluation, responses: Option<Vec<Time>>) {
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                if entry.responses.is_none() {
-                    entry.responses = responses;
-                }
-            }
-            None => {
-                self.entries.insert(key, MemoEntry { eval, responses });
-            }
-        }
+    /// Stores a solve. Equal keys describe the same analysis problem, so
+    /// an existing entry already holds the same evaluation.
+    pub(crate) fn insert(&mut self, key: u64, eval: Evaluation) {
+        self.entries.entry(key).or_insert(eval);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::Score;
 
     #[test]
     fn memory_round_trip() {
@@ -200,24 +173,5 @@ mod tests {
         let mut fresh = ResultCache::persistent(&dir).unwrap();
         assert_eq!(fresh.get(0xdead_beef).as_deref(), Some("{\"y\":2}"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn memo_misses_when_responses_are_required_but_absent() {
-        let eval = Evaluation {
-            score: Score::worst(),
-            converged_mask: 0,
-        };
-        let mut memo = SolveMemo::new();
-        memo.insert(3, eval, None);
-        assert!(memo.get(3, false).is_some());
-        assert!(memo.get(3, true).is_none(), "responseless entry is a miss");
-        // Upgrading fills the responses; a later insert never clears them.
-        memo.insert(3, eval, Some(vec![Time::from_cycles(9)]));
-        let (_, resp) = memo.get(3, true).expect("upgraded entry hits");
-        assert_eq!(resp, vec![Time::from_cycles(9)]);
-        memo.insert(3, eval, None);
-        assert!(memo.get(3, true).is_some(), "no downgrade on re-insert");
-        assert_eq!(memo.len(), 1);
     }
 }

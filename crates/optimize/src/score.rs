@@ -40,7 +40,7 @@ impl Score {
     /// The score of a candidate no analysis ever produced: loses to
     /// everything a real evaluation can return.
     #[must_use]
-    pub fn worst() -> Score {
+    pub const fn worst() -> Score {
         Score {
             schedulable: false,
             converged: 0,

@@ -12,8 +12,8 @@
 //! to the earliest index, so the result is a pure function of the input.
 //!
 //! Otherwise a steepest-ascent hill climb runs `restarts` times: restart 0
-//! starts from the default configuration refined by an Audsley-style
-//! priority seeding pass, later restarts perturb the default with a
+//! starts from the default configuration refined by Audsley's optimal
+//! priority assignment, later restarts perturb the default with a
 //! ChaCha-seeded random walk. Each round samples `neighbors` single moves
 //! (core reassignment, core swap, rank swap, recolor) *on the driver
 //! thread* — the pool only ever evaluates fully formed candidates, so the
@@ -43,9 +43,17 @@
 //! All three stages decide on the driver thread in candidate order, so
 //! the set of engine calls — and the response bytes — are invariant in
 //! the worker-thread count. The `full_eval` escape hatch disables the
-//! memo, warm chaining, seeding and parent certification (each candidate
+//! memo, warm chaining and parent certification (each candidate
 //! solves independently on a cold scratch; pruning stays), which is what
 //! the byte-identity acceptance in `cpa-bench` compares against.
+//!
+//! # Priority seeding
+//!
+//! [`Searcher::audsley`] is textbook OPA: levels are assigned lowest
+//! first, and at each level the unassigned tasks are probed one at a time
+//! in base order until one converges there. The scan is sequential on
+//! purpose: a speculative window of parallel probes would make
+//! `stats.candidates` and the memo contents depend on the thread count.
 //!
 //! # Determinism
 //!
@@ -59,11 +67,11 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cpa_analysis::{
-    analyze_with, analyze_with_parent, analyze_with_seed, AnalysisConfig, AnalysisContext,
-    AnalysisScratch, ContextBuffers, CrpdApproach, ParentSolution,
+    analyze_with, analyze_with_parent, AnalysisConfig, AnalysisContext, AnalysisScratch,
+    ContextBuffers, CrpdApproach, ParentSolution,
 };
 use cpa_experiments::runner::derive_seed;
-use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet, Time};
+use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet};
 use cpa_pool::PoolOptions;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -281,11 +289,10 @@ impl EvalScratch {
     }
 }
 
-/// One evaluated candidate as the driver sees it: its evaluation, the
-/// per-task response vector (empty unless tracked), and — for freshly
-/// solved, schedulable local-search points — a captured [`ParentSolution`]
-/// the next round can certify against.
-type EvalRow = (Evaluation, Vec<Time>, Option<ParentSolution>);
+/// One evaluated candidate as the driver sees it: its evaluation and —
+/// for freshly solved, schedulable local-search points — a captured
+/// [`ParentSolution`] the next round can certify against.
+type EvalRow = (Evaluation, Option<ParentSolution>);
 
 struct Searcher<'a> {
     base: &'a TaskSet,
@@ -322,7 +329,7 @@ struct Searcher<'a> {
     /// memo key, so fragments of different requests never collide.
     env_key: u64,
     /// Evaluate every admitted candidate independently: no memo, no warm
-    /// chaining, no seeding, no parent certification.
+    /// chaining, no parent certification.
     full_eval: bool,
 }
 
@@ -377,39 +384,36 @@ impl<'a> Searcher<'a> {
     /// batch through the admission bounds first — on for exhaustive
     /// enumeration, off for the default configuration and Audsley probes.
     fn evaluate_batch(&mut self, candidates: &[Candidate], prune: bool) -> Vec<Evaluation> {
-        self.evaluate_batch_impl(candidates, None, None, false, prune)
+        self.evaluate_batch_impl(candidates, None, false, prune)
             .into_iter()
-            .map(|(eval, _, _)| eval)
+            .map(|(eval, _)| eval)
             .collect()
     }
 
     /// [`Searcher::evaluate_batch`] for local-search points: pruning on,
-    /// responses tracked, each solve offered `seed` (the current point's
-    /// converged response times) as a warm-start hint and `parent` (the
-    /// current point's captured solution) for partial re-solve
-    /// certification. Both are pure accelerators — adopted per component
-    /// only when provably exact — so the search trajectory is unchanged.
-    fn evaluate_batch_seeded(
+    /// each solve offered `parent` (the current point's captured solution)
+    /// for partial re-solve certification, and each fresh schedulable
+    /// solve captured as a parent in turn. Certification is a pure
+    /// accelerator — adopted per task only when provably exact — so the
+    /// search trajectory is unchanged.
+    fn evaluate_batch_with_parent(
         &mut self,
         candidates: &[Candidate],
-        seed: Option<&[Time]>,
         parent: Option<&ParentSolution>,
     ) -> Vec<EvalRow> {
-        self.evaluate_batch_impl(candidates, seed, parent, true, true)
+        self.evaluate_batch_impl(candidates, parent, true, true)
     }
 
     fn evaluate_batch_impl(
         &mut self,
         candidates: &[Candidate],
-        seed: Option<&[Time]>,
         parent: Option<&ParentSolution>,
-        track_responses: bool,
+        capture_parents: bool,
         prune: bool,
     ) -> Vec<EvalRow> {
         let _span = cpa_obs::span!("optimize.evaluate_batch");
         self.evaluated += candidates.len() as u64;
         cpa_obs::counter("optimize.candidates").add(candidates.len() as u64);
-        let n = self.base.len();
 
         // Stage 1+2, on the driver in candidate order: prune, then memo,
         // then collapse within-batch duplicates. Only `need` reaches the
@@ -456,7 +460,7 @@ impl<'a> Searcher<'a> {
                             _ => "optimize.pruned_utilization",
                         })
                         .incr();
-                        rows[k] = Some(pruned_row(n, track_responses));
+                        rows[k] = Some((PRUNED_EVAL, None));
                         continue;
                     }
                 }
@@ -467,9 +471,9 @@ impl<'a> Searcher<'a> {
             }
             let key = memo_key(env_key, candidate);
             keys[k] = key;
-            if let Some((eval, responses)) = memo.get(key, track_responses) {
+            if let Some(eval) = memo.get(key) {
                 cpa_obs::counter("optimize.memo_hits").incr();
-                rows[k] = Some((eval, responses, None));
+                rows[k] = Some((eval, None));
                 continue;
             }
             cpa_obs::counter("optimize.memo_misses").incr();
@@ -513,31 +517,19 @@ impl<'a> Searcher<'a> {
                     // parent (and thus from each other) in a handful of
                     // tasks, so the fingerprint delta certifies most cached
                     // segments. This is safe at any thread count because
-                    // retention, seeding and parent certification never
-                    // change results, only skip re-derivations. `full_eval`
-                    // turns all of it off for independent solves.
+                    // retention and parent certification never change
+                    // results, only skip re-derivations. `full_eval` turns
+                    // all of it off for independent solves.
                     let result = if full_eval {
                         state.scratch.forget_warm();
                         analyze_with(&ctx, config, &mut state.scratch)
                     } else if let Some(parent) = parent {
                         analyze_with_parent(&ctx, config, &mut state.scratch, parent)
                     } else {
-                        match seed {
-                            Some(seed) => analyze_with_seed(&ctx, config, &mut state.scratch, seed),
-                            None => analyze_with(&ctx, config, &mut state.scratch),
-                        }
+                        analyze_with(&ctx, config, &mut state.scratch)
                     };
                     let eval = evaluate_result(&tasks, &result);
-                    let responses = if track_responses {
-                        result
-                            .response_times()
-                            .iter()
-                            .map(|r| r.unwrap_or(Time::from_cycles(u64::MAX)))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let next_parent = if track_responses && !full_eval {
+                    let next_parent = if capture_parents && !full_eval {
                         ParentSolution::capture(&ctx, config, &result)
                     } else {
                         None
@@ -546,7 +538,7 @@ impl<'a> Searcher<'a> {
                     if !full_eval {
                         state.recycle_set(tasks);
                     }
-                    (eval, responses, next_parent)
+                    (eval, next_parent)
                 },
             )
         };
@@ -554,13 +546,13 @@ impl<'a> Searcher<'a> {
         // Stitch, sequentially in solve order: memoize each fresh solve
         // and fan duplicates out from their solved representative.
         for &(k, j) in &*dups {
-            let (eval, responses, parent) = &solved[j];
-            rows[k] = Some((*eval, responses.clone(), parent.clone()));
+            let (eval, parent) = &solved[j];
+            rows[k] = Some((*eval, parent.clone()));
         }
         for (j, row) in solved.into_iter().enumerate() {
             let k = need[j];
             if !full_eval {
-                memo.insert(keys[k], row.0, track_responses.then(|| row.1.clone()));
+                memo.insert(keys[k], row.0);
             }
             rows[k] = Some(row);
         }
@@ -676,43 +668,46 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Audsley-style priority seeding on top of the default partitioning
-    /// and coloring: assign levels lowest-first, at each level batching one
-    /// probe per still-unassigned task and keeping the first whose task
-    /// converges there. Quadratic in task count, so only run for seeding.
+    /// Audsley's optimal priority assignment on top of the default
+    /// partitioning and coloring: assign levels lowest-first; at each level
+    /// probe the still-unassigned tasks one at a time, in base order, and
+    /// give the level to the first whose task converges there (to the
+    /// first unassigned task when none does). Quadratic in task count in
+    /// the worst case, so only run for seeding.
     fn audsley(&mut self, default: &Candidate) -> Candidate {
         let _span = cpa_obs::span!("optimize.audsley");
         let n = self.base.len();
         let mut ranks = vec![u32::MAX; n];
         let mut unassigned: Vec<usize> = (0..n).collect();
+        let mut probe = default.clone();
         for level in (0..n).rev() {
-            let probes: Vec<Candidate> = unassigned
-                .iter()
-                .map(|&u| {
-                    let mut c = default.clone();
-                    let mut next = 0u32;
-                    for (k, slot) in c.ranks.iter_mut().enumerate() {
-                        *slot = if ranks[k] != u32::MAX {
-                            ranks[k]
-                        } else if k == u {
-                            level as u32
-                        } else {
-                            let r = next;
-                            next += 1;
-                            r
-                        };
-                    }
-                    c
-                })
-                .collect();
-            // Probes are never pruned: they share the default partition,
-            // and the seeding pass must stay a pure function of real
-            // evaluations.
-            let evals = self.evaluate_batch(&probes, false);
-            let pick = evals
-                .iter()
-                .position(|e| (e.converged_mask >> level) & 1 == 1)
-                .unwrap_or(0);
+            // `position` stops at the first converging probe.
+            let pick = unassigned.iter().position(|&u| {
+                // Assigned tasks keep their level, the probed task takes
+                // this one, the rest fill the higher levels in base order.
+                let mut next = 0u32;
+                for (k, slot) in probe.ranks.iter_mut().enumerate() {
+                    *slot = if ranks[k] != u32::MAX {
+                        ranks[k]
+                    } else if k == u {
+                        level as u32
+                    } else {
+                        let r = next;
+                        next += 1;
+                        r
+                    };
+                }
+                cpa_obs::counter("optimize.audsley_probes").incr();
+                // Probes are never pruned: they share the default
+                // partition, and the seeding pass must stay a pure
+                // function of real evaluations.
+                let eval = self.evaluate_batch(std::slice::from_ref(&probe), false)[0];
+                (eval.converged_mask >> level) & 1 == 1
+            });
+            let pick = pick.unwrap_or_else(|| {
+                cpa_obs::counter("optimize.audsley_fallbacks").incr();
+                0
+            });
             let u = unassigned.remove(pick);
             ranks[u] = level as u32;
         }
@@ -742,21 +737,12 @@ fn memo_key(env_key: u64, c: &Candidate) -> u64 {
     h.finish()
 }
 
-/// The canonical row of a pruned candidate in an `n`-task set: the worst
-/// score any real evaluation loses to, no converged tasks, sentinel
-/// responses.
-fn pruned_row(n: usize, track_responses: bool) -> EvalRow {
-    let eval = Evaluation {
-        score: Score::worst(),
-        converged_mask: 0,
-    };
-    let responses = if track_responses {
-        vec![Time::from_cycles(u64::MAX); n]
-    } else {
-        Vec::new()
-    };
-    (eval, responses, None)
-}
+/// The canonical evaluation of a pruned candidate: the worst score any
+/// real evaluation loses to, no converged tasks.
+const PRUNED_EVAL: Evaluation = Evaluation {
+    score: Score::worst(),
+    converged_mask: 0,
+};
 
 fn factorial(n: u32) -> Option<u64> {
     (1..=u64::from(n)).try_fold(1u64, u64::checked_mul)
@@ -808,8 +794,8 @@ pub fn optimize(
 /// [`optimize`] with a caller-owned [`SolveMemo`] — the service passes
 /// one memo per batch so solve fragments are shared across requests —
 /// and the `full_eval` escape hatch, which evaluates every admitted
-/// candidate independently (no memo, no warm chaining, no seeding, no
-/// parent certification; admission pruning stays because it defines the
+/// candidate independently (no memo, no warm chaining, no parent
+/// certification; admission pruning stays because it defines the
 /// search semantics). Both knobs accelerate or de-accelerate the same
 /// deterministic trajectory: the outcome is byte-identical either way.
 #[must_use]
@@ -878,8 +864,8 @@ pub fn optimize_with_memo(
                 }
                 c
             };
-            let (mut current_eval, mut current_resp, mut current_parent) = s
-                .evaluate_batch_seeded(std::slice::from_ref(&current), None, None)
+            let (mut current_eval, mut current_parent) = s
+                .evaluate_batch_with_parent(std::slice::from_ref(&current), None)
                 .pop()
                 .expect("one candidate in, one evaluation out");
             if current_eval.score > best_eval.score {
@@ -899,19 +885,14 @@ pub fn optimize_with_memo(
                 if neighbors.is_empty() {
                     break;
                 }
-                // The parent's converged response times seed every
-                // neighbour solve, and its captured solution certifies
-                // their untouched tasks (pure accelerators — adopted per
-                // component only when provably exact, so outcomes match
-                // the unassisted search bit for bit).
-                let mut evals = s.evaluate_batch_seeded(
-                    &neighbors,
-                    Some(&current_resp),
-                    current_parent.as_ref(),
-                );
+                // The current point's captured solution certifies every
+                // neighbour's untouched tasks (a pure accelerator — adopted
+                // per task only when provably exact, so outcomes match the
+                // unassisted search bit for bit).
+                let mut evals = s.evaluate_batch_with_parent(&neighbors, current_parent.as_ref());
                 let bi = {
                     let mut bi = 0;
-                    for (k, (e, _, _)) in evals.iter().enumerate().skip(1) {
+                    for (k, (e, _)) in evals.iter().enumerate().skip(1) {
                         if e.score > evals[bi].0.score {
                             bi = k;
                         }
@@ -923,8 +904,7 @@ pub fn optimize_with_memo(
                     stats.moves_rejected += (neighbors.len() - 1) as u64;
                     current = neighbors[bi].clone();
                     current_eval = evals[bi].0;
-                    current_resp = std::mem::take(&mut evals[bi].1);
-                    current_parent = evals[bi].2.take();
+                    current_parent = evals[bi].1.take();
                     stale = 0;
                     if current_eval.score > best_eval.score {
                         best = current.clone();
@@ -938,8 +918,7 @@ pub fn optimize_with_memo(
                     if evals[bi].0.score == current_eval.score && rng.gen_bool(0.5) {
                         current = neighbors[bi].clone();
                         current_eval = evals[bi].0;
-                        current_resp = std::mem::take(&mut evals[bi].1);
-                        current_parent = evals[bi].2.take();
+                        current_parent = evals[bi].1.take();
                     }
                     if stale >= knobs.patience.max(1) {
                         break;
@@ -964,6 +943,9 @@ pub fn optimize_with_memo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpa_analysis::{BusPolicy, PersistenceMode};
+    use cpa_model::CacheGeometry;
+    use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 
     #[test]
     fn lehmer_code_enumerates_all_permutations() {
@@ -985,5 +967,116 @@ mod tests {
         assert_eq!(factorial(0), Some(1));
         assert_eq!(factorial(5), Some(120));
         assert_eq!(factorial(30), None);
+    }
+
+    /// A generated 4-core × 5-task set and its platform, shaped like a
+    /// service request.
+    fn generated(seed: u64, util: f64) -> (TaskSet, Platform) {
+        let mut config = GeneratorConfig::paper_default()
+            .with_cores(4)
+            .with_per_core_utilization(util);
+        config.tasks_per_core = 5;
+        let d_mem = config.d_mem;
+        let tasks = TaskSetGenerator::new(config)
+            .and_then(|g| g.generate(&mut ChaCha8Rng::seed_from_u64(seed)))
+            .expect("paper-shaped configs generate");
+        let platform = Platform::builder()
+            .cores(4)
+            .cache(CacheGeometry::direct_mapped(tasks.cache_sets(), 32))
+            .memory_latency(d_mem)
+            .build()
+            .expect("valid platform");
+        (tasks, platform)
+    }
+
+    /// The eager reference: at each level, evaluate one probe per
+    /// unassigned task in a single batch and keep the first whose task
+    /// converges (the first unassigned task when none does). Returns the
+    /// ranks and, per level, the probe count and the pick (`None` when no
+    /// probe converged).
+    fn eager_audsley(
+        s: &mut Searcher<'_>,
+        default: &Candidate,
+    ) -> (Vec<u32>, Vec<(usize, Option<usize>)>) {
+        let n = s.base.len();
+        let mut ranks = vec![u32::MAX; n];
+        let mut unassigned: Vec<usize> = (0..n).collect();
+        let mut levels = Vec::new();
+        for level in (0..n).rev() {
+            let probes: Vec<Candidate> = unassigned
+                .iter()
+                .map(|&u| {
+                    let mut c = default.clone();
+                    let mut next = 0u32;
+                    for (k, slot) in c.ranks.iter_mut().enumerate() {
+                        *slot = if ranks[k] != u32::MAX {
+                            ranks[k]
+                        } else if k == u {
+                            level as u32
+                        } else {
+                            let r = next;
+                            next += 1;
+                            r
+                        };
+                    }
+                    c
+                })
+                .collect();
+            let evals = s.evaluate_batch(&probes, false);
+            let pick = evals
+                .iter()
+                .position(|e| (e.converged_mask >> level) & 1 == 1);
+            levels.push((probes.len(), pick));
+            let u = unassigned.remove(pick.unwrap_or(0));
+            ranks[u] = level as u32;
+        }
+        (ranks, levels)
+    }
+
+    #[test]
+    fn lazy_audsley_matches_the_eager_reference() {
+        let knobs = SearchKnobs::toy();
+        let (mut late_picks, mut fallbacks) = (0, 0);
+        for bus in ["fp", "rr", "tdma", "perfect"] {
+            for mode in [PersistenceMode::Aware, PersistenceMode::Oblivious] {
+                let config = AnalysisConfig::new(BusPolicy::parse(bus, 2).unwrap(), mode);
+                for (seed, util) in [(3u64, 0.3), (4, 0.6), (5, 0.9)] {
+                    let tag = format!("{bus} {mode:?} seed {seed} util {util}");
+                    let (base, platform) = generated(seed, util);
+                    let default = Candidate::identity(&base);
+                    let one = PoolOptions::new().with_threads(1);
+                    let mut memo = SolveMemo::new();
+                    let mut reference =
+                        Searcher::new(&base, &platform, &config, &knobs, one, &mut memo, false);
+                    let (ranks, levels) = eager_audsley(&mut reference, &default);
+                    let expected: u64 = levels
+                        .iter()
+                        .map(|&(probes, pick)| pick.map_or(probes, |p| p + 1) as u64)
+                        .sum();
+                    late_picks += levels.iter().filter(|l| l.1.is_some_and(|p| p > 0)).count();
+                    fallbacks += levels.iter().filter(|l| l.1.is_none()).count();
+                    for threads in [1, 4] {
+                        let pool = PoolOptions::new().with_threads(threads);
+                        let mut memo = SolveMemo::new();
+                        let mut s = Searcher::new(
+                            &base, &platform, &config, &knobs, pool, &mut memo, false,
+                        );
+                        let seeded = s.audsley(&default);
+                        assert_eq!(seeded.ranks, ranks, "{tag} threads {threads}: ranks");
+                        assert_eq!(seeded.cores, default.cores, "{tag}: partition kept");
+                        assert_eq!(seeded.shifts, default.shifts, "{tag}: coloring kept");
+                        assert_eq!(s.evaluated, expected, "{tag} threads {threads}: probes");
+                    }
+                }
+            }
+        }
+        assert!(
+            late_picks > 0,
+            "fixture must pick a task other than the first"
+        );
+        assert!(
+            fallbacks > 0,
+            "fixture must have a level where no probe converges"
+        );
     }
 }

@@ -101,8 +101,8 @@ pub struct ServiceOptions {
     /// Pool chunk size (0 = auto).
     pub chunk: usize,
     /// Evaluate every admitted candidate independently: disables the
-    /// batch-level solve memo, warm chaining, seeding and parent
-    /// certification (admission pruning stays — it is search semantics,
+    /// batch-level solve memo, warm chaining and parent certification
+    /// (admission pruning stays — it is search semantics,
     /// not an accelerator). Slower, byte-identical output; the acceptance
     /// baseline the delta-scoped fast path is compared against.
     pub full_eval: bool,

@@ -228,10 +228,12 @@ where
 /// with `init` on the calling thread before any worker starts; extra
 /// states (from an earlier call with more threads) are left untouched.
 ///
-/// Single-worker runs execute inline on the calling thread — no spawn,
-/// no join — with the caller's obs ordering state saved and restored
-/// around the region, so per-item scoping stays canonical and the
-/// caller's own event ordering is unperturbed. Multi-worker runs use
+/// Single-worker runs, and runs of at most one chunk, execute inline on
+/// the calling thread — no spawn, no join — with the caller's obs
+/// ordering state saved and restored around the region and its open
+/// spans detached, so per-item scoping stays canonical, worker spans
+/// record at the profile root as on a spawned worker, and the caller's
+/// own event ordering is unperturbed. Multi-worker runs use
 /// scoped threads exactly like before; outputs are byte-identical
 /// either way (the determinism argument in the crate docs does not
 /// depend on where an item runs).
@@ -261,8 +263,14 @@ where
         states.push(init(states.len()));
     }
 
-    if threads == 1 {
+    // A single chunk can only ever go to one worker: run it inline rather
+    // than spawning workers that would find nothing to claim.
+    if threads == 1 || items <= chunk {
+        // Items run on the calling thread, but with the ordering state and
+        // span parentage of a spawned worker, so traces and profiles do
+        // not depend on the thread count.
         let caller = cpa_obs::scope_state();
+        let caller_spans = cpa_obs::detach_spans();
         let state = &mut states[0];
         let mut out = Vec::with_capacity(items);
         chunks_claimed.add(items.div_ceil(chunk) as u64);
@@ -270,6 +278,7 @@ where
             cpa_obs::set_scope(scope_key(epoch, item as u64));
             out.push(work(state, item));
         }
+        cpa_obs::reattach_spans(caller_spans);
         cpa_obs::restore_scope_state(caller);
         return out;
     }

@@ -106,7 +106,7 @@ mod tests {
         assert!(is_scheduling_meter("experiments.chain_points_linked"));
         assert!(is_scheduling_meter("experiments.chain_workers"));
         assert!(!is_scheduling_meter("experiments.sets_evaluated"));
-        assert!(!is_scheduling_meter("engine.seed_hints_adopted"));
+        assert!(!is_scheduling_meter("optimize.audsley_probes"));
         assert!(!is_scheduling_meter("engine.curve_hit"));
         assert!(!is_scheduling_meter("pool.items"));
         assert!(!is_scheduling_meter("sim.runs"));

@@ -171,7 +171,7 @@ impl EngineStats {
 
 /// Warm-start section of the `analyze`/`sweep`/`optimize` reports: how
 /// much work the engine's cross-solve retention avoided (DESIGN.md §15),
-/// from the always-on `engine.warm_*`/`engine.seed_*` counter deltas.
+/// from the always-on `engine.warm_*` counter deltas.
 /// Retention never changes results — these counters are the only
 /// observable difference between a warm and a cold solve.
 #[derive(Serialize)]
@@ -183,48 +183,34 @@ struct WarmStats {
     segments_reused: u64,
     /// Inner-loop term re-derivations skipped thanks to carried entries.
     inner_iters_saved: u64,
-    /// Response-time seed components adopted (provably equal to the
-    /// iteration's own starting point).
-    seed_hints_adopted: u64,
-    /// Seed components rejected and re-derived from scratch.
-    seed_hints_rejected: u64,
 }
 
 impl WarmStats {
     /// Snapshot of the always-on warm-start counters, for delta-ing
     /// around one analysis, sweep, or optimizer run.
-    fn snapshot() -> [u64; 5] {
+    fn snapshot() -> [u64; 3] {
         [
             cpa_obs::counter("engine.warm_starts").get(),
             cpa_obs::counter("engine.segments_reused").get(),
             cpa_obs::counter("engine.inner_iters_saved").get(),
-            cpa_obs::counter("engine.seed_hints_adopted").get(),
-            cpa_obs::counter("engine.seed_hints_rejected").get(),
         ]
     }
 
-    fn from_delta(before: [u64; 5]) -> WarmStats {
+    fn from_delta(before: [u64; 3]) -> WarmStats {
         let after = WarmStats::snapshot();
         let d = |i: usize| after[i].saturating_sub(before[i]);
         WarmStats {
             warm_starts: d(0),
             segments_reused: d(1),
             inner_iters_saved: d(2),
-            seed_hints_adopted: d(3),
-            seed_hints_rejected: d(4),
         }
     }
 
     fn print_human(&self) {
-        if self.warm_starts > 0 || self.seed_hints_adopted + self.seed_hints_rejected > 0 {
+        if self.warm_starts > 0 {
             println!(
-                "warm-start: {} warm resets, {} segments carried, {} inner derivations saved, \
-                 seed hints {} adopted / {} rejected",
-                self.warm_starts,
-                self.segments_reused,
-                self.inner_iters_saved,
-                self.seed_hints_adopted,
-                self.seed_hints_rejected,
+                "warm-start: {} warm resets, {} segments carried, {} inner derivations saved",
+                self.warm_starts, self.segments_reused, self.inner_iters_saved,
             );
         }
     }
@@ -304,12 +290,17 @@ struct OptimizeStats {
     restarts: u64,
     exhaustive_runs: u64,
     improved: u64,
+    /// Audsley seeding probes evaluated.
+    audsley_probes: u64,
+    /// Audsley levels where no probe converged (the level went to the
+    /// first unassigned task).
+    audsley_fallbacks: u64,
 }
 
 impl OptimizeStats {
     /// Snapshot of the always-on optimizer counters, for delta-ing around
     /// the cold + warm batch runs.
-    fn snapshot() -> [u64; 8] {
+    fn snapshot() -> [u64; 10] {
         [
             cpa_obs::counter("optimize.candidates").get(),
             cpa_obs::counter("optimize.cache_hits").get(),
@@ -319,10 +310,12 @@ impl OptimizeStats {
             cpa_obs::counter("optimize.restarts").get(),
             cpa_obs::counter("optimize.exhaustive_runs").get(),
             cpa_obs::counter("optimize.improved").get(),
+            cpa_obs::counter("optimize.audsley_probes").get(),
+            cpa_obs::counter("optimize.audsley_fallbacks").get(),
         ]
     }
 
-    fn from_delta(before: [u64; 8]) -> OptimizeStats {
+    fn from_delta(before: [u64; 10]) -> OptimizeStats {
         let after = OptimizeStats::snapshot();
         let d = |i: usize| after[i].saturating_sub(before[i]);
         OptimizeStats {
@@ -334,6 +327,8 @@ impl OptimizeStats {
             restarts: d(5),
             exhaustive_runs: d(6),
             improved: d(7),
+            audsley_probes: d(8),
+            audsley_fallbacks: d(9),
         }
     }
 }
@@ -1014,6 +1009,10 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
         counters.exhaustive_runs,
         counters.moves_accepted,
         counters.moves_rejected,
+    );
+    println!(
+        "audsley: {} probes evaluated, {} level(s) without a converging probe",
+        counters.audsley_probes, counters.audsley_fallbacks,
     );
     println!(
         "cache: {} hits, {} misses across cold+warm; warm replay byte-identical: {}",
