@@ -29,9 +29,8 @@ cargo test -q
 echo "==> engine_equivalence smoke (engine vs reference, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
-echo "==> warm-vs-cold + partial-vs-cold equivalence smoke (cross-check mode)"
-CPA_WARM_CROSS_CHECK=1 cargo test -q -p cpa-analysis --release \
-  --test warm_equivalence --test partial_equivalence
+echo "==> scratch_reuse smoke (reused scratch vs fresh scratch, all policy x mode combos)"
+cargo test -q -p cpa-analysis --release --test scratch_reuse
 
 echo "==> skip_equivalence smoke (event-skipping sim vs cycle-stepped reference)"
 cargo test -q -p cpa-sim --release --test skip_equivalence

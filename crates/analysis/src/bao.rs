@@ -646,9 +646,7 @@ impl BaoSegment {
     /// term is kept verbatim when its member's response time is unchanged
     /// and `t` still lies in the member's own `N`-interval. A typical span
     /// exit crosses one member's period boundary, so this costs one term
-    /// derivation plus a cheap scan — not a full rebuild. Returns the
-    /// number of terms kept verbatim (zero on the rebuild fallback), the
-    /// engine's measure of re-derivations avoided.
+    /// derivation plus a cheap scan — not a full rebuild.
     pub fn refresh(
         &mut self,
         members: &BaoMembers,
@@ -656,23 +654,19 @@ impl BaoSegment {
         resp: &[Time],
         d_mem: Time,
         mode: PersistenceMode,
-    ) -> usize {
+    ) {
         if self.terms.len() != members.members.len() || self.split != members.split {
             self.rebuild(members, t, resp, d_mem, mode);
-            return 0;
+            return;
         }
         let tc = t.cycles();
-        let mut kept = 0usize;
         for (term, m) in self.terms.iter_mut().zip(&members.members) {
             let r_l = resp[m.idx];
-            if r_l == term.r && term.lo <= tc && tc <= term.hi {
-                kept += 1;
-                continue;
+            if r_l != term.r || tc < term.lo || term.hi < tc {
+                *term = m.term(t, r_l, d_mem, mode);
             }
-            *term = m.term(t, r_l, d_mem, mode);
         }
         self.commit(t);
-        kept
     }
 
     /// Re-derives the aggregate state from the terms: the span (the

@@ -44,15 +44,36 @@ impl BusPolicy {
     /// Parses a [`BusPolicy::label`] back into a policy, instantiating the
     /// slotted policies with `slots`. The inverse of `label` for every
     /// policy (labels deliberately drop the slot count); `None` for
-    /// unknown labels.
+    /// unknown labels and for RR/TDMA with zero slots (the paper requires
+    /// `s ≥ 1`; see [`BusPolicy::try_parse`] for the reason).
     #[must_use]
     pub fn parse(label: &str, slots: u64) -> Option<BusPolicy> {
+        BusPolicy::try_parse(label, slots).ok()
+    }
+
+    /// [`BusPolicy::parse`] with a diagnostic naming why a label was
+    /// rejected, for command-line and request errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown label, or for `rr`/`tdma` with
+    /// `slots == 0`.
+    pub fn try_parse(label: &str, slots: u64) -> Result<BusPolicy, String> {
+        let slotted = |policy: BusPolicy| {
+            if slots == 0 {
+                Err(format!("bus `{label}` needs at least one slot (got 0)"))
+            } else {
+                Ok(policy)
+            }
+        };
         match label {
-            "fp" => Some(BusPolicy::FixedPriority),
-            "rr" => Some(BusPolicy::RoundRobin { slots }),
-            "tdma" => Some(BusPolicy::Tdma { slots }),
-            "perfect" => Some(BusPolicy::Perfect),
-            _ => None,
+            "fp" => Ok(BusPolicy::FixedPriority),
+            "rr" => slotted(BusPolicy::RoundRobin { slots }),
+            "tdma" => slotted(BusPolicy::Tdma { slots }),
+            "perfect" => Ok(BusPolicy::Perfect),
+            _ => Err(format!(
+                "unknown bus `{label}` (expected fp, rr, tdma, or perfect)"
+            )),
         }
     }
 
@@ -183,6 +204,14 @@ mod tests {
             assert_eq!(BusPolicy::parse(bus.label(), 3), Some(bus));
         }
         assert_eq!(BusPolicy::parse("bogus", 2), None);
+        // Slotted policies need s ≥ 1; the others ignore the count.
+        assert_eq!(BusPolicy::parse("rr", 0), None);
+        assert_eq!(BusPolicy::parse("tdma", 0), None);
+        assert_eq!(BusPolicy::parse("fp", 0), Some(BusPolicy::FixedPriority));
+        assert_eq!(BusPolicy::parse("perfect", 0), Some(BusPolicy::Perfect));
+        assert!(BusPolicy::try_parse("tdma", 0)
+            .unwrap_err()
+            .contains("at least one slot"));
         assert_eq!(
             BusPolicy::paper_buses(2).map(|b| b.label()),
             ["fp", "rr", "tdma"]

@@ -68,9 +68,6 @@ struct Seg<V> {
     lo: u64,
     hi: u64,
     value: V,
-    /// Run generation the segment was materialised in (see
-    /// [`StepCurve::carry_over`]).
-    gen: u32,
 }
 
 /// A partially-materialised monotone step function: disjoint, sorted
@@ -83,9 +80,6 @@ struct Seg<V> {
 #[derive(Debug, Clone)]
 pub struct StepCurve<V = u64> {
     segs: Vec<Seg<V>>,
-    /// Current run generation; segments with an older stamp were carried
-    /// over from a previous run (see [`StepCurve::carry_over`]).
-    gen: u32,
 }
 
 impl<V> Default for StepCurve<V> {
@@ -98,25 +92,12 @@ impl<V> StepCurve<V> {
     /// An empty curve (no segments materialised yet).
     #[must_use]
     pub const fn new() -> Self {
-        StepCurve {
-            segs: Vec::new(),
-            gen: 0,
-        }
+        StepCurve { segs: Vec::new() }
     }
 
     /// Drops every materialised segment (cache invalidation).
     pub fn clear(&mut self) {
         self.segs.clear();
-        self.gen = 0;
-    }
-
-    /// Keeps every materialised segment but advances the run generation,
-    /// so [`StepCurve::lookup_tagged`] can distinguish hits on segments
-    /// carried over from a previous run (work a cold run would have had
-    /// to re-derive) from hits on segments materialised this run. Only
-    /// sound when the cached function is certified unchanged.
-    pub fn carry_over(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
     }
 
     /// Number of materialised segments.
@@ -137,44 +118,13 @@ impl<V: Copy> StepCurve<V> {
     /// materialised.
     #[must_use]
     pub fn lookup(&self, t: Time) -> Option<V> {
-        self.lookup_tagged(t).map(|(v, _)| v)
-    }
-
-    /// As [`StepCurve::lookup`], additionally reporting whether the hit
-    /// segment was carried over from a previous run (materialised before
-    /// the last [`StepCurve::carry_over`]).
-    #[must_use]
-    pub fn lookup_tagged(&self, t: Time) -> Option<(V, bool)> {
         let t = t.cycles();
         let idx = self.segs.partition_point(|s| s.lo <= t);
         if idx == 0 {
             return None;
         }
         let s = &self.segs[idx - 1];
-        (t <= s.hi).then_some((s.value, s.gen != self.gen))
-    }
-
-    /// As [`StepCurve::lookup_tagged`], but the first touch of a carried
-    /// segment *promotes* it to the current generation: the flag is true
-    /// exactly once per carried segment per run. This lets the caller
-    /// account the promotion as the one derivation a cold run would have
-    /// paid (and every revisit as the plain hit a cold run would also
-    /// score), keeping hit/miss meters bitwise-equal between warm and
-    /// cold runs.
-    #[must_use]
-    pub fn lookup_promote(&mut self, t: Time) -> Option<(V, bool)> {
-        let t = t.cycles();
-        let idx = self.segs.partition_point(|s| s.lo <= t);
-        if idx == 0 {
-            return None;
-        }
-        let s = &mut self.segs[idx - 1];
-        if t > s.hi {
-            return None;
-        }
-        let carried = s.gen != self.gen;
-        s.gen = self.gen;
-        Some((s.value, carried))
+        (t <= s.hi).then_some(s.value)
     }
 
     /// Stores `value` as constant on `span` (which must contain `t`, the
@@ -195,15 +145,7 @@ impl<V: Copy> StepCurve<V> {
         if lo > hi {
             return;
         }
-        self.segs.insert(
-            idx,
-            Seg {
-                lo,
-                hi,
-                value,
-                gen: self.gen,
-            },
-        );
+        self.segs.insert(idx, Seg { lo, hi, value });
     }
 }
 
@@ -265,29 +207,6 @@ mod tests {
         c.clear();
         assert_eq!(c.lookup(t(0)), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn carry_over_tags_previous_run_segments() {
-        let mut c = StepCurve::new();
-        c.insert(t(5), Span { lo: t(3), hi: t(9) }, 1);
-        assert_eq!(c.lookup_tagged(t(5)), Some((1, false)));
-        c.carry_over();
-        // The carried segment still hits, now tagged as previous-run.
-        assert_eq!(c.lookup_tagged(t(5)), Some((1, true)));
-        assert_eq!(c.lookup(t(5)), Some(1));
-        // Fresh inserts in the new run are untagged.
-        c.insert(
-            t(20),
-            Span {
-                lo: t(15),
-                hi: t(30),
-            },
-            2,
-        );
-        assert_eq!(c.lookup_tagged(t(20)), Some((2, false)));
-        c.clear();
-        assert_eq!(c.lookup_tagged(t(5)), None);
     }
 
     #[test]

@@ -54,20 +54,13 @@
 
 use core::fmt;
 
-use cpa_model::{CoreId, TaskId, TaskSetFingerprint, Time};
+use cpa_model::{CoreId, TaskId, Time};
 
 use crate::arbiter::{arbiter_for, BaoSource, BusArbiter};
 use crate::bao::{BaoMembers, BaoSegment, CarryOut, PriorityBand};
-use crate::crpd::CrpdApproach;
 use crate::curve::StepCurve;
-use crate::wcrt::{self, AnalysisResult, ParentSolution};
+use crate::wcrt::{self, AnalysisResult};
 use crate::{bas, AnalysisConfig, AnalysisContext, PersistenceMode};
-
-/// Stamp that can never equal a live per-core version counter (versions
-/// start at 0 and bump at most once per estimate change), so a carried
-/// [`BaoSlot`] always misses on first touch and goes through
-/// [`BaoSegment::refresh`] against the current run's estimates.
-const CARRIED_STAMP: u64 = u64::MAX;
 
 /// One memoized `BAO` slot for a fixed `(core, split)` key — remote core
 /// `y` and split `s`, the number of tasks on `y` with id ≤ the queried
@@ -92,11 +85,6 @@ struct BaoSlot {
     seg: BaoSegment,
     /// Core version [`BaoSlot::seg`] was last refreshed against.
     stamp: u64,
-    /// Whether the slot was carried over from a previous run by the warm
-    /// retention of [`AnalysisScratch::reset`]; cleared on the slot's
-    /// first refresh, whose kept-term count feeds
-    /// `engine.inner_iters_saved`.
-    carried: bool,
 }
 
 impl BaoSlot {
@@ -108,26 +96,6 @@ impl BaoSlot {
         self.filled = false;
         self.seg.reset();
         self.stamp = 0;
-        self.carried = false;
-    }
-
-    /// Keeps the slot's members (and, when the persistence mode is
-    /// unchanged, its segment terms) across a run boundary. Only sound
-    /// when the caller certified — via [`cpa_model::TaskSetDelta`] — that
-    /// a fresh fill against the new context would produce identical
-    /// bytes. The [`CARRIED_STAMP`] sentinel forces the first lookup to
-    /// miss, so the segment is always refreshed against the new run's
-    /// estimates before it serves a value.
-    fn carry_over(&mut self, mode_stable: bool) {
-        if mode_stable {
-            self.stamp = CARRIED_STAMP;
-            self.carried = true;
-        } else {
-            // Terms are mode-dependent; members are not.
-            self.seg.reset();
-            self.stamp = 0;
-            self.carried = false;
-        }
     }
 }
 
@@ -147,9 +115,6 @@ struct CachedBao<'e, 'ctx, 'a> {
     on_core: &'e [Vec<TaskId>],
     hits: &'e mut u64,
     misses: &'e mut u64,
-    /// Term re-derivations avoided thanks to warm-carried segments
-    /// (feeds `engine.inner_iters_saved`).
-    saved: &'e mut u64,
     mode: PersistenceMode,
     cores: usize,
 }
@@ -178,15 +143,8 @@ impl CachedBao<'_, '_, '_> {
                 .refill_on(ctx, level, &self.on_core[core.index()]);
             slot.filled = true;
         }
-        let kept = slot
-            .seg
+        slot.seg
             .refresh(&slot.members, t, self.resp, d_mem, self.mode);
-        if slot.carried {
-            // First refresh of a warm-carried slot: every term kept
-            // verbatim is a re-derivation a cold run would have paid.
-            *self.saved += kept as u64;
-            slot.carried = false;
-        }
         slot.stamp = version;
         slot.seg.eval(t, d_mem, carry)
     }
@@ -228,52 +186,6 @@ impl BaoSource for CachedBao<'_, '_, '_> {
 /// the scratch-reuse test below pin this), so sharing one scratch across
 /// heterogeneous task sets and configurations is always safe — just not
 /// across threads (`&mut` per run).
-///
-/// # Warm retention
-///
-/// Consecutive runs on *related* task sets (the same set under another
-/// configuration, or a neighbour differing in one task) can skip
-/// re-deriving cache entries whose inputs provably did not change. Each
-/// reset fingerprints the task set ([`TaskSetFingerprint`]) and compares
-/// it against the previous run's; the resulting
-/// [`cpa_model::TaskSetDelta`] certifies an unchanged prefix of tasks
-/// and a set of stable cores, and the reset then *carries over* (instead
-/// of clearing) exactly the certified entries:
-///
-/// * the same-core curve of task `i` when `i` lies in the unchanged
-///   prefix — its inputs (the task's own columns, its same-core
-///   higher-priority tasks and their CRPD/CPRO rows) all have indices
-///   `≤ i`, and the curve caches both persistence modes, so it survives
-///   configuration changes too;
-/// * every `BAO` slot `(core, split)` of a stable `core` — its member
-///   list and member-derived table rows read only the tasks on `core`,
-///   which then lie in the prefix, so they are provably identical.
-///   Members are mode-independent and always
-///   kept; segment terms are kept only when the persistence mode also
-///   matched, and are re-validated against the new run's estimates by
-///   [`BaoSegment::refresh`] before they serve a value.
-///
-/// Retention never alters the fixed-point iterate chain — a carried
-/// entry holds exactly the bytes a cold run would re-derive — so every
-/// output of [`AnalysisResult`], including iteration counts, stays
-/// bitwise identical (the warm-equivalence proptests pin this). The
-/// d_mem latency, core count and CRPD approach are part of the retention
-/// key; any mismatch disables carry-over entirely. Call
-/// [`AnalysisScratch::forget_warm`] to sever the chain explicitly when
-/// determinism of the *warm counters* across work schedules matters
-/// (e.g. between independent sweep items).
-///
-/// Observability: `engine.warm_starts` (resets that carried anything),
-/// `engine.segments_reused` (curves and slots carried), and
-/// `engine.inner_iters_saved` (carried same-core spans promoted on first
-/// touch plus verbatim term keeps on a carried slot's first refresh).
-/// Hit/miss meters (`engine.curve_hit` et al.) stay bitwise-equal
-/// between warm and cold runs: a carried entry's first touch is
-/// accounted as the miss the cold run would have paid, with the saving
-/// booked separately. The three warm meters themselves depend on the
-/// chain history (which solve preceded this one on the same scratch), so
-/// they are classified as scheduling meters and excluded from
-/// deterministic telemetry exports.
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
     /// Current response-time estimates, updated in task-id order within a
@@ -289,10 +201,8 @@ pub struct AnalysisScratch {
     /// `(interference cycles, BAS_i^oblivious(t), BAS_i^aware(t))`
     /// triple — all constant between the task's own higher-priority
     /// releases, so they share one segment grid. Never invalidated
-    /// within a run (independent of the response-time estimates), and
-    /// valid across *configurations* of the same task set: both
-    /// persistence modes are cached, and the values are d_mem- and
-    /// bus-independent access counts.
+    /// within a run (independent of the response-time estimates); both
+    /// persistence modes are cached side by side.
     same_core: Vec<StepCurve<(u64, u64, u64)>>,
     /// `BAO` curves per remote core, indexed by split (`0..=` the core's
     /// task count) — one segment serves every level with that split, both
@@ -311,32 +221,10 @@ pub struct AnalysisScratch {
     hp_prefix: Vec<usize>,
     /// Outer-worklist dirty flags.
     dirty: Vec<bool>,
-    /// Per-task partial re-solve certificates (set by
-    /// [`AnalysisEngine::offer_parent`], empty otherwise): a certified
-    /// task's round-1 solve is replaced by the parent's converged bound.
-    certified: Vec<bool>,
     /// Runs this scratch has served (drives `engine.scratch_reuses`).
     uses: u64,
     /// `BAO` `(hits, misses)` of the most recent run.
     last_bao: (u64, u64),
-    /// Fingerprint of the task set of the previous run, the comparison
-    /// base for warm retention. `None` after [`AnalysisScratch::new`] or
-    /// [`AnalysisScratch::forget_warm`].
-    fingerprint: Option<TaskSetFingerprint>,
-    /// Analysis environment of the previous run; retention requires the
-    /// d_mem/cores/CRPD part to match exactly (the mode only gates
-    /// segment-term carry-over).
-    warm_env: Option<WarmEnv>,
-}
-
-/// The non-task-set inputs the engine's caches consume, compared across
-/// runs to decide whether warm retention is sound at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WarmEnv {
-    d_mem: Time,
-    cores: usize,
-    crpd: CrpdApproach,
-    mode: PersistenceMode,
 }
 
 impl AnalysisScratch {
@@ -354,29 +242,17 @@ impl AnalysisScratch {
     }
 
     /// `BAO` `(hits, misses)` of the most recent run on this scratch — its
-    /// own share of `engine.bao_hit` / `engine.bao_miss`. A warm run
-    /// scores exactly what a cold run on a fresh scratch scores.
+    /// own share of `engine.bao_hit` / `engine.bao_miss`. A reused
+    /// scratch scores exactly what a fresh one scores.
     #[must_use]
     pub fn bao_tallies(&self) -> (u64, u64) {
         self.last_bao
     }
 
-    /// Severs the warm-retention chain: the next run starts cold, as if
-    /// on a fresh scratch (buffers stay allocated). Call this between
-    /// *independent* work items when warm counters must not depend on
-    /// which items a worker happened to process back to back — results
-    /// never depend on it.
-    pub fn forget_warm(&mut self) {
-        self.fingerprint = None;
-        self.warm_env = None;
-    }
-
     /// Resets every buffer for a run on `ctx` under an arbiter that does
     /// (or does not) charge blocking — clears and refills in place,
-    /// growing only beyond the largest problem seen so far. Cache entries
-    /// certified unchanged against the previous run are carried over
-    /// instead of cleared (see the type docs).
-    fn reset(&mut self, ctx: &AnalysisContext<'_>, charges_blocking: bool, mode: PersistenceMode) {
+    /// growing only beyond the largest problem seen so far.
+    fn reset(&mut self, ctx: &AnalysisContext<'_>, charges_blocking: bool) {
         if self.uses > 0 {
             cpa_obs::counter("engine.scratch_reuses").incr();
         }
@@ -385,30 +261,6 @@ impl AnalysisScratch {
         let tasks = ctx.tasks();
         let n = tasks.len();
         let cores = ctx.platform().cores();
-
-        // Warm retention: certify what may be carried over from the
-        // previous run. Everything value-bearing below is re-derived
-        // from `ctx` regardless; only *cache* entries are retained, and
-        // only under a bitwise-equality certificate.
-        let fingerprint = TaskSetFingerprint::of(tasks);
-        let env = WarmEnv {
-            d_mem: ctx.d_mem(),
-            cores,
-            crpd: ctx.crpd_approach(),
-            mode,
-        };
-        let (delta, mode_stable) = match (&self.fingerprint, &self.warm_env) {
-            (Some(prev), Some(prev_env))
-                if prev_env.d_mem == env.d_mem
-                    && prev_env.cores == env.cores
-                    && prev_env.crpd == env.crpd =>
-            {
-                (Some(prev.delta(&fingerprint)), prev_env.mode == env.mode)
-            }
-            _ => (None, false),
-        };
-        let unchanged = delta.as_ref().map_or(0, |d| d.unchanged_prefix().min(n));
-        let mut reused = 0u64;
 
         wcrt::fill_initial_estimates(ctx, &mut self.resp);
         self.init.clear();
@@ -420,15 +272,8 @@ impl AnalysisScratch {
         if self.same_core.len() < n {
             self.same_core.resize_with(n, StepCurve::new);
         }
-        for (idx, curve) in self.same_core[..n].iter_mut().enumerate() {
-            if idx < unchanged {
-                if !curve.is_empty() {
-                    reused += 1;
-                }
-                curve.carry_over();
-            } else {
-                curve.clear();
-            }
+        for curve in &mut self.same_core[..n] {
+            curve.clear();
         }
 
         if self.on_core.len() < cores {
@@ -455,25 +300,10 @@ impl AnalysisScratch {
             if slots.len() < splits {
                 slots.resize_with(splits, BaoSlot::default);
             }
-            // A stable core keeps its task count, so its slots line up
-            // split for split with the previous run's.
-            let stable = delta.as_ref().is_some_and(|d| d.core_stable(core));
             for slot in &mut slots[..splits] {
-                if stable && slot.filled {
-                    reused += 1;
-                    slot.carry_over(mode_stable);
-                } else {
-                    slot.reset();
-                }
+                slot.reset();
             }
         }
-
-        if unchanged > 0 {
-            cpa_obs::counter("engine.warm_starts").incr();
-            cpa_obs::counter("engine.segments_reused").add(reused);
-        }
-        self.fingerprint = Some(fingerprint);
-        self.warm_env = Some(env);
 
         self.blocking.clear();
         self.blocking.extend(tasks.ids().map(|i| {
@@ -482,8 +312,6 @@ impl AnalysisScratch {
 
         self.dirty.clear();
         self.dirty.resize(n, true);
-
-        self.certified.clear();
     }
 }
 
@@ -505,19 +333,6 @@ pub struct AnalysisEngine<'e, 'a> {
     bao_misses: u64,
     tasks_solved: u64,
     tasks_skipped: u64,
-    /// Re-derivations avoided via warm-carried cache entries: hits on
-    /// carried same-core segments plus verbatim term keeps on a carried
-    /// `BAO` slot's first refresh.
-    warm_saved: u64,
-    /// The certification base for partial re-solve, when
-    /// [`AnalysisEngine::offer_parent`] accepted one.
-    parent: Option<&'e ParentSolution>,
-    /// Whether the accepted parent solved the *identical* set under the
-    /// identical environment, so [`AnalysisEngine::run`] replays it
-    /// outright (sound under every bus policy).
-    replay: bool,
-    /// Tasks whose round-1 solve was replaced by a certified parent bound.
-    tasks_certified: u64,
 }
 
 impl fmt::Debug for AnalysisEngine<'_, '_> {
@@ -542,7 +357,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     ) -> Self {
         let cores = ctx.platform().cores();
         let arbiter = arbiter_for(config.bus);
-        scratch.reset(ctx, arbiter.charges_blocking(), config.persistence);
+        scratch.reset(ctx, arbiter.charges_blocking());
         AnalysisEngine {
             ctx,
             config,
@@ -555,63 +370,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             bao_misses: 0,
             tasks_solved: 0,
             tasks_skipped: 0,
-            warm_saved: 0,
-            parent: None,
-            replay: false,
-            tasks_certified: 0,
-        }
-    }
-
-    /// Offers a [`ParentSolution`] as the certification base for partial
-    /// re-solve (see [`crate::analyze_with_parent`] for the rules). The
-    /// offer is rejected outright — `engine.parent_rejected` — unless the
-    /// parent's analysis environment (bus, mode, `d_mem`, cores, CRPD
-    /// approach, iteration caps) matches this run's exactly; an accepted
-    /// offer either schedules a full replay (identical sets, any policy;
-    /// `engine.parent_replays`) or certifies individual tasks (arbiters
-    /// that never consume remote response times; the per-task tally is
-    /// `engine.tasks_certified`).
-    pub(crate) fn offer_parent(&mut self, parent: &'e ParentSolution) {
-        let env_matches = parent.config == *self.config
-            && parent.d_mem == self.ctx.d_mem()
-            && parent.cores == self.cores
-            && parent.crpd == self.ctx.crpd_approach();
-        if !env_matches {
-            cpa_obs::counter("engine.parent_rejected").incr();
-            return;
-        }
-        let current = self
-            .scratch
-            .fingerprint
-            .as_ref()
-            .expect("reset always fingerprints the task set");
-        let delta = parent.fingerprint.delta(current);
-        if delta.identical() {
-            self.parent = Some(parent);
-            self.replay = true;
-            cpa_obs::counter("engine.parent_replays").incr();
-            return;
-        }
-        if self.arbiter.consumes_remote_response_times() {
-            // Every task reads every other core's estimates: no per-task
-            // certificate short of set identity exists (DESIGN.md §16).
-            cpa_obs::counter("engine.parent_rejected").incr();
-            return;
-        }
-        let tasks = self.ctx.tasks();
-        let mut any = false;
-        self.scratch.certified.clear();
-        self.scratch.certified.extend(tasks.ids().map(|i| {
-            let ok =
-                delta.task_unchanged(i.index()) && delta.core_untouched(tasks[i].core().index());
-            any |= ok;
-            ok
-        }));
-        if any {
-            self.parent = Some(parent);
-        } else {
-            self.scratch.certified.clear();
-            cpa_obs::counter("engine.parent_rejected").incr();
         }
     }
 
@@ -629,20 +387,10 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         // Same-core terms: interference (cycles) and both BAS modes share
         // one constancy span — every release count E_j is constant on
         // it — so the triple lives in a single curve: one lookup, one
-        // span, one insert, and the curve stays valid when the
-        // persistence mode changes between runs.
-        let (interference, own) = match scratch.same_core[idx].lookup_promote(r) {
-            Some(((intf, oblivious, aware), carried)) => {
-                if carried {
-                    // First touch of a warm-carried span: a cold run
-                    // would have derived it here, so score the miss it
-                    // replaces and book the saving separately. Revisits
-                    // count as the hits a cold run would also score.
-                    self.same_core_misses += 1;
-                    self.warm_saved += 1;
-                } else {
-                    self.same_core_hits += 1;
-                }
+        // span, one insert.
+        let (interference, own) = match scratch.same_core[idx].lookup(r) {
+            Some((intf, oblivious, aware)) => {
+                self.same_core_hits += 1;
                 let own = match mode {
                     PersistenceMode::Oblivious => oblivious,
                     PersistenceMode::Aware => aware,
@@ -673,7 +421,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             on_core: &scratch.on_core,
             hits: &mut self.bao_hits,
             misses: &mut self.bao_misses,
-            saved: &mut self.warm_saved,
             mode,
             cores: self.cores,
         };
@@ -699,8 +446,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         cpa_obs::counter("engine.bao_miss").add(self.bao_misses);
         cpa_obs::counter("engine.tasks_solved").add(self.tasks_solved);
         cpa_obs::counter("engine.tasks_skipped").add(self.tasks_skipped);
-        cpa_obs::counter("engine.inner_iters_saved").add(self.warm_saved);
-        cpa_obs::counter("engine.tasks_certified").add(self.tasks_certified);
         result
     }
 
@@ -711,21 +456,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     pub fn run(mut self) -> AnalysisResult {
         let _span = cpa_obs::span!("wcrt.analyze");
         if let Some(result) = wcrt::perfect_bus_check(self.ctx, self.config) {
-            return self.finish(result);
-        }
-        if self.replay {
-            // The accepted parent solved the bitwise-identical problem:
-            // its result *is* what the fixed point below would recompute,
-            // field for field (analysis is deterministic in its inputs).
-            let parent = self.parent.expect("replay implies an accepted parent");
-            self.tasks_certified = parent.resp.len() as u64;
-            let result = AnalysisResult {
-                response_times: parent.resp.iter().map(|&r| Some(r)).collect(),
-                schedulable: true,
-                outer_iterations: parent.outer,
-                inner_iterations: parent.inner.clone(),
-                hit_outer_cap: false,
-            };
             return self.finish(result);
         }
         let ctx = self.ctx;
@@ -741,37 +471,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             for i in tasks.ids() {
                 if !self.scratch.dirty[i.index()] {
                     self.tasks_skipped += 1;
-                    continue;
-                }
-                if round == 1 && self.scratch.certified.get(i.index()) == Some(&true) {
-                    // Partial re-solve: the parent's bound for τi is
-                    // certified to be exactly what the solve below would
-                    // derive (same columns, same hp set, same table rows,
-                    // and — certified mode only runs under arbiters that
-                    // consume no remote estimates — no cross-core reads),
-                    // so adopt it along with the inner-iteration count the
-                    // cold single-visit solve would have booked.
-                    let idx = i.index();
-                    let parent = self.parent.expect("certificates imply a parent");
-                    self.scratch.dirty[idx] = false;
-                    self.tasks_certified += 1;
-                    inner_iterations[idx] += parent.inner[idx];
-                    let r = parent.resp[idx];
-                    if r > self.scratch.resp[idx] {
-                        cpa_obs::event!(
-                            "wcrt.estimate",
-                            task = idx,
-                            outer = round,
-                            inner = parent.inner[idx],
-                            estimate = r.cycles(),
-                        );
-                        self.scratch.resp[idx] = r;
-                        changed_tasks += 1;
-                        // Certified mode never runs under remote-consuming
-                        // arbiters, so nothing is re-dirtied; the version
-                        // bump keeps internal state on the cold trajectory.
-                        self.scratch.core_version[tasks[i].core().index()] += 1;
-                    }
                     continue;
                 }
                 self.scratch.dirty[i.index()] = false;

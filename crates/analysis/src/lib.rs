@@ -107,7 +107,4 @@ pub use crpd::CrpdApproach;
 pub use diagnose::{decompose, DominantTerm, TermDecomposition};
 pub use engine::AnalysisScratch;
 pub use sched::{weighted_schedulability, WeightedAccumulator};
-pub use wcrt::{
-    analyze, analyze_reference, analyze_with, analyze_with_parent, explain, AnalysisResult,
-    ParentSolution, WcrtBreakdown,
-};
+pub use wcrt::{analyze, analyze_reference, analyze_with, explain, AnalysisResult, WcrtBreakdown};

@@ -14,9 +14,8 @@
 //! changes or some estimate exceeds its deadline (unschedulable), exactly
 //! as described at the end of §IV of the paper.
 
-use cpa_model::{TaskId, TaskSetFingerprint, Time};
+use cpa_model::{TaskId, Time, UtilizationSum};
 
-use crate::crpd::CrpdApproach;
 use crate::{bus, AnalysisConfig, AnalysisContext, BusPolicy};
 
 /// Result of a full WCRT analysis of a task set.
@@ -115,159 +114,7 @@ pub fn analyze_with(
     config: &AnalysisConfig,
     scratch: &mut crate::engine::AnalysisScratch,
 ) -> AnalysisResult {
-    let result = crate::engine::AnalysisEngine::new(ctx, config, scratch).run();
-    if warm_cross_check_enabled() {
-        let cold_bao = cross_check_against_cold(ctx, config, &result);
-        assert_eq!(
-            scratch.bao_tallies(),
-            cold_bao,
-            "warm/cold divergence: BAO hit/miss tallies"
-        );
-    }
-    result
-}
-
-/// A fully converged solve of one task set, captured as the certification
-/// base for partial re-solve (DESIGN.md §16).
-///
-/// A parent pairs the solved set's [`TaskSetFingerprint`] and the complete
-/// analysis environment (bus, mode, `d_mem`, core count, CRPD approach,
-/// iteration caps) with the converged response times and per-task inner
-/// iteration counts. [`analyze_with_parent`] compares the parent against
-/// the set it is asked to solve and certifies — per task — which response
-/// times are *provably* the values a cold solve would derive, re-running
-/// the fixed point only for the rest. Only schedulable results can act as
-/// parents ([`ParentSolution::capture`] returns `None` otherwise): an
-/// unschedulable result's partial snapshot is not a fixed point, so
-/// nothing in it certifies anything.
-#[derive(Debug, Clone)]
-pub struct ParentSolution {
-    pub(crate) fingerprint: TaskSetFingerprint,
-    pub(crate) config: AnalysisConfig,
-    pub(crate) d_mem: Time,
-    pub(crate) cores: usize,
-    pub(crate) crpd: CrpdApproach,
-    pub(crate) resp: Vec<Time>,
-    pub(crate) inner: Vec<u64>,
-    pub(crate) outer: u32,
-}
-
-impl ParentSolution {
-    /// Captures `result` — a solve of `ctx` under `config` — as a
-    /// certification base. Returns `None` unless the result is
-    /// schedulable (every response time converged).
-    #[must_use]
-    pub fn capture(
-        ctx: &AnalysisContext<'_>,
-        config: &AnalysisConfig,
-        result: &AnalysisResult,
-    ) -> Option<Self> {
-        if !result.schedulable || result.hit_outer_cap {
-            return None;
-        }
-        let resp: Option<Vec<Time>> = result.response_times.iter().copied().collect();
-        Some(ParentSolution {
-            fingerprint: TaskSetFingerprint::of(ctx.tasks()),
-            config: *config,
-            d_mem: ctx.d_mem(),
-            cores: ctx.platform().cores(),
-            crpd: ctx.crpd_approach(),
-            resp: resp?,
-            inner: result.inner_iterations.clone(),
-            outer: result.outer_iterations,
-        })
-    }
-
-    /// The parent's converged per-task response times, in priority order.
-    #[must_use]
-    pub fn response_times(&self) -> &[Time] {
-        &self.resp
-    }
-}
-
-/// [`analyze_with`] additionally given a [`ParentSolution`] — a converged
-/// solve of a *related* task set — whose response times are adopted for
-/// every task the [`cpa_model::TaskSetDelta`] between the two sets
-/// certifies as untouched, skipping those tasks' fixed points entirely.
-///
-/// The certification rules (proved in DESIGN.md §16):
-///
-/// * If the delta is [`identical`](cpa_model::TaskSetDelta::identical)
-///   and the analysis environment matches, the parent *is* the cold
-///   result and is replayed outright — under any bus policy.
-/// * Under arbiters that never consume remote response times (TDMA,
-///   perfect bus), task `i` is certified when it is
-///   [`task_unchanged`](cpa_model::TaskSetDelta::task_unchanged) and its
-///   core is [`core_untouched`](cpa_model::TaskSetDelta::core_untouched):
-///   its recurrence reads only its own columns, its same-core hp set and
-///   their CRPD/CPRO rows — all provably identical — so its cold solve
-///   would reproduce the parent's bound and iteration count verbatim.
-/// * Under FP/RR every task reads every other core's estimates, so no
-///   per-task certificate short of set identity exists and the parent is
-///   ignored (the run degrades to [`analyze_with`]).
-///
-/// Results — response times, schedulability, and both iteration-count
-/// families — are bitwise identical to a cold [`analyze`] (pinned by the
-/// `partial_equivalence` proptests and, under `CPA_WARM_CROSS_CHECK`, by
-/// an in-process cold re-solve on every call).
-#[must_use]
-pub fn analyze_with_parent(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    scratch: &mut crate::engine::AnalysisScratch,
-    parent: &ParentSolution,
-) -> AnalysisResult {
-    let mut engine = crate::engine::AnalysisEngine::new(ctx, config, scratch);
-    engine.offer_parent(parent);
-    let result = engine.run();
-    if warm_cross_check_enabled() {
-        // A certified or replayed parent skips lookups a cold solve pays,
-        // so only the result is compared, not the BAO tallies.
-        let _ = cross_check_against_cold(ctx, config, &result);
-    }
-    result
-}
-
-/// Whether `CPA_WARM_CROSS_CHECK` is set (to anything but `0`): every
-/// warm or parent-certified analysis then re-runs cold on a fresh scratch
-/// and asserts full bitwise equality — the belt-and-braces mode ci.sh
-/// uses for the warm-equivalence smoke test. Read once per process.
-fn warm_cross_check_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("CPA_WARM_CROSS_CHECK").is_some_and(|v| v != "0"))
-}
-
-/// Re-runs `ctx` × `config` cold (fresh scratch, no retention), asserts
-/// the warm result matches field for field, and returns the cold run's
-/// BAO `(hits, misses)` for the callers whose tallies must match too.
-fn cross_check_against_cold(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    warm: &AnalysisResult,
-) -> (u64, u64) {
-    let mut scratch = crate::engine::AnalysisScratch::new();
-    let cold = crate::engine::AnalysisEngine::new(ctx, config, &mut scratch).run();
-    assert_eq!(
-        warm.response_times, cold.response_times,
-        "warm/cold divergence: response times"
-    );
-    assert_eq!(
-        warm.schedulable, cold.schedulable,
-        "warm/cold divergence: schedulability"
-    );
-    assert_eq!(
-        warm.outer_iterations, cold.outer_iterations,
-        "warm/cold divergence: outer iterations"
-    );
-    assert_eq!(
-        warm.inner_iterations, cold.inner_iterations,
-        "warm/cold divergence: inner iterations"
-    );
-    assert_eq!(
-        warm.hit_outer_cap, cold.hit_outer_cap,
-        "warm/cold divergence: outer cap"
-    );
-    scratch.bao_tallies()
+    crate::engine::AnalysisEngine::new(ctx, config, scratch).run()
 }
 
 /// The perfect-bus residual bus-utilization gate shared by [`analyze`] and
@@ -279,6 +126,10 @@ fn cross_check_against_cold(
 /// steady-state per-job demand (the residual demand MD^r — PCB loads
 /// amortise to zero across jobs), so the line stays an upper envelope of
 /// the persistence-aware analyses.
+///
+/// The sum is exact ([`UtilizationSum`]), so a bus loaded to exactly 1
+/// passes. Only when the exact fraction overflows does the gate fall back
+/// to the `f64` sum.
 pub(crate) fn perfect_bus_check(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -288,17 +139,28 @@ pub(crate) fn perfect_bus_check(
     }
     let tasks = ctx.tasks();
     let d_mem = ctx.d_mem();
-    let residual_bus_utilization: f64 = tasks
-        .iter()
-        .map(|t| {
-            (t.residual_memory_demand() as f64 * d_mem.cycles() as f64) / t.period().cycles() as f64
-        })
-        .sum();
-    if residual_bus_utilization > 1.0 {
+    let residual_bus_utilization = || -> f64 {
+        tasks
+            .iter()
+            .map(|t| {
+                (t.residual_memory_demand() as f64 * d_mem.cycles() as f64)
+                    / t.period().cycles() as f64
+            })
+            .sum()
+    };
+    let mut exact = UtilizationSum::ZERO;
+    for t in tasks.iter() {
+        let demand = u128::from(t.residual_memory_demand()) * u128::from(d_mem.cycles());
+        exact.add(demand, t.period().cycles());
+    }
+    let overutilized = exact
+        .exceeds_one()
+        .unwrap_or_else(|| residual_bus_utilization() > 1.0);
+    if overutilized {
         cpa_obs::event!(
             "wcrt.bus_overutilized",
             bus = config.bus.label(),
-            utilization_permille = (residual_bus_utilization * 1000.0) as u64,
+            utilization_permille = (residual_bus_utilization() * 1000.0) as u64,
         );
         return Some(AnalysisResult {
             response_times: vec![None; tasks.len()],
@@ -776,6 +638,35 @@ mod tests {
             &AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
         );
         assert!(res.is_schedulable());
+    }
+
+    #[test]
+    fn perfect_bus_at_exactly_full_utilization_passes() {
+        // MD^r · d_mem / T = 6/30 + 23/30 + 1/30 = 1 exactly, which the
+        // gate admits; the f64 sum of the quotients rounds above 1.
+        let f64_sum: f64 = [6.0, 23.0, 1.0].iter().map(|md: &f64| md / 30.0).sum();
+        assert!(f64_sum > 1.0, "the fixture must exercise f64 rounding");
+        let p = platform(3, 1);
+        let ts = TaskSet::new(vec![
+            task("a", 1, 0, 1, 6, 6, 30),
+            task("b", 2, 1, 1, 23, 23, 30),
+            task("c", 3, 2, 1, 1, 1, 30),
+        ])
+        .unwrap();
+        let ctx = AnalysisContext::new(&p, &ts).unwrap();
+        let config = AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware);
+        let res = analyze(&ctx, &config);
+        assert!(res.is_schedulable());
+        assert_eq!(res, analyze_reference(&ctx, &config));
+        // One more access tips the bus over 1.
+        let over = TaskSet::new(vec![
+            task("a", 1, 0, 1, 7, 7, 30),
+            task("b", 2, 1, 1, 23, 23, 30),
+            task("c", 3, 2, 1, 1, 1, 30),
+        ])
+        .unwrap();
+        let ctx = AnalysisContext::new(&p, &over).unwrap();
+        assert!(!analyze(&ctx, &config).is_schedulable());
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! *worse*, schedulability-wise — and at least one seeded set must be
 //! strictly improved. Also reports search throughput (candidates/sec).
 //!
-//! The panel runs twice: once with `full_eval` (every candidate solved
-//! cold, independently — the acceptance baseline) and once on the
+//! The panel runs twice: once with `full_eval` (every candidate rebuilt
+//! and solved independently — the acceptance baseline) and once on the
 //! default delta-scoped pipeline (admission pruning + solve memo +
-//! partial re-solve + warm chaining). The two legs must produce
+//! slot-patched assembly). The two legs must produce
 //! byte-identical response bodies; their elapsed-time ratio is exported
 //! as `delta_eval_speedup` (paired, same process, same panel), and the
 //! gain over the recorded pre-pipeline throughput is exported as
@@ -65,9 +65,6 @@ fn run_panel(service: &ServiceOptions) -> Leg {
         "optimize.memo_hits",
         "optimize.memo_misses",
         "optimize.pruned_candidates",
-        "engine.parent_replays",
-        "engine.tasks_certified",
-        "engine.warm_starts",
     ];
     let diag_before: Vec<u64> = diag.iter().map(|n| cpa_obs::counter(n).get()).collect();
     let counters_before = cpa_obs::counter("optimize.candidates").get();

@@ -34,7 +34,7 @@ const SETS_PER_POINT: usize = 16;
 /// Required end-to-end speedup of the pooled path (the acceptance gate).
 ///
 /// Honest number, measured, not aspirational: the incremental context
-/// fill, scratch recycling and warm-started fixed points together hold
+/// fill and scratch recycling together hold
 /// ~2.0–2.2× end to end on a single-core CI machine (both legs share the
 /// same analysis engine, so engine-level wins cancel out of the ratio —
 /// this gate isolates the runner-level work). Pinned below the typical

@@ -100,6 +100,22 @@ impl Args {
             .map_err(|e| CliError::new(format!("{flag}: {e} (got `{raw}`)")))
     }
 
+    /// The value of a `--slots`-style flag: a slot count the slotted buses
+    /// accept ([`cpa_analysis::BusPolicy::parse`] rejects zero).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CliError`] when the value is missing, malformed or 0.
+    pub fn slots_for(&mut self, flag: &str) -> Result<u64, CliError> {
+        let slots = self.value_for(flag)?;
+        match cpa_analysis::BusPolicy::parse("rr", slots) {
+            Some(_) => Ok(slots),
+            None => Err(CliError::new(format!(
+                "{flag}: rr and tdma need at least one slot (got {slots})"
+            ))),
+        }
+    }
+
     /// The error to report for an unrecognized flag.
     #[must_use]
     pub fn unknown_flag(&self, flag: &str) -> CliError {

@@ -78,9 +78,9 @@ fn fig2_panels(opts: &SweepOptions, panels: &[(&str, &str, BusPolicy)]) -> Vec<E
         })
         .collect();
 
-    // One warm chain for the whole figure: worker scratches persist
-    // across the utilization points, so allocations and certified cache
-    // entries carry from point to point (results identical to unchained).
+    // One set of worker buffers for the whole figure: scratches persist
+    // across the utilization points, so allocations carry from point to
+    // point.
     let mut chain = ChainState::default();
     sweep_utilization(
         opts,

@@ -143,9 +143,7 @@ fn point(x: f64, acc: &WeightedAccumulator) -> CurvePoint {
 /// one pass over it; each x-value integrates the utilization dimension
 /// into one accumulator per configuration, merged in grid order.
 ///
-/// One warm chain serves the whole sweep; a parameter change that
-/// touches the engine's retention key (d_mem, cores) simply disables
-/// carry-over at the boundary.
+/// One set of worker buffers serves the whole sweep.
 fn sweep(
     opts: &SweepOptions,
     id: &str,

@@ -172,16 +172,14 @@ impl PointStats {
     }
 }
 
-/// Per-worker engine state chained across adjacent sweep points.
+/// Per-worker buffers kept across adjacent sweep points.
 ///
 /// A driver that owns one of these and calls
 /// [`evaluate_population`] per point keeps each worker's
 /// [`AnalysisScratch`] and [`ContextBuffers`] alive from one
-/// utilization point to the next: allocations survive, and the engine's
-/// certified warm retention decides per solve what may carry over.
-/// Results are bitwise identical to the unchained path — retention only
-/// ever reuses cache entries certified byte-equal to what a cold run
-/// would re-derive — so chaining is purely a throughput lever.
+/// utilization point to the next, so allocations survive. The buffers
+/// carry no results between solves: every solve resets them, so output
+/// is bitwise identical to fresh buffers per point.
 #[derive(Debug, Default)]
 pub struct ChainState {
     states: Vec<(AnalysisScratch, ContextBuffers)>,
@@ -316,8 +314,8 @@ pub fn evaluate_point(
 }
 
 /// [`evaluate_point`] with a selectable CRPD approach: one
-/// [`Evaluation`] of the population, with warm retention severed per set
-/// (see [`evaluate_population`]).
+/// [`Evaluation`] of the population on fresh worker buffers (see
+/// [`evaluate_population`]).
 ///
 /// # Panics
 ///
@@ -331,8 +329,14 @@ pub fn evaluate_point_with(
     crpd: CrpdApproach,
 ) -> PointStats {
     let evaluation = Evaluation::new(gen_config.d_mem, crpd, configs.to_vec());
-    let mut chain = ChainState::default();
-    population_impl(gen_config, &[evaluation], opts, point_id, &mut chain, false).remove(0)
+    evaluate_population(
+        gen_config,
+        &[evaluation],
+        opts,
+        point_id,
+        &mut ChainState::default(),
+    )
+    .remove(0)
 }
 
 /// Evaluates one utilization point's population under every
@@ -355,14 +359,10 @@ pub fn evaluate_point_with(
 /// including the non-associative `f64` utilization sums, is
 /// byte-identical at any thread count and chunk size.
 ///
-/// Worker states live in the caller's [`ChainState`] and warm chains run
-/// freely — across sets, configurations and adjacent points. The
-/// engine's retention certificates keep every analysis result (and the
-/// deterministic hit/miss meters) bitwise identical to cold solves at
-/// any thread count; only the warm bookkeeping meters
-/// (`engine.warm_starts` et al.) and the `experiments.chain_*` meters vary
-/// with scheduling, and all of those are classified as scheduling meters
-/// in `cpa-telemetry`.
+/// Worker states live in the caller's [`ChainState`], so their buffers
+/// survive across sets, configurations and adjacent points. Each solve
+/// is an independent [`analyze_with`] call, so every result and every
+/// engine meter is the same at any thread count.
 ///
 /// `experiments.sets_evaluated` counts reported samples (set ×
 /// evaluation); `workload.sets_generated` and `pool.items` count sets.
@@ -380,46 +380,6 @@ pub fn evaluate_population(
     opts: &SweepOptions,
     point_id: u64,
     chain: &mut ChainState,
-) -> Vec<PointStats> {
-    if !chain.states.is_empty() {
-        // How many points linked into an existing chain, and over how
-        // many worker states: scheduling meters (the chain shape depends
-        // on --threads), not workload meters.
-        cpa_obs::counter("experiments.chain_points_linked").incr();
-        cpa_obs::counter("experiments.chain_workers").add(chain.states.len() as u64);
-    }
-    population_impl(gen_config, evaluations, opts, point_id, chain, true)
-}
-
-/// Runs `evaluations` over the population of every point of
-/// `opts.utilization_grid` (`base` at that per-core utilization, point id
-/// = grid index) on one warm chain, handing each point's per-evaluation
-/// stats to `visit` in grid order.
-///
-/// # Panics
-///
-/// Same conditions as [`evaluate_population`].
-pub(crate) fn sweep_utilization(
-    opts: &SweepOptions,
-    base: &GeneratorConfig,
-    evaluations: &[Evaluation],
-    chain: &mut ChainState,
-    mut visit: impl FnMut(f64, &[PointStats]),
-) {
-    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
-        let gen = base.clone().with_per_core_utilization(utilization);
-        let stats = evaluate_population(&gen, evaluations, opts, ui as u64, chain);
-        visit(utilization, &stats);
-    }
-}
-
-fn population_impl(
-    gen_config: &GeneratorConfig,
-    evaluations: &[Evaluation],
-    opts: &SweepOptions,
-    point_id: u64,
-    chain: &mut ChainState,
-    link: bool,
 ) -> Vec<PointStats> {
     let plan = SolvePlan::new(evaluations);
     let generator = TaskSetGenerator::new(gen_config.clone()).expect("valid generator config");
@@ -442,14 +402,6 @@ fn population_impl(
         |_worker| (AnalysisScratch::new(), ContextBuffers::new()),
         &mut chain.states,
         |(scratch, buffers), set| {
-            // Unchained mode severs the warm chain per set so the warm
-            // bookkeeping meters stay independent of which sets a worker
-            // happened to process back to back. Chained mode skips the
-            // sever: retention is certificate-gated in the engine, so
-            // per-set *outcomes* are identical either way.
-            if !link {
-                scratch.forget_warm();
-            }
             let set_seed = derive_seed(opts.seed, point_id, set as u64);
             let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
             let tasks = generator.generate(&mut rng).expect("generation succeeds");
@@ -491,6 +443,28 @@ fn population_impl(
             stats
         })
         .collect()
+}
+
+/// Runs `evaluations` over the population of every point of
+/// `opts.utilization_grid` (`base` at that per-core utilization, point id
+/// = grid index) on one set of worker buffers, handing each point's
+/// per-evaluation stats to `visit` in grid order.
+///
+/// # Panics
+///
+/// Same conditions as [`evaluate_population`].
+pub(crate) fn sweep_utilization(
+    opts: &SweepOptions,
+    base: &GeneratorConfig,
+    evaluations: &[Evaluation],
+    chain: &mut ChainState,
+    mut visit: impl FnMut(f64, &[PointStats]),
+) {
+    for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
+        let gen = base.clone().with_per_core_utilization(utilization);
+        let stats = evaluate_population(&gen, evaluations, opts, ui as u64, chain);
+        visit(utilization, &stats);
+    }
 }
 
 /// The pre-pool evaluation path, kept verbatim as the performance and
@@ -634,8 +608,8 @@ mod tests {
                         cold.config(i).schedulable_count(),
                         "threads {threads} point {ui} config {i}"
                     );
-                    // Warm retention is certificate-gated, so even the
-                    // f64 sums are bit-identical, not merely close.
+                    // Kept buffers carry no results, so even the f64 sums
+                    // are bit-identical, not merely close.
                     assert_eq!(
                         chained.config(i).value().to_bits(),
                         cold.config(i).value().to_bits(),

@@ -66,20 +66,20 @@
 
 mod blocks;
 mod canon;
-mod delta;
 mod error;
 mod ids;
 mod platform;
 mod task;
 mod taskset;
 mod time;
+mod utilization;
 
 pub use blocks::CacheBlockSet;
 pub use canon::ContentHasher;
-pub use delta::{TaskSetDelta, TaskSetFingerprint};
 pub use error::ModelError;
 pub use ids::{CoreId, Priority, TaskId};
 pub use platform::{CacheGeometry, Platform, PlatformBuilder};
 pub use task::{Task, TaskBuilder};
 pub use taskset::TaskSet;
 pub use time::Time;
+pub use utilization::UtilizationSum;

@@ -48,9 +48,9 @@ pub struct TaskSet {
     tasks: Vec<Task>,
     /// Per-task canonical content hashes ([`Task::hash_content`]), in
     /// the same order as `tasks`. Computed once at construction — task
-    /// sets are immutable — so fingerprinting for incremental
-    /// re-analysis ([`crate::TaskSetFingerprint`]) is a plain copy
-    /// instead of a re-hash of every cache-block set. Derived state:
+    /// sets are immutable — so content-addressed keys
+    /// ([`TaskSet::hash_content`]) fold one word per task instead of
+    /// re-hashing every cache-block set. Derived state:
     /// excluded from serialization by the `Vec<Task>` conversions and
     /// rebuilt on deserialization.
     task_hashes: Vec<u64>,
@@ -403,7 +403,7 @@ impl TaskSet {
     }
 
     /// The cached per-task canonical content hashes, in priority (id)
-    /// order — the raw material of [`crate::TaskSetFingerprint`].
+    /// order — the words [`TaskSet::hash_content`] folds.
     #[must_use]
     pub fn task_content_hashes(&self) -> &[u64] {
         &self.task_hashes

@@ -21,13 +21,14 @@
 //!    Only the partition matters: ranks pick *which* member diverges,
 //!    colors shift footprints but not demands.
 //!
-//! The utilization sum is accumulated as an exact gcd-reduced `u128`
-//! fraction; on overflow the core is conservatively admitted. The
+//! The utilization sum is accumulated exactly
+//! ([`cpa_model::UtilizationSum`]); on overflow the core is
+//! conservatively admitted. The
 //! soundness obligation — *no pruned candidate is actually schedulable* —
 //! is re-checked empirically by the campaign oracle in `cpa-validate`
 //! and by the property test below.
 
-use cpa_model::{TaskSet, Time};
+use cpa_model::{TaskSet, Time, UtilizationSum};
 
 /// Why a candidate was (not) admitted to full evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,48 +58,11 @@ pub struct AdmissionCheck {
     infeasible_task: Option<usize>,
 }
 
-/// Exact fraction accumulator: `num / den`. `None` marks an overflowed
-/// (unknown) sum that must never prune.
-type Fraction = Option<(u128, u128)>;
-
 /// Reusable per-core accumulator buffer for [`AdmissionCheck::admit_with`].
 /// One instance per driver amortizes the allocation over every candidate.
 #[derive(Debug, Default, Clone)]
 pub struct AdmissionScratch {
-    load: Vec<Fraction>,
-}
-
-fn gcd(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.max(1)
-}
-
-/// `acc + add/per`, exactly, or `None` on overflow.
-///
-/// The sum is kept *unreduced* — u128 headroom covers any realistic
-/// period product, and skipping the gcd pass keeps the per-candidate
-/// admission loop division-free. Only when a checked multiply would
-/// overflow is the accumulator gcd-reduced and the add retried; the
-/// represented rational (and thus every verdict) is identical either way.
-fn add_fraction(acc: Fraction, add: u64, per: u64) -> Fraction {
-    fn raw(num: u128, den: u128, add: u128, per: u128) -> Fraction {
-        let num = num.checked_mul(per)?.checked_add(add.checked_mul(den)?)?;
-        let den = den.checked_mul(per)?;
-        Some((num, den))
-    }
-    let (num, den) = acc?;
-    if per == 0 {
-        return None;
-    }
-    let (add, per) = (u128::from(add), u128::from(per));
-    raw(num, den, add, per).or_else(|| {
-        let g = gcd(num, den);
-        raw(num / g, den / g, add, per)
-    })
+    load: Vec<UtilizationSum>,
 }
 
 impl AdmissionCheck {
@@ -154,14 +118,12 @@ impl AdmissionCheck {
         }
         debug_assert_eq!(cores.len(), self.residual.len());
         scratch.load.clear();
-        scratch.load.resize(num_cores, Some((0, 1)));
+        scratch.load.resize(num_cores, UtilizationSum::ZERO);
         for (k, &core) in cores.iter().enumerate() {
             let acc = &mut scratch.load[core];
-            *acc = add_fraction(*acc, self.residual[k], self.period[k]);
-            if let Some((num, den)) = *acc {
-                if num > den {
-                    return Admission::CoreOverUtilized;
-                }
+            acc.add(u128::from(self.residual[k]), self.period[k]);
+            if acc.exceeds_one() == Some(true) {
+                return Admission::CoreOverUtilized;
             }
         }
         Admission::Admitted

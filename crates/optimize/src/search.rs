@@ -35,17 +35,18 @@
 //!    (base set, analysis environment, candidate vectors); repeats within
 //!    and across requests replay their evaluation instead of re-solving.
 //!    Within one batch, duplicate keys collapse onto a single solve.
-//! 3. **Partial re-solve** — the surviving solves run on the pool; local
-//!    search passes the current point's captured [`ParentSolution`] so
-//!    the engine can certify untouched tasks instead of re-deriving them
-//!    (`cpa_analysis::analyze_with_parent`).
+//! 3. **Slot-patched assembly** — the surviving solves run on the pool;
+//!    each worker builds a candidate's task set by patching the slots
+//!    that differ from its previous candidate ([`EvalScratch`]).
 //!
-//! All three stages decide on the driver thread in candidate order, so
-//! the set of engine calls — and the response bytes — are invariant in
-//! the worker-thread count. The `full_eval` escape hatch disables the
-//! memo, warm chaining and parent certification (each candidate
-//! solves independently on a cold scratch; pruning stays), which is what
-//! the byte-identity acceptance in `cpa-bench` compares against.
+//! The first two stages decide on the driver thread in candidate order,
+//! so the set of engine calls — and the response bytes — are invariant
+//! in the worker-thread count. Every solve is an independent
+//! [`analyze_with`] call (the per-worker scratch only recycles buffers).
+//! The `full_eval` escape hatch disables the memo and slot-patched
+//! assembly (each candidate is rebuilt with [`Candidate::apply`]; pruning
+//! stays), which is what the byte-identity acceptance in `cpa-bench`
+//! compares against.
 //!
 //! # Priority seeding
 //!
@@ -67,8 +68,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cpa_analysis::{
-    analyze_with, analyze_with_parent, AnalysisConfig, AnalysisContext, AnalysisScratch,
-    ContextBuffers, CrpdApproach, ParentSolution,
+    analyze_with, AnalysisConfig, AnalysisContext, AnalysisScratch, ContextBuffers, CrpdApproach,
 };
 use cpa_experiments::runner::derive_seed;
 use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet};
@@ -195,15 +195,15 @@ pub struct SearchOutcome {
 /// Per-worker reusable state: one analysis scratch plus recycled context
 /// tables, so a worker allocates only on its first candidate. Owned by
 /// the [`Searcher`] and threaded through [`cpa_pool::map_with`], so the
-/// state — including the engine's warm-start caches — chains across
-/// *every* evaluation batch of one search, not just within one batch.
+/// buffers and the build cache survive across *every* evaluation batch
+/// of one search, not just within one batch.
 #[derive(Debug)]
 struct EvalScratch {
     scratch: AnalysisScratch,
     buffers: ContextBuffers,
     /// Built tasks of this search's base set, keyed by
     /// `(base index, core, rank, shift)` with their content hashes.
-    /// A candidate differs from its parent in one or two tasks, so
+    /// A neighbour differs from the current point in one or two tasks, so
     /// nearly every per-task build is a repeat; caching them turns
     /// [`Candidate::apply`]'s full rebuild (rotate three block sets,
     /// re-validate, re-hash every task) into a few map hits and clones.
@@ -289,11 +289,6 @@ impl EvalScratch {
     }
 }
 
-/// One evaluated candidate as the driver sees it: its evaluation and —
-/// for freshly solved, schedulable local-search points — a captured
-/// [`ParentSolution`] the next round can certify against.
-type EvalRow = (Evaluation, Option<ParentSolution>);
-
 struct Searcher<'a> {
     base: &'a TaskSet,
     platform: &'a Platform,
@@ -312,8 +307,8 @@ struct Searcher<'a> {
     /// Batch-scoped solve memo, shared across requests by the service.
     memo: &'a mut SolveMemo,
     /// Persistent per-worker evaluation states ([`cpa_pool::map_with`]):
-    /// warm-start scratches, context buffers and build caches survive
-    /// across evaluation batches for the whole search.
+    /// scratches, context buffers and build caches survive across
+    /// evaluation batches for the whole search.
     states: Vec<EvalScratch>,
     /// Reused driver-side batch buffers (cleared per batch): memo keys,
     /// solve worklist, within-batch duplicates, first-seen keys.
@@ -328,8 +323,8 @@ struct Searcher<'a> {
     /// Fingerprint of (base set, analysis environment); prefix of every
     /// memo key, so fragments of different requests never collide.
     env_key: u64,
-    /// Evaluate every admitted candidate independently: no memo, no warm
-    /// chaining, no parent certification.
+    /// Evaluate every admitted candidate independently: no memo, no
+    /// slot-patched assembly.
     full_eval: bool,
 }
 
@@ -382,35 +377,9 @@ impl<'a> Searcher<'a> {
     /// Evaluates a batch of candidates over the pool; results come back in
     /// candidate order whatever the thread count. `prune` admits the
     /// batch through the admission bounds first — on for exhaustive
-    /// enumeration, off for the default configuration and Audsley probes.
+    /// enumeration and local-search walks, off for the default
+    /// configuration and Audsley probes.
     fn evaluate_batch(&mut self, candidates: &[Candidate], prune: bool) -> Vec<Evaluation> {
-        self.evaluate_batch_impl(candidates, None, false, prune)
-            .into_iter()
-            .map(|(eval, _)| eval)
-            .collect()
-    }
-
-    /// [`Searcher::evaluate_batch`] for local-search points: pruning on,
-    /// each solve offered `parent` (the current point's captured solution)
-    /// for partial re-solve certification, and each fresh schedulable
-    /// solve captured as a parent in turn. Certification is a pure
-    /// accelerator — adopted per task only when provably exact — so the
-    /// search trajectory is unchanged.
-    fn evaluate_batch_with_parent(
-        &mut self,
-        candidates: &[Candidate],
-        parent: Option<&ParentSolution>,
-    ) -> Vec<EvalRow> {
-        self.evaluate_batch_impl(candidates, parent, true, true)
-    }
-
-    fn evaluate_batch_impl(
-        &mut self,
-        candidates: &[Candidate],
-        parent: Option<&ParentSolution>,
-        capture_parents: bool,
-        prune: bool,
-    ) -> Vec<EvalRow> {
         let _span = cpa_obs::span!("optimize.evaluate_batch");
         self.evaluated += candidates.len() as u64;
         cpa_obs::counter("optimize.candidates").add(candidates.len() as u64);
@@ -441,7 +410,7 @@ impl<'a> Searcher<'a> {
         } = &mut *self;
         let (base, platform, config, pool) = (*base, *platform, *config, *pool);
         let (cores, env_key, full_eval) = (*cores, *env_key, *full_eval);
-        let mut rows: Vec<Option<EvalRow>> = Vec::with_capacity(candidates.len());
+        let mut rows: Vec<Option<Evaluation>> = Vec::with_capacity(candidates.len());
         rows.resize_with(candidates.len(), || None);
         keys.clear();
         keys.resize(candidates.len(), 0);
@@ -460,7 +429,7 @@ impl<'a> Searcher<'a> {
                             _ => "optimize.pruned_utilization",
                         })
                         .incr();
-                        rows[k] = Some((PRUNED_EVAL, None));
+                        rows[k] = Some(PRUNED_EVAL);
                         continue;
                     }
                 }
@@ -473,7 +442,7 @@ impl<'a> Searcher<'a> {
             keys[k] = key;
             if let Some(eval) = memo.get(key) {
                 cpa_obs::counter("optimize.memo_hits").incr();
-                rows[k] = Some((eval, None));
+                rows[k] = Some(eval);
                 continue;
             }
             cpa_obs::counter("optimize.memo_misses").incr();
@@ -487,7 +456,7 @@ impl<'a> Searcher<'a> {
         }
 
         // Stage 3: solve the remainder on the pool.
-        let solved: Vec<EvalRow> = if need.is_empty() {
+        let solved: Vec<Evaluation> = if need.is_empty() {
             Vec::new()
         } else {
             let epoch = cpa_obs::next_scope_epoch();
@@ -512,33 +481,13 @@ impl<'a> Searcher<'a> {
                         &mut state.buffers,
                     )
                     .expect("candidates stay valid for the platform");
-                    // Workers chain warm-start state across the candidates
-                    // they happen to claim: neighbours differ from the
-                    // parent (and thus from each other) in a handful of
-                    // tasks, so the fingerprint delta certifies most cached
-                    // segments. This is safe at any thread count because
-                    // retention and parent certification never change
-                    // results, only skip re-derivations. `full_eval` turns
-                    // all of it off for independent solves.
-                    let result = if full_eval {
-                        state.scratch.forget_warm();
-                        analyze_with(&ctx, config, &mut state.scratch)
-                    } else if let Some(parent) = parent {
-                        analyze_with_parent(&ctx, config, &mut state.scratch, parent)
-                    } else {
-                        analyze_with(&ctx, config, &mut state.scratch)
-                    };
+                    let result = analyze_with(&ctx, config, &mut state.scratch);
                     let eval = evaluate_result(&tasks, &result);
-                    let next_parent = if capture_parents && !full_eval {
-                        ParentSolution::capture(&ctx, config, &result)
-                    } else {
-                        None
-                    };
                     ctx.recycle(&mut state.buffers);
                     if !full_eval {
                         state.recycle_set(tasks);
                     }
-                    (eval, next_parent)
+                    eval
                 },
             )
         };
@@ -546,15 +495,14 @@ impl<'a> Searcher<'a> {
         // Stitch, sequentially in solve order: memoize each fresh solve
         // and fan duplicates out from their solved representative.
         for &(k, j) in &*dups {
-            let (eval, parent) = &solved[j];
-            rows[k] = Some((*eval, parent.clone()));
+            rows[k] = Some(solved[j]);
         }
-        for (j, row) in solved.into_iter().enumerate() {
+        for (j, eval) in solved.into_iter().enumerate() {
             let k = need[j];
             if !full_eval {
-                memo.insert(keys[k], row.0);
+                memo.insert(keys[k], eval);
             }
-            rows[k] = Some(row);
+            rows[k] = Some(eval);
         }
         rows.into_iter()
             .map(|row| row.expect("every candidate pruned, memoized, or solved"))
@@ -794,9 +742,8 @@ pub fn optimize(
 /// [`optimize`] with a caller-owned [`SolveMemo`] — the service passes
 /// one memo per batch so solve fragments are shared across requests —
 /// and the `full_eval` escape hatch, which evaluates every admitted
-/// candidate independently (no memo, no warm chaining, no parent
-/// certification; admission pruning stays because it defines the
-/// search semantics). Both knobs accelerate or de-accelerate the same
+/// candidate independently (no memo, no slot-patched assembly;
+/// admission pruning stays because it defines the search semantics). Both knobs accelerate or de-accelerate the same
 /// deterministic trajectory: the outcome is byte-identical either way.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
@@ -864,10 +811,7 @@ pub fn optimize_with_memo(
                 }
                 c
             };
-            let (mut current_eval, mut current_parent) = s
-                .evaluate_batch_with_parent(std::slice::from_ref(&current), None)
-                .pop()
-                .expect("one candidate in, one evaluation out");
+            let mut current_eval = s.evaluate_batch(std::slice::from_ref(&current), true)[0];
             if current_eval.score > best_eval.score {
                 best = current.clone();
                 best_eval = current_eval;
@@ -885,26 +829,13 @@ pub fn optimize_with_memo(
                 if neighbors.is_empty() {
                     break;
                 }
-                // The current point's captured solution certifies every
-                // neighbour's untouched tasks (a pure accelerator — adopted
-                // per task only when provably exact, so outcomes match the
-                // unassisted search bit for bit).
-                let mut evals = s.evaluate_batch_with_parent(&neighbors, current_parent.as_ref());
-                let bi = {
-                    let mut bi = 0;
-                    for (k, (e, _)) in evals.iter().enumerate().skip(1) {
-                        if e.score > evals[bi].0.score {
-                            bi = k;
-                        }
-                    }
-                    bi
-                };
-                if evals[bi].0.score > current_eval.score {
+                let evals = s.evaluate_batch(&neighbors, true);
+                let bi = Searcher::argmax(&evals);
+                if evals[bi].score > current_eval.score {
                     stats.moves_accepted += 1;
                     stats.moves_rejected += (neighbors.len() - 1) as u64;
                     current = neighbors[bi].clone();
-                    current_eval = evals[bi].0;
-                    current_parent = evals[bi].1.take();
+                    current_eval = evals[bi];
                     stale = 0;
                     if current_eval.score > best_eval.score {
                         best = current.clone();
@@ -915,10 +846,9 @@ pub fn optimize_with_memo(
                     stale += 1;
                     // Sideways drift along score plateaus, seeded like
                     // everything else, to escape flat regions.
-                    if evals[bi].0.score == current_eval.score && rng.gen_bool(0.5) {
+                    if evals[bi].score == current_eval.score && rng.gen_bool(0.5) {
                         current = neighbors[bi].clone();
-                        current_eval = evals[bi].0;
-                        current_parent = evals[bi].1.take();
+                        current_eval = evals[bi];
                     }
                     if stale >= knobs.patience.max(1) {
                         break;

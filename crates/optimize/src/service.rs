@@ -101,7 +101,7 @@ pub struct ServiceOptions {
     /// Pool chunk size (0 = auto).
     pub chunk: usize,
     /// Evaluate every admitted candidate independently: disables the
-    /// batch-level solve memo, warm chaining and parent certification
+    /// batch-level solve memo and slot-patched candidate assembly
     /// (admission pruning stays — it is search semantics,
     /// not an accelerator). Slower, byte-identical output; the acceptance
     /// baseline the delta-scoped fast path is compared against.
@@ -156,7 +156,8 @@ pub fn request_key(request: &OptimizeRequest, tasks: &TaskSet) -> u64 {
 /// # Errors
 ///
 /// Returns a message naming the offending request on parse errors,
-/// unknown bus/mode labels, platform mismatches, or cache I/O failures.
+/// unknown bus/mode labels, zero RR/TDMA slots, platform mismatches, or
+/// cache I/O failures.
 pub fn process_batch(
     json: &str,
     opts: &ServiceOptions,
@@ -205,8 +206,7 @@ fn process_request(
     }
     stats.cache_misses += 1;
 
-    let bus = BusPolicy::parse(&request.bus, request.slots)
-        .ok_or_else(|| fail(format!("unknown bus policy `{}`", request.bus)))?;
+    let bus = BusPolicy::try_parse(&request.bus, request.slots).map_err(fail)?;
     let mode = match request.mode.as_str() {
         "aware" => PersistenceMode::Aware,
         "oblivious" => PersistenceMode::Oblivious,

@@ -222,8 +222,8 @@ where
 
 /// [`map`] over caller-owned worker states: worker `i` always borrows
 /// `states[i]`, so a driver that re-invokes with the same vector chains
-/// per-worker state *across* parallel regions — warm-started analysis
-/// scratches survive from one batch (or one sweep point) to the next
+/// per-worker state *across* parallel regions — analysis scratches and
+/// their buffers survive from one batch (or one sweep point) to the next
 /// instead of being rebuilt per call. Missing states are constructed
 /// with `init` on the calling thread before any worker starts; extra
 /// states (from an earlier call with more threads) are left untouched.

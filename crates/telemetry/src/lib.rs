@@ -58,24 +58,11 @@ pub enum ExportScope {
 }
 
 /// Counters whose values depend on scheduling (`--threads`/`--chunk`), not on
-/// the workload: excluded from deterministic exports.
-///
-/// The three `engine.warm_*`-family meters measure warm-start chain
-/// history — what the *previous* solve on the same per-worker scratch
-/// left behind. The optimizer and the chained sweep drivers
-/// (`evaluate_population`) chain freely per worker, so which item
-/// warms which is a pool artifact; the `experiments.chain_*` meters
-/// count those cross-point links and scale with the worker count.
-/// (Analysis *results* and the hit/miss meters stay bitwise-equal warm
-/// vs cold by construction; only these bookkeeping meters vary.)
+/// the workload: excluded from deterministic exports. Buffer recycling
+/// counts depend on how many items each worker claimed.
 pub const SCHEDULING_METERS: &[&str] = &[
     "analysis.context_recycles",
     "engine.scratch_reuses",
-    "engine.warm_starts",
-    "engine.segments_reused",
-    "engine.inner_iters_saved",
-    "experiments.chain_points_linked",
-    "experiments.chain_workers",
     "pool.chunks_claimed",
     "pool.chunks_stolen",
 ];
@@ -101,10 +88,7 @@ mod tests {
     fn scheduling_meter_classification() {
         assert!(is_scheduling_meter("pool.chunks_claimed"));
         assert!(is_scheduling_meter("engine.scratch_reuses"));
-        assert!(is_scheduling_meter("engine.segments_reused"));
-        assert!(is_scheduling_meter("engine.inner_iters_saved"));
-        assert!(is_scheduling_meter("experiments.chain_points_linked"));
-        assert!(is_scheduling_meter("experiments.chain_workers"));
+        assert!(is_scheduling_meter("analysis.context_recycles"));
         assert!(!is_scheduling_meter("experiments.sets_evaluated"));
         assert!(!is_scheduling_meter("optimize.audsley_probes"));
         assert!(!is_scheduling_meter("engine.curve_hit"));

@@ -169,53 +169,6 @@ impl EngineStats {
     }
 }
 
-/// Warm-start section of the `analyze`/`sweep`/`optimize` reports: how
-/// much work the engine's cross-solve retention avoided (DESIGN.md §15),
-/// from the always-on `engine.warm_*` counter deltas.
-/// Retention never changes results — these counters are the only
-/// observable difference between a warm and a cold solve.
-#[derive(Serialize)]
-struct WarmStats {
-    /// Engine resets that carried at least one certified cache entry over
-    /// from the previous solve.
-    warm_starts: u64,
-    /// Same-core curves and BAO slots carried across solve boundaries.
-    segments_reused: u64,
-    /// Inner-loop term re-derivations skipped thanks to carried entries.
-    inner_iters_saved: u64,
-}
-
-impl WarmStats {
-    /// Snapshot of the always-on warm-start counters, for delta-ing
-    /// around one analysis, sweep, or optimizer run.
-    fn snapshot() -> [u64; 3] {
-        [
-            cpa_obs::counter("engine.warm_starts").get(),
-            cpa_obs::counter("engine.segments_reused").get(),
-            cpa_obs::counter("engine.inner_iters_saved").get(),
-        ]
-    }
-
-    fn from_delta(before: [u64; 3]) -> WarmStats {
-        let after = WarmStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
-        WarmStats {
-            warm_starts: d(0),
-            segments_reused: d(1),
-            inner_iters_saved: d(2),
-        }
-    }
-
-    fn print_human(&self) {
-        if self.warm_starts > 0 {
-            println!(
-                "warm-start: {} warm resets, {} segments carried, {} inner derivations saved",
-                self.warm_starts, self.segments_reused, self.inner_iters_saved,
-            );
-        }
-    }
-}
-
 /// Pool section of the `sweep` report: dynamic-scheduling statistics from
 /// the `pool.*` counter deltas of one pooled evaluation, plus the engine's
 /// scratch-reuse count (DESIGN.md §12).
@@ -273,7 +226,6 @@ struct SweepDoc {
     seed: u64,
     sets: usize,
     pool: PoolStats,
-    warm: WarmStats,
     configs: Vec<SweepConfigRow>,
 }
 
@@ -342,7 +294,6 @@ struct OptimizeDoc {
     sets: usize,
     replay_identical: bool,
     counters: OptimizeStats,
-    warm_start: WarmStats,
     cold: cpa_optimize::BatchStats,
     warm: cpa_optimize::BatchStats,
 }
@@ -358,7 +309,6 @@ struct AnalyzeDoc {
     outer_iterations: u32,
     hit_outer_cap: bool,
     engine: EngineStats,
-    warm: WarmStats,
     tasks: Vec<AnalyzeTaskRow>,
 }
 
@@ -546,12 +496,7 @@ impl TraceOptions {
     }
 
     fn bus_policy(&self) -> Result<BusPolicy, String> {
-        BusPolicy::parse(&self.bus, self.slots).ok_or_else(|| {
-            format!(
-                "unknown bus `{}` (expected fp, rr, tdma, or perfect)",
-                self.bus
-            )
-        })
+        BusPolicy::try_parse(&self.bus, self.slots)
     }
 
     fn persistence(&self) -> Result<PersistenceMode, String> {
@@ -639,10 +584,8 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
     let ctx = AnalysisContext::new(&platform, &tasks).map_err(|e| e.to_string())?;
     let config = AnalysisConfig::new(bus, mode);
     let counters_before = EngineStats::snapshot();
-    let warm_before = WarmStats::snapshot();
     let result = analyze(&ctx, &config);
     let engine = EngineStats::from_delta(counters_before, result.outer_iterations());
-    let warm = WarmStats::from_delta(warm_before);
 
     // Decomposition windows: the fixed point where one exists, the
     // deadline (the last window the sufficiency test probed) otherwise.
@@ -696,7 +639,6 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
             outer_iterations: result.outer_iterations(),
             hit_outer_cap: result.hit_outer_iteration_cap(),
             engine,
-            warm,
             tasks: task_rows,
         };
         println!("{}", with_profile(&doc, &run)?);
@@ -733,7 +675,6 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
     if engine.scratch_reuses > 0 {
         println!("engine: {} scratch reuses", engine.scratch_reuses);
     }
-    warm.print_human();
     println!();
     println!(
         "{:<14} {:>4} {:>4} {:>10} {:>10} {:>5} {:>7}  {:<8} shares",
@@ -881,10 +822,8 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
     let threads = cpa_pool::resolve_threads(opts.threads);
 
     let counters_before = PoolStats::snapshot();
-    let warm_before = WarmStats::snapshot();
     let point = evaluate_point(&gen_config, &configs, &sweep, 0);
     let pool = PoolStats::from_delta(counters_before, threads);
-    let warm = WarmStats::from_delta(warm_before);
 
     let run = finish_run(opts)?;
     if run.exported_to_stdout {
@@ -908,7 +847,6 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
             seed: opts.seed,
             sets: opts.sets,
             pool,
-            warm,
             configs: rows,
         };
         println!("{}", with_profile(&doc, &run)?);
@@ -930,7 +868,6 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
         pool.steal_ratio * 100.0,
         pool.scratch_reuses,
     );
-    warm.print_human();
     println!();
     for row in &rows {
         println!(
@@ -969,12 +906,10 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
     // Run the same batch twice against one cache: the cold run searches,
     // the warm run must replay the exact bytes from the cache.
     let counters_before = OptimizeStats::snapshot();
-    let warm_before = WarmStats::snapshot();
     let mut cache = cpa_optimize::ResultCache::in_memory();
     let (cold_doc, cold) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
     let (warm_doc, warm) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
     let counters = OptimizeStats::from_delta(counters_before);
-    let warm_start = WarmStats::from_delta(warm_before);
     let replay_identical = cold_doc == warm_doc;
 
     let run = finish_run(opts)?;
@@ -989,7 +924,6 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
             sets: opts.sets,
             replay_identical,
             counters,
-            warm_start,
             cold,
             warm,
         };
@@ -1018,7 +952,6 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
         "cache: {} hits, {} misses across cold+warm; warm replay byte-identical: {}",
         counters.cache_hits, counters.cache_misses, replay_identical
     );
-    warm_start.print_human();
     println!(
         "verdicts: default schedulable {}/{}, optimized {}/{}, strictly improved {}",
         cold.schedulable_default,

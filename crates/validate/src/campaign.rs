@@ -143,7 +143,7 @@ impl CampaignOptions {
             "--sets" => self.sets = args.value_for("--sets")?,
             "--seed" => self.seed = args.value_for("--seed")?,
             "--threads" => self.threads = args.value_for("--threads")?,
-            "--slots" => self.slots = args.value_for("--slots")?,
+            "--slots" => self.slots = args.slots_for("--slots")?,
             "--quick" => self.quick = true,
             "--inject" => self.inject = args.value_for("--inject")?,
             "--reference-sim" => self.reference_sim = true,
@@ -290,8 +290,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> CampaignOutcome {
             epoch,
             // One engine scratch + context-table buffers per worker:
             // allocations amortize across the worker's whole stream of
-            // sets, while warm-start retention stays within one set
-            // (`check_task_set_with` forgets warm state on entry).
+            // sets.
             |_worker| (AnalysisScratch::new(), ContextBuffers::new()),
             |(scratch, buffers), set| {
                 let outcome =
@@ -506,6 +505,9 @@ mod tests {
         assert!(opts.quick);
         assert!(opts.reference_sim);
         assert!(!opts.progress);
+        // A slotted bus needs s ≥ 1: `--slots 0` is a usage error.
+        let mut args = Args::new(["0".to_string()], "usage: test");
+        assert!(opts.apply_cli_flag(&mut args, "--slots").is_err());
         // Binary-specific flags fall through to the caller.
         let mut args = Args::new(std::iter::empty::<String>(), "usage: test");
         assert_eq!(opts.apply_cli_flag(&mut args, "--report"), Ok(false));

@@ -299,10 +299,8 @@ pub fn check_task_set(
 
 /// [`check_task_set`] with caller-owned engine scratch and context-table
 /// buffers, for campaign workers that validate long streams of sets. The
-/// scratch's warm-start state is forgotten on entry, so retention stays
-/// strictly within this set's analysis matrix (where every solve shares
-/// one task set) and the outcome is identical to a fresh-scratch run —
-/// the determinism oracle re-checks exactly that on sampled sets.
+/// outcome is identical to a fresh-scratch run — the determinism oracle
+/// re-checks exactly that on sampled sets.
 ///
 /// # Errors
 ///
@@ -318,7 +316,6 @@ pub fn check_task_set_with(
     let _span = cpa_obs::span!("oracle.check_set");
     let buses = BusPolicy::paper_buses(opts.slots);
     let mut out = SetOutcome::default();
-    scratch.forget_warm();
 
     // Analysis matrix + dominance oracle (pure computation, cheap).
     let analysis_span = cpa_obs::span!("oracle.analysis");

@@ -51,6 +51,40 @@ fn analyze_rejects_unknown_bus_with_a_diagnostic() {
 }
 
 #[test]
+fn zero_slots_are_rejected_before_analysis_or_simulation() {
+    // A slotted bus needs s ≥ 1: zero slots used to divide by zero in the
+    // simulator and report TDMA sets schedulable with no wait slots.
+    for cmd in ["analyze", "sim", "sweep", "optimize"] {
+        for bus in ["rr", "tdma"] {
+            assert_usage_error(
+                &[cmd, "--bus", bus, "--slots", "0"],
+                &format!("bus `{bus}` needs at least one slot"),
+            );
+        }
+    }
+}
+
+#[test]
+fn validate_rejects_zero_slots_with_a_diagnostic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cpa-validate"))
+        .args([
+            "run",
+            "--slots",
+            "0",
+            "--quick",
+            "--sets",
+            "1",
+            "--no-progress",
+        ])
+        .output()
+        .expect("spawn cpa-validate");
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--slots"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
+}
+
+#[test]
 fn sim_rejects_malformed_horizon_with_a_diagnostic() {
     assert_usage_error(&["sim", "--horizon", "soon"], "--horizon");
 }
@@ -291,12 +325,10 @@ fn openmetrics_export_is_byte_identical_and_valid() {
 
 #[test]
 fn optimize_openmetrics_export_is_byte_identical_across_threads() {
-    // The optimizer warm-chains scratches per worker, so *which* candidate
-    // warms which is a scheduling artifact. The warm-chain meters are
-    // classified as scheduling meters and dropped from deterministic
-    // exports; everything that remains — per-solve hit/miss meters
-    // included, which the engine keeps bitwise-equal between warm and
-    // cold runs — must not see the thread count.
+    // The optimizer recycles scratches per worker, so the recycling
+    // meters are classified as scheduling meters and dropped from
+    // deterministic exports; everything that remains — per-solve hit/miss
+    // meters included — must not see the thread count.
     let runs: Vec<String> = ["1", "4"]
         .iter()
         .map(|threads| {
