@@ -26,7 +26,7 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> engine_equivalence smoke (engine vs reference, all policy x mode combos)"
+echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
 echo "==> scratch_reuse smoke (reused scratch vs fresh scratch, all policy x mode combos)"
@@ -87,17 +87,26 @@ cargo run --release -p cpa-experiments --bin run_experiments -- \
 diff -r ci-threads-1 ci-threads-4
 rm -rf ci-threads-1 ci-threads-4
 
+echo "==> perfbench floor (5 s per workload: outputs correct, items_per_s >= (1 - 0.25) x results/perfbench_floor.json)"
+for workload in reproduce_paper optimize_mixed; do
+  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1)
+  echo "$result"
+  echo "$result" | grep -q '"correct": true'
+  rate=$(echo "$result" | sed -n 's/.*"items_per_s": {"value": \([0-9.e+-]*\).*/\1/p')
+  reference=$(sed -n "s/.*\"$workload\": \([0-9.]*\).*/\1/p" results/perfbench_floor.json)
+  awk -v rate="$rate" -v reference="$reference" -v w="$workload" 'BEGIN {
+    floor = reference * (1 - 0.25)
+    printf "%s: %.1f items/s, floor %.1f\n", w, rate, floor
+    exit !(rate >= floor)
+  }'
+done
+
 echo "==> obs overhead guard (<2% on analysis_micro, emits BENCH_obs.json)"
 cargo run --release -p cpa-experiments --bin obs_overhead
 
-echo "==> analysis engine bench (>=2x on fig2 FP sweep, emits BENCH_analysis.json)"
-cargo bench -p cpa-bench --bench analysis_engine
-
 echo "==> sim engine bench (>=5x on campaign mix, emits BENCH_sim.json)"
 cargo bench -p cpa-bench --bench sim_engine
-
-echo "==> sweep e2e bench (>=1.8x on fig2 FP panel, emits BENCH_e2e.json + history record)"
-cargo bench -p cpa-bench --bench sweep_e2e
 
 echo "==> optimizer bench (weak dominance + strict improvement, emits BENCH_optimize.json)"
 cargo bench -p cpa-bench --bench optimize
@@ -121,22 +130,20 @@ grep -q '^engine_tasks_solved_total ' ci-telemetry/om-t1.txt
 echo "==> bench trajectory gate (real suite vs checked-in baseline, exit 0 expected)"
 cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
   --baseline results/bench_baseline.jsonl \
-  --current BENCH_obs.json --current BENCH_analysis.json --current BENCH_sim.json \
-  --current BENCH_e2e.json --current BENCH_optimize.json
+  --current BENCH_obs.json --current BENCH_sim.json --current BENCH_optimize.json
 
 echo "==> speedup floors (declarative --min-speedup from the appended history)"
 cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
   --baseline results/bench_baseline.jsonl --current results/bench_history.jsonl \
-  --min-speedup fig2_fp_panel_speedup=1.8 \
   --min-speedup optimize_speedup=2.5 > /dev/null
 
 echo "==> bench trajectory gate negative test (injected regression must exit 1)"
 cat > ci-telemetry/regressed.jsonl << 'JSON'
-{"schema":1,"bench":"analysis_engine","workload":"fig2_sweep","git_rev":"injected","date":"2026-01-01","config":{},"metrics":{},"throughput":{"fp_speedup":1.0},"gates":[]}
+{"schema":1,"bench":"sim_engine","workload":"campaign_mix","git_rev":"injected","date":"2026-01-01","config":{},"metrics":{},"throughput":{"campaign_mix_speedup":1.0},"gates":[]}
 JSON
 set +e
 cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
-  --baseline ci-telemetry/regressed.jsonl --current BENCH_analysis.json > /dev/null
+  --baseline ci-telemetry/regressed.jsonl --current BENCH_sim.json > /dev/null
 improved_rc=$?
 cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
   --baseline results/bench_baseline.jsonl --current ci-telemetry/regressed.jsonl \

@@ -1,4 +1,8 @@
-//! Other-core bus access bounds: Eq. (3)–(6) and Lemma 2.
+//! Other-core bus access bounds: the engine's segments over Eq. (3)–(6)
+//! and Lemma 2.
+//!
+//! The literal forms live in [`crate::spec::bao`]; this module holds the
+//! engine's cached evaluation ([`BaoSegment`]) and the types both share.
 //!
 //! Tasks on remote cores are not synchronised with the task under analysis,
 //! so the worst case lets the first ("carry-in") job of each remote task
@@ -8,8 +12,9 @@
 //! the accesses of the partially overlapping carry-out job, at most one
 //! access per elapsed `d_mem` of overlap.
 
-use cpa_model::{CoreId, TaskId, Time};
+use cpa_model::{TaskId, Time};
 
+use crate::curve::Span;
 use crate::{cpro, demand, AnalysisContext, PersistenceMode};
 
 /// Eq. (6): `N_{k,l}^y(t)`, the maximum number of jobs of a remote task
@@ -25,18 +30,6 @@ pub fn n_jobs(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time) -> u64 {
         .saturating_add(r_l)
         .saturating_sub(d_mem.saturating_mul(cost));
     numerator.div_floor(period)
-}
-
-/// Eq. (5): `W^y_{k,l,cout}(t)`, the carry-out job's bus accesses — the
-/// window length left after the `N` full jobs, divided by `d_mem` (one
-/// access cannot complete faster), capped at the per-job charge `cost`.
-#[must_use]
-pub fn w_cout(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time, n: u64) -> u64 {
-    let overlap = t
-        .saturating_add(r_l)
-        .saturating_sub(d_mem.saturating_mul(cost))
-        .saturating_sub(period.saturating_mul(n));
-    overlap.div_ceil(d_mem).min(cost)
 }
 
 /// Which priority band of the remote core contributes (Eq. (3) vs the
@@ -67,96 +60,14 @@ pub enum CarryOut {
     Capped,
 }
 
-/// Eq. (3) / Lemma 2, generalised over persistence mode and priority band:
-/// upper bound on the bus accesses issued by tasks of `band` relative to
-/// priority `k` on remote core `y` in a window of length `t`.
-///
-/// `resp` holds the current response-time estimates of all tasks (indexed
-/// by [`TaskId`]); the bound is monotone in these estimates, which is what
-/// makes the outer fixed-point loop of [`crate::wcrt`] sound.
-///
-/// For [`PersistenceMode::Aware`] this is Lemma 2: each remote task's full
-/// jobs are charged `min(N·MD_l ; M̂D_l(N) + ρ̂_l(N))` plus CRPD, instead
-/// of `N·(MD_l + γ)`.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors the equation's parameter list
-pub fn bao(
-    ctx: &AnalysisContext<'_>,
-    k: TaskId,
-    y: CoreId,
-    t: Time,
-    resp: &[Time],
-    mode: PersistenceMode,
-    band: PriorityBand,
-    carry: CarryOut,
-) -> u64 {
-    let tasks = ctx.tasks();
-    let d_mem = ctx.d_mem();
-    let mut total = 0u64;
-    let mut add = |l: TaskId| {
-        let task = &tasks[l];
-        let gamma = ctx.gamma(k, l);
-        let cost = task.memory_demand().saturating_add(gamma);
-        let r_l = resp[l.index()];
-        let period = task.period();
-        let n = n_jobs(t, r_l, cost, d_mem, period);
-        // Cap on the carry-out job's charge. For the oblivious analysis it
-        // is Eq. (5)'s own `MD_l + γ`. For the persistence-aware analysis
-        // the carry-out is additionally capped by the (n+1)-th job's share
-        // of the persistence bound, `ΔM̂D + Δρ̂ + γ`: charging the n full
-        // jobs at the n-job persistence bound plus this increment equals
-        // the (n+1)-job persistence bound, so the cap is sound — and it
-        // keeps the whole term *monotone* in `t` (with the raw Eq. (5)
-        // cap, an N-increment trades a carry-out worth up to `MD + γ` for
-        // a full-job increment worth as little as `MD^r`, making the
-        // right-hand side of Eq. (19) non-monotone and fixed-point
-        // iteration unsound to refine).
-        let cout_cap = match mode {
-            PersistenceMode::Oblivious => cost,
-            PersistenceMode::Aware => {
-                let overlap = ctx.cpro_overlap(l, k);
-                let d_md_hat = demand::md_hat(task, n.saturating_add(1))
-                    .saturating_sub(demand::md_hat(task, n));
-                let d_cpro =
-                    cpro::cpro(overlap, n.saturating_add(1)).saturating_sub(cpro::cpro(overlap, n));
-                cost.min(d_md_hat.saturating_add(d_cpro).saturating_add(gamma))
-            }
-        };
-        let cout = match carry {
-            CarryOut::Exact => w_cout(t, r_l, cost, d_mem, period, n).min(cout_cap),
-            CarryOut::Capped => cout_cap,
-        };
-        let full_jobs = match mode {
-            PersistenceMode::Oblivious => n.saturating_mul(cost),
-            PersistenceMode::Aware => {
-                let oblivious = n.saturating_mul(task.memory_demand());
-                let persistent =
-                    demand::md_hat(task, n).saturating_add(cpro::cpro(ctx.cpro_overlap(l, k), n));
-                oblivious
-                    .min(persistent)
-                    .saturating_add(n.saturating_mul(gamma))
-            }
-        };
-        total = total.saturating_add(full_jobs).saturating_add(cout);
-    };
-    match band {
-        PriorityBand::HigherOrEqual => tasks.hep_on(k, y).for_each(&mut add),
-        PriorityBand::Lower => tasks.lp_on(k, y).for_each(&mut add),
-    }
-    total
-}
-
 /// `u64::MAX`, the saturation point of the window arithmetic, as `u128`.
 const SAT: u128 = u64::MAX as u128;
 
-/// Eq. (6)'s numerator under the crate's saturating `u64` semantics,
-/// modelled exactly in `u128`: `max(min(t + r, SAT) − c, 0)`.
-fn numerator(t: u128, r: u128, c: u128) -> u128 {
-    (t + r).min(SAT).saturating_sub(c)
-}
-
-/// Smallest `t` with `numerator(t) ≥ bound`; callers only ask for bounds
-/// already reached at some window, so the result is exact there.
+/// Smallest `t` with `numerator(t) ≥ bound`, where `numerator(t) =
+/// max(min(t + r, SAT) − c, 0)` is Eq. (6)'s numerator under the engine's
+/// saturating `u64` arithmetic, modelled exactly in `u128`; callers only
+/// ask for bounds already reached at some window, so the result is exact
+/// there.
 fn smallest_t_reaching(bound: u128, r: u128, c: u128) -> u128 {
     if bound == 0 {
         return 0;
@@ -239,111 +150,8 @@ fn term_interval(n: u64, p: u64, r: u64, c: u64) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Maximal window interval containing `t` on which `bao(...)` — with the
-/// very same arguments — is constant.
-///
-/// Per remote task `l`, the bound only changes when either the full-job
-/// count `N` of Eq. (6) steps (at period-scale events) or, for
-/// [`CarryOut::Exact`], the carry-out term of Eq. (5) steps (on the
-/// `d_mem` grid, until it reaches its cap and stays there for the rest of
-/// the `N`-interval). The span is the intersection of those constancy
-/// intervals over the band's members; it is what the engine's step-curve
-/// cache stores alongside each computed value, so it must be *exactly*
-/// sound against [`bao`]'s saturating `u64` arithmetic — all interval
-/// endpoints are therefore derived in `u128` from the same formulas.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors `bao`'s parameter list
-pub fn bao_span(
-    ctx: &AnalysisContext<'_>,
-    k: TaskId,
-    y: CoreId,
-    t: Time,
-    resp: &[Time],
-    mode: PersistenceMode,
-    band: PriorityBand,
-    carry: CarryOut,
-) -> crate::curve::Span {
-    let tasks = ctx.tasks();
-    let d_mem = ctx.d_mem();
-    let t_now = t.cycles() as u128;
-    let mut lo = 0u128;
-    let mut hi = SAT;
-    let mut restrict = |l: TaskId| {
-        let task = &tasks[l];
-        let gamma = ctx.gamma(k, l);
-        let cost = task.memory_demand().saturating_add(gamma);
-        let r = resp[l.index()].cycles() as u128;
-        let period = task.period().cycles() as u128;
-        let c = (d_mem.cycles() as u128)
-            .saturating_mul(cost as u128)
-            .min(SAT);
-        let num = numerator(t_now, r, c);
-        let n = num / period;
-        // N-interval: numerator ∈ [n·T, (n+1)·T − 1].
-        let n_lo = if n == 0 {
-            0
-        } else {
-            smallest_t_reaching(n * period, r, c)
-        };
-        let n_hi = largest_t_within((n + 1) * period - 1, r, c);
-        lo = lo.max(n_lo);
-        hi = hi.min(n_hi);
-        if carry == CarryOut::Exact {
-            // Carry-out value: min(⌈overlap/d_mem⌉, cost, cout_cap). It is
-            // constant on one d_mem cell of the overlap — or on the whole
-            // tail of the N-interval once the cap m = min(cost, cout_cap)
-            // is reached.
-            let cout_cap = match mode {
-                PersistenceMode::Oblivious => cost,
-                PersistenceMode::Aware => {
-                    let overlap_pw = ctx.cpro_overlap(l, k);
-                    let n64 = u64::try_from(n).unwrap_or(u64::MAX);
-                    let d_md_hat = demand::md_hat(task, n64.saturating_add(1))
-                        .saturating_sub(demand::md_hat(task, n64));
-                    let d_cpro = cpro::cpro(overlap_pw, n64.saturating_add(1))
-                        .saturating_sub(cpro::cpro(overlap_pw, n64));
-                    cost.min(d_md_hat.saturating_add(d_cpro).saturating_add(gamma))
-                }
-            };
-            let m = cost.min(cout_cap) as u128;
-            let d = d_mem.cycles() as u128;
-            let overlap = num - n * period;
-            let q = if overlap == 0 {
-                0
-            } else {
-                (overlap - 1) / d + 1
-            };
-            if m == 0 {
-                // Carry-out identically zero across the N-interval.
-            } else if q >= m {
-                // Capped tail: overlap ≥ (m−1)·d + 1 keeps the value at m.
-                let floor = (n * period)
-                    .saturating_add((m - 1).saturating_mul(d))
-                    .saturating_add(1);
-                lo = lo.max(smallest_t_reaching(floor, r, c));
-            } else if q == 0 {
-                hi = hi.min(largest_t_within(n * period, r, c));
-            } else {
-                let floor = n * period + (q - 1) * d + 1;
-                lo = lo.max(smallest_t_reaching(floor, r, c));
-                hi = hi.min(largest_t_within(n * period + q * d, r, c));
-            }
-        }
-    };
-    match band {
-        PriorityBand::HigherOrEqual => tasks.hep_on(k, y).for_each(&mut restrict),
-        PriorityBand::Lower => tasks.lp_on(k, y).for_each(&mut restrict),
-    }
-    let span = crate::curve::Span {
-        lo: Time::from_cycles(u64::try_from(lo).unwrap_or(u64::MAX)),
-        hi: Time::from_cycles(u64::try_from(hi.min(SAT)).unwrap_or(u64::MAX)),
-    };
-    debug_assert!(span.contains(t), "span {span:?} must contain t={t}");
-    span
-}
-
 /// The window- and response-time-independent inputs one band member
-/// contributes to [`bao`], precomputed once per `(core, split)` key:
+/// contributes to `BAO` (Lemma 2, [`crate::spec::bao`]), precomputed once per `(core, split)` key:
 /// rebuilding a [`BaoSegment`] walks these compact records instead of
 /// re-filtering the task set and re-reading the CRPD/CPRO matrices on
 /// every rebuild.
@@ -370,7 +178,7 @@ pub struct BaoMember {
 /// Both priority bands' [`BaoMember`] records for one level `k` and
 /// remote core `y`: the `hep(k)` members first, then the `lp(k)` members
 /// from [`BaoMembers::split`] on, each sub-slice in its band's iteration
-/// order (the saturating accumulation order of [`bao`]). The bands are
+/// order (the accumulation order of [`crate::spec::bao`]). The bands are
 /// kept together because the FP bus consumes both at the same window —
 /// one fused record set (and one [`BaoSegment`]) serves every `BAO` query
 /// of the key.
@@ -390,21 +198,11 @@ pub struct BaoMembers {
 }
 
 impl BaoMembers {
-    /// Number of members across both bands.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the remote core contributes no members at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Refills the records in place for a new `(context, level)` pair —
-    /// [`bao_members_on`] without the allocation, for member storage
-    /// recycled across analyses (see [`crate::AnalysisScratch`]).
+    /// Refills the records in place for level `k`, walking `on_core`: the
+    /// remote core's task ids in id order. Task ids are priority order, so
+    /// the `hep(k)` prefix is exactly the ids `≤ k` and one ordered walk
+    /// yields both bands. The storage is recycled across analyses (see
+    /// [`crate::AnalysisScratch`]).
     pub fn refill_on(&mut self, ctx: &AnalysisContext<'_>, k: TaskId, on_core: &[TaskId]) {
         self.members.clear();
         self.split = 0;
@@ -437,40 +235,7 @@ fn member_record(ctx: &AnalysisContext<'_>, k: TaskId, l: TaskId) -> BaoMember {
     }
 }
 
-/// Precomputes both bands' [`BaoMember`] records for priority level `k`
-/// and remote core `y` — the one-off filtering walk every [`BaoSegment`]
-/// rebuild of that key then avoids.
-#[must_use]
-pub fn bao_members(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId) -> BaoMembers {
-    let tasks = ctx.tasks();
-    let mut members: Vec<BaoMember> = tasks
-        .hep_on(k, y)
-        .map(|l| member_record(ctx, k, l))
-        .collect();
-    let split = members.len();
-    members.extend(tasks.lp_on(k, y).map(|l| member_record(ctx, k, l)));
-    BaoMembers { members, split }
-}
-
-/// As [`bao_members`], but walking a precomputed list of the remote
-/// core's task ids (in id order) instead of filtering the whole task set
-/// band by band — the engine's fast path. Task ids are priority order, so
-/// the `hep(k)` prefix is exactly the ids `≤ k` and one ordered walk
-/// yields both bands.
-#[must_use]
-pub fn bao_members_on(ctx: &AnalysisContext<'_>, k: TaskId, on_core: &[TaskId]) -> BaoMembers {
-    let mut members = Vec::with_capacity(on_core.len());
-    let mut split = 0;
-    for &l in on_core {
-        members.push(member_record(ctx, k, l));
-        if l.index() <= k.index() {
-            split = members.len();
-        }
-    }
-    BaoMembers { members, split }
-}
-
-/// One band member's contribution to [`bao`] on a fixed `N`-interval of
+/// One band member's contribution to `BAO` on a fixed `N`-interval of
 /// the window axis: the full-job charge and the carry-out cap of Eq. (5)
 /// are constant there, so only the [`CarryOut::Exact`] carry-out term
 /// still depends on `t` — and its window-independent pieces (the two
@@ -482,7 +247,7 @@ struct BaoTerm {
     /// including their CRPD.
     full_jobs: u64,
     /// The exact carry-out's combined cap `min(cost, cout_cap)` — the two
-    /// `min`s of [`w_cout`]`.min(cout_cap)` folded into one. Also the
+    /// `min`s of Eq. (5)'s `W_cout` and the cap folded into one. Also the
     /// member's [`CarryOut::Capped`] carry-out charge (the cap formulas
     /// never exceed `cost`).
     cap: u64,
@@ -504,9 +269,9 @@ struct BaoTerm {
 impl BaoMember {
     /// Derives the member's [`BaoTerm`] around window length `t` given its
     /// current response-time estimate `r_l` — the `N`-determined charges
-    /// exactly as [`bao`] derives them, plus the `N`-interval they are
-    /// valid on. The endpoints use the `u64` fast path of the exact
-    /// `u128` saturation model (the same model as [`bao_span`]), falling
+    /// exactly as [`crate::spec::bao`] derives them, plus the `N`-interval
+    /// they are valid on. The endpoints use the `u64` fast path of the
+    /// exact `u128` saturation model, falling
     /// back to the `u128` derivation only when `N·T` or `bound + c`
     /// overflows `u64` — the proptests pin the two derivations bitwise.
     fn term(&self, t: Time, r_l: Time, d_mem: Time, mode: PersistenceMode) -> BaoTerm {
@@ -548,19 +313,21 @@ impl BaoMember {
     }
 }
 
-/// [`bao`] — for one fixed `(level, core)`, *both* priority bands and
-/// *both* carry-out modes — restricted to a window interval on which every
-/// member's full-job count `N` (Eq. (6)) is constant.
+/// `BAO` (Eq. (3), Lemma 2) — for one fixed `(level, core)`, *both*
+/// priority bands and *both* carry-out modes — restricted to a window
+/// interval on which every member's full-job count `N` (Eq. (6)) is
+/// constant.
 ///
-/// [`BaoSegment::eval`] reproduces [`bao`]'s per-band values bit-for-bit
-/// anywhere in [`BaoSegment::span`]: [`CarryOut::Capped`] in O(1) (the
+/// [`BaoSegment::eval`] reproduces [`crate::spec::bao`]'s per-band values
+/// bit-for-bit anywhere in [`BaoSegment::span`]: [`CarryOut::Capped`] in
+/// O(1) (the
 /// whole sum is window-independent there, precomputed per band), and
 /// [`CarryOut::Exact`] at a few arithmetic operations per member — no
 /// band-membership filtering, no persistence-demand (`M̂D`), CPRO or CRPD
 /// lookups; those are all `N`-determined and folded into the stored terms.
 /// This is what makes the engine's curve cache pay: the span covers whole
 /// job periods rather than single `d_mem` carry-out cells (the constancy
-/// grain of a *scalar* [`CarryOut::Exact`] value, see [`bao_span`]), and
+/// grain of a *scalar* [`CarryOut::Exact`] value), and
 /// one segment serves both bands of the FP bus and both the Capped bracket
 /// phase and the Exact refine phase of the WCRT solver. When the window
 /// leaves the span or a member's response-time estimate moves,
@@ -570,10 +337,10 @@ pub struct BaoSegment {
     /// Maximal window interval — containing the seed `t` — on which the
     /// stored terms are valid (the intersection of the members'
     /// `N`-intervals).
-    pub span: crate::curve::Span,
+    pub span: Span,
     /// Per-member terms: `hep(k)` prefix then `lp(k)` suffix, each in its
-    /// band's iteration order (the saturating accumulation order of
-    /// [`bao`]).
+    /// band's iteration order (the accumulation order of
+    /// [`crate::spec::bao`]).
     terms: Vec<BaoTerm>,
     /// First index of the `lp(k)` suffix in `terms`.
     split: usize,
@@ -594,7 +361,7 @@ impl BaoSegment {
     #[must_use]
     pub fn new() -> Self {
         BaoSegment {
-            span: crate::curve::Span {
+            span: Span {
                 lo: Time::from_cycles(1),
                 hi: Time::ZERO,
             },
@@ -610,7 +377,7 @@ impl BaoSegment {
     /// what a segment recycled onto a *different* task set needs: stale
     /// terms must never be served, but their allocation is still good.
     pub fn reset(&mut self) {
-        self.span = crate::curve::Span {
+        self.span = Span {
             lo: Time::from_cycles(1),
             hi: Time::ZERO,
         };
@@ -671,8 +438,7 @@ impl BaoSegment {
 
     /// Re-derives the aggregate state from the terms: the span (the
     /// intersection of the member `N`-intervals) and the per-band
-    /// [`CarryOut::Capped`] totals, accumulated in [`bao`]'s exact
-    /// saturating order.
+    /// [`CarryOut::Capped`] totals, accumulated in member order.
     fn commit(&mut self, t: Time) {
         let mut lo = 0u64;
         let mut hi = u64::MAX;
@@ -689,7 +455,7 @@ impl BaoSegment {
                 .saturating_add(term.full_jobs)
                 .saturating_add(term.cap);
         }
-        self.span = crate::curve::Span {
+        self.span = Span {
             lo: Time::from_cycles(lo),
             hi: Time::from_cycles(hi),
         };
@@ -702,8 +468,8 @@ impl BaoSegment {
     }
 
     /// Evaluates the `(hep, lower)` bounds at window length `t ∈ span` —
-    /// identical to [`bao`] per band with the arguments the segment was
-    /// built from and `carry`.
+    /// identical to [`crate::spec::bao`] per band with the arguments the
+    /// segment was built from and `carry`.
     #[must_use]
     pub fn eval(&self, t: Time, d_mem: Time, carry: CarryOut) -> (u64, u64) {
         debug_assert!(self.span.contains(t), "eval outside span {:?}", self.span);
@@ -714,7 +480,7 @@ impl BaoSegment {
             let mut total = 0u64;
             for term in terms {
                 // Eq. (5) with its subtrahends pre-saturated; the same
-                // saturating chain as `w_cout`, then the carry-out cap.
+                // saturating chain as Eq. (5), then the carry-out cap.
                 let overlap = t
                     .saturating_add(term.r)
                     .saturating_sub(term.sub1)
@@ -731,63 +497,10 @@ impl BaoSegment {
     }
 }
 
-/// Builds the [`BaoSegment`] containing window length `t` from scratch
-/// (members walk plus rebuild) — the one-shot convenience over
-/// [`bao_members`] + [`BaoSegment::rebuild`].
-#[must_use]
-pub fn bao_segment(
-    ctx: &AnalysisContext<'_>,
-    k: TaskId,
-    y: CoreId,
-    t: Time,
-    resp: &[Time],
-    mode: PersistenceMode,
-) -> BaoSegment {
-    let members = bao_members(ctx, k, y);
-    let mut seg = BaoSegment::new();
-    seg.rebuild(&members, t, resp, ctx.d_mem(), mode);
-    seg
-}
-
-/// Eq. (3): the persistence-oblivious `BAO_k^y(t)` over `Γy ∩ hep(k)`.
-#[must_use]
-pub fn bao_oblivious(
-    ctx: &AnalysisContext<'_>,
-    k: TaskId,
-    y: CoreId,
-    t: Time,
-    resp: &[Time],
-) -> u64 {
-    bao(
-        ctx,
-        k,
-        y,
-        t,
-        resp,
-        PersistenceMode::Oblivious,
-        PriorityBand::HigherOrEqual,
-        CarryOut::Exact,
-    )
-}
-
-/// Lemma 2: the persistence-aware `BÂO_k^y(t)` over `Γy ∩ hep(k)`.
-#[must_use]
-pub fn bao_aware(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId, t: Time, resp: &[Time]) -> u64 {
-    bao(
-        ctx,
-        k,
-        y,
-        t,
-        resp,
-        PersistenceMode::Aware,
-        PriorityBand::HigherOrEqual,
-        CarryOut::Exact,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec;
     use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet};
     use proptest::prelude::*;
 
@@ -835,6 +548,46 @@ mod tests {
         (platform, TaskSet::new(vec![tau1, tau2, tau3]).unwrap())
     }
 
+    /// The engine's segment for level `k` on core `y` around window `t`:
+    /// the slot's members refilled, then one rebuild.
+    fn segment(
+        ctx: &AnalysisContext<'_>,
+        k: TaskId,
+        y: CoreId,
+        t: Time,
+        resp: &[Time],
+        mode: PersistenceMode,
+    ) -> BaoSegment {
+        let mut seg = BaoSegment::new();
+        seg.rebuild(&members(ctx, k, y), t, resp, ctx.d_mem(), mode);
+        seg
+    }
+
+    fn members(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId) -> BaoMembers {
+        let tasks = ctx.tasks();
+        let on_core: Vec<TaskId> = tasks.ids().filter(|&l| tasks[l].core() == y).collect();
+        let mut members = BaoMembers::default();
+        members.refill_on(ctx, k, &on_core);
+        members
+    }
+
+    /// The engine's `(hep, lower)` pair at `t`, from a segment built there.
+    #[allow(clippy::too_many_arguments)]
+    fn pair(
+        ctx: &AnalysisContext<'_>,
+        k: TaskId,
+        y: CoreId,
+        t: Time,
+        resp: &[Time],
+        mode: PersistenceMode,
+        carry: CarryOut,
+    ) -> (u64, u64) {
+        segment(ctx, k, y, t, resp, mode).eval(t, ctx.d_mem(), carry)
+    }
+
+    const MODES: [PersistenceMode; 2] = [PersistenceMode::Oblivious, PersistenceMode::Aware];
+    const CARRIES: [CarryOut; 2] = [CarryOut::Exact, CarryOut::Capped];
+
     #[test]
     fn n_jobs_clamps_small_windows() {
         let d = Time::from_cycles(10);
@@ -857,14 +610,14 @@ mod tests {
         let n = n_jobs(t, r, 6, d, p);
         assert_eq!(n, 2);
         // Overlap = 290 − 200 = 90 ⇒ ⌈90/10⌉ = 9, capped at cost 6.
-        assert_eq!(w_cout(t, r, 6, d, p, n), 6);
+        assert_eq!(spec::w_cout(t, r, 6, d, p, n), Ok(6));
         // Tiny leftover: t = 215 ⇒ overlap = 5 ⇒ 1 access.
         let t = Time::from_cycles(215);
         let n = n_jobs(t, r, 6, d, p);
         assert_eq!(n, 2);
-        assert_eq!(w_cout(t, r, 6, d, p, n), 1);
+        assert_eq!(spec::w_cout(t, r, 6, d, p, n), Ok(1));
         // No overlap at all.
-        assert_eq!(w_cout(Time::ZERO, r, 6, d, p, 0), 0);
+        assert_eq!(spec::w_cout(Time::ZERO, r, 6, d, p, 0), Ok(0));
     }
 
     #[test]
@@ -886,11 +639,12 @@ mod tests {
             n_jobs(t, resp[t3.index()], 6, ctx.d_mem(), Time::from_cycles(16)),
             4
         );
+        let hep = |k, mode| pair(&ctx, k, y, t, &resp, mode, CarryOut::Exact).0;
         // The paper evaluates BAO at level 3 (τ3's own priority); from τ2's
         // level the hep-band on core y is empty.
-        assert_eq!(bao_oblivious(&ctx, t2, y, t, &resp), 0);
-        assert_eq!(bao_oblivious(&ctx, t3, y, t, &resp), 24);
-        assert_eq!(bao_aware(&ctx, t3, y, t, &resp), 9);
+        assert_eq!(hep(t2, PersistenceMode::Oblivious), 0);
+        assert_eq!(hep(t3, PersistenceMode::Oblivious), 24);
+        assert_eq!(hep(t3, PersistenceMode::Aware), 9);
     }
 
     #[test]
@@ -904,22 +658,12 @@ mod tests {
         let mut resp = vec![Time::ZERO; 3];
         resp[t3.index()] = Time::from_cycles(10);
         // τ3 is the only task on core y and has lower priority than τ2, so
-        // the lower band equals the full bound for k = τ2 ...
-        let low = bao(
-            &ctx,
-            t2,
-            y,
-            t,
-            &resp,
-            PersistenceMode::Oblivious,
-            PriorityBand::Lower,
-            CarryOut::Exact,
-        );
-        assert_eq!(low, 24);
-        // ... and the hep-band is empty (τ3 ∉ hep(τ2)).
-        assert_eq!(bao_oblivious(&ctx, t2, y, t, &resp), 0);
-        // From the lowest priority's perspective, hep covers τ3.
-        assert_eq!(bao_oblivious(&ctx, t3, y, t, &resp), 24);
+        // the lower band holds the whole bound for k = τ2 and the hep band
+        // is empty (τ3 ∉ hep(τ2)) ...
+        let obl = PersistenceMode::Oblivious;
+        assert_eq!(pair(&ctx, t2, y, t, &resp, obl, CarryOut::Exact), (0, 24));
+        // ... while from the lowest priority's level hep covers τ3.
+        assert_eq!(pair(&ctx, t3, y, t, &resp, obl, CarryOut::Exact), (24, 0));
     }
 
     proptest! {
@@ -934,8 +678,11 @@ mod tests {
             let t = Time::from_cycles(t);
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
-                    prop_assert!(bao_aware(&ctx, k, y, t, &resp)
-                        <= bao_oblivious(&ctx, k, y, t, &resp));
+                    for carry in CARRIES {
+                        let aware = pair(&ctx, k, y, t, &resp, PersistenceMode::Aware, carry);
+                        let obl = pair(&ctx, k, y, t, &resp, PersistenceMode::Oblivious, carry);
+                        prop_assert!(aware.0 <= obl.0 && aware.1 <= obl.1);
+                    }
                 }
             }
         }
@@ -947,37 +694,30 @@ mod tests {
             ra in 0u64..2_000,
             rb in 0u64..2_000,
         ) {
-            let (t_lo, t_hi) = (a.min(b), a.max(b));
-            let (r_lo, r_hi) = (ra.min(rb), ra.max(rb));
+            let (t_lo, t_hi) = (Time::from_cycles(a.min(b)), Time::from_cycles(a.max(b)));
+            let (r_lo, r_hi) = ([Time::from_cycles(ra.min(rb)); 3], [Time::from_cycles(ra.max(rb)); 3]);
             let (platform, tasks) = fig1();
             let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
             let k = tasks.lowest_priority_id();
             for y in [CoreId::new(0), CoreId::new(1)] {
-                for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                    for carry in [CarryOut::Exact, CarryOut::Capped] {
-                        let lo = bao(&ctx, k, y, Time::from_cycles(t_lo),
-                            &[Time::from_cycles(r_lo); 3], mode,
-                            PriorityBand::HigherOrEqual, carry);
-                        let hi = bao(&ctx, k, y, Time::from_cycles(t_hi),
-                            &[Time::from_cycles(r_hi); 3], mode,
-                            PriorityBand::HigherOrEqual, carry);
+                for mode in MODES {
+                    for carry in CARRIES {
+                        let lo = pair(&ctx, k, y, t_lo, &r_lo, mode, carry).0;
+                        let hi = pair(&ctx, k, y, t_hi, &r_hi, mode, carry).0;
                         prop_assert!(lo <= hi);
-                        // Capped carry-out over-approximates the exact term.
-                        let exact = bao(&ctx, k, y, Time::from_cycles(t_hi),
-                            &[Time::from_cycles(r_hi); 3], mode,
-                            PriorityBand::HigherOrEqual, CarryOut::Exact);
-                        let capped = bao(&ctx, k, y, Time::from_cycles(t_hi),
-                            &[Time::from_cycles(r_hi); 3], mode,
-                            PriorityBand::HigherOrEqual, CarryOut::Capped);
-                        prop_assert!(exact <= capped);
                     }
+                    // Capped carry-out over-approximates the exact term.
+                    let exact = pair(&ctx, k, y, t_hi, &r_hi, mode, CarryOut::Exact).0;
+                    let capped = pair(&ctx, k, y, t_hi, &r_hi, mode, CarryOut::Capped).0;
+                    prop_assert!(exact <= capped);
                 }
             }
         }
 
-        /// `bao_span` must be a true constancy interval of `bao` under the
-        /// exact same arguments — the contract the engine's curve cache
-        /// relies on for soundness.
+        /// A segment's span is a constancy interval of the capped bound:
+        /// every member's `N` — and with it its full-job charge and
+        /// carry-out cap — is constant there. The span is what the engine's
+        /// cache keys each segment on, so this is its soundness contract.
         #[test]
         fn bao_span_is_a_constancy_interval(
             t in 0u64..5_000,
@@ -991,26 +731,23 @@ mod tests {
             let t = Time::from_cycles(t);
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
-                    for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
+                    for mode in MODES {
+                        let span = segment(&ctx, k, y, t, &resp, mode).span;
+                        prop_assert!(span.contains(t));
+                        let lo = span.lo.cycles();
+                        let hi = span.hi.cycles().min(lo.saturating_add(100_000));
                         for band in [PriorityBand::HigherOrEqual, PriorityBand::Lower] {
-                            for carry in [CarryOut::Exact, CarryOut::Capped] {
-                                let span = bao_span(&ctx, k, y, t, &resp, mode, band, carry);
-                                prop_assert!(span.contains(t));
-                                let v = bao(&ctx, k, y, t, &resp, mode, band, carry);
-                                // Constant at both endpoints and at probes
-                                // straddling the seed.
-                                let lo = span.lo.cycles();
-                                let hi = span.hi.cycles().min(lo.saturating_add(100_000));
-                                let probes = [lo, (lo + hi) / 2, hi, t.cycles()];
-                                for p in probes {
-                                    let w = Time::from_cycles(p);
-                                    prop_assert_eq!(
-                                        bao(&ctx, k, y, w, &resp, mode, band, carry),
-                                        v,
-                                        "{mode:?} {band:?} {carry:?} k={k:?} y={y:?} \
-                                         t={t} probe={w} span={span:?}"
-                                    );
-                                }
+                            let capped = |w| {
+                                spec::bao(&ctx, k, y, w, &resp, mode, band, CarryOut::Capped)
+                            };
+                            let v = capped(t);
+                            for p in [lo, (lo + hi) / 2, hi] {
+                                let w = Time::from_cycles(p);
+                                prop_assert_eq!(
+                                    capped(w), v,
+                                    "{:?} {:?} k={:?} y={:?} t={} probe={} span={:?}",
+                                    mode, band, k, y, t, w, span
+                                );
                             }
                         }
                     }
@@ -1018,8 +755,8 @@ mod tests {
             }
         }
 
-        /// `bao_segment` must evaluate to exactly `bao` everywhere on its
-        /// span — the engine's cache hits return `eval`, never `bao`.
+        /// A segment must evaluate to exactly the spec's `BAO` everywhere
+        /// on its span — the engine's cache hits return `eval`.
         #[test]
         fn bao_segment_evaluates_bao_across_its_span(
             t in 0u64..5_000,
@@ -1033,27 +770,24 @@ mod tests {
             let t = Time::from_cycles(t);
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
-                    for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                        let seg = bao_segment(&ctx, k, y, t, &resp, mode);
+                    for mode in MODES {
+                        let seg = segment(&ctx, k, y, t, &resp, mode);
                         prop_assert!(seg.span.contains(t));
                         let lo = seg.span.lo.cycles();
                         let hi = seg.span.hi.cycles().min(lo.saturating_add(100_000));
                         let probes = [lo, lo + (hi - lo) / 2, hi, t.cycles()];
-                        for carry in [CarryOut::Exact, CarryOut::Capped] {
+                        for carry in CARRIES {
                             for p in probes {
                                 let w = Time::from_cycles(p);
                                 let (hep, lower) = seg.eval(w, ctx.d_mem(), carry);
-                                let reference = |band| {
-                                    bao(&ctx, k, y, w, &resp, mode, band, carry)
+                                let spec = |band| {
+                                    spec::bao(&ctx, k, y, w, &resp, mode, band, carry)
                                 };
                                 prop_assert_eq!(
-                                    (hep, lower),
-                                    (
-                                        reference(PriorityBand::HigherOrEqual),
-                                        reference(PriorityBand::Lower),
-                                    ),
-                                    "{mode:?} {carry:?} k={k:?} y={y:?} \
-                                     t={t} probe={w} span={:?}", seg.span
+                                    (Ok(hep), Ok(lower)),
+                                    (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
+                                    "{:?} {:?} k={:?} y={:?} t={} probe={} span={:?}",
+                                    mode, carry, k, y, t, w, seg.span
                                 );
                             }
                         }
@@ -1082,16 +816,16 @@ mod tests {
             let (t, t2) = (Time::from_cycles(t), Time::from_cycles(t2));
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
-                    for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                        let members = bao_members(&ctx, k, y);
+                    for mode in MODES {
+                        let members = members(&ctx, k, y);
                         let mut seg = BaoSegment::new();
                         // Empty → falls back to a rebuild.
                         seg.refresh(&members, t, &resp, ctx.d_mem(), mode);
                         // Incremental: window and one response time move.
                         seg.refresh(&members, t2, &resp2, ctx.d_mem(), mode);
-                        let fresh = bao_segment(&ctx, k, y, t2, &resp2, mode);
+                        let fresh = segment(&ctx, k, y, t2, &resp2, mode);
                         prop_assert_eq!(seg.span, fresh.span, "k={:?} y={:?} {:?}", k, y, mode);
-                        for carry in [CarryOut::Exact, CarryOut::Capped] {
+                        for carry in CARRIES {
                             prop_assert_eq!(
                                 seg.eval(t2, ctx.d_mem(), carry),
                                 fresh.eval(t2, ctx.d_mem(), carry),
@@ -1116,7 +850,8 @@ mod tests {
             let t = Time::from_cycles(t);
             let r = Time::from_cycles(r);
             let n = n_jobs(t, r, cost, d, p);
-            prop_assert!(w_cout(t, r, cost, d, p, n) <= cost);
+            prop_assert_eq!(spec::n_jobs(t, r, cost, d, p), Ok(n));
+            prop_assert!(spec::w_cout(t, r, cost, d, p, n).unwrap() <= cost);
         }
 
         /// The u64 fast path of [`term_interval`] must be bitwise equal

@@ -1,8 +1,13 @@
-//! Same-core bus access bounds: Eq. (1) and Lemma 1.
+//! Same-core bus access bounds: the engine's walk over Eq. (1), Lemma 1
+//! and the preemption interference of Eq. (19).
+//!
+//! The literal forms of Eq. (1) and Lemma 1 live in [`crate::spec::bas`];
+//! this module holds the one fused walk the engine evaluates them with.
 
 use cpa_model::{TaskId, Time};
 
-use crate::{cpro, demand, AnalysisContext, PersistenceMode};
+use crate::curve::Span;
+use crate::{cpro, demand, AnalysisContext};
 
 /// `E_j(t) = ⌈t / T_j⌉`: maximum jobs of `τj` released in a window of
 /// length `t` (Lemma 1).
@@ -11,113 +16,37 @@ pub fn releases(t: Time, period: Time) -> u64 {
     t.div_ceil(period)
 }
 
-/// Eq. (1): persistence-oblivious bound on the bus accesses generated by one
-/// job of `τi` plus all jobs of higher-priority tasks on `τi`'s core in a
-/// window of length `t`:
-///
-/// ```text
-/// BAS_i^x(t) = MD_i + Σ_{j ∈ Γx ∩ hp(i)} ⌈t/T_j⌉ · (MD_j + γ_{i,j,x})
-/// ```
-#[must_use]
-pub fn bas_oblivious(ctx: &AnalysisContext<'_>, i: TaskId, t: Time) -> u64 {
-    let tasks = ctx.tasks();
-    let core = tasks[i].core();
-    let mut total = tasks[i].memory_demand();
-    for j in tasks.hp_on(i, core) {
-        let e = releases(t, tasks[j].period());
-        let per_job = tasks[j].memory_demand().saturating_add(ctx.gamma(i, j));
-        total = total.saturating_add(e.saturating_mul(per_job));
-    }
-    total
+/// Everything [`same_core_terms`] derives from one walk over `τi`'s
+/// same-core higher-priority tasks at one window length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SameCoreTerms {
+    /// Maximal window interval containing the window on which every
+    /// release count `E_j(t) = ⌈t/T_j⌉` is constant — and with it every
+    /// other field: they are functions of the `E_j` only.
+    pub span: Span,
+    /// The same-core preemption interference of Eq. (19),
+    /// `Σ_j E_j · PD_j`.
+    pub interference: Time,
+    /// `BAS_i^x(t)`, Eq. (1).
+    pub bas_oblivious: u64,
+    /// `BÂS_i^x(t)`, Lemma 1.
+    pub bas_aware: u64,
+    /// The CRPD share `Σ_j E_j · γ_{i,j,x}` inside either bound.
+    pub crpd: u64,
+    /// The CPRO share inside `BÂS`: `Σ_j ρ̂_{j,i,x}(E_j)` over the tasks
+    /// whose persistence branch wins Lemma 1's `min`.
+    pub cpro: u64,
 }
 
-/// Lemma 1: persistence-aware bound `BÂS_i^x(t)`.
-///
-/// For each higher-priority same-core task the per-window demand is the
-/// minimum of the oblivious charge `E_j(t) · MD_j` and the persistence
-/// charge `M̂D_j(E_j(t)) + ρ̂_{j,i,x}(E_j(t))`; CRPD is charged on top in
-/// both branches:
-///
-/// ```text
-/// BÂS_i^x(t) = MD_i + Σ_j min( E_j·MD_j ; M̂D_j(E_j) + ρ̂_{j,i,x}(E_j) )
-///                   + Σ_j E_j · γ_{i,j,x}
-/// ```
-///
-/// # Example
-///
-/// The Fig. 1 numbers: `BAS_2^x(R_2) = 32` (Eq. (12)) drops to `26`
-/// (Eq. (15)) once persistence is taken into account. See the crate's
-/// integration tests for the full worked example.
-#[must_use]
-pub fn bas_aware(ctx: &AnalysisContext<'_>, i: TaskId, t: Time) -> u64 {
-    let tasks = ctx.tasks();
-    let core = tasks[i].core();
-    let mut total = tasks[i].memory_demand();
-    for j in tasks.hp_on(i, core) {
-        let e = releases(t, tasks[j].period());
-        let oblivious = e.saturating_mul(tasks[j].memory_demand());
-        let persistent =
-            demand::md_hat(&tasks[j], e).saturating_add(cpro::cpro(ctx.cpro_overlap(j, i), e));
-        let crpd = e.saturating_mul(ctx.gamma(i, j));
-        total = total
-            .saturating_add(oblivious.min(persistent))
-            .saturating_add(crpd);
-    }
-    total
-}
-
-/// Dispatches between [`bas_oblivious`] and [`bas_aware`].
-#[must_use]
-pub fn bas(ctx: &AnalysisContext<'_>, i: TaskId, t: Time, mode: PersistenceMode) -> u64 {
-    match mode {
-        PersistenceMode::Oblivious => bas_oblivious(ctx, i, t),
-        PersistenceMode::Aware => bas_aware(ctx, i, t),
-    }
-}
-
-/// Maximal window interval containing `t` on which every release count
-/// `E_j(t)` over `τi`'s same-core higher-priority tasks is constant.
-///
-/// Both `BAS_i^x` (either mode) and the same-core preemption interference
-/// of Eq. (19) are functions of `(E_j)_j` only, so they are constant on
-/// this interval — the constancy span the engine's step-curve cache stores
-/// alongside each computed value. `E_j = ⌈t/T_j⌉` is `e` exactly on
-/// `((e−1)·T_j, e·T_j]` (and `0` only at `t = 0`); the span is the
-/// intersection over `j`.
-#[must_use]
-pub fn releases_span(ctx: &AnalysisContext<'_>, i: TaskId, t: Time) -> crate::curve::Span {
-    let tasks = ctx.tasks();
-    let core = tasks[i].core();
-    let mut span = crate::curve::Span::full();
-    for j in tasks.hp_on(i, core) {
-        let period = tasks[j].period().cycles() as u128;
-        let e = releases(t, tasks[j].period()) as u128;
-        let (lo, hi) = if e == 0 {
-            (0u128, 0u128)
-        } else {
-            ((e - 1) * period + 1, e * period)
-        };
-        span = span.intersect(crate::curve::Span {
-            lo: Time::from_cycles(u64::try_from(lo).unwrap_or(u64::MAX)),
-            hi: Time::from_cycles(u64::try_from(hi).unwrap_or(u64::MAX)),
-        });
-    }
-    debug_assert!(span.contains(t));
-    span
-}
-
-/// The engine's fused same-core walk: [`releases_span`], the Eq. (19)
-/// preemption interference `Σ_j E_j · PD_j` and [`bas`] — in *both*
-/// persistence modes — in one pass over `hp`: `τi`'s same-core
-/// higher-priority tasks in id order, precomputed by the caller. All
-/// four are functions of the release counts `E_j` only, so a single walk
-/// computes each `E_j` once; every bound's arithmetic is verbatim its
-/// standalone form, keeping the results bit-identical to the separate
-/// calls. Producing both modes costs two extra saturating operations per
-/// member (the aware branch already derives every oblivious term), and
-/// makes the cached tuple configuration-independent: a curve filled under
-/// one persistence mode serves the other verbatim, which is what lets
-/// the engine retain same-core curves across configuration changes.
+/// The engine's fused same-core walk: the `E_j`-constancy span, the
+/// Eq. (19) preemption interference and `BAS` in *both* persistence
+/// modes, with the CRPD and CPRO shares the decomposition reports — in
+/// one pass over `hp`: `τi`'s same-core higher-priority tasks in id
+/// order, precomputed by the caller. All of them are functions of the
+/// release counts `E_j` only, so a single walk computes each `E_j` once.
+/// Producing both modes makes the engine's cached tuple
+/// configuration-independent; the `fused_same_core_terms_match_standalone`
+/// test pins every field against [`crate::spec`].
 ///
 /// The walk reads the per-task scalars from the context's
 /// struct-of-arrays [`crate::context::TaskColumns`] rather than striding
@@ -129,18 +58,23 @@ pub fn same_core_terms(
     i: TaskId,
     t: Time,
     hp: &[TaskId],
-) -> (crate::curve::Span, Time, u64, u64) {
+) -> SameCoreTerms {
     let cols = ctx.columns();
-    let mut span = crate::curve::Span::full();
-    let mut interference = Time::ZERO;
-    let own0 = cols.md[i.index()];
-    let mut own_oblivious = own0;
-    let mut own_aware = own0;
+    let own = cols.md[i.index()];
+    let mut terms = SameCoreTerms {
+        span: Span::full(),
+        interference: Time::ZERO,
+        bas_oblivious: own,
+        bas_aware: own,
+        crpd: 0,
+        cpro: 0,
+    };
     for &j in hp {
         let jx = j.index();
         let period = Time::from_cycles(cols.period[jx]);
         let e = releases(t, period);
-        // The E_j-constancy interval, as in `releases_span`.
+        // E_j = ⌈t/T_j⌉ is e exactly on ((e−1)·T_j, e·T_j] (and 0 only at
+        // t = 0).
         let p128 = cols.period[jx] as u128;
         let (lo, hi) = if e == 0 {
             (0u128, 0u128)
@@ -148,34 +82,43 @@ pub fn same_core_terms(
             let e128 = e as u128;
             ((e128 - 1) * p128 + 1, e128 * p128)
         };
-        span = span.intersect(crate::curve::Span {
+        terms.span = terms.span.intersect(Span {
             lo: Time::from_cycles(u64::try_from(lo).unwrap_or(u64::MAX)),
             hi: Time::from_cycles(u64::try_from(hi).unwrap_or(u64::MAX)),
         });
         // Same-core preemption interference of Eq. (19).
-        interference =
-            interference.saturating_add(Time::from_cycles(cols.pd[jx]).saturating_mul(e));
+        terms.interference = terms
+            .interference
+            .saturating_add(Time::from_cycles(cols.pd[jx]).saturating_mul(e));
         let gamma = ctx.gamma(i, j);
         let md = cols.md[jx];
-        // BAS_i^x, as in `bas_oblivious`.
-        let per_job = md.saturating_add(gamma);
-        own_oblivious = own_oblivious.saturating_add(e.saturating_mul(per_job));
-        // BÂS_i^x, as in `bas_aware`.
-        let oblivious = e.saturating_mul(md);
-        let persistent = demand::md_hat_parts(md, cols.md_r[jx], cols.pcb_len[jx], e)
-            .saturating_add(cpro::cpro(ctx.cpro_overlap(j, i), e));
         let crpd = e.saturating_mul(gamma);
-        own_aware = own_aware
+        terms.crpd = terms.crpd.saturating_add(crpd);
+        // Eq. (1): E_j · (MD_j + γ).
+        terms.bas_oblivious = terms
+            .bas_oblivious
+            .saturating_add(e.saturating_mul(md.saturating_add(gamma)));
+        // Lemma 1: min(E_j · MD_j, M̂D_j(E_j) + ρ̂_{j,i,x}(E_j)) + E_j · γ.
+        let oblivious = e.saturating_mul(md);
+        let reload = cpro::cpro(ctx.cpro_overlap(j, i), e);
+        let persistent =
+            demand::md_hat_parts(md, cols.md_r[jx], cols.pcb_len[jx], e).saturating_add(reload);
+        if persistent < oblivious {
+            terms.cpro = terms.cpro.saturating_add(reload);
+        }
+        terms.bas_aware = terms
+            .bas_aware
             .saturating_add(oblivious.min(persistent))
             .saturating_add(crpd);
     }
-    debug_assert!(span.contains(t));
-    (span, interference, own_oblivious, own_aware)
+    debug_assert!(terms.span.contains(t));
+    terms
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{spec, PersistenceMode};
     use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet};
     use proptest::prelude::*;
 
@@ -226,6 +169,24 @@ mod tests {
         (platform, TaskSet::new(vec![tau1, tau2, tau3]).unwrap())
     }
 
+    /// The engine walk for `τi` at `t`, over its same-core hp tasks.
+    fn terms(ctx: &AnalysisContext<'_>, i: TaskId, t: Time) -> SameCoreTerms {
+        let tasks = ctx.tasks();
+        let hp: Vec<TaskId> = tasks.hp_on(i, tasks[i].core()).collect();
+        same_core_terms(ctx, i, t, &hp)
+    }
+
+    fn modes() -> [PersistenceMode; 2] {
+        [PersistenceMode::Oblivious, PersistenceMode::Aware]
+    }
+
+    fn bas(terms: &SameCoreTerms, mode: PersistenceMode) -> u64 {
+        match mode {
+            PersistenceMode::Oblivious => terms.bas_oblivious,
+            PersistenceMode::Aware => terms.bas_aware,
+        }
+    }
+
     #[test]
     fn fig1_worked_numbers() {
         let (platform, tasks) = fig1();
@@ -234,12 +195,17 @@ mod tests {
         // A window with exactly 3 releases of τ1 (period 20): t ∈ (40, 60].
         let window = Time::from_cycles(60);
         assert_eq!(releases(window, Time::from_cycles(20)), 3);
+        let terms = terms(&ctx, t2, window);
         // Eq. (12): BAS_2^x = 8 + 3·(6 + 2) = 32.
-        assert_eq!(bas_oblivious(&ctx, t2, window), 32);
+        assert_eq!(terms.bas_oblivious, 32);
         // Eq. (15): 8 + min(18, M̂D(3)=8 + ρ̂=4) + 3·γ=6 = 26.
-        assert_eq!(bas_aware(&ctx, t2, window), 26);
-        assert_eq!(bas(&ctx, t2, window, PersistenceMode::Oblivious), 32);
-        assert_eq!(bas(&ctx, t2, window, PersistenceMode::Aware), 26);
+        assert_eq!(terms.bas_aware, 26);
+        assert_eq!((terms.crpd, terms.cpro), (6, 4));
+        assert_eq!(
+            spec::bas(&ctx, t2, window, PersistenceMode::Oblivious),
+            Ok(32)
+        );
+        assert_eq!(spec::bas(&ctx, t2, window, PersistenceMode::Aware), Ok(26));
     }
 
     #[test]
@@ -248,8 +214,9 @@ mod tests {
         let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
         let t1 = tasks.id_of("tau1").unwrap();
         for t in [0u64, 10, 1_000] {
-            assert_eq!(bas_oblivious(&ctx, t1, Time::from_cycles(t)), 6);
-            assert_eq!(bas_aware(&ctx, t1, Time::from_cycles(t)), 6);
+            let terms = terms(&ctx, t1, Time::from_cycles(t));
+            assert_eq!((terms.bas_oblivious, terms.bas_aware), (6, 6));
+            assert_eq!(terms.interference, Time::ZERO);
         }
     }
 
@@ -260,7 +227,7 @@ mod tests {
         let (platform, tasks) = fig1();
         let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
         let t3 = tasks.id_of("tau3").unwrap();
-        assert_eq!(bas_oblivious(&ctx, t3, Time::from_cycles(1_000)), 6);
+        assert_eq!(terms(&ctx, t3, Time::from_cycles(1_000)).bas_oblivious, 6);
     }
 
     #[test]
@@ -268,8 +235,8 @@ mod tests {
         let (platform, tasks) = fig1();
         let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
         let t2 = tasks.id_of("tau2").unwrap();
-        assert_eq!(bas_oblivious(&ctx, t2, Time::ZERO), 8);
-        assert_eq!(bas_aware(&ctx, t2, Time::ZERO), 8);
+        let terms = terms(&ctx, t2, Time::ZERO);
+        assert_eq!((terms.bas_oblivious, terms.bas_aware), (8, 8));
     }
 
     proptest! {
@@ -278,59 +245,62 @@ mod tests {
             let (platform, tasks) = fig1();
             let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
             for i in tasks.ids() {
-                let t = Time::from_cycles(t);
-                prop_assert!(bas_aware(&ctx, i, t) <= bas_oblivious(&ctx, i, t));
+                let terms = terms(&ctx, i, Time::from_cycles(t));
+                prop_assert!(terms.bas_aware <= terms.bas_oblivious);
             }
         }
 
-        /// The span reported by `releases_span` really is a constancy
-        /// interval of both BAS variants (the engine's cache contract).
+        /// The span the walk reports really is a constancy interval of
+        /// both BAS variants (the engine's cache contract), and maximal on
+        /// the right.
         #[test]
         fn releases_span_is_constant_for_bas(t in 0u64..10_000) {
             let (platform, tasks) = fig1();
             let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
             for i in tasks.ids() {
                 let t = Time::from_cycles(t);
-                let span = releases_span(&ctx, i, t);
+                let span = terms(&ctx, i, t).span;
                 prop_assert!(span.contains(t));
-                for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                    let v = bas(&ctx, i, t, mode);
-                    prop_assert_eq!(bas(&ctx, i, span.lo, mode), v);
+                for mode in modes() {
+                    let v = spec::bas(&ctx, i, t, mode);
+                    prop_assert_eq!(spec::bas(&ctx, i, span.lo, mode), v);
                     if span.hi.cycles() < u64::MAX {
-                        prop_assert_eq!(bas(&ctx, i, span.hi, mode), v);
-                        // Maximality on the right: the next window changes
-                        // some release count unless the span is unbounded.
+                        prop_assert_eq!(spec::bas(&ctx, i, span.hi, mode), v);
+                        // The next window changes some release count
+                        // unless the span is unbounded.
                         let next = Time::from_cycles(span.hi.cycles() + 1);
-                        prop_assert!(releases_span(&ctx, i, next) != span);
+                        prop_assert!(terms(&ctx, i, next).span != span);
                     }
                 }
             }
         }
 
-        /// The fused dual-mode walk must agree with every standalone
-        /// bound it replaces — both persistence modes, the span and the
-        /// preemption interference.
+        /// Every field of the fused walk equals its literal form: both
+        /// BAS modes from the spec, the interference, and the CRPD and
+        /// CPRO shares written out term by term.
         #[test]
         fn fused_same_core_terms_match_standalone(t in 0u64..10_000) {
             let (platform, tasks) = fig1();
             let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
             let t = Time::from_cycles(t);
             for i in tasks.ids() {
-                let core = tasks[i].core();
-                let hp: Vec<TaskId> = tasks.hp_on(i, core).collect();
-                let (span, interference, oblivious, aware) =
-                    same_core_terms(&ctx, i, t, &hp);
-                prop_assert_eq!(span, releases_span(&ctx, i, t));
-                prop_assert_eq!(oblivious, bas_oblivious(&ctx, i, t));
-                prop_assert_eq!(aware, bas_aware(&ctx, i, t));
-                let expected: Time = hp.iter().fold(Time::ZERO, |acc, &j| {
-                    acc.saturating_add(
-                        tasks[j]
-                            .processing_demand()
-                            .saturating_mul(releases(t, tasks[j].period())),
-                    )
-                });
-                prop_assert_eq!(interference, expected);
+                let terms = terms(&ctx, i, t);
+                for mode in modes() {
+                    prop_assert_eq!(Ok(bas(&terms, mode)), spec::bas(&ctx, i, t, mode));
+                }
+                let (mut interference, mut crpd, mut cpro_share) = (Time::ZERO, 0, 0);
+                for j in tasks.hp_on(i, tasks[i].core()) {
+                    let e = spec::releases(t, tasks[j].period());
+                    interference += tasks[j].processing_demand() * e;
+                    crpd += e * crate::crpd::gamma(&tasks, i, j);
+                    let reload = e.saturating_sub(1) * cpro::cpro_overlap(&tasks, j, i);
+                    if demand::md_hat(&tasks[j], e) + reload < e * tasks[j].memory_demand() {
+                        cpro_share += reload;
+                    }
+                }
+                prop_assert_eq!(terms.interference, interference);
+                prop_assert_eq!(terms.crpd, crpd);
+                prop_assert_eq!(terms.cpro, cpro_share);
             }
         }
 
@@ -340,11 +310,10 @@ mod tests {
             let (platform, tasks) = fig1();
             let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
             for i in tasks.ids() {
-                for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                    prop_assert!(
-                        bas(&ctx, i, Time::from_cycles(lo), mode)
-                            <= bas(&ctx, i, Time::from_cycles(hi), mode)
-                    );
+                let lo = terms(&ctx, i, Time::from_cycles(lo));
+                let hi = terms(&ctx, i, Time::from_cycles(hi));
+                for mode in modes() {
+                    prop_assert!(bas(&lo, mode) <= bas(&hi, mode));
                 }
             }
         }

@@ -2,8 +2,8 @@
 
 use cpa_model::{CacheBlockSet, ModelError, Platform, TaskId, TaskSet, Time};
 
+use crate::cpro;
 use crate::crpd::CrpdApproach;
-use crate::{cpro, crpd};
 
 /// An analysis context binding a [`TaskSet`] to a [`Platform`] with the
 /// quadratic CRPD (`γ_{i,j}`) and CPRO-overlap tables precomputed.
@@ -16,8 +16,8 @@ use crate::{cpro, crpd};
 /// order, so each entry costs one word-parallel set operation instead of
 /// re-folding a union per pair — `O(n²)` set operations and a handful of
 /// allocations for the whole context, where the definitional per-pair
-/// evaluation (retained as [`AnalysisContext::with_crpd_approach_reference`]
-/// and differentially pinned in this module's tests) costs `O(n³)`.
+/// evaluation (the tables [`crate::spec`] fills per call, differentially
+/// pinned in this module's tests) costs `O(n³)`.
 ///
 /// Construct with [`AnalysisContext::new`]; the context borrows the platform
 /// and task set, making it cheap to build one per (platform, task set) pair
@@ -300,40 +300,6 @@ impl<'a> AnalysisContext<'a> {
         buffers.columns = self.columns;
     }
 
-    /// [`AnalysisContext::with_crpd_approach`] with the tables evaluated
-    /// entry by entry from the definitional [`crpd::gamma_with`] /
-    /// [`cpro::cpro_overlap`] — the `O(n³)` baseline the incremental
-    /// [`fill_tables`] sweep is differentially pinned against (and the
-    /// "current main" leg of the `sweep_e2e` bench).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TaskSet::validate_against`] errors.
-    pub fn with_crpd_approach_reference(
-        platform: &'a Platform,
-        tasks: &'a TaskSet,
-        approach: CrpdApproach,
-    ) -> Result<Self, ModelError> {
-        tasks.validate_against(platform)?;
-        let n = tasks.len();
-        let mut gamma = vec![0u64; n * n];
-        let mut cpro_overlap = vec![0u64; n * n];
-        for i in tasks.ids() {
-            for j in tasks.ids() {
-                gamma[i.index() * n + j.index()] = crpd::gamma_with(tasks, i, j, approach);
-                cpro_overlap[i.index() * n + j.index()] = cpro::cpro_overlap(tasks, i, j);
-            }
-        }
-        Ok(AnalysisContext {
-            platform,
-            tasks,
-            gamma,
-            cpro_overlap,
-            columns: TaskColumns::of(tasks),
-            crpd_approach: approach,
-        })
-    }
-
     /// The CRPD approach this context's `γ` table was built with.
     #[must_use]
     pub fn crpd_approach(&self) -> CrpdApproach {
@@ -389,7 +355,19 @@ impl<'a> AnalysisContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec;
     use cpa_model::{CacheBlockSet, CoreId, Priority, Task};
+
+    /// Asserts `ctx`'s incremental tables equal the spec's definitional ones.
+    fn assert_tables_match_spec(ctx: &AnalysisContext<'_>, tag: &str) {
+        let tasks = ctx.tasks();
+        assert_eq!(
+            ctx.gamma,
+            spec::gamma_table(tasks, ctx.crpd_approach()),
+            "{tag}"
+        );
+        assert_eq!(ctx.cpro_overlap, spec::cpro_table(tasks), "{tag}");
+    }
 
     fn fig1() -> (Platform, TaskSet) {
         let platform = Platform::builder()
@@ -483,10 +461,7 @@ mod tests {
             CrpdApproach::EcbOnly,
         ] {
             let fast = AnalysisContext::with_crpd_approach(&platform, &tasks, approach).unwrap();
-            let reference =
-                AnalysisContext::with_crpd_approach_reference(&platform, &tasks, approach).unwrap();
-            assert_eq!(fast.gamma, reference.gamma, "{approach:?}");
-            assert_eq!(fast.cpro_overlap, reference.cpro_overlap, "{approach:?}");
+            assert_tables_match_spec(&fast, &format!("{approach:?}"));
         }
     }
 
@@ -562,14 +537,7 @@ mod tests {
             ] {
                 let fast =
                     AnalysisContext::with_crpd_approach(&platform, &tasks, approach).unwrap();
-                let reference =
-                    AnalysisContext::with_crpd_approach_reference(&platform, &tasks, approach)
-                        .unwrap();
-                assert_eq!(fast.gamma, reference.gamma, "seed {seed} {approach:?}");
-                assert_eq!(
-                    fast.cpro_overlap, reference.cpro_overlap,
-                    "seed {seed} {approach:?}"
-                );
+                assert_tables_match_spec(&fast, &format!("seed {seed} {approach:?}"));
             }
         }
     }

@@ -1,9 +1,7 @@
 //! Convergence diagnostics: decomposing a WCRT bound into the paper's
 //! BAS / BAO / CPRO / CRPD terms and naming the dominant one.
 //!
-//! [`crate::explain`] splits Eq. (19)'s right-hand side into *time*
-//! components (processing, preemption, own-core bus, cross-core bus); this
-//! module splits the *bus-access count* `BAT_i^x(t)` itself along the
+//! This module splits the *bus-access count* `BAT_i^x(t)` along the
 //! paper's vocabulary, so a convergence report can answer "which term is
 //! this task's bound made of":
 //!
@@ -19,12 +17,16 @@
 //!   (Eq. (7)–(9)); reported as a whole, since the CRPD/CPRO shares inside
 //!   it belong to the remote cores' own decompositions.
 //! * **blocking** — the `+1` already-in-service access (Eq. (12) footnote).
+//!
+//! The analysis engine emits the decomposition itself — its own same-core
+//! walk supplies the BAS/CRPD/CPRO shares and its own cross-core step the
+//! BAO share — so the shares always reassemble the bound the engine
+//! solved with.
 
 use cpa_model::{TaskId, Time};
 
-use crate::arbiter::{with_arbiter, DirectBao};
-use crate::bao::CarryOut;
-use crate::{bas, cpro, demand, AnalysisConfig, AnalysisContext, PersistenceMode};
+use crate::engine::{AnalysisEngine, AnalysisScratch};
+use crate::{AnalysisConfig, AnalysisContext};
 
 /// The term of Eq. (19) contributing the most bus accesses to a bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +63,7 @@ impl std::fmt::Display for DominantTerm {
 /// Bus-access decomposition of `BAT_i^x(window)` along the paper's terms.
 ///
 /// The parts always reassemble exactly: [`TermDecomposition::total_accesses`]
-/// equals [`crate::bus::bat`] at the same window.
+/// equals `BAT_i^x(window)` ([`crate::spec::bat`], exact carry-out).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermDecomposition {
     /// The window length the decomposition was evaluated at.
@@ -125,8 +127,8 @@ impl TermDecomposition {
     }
 }
 
-/// Decomposes `BAT_i^x(window)` into the paper's terms, mirroring
-/// [`crate::bus::bat`] (exact carry-out) share by share.
+/// Decomposes `BAT_i^x(window)` (exact carry-out) into the paper's terms
+/// at the response-time estimates `resp`, through the analysis engine.
 ///
 /// Pass a converged [`crate::AnalysisResult`]'s response times as `resp`
 /// and its WCRT as `window` to explain a fixed point.
@@ -138,55 +140,21 @@ pub fn decompose(
     window: Time,
     resp: &[Time],
 ) -> TermDecomposition {
-    let tasks = ctx.tasks();
-    let core = tasks[i].core();
-    let mode = config.persistence;
-
-    // Split the own-core bound (Eq. (1)/Lemma 1) into its three shares.
-    let own = bas::bas(ctx, i, window, mode);
-    let mut crpd_accesses = 0u64;
-    let mut cpro_accesses = 0u64;
-    for j in tasks.hp_on(i, core) {
-        let e = bas::releases(window, tasks[j].period());
-        crpd_accesses = crpd_accesses.saturating_add(e.saturating_mul(ctx.gamma(i, j)));
-        if mode == PersistenceMode::Aware {
-            let oblivious = e.saturating_mul(tasks[j].memory_demand());
-            let reload = cpro::cpro(ctx.cpro_overlap(j, i), e);
-            let persistent = demand::md_hat(&tasks[j], e).saturating_add(reload);
-            if persistent < oblivious {
-                cpro_accesses = cpro_accesses.saturating_add(reload);
-            }
-        }
-    }
-    let bas_accesses = own
-        .saturating_sub(crpd_accesses)
-        .saturating_sub(cpro_accesses);
-
-    // Cross-core and blocking shares: the same `BusArbiter` impl that backs
-    // `bus::bat_with` supplies both, so the decomposition reassembles `bat`
-    // by construction.
-    let (bao_accesses, blocking_accesses) = with_arbiter(config.bus, |arb| {
-        let mut src = DirectBao::new(ctx, resp, mode);
-        let cross = arb.cross_core(ctx, &mut src, i, window, own, CarryOut::Exact);
-        let blocking = u64::from(arb.charges_blocking() && tasks.lp_on(i, core).next().is_some());
-        (cross, blocking)
-    });
-
-    TermDecomposition {
-        window,
-        bas_accesses,
-        bao_accesses,
-        cpro_accesses,
-        crpd_accesses,
-        blocking_accesses,
-    }
+    let mut scratch = AnalysisScratch::new();
+    AnalysisEngine::new(ctx, config, &mut scratch)
+        .at_estimates(resp)
+        .decompose(i, window)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, bus, BusPolicy};
-    use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet};
+    use crate::bao::CarryOut;
+    use crate::{analyze, spec, BusPolicy, PersistenceMode};
+    use cpa_model::{CacheBlockSet, CacheGeometry, CoreId, Platform, Priority, Task, TaskSet};
+    use cpa_workload::{GeneratorConfig, TaskSetGenerator};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn system() -> (Platform, TaskSet) {
         let platform = Platform::builder()
@@ -219,18 +187,42 @@ mod tests {
         (platform, tasks)
     }
 
-    #[test]
-    fn shares_reassemble_bat_for_every_policy_and_mode() {
-        let (platform, tasks) = system();
-        let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
-        for bus_policy in [
+    /// Paper-style generated sets: `cores` × `tasks_per_core` at `util`.
+    fn generated(cores: usize, tasks_per_core: usize, util: f64, seed: u64) -> (Platform, TaskSet) {
+        let config = GeneratorConfig {
+            cores,
+            tasks_per_core,
+            ..GeneratorConfig::paper_default()
+        }
+        .with_per_core_utilization(util);
+        let platform = Platform::builder()
+            .cores(cores)
+            .cache(CacheGeometry::direct_mapped(config.cache_sets, 32))
+            .memory_latency(config.d_mem)
+            .build()
+            .unwrap();
+        let tasks = TaskSetGenerator::new(config)
+            .unwrap()
+            .generate(&mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
+        (platform, tasks)
+    }
+
+    /// Every task's engine-emitted decomposition reassembles the spec's
+    /// `BAT` at its window — the fixed point where one exists, the
+    /// deadline (the sufficiency test's window) for tasks that miss —
+    /// under every bus × mode.
+    fn assert_shares_reassemble_bat(platform: &Platform, tasks: &TaskSet) -> usize {
+        let ctx = AnalysisContext::new(platform, tasks).unwrap();
+        let mut misses = 0;
+        for bus in [
             BusPolicy::FixedPriority,
             BusPolicy::RoundRobin { slots: 2 },
             BusPolicy::Tdma { slots: 2 },
             BusPolicy::Perfect,
         ] {
             for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                let cfg = AnalysisConfig::new(bus_policy, mode);
+                let cfg = AnalysisConfig::new(bus, mode);
                 let result = analyze(&ctx, &cfg);
                 let resp: Vec<Time> = tasks
                     .ids()
@@ -240,13 +232,32 @@ mod tests {
                             .unwrap_or_else(|| tasks[i].deadline())
                     })
                     .collect();
+                misses += usize::from(!result.is_schedulable());
                 for i in tasks.ids() {
-                    let d = decompose(&ctx, &cfg, i, resp[i.index()], &resp);
-                    let total = bus::bat(&ctx, i, resp[i.index()], &resp, &cfg);
-                    assert_eq!(d.total_accesses(), total, "{bus_policy:?} {mode:?} {i:?}");
+                    let window = resp[i.index()];
+                    let d = decompose(&ctx, &cfg, i, window, &resp);
+                    let bat = spec::bat(&ctx, i, window, &resp, &cfg, CarryOut::Exact);
+                    assert_eq!(Ok(d.total_accesses()), bat, "{bus:?} {mode:?} {i:?}");
                 }
             }
         }
+        misses
+    }
+
+    #[test]
+    fn shares_reassemble_bat_for_every_policy_and_mode() {
+        let (platform, tasks) = system();
+        assert_shares_reassemble_bat(&platform, &tasks);
+        let mut misses = 0;
+        for (cores, tasks_per_core) in [(2, 4), (4, 3)] {
+            for util in [0.3, 0.6, 0.95] {
+                for seed in 0..2 {
+                    let (platform, tasks) = generated(cores, tasks_per_core, util, seed);
+                    misses += assert_shares_reassemble_bat(&platform, &tasks);
+                }
+            }
+        }
+        assert!(misses > 0, "some generated set must miss a deadline");
     }
 
     #[test]

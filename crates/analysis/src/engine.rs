@@ -1,12 +1,12 @@
 //! The unified analysis engine: memoized demand curves plus a
 //! dependency-driven outer worklist.
 //!
-//! [`AnalysisEngine`] computes exactly the fixed point of Eq. (19) that
-//! [`crate::wcrt::analyze_reference`] computes — the `engine_equivalence`
-//! differential test pins the two byte-identical across every
-//! [`crate::BusPolicy`] × [`crate::PersistenceMode`] combination — but
-//! avoids the two dominant sources of redundant work in the reference
-//! path:
+//! The engine behind [`crate::analyze_with`] computes exactly the fixed
+//! point of Eq. (19) that the literal [`crate::spec::analyze`] computes —
+//! the `engine_equivalence` differential test pins the two identical
+//! across every [`crate::BusPolicy`] × [`crate::PersistenceMode`]
+//! combination — but avoids the two dominant sources of redundant work
+//! in the literal sweep:
 //!
 //! 1. **Memoized demand curves.** Every bound the recurrence evaluates
 //!    (`BAS`, `BAO`, the same-core preemption interference) is a monotone
@@ -14,8 +14,9 @@
 //!    (job releases, carry-out `d_mem` cells). The engine materialises
 //!    these curves lazily. The same-core pair — interference and `BAS`,
 //!    which share one release grid — is cached as scalar constancy
-//!    segments in a [`crate::curve::StepCurve`] over
-//!    [`crate::bas::releases_span`]. `BAO` steps on the much finer `d_mem`
+//!    segments in a [`crate::curve::StepCurve`] over the release-count
+//!    span of [`crate::bas::same_core_terms`]. `BAO` steps on the much
+//!    finer `d_mem`
 //!    grid, so it is cached as [`crate::bao::BaoSegment`]s instead — one
 //!    fused segment per remote core `y` and split `s` (the number of
 //!    tasks on `y` with id ≤ the level; a slot's members depend on the
@@ -29,22 +30,28 @@
 //!    [`crate::bao::BaoSegment::refresh`] re-derives just the members
 //!    whose inputs changed. Same-core curves never read estimates and
 //!    live for the whole run.
-//! 2. **Dependency-driven outer loop.** The reference outer loop re-solves
+//! 2. **Dependency-driven outer loop.** The literal outer loop re-solves
 //!    every task every sweep. The engine keeps a dirty set seeded with all
 //!    tasks and re-enqueues a task only when an input of its recurrence
 //!    changed: `τj`'s bound reads `resp[i]` only through `BAO` over remote
 //!    cores, so a change to `resp[i]` dirties exactly the tasks on *other*
-//!    cores — and under arbiters that never consume remote response times
+//!    cores — and under policies that never consume remote response times
 //!    (TDMA, perfect; see
-//!    [`crate::arbiter::BusArbiter::consumes_remote_response_times`])
-//!    nothing at all. Skipped tasks are provably no-ops: their inputs are
-//!    unchanged, so the reference sweep would return the same bound.
+//!    [`crate::BusPolicy::consumes_remote_response_times`]) nothing at
+//!    all. Skipped tasks are provably no-ops: their inputs are unchanged,
+//!    so the literal sweep would return the same bound.
+//!
+//! The cross-core step of Eq. (7)/(8)/(9) is one `match` on the bus
+//! policy over the cached `BAO` segments. The same walk and step also
+//! produce the BAS/BAO/CPRO/CRPD decomposition ([`crate::decompose`] and
+//! the `wcrt.converged` events), so a reported decomposition always
+//! reassembles the engine's own bound.
 //!
 //! All of the engine's working storage lives in an [`AnalysisScratch`]
 //! that survives across runs: a sweep worker allocates one scratch and
 //! pays for its vectors once, then every further [`crate::analyze_with`]
 //! call merely *resets* them (curve caches emptied, buffers refilled in
-//! place). [`crate::analyze`] is the one-shot form with a fresh scratch.
+//! place). [`crate::analyze`] is the one-line form with a fresh scratch.
 //!
 //! Cache effectiveness is observable through the always-on counters
 //! `engine.curve_hit` / `engine.curve_miss` / `engine.tasks_solved` /
@@ -52,15 +59,13 @@
 //! `engine.worklist` event and the `engine.worklist_depth` histogram
 //! (`cpa-trace analyze` reports all of them).
 
-use core::fmt;
-
 use cpa_model::{CoreId, TaskId, Time};
 
-use crate::arbiter::{arbiter_for, BaoSource, BusArbiter};
-use crate::bao::{BaoMembers, BaoSegment, CarryOut, PriorityBand};
+use crate::bao::{BaoMembers, BaoSegment, CarryOut};
 use crate::curve::StepCurve;
+use crate::diagnose::TermDecomposition;
 use crate::wcrt::{self, AnalysisResult};
-use crate::{bas, AnalysisConfig, AnalysisContext, PersistenceMode};
+use crate::{bas, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 
 /// One memoized `BAO` slot for a fixed `(core, split)` key — remote core
 /// `y` and split `s`, the number of tasks on `y` with id ≤ the queried
@@ -99,8 +104,9 @@ impl BaoSlot {
     }
 }
 
-/// [`BaoSource`] backed by the engine's segment cache; falls back to one
-/// (incremental) [`BaoSegment::refresh`] on a miss.
+/// The engine's `BAO` source: the segment cache over a scratch's slots at
+/// its current estimates; one (incremental) [`BaoSegment::refresh`] on a
+/// miss.
 struct CachedBao<'e, 'ctx, 'a> {
     ctx: &'ctx AnalysisContext<'a>,
     resp: &'e [Time],
@@ -110,11 +116,11 @@ struct CachedBao<'e, 'ctx, 'a> {
     /// Split of every `(level, core)` pair, flat-indexed
     /// `level · cores + core`.
     splits: &'e [usize],
-    /// Per-core task ids in id order (the fast path of
-    /// [`crate::bao::bao_members_on`]).
+    /// Per-core task ids in id order (walked by
+    /// [`BaoMembers::refill_on`]).
     on_core: &'e [Vec<TaskId>],
-    hits: &'e mut u64,
-    misses: &'e mut u64,
+    /// `(hits, misses)` of the lookups.
+    tally: &'e mut (u64, u64),
     mode: PersistenceMode,
     cores: usize,
 }
@@ -134,10 +140,10 @@ impl CachedBao<'_, '_, '_> {
         let d_mem = ctx.d_mem();
         let slot = &mut self.slots[core.index()][split];
         if slot.stamp == version && slot.seg.span.contains(t) {
-            *self.hits += 1;
+            self.tally.0 += 1;
             return slot.seg.eval(t, d_mem, carry);
         }
-        *self.misses += 1;
+        self.tally.1 += 1;
         if !slot.filled {
             slot.members
                 .refill_on(ctx, level, &self.on_core[core.index()]);
@@ -148,30 +154,48 @@ impl CachedBao<'_, '_, '_> {
         slot.stamp = version;
         slot.seg.eval(t, d_mem, carry)
     }
-}
 
-impl BaoSource for CachedBao<'_, '_, '_> {
-    fn bao(
-        &mut self,
-        level: TaskId,
-        core: CoreId,
-        t: Time,
-        band: PriorityBand,
-        carry: CarryOut,
-    ) -> u64 {
-        let pair = self.lookup(level, core, t, carry);
-        match band {
-            PriorityBand::HigherOrEqual => pair.0,
-            PriorityBand::Lower => pair.1,
+    /// The cross-core access bound of Eq. (7)/(8)/(9) for `τi` in a window
+    /// of length `t`, given its own-core demand `own = BAS_i^x(t)`.
+    fn cross_core(&mut self, bus: BusPolicy, i: TaskId, t: Time, own: u64, carry: CarryOut) -> u64 {
+        let tasks = self.ctx.tasks();
+        let core = tasks[i].core();
+        let remote = (0..self.cores).map(CoreId::new).filter(|&y| y != core);
+        match bus {
+            // Eq. (7): all remote higher-or-equal-priority demand, plus
+            // lower-priority accesses capped at one per own access — both
+            // bands from one pass over the remote cores.
+            BusPolicy::FixedPriority => {
+                let (mut higher, mut lower) = (0u64, 0u64);
+                for y in remote {
+                    let (hep, low) = self.lookup(i, y, t, carry);
+                    higher = higher.saturating_add(hep);
+                    lower = lower.saturating_add(low);
+                }
+                higher.saturating_add(own.min(lower))
+            }
+            // Eq. (8): each remote core contributes at most `slots`
+            // accesses per own access, with BAO at the lowest priority
+            // level (RR ignores priorities).
+            BusPolicy::RoundRobin { slots } => {
+                let level = tasks.lowest_priority_id();
+                let cap = slots.saturating_mul(own);
+                remote.fold(0u64, |total, y| {
+                    total.saturating_add(self.lookup(level, y, t, carry).0.min(cap))
+                })
+            }
+            // Eq. (9): every own access may wait for the other cores'
+            // slots, whatever their demand.
+            BusPolicy::Tdma { slots } => (self.cores as u64)
+                .saturating_sub(1)
+                .saturating_mul(slots)
+                .saturating_mul(own),
+            BusPolicy::Perfect => 0,
         }
     }
-
-    fn bao_pair(&mut self, level: TaskId, core: CoreId, t: Time, carry: CarryOut) -> (u64, u64) {
-        self.lookup(level, core, t, carry)
-    }
 }
 
-/// Reusable working storage for [`AnalysisEngine`] runs: response-time
+/// Reusable working storage for analysis engine runs: response-time
 /// estimates, curve caches, worklist state, per-core index structures.
 ///
 /// Allocate one per worker ([`AnalysisScratch::new`]) and pass it to
@@ -189,7 +213,7 @@ impl BaoSource for CachedBao<'_, '_, '_> {
 #[derive(Debug, Default)]
 pub struct AnalysisScratch {
     /// Current response-time estimates, updated in task-id order within a
-    /// round (Gauss–Seidel, exactly like the reference sweep).
+    /// round (Gauss–Seidel, exactly like the spec's sweep).
     resp: Vec<Time>,
     /// The initial estimates `R_i = PD_i + MD_i · d_mem`, the floor every
     /// inner solve restarts from.
@@ -249,7 +273,7 @@ impl AnalysisScratch {
         self.last_bao
     }
 
-    /// Resets every buffer for a run on `ctx` under an arbiter that does
+    /// Resets every buffer for a run on `ctx` under a policy that does
     /// (or does not) charge blocking — clears and refills in place,
     /// growing only beyond the largest problem seen so far.
     fn reset(&mut self, ctx: &AnalysisContext<'_>, charges_blocking: bool) {
@@ -313,6 +337,32 @@ impl AnalysisScratch {
         self.dirty.clear();
         self.dirty.resize(n, true);
     }
+
+    /// The `BAO` segment cache over this scratch at its current estimates.
+    fn bao<'s, 'ctx, 'a>(
+        &'s mut self,
+        ctx: &'ctx AnalysisContext<'a>,
+        mode: PersistenceMode,
+        tally: &'s mut (u64, u64),
+    ) -> CachedBao<'s, 'ctx, 'a> {
+        CachedBao {
+            ctx,
+            resp: &self.resp,
+            core_version: &self.core_version,
+            slots: &mut self.bao_slots,
+            splits: &self.bao_split,
+            on_core: &self.on_core,
+            tally,
+            mode,
+            cores: ctx.platform().cores(),
+        }
+    }
+
+    /// `τi`'s same-core higher-priority tasks, in id order.
+    fn hp(&self, ctx: &AnalysisContext<'_>, i: TaskId) -> &[TaskId] {
+        let core = ctx.tasks()[i].core().index();
+        &self.on_core[core][..self.hp_prefix[i.index()]]
+    }
 }
 
 /// The memoized, worklist-driven WCRT analysis (see the module docs).
@@ -320,130 +370,162 @@ impl AnalysisScratch {
 /// Build one per `(task set, configuration)` evaluation with
 /// [`AnalysisEngine::new`] — borrowing a (possibly recycled)
 /// [`AnalysisScratch`] — and consume it with [`AnalysisEngine::run`];
-/// [`crate::analyze`] and [`crate::analyze_with`] do exactly that.
-pub struct AnalysisEngine<'e, 'a> {
+/// [`crate::analyze_with`] does exactly that.
+pub(crate) struct AnalysisEngine<'e, 'a> {
     ctx: &'e AnalysisContext<'a>,
     config: &'e AnalysisConfig,
-    arbiter: Box<dyn BusArbiter>,
     scratch: &'e mut AnalysisScratch,
-    cores: usize,
     same_core_hits: u64,
     same_core_misses: u64,
-    bao_hits: u64,
-    bao_misses: u64,
+    /// `BAO` `(hits, misses)`.
+    bao_tally: (u64, u64),
     tasks_solved: u64,
     tasks_skipped: u64,
 }
 
-impl fmt::Debug for AnalysisEngine<'_, '_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnalysisEngine")
-            .field("bus", &self.arbiter.policy())
-            .field("persistence", &self.config.persistence)
-            .field("tasks", &self.ctx.tasks().len())
-            .field("cores", &self.cores)
-            .finish_non_exhaustive()
-    }
-}
-
 impl<'e, 'a> AnalysisEngine<'e, 'a> {
-    /// Prepares an engine run: builds the arbiter, resets `scratch` and
-    /// fills the initial estimates `R_i = PD_i + MD_i · d_mem`.
-    #[must_use]
-    pub fn new(
+    /// Prepares an engine run: resets `scratch` and fills the initial
+    /// estimates `R_i = PD_i + MD_i · d_mem`.
+    pub(crate) fn new(
         ctx: &'e AnalysisContext<'a>,
         config: &'e AnalysisConfig,
         scratch: &'e mut AnalysisScratch,
     ) -> Self {
-        let cores = ctx.platform().cores();
-        let arbiter = arbiter_for(config.bus);
-        scratch.reset(ctx, arbiter.charges_blocking());
+        scratch.reset(ctx, config.bus.charges_blocking());
         AnalysisEngine {
             ctx,
             config,
-            arbiter,
             scratch,
-            cores,
             same_core_hits: 0,
             same_core_misses: 0,
-            bao_hits: 0,
-            bao_misses: 0,
+            bao_tally: (0, 0),
             tasks_solved: 0,
             tasks_skipped: 0,
         }
     }
 
-    /// Eq. (19)'s right-hand side at window length `r`, evaluated through
-    /// the curve caches. Agrees pointwise with the reference evaluator
-    /// (`rhs` in [`crate::wcrt`]) — that is the whole equivalence argument.
-    fn rhs(&mut self, i: TaskId, r: Time, carry: CarryOut) -> Time {
-        let ctx = self.ctx;
-        let tasks = ctx.tasks();
-        let task = &tasks[i];
-        let mode = self.config.persistence;
-        let idx = i.index();
-        let scratch = &mut *self.scratch;
+    /// Replaces the current estimates with `resp` (one per task), for a
+    /// [`AnalysisEngine::decompose`] outside a run.
+    pub(crate) fn at_estimates(self, resp: &[Time]) -> Self {
+        self.scratch.resp.copy_from_slice(resp);
+        self
+    }
 
-        // Same-core terms: interference (cycles) and both BAS modes share
-        // one constancy span — every release count E_j is constant on
-        // it — so the triple lives in a single curve: one lookup, one
-        // span, one insert.
-        let (interference, own) = match scratch.same_core[idx].lookup(r) {
-            Some((intf, oblivious, aware)) => {
+    /// The same-core terms at window length `r`: the Eq. (19) preemption
+    /// interference and `BAS_i^x(r)` in the configured mode. Interference
+    /// and both `BAS` modes share one constancy span — every release
+    /// count `E_j` is constant on it — so the triple lives in a single
+    /// curve: one lookup, one span, one insert.
+    fn same_core(&mut self, i: TaskId, r: Time) -> (Time, u64) {
+        let scratch = &mut *self.scratch;
+        let (interference, oblivious, aware) = match scratch.same_core[i.index()].lookup(r) {
+            Some(cached) => {
                 self.same_core_hits += 1;
-                let own = match mode {
-                    PersistenceMode::Oblivious => oblivious,
-                    PersistenceMode::Aware => aware,
-                };
-                (Time::from_cycles(intf), own)
+                cached
             }
             None => {
                 self.same_core_misses += 1;
-                let hp = &scratch.on_core[task.core().index()][..scratch.hp_prefix[idx]];
-                let (s, intf, oblivious, aware) = bas::same_core_terms(ctx, i, r, hp);
-                scratch.same_core[idx].insert(r, s, (intf.cycles(), oblivious, aware));
-                let own = match mode {
-                    PersistenceMode::Oblivious => oblivious,
-                    PersistenceMode::Aware => aware,
-                };
-                (intf, own)
+                let terms = bas::same_core_terms(self.ctx, i, r, scratch.hp(self.ctx, i));
+                let value = (
+                    terms.interference.cycles(),
+                    terms.bas_oblivious,
+                    terms.bas_aware,
+                );
+                scratch.same_core[i.index()].insert(r, terms.span, value);
+                value
             }
         };
-
-        // Cross-core term through the arbiter, feeding it memoized BAO.
-        let arb = &*self.arbiter;
-        let mut src = CachedBao {
-            ctx,
-            resp: &scratch.resp,
-            core_version: &scratch.core_version,
-            slots: &mut scratch.bao_slots,
-            splits: &scratch.bao_split,
-            on_core: &scratch.on_core,
-            hits: &mut self.bao_hits,
-            misses: &mut self.bao_misses,
-            mode,
-            cores: self.cores,
+        let own = match self.config.persistence {
+            PersistenceMode::Oblivious => oblivious,
+            PersistenceMode::Aware => aware,
         };
-        let cross = arb.cross_core(ctx, &mut src, i, r, own, carry);
+        (Time::from_cycles(interference), own)
+    }
 
+    /// Eq. (19)'s right-hand side at window length `r`, evaluated through
+    /// the curve caches. Agrees pointwise with the literal
+    /// [`crate::spec`] right-hand side — that is the whole equivalence
+    /// argument.
+    fn rhs(&mut self, i: TaskId, r: Time, carry: CarryOut) -> Time {
+        let (interference, own) = self.same_core(i, r);
+        let cross = self
+            .scratch
+            .bao(self.ctx, self.config.persistence, &mut self.bao_tally)
+            .cross_core(self.config.bus, i, r, own, carry);
         let bus_accesses = own
             .saturating_add(cross)
-            .saturating_add(scratch.blocking[idx]);
-        task.processing_demand()
+            .saturating_add(self.scratch.blocking[i.index()]);
+        self.ctx.tasks()[i]
+            .processing_demand()
             .saturating_add(interference)
-            .saturating_add(ctx.d_mem().saturating_mul(bus_accesses))
+            .saturating_add(self.ctx.d_mem().saturating_mul(bus_accesses))
+    }
+
+    /// `BAT_i^x(window)` (exact carry-out) at the current estimates, split
+    /// into the paper's terms (see [`crate::diagnose`]) by the engine's own
+    /// same-core walk and cross-core step. Kept off the cache meters: a
+    /// decomposition is not part of a solve.
+    pub(crate) fn decompose(&mut self, i: TaskId, window: Time) -> TermDecomposition {
+        let ctx = self.ctx;
+        let mode = self.config.persistence;
+        let scratch = &mut *self.scratch;
+        let terms = bas::same_core_terms(ctx, i, window, scratch.hp(ctx, i));
+        let (own, cpro) = match mode {
+            PersistenceMode::Oblivious => (terms.bas_oblivious, 0),
+            PersistenceMode::Aware => (terms.bas_aware, terms.cpro),
+        };
+        let bao = scratch.bao(ctx, mode, &mut (0, 0)).cross_core(
+            self.config.bus,
+            i,
+            window,
+            own,
+            CarryOut::Exact,
+        );
+        TermDecomposition {
+            window,
+            bas_accesses: own.saturating_sub(terms.crpd).saturating_sub(cpro),
+            bao_accesses: bao,
+            cpro_accesses: cpro,
+            crpd_accesses: terms.crpd,
+            blocking_accesses: scratch.blocking[i.index()],
+        }
+    }
+
+    /// Emits the per-task `wcrt.converged` trace events, with each task's
+    /// decomposition at its fixed point.
+    fn emit_converged_events(&mut self, inner_iterations: &[u64]) {
+        if !cpa_obs::events_enabled() {
+            return;
+        }
+        for i in self.ctx.tasks().ids() {
+            let response = self.scratch.resp[i.index()];
+            let d = self.decompose(i, response);
+            cpa_obs::event!(
+                "wcrt.converged",
+                task = i.index(),
+                response = response.cycles(),
+                inner = inner_iterations[i.index()],
+                bas = d.bas_accesses,
+                bao = d.bao_accesses,
+                cpro = d.cpro_accesses,
+                crpd = d.crpd_accesses,
+                blocking = d.blocking_accesses,
+                dominant = d.dominant().label(),
+            );
+        }
     }
 
     /// Flushes the run's cache/worklist tallies into the always-on
     /// counters and hands the result back.
     fn finish(&mut self, result: AnalysisResult) -> AnalysisResult {
-        self.scratch.last_bao = (self.bao_hits, self.bao_misses);
-        cpa_obs::counter("engine.curve_hit").add(self.same_core_hits + self.bao_hits);
-        cpa_obs::counter("engine.curve_miss").add(self.same_core_misses + self.bao_misses);
+        let (bao_hits, bao_misses) = self.bao_tally;
+        self.scratch.last_bao = self.bao_tally;
+        cpa_obs::counter("engine.curve_hit").add(self.same_core_hits + bao_hits);
+        cpa_obs::counter("engine.curve_miss").add(self.same_core_misses + bao_misses);
         cpa_obs::counter("engine.same_core_hit").add(self.same_core_hits);
         cpa_obs::counter("engine.same_core_miss").add(self.same_core_misses);
-        cpa_obs::counter("engine.bao_hit").add(self.bao_hits);
-        cpa_obs::counter("engine.bao_miss").add(self.bao_misses);
+        cpa_obs::counter("engine.bao_hit").add(bao_hits);
+        cpa_obs::counter("engine.bao_miss").add(bao_misses);
         cpa_obs::counter("engine.tasks_solved").add(self.tasks_solved);
         cpa_obs::counter("engine.tasks_skipped").add(self.tasks_skipped);
         result
@@ -452,8 +534,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     /// Runs the analysis to its fixed point (or deadline miss / outer
     /// cap). Consumes the engine: the borrowed scratch's curves are only
     /// valid for one run (the next [`AnalysisEngine::new`] resets them).
-    #[must_use]
-    pub fn run(mut self) -> AnalysisResult {
+    pub(crate) fn run(mut self) -> AnalysisResult {
         let _span = cpa_obs::span!("wcrt.analyze");
         if let Some(result) = wcrt::perfect_bus_check(self.ctx, self.config) {
             return self.finish(result);
@@ -461,7 +542,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         let ctx = self.ctx;
         let tasks = ctx.tasks();
         let n = tasks.len();
-        let consumes_remote = self.arbiter.consumes_remote_response_times();
+        let consumes_remote = self.config.bus.consumes_remote_response_times();
         // Owned by the eventual AnalysisResult, so allocated per run.
         let mut inner_iterations = vec![0u64; n];
 
@@ -482,36 +563,21 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
                     self.rhs(i, r, carry)
                 });
                 inner_iterations[i.index()] += solve.iterations;
-                let r = match solve.bound {
-                    Some(r) => r,
-                    None => {
-                        cpa_obs::event!(
-                            "wcrt.deadline_miss",
-                            task = i.index(),
-                            outer = round,
-                            deadline = tasks[i].deadline().cycles(),
-                        );
-                        // Unschedulable: report what we know, with the
-                        // failing task explicitly marked unbounded —
-                        // the same partial snapshot the reference takes.
-                        let response_times = self
-                            .scratch
-                            .resp
-                            .iter()
-                            .zip(tasks.iter())
-                            .enumerate()
-                            .map(|(idx, (&r, t))| {
-                                (idx != i.index() && r <= t.deadline()).then_some(r)
-                            })
-                            .collect();
-                        return self.finish(AnalysisResult {
-                            response_times,
-                            schedulable: false,
-                            outer_iterations: round,
-                            inner_iterations,
-                            hit_outer_cap: false,
-                        });
-                    }
+                let Some(r) = solve.bound else {
+                    cpa_obs::event!(
+                        "wcrt.deadline_miss",
+                        task = i.index(),
+                        outer = round,
+                        deadline = tasks[i].deadline().cycles(),
+                    );
+                    let result = AnalysisResult::deadline_miss(
+                        tasks,
+                        &self.scratch.resp,
+                        i,
+                        round,
+                        inner_iterations,
+                    );
+                    return self.finish(result);
                 };
                 if r > self.scratch.resp[i.index()] {
                     cpa_obs::event!(
@@ -524,7 +590,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
                     self.scratch.resp[i.index()] = r;
                     changed_tasks += 1;
                     // τi's estimate is read (through BAO) only by tasks on
-                    // other cores — and only under arbiters that consume
+                    // other cores — and only under policies that consume
                     // remote response times at all.
                     let core = tasks[i].core();
                     self.scratch.core_version[core.index()] += 1;
@@ -547,26 +613,17 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             cpa_obs::event!("wcrt.outer", iter = round, changed = changed_tasks);
             if changed_tasks == 0 {
                 // Converged. An empty round (depth 0) corresponds to the
-                // reference's final zero-change sweep, so round numbers —
-                // and therefore `outer_iterations` — line up exactly.
-                wcrt::emit_converged_events(
-                    ctx,
-                    self.config,
-                    &self.scratch.resp,
-                    &inner_iterations,
-                );
-                let response_times = self.scratch.resp.iter().map(|&r| Some(r)).collect();
-                return self.finish(AnalysisResult {
-                    response_times,
-                    schedulable: true,
-                    outer_iterations: round,
-                    inner_iterations,
-                    hit_outer_cap: false,
-                });
+                // literal sweep's final zero-change round, so round
+                // numbers — and therefore `outer_iterations` — line up
+                // exactly.
+                self.emit_converged_events(&inner_iterations);
+                let result =
+                    AnalysisResult::fixed_point(&self.scratch.resp, round, inner_iterations);
+                return self.finish(result);
             }
         }
 
-        // Outer loop failed to stabilise within the cap: the reference
+        // Outer loop failed to stabilise within the cap: the literal sweep
         // would keep sweeping too, so this is a genuine cap hit.
         cpa_obs::event!(
             "wcrt.outer_cap",
@@ -575,20 +632,16 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             bus = self.config.bus.label(),
         );
         cpa_obs::counter("wcrt.outer_cap_hits").incr();
-        self.finish(AnalysisResult {
-            response_times: vec![None; n],
-            schedulable: false,
-            outer_iterations: self.config.max_outer_iterations,
-            inner_iterations,
-            hit_outer_cap: true,
-        })
+        let result =
+            AnalysisResult::unbounded(n, self.config.max_outer_iterations, inner_iterations, true);
+        self.finish(result)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_reference, analyze_with, BusPolicy};
+    use crate::{analyze, analyze_with, spec};
     use cpa_model::{CacheBlockSet, Platform, Priority, Task, TaskSet};
 
     fn task(name: &str, prio: u32, core: usize, pd: u64, md: u64, md_r: u64, period: u64) -> Task {
@@ -635,7 +688,7 @@ mod tests {
             for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
                 let config = AnalysisConfig::new(bus, mode);
                 let engine = analyze(&ctx, &config);
-                let reference = analyze_reference(&ctx, &config);
+                let reference = spec::analyze(&ctx, &config).unwrap();
                 assert_eq!(
                     engine.response_times(),
                     reference.response_times(),
@@ -730,14 +783,14 @@ mod tests {
     fn worklist_skips_settled_tasks() {
         // TDMA consumes no remote response times: after round 1 nothing is
         // ever re-enqueued, so the skip counter must grow while the
-        // analysis still matches the reference.
+        // analysis still matches the spec.
         let (platform, tasks) = two_core_set();
         let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
         let config = AnalysisConfig::new(BusPolicy::Tdma { slots: 2 }, PersistenceMode::Aware);
         let skipped = cpa_obs::counter("engine.tasks_skipped");
         let before = skipped.get();
         let engine = analyze(&ctx, &config);
-        let reference = analyze_reference(&ctx, &config);
+        let reference = spec::analyze(&ctx, &config).unwrap();
         assert_eq!(engine.response_times(), reference.response_times());
         assert!(
             skipped.get() > before,

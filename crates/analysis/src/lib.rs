@@ -8,29 +8,29 @@
 //!
 //! # Map from paper to code
 //!
-//! | Paper | Module / function |
-//! |---|---|
-//! | Eq. (1) `BAS_i^x(t)` | [`bas::bas_oblivious`] |
-//! | Eq. (2) `γ_{i,j,x}` (ECB-union CRPD) | [`crpd`], [`AnalysisContext::gamma`] |
-//! | Eq. (3)–(6) `BAO_k^y(t)`, `W`, `W_cout`, `N` | [`bao`] |
-//! | Eq. (7) FP bus `BAT_i^x(t)` | [`bus::bat`] with [`BusPolicy::FixedPriority`] |
-//! | Eq. (8) RR bus | [`bus::bat`] with [`BusPolicy::RoundRobin`] |
-//! | Eq. (9) TDMA bus | [`bus::bat`] with [`BusPolicy::Tdma`] |
-//! | Eq. (10) `M̂D_i(n)` | [`demand::md_hat`] |
-//! | Eq. (14) `ρ̂_{j,i,x}(n)` (CPRO-union) | [`cpro`], [`AnalysisContext::cpro`] |
-//! | Lemma 1 `BÂS_i^x(t)` | [`bas::bas_aware`] |
-//! | Lemma 2 `BÂO_k^y(t)` | [`bao::bao_aware`] |
-//! | Eq. (19) WCRT recurrence + outer loop | [`wcrt`], [`engine`] |
-//! | "perfect bus" reference (Fig. 2) | [`BusPolicy::Perfect`], [`sched`] |
-//! | weighted schedulability (Fig. 3) | [`sched::weighted_schedulability`] |
+//! Every equation has exactly two evaluators: the engine behind
+//! [`analyze_with`] (memoized, fused, worklist-driven) and the literal
+//! oracle [`spec`] (the equation as printed, in checked arithmetic), which
+//! the engine is pinned against bit for bit.
 //!
-//! The hot path is organised as an engine ([`engine::AnalysisEngine`]):
-//! demand bounds are memoized as monotone step curves ([`curve`]), the
-//! outer fixed point runs as a dependency-driven worklist, and the
-//! per-policy Eq. (7)/(8)/(9) composition lives behind one
-//! [`arbiter::BusArbiter`] trait. [`analyze`] always goes through the
-//! engine; [`analyze_reference`] keeps the direct sweep as the semantic
-//! baseline the engine is differentially pinned against.
+//! | Paper | Engine | Spec |
+//! |---|---|---|
+//! | Eq. (1) `BAS_i^x(t)`, Lemma 1 `BÂS_i^x(t)` | [`bas::same_core_terms`] | [`spec::bas`] |
+//! | Eq. (2) `γ_{i,j,x}` (ECB-union CRPD) | [`AnalysisContext::gamma`] | [`crpd::gamma_with`] |
+//! | Eq. (3)–(6) `BAO_k^y(t)`, Lemma 2 `BÂO_k^y(t)` | [`bao::BaoSegment`] | [`spec::bao`] |
+//! | Eq. (7)/(8)/(9) FP / RR / TDMA `BAT_i^x(t)` | the engine's cross-core step | [`spec::bat`] |
+//! | Eq. (10) `M̂D_i(n)` | [`demand::md_hat_parts`] | [`spec`] |
+//! | Eq. (14) `ρ̂_{j,i,x}(n)` (CPRO-union) | [`AnalysisContext::cpro`] | [`cpro::cpro_overlap`] |
+//! | Eq. (19) WCRT recurrence + outer loop | [`analyze_with`] | [`spec::analyze`] |
+//! | "perfect bus" reference (Fig. 2) | [`BusPolicy::Perfect`] | [`spec`] (deviation 2) |
+//! | weighted schedulability (Fig. 3) | [`sched::weighted_schedulability`] | |
+//!
+//! The engine memoizes demand bounds as monotone step curves ([`curve`]),
+//! runs the outer fixed point as a dependency-driven worklist, and
+//! composes Eq. (7)/(8)/(9) in one `match` on the bus policy ([`engine`]).
+//! It also emits the BAS/BAO/CPRO/CRPD split of each bound
+//! ([`decompose`]). [`analyze_with`] is the one entry point;
+//! [`analyze`] is its one-line form with a fresh scratch.
 //!
 //! # Example
 //!
@@ -86,10 +86,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod arbiter;
 pub mod bao;
 pub mod bas;
-pub mod bus;
 mod config;
 mod context;
 pub mod cpro;
@@ -99,6 +97,7 @@ pub mod demand;
 pub mod diagnose;
 pub mod engine;
 pub mod sched;
+pub mod spec;
 pub mod wcrt;
 
 pub use config::{AnalysisConfig, BusPolicy, PersistenceMode};
@@ -107,4 +106,4 @@ pub use crpd::CrpdApproach;
 pub use diagnose::{decompose, DominantTerm, TermDecomposition};
 pub use engine::AnalysisScratch;
 pub use sched::{weighted_schedulability, WeightedAccumulator};
-pub use wcrt::{analyze, analyze_reference, analyze_with, explain, AnalysisResult, WcrtBreakdown};
+pub use wcrt::{analyze, analyze_with, AnalysisResult};

@@ -1,12 +1,12 @@
 //! Property pin for the engine's `BAO` slot key (DESIGN.md §17): the
 //! member records of level `k` on remote core `y` depend on `k` only
 //! through the split — the number of tasks on `y` with id ≤ `k`. So
-//! [`bao_members_on`] must return identical records for every two levels
+//! [`BaoMembers::refill_on`] must fill identical records for every two levels
 //! with the same split on `y`, whatever core the levels themselves sit on,
 //! under every [`CrpdApproach`]. The engine shares one cached slot between
 //! all of them; this is the identity that makes the sharing sound.
 
-use cpa_analysis::bao::bao_members_on;
+use cpa_analysis::bao::BaoMembers;
 use cpa_analysis::{AnalysisContext, CrpdApproach};
 use cpa_model::{CacheGeometry, Platform, TaskId, TaskSet};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -55,7 +55,8 @@ fn check_split_identity(tasks: &TaskSet, platform: &Platform, approach: CrpdAppr
         // first.
         let mut first: Option<(usize, TaskId, _)> = None;
         for k in tasks.ids() {
-            let members = bao_members_on(&ctx, k, &on_core);
+            let mut members = BaoMembers::default();
+            members.refill_on(&ctx, k, &on_core);
             let split = on_core.iter().filter(|l| l.index() <= k.index()).count();
             match &first {
                 Some((s, k0, m0)) if *s == split => {

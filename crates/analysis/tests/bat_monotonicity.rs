@@ -1,4 +1,5 @@
-//! Property pin: `BAT_i^x(t)` (Eq. (7)/(8)/(9)) is monotone non-decreasing
+//! Property pin: `BAT_i^x(t)` (Eq. (7)/(8)/(9), the literal
+//! [`spec::bat`] with the exact carry-out) is monotone non-decreasing
 //! in the window length `t` *and* in every individual remote response-time
 //! estimate, for each arbitration policy and persistence mode.
 //!
@@ -8,8 +9,9 @@
 //! worklist) sound — estimates only ever grow, so a bound computed against
 //! stale smaller estimates is never an over-commitment.
 
-use cpa_analysis::{bus, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
-use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
+use cpa_analysis::bao::CarryOut;
+use cpa_analysis::{spec, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
+use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskId, TaskSet, Time};
 use proptest::prelude::*;
 
 /// A Fig. 1-flavoured fixture: two tasks on core 0, two on core 1, with
@@ -45,6 +47,10 @@ fn fixture() -> (Platform, TaskSet) {
     (platform, tasks)
 }
 
+fn bat(ctx: &AnalysisContext<'_>, i: TaskId, t: Time, resp: &[Time], cfg: &AnalysisConfig) -> u64 {
+    spec::bat(ctx, i, t, resp, cfg, CarryOut::Exact).expect("no overflow")
+}
+
 fn policies() -> [BusPolicy; 3] {
     [
         BusPolicy::FixedPriority,
@@ -71,8 +77,8 @@ proptest! {
             for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
                 let config = AnalysisConfig::new(bus_policy, mode);
                 for i in tasks.ids() {
-                    let lo = bus::bat(&ctx, i, Time::from_cycles(t_lo), &resp, &config);
-                    let hi = bus::bat(&ctx, i, Time::from_cycles(t_hi), &resp, &config);
+                    let lo = bat(&ctx, i, Time::from_cycles(t_lo), &resp, &config);
+                    let hi = bat(&ctx, i, Time::from_cycles(t_hi), &resp, &config);
                     prop_assert!(
                         lo <= hi,
                         "{bus_policy:?} {mode:?} {i}: BAT({t_lo})={lo} > BAT({t_hi})={hi}"
@@ -102,8 +108,8 @@ proptest! {
             for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
                 let config = AnalysisConfig::new(bus_policy, mode);
                 for i in tasks.ids() {
-                    let lo = bus::bat(&ctx, i, t, &resp_lo, &config);
-                    let hi = bus::bat(&ctx, i, t, &resp_hi, &config);
+                    let lo = bat(&ctx, i, t, &resp_lo, &config);
+                    let hi = bat(&ctx, i, t, &resp_hi, &config);
                     prop_assert!(
                         lo <= hi,
                         "{bus_policy:?} {mode:?} {i}: raising resp[{victim}] by {bump} \

@@ -1,15 +1,17 @@
 //! Differential pin: the memoized, worklist-driven engine behind
-//! [`analyze`] must be *byte-identical* to the pre-refactor reference
-//! sweep [`analyze_reference`] — same response times, same schedulability
-//! verdict, same outer-round count — across every bus policy ×
-//! persistence mode on seeded paper-style campaigns.
+//! [`analyze_with`] must be *byte-identical* to the literal oracle
+//! [`spec::analyze`] — same response times, same schedulability verdict,
+//! same outer-round count, same cap flag — across every bus policy ×
+//! persistence mode on seeded paper-style campaigns. The spec must never
+//! overflow on these inputs, so no case is skipped.
 //!
 //! The utilization grid deliberately spans schedulable, borderline and
 //! overloaded sets so the deadline-miss partial snapshots and the
 //! convergence paths are both exercised.
 
 use cpa_analysis::{
-    analyze, analyze_reference, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode,
+    analyze_with, spec, AnalysisConfig, AnalysisContext, AnalysisScratch, BusPolicy,
+    PersistenceMode,
 };
 use cpa_model::{CacheGeometry, Platform};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -35,9 +37,15 @@ fn policies() -> Vec<BusPolicy> {
     ]
 }
 
-fn assert_equivalent(ctx: &AnalysisContext<'_>, config: &AnalysisConfig, tag: &str) {
-    let engine = analyze(ctx, config);
-    let reference = analyze_reference(ctx, config);
+fn assert_equivalent(
+    ctx: &AnalysisContext<'_>,
+    config: &AnalysisConfig,
+    scratch: &mut AnalysisScratch,
+    tag: &str,
+) {
+    let engine = analyze_with(ctx, config, scratch);
+    let reference = spec::analyze(ctx, config)
+        .unwrap_or_else(|overflow| panic!("{tag}: the spec overflowed: {overflow}"));
     assert_eq!(
         engine.response_times(),
         reference.response_times(),
@@ -70,6 +78,7 @@ fn campaign(cores: usize, tasks_per_core: usize, utils: &[f64], seeds: std::ops:
         .with_per_core_utilization(util);
         let generator = TaskSetGenerator::new(gen_cfg.clone()).expect("generator");
         let platform = platform_for(&gen_cfg);
+        let mut scratch = AnalysisScratch::new();
         for seed in seeds.clone() {
             let tasks = generator
                 .generate(&mut ChaCha8Rng::seed_from_u64(seed))
@@ -79,7 +88,7 @@ fn campaign(cores: usize, tasks_per_core: usize, utils: &[f64], seeds: std::ops:
                 for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
                     let config = AnalysisConfig::new(bus, mode);
                     let tag = format!("cores={cores} util={util} seed={seed} {bus:?} {mode:?}");
-                    assert_equivalent(&ctx, &config, &tag);
+                    assert_equivalent(&ctx, &config, &mut scratch, &tag);
                 }
             }
         }
@@ -94,7 +103,7 @@ fn engine_matches_reference_on_two_core_campaign() {
 #[test]
 fn engine_matches_reference_on_overloaded_sets() {
     // High utilization: most sets miss deadlines, pinning the partial
-    // snapshot the engine returns on a miss against the reference's.
+    // snapshot the engine returns on a miss against the spec's.
     campaign(2, 5, &[0.85, 0.95], 0..6);
 }
 

@@ -7,8 +7,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cpa_analysis::{analyze, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
-use cpa_experiments::runner::{evaluate_point, platform_for};
+use cpa_analysis::{
+    analyze, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
+};
+use cpa_experiments::runner::{evaluate_population, platform_for, ChainState, Evaluation};
 use cpa_experiments::{fig2, report, SweepOptions};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
@@ -29,13 +31,25 @@ fn bench_fig2(c: &mut Criterion) {
     // One utilization point, all three Fig. 2 series, 10 task sets.
     let micro = SweepOptions::quick().with_sets_per_point(10);
     let gen = GeneratorConfig::paper_default().with_per_core_utilization(0.3);
-    let configs = [
-        AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
-        AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
-        AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
-    ];
+    let evaluation = [Evaluation::new(
+        gen.d_mem,
+        CrpdApproach::EcbUnion,
+        vec![
+            AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
+            AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
+            AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
+        ],
+    )];
     group.bench_function("evaluate_point_fp_u0.3_10sets", |b| {
-        b.iter(|| black_box(evaluate_point(&gen, &configs, &micro, 0)));
+        b.iter(|| {
+            black_box(evaluate_population(
+                &gen,
+                &evaluation,
+                &micro,
+                0,
+                &mut ChainState::default(),
+            ))
+        });
     });
 
     // Single task-set analysis across the six paper configurations.

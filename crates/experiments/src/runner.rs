@@ -159,12 +159,6 @@ impl PointStats {
         }
     }
 
-    fn merge(&mut self, other: &PointStats) {
-        for (a, b) in self.accumulators.iter_mut().zip(&other.accumulators) {
-            a.merge(b);
-        }
-    }
-
     /// Accumulator of the `i`-th analysis configuration.
     #[must_use]
     pub fn config(&self, i: usize) -> &WeightedAccumulator {
@@ -295,50 +289,6 @@ fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
     })
 }
 
-/// Evaluates `sets_per_point` random task sets drawn from `gen_config`
-/// against every analysis configuration in `configs`, in parallel,
-/// deterministically in `opts.seed` and `point_id`.
-///
-/// # Panics
-///
-/// Panics if `gen_config` is invalid (the experiment definitions in this
-/// crate only produce valid ones).
-#[must_use]
-pub fn evaluate_point(
-    gen_config: &GeneratorConfig,
-    configs: &[AnalysisConfig],
-    opts: &SweepOptions,
-    point_id: u64,
-) -> PointStats {
-    evaluate_point_with(gen_config, configs, opts, point_id, CrpdApproach::EcbUnion)
-}
-
-/// [`evaluate_point`] with a selectable CRPD approach: one
-/// [`Evaluation`] of the population on fresh worker buffers (see
-/// [`evaluate_population`]).
-///
-/// # Panics
-///
-/// Same conditions as [`evaluate_population`].
-#[must_use]
-pub fn evaluate_point_with(
-    gen_config: &GeneratorConfig,
-    configs: &[AnalysisConfig],
-    opts: &SweepOptions,
-    point_id: u64,
-    crpd: CrpdApproach,
-) -> PointStats {
-    let evaluation = Evaluation::new(gen_config.d_mem, crpd, configs.to_vec());
-    evaluate_population(
-        gen_config,
-        &[evaluation],
-        opts,
-        point_id,
-        &mut ChainState::default(),
-    )
-    .remove(0)
-}
-
 /// Evaluates one utilization point's population under every
 /// [`Evaluation`] at once, returning one [`PointStats`] per evaluation.
 ///
@@ -347,10 +297,9 @@ pub fn evaluate_point_with(
 /// index); one [`AnalysisContext`] is built per distinct
 /// `(d_mem, CRPD approach)`, each distinct configuration of a context is
 /// solved once, and its verdict is recorded for every evaluation that
-/// lists it. The tallies are exactly those of one
-/// [`evaluate_point_with`] call per evaluation, each with its own
-/// generator — the population depends only on the generator, not on the
-/// analysed latency or configurations.
+/// lists it. The tallies are exactly those of one call per evaluation,
+/// each with its own generator — the population depends only on the
+/// generator, not on the analysed latency or configurations.
 ///
 /// Work is scheduled on the deterministic [`cpa_pool`] chunk-claiming
 /// pool; each worker keeps one [`AnalysisScratch`] plus recycled
@@ -467,73 +416,6 @@ pub(crate) fn sweep_utilization(
     }
 }
 
-/// The pre-pool evaluation path, kept verbatim as the performance and
-/// semantics baseline: statically striped workers (`set += threads`), a
-/// fresh [`AnalysisContext`] built with the per-pair reference table fill,
-/// and a fresh engine scratch for every `analyze` call. The `sweep_e2e`
-/// bench times [`evaluate_point`] against this, and the
-/// `pool_determinism` suite pins the two to identical tallies.
-///
-/// # Panics
-///
-/// Panics if `gen_config` is invalid.
-#[must_use]
-pub fn evaluate_point_reference(
-    gen_config: &GeneratorConfig,
-    configs: &[AnalysisConfig],
-    opts: &SweepOptions,
-    point_id: u64,
-    crpd: CrpdApproach,
-) -> PointStats {
-    let generator = TaskSetGenerator::new(gen_config.clone()).expect("valid generator config");
-    let platform = platform_for(gen_config);
-    let d_mem = gen_config.d_mem;
-    let threads = cpa_pool::resolve_threads(opts.threads);
-    let sets = opts.sets_per_point;
-
-    let evaluated = cpa_obs::counter("experiments.sets_evaluated");
-    let epoch = cpa_obs::next_scope_epoch();
-    let mut partials: Vec<PointStats> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let generator = &generator;
-            let platform = &platform;
-            let opts_seed = opts.seed;
-            let handle = scope.spawn(move || {
-                let mut stats = PointStats::new(configs.len());
-                let mut set = worker;
-                while set < sets {
-                    let set_seed = derive_seed(opts_seed, point_id, set as u64);
-                    cpa_obs::set_scope(cpa_pool::scope_key(epoch, set as u64));
-                    let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
-                    let tasks = generator.generate(&mut rng).expect("generation succeeds");
-                    let ctx = AnalysisContext::with_crpd_approach_reference(platform, &tasks, crpd)
-                        .expect("task set fits platform");
-                    let utilization = tasks.total_utilization(d_mem);
-                    for (i, cfg) in configs.iter().enumerate() {
-                        let result = cpa_analysis::analyze(&ctx, cfg);
-                        stats.accumulators[i].record(utilization, result.is_schedulable());
-                    }
-                    evaluated.incr();
-                    set += threads;
-                }
-                stats
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            partials.push(handle.join().expect("worker panicked"));
-        }
-    });
-
-    let mut total = PointStats::new(configs.len());
-    for partial in &partials {
-        total.merge(partial);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,6 +438,25 @@ mod tests {
         assert_eq!(a, derive_seed(1, 2, 3));
     }
 
+    /// One evaluation of `configs` at the generator's own latency, on
+    /// fresh worker buffers.
+    fn evaluate(
+        gen: &GeneratorConfig,
+        configs: &[AnalysisConfig],
+        opts: &SweepOptions,
+        point_id: u64,
+    ) -> PointStats {
+        let evaluation = Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
+        evaluate_population(
+            gen,
+            &[evaluation],
+            opts,
+            point_id,
+            &mut ChainState::default(),
+        )
+        .remove(0)
+    }
+
     #[test]
     fn evaluation_is_thread_count_invariant() {
         let gen = GeneratorConfig::paper_default().with_per_core_utilization(0.3);
@@ -564,12 +465,8 @@ mod tests {
             AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
         ];
         let base = SweepOptions::quick().with_sets_per_point(6);
-        let mut one = base.clone();
-        one.threads = 1;
-        let mut four = base;
-        four.threads = 4;
-        let a = evaluate_point(&gen, &configs, &one, 7);
-        let b = evaluate_point(&gen, &configs, &four, 7);
+        let a = evaluate(&gen, &configs, &base.clone().with_threads(1), 7);
+        let b = evaluate(&gen, &configs, &base.with_threads(4), 7);
         for i in 0..configs.len() {
             assert_eq!(a.config(i).samples(), 6);
             assert_eq!(
@@ -594,14 +491,14 @@ mod tests {
                 .with_sets_per_point(5)
                 .with_threads(threads);
             let mut chain = ChainState::default();
-            for (ui, _) in grid.iter().enumerate() {
-                let gen = GeneratorConfig::paper_default().with_per_core_utilization(grid[ui]);
+            for (ui, &u) in grid.iter().enumerate() {
+                let gen = GeneratorConfig::paper_default().with_per_core_utilization(u);
                 let evaluation =
                     Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
                 let chained =
                     evaluate_population(&gen, &[evaluation], &opts, ui as u64, &mut chain)
                         .remove(0);
-                let cold = evaluate_point(&gen, &configs, &opts, ui as u64);
+                let cold = evaluate(&gen, &configs, &opts, ui as u64);
                 for i in 0..configs.len() {
                     assert_eq!(
                         chained.config(i).schedulable_count(),
@@ -620,29 +517,43 @@ mod tests {
         }
     }
 
+    /// The pooled, buffer-recycling evaluation against the reference path:
+    /// each set recomputed on its own through the literal spec — the same
+    /// sets (by seed), the same verdicts, folded in the same order.
     #[test]
     fn pooled_evaluation_matches_reference_path() {
         let gen = GeneratorConfig::paper_default().with_per_core_utilization(0.5);
         let configs = [
             AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
             AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
+            AnalysisConfig::new(BusPolicy::RoundRobin { slots: 2 }, PersistenceMode::Aware),
             AnalysisConfig::new(BusPolicy::Perfect, PersistenceMode::Aware),
         ];
-        let mut opts = SweepOptions::quick().with_sets_per_point(8);
-        opts.threads = 2;
-        let pooled = evaluate_point(&gen, &configs, &opts, 3);
-        let reference = evaluate_point_reference(&gen, &configs, &opts, 3, CrpdApproach::EcbUnion);
-        for i in 0..configs.len() {
-            assert_eq!(pooled.config(i).samples(), reference.config(i).samples());
+        let opts = SweepOptions::quick().with_sets_per_point(8).with_threads(2);
+        let pooled = evaluate(&gen, &configs, &opts, 3);
+
+        let generator = TaskSetGenerator::new(gen.clone()).unwrap();
+        let platform = platform_for(&gen);
+        let mut expected = vec![WeightedAccumulator::new(); configs.len()];
+        for set in 0..opts.sets_per_point {
+            let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(opts.seed, 3, set as u64));
+            let tasks = generator.generate(&mut rng).unwrap();
+            let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
+            let utilization = tasks.total_utilization(gen.d_mem);
+            for (acc, cfg) in expected.iter_mut().zip(&configs) {
+                let result = cpa_analysis::spec::analyze(&ctx, cfg).expect("no overflow");
+                acc.record(utilization, result.is_schedulable());
+            }
+        }
+        for (i, want) in expected.iter().enumerate() {
+            let got = pooled.config(i);
+            assert_eq!(got.samples(), want.samples(), "config {i}");
             assert_eq!(
-                pooled.config(i).schedulable_count(),
-                reference.config(i).schedulable_count(),
+                got.schedulable_count(),
+                want.schedulable_count(),
                 "config {i}"
             );
-            // The reference merges per-worker f64 partials, so only the
-            // schedulability tallies are exact; the weighted sums agree
-            // to rounding.
-            assert!((pooled.config(i).value() - reference.config(i).value()).abs() < 1e-9);
+            assert_eq!(got.value().to_bits(), want.value().to_bits(), "config {i}");
         }
     }
 
@@ -657,7 +568,7 @@ mod tests {
             ),
         ];
         let opts = SweepOptions::quick().with_sets_per_point(10);
-        let stats = evaluate_point(&gen, &configs, &opts, 1);
+        let stats = evaluate(&gen, &configs, &opts, 1);
         assert!(stats.config(0).schedulable_count() >= stats.config(1).schedulable_count());
     }
 }

@@ -8,8 +8,9 @@
 //! halves:
 //!
 //! * every driver's [`ExperimentResult`] equals (with `f64` fields
-//!   compared bitwise) a reference built by one [`evaluate_point_with`]
-//!   call per panel or x-value, each with that x-value's own
+//!   compared bitwise) a reference built by one single-evaluation
+//!   [`evaluate_population`] call per panel or x-value, each with that
+//!   x-value's own
 //!   [`GeneratorConfig`] — the pre-sharing definition of the figures;
 //! * each x-value's own generator yields task sets with the same
 //!   [`TaskSet::task_content_hashes`] as the shared population. Fig. 2,
@@ -18,7 +19,9 @@
 //!   x-values differ in the generator's `d_mem`.
 
 use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode, WeightedAccumulator};
-use cpa_experiments::runner::{derive_seed, evaluate_point_with};
+use cpa_experiments::runner::{
+    derive_seed, evaluate_population, ChainState, Evaluation, PointStats,
+};
 use cpa_experiments::{ablation, fig2, fig3, CurvePoint, ExperimentResult, SweepOptions};
 use cpa_model::{TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -85,8 +88,28 @@ fn assert_points_bitwise(result: &ExperimentResult, expected: &[Vec<CurvePoint>]
     }
 }
 
+/// One evaluation of `configs` under `approach` at the generator's own
+/// latency, on a population of its own.
+fn evaluate_own(
+    gen: &GeneratorConfig,
+    configs: &[AnalysisConfig],
+    opts: &SweepOptions,
+    point_id: u64,
+    approach: CrpdApproach,
+) -> PointStats {
+    let evaluation = Evaluation::new(gen.d_mem, approach, configs.to_vec());
+    evaluate_population(
+        gen,
+        &[evaluation],
+        opts,
+        point_id,
+        &mut ChainState::default(),
+    )
+    .remove(0)
+}
+
 /// Fig. 3 reference: per x-value, its own generator and configurations,
-/// one `evaluate_point_with` per utilization point, merged in grid order.
+/// one `evaluate_own` per utilization point, merged in grid order.
 fn fig3_reference(
     opts: &SweepOptions,
     xs: &[f64],
@@ -97,7 +120,7 @@ fn fig3_reference(
         let (base, configs) = own(x);
         let mut totals = vec![WeightedAccumulator::new(); configs.len()];
         for (ui, &u) in opts.utilization_grid.iter().enumerate() {
-            let stats = evaluate_point_with(
+            let stats = evaluate_own(
                 &at(&base, u),
                 &configs,
                 opts,
@@ -158,7 +181,7 @@ fn fig2_matches_per_panel_reference() {
         ];
         let mut expected = vec![Vec::new(); 3];
         for (ui, &u) in opts.utilization_grid.iter().enumerate() {
-            let stats = evaluate_point_with(
+            let stats = evaluate_own(
                 &at(&base, u),
                 &configs,
                 &opts,
@@ -216,7 +239,7 @@ fn crpd_ablation_matches_per_approach_reference() {
             CrpdApproach::UcbUnion,
             CrpdApproach::EcbOnly,
         ]) {
-            let stats = evaluate_point_with(&at(&base, u), &configs, &opts, ui as u64, approach);
+            let stats = evaluate_own(&at(&base, u), &configs, &opts, ui as u64, approach);
             series.push(curve_point(u, stats.config(0)));
         }
     }
@@ -234,7 +257,7 @@ fn persistence_gain_matches_per_bus_reference() {
                 AnalysisConfig::new(bus, PersistenceMode::Aware),
                 AnalysisConfig::new(bus, PersistenceMode::Oblivious),
             ];
-            let stats = evaluate_point_with(
+            let stats = evaluate_own(
                 &at(&base, u),
                 &configs,
                 &opts,

@@ -8,8 +8,8 @@
 //! toggles the process-wide `cpa-obs` subscriber and rewinds the global
 //! scope-epoch allocator with `cpa_obs::reset()`.
 
-use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode};
-use cpa_experiments::runner::evaluate_point;
+use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
+use cpa_experiments::runner::{evaluate_population, ChainState, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_workload::GeneratorConfig;
 
@@ -25,7 +25,9 @@ fn traced_sweep(threads: usize) -> String {
         .with_sets_per_point(8)
         .with_seed(0xFEED)
         .with_threads(threads);
-    let point = evaluate_point(&gen, &configs, &opts, 1);
+    let evaluation = Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
+    let point =
+        evaluate_population(&gen, &[evaluation], &opts, 1, &mut ChainState::default()).remove(0);
     cpa_obs::disable();
     assert_eq!(point.config(0).samples(), 8);
     cpa_obs::events_to_json_lines(&cpa_obs::take_events())

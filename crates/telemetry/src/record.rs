@@ -40,8 +40,7 @@ pub struct GateCheck {
 pub struct BenchRecord {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
     pub schema: u64,
-    /// Stable bench id (`analysis_engine`, `sim_engine`, `sweep_e2e`,
-    /// `optimize`, `obs_overhead`).
+    /// Stable bench id (`sim_engine`, `optimize`, `obs_overhead`).
     pub bench: String,
     /// Human description of the measured workload.
     pub workload: String,

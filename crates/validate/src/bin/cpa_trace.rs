@@ -60,17 +60,18 @@
 //! entry regressed by more than `--threshold` (default 15%). Repeatable
 //! `--min-speedup STAGE=K` flags additionally assert absolute floors: the
 //! named throughput entry or gate in the current records must report a
-//! value of at least `K` (CI uses this to pin the `sweep_e2e`
-//! `fig2_fp_panel_speedup` gate declaratively).
+//! value of at least `K` (CI uses this to pin the `optimize` bench's
+//! `optimize_speedup` gate declaratively).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cpa_analysis::{
-    analyze, decompose, AnalysisConfig, AnalysisContext, BusPolicy, DominantTerm, PersistenceMode,
+    analyze, decompose, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, DominantTerm,
+    PersistenceMode,
 };
 use cpa_experiments::cli::Args;
-use cpa_experiments::runner::evaluate_point;
+use cpa_experiments::runner::{evaluate_population, ChainState, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
@@ -822,7 +823,15 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
     let threads = cpa_pool::resolve_threads(opts.threads);
 
     let counters_before = PoolStats::snapshot();
-    let point = evaluate_point(&gen_config, &configs, &sweep, 0);
+    let evaluation = Evaluation::new(gen_config.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
+    let point = evaluate_population(
+        &gen_config,
+        &[evaluation],
+        &sweep,
+        0,
+        &mut ChainState::default(),
+    )
+    .remove(0);
     let pool = PoolStats::from_delta(counters_before, threads);
 
     let run = finish_run(opts)?;

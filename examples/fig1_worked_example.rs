@@ -5,10 +5,9 @@
 //! cargo run --release --example fig1_worked_example
 //! ```
 
-use cpa::analysis::bao::{bao_aware, bao_oblivious};
-use cpa::analysis::bas::{bas_aware, bas_oblivious};
-use cpa::analysis::bus::bat;
+use cpa::analysis::bao::{CarryOut, PriorityBand};
 use cpa::analysis::demand::md_hat;
+use cpa::analysis::spec;
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
 
@@ -59,11 +58,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t2 = tasks.id_of("tau2").unwrap();
     let t3 = tasks.id_of("tau3").unwrap();
 
+    // The window the example reasons over, and the literal equations
+    // evaluated there by the spec oracle.
+    let window = Time::from_cycles(60);
+    let bas = |mode| spec::bas(&ctx, t2, window, mode);
+    let bao = |mode, resp: &[Time]| {
+        spec::bao(
+            &ctx,
+            t3,
+            CoreId::new(1),
+            window,
+            resp,
+            mode,
+            PriorityBand::HigherOrEqual,
+            CarryOut::Exact,
+        )
+    };
+    let bat = |resp: &[Time], cfg: &AnalysisConfig| {
+        spec::bat(&ctx, t2, window, resp, cfg, CarryOut::Exact)
+    };
+
     println!("Fig. 1 — execution of τ1, τ2 on core π_x and τ3 on core π_y");
     println!("(window of length 60 ⇒ 3 jobs of τ1, 4 full jobs of τ3)\n");
 
-    // The window the example reasons over.
-    let window = Time::from_cycles(60);
     let mut resp = vec![Time::ZERO; 3];
     resp[t3.index()] = Time::from_cycles(10);
 
@@ -82,19 +99,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "Eq. (12)  BAS_2^x  (oblivious)                 = {}",
-        bas_oblivious(&ctx, t2, window)
+        bas(PersistenceMode::Oblivious)?
     );
     println!(
         "Eq. (15)  BÂS_2^x  (persistence-aware)         = {}",
-        bas_aware(&ctx, t2, window)
+        bas(PersistenceMode::Aware)?
     );
     println!(
         "Eq. (13)  BAO_3^y  (oblivious)                 = {}",
-        bao_oblivious(&ctx, t3, CoreId::new(1), window, &resp)
+        bao(PersistenceMode::Oblivious, &resp)?
     );
     println!(
         "          BÂO_3^y  (persistence-aware)         = {}",
-        bao_aware(&ctx, t3, CoreId::new(1), window, &resp)
+        bao(PersistenceMode::Aware, &resp)?
     );
     println!();
 
@@ -105,16 +122,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aware = AnalysisConfig::new(BusPolicy::RoundRobin { slots: 1 }, PersistenceMode::Aware);
     println!(
         "Eq. (11)  BAT_2^x RR(s=1) oblivious            = {}",
-        bat(&ctx, t2, window, &resp, &oblivious)
+        bat(&resp, &oblivious)?
     );
     println!(
         "          BAT_2^x RR(s=1) persistence-aware    = {}",
-        bat(&ctx, t2, window, &resp, &aware)
+        bat(&resp, &aware)?
     );
     println!();
     println!(
         "The persistence-aware analysis accounts for {} fewer bus",
-        bat(&ctx, t2, window, &resp, &oblivious) - bat(&ctx, t2, window, &resp, &aware)
+        bat(&resp, &oblivious)? - bat(&resp, &aware)?
     );
     println!("accesses in τ2's response window — the paper's Fig. 1 gap.");
 

@@ -6,7 +6,7 @@
 //! ```
 
 use cpa::analysis::{
-    analyze, explain, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode,
+    analyze, decompose, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode,
 };
 use cpa::model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
 
@@ -96,14 +96,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .collect();
             let lowest = tasks.lowest_priority_id();
             let cfg = AnalysisConfig::new(bus, PersistenceMode::Aware);
-            let b = explain(&ctx, &cfg, lowest, resp[lowest.index()], &resp);
+            let d = decompose(&ctx, &cfg, lowest, resp[lowest.index()], &resp);
             println!(
-                "  {} breakdown: PD {} + preemption {} + own-core bus {} + cross-core bus {}",
+                "  {} bus accesses: BAS {} + BAO {} + CPRO {} + CRPD {} + blocking {} \
+                 (dominant: {})",
                 tasks[lowest].name(),
-                b.processing,
-                b.core_interference,
-                b.own_core_bus,
-                b.cross_core_bus
+                d.bas_accesses,
+                d.bao_accesses,
+                d.cpro_accesses,
+                d.crpd_accesses,
+                d.blocking_accesses,
+                d.dominant()
             );
         }
     }

@@ -1,17 +1,16 @@
 //! End-to-end reproduction of the paper's worked example (Fig. 1).
 //!
-//! Every number the paper prints in §IV is recomputed through the public
-//! API: the CRPD `γ_{2,1,x} = 2`, the CPRO `ρ̂_{1,2,x}(3) = 4`, the
+//! Every number the paper prints in §IV is recomputed through the literal
+//! equations of the public [`spec`] oracle: the CRPD `γ_{2,1,x} = 2`, the CPRO `ρ̂_{1,2,x}(3) = 4`, the
 //! persistence-oblivious bounds `BAS_2^x = 32` (Eq. (12)) and
 //! `BAO_3^y = 24` (Eq. (13)), and their persistence-aware counterparts
 //! `26` (Eq. (15)) and `9`.
 
 mod common;
 
-use cpa::analysis::bao::{bao_aware, bao_oblivious, n_jobs};
-use cpa::analysis::bas::{bas_aware, bas_oblivious, releases};
-use cpa::analysis::bus::bat;
+use cpa::analysis::bao::{CarryOut, PriorityBand};
 use cpa::analysis::demand::md_hat;
+use cpa::analysis::spec::{self, n_jobs, releases};
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CoreId, Time};
 
@@ -37,9 +36,10 @@ fn fig1_worked_example_numbers() {
     assert_eq!(ctx.cpro(t1, t2, 3), 4);
 
     // Eq. (12): BAS_2^x = 8 + 3·(6+2) = 32.
-    assert_eq!(bas_oblivious(&ctx, t2, window), 32);
+    let bas = |mode| spec::bas(&ctx, t2, window, mode);
+    assert_eq!(bas(PersistenceMode::Oblivious), Ok(32));
     // Eq. (15): BÂS_2^x = 8 + min(18, 8+4) + 3·2 = 26.
-    assert_eq!(bas_aware(&ctx, t2, window), 26);
+    assert_eq!(bas(PersistenceMode::Aware), Ok(26));
 
     // Eq. (13): BAO_3^y with N = 4 jobs of τ3 ⇒ 4·6 = 24.
     let y = CoreId::new(1);
@@ -47,11 +47,15 @@ fn fig1_worked_example_numbers() {
     resp[t3.index()] = Time::from_cycles(10);
     assert_eq!(
         n_jobs(window, resp[t3.index()], 6, ctx.d_mem(), tasks[t3].period()),
-        4
+        Ok(4)
     );
-    assert_eq!(bao_oblivious(&ctx, t3, y, window, &resp), 24);
+    let bao = |mode| {
+        let hep = PriorityBand::HigherOrEqual;
+        spec::bao(&ctx, t3, y, window, &resp, mode, hep, CarryOut::Exact)
+    };
+    assert_eq!(bao(PersistenceMode::Oblivious), Ok(24));
     // Persistence-aware: MD_3 + 3·MD_3^r = 9.
-    assert_eq!(bao_aware(&ctx, t3, y, window, &resp), 9);
+    assert_eq!(bao(PersistenceMode::Aware), Ok(9));
 
     // Eq. (11): RR bus with s = 1 for τ2 (no same-core lp task ⇒ no +1):
     // oblivious 32 + min(24, 32) = 56; aware 26 + min(9, 26) = 35.
@@ -60,8 +64,9 @@ fn fig1_worked_example_numbers() {
         PersistenceMode::Oblivious,
     );
     let aware = AnalysisConfig::new(BusPolicy::RoundRobin { slots: 1 }, PersistenceMode::Aware);
-    assert_eq!(bat(&ctx, t2, window, &resp, &oblivious), 56);
-    assert_eq!(bat(&ctx, t2, window, &resp, &aware), 35);
+    let bat = |cfg| spec::bat(&ctx, t2, window, &resp, cfg, CarryOut::Exact);
+    assert_eq!(bat(&oblivious), Ok(56));
+    assert_eq!(bat(&aware), Ok(35));
 }
 
 #[test]
