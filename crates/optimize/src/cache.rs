@@ -13,19 +13,13 @@
 //! directory with one `<key:016x>.json` file per entry so separate
 //! invocations share results.
 //!
-//! Below the response cache sits the [`SolveMemo`]: a batch-scoped memo
-//! of individual *candidate solves*, keyed on the exact analysis problem
-//! (base-set content, analysis environment, candidate vectors). Where the
-//! response cache deduplicates whole requests, the memo deduplicates the
-//! solve fragments shared *across* candidates and requests within one
-//! batch — repeated search points, identical neighbours, Audsley probes
-//! that re-derive the same configuration.
+//! Below the response cache, each search keeps a private memo of its own
+//! candidate solves (`crate::search`); nothing below the response cache
+//! is shared between requests.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use crate::score::Evaluation;
 
 /// A content-addressed store of serialized response documents.
 #[derive(Debug, Default)]
@@ -103,49 +97,6 @@ impl ResultCache {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.memory.is_empty()
-    }
-}
-
-/// A batch-scoped, content-addressed memo of candidate solves, shared
-/// across every candidate and request in one `process_batch` call.
-///
-/// Consulted and updated only on the search driver thread, in candidate
-/// order, so its hit pattern — and therefore every solve the pool runs —
-/// is invariant in the worker-thread count. Entries are never evicted;
-/// the memo lives exactly as long as its batch.
-#[derive(Debug, Default)]
-pub struct SolveMemo {
-    entries: HashMap<u64, Evaluation>,
-}
-
-impl SolveMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> SolveMemo {
-        SolveMemo::default()
-    }
-
-    /// Number of memoized solves.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up a solve.
-    pub(crate) fn get(&self, key: u64) -> Option<Evaluation> {
-        self.entries.get(&key).copied()
-    }
-
-    /// Stores a solve. Equal keys describe the same analysis problem, so
-    /// an existing entry already holds the same evaluation.
-    pub(crate) fn insert(&mut self, key: u64, eval: Evaluation) {
-        self.entries.entry(key).or_insert(eval);
     }
 }
 

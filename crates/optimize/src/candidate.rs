@@ -4,7 +4,7 @@
 //! of a base task set, indexed by the base set's priority order (position
 //! `k` refers to the task at `TaskId` `k` in the base set). Applying a
 //! candidate rebuilds a concrete [`TaskSet`] for analysis; the base set is
-//! never mutated, so candidates can be generated and evaluated in parallel.
+//! never mutated.
 
 use cpa_model::{CoreId, Priority, Task, TaskSet};
 
@@ -19,7 +19,7 @@ use cpa_model::{CoreId, Priority, Task, TaskSet};
 ///   `TaskId` `ranks[k]`);
 /// * `shifts[k]` — the cache-coloring rotation, in cache sets, applied to
 ///   its ECB/UCB/PCB footprints (see `CacheBlockSet::rotated`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// Per-task core assignment.
     pub cores: Vec<usize>,

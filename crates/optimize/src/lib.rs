@@ -17,19 +17,17 @@
 //!   concrete task set ([`candidate`]).
 //! * [`Score`] — a totally ordered schedulability margin ([`score`]).
 //! * [`optimize`] — exhaustive enumeration on small spaces, Audsley-seeded
-//!   deterministic local search otherwise, candidates fanned over
-//!   `cpa-pool` with per-worker scratch reuse ([`search`]).
+//!   deterministic local search otherwise; one sequential loop with a
+//!   per-request solve memo and one reused scratch ([`search`]).
 //! * [`process_batch`] — the service surface: a JSON array of
 //!   [`OptimizeRequest`]s in, verdicts + optimized assignments + search
-//!   statistics out ([`service`]).
+//!   statistics out, with the batch's unique cache misses fanned over
+//!   `cpa-pool`, one search per worker item ([`service`]).
 //! * [`ResultCache`] — content-addressed response store keyed on the
 //!   canonical request fingerprint; warm runs replay the exact cold-run
 //!   bytes ([`cache`]).
 //! * [`AdmissionCheck`] — O(n) sound lower bounds that reject provably
 //!   unschedulable candidates before any engine call ([`prune`]).
-//! * [`SolveMemo`] — batch-scoped memo of individual candidate solves,
-//!   shared across candidates and requests below the response cache
-//!   ([`cache`]).
 //!
 //! # Determinism contract
 //!
@@ -71,11 +69,11 @@ pub mod score;
 pub mod search;
 pub mod service;
 
-pub use cache::{ResultCache, SolveMemo};
+pub use cache::ResultCache;
 pub use candidate::Candidate;
 pub use prune::{Admission, AdmissionCheck, AdmissionScratch};
 pub use score::{evaluate_result, Evaluation, Score};
-pub use search::{optimize, optimize_with_memo, SearchKnobs, SearchOutcome, SearchStats};
+pub use search::{optimize, SearchKnobs, SearchOutcome, SearchStats};
 pub use service::{
     gen_batch, process_batch, request_key, BatchStats, GenOptions, OptimizeRequest,
     OptimizeResponse, ServiceOptions, TaskAssignment,

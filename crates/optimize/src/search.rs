@@ -1,28 +1,30 @@
 //! The design-space search: exhaustive on small spaces, seeded local
-//! search otherwise, with candidate evaluations fanned over `cpa-pool`.
+//! search otherwise. One search is a plain sequential loop on the calling
+//! thread; the service fans whole requests over `cpa-pool`
+//! ([`crate::service`]).
 //!
 //! # Search space
 //!
 //! For an `n`-task set the space is the product of the enabled dimensions:
 //! `cores^n` partitionings × `n!` priority orders × `colors^n` cache
 //! colorings. When the product fits under
-//! [`SearchKnobs::exhaustive_limit`] every point is enumerated in a fixed
+//! [`SearchKnobs::exhaustive_limit`] every point is decoded in a fixed
 //! mixed-radix order (coloring digits, then partitioning digits, then a
-//! Lehmer-coded permutation) and evaluated in one pool batch — ties break
-//! to the earliest index, so the result is a pure function of the input.
+//! Lehmer-coded permutation), evaluated, and folded into the running best
+//! as it is decoded — ties break to the earliest index, so the result is
+//! a pure function of the input.
 //!
 //! Otherwise a steepest-ascent hill climb runs `restarts` times: restart 0
 //! starts from the default configuration refined by Audsley's optimal
 //! priority assignment, later restarts perturb the default with a
 //! ChaCha-seeded random walk. Each round samples `neighbors` single moves
-//! (core reassignment, core swap, rank swap, recolor) *on the driver
-//! thread* — the pool only ever evaluates fully formed candidates, so the
-//! outcome is invariant in the worker count.
+//! (core reassignment, core swap, rank swap, recolor) and moves to the
+//! first best of them.
 //!
-//! # Delta-scoped candidate evaluation
+//! # Candidate evaluation
 //!
-//! Before any engine call, every batch runs a driver-side admission
-//! pipeline (see DESIGN.md §16):
+//! Every candidate goes through [`Searcher::evaluate`] (see DESIGN.md
+//! §16):
 //!
 //! 1. **Admission pruning** ([`crate::prune`]) — candidates a cheap O(n)
 //!    lower bound proves unschedulable are assigned the canonical worst
@@ -30,41 +32,32 @@
 //!    semantics (it applies to exhaustive enumeration and local-search
 //!    walks, never to the default configuration or Audsley probes), so it
 //!    is active in *every* evaluation mode.
-//! 2. **Solve memo** ([`crate::cache::SolveMemo`]) — admitted candidates
-//!    are looked up in a batch-scoped content-addressed memo keyed on
-//!    (base set, analysis environment, candidate vectors); repeats within
-//!    and across requests replay their evaluation instead of re-solving.
-//!    Within one batch, duplicate keys collapse onto a single solve.
-//! 3. **Slot-patched assembly** — the surviving solves run on the pool;
-//!    each worker builds a candidate's task set by patching the slots
-//!    that differ from its previous candidate ([`EvalScratch`]).
+//! 2. **Solve memo** — admitted candidates are looked up in a per-request
+//!    map from candidate to evaluation; a point the search meets again (a
+//!    revisited configuration, a repeated neighbour) replays its
+//!    evaluation instead of re-solving.
+//! 3. **Slot-patched assembly** — a miss builds the candidate's task set
+//!    by patching the slots that differ from the previous solve
+//!    ([`EvalScratch`]) and runs one [`analyze_with`] call.
 //!
-//! The first two stages decide on the driver thread in candidate order,
-//! so the set of engine calls — and the response bytes — are invariant
-//! in the worker-thread count. Every solve is an independent
-//! [`analyze_with`] call (the per-worker scratch only recycles buffers).
 //! The `full_eval` escape hatch disables the memo and slot-patched
 //! assembly (each candidate is rebuilt with [`Candidate::apply`]; pruning
-//! stays), which is what the byte-identity acceptance in `cpa-bench`
-//! compares against.
+//! stays), which the `optimizer_determinism` tests compare against byte
+//! for byte.
 //!
 //! # Priority seeding
 //!
 //! [`Searcher::audsley`] is textbook OPA: levels are assigned lowest
 //! first, and at each level the unassigned tasks are probed one at a time
-//! in base order until one converges there. The scan is sequential on
-//! purpose: a speculative window of parallel probes would make
-//! `stats.candidates` and the memo contents depend on the thread count.
+//! in base order until one converges there.
 //!
 //! # Determinism
 //!
 //! All randomness flows from `ChaCha8Rng::seed_from_u64(derive_seed(seed,
-//! restart, 0))` and is consumed on the driver; `cpa_pool::map` returns
-//! results in item order regardless of threading; every fold over batch
-//! results is sequential with first-wins ties. Same seed + same request ⇒
-//! identical best candidate at any `--threads`.
+//! restart, 0))`, and every fold over evaluations keeps the first of
+//! equal scores. A search runs on one thread, so same seed + same request
+//! ⇒ identical outcome, whatever thread the service runs it on.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use cpa_analysis::{
@@ -72,12 +65,10 @@ use cpa_analysis::{
 };
 use cpa_experiments::runner::derive_seed;
 use cpa_model::{ContentHasher, CoreId, Platform, Priority, Task, TaskSet};
-use cpa_pool::PoolOptions;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::SolveMemo;
 use crate::candidate::Candidate;
 use crate::prune::{Admission, AdmissionCheck, AdmissionScratch};
 use crate::score::{evaluate_result, Evaluation, Score};
@@ -175,7 +166,7 @@ pub struct SearchStats {
     pub rounds: u32,
     /// Candidates rejected by admission pruning without an engine call.
     /// Counted inside `candidates`; identical across evaluation modes
-    /// and thread counts (pruning decides on the driver).
+    /// and thread counts (a search runs on one thread).
     pub pruned: u64,
 }
 
@@ -192,11 +183,9 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Per-worker reusable state: one analysis scratch plus recycled context
-/// tables, so a worker allocates only on its first candidate. Owned by
-/// the [`Searcher`] and threaded through [`cpa_pool::map_with`], so the
-/// buffers and the build cache survive across *every* evaluation batch
-/// of one search, not just within one batch.
+/// Reusable evaluation state of one search: one analysis scratch plus
+/// recycled context tables, so a search allocates only on its first
+/// solve.
 #[derive(Debug)]
 struct EvalScratch {
     scratch: AnalysisScratch,
@@ -207,13 +196,10 @@ struct EvalScratch {
     /// nearly every per-task build is a repeat; caching them turns
     /// [`Candidate::apply`]'s full rebuild (rotate three block sets,
     /// re-validate, re-hash every task) into a few map hits and clones.
-    /// Keyed per worker — never shared — so results cannot depend on
-    /// claim order.
     assembled: HashMap<(usize, usize, u32, usize), (Task, u64)>,
-    /// Parts of the set this worker assembled last, handed back through
-    /// [`EvalScratch::recycle_set`]. Successive candidates on one worker
-    /// differ in a slot or two, so patching the kept parts beats cloning
-    /// every task again.
+    /// Parts of the set assembled last, handed back through
+    /// [`EvalScratch::recycle_set`]. Successive solves differ in a slot
+    /// or two, so patching the kept parts beats cloning every task again.
     cur: Option<(Vec<Task>, Vec<u64>)>,
     /// The build key each slot of `cur` was assembled from.
     cur_keys: Vec<(usize, usize, u32, usize)>,
@@ -230,17 +216,17 @@ impl EvalScratch {
         }
     }
 
-    /// [`Candidate::apply`] through the per-worker build cache: bitwise
-    /// the same `TaskSet` (same task order, same content hashes), built
-    /// by patching the slots that differ from this worker's previous
-    /// candidate. The delta-scoped fast path uses this; full evaluation
-    /// rebuilds from scratch like an independent solver would.
+    /// [`Candidate::apply`] through the build cache: bitwise the same
+    /// `TaskSet` (same task order, same content hashes), built by
+    /// patching the slots that differ from the previous solve. The fast
+    /// path uses this; full evaluation rebuilds from scratch like an
+    /// independent solver would.
     fn assemble(&mut self, base: &TaskSet, c: &Candidate) -> TaskSet {
         let n = base.len();
         let (mut tasks, mut hashes) = match self.cur.take() {
             Some(cur) if cur.0.len() == n && self.cur_keys.len() == n => cur,
             _ => {
-                // First candidate on this worker: placeholder-fill, then
+                // First solve of this search: placeholder-fill, then
                 // let the sentinel keys force every slot to be patched.
                 self.cur_keys.clear();
                 self.cur_keys.resize(n, (usize::MAX, 0, 0, 0));
@@ -294,7 +280,6 @@ struct Searcher<'a> {
     platform: &'a Platform,
     config: &'a AnalysisConfig,
     knobs: &'a SearchKnobs,
-    pool: PoolOptions,
     /// Cores available for partitioning.
     cores: usize,
     /// The shift values the coloring dimension ranges over (always
@@ -304,25 +289,16 @@ struct Searcher<'a> {
     evaluated: u64,
     /// Candidates rejected by admission pruning.
     pruned: u64,
-    /// Batch-scoped solve memo, shared across requests by the service.
-    memo: &'a mut SolveMemo,
-    /// Persistent per-worker evaluation states ([`cpa_pool::map_with`]):
-    /// scratches, context buffers and build caches survive across
-    /// evaluation batches for the whole search.
-    states: Vec<EvalScratch>,
-    /// Reused driver-side batch buffers (cleared per batch): memo keys,
-    /// solve worklist, within-batch duplicates, first-seen keys.
-    batch_keys: Vec<u64>,
-    batch_need: Vec<usize>,
-    batch_dups: Vec<(usize, usize)>,
-    batch_first: HashMap<u64, usize>,
+    /// Evaluations of the admitted candidates solved so far. Equal
+    /// candidates of one request rebuild identical task sets, so a hit
+    /// is exact. Unused under `full_eval`.
+    memo: HashMap<Candidate, Evaluation>,
+    /// Buffers and build cache every solve of this search reuses.
+    scratch: EvalScratch,
     /// Admission bounds of the base set (candidate-independent columns).
     admission: AdmissionCheck,
     /// Reused per-core accumulator for the admission loop.
     admit_scratch: AdmissionScratch,
-    /// Fingerprint of (base set, analysis environment); prefix of every
-    /// memo key, so fragments of different requests never collide.
-    env_key: u64,
     /// Evaluate every admitted candidate independently: no memo, no
     /// slot-patched assembly.
     full_eval: bool,
@@ -334,191 +310,84 @@ impl<'a> Searcher<'a> {
         platform: &'a Platform,
         config: &'a AnalysisConfig,
         knobs: &'a SearchKnobs,
-        pool: PoolOptions,
-        memo: &'a mut SolveMemo,
         full_eval: bool,
     ) -> Searcher<'a> {
         let cache_sets = base.cache_sets();
         let colors = (knobs.colors.max(1) as usize).min(cache_sets.max(1));
         let step = (cache_sets / colors).max(1);
-        let env_key = {
-            let mut h = ContentHasher::new();
-            base.hash_content(&mut h);
-            // The engine config and platform shape pin the analysis
-            // environment; the CRPD approach is fixed (EcbUnion) below.
-            h.write_str(&format!("{config:?}"));
-            h.write_usize(platform.cores());
-            h.write_u64(platform.memory_latency().cycles());
-            h.finish()
-        };
         Searcher {
             base,
             platform,
             config,
             knobs,
-            pool,
             cores: platform.cores(),
             shifts: (0..colors).map(|c| c * step).collect(),
             evaluated: 0,
             pruned: 0,
-            memo,
-            states: Vec::new(),
-            batch_keys: Vec::new(),
-            batch_need: Vec::new(),
-            batch_dups: Vec::new(),
-            batch_first: HashMap::new(),
+            memo: HashMap::new(),
+            scratch: EvalScratch::new(),
             admission: AdmissionCheck::new(base, platform.memory_latency()),
             admit_scratch: AdmissionScratch::default(),
-            env_key,
             full_eval,
         }
     }
 
-    /// Evaluates a batch of candidates over the pool; results come back in
-    /// candidate order whatever the thread count. `prune` admits the
-    /// batch through the admission bounds first — on for exhaustive
-    /// enumeration and local-search walks, off for the default
-    /// configuration and Audsley probes.
-    fn evaluate_batch(&mut self, candidates: &[Candidate], prune: bool) -> Vec<Evaluation> {
-        let _span = cpa_obs::span!("optimize.evaluate_batch");
-        self.evaluated += candidates.len() as u64;
-        cpa_obs::counter("optimize.candidates").add(candidates.len() as u64);
-
-        // Stage 1+2, on the driver in candidate order: prune, then memo,
-        // then collapse within-batch duplicates. Only `need` reaches the
-        // pool, so the engine workload is thread-count invariant. The
-        // batch buffers live on the searcher so the per-round batches of
-        // a long search stop paying allocation setup.
-        let Self {
-            base,
-            platform,
-            config,
-            pool,
-            cores,
-            pruned,
-            memo,
-            states,
-            admission,
-            admit_scratch,
-            env_key,
-            full_eval,
-            batch_keys: keys,
-            batch_need: need,
-            batch_dups: dups,
-            batch_first: first_by_key,
-            ..
-        } = &mut *self;
-        let (base, platform, config, pool) = (*base, *platform, *config, *pool);
-        let (cores, env_key, full_eval) = (*cores, *env_key, *full_eval);
-        let mut rows: Vec<Option<Evaluation>> = Vec::with_capacity(candidates.len());
-        rows.resize_with(candidates.len(), || None);
-        keys.clear();
-        keys.resize(candidates.len(), 0);
-        need.clear();
-        dups.clear();
-        first_by_key.clear();
-        for (k, candidate) in candidates.iter().enumerate() {
-            if prune {
-                match admission.admit_with(&candidate.cores, cores, admit_scratch) {
-                    Admission::Admitted => {}
-                    verdict => {
-                        *pruned += 1;
-                        cpa_obs::counter("optimize.pruned_candidates").incr();
-                        cpa_obs::counter(match verdict {
-                            Admission::DemandExceedsDeadline => "optimize.pruned_demand",
-                            _ => "optimize.pruned_utilization",
-                        })
-                        .incr();
-                        rows[k] = Some(PRUNED_EVAL);
-                        continue;
-                    }
-                }
-            }
-            if full_eval {
-                need.push(k);
-                continue;
-            }
-            let key = memo_key(env_key, candidate);
-            keys[k] = key;
-            if let Some(eval) = memo.get(key) {
-                cpa_obs::counter("optimize.memo_hits").incr();
-                rows[k] = Some(eval);
-                continue;
-            }
-            cpa_obs::counter("optimize.memo_misses").incr();
-            match first_by_key.entry(key) {
-                Entry::Occupied(first) => dups.push((k, *first.get())),
-                Entry::Vacant(slot) => {
-                    slot.insert(need.len());
-                    need.push(k);
-                }
+    /// Evaluates one candidate: admission (when `prune` is set — on for
+    /// exhaustive enumeration and local-search walks, off for the default
+    /// configuration and Audsley probes), then the memo, then a solve.
+    fn evaluate(&mut self, candidate: &Candidate, prune: bool) -> Evaluation {
+        self.evaluated += 1;
+        cpa_obs::counter("optimize.candidates").incr();
+        if prune {
+            let verdict =
+                self.admission
+                    .admit_with(&candidate.cores, self.cores, &mut self.admit_scratch);
+            if verdict != Admission::Admitted {
+                self.pruned += 1;
+                cpa_obs::counter("optimize.pruned_candidates").incr();
+                cpa_obs::counter(match verdict {
+                    Admission::DemandExceedsDeadline => "optimize.pruned_demand",
+                    _ => "optimize.pruned_utilization",
+                })
+                .incr();
+                return PRUNED_EVAL;
             }
         }
+        if self.full_eval {
+            return self.solve(candidate);
+        }
+        if let Some(&eval) = self.memo.get(candidate) {
+            cpa_obs::counter("optimize.memo_hits").incr();
+            return eval;
+        }
+        cpa_obs::counter("optimize.memo_misses").incr();
+        let eval = self.solve(candidate);
+        self.memo.insert(candidate.clone(), eval);
+        eval
+    }
 
-        // Stage 3: solve the remainder on the pool.
-        let solved: Vec<Evaluation> = if need.is_empty() {
-            Vec::new()
+    /// Builds the candidate's task set and runs the analysis on it.
+    fn solve(&mut self, candidate: &Candidate) -> Evaluation {
+        let state = &mut self.scratch;
+        let tasks = if self.full_eval {
+            candidate.apply(self.base)
         } else {
-            let epoch = cpa_obs::next_scope_epoch();
-            let need = &*need;
-            cpa_pool::map_with(
-                need.len(),
-                pool,
-                epoch,
-                |_| EvalScratch::new(),
-                states,
-                |state, j| {
-                    let k = need[j];
-                    let tasks = if full_eval {
-                        candidates[k].apply(base)
-                    } else {
-                        state.assemble(base, &candidates[k])
-                    };
-                    let ctx = AnalysisContext::with_crpd_approach_buffers(
-                        platform,
-                        &tasks,
-                        CrpdApproach::EcbUnion,
-                        &mut state.buffers,
-                    )
-                    .expect("candidates stay valid for the platform");
-                    let result = analyze_with(&ctx, config, &mut state.scratch);
-                    let eval = evaluate_result(&tasks, &result);
-                    ctx.recycle(&mut state.buffers);
-                    if !full_eval {
-                        state.recycle_set(tasks);
-                    }
-                    eval
-                },
-            )
+            state.assemble(self.base, candidate)
         };
-
-        // Stitch, sequentially in solve order: memoize each fresh solve
-        // and fan duplicates out from their solved representative.
-        for &(k, j) in &*dups {
-            rows[k] = Some(solved[j]);
+        let ctx = AnalysisContext::with_crpd_approach_buffers(
+            self.platform,
+            &tasks,
+            CrpdApproach::EcbUnion,
+            &mut state.buffers,
+        )
+        .expect("candidates stay valid for the platform");
+        let result = analyze_with(&ctx, self.config, &mut state.scratch);
+        let eval = evaluate_result(&tasks, &result);
+        ctx.recycle(&mut state.buffers);
+        if !self.full_eval {
+            state.recycle_set(tasks);
         }
-        for (j, eval) in solved.into_iter().enumerate() {
-            let k = need[j];
-            if !full_eval {
-                memo.insert(keys[k], eval);
-            }
-            rows[k] = Some(eval);
-        }
-        rows.into_iter()
-            .map(|row| row.expect("every candidate pruned, memoized, or solved"))
-            .collect()
-    }
-
-    /// Index of the best evaluation, ties to the earliest — the tiebreak
-    /// that makes enumeration order part of the determinism contract.
-    fn argmax(evals: &[Evaluation]) -> usize {
-        let mut best = 0;
-        for (k, e) in evals.iter().enumerate().skip(1) {
-            if e.score > evals[best].score {
-                best = k;
-            }
-        }
-        best
+        eval
     }
 
     /// Total design-space size, `None` on overflow (treated as "too big").
@@ -649,7 +518,7 @@ impl<'a> Searcher<'a> {
                 // Probes are never pruned: they share the default
                 // partition, and the seeding pass must stay a pure
                 // function of real evaluations.
-                let eval = self.evaluate_batch(std::slice::from_ref(&probe), false)[0];
+                let eval = self.evaluate(&probe, false);
                 (eval.converged_mask >> level) & 1 == 1
             });
             let pick = pick.unwrap_or_else(|| {
@@ -665,24 +534,6 @@ impl<'a> Searcher<'a> {
             shifts: default.shifts.clone(),
         }
     }
-}
-
-/// The memo key of one candidate: environment prefix plus the three
-/// candidate vectors. Equal keys rebuild identical task sets, so the
-/// memoized evaluation is exact.
-fn memo_key(env_key: u64, c: &Candidate) -> u64 {
-    let mut h = ContentHasher::new();
-    h.write_u64(env_key);
-    for &core in &c.cores {
-        h.write_usize(core);
-    }
-    for &rank in &c.ranks {
-        h.write_u64(u64::from(rank));
-    }
-    for &shift in &c.shifts {
-        h.write_usize(shift);
-    }
-    h.finish()
 }
 
 /// The canonical evaluation of a pruned candidate: the worst score any
@@ -715,9 +566,14 @@ fn ranks_from_lehmer(mut code: u64, n: usize) -> Vec<u32> {
 }
 
 /// Runs the full design-space search for `base` on `platform` under
-/// `config`, deterministically in `seed` and invariant in `pool`'s thread
-/// and chunk settings. The returned best never scores below the default
-/// configuration, which is always evaluated first and kept as fallback.
+/// `config`, deterministically in `seed`. The returned best never scores
+/// below the default configuration, which is always evaluated first and
+/// kept as fallback.
+///
+/// `full_eval` evaluates every admitted candidate independently (no memo,
+/// no slot-patched assembly; admission pruning stays because it defines
+/// the search semantics). It walks the same deterministic trajectory, so
+/// the outcome is identical either way.
 #[must_use]
 pub fn optimize(
     base: &TaskSet,
@@ -725,42 +581,12 @@ pub fn optimize(
     config: &AnalysisConfig,
     knobs: &SearchKnobs,
     seed: u64,
-    pool: PoolOptions,
-) -> SearchOutcome {
-    optimize_with_memo(
-        base,
-        platform,
-        config,
-        knobs,
-        seed,
-        pool,
-        &mut SolveMemo::new(),
-        false,
-    )
-}
-
-/// [`optimize`] with a caller-owned [`SolveMemo`] — the service passes
-/// one memo per batch so solve fragments are shared across requests —
-/// and the `full_eval` escape hatch, which evaluates every admitted
-/// candidate independently (no memo, no slot-patched assembly;
-/// admission pruning stays because it defines the search semantics). Both knobs accelerate or de-accelerate the same
-/// deterministic trajectory: the outcome is byte-identical either way.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_with_memo(
-    base: &TaskSet,
-    platform: &Platform,
-    config: &AnalysisConfig,
-    knobs: &SearchKnobs,
-    seed: u64,
-    pool: PoolOptions,
-    memo: &mut SolveMemo,
     full_eval: bool,
 ) -> SearchOutcome {
     let _span = cpa_obs::span!("optimize.search");
-    let mut s = Searcher::new(base, platform, config, knobs, pool, memo, full_eval);
+    let mut s = Searcher::new(base, platform, config, knobs, full_eval);
     let default = Candidate::identity(base);
-    let default_eval = s.evaluate_batch(std::slice::from_ref(&default), false)[0];
+    let default_eval = s.evaluate(&default, false);
     let mut best = default.clone();
     let mut best_eval = default_eval;
     let mut stats = SearchStats {
@@ -777,22 +603,19 @@ pub fn optimize_with_memo(
     if let Some(size) = space.filter(|&size| size <= knobs.exhaustive_limit) {
         stats.strategy = "exhaustive".to_string();
         cpa_obs::counter("optimize.exhaustive_runs").incr();
-        // One batch over the whole space; ties break to the lowest index.
-        let candidates: Vec<Candidate> = (0..size).map(|ix| s.decode(ix)).collect();
-        let evals = s.evaluate_batch(&candidates, true);
-        if !evals.is_empty() {
-            let bi = Searcher::argmax(&evals);
-            if evals[bi].score > best_eval.score {
-                best = candidates[bi].clone();
-                best_eval = evals[bi];
+        // Only a strictly better point replaces the best, so ties break
+        // to the default, then to the lowest index.
+        for index in 0..size {
+            let candidate = s.decode(index);
+            let eval = s.evaluate(&candidate, true);
+            if eval.score > best_eval.score {
+                best = candidate;
+                best_eval = eval;
             }
         }
     } else {
         stats.strategy = "local-search".to_string();
         let n = base.len();
-        // One reused neighbour buffer for every round of every restart;
-        // `clone_from` refills the existing allocations.
-        let mut neighbors: Vec<Candidate> = Vec::new();
         for restart in 0..knobs.restarts.max(1) {
             stats.restarts += 1;
             cpa_obs::counter("optimize.restarts").incr();
@@ -811,7 +634,7 @@ pub fn optimize_with_memo(
                 }
                 c
             };
-            let mut current_eval = s.evaluate_batch(std::slice::from_ref(&current), true)[0];
+            let mut current_eval = s.evaluate(&current, true);
             if current_eval.score > best_eval.score {
                 best = current.clone();
                 best_eval = current_eval;
@@ -819,36 +642,40 @@ pub fn optimize_with_memo(
             let mut stale = 0u32;
             for _ in 0..knobs.max_rounds {
                 stats.rounds += 1;
-                neighbors.resize_with(knobs.neighbors as usize, || current.clone());
-                for c in &mut neighbors {
-                    c.cores.clone_from(&current.cores);
-                    c.ranks.clone_from(&current.ranks);
-                    c.shifts.clone_from(&current.shifts);
-                    s.mutate(c, &mut rng);
+                // The round's first best neighbour.
+                let mut round_best: Option<(Candidate, Evaluation)> = None;
+                for _ in 0..knobs.neighbors {
+                    let mut neighbor = current.clone();
+                    s.mutate(&mut neighbor, &mut rng);
+                    let eval = s.evaluate(&neighbor, true);
+                    if round_best
+                        .as_ref()
+                        .is_none_or(|(_, best)| eval.score > best.score)
+                    {
+                        round_best = Some((neighbor, eval));
+                    }
                 }
-                if neighbors.is_empty() {
+                let Some((neighbor, eval)) = round_best else {
                     break;
-                }
-                let evals = s.evaluate_batch(&neighbors, true);
-                let bi = Searcher::argmax(&evals);
-                if evals[bi].score > current_eval.score {
+                };
+                if eval.score > current_eval.score {
                     stats.moves_accepted += 1;
-                    stats.moves_rejected += (neighbors.len() - 1) as u64;
-                    current = neighbors[bi].clone();
-                    current_eval = evals[bi];
+                    stats.moves_rejected += u64::from(knobs.neighbors - 1);
+                    current = neighbor;
+                    current_eval = eval;
                     stale = 0;
                     if current_eval.score > best_eval.score {
                         best = current.clone();
                         best_eval = current_eval;
                     }
                 } else {
-                    stats.moves_rejected += neighbors.len() as u64;
+                    stats.moves_rejected += u64::from(knobs.neighbors);
                     stale += 1;
                     // Sideways drift along score plateaus, seeded like
                     // everything else, to escape flat regions.
-                    if evals[bi].score == current_eval.score && rng.gen_bool(0.5) {
-                        current = neighbors[bi].clone();
-                        current_eval = evals[bi];
+                    if eval.score == current_eval.score && rng.gen_bool(0.5) {
+                        current = neighbor;
+                        current_eval = eval;
                     }
                     if stale >= knobs.patience.max(1) {
                         break;
@@ -920,10 +747,9 @@ mod tests {
     }
 
     /// The eager reference: at each level, evaluate one probe per
-    /// unassigned task in a single batch and keep the first whose task
-    /// converges (the first unassigned task when none does). Returns the
-    /// ranks and, per level, the probe count and the pick (`None` when no
-    /// probe converged).
+    /// unassigned task and keep the first whose task converges (the first
+    /// unassigned task when none does). Returns the ranks and, per level,
+    /// the probe count and the pick (`None` when no probe converged).
     fn eager_audsley(
         s: &mut Searcher<'_>,
         default: &Candidate,
@@ -952,7 +778,7 @@ mod tests {
                     c
                 })
                 .collect();
-            let evals = s.evaluate_batch(&probes, false);
+            let evals: Vec<Evaluation> = probes.iter().map(|p| s.evaluate(p, false)).collect();
             let pick = evals
                 .iter()
                 .position(|e| (e.converged_mask >> level) & 1 == 1);
@@ -974,10 +800,7 @@ mod tests {
                     let tag = format!("{bus} {mode:?} seed {seed} util {util}");
                     let (base, platform) = generated(seed, util);
                     let default = Candidate::identity(&base);
-                    let one = PoolOptions::new().with_threads(1);
-                    let mut memo = SolveMemo::new();
-                    let mut reference =
-                        Searcher::new(&base, &platform, &config, &knobs, one, &mut memo, false);
+                    let mut reference = Searcher::new(&base, &platform, &config, &knobs, false);
                     let (ranks, levels) = eager_audsley(&mut reference, &default);
                     let expected: u64 = levels
                         .iter()
@@ -985,18 +808,12 @@ mod tests {
                         .sum();
                     late_picks += levels.iter().filter(|l| l.1.is_some_and(|p| p > 0)).count();
                     fallbacks += levels.iter().filter(|l| l.1.is_none()).count();
-                    for threads in [1, 4] {
-                        let pool = PoolOptions::new().with_threads(threads);
-                        let mut memo = SolveMemo::new();
-                        let mut s = Searcher::new(
-                            &base, &platform, &config, &knobs, pool, &mut memo, false,
-                        );
-                        let seeded = s.audsley(&default);
-                        assert_eq!(seeded.ranks, ranks, "{tag} threads {threads}: ranks");
-                        assert_eq!(seeded.cores, default.cores, "{tag}: partition kept");
-                        assert_eq!(seeded.shifts, default.shifts, "{tag}: coloring kept");
-                        assert_eq!(s.evaluated, expected, "{tag} threads {threads}: probes");
-                    }
+                    let mut s = Searcher::new(&base, &platform, &config, &knobs, false);
+                    let seeded = s.audsley(&default);
+                    assert_eq!(seeded.ranks, ranks, "{tag}: ranks");
+                    assert_eq!(seeded.cores, default.cores, "{tag}: partition kept");
+                    assert_eq!(seeded.shifts, default.shifts, "{tag}: coloring kept");
+                    assert_eq!(s.evaluated, expected, "{tag}: probes");
                 }
             }
         }

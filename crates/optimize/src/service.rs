@@ -9,9 +9,22 @@
 //! per line inside the batch array, and cached as those exact bytes, so
 //! warm runs are byte-identical to cold runs.
 //!
-//! Requests are processed sequentially in batch order; the parallelism
-//! lives inside each search (see [`crate::search`]), which keeps the
-//! output independent of the worker count.
+//! A batch runs in four steps on the calling thread, with one parallel
+//! region:
+//!
+//! 1. every request is parsed and validated in batch order, so the first
+//!    bad request fails the batch before any lookup or search;
+//! 2. each request's key is looked up in the cache, the first occurrence
+//!    of a key only;
+//! 3. the unique misses fan out over `cpa-pool`, one whole search per
+//!    item ([`crate::search`] is a plain sequential loop);
+//! 4. responses are cached, in-batch repeats read back from the cache,
+//!    and everything is tallied in batch order.
+//!
+//! A search depends on its own request alone and the pool returns results
+//! in item order, so the output is independent of the worker count.
+
+use std::collections::HashSet;
 
 use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode};
 use cpa_experiments::runner::derive_seed;
@@ -22,10 +35,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{ResultCache, SolveMemo};
+use crate::cache::ResultCache;
 use crate::candidate::Candidate;
 use crate::score::Score;
-use crate::search::{optimize_with_memo, SearchKnobs, SearchStats};
+use crate::search::{optimize, SearchKnobs, SearchStats};
 
 /// One design-space optimization request. Every field is required in the
 /// JSON form (the vendored serde has no `#[serde(default)]`).
@@ -49,6 +62,13 @@ pub struct OptimizeRequest {
     pub search: SearchKnobs,
     /// The tasks to optimize (any order; canonicalized on load).
     pub tasks: Vec<Task>,
+}
+
+impl OptimizeRequest {
+    /// A per-request error message, naming the request.
+    fn error(&self, what: String) -> String {
+        format!("request '{}': {what}", self.name)
+    }
 }
 
 /// Where one task ended up in the optimized configuration.
@@ -96,12 +116,12 @@ pub struct OptimizeResponse {
 /// escape hatch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceOptions {
-    /// Worker threads for candidate evaluation (0 = auto).
+    /// Worker threads the batch's searches fan out over (0 = auto).
     pub threads: usize,
-    /// Pool chunk size (0 = auto).
+    /// Pool chunk size in requests (0 = auto).
     pub chunk: usize,
-    /// Evaluate every admitted candidate independently: disables the
-    /// batch-level solve memo and slot-patched candidate assembly
+    /// Evaluate every admitted candidate independently: disables each
+    /// search's solve memo and slot-patched candidate assembly
     /// (admission pruning stays — it is search semantics,
     /// not an accelerator). Slower, byte-identical output; the acceptance
     /// baseline the delta-scoped fast path is compared against.
@@ -148,16 +168,18 @@ pub fn request_key(request: &OptimizeRequest, tasks: &TaskSet) -> u64 {
     hasher.finish()
 }
 
-/// Processes a JSON batch: parse, fingerprint, serve-or-search each
-/// request in order, and return the response document plus out-of-band
-/// stats. The document is a function of the batch content alone —
-/// threading and cache temperature never reach it.
+/// Processes a JSON batch: parse and validate every request, serve what
+/// the cache holds, search the unique misses in parallel, and return the
+/// response document plus out-of-band stats. The document is a function
+/// of the batch content alone — threading and cache temperature never
+/// reach it.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending request on parse errors,
-/// unknown bus/mode labels, zero RR/TDMA slots, platform mismatches, or
-/// cache I/O failures.
+/// Returns a message naming the first offending request, in batch order,
+/// on parse errors, unknown bus/mode labels, zero RR/TDMA slots, more
+/// cores than tasks, platform mismatches, or cache I/O failures. A
+/// request that fails validation fails the batch before any search.
 pub fn process_batch(
     json: &str,
     opts: &ServiceOptions,
@@ -167,99 +189,156 @@ pub fn process_batch(
     let requests: Vec<OptimizeRequest> =
         serde_json::from_str(json).map_err(|e| format!("parse request batch: {e}"))?;
     cpa_obs::counter("optimize.requests").add(requests.len() as u64);
+    let jobs = requests
+        .iter()
+        .map(Job::new)
+        .collect::<Result<Vec<Job>, String>>()?;
     let mut stats = BatchStats {
         requests: requests.len() as u64,
         ..BatchStats::default()
     };
-    // One solve memo per batch: fragments are shared across candidates
-    // *and* requests (same tasks under different seeds or knobs hit the
-    // same entries), but never across batches — the memo dies here.
-    let mut memo = SolveMemo::new();
-    let mut docs = Vec::with_capacity(requests.len());
-    for request in &requests {
-        docs.push(process_request(
-            request, opts, cache, &mut memo, &mut stats,
-        )?);
+
+    // Look up the first occurrence of each key; a repeat waits for its
+    // first occurrence's response to reach the cache.
+    let mut seen = HashSet::new();
+    let mut docs: Vec<Option<String>> = Vec::with_capacity(jobs.len());
+    let mut misses = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let doc = if seen.insert(job.key) {
+            let doc = cache.get(job.key);
+            if doc.is_none() {
+                misses.push(i);
+            }
+            doc
+        } else {
+            None
+        };
+        docs.push(doc);
     }
-    let body = if docs.is_empty() {
+
+    let searched = {
+        let _span = cpa_obs::span!("optimize.evaluate_batch");
+        let pool = PoolOptions::new()
+            .with_threads(opts.threads)
+            .with_chunk(opts.chunk);
+        cpa_pool::map(
+            misses.len(),
+            pool,
+            cpa_obs::next_scope_epoch(),
+            |_| (),
+            |(), m| jobs[misses[m]].search(opts.full_eval),
+        )
+    };
+    for (&i, result) in misses.iter().zip(searched) {
+        let (doc, candidates) = result?;
+        cache
+            .put(jobs[i].key, &doc)
+            .map_err(|e| jobs[i].request.error(format!("cache write: {e}")))?;
+        stats.cache_misses += 1;
+        stats.candidates += candidates;
+        docs[i] = Some(doc);
+    }
+
+    let mut body = Vec::with_capacity(jobs.len());
+    for (job, doc) in jobs.iter().zip(docs) {
+        let doc = match doc {
+            Some(doc) => doc,
+            // A repeat: its first occurrence is in the cache by now.
+            None => cache
+                .get(job.key)
+                .expect("a repeat's first occurrence is cached"),
+        };
+        tally(&mut stats, &doc);
+        body.push(doc);
+    }
+    stats.cache_hits = stats.requests - stats.cache_misses;
+    let body = if body.is_empty() {
         "[]\n".to_string()
     } else {
-        format!("[\n{}\n]\n", docs.join(",\n"))
+        format!("[\n{}\n]\n", body.join(",\n"))
     };
     Ok((body, stats))
 }
 
-fn process_request(
-    request: &OptimizeRequest,
-    opts: &ServiceOptions,
-    cache: &mut ResultCache,
-    memo: &mut SolveMemo,
-    stats: &mut BatchStats,
-) -> Result<String, String> {
-    let fail = |what: String| format!("request '{}': {what}", request.name);
-    let tasks = TaskSet::new(request.tasks.clone()).map_err(|e| fail(e.to_string()))?;
-    let key = request_key(request, &tasks);
-    if let Some(doc) = cache.get(key) {
-        stats.cache_hits += 1;
-        tally(stats, &doc);
-        return Ok(doc);
-    }
-    stats.cache_misses += 1;
+/// One validated request: the canonical task set, the platform and
+/// analysis configuration it asks for, and its cache key.
+struct Job<'a> {
+    request: &'a OptimizeRequest,
+    tasks: TaskSet,
+    platform: Platform,
+    config: AnalysisConfig,
+    key: u64,
+}
 
-    let bus = BusPolicy::try_parse(&request.bus, request.slots).map_err(fail)?;
-    let mode = match request.mode.as_str() {
-        "aware" => PersistenceMode::Aware,
-        "oblivious" => PersistenceMode::Oblivious,
-        other => return Err(fail(format!("unknown persistence mode `{other}`"))),
-    };
-    let highest_core = tasks.iter().map(|t| t.core().index()).max().unwrap_or(0);
-    if request.cores <= highest_core {
-        return Err(fail(format!(
-            "{} cores cannot host task on core {highest_core}",
-            request.cores
-        )));
+impl<'a> Job<'a> {
+    fn new(request: &'a OptimizeRequest) -> Result<Job<'a>, String> {
+        let fail = |what: String| request.error(what);
+        let tasks = TaskSet::new(request.tasks.clone()).map_err(|e| fail(e.to_string()))?;
+        let bus = BusPolicy::try_parse(&request.bus, request.slots).map_err(fail)?;
+        let mode = match request.mode.as_str() {
+            "aware" => PersistenceMode::Aware,
+            "oblivious" => PersistenceMode::Oblivious,
+            other => return Err(fail(format!("unknown persistence mode `{other}`"))),
+        };
+        let highest_core = tasks.iter().map(|t| t.core().index()).max().unwrap_or(0);
+        if request.cores <= highest_core {
+            return Err(fail(format!(
+                "{} cores cannot host task on core {highest_core}",
+                request.cores
+            )));
+        }
+        // A partition of n tasks occupies at most n identical cores, and
+        // the analysis sizes its tables by the core count.
+        if request.cores > tasks.len() {
+            return Err(fail(format!(
+                "{} cores exceed the {} tasks to partition",
+                request.cores,
+                tasks.len()
+            )));
+        }
+        let platform = Platform::builder()
+            .cores(request.cores)
+            .cache(CacheGeometry::direct_mapped(tasks.cache_sets(), 32))
+            .memory_latency(Time::from_cycles(request.d_mem))
+            .build()
+            .map_err(|e| fail(e.to_string()))?;
+        Ok(Job {
+            request,
+            key: request_key(request, &tasks),
+            tasks,
+            platform,
+            config: AnalysisConfig::new(bus, mode),
+        })
     }
-    let platform = Platform::builder()
-        .cores(request.cores)
-        .cache(CacheGeometry::direct_mapped(tasks.cache_sets(), 32))
-        .memory_latency(Time::from_cycles(request.d_mem))
-        .build()
-        .map_err(|e| fail(e.to_string()))?;
-    let config = AnalysisConfig::new(bus, mode);
-    let pool = PoolOptions::new()
-        .with_threads(opts.threads)
-        .with_chunk(opts.chunk);
 
-    let outcome = optimize_with_memo(
-        &tasks,
-        &platform,
-        &config,
-        &request.search,
-        request.seed,
-        pool,
-        memo,
-        opts.full_eval,
-    );
-    let response = OptimizeResponse {
-        name: request.name.clone(),
-        key: format!("{key:016x}"),
-        bus: request.bus.clone(),
-        mode: request.mode.clone(),
-        schedulable_default: outcome.default_score.schedulable,
-        schedulable_optimized: outcome.best_score.schedulable,
-        improved: outcome.best_score > outcome.default_score,
-        default_score: outcome.default_score,
-        optimized_score: outcome.best_score,
-        assignment: assignment(&tasks, &outcome.best),
-        stats: outcome.stats,
-    };
-    let doc = serde_json::to_string(&response).map_err(|e| fail(e.to_string()))?;
-    cache
-        .put(key, &doc)
-        .map_err(|e| fail(format!("cache write: {e}")))?;
-    stats.candidates += response.stats.candidates;
-    tally(stats, &doc);
-    Ok(doc)
+    /// Runs the search and serializes the response; returns the document
+    /// and the candidates evaluated.
+    fn search(&self, full_eval: bool) -> Result<(String, u64), String> {
+        let request = self.request;
+        let outcome = optimize(
+            &self.tasks,
+            &self.platform,
+            &self.config,
+            &request.search,
+            request.seed,
+            full_eval,
+        );
+        let response = OptimizeResponse {
+            name: request.name.clone(),
+            key: format!("{:016x}", self.key),
+            bus: request.bus.clone(),
+            mode: request.mode.clone(),
+            schedulable_default: outcome.default_score.schedulable,
+            schedulable_optimized: outcome.best_score.schedulable,
+            improved: outcome.best_score > outcome.default_score,
+            default_score: outcome.default_score,
+            optimized_score: outcome.best_score,
+            assignment: assignment(&self.tasks, &outcome.best),
+            stats: outcome.stats,
+        };
+        let doc = serde_json::to_string(&response).map_err(|e| request.error(e.to_string()))?;
+        Ok((doc, response.stats.candidates))
+    }
 }
 
 /// Folds one response document into the batch stats. Works on the

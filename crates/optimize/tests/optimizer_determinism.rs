@@ -10,14 +10,19 @@
 //! * the delta-scoped fast path (solve memo + slot-patched assembly)
 //!   and the independent full-evaluation path produce
 //!   byte-identical responses, and admission pruning decides identically
-//!   in both.
+//!   in both;
+//! * over a utilization panel straddling the schedulability cliff, no
+//!   optimized configuration loses the default's schedulability and at
+//!   least one is strictly improved;
+//! * in-batch repeats are served as cache hits, and a batch is validated
+//!   whole before any search runs.
 
 use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode};
 use cpa_model::{CacheBlockSet, CacheGeometry, CoreId, Platform, Priority, Task, TaskSet, Time};
 use cpa_optimize::{
-    gen_batch, optimize, process_batch, GenOptions, ResultCache, SearchKnobs, ServiceOptions,
+    gen_batch, optimize, process_batch, GenOptions, OptimizeRequest, ResultCache, SearchKnobs,
+    ServiceOptions,
 };
-use cpa_pool::PoolOptions;
 
 fn toy_batch() -> String {
     let opts = GenOptions {
@@ -117,6 +122,212 @@ fn zero_slot_requests_fail_with_a_per_request_error() {
     }
 }
 
+/// The requests of a generated batch, for tests that edit or rearrange
+/// them.
+fn requests(opts: &GenOptions) -> Vec<OptimizeRequest> {
+    serde_json::from_str(&gen_batch(opts).expect("batch generates")).expect("batch parses")
+}
+
+fn run_with_threads(
+    batch: &str,
+    threads: usize,
+) -> Result<(String, cpa_optimize::BatchStats), String> {
+    let opts = ServiceOptions {
+        threads,
+        ..ServiceOptions::default()
+    };
+    process_batch(batch, &opts, &mut ResultCache::in_memory())
+}
+
+#[test]
+fn oversized_core_counts_fail_with_a_per_request_error() {
+    // A core count far beyond the task count used to abort the process
+    // while the analysis sized its per-core tables.
+    let mut batch = requests(&GenOptions {
+        sets: 1,
+        cores: 2,
+        tasks_per_core: 3,
+        cache_sets: 32,
+        toy: true,
+        ..GenOptions::default()
+    });
+    let tasks = batch[0].tasks.len();
+    for cores in [10_000_000_000_000, tasks + 1] {
+        batch[0].cores = cores;
+        let json = serde_json::to_string(&batch).unwrap();
+        let err = run_with_threads(&json, 1).expect_err("more cores than tasks is rejected");
+        assert!(err.starts_with("request 'req-000'"), "{err}");
+        assert!(
+            err.contains(&format!("{cores} cores exceed the {tasks} tasks")),
+            "{err}"
+        );
+    }
+    // One core per task is still a valid request.
+    batch[0].cores = tasks;
+    let json = serde_json::to_string(&batch).unwrap();
+    let (_, stats) = run_with_threads(&json, 1).expect("one core per task is accepted");
+    assert_eq!(stats.cache_misses, 1);
+}
+
+#[test]
+fn in_batch_repeats_are_cache_hits_and_thread_invariant() {
+    let mut unique = Vec::new();
+    for bus in ["fp", "rr", "tdma", "perfect"] {
+        unique.extend(requests(&GenOptions {
+            sets: 2,
+            seed: 11,
+            cores: 2,
+            tasks_per_core: 3,
+            cache_sets: 32,
+            util: 0.5,
+            bus: bus.to_string(),
+            toy: true,
+            ..GenOptions::default()
+        }));
+    }
+    for (k, request) in unique.iter_mut().enumerate() {
+        request.name = format!("unique-{k}");
+    }
+    // Repeat every third request right away, and the first one at the end.
+    let mut repeated = Vec::new();
+    for (k, request) in unique.iter().enumerate() {
+        repeated.push(request.clone());
+        if k % 3 == 2 {
+            repeated.push(unique[k - 1].clone());
+        }
+    }
+    repeated.push(unique[0].clone());
+    let repeats = (repeated.len() - unique.len()) as u64;
+
+    let unique_json = serde_json::to_string(&unique).unwrap();
+    let repeated_json = serde_json::to_string(&repeated).unwrap();
+    let (unique_body, unique_stats) = run_with_threads(&unique_json, 1).unwrap();
+    let (body, stats) = run_with_threads(&repeated_json, 1).unwrap();
+    for threads in [2, 4] {
+        let (other, other_stats) = run_with_threads(&repeated_json, threads).unwrap();
+        assert_eq!(
+            body, other,
+            "1-thread and {threads}-thread bytes must match"
+        );
+        assert_eq!(other_stats.cache_hits, stats.cache_hits);
+    }
+    assert_eq!(stats.cache_hits, repeats, "every repeat is a cache hit");
+    assert_eq!(stats.cache_misses, unique.len() as u64);
+    assert_eq!(
+        stats.candidates, unique_stats.candidates,
+        "repeats must not search again"
+    );
+    // Each repeat's response is its first occurrence's, byte for byte.
+    let line = |body: &str, name: &str| -> String {
+        body.lines()
+            .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+            .expect("every request has a response")
+            .trim_end_matches(',')
+            .to_string()
+    };
+    let lines: Vec<&str> = body.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(lines.len(), repeated.len());
+    for (request, got) in repeated.iter().zip(&lines) {
+        assert_eq!(got.trim_end_matches(','), line(&unique_body, &request.name));
+    }
+}
+
+#[test]
+fn the_first_invalid_request_fails_the_batch_before_any_search() {
+    let mut batch = requests(&GenOptions {
+        sets: 5,
+        cores: 2,
+        tasks_per_core: 3,
+        cache_sets: 32,
+        util: 0.5,
+        toy: true,
+        ..GenOptions::default()
+    });
+    batch[1].mode = "forgetful".to_string();
+    batch[3].bus = "crossbar".to_string();
+    let json = serde_json::to_string(&batch).unwrap();
+    let dir = std::env::temp_dir().join(format!("cpa-optimize-error-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut messages = Vec::new();
+    for threads in [1, 4] {
+        let mut cache = ResultCache::persistent(&dir).unwrap();
+        let opts = ServiceOptions {
+            threads,
+            ..ServiceOptions::default()
+        };
+        let err = process_batch(&json, &opts, &mut cache).expect_err("the batch is invalid");
+        assert!(err.starts_with("request 'req-001'"), "{err}");
+        assert!(
+            err.contains("unknown persistence mode `forgetful`"),
+            "{err}"
+        );
+        assert!(cache.is_empty());
+        messages.push(err);
+    }
+    assert_eq!(messages[0], messages[1]);
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        written, 0,
+        "validation runs before any search or cache write"
+    );
+}
+
+/// The bench's utilization panel: per-core utilizations straddling the
+/// schedulability cliff, so it holds easy, marginal and hopeless
+/// defaults. At 0.8 and above, admission pruning carries the search.
+const PANEL_UTILS: [f64; 6] = [0.4, 0.5, 0.6, 0.8, 0.9, 0.95];
+
+#[test]
+fn the_utilization_panel_dominates_improves_and_matches_full_evaluation() {
+    let (mut improved, mut violations) = (0, Vec::new());
+    for util in PANEL_UTILS {
+        let batch = gen_batch(&GenOptions {
+            sets: 3,
+            seed: 42,
+            cores: 2,
+            tasks_per_core: 3,
+            cache_sets: 32,
+            util,
+            toy: true,
+            ..GenOptions::default()
+        })
+        .expect("panel batch generates");
+        let run = |full_eval: bool| {
+            let opts = ServiceOptions {
+                full_eval,
+                ..ServiceOptions::default()
+            };
+            process_batch(&batch, &opts, &mut ResultCache::in_memory()).expect("panel processes")
+        };
+        let (fast, fast_stats) = run(false);
+        let (full, full_stats) = run(true);
+        assert_eq!(
+            fast, full,
+            "util {util}: full evaluation and fast path differ"
+        );
+        assert_eq!(fast_stats.candidates, full_stats.candidates, "util {util}");
+        // Weak dominance: a schedulable default stays schedulable.
+        assert!(fast_stats.schedulable_optimized >= fast_stats.schedulable_default);
+        for line in fast.lines().filter(|l| l.starts_with('{')) {
+            if line.contains("\"schedulable_default\":true")
+                && !line.contains("\"schedulable_optimized\":true")
+            {
+                violations.push(format!("util {util}: {line}"));
+            }
+        }
+        improved += fast_stats.strictly_improved;
+    }
+    assert!(
+        violations.is_empty(),
+        "weak dominance violated: {violations:?}"
+    );
+    assert!(
+        improved >= 1,
+        "the panel must strictly improve some request"
+    );
+}
+
 /// A 3-task fixture on a 16-set cache, small enough that the full space
 /// (2³ partitionings × 3! orders × 2³ colorings = 384 points) enumerates
 /// quickly.
@@ -161,7 +372,7 @@ fn local_search_agrees_with_exhaustive_on_a_toy_space() {
     knobs.colors = 2;
 
     knobs.exhaustive_limit = 1_000; // 2³·3!·2³ = 384 < 1000: forced exhaustive
-    let exhaustive = optimize(&tasks, &platform, &config, &knobs, 42, PoolOptions::new());
+    let exhaustive = optimize(&tasks, &platform, &config, &knobs, 42, false);
     assert_eq!(exhaustive.stats.strategy, "exhaustive");
 
     knobs.exhaustive_limit = 0; // forced local search
@@ -169,7 +380,7 @@ fn local_search_agrees_with_exhaustive_on_a_toy_space() {
     knobs.max_rounds = 20;
     knobs.neighbors = 16;
     knobs.patience = 5;
-    let local = optimize(&tasks, &platform, &config, &knobs, 42, PoolOptions::new());
+    let local = optimize(&tasks, &platform, &config, &knobs, 42, false);
     assert_eq!(local.stats.strategy, "local-search");
 
     assert_eq!(local.default_score, exhaustive.default_score);
@@ -192,7 +403,7 @@ fn optimizer_strictly_improves_a_misordered_set() {
     let (tasks, platform) = tiny_set();
     let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
     let knobs = SearchKnobs::toy();
-    let outcome = optimize(&tasks, &platform, &config, &knobs, 42, PoolOptions::new());
+    let outcome = optimize(&tasks, &platform, &config, &knobs, 42, false);
     assert!(
         !outcome.default_score.schedulable,
         "fixture: the default order misses the urgent deadline"
@@ -277,8 +488,8 @@ fn same_seed_same_outcome_different_seed_may_differ() {
     let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
     let mut knobs = SearchKnobs::toy();
     knobs.exhaustive_limit = 0; // seed only matters for local search
-    let a = optimize(&tasks, &platform, &config, &knobs, 7, PoolOptions::new());
-    let b = optimize(&tasks, &platform, &config, &knobs, 7, PoolOptions::new());
+    let a = optimize(&tasks, &platform, &config, &knobs, 7, false);
+    let b = optimize(&tasks, &platform, &config, &knobs, 7, false);
     assert_eq!(a.best, b.best);
     assert_eq!(a.best_score, b.best_score);
     assert_eq!(a.stats.candidates, b.stats.candidates);

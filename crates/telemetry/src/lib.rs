@@ -38,9 +38,9 @@ pub use chrome::chrome_trace;
 pub use json::{parse as parse_json, JsonValue};
 pub use openmetrics::{openmetrics, sanitize_metric_name, validate as validate_openmetrics};
 pub use record::{
-    civil_from_epoch_secs, diff_records, git_rev, latest_per_bench, load_records,
-    parse_min_speedup, parse_records, utc_date, BenchDiff, BenchRecord, DiffEntry, GateCheck,
-    BENCH_SCHEMA_VERSION, DEFAULT_REGRESSION_THRESHOLD,
+    civil_from_epoch_secs, diff_records, git_rev, latest_per_bench, load_records, parse_records,
+    utc_date, BenchDiff, BenchRecord, DiffEntry, GateCheck, BENCH_SCHEMA_VERSION,
+    DEFAULT_REGRESSION_THRESHOLD,
 };
 pub use stage::{
     stage_for_counter, stage_for_span, StageReport, StageRow, StageSpec, PIPELINE_STAGES,

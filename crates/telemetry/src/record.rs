@@ -354,9 +354,6 @@ pub struct BenchDiff {
     pub missing_benches: Vec<String>,
     /// `bench/gate` labels for gates failing in the current records.
     pub failed_gates: Vec<String>,
-    /// Violated `--min-speedup STAGE=K` floors (see
-    /// [`BenchDiff::enforce_minimums`]).
-    pub failed_minimums: Vec<String>,
 }
 
 impl BenchDiff {
@@ -367,41 +364,12 @@ impl BenchDiff {
     }
 
     /// Whether the diff passes (no regressions, no missing benches, no
-    /// failed gates, no violated minimums).
+    /// failed gates).
     #[must_use]
     pub fn pass(&self) -> bool {
         self.regressions().is_empty()
             && self.missing_benches.is_empty()
             && self.failed_gates.is_empty()
-            && self.failed_minimums.is_empty()
-    }
-
-    /// Enforces declarative floors on the *current* records (the
-    /// `bench diff --min-speedup STAGE=K` flag): for each `(name, bound)`
-    /// pair the latest current record carrying a throughput entry or gate
-    /// named `name` must report a value `≥ bound`. A missing name fails —
-    /// a floor that silently stops being measured is not a passing floor.
-    pub fn enforce_minimums(&mut self, current: &[BenchRecord], minimums: &[(String, f64)]) {
-        let current = latest_per_bench(current);
-        for (name, bound) in minimums {
-            let mut found: Option<(&str, f64)> = None;
-            for record in &current {
-                if let Some((_, v)) = record.throughput.iter().find(|(k, _)| k == name) {
-                    found = Some((&record.bench, *v));
-                } else if let Some(g) = record.gates.iter().find(|g| &g.name == name) {
-                    found = Some((&record.bench, g.value));
-                }
-            }
-            match found {
-                Some((_, value)) if value >= *bound => {}
-                Some((bench, value)) => self.failed_minimums.push(format!(
-                    "{bench}/{name}: {value:.3} below required minimum {bound}"
-                )),
-                None => self.failed_minimums.push(format!(
-                    "{name}: not found in current records (required >= {bound})"
-                )),
-            }
-        }
     }
 
     /// Renders the diff as an aligned text table plus a verdict line.
@@ -430,9 +398,6 @@ impl BenchDiff {
         }
         for gate in &self.failed_gates {
             let _ = writeln!(out, "gate failed in current records: {gate}");
-        }
-        for min in &self.failed_minimums {
-            let _ = writeln!(out, "minimum violated: {min}");
         }
         let _ = writeln!(
             out,
@@ -481,15 +446,6 @@ impl BenchDiff {
                     self.failed_gates
                         .iter()
                         .map(|g| JsonValue::from(g.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "failed_minimums".to_string(),
-                JsonValue::Array(
-                    self.failed_minimums
-                        .iter()
-                        .map(|m| JsonValue::from(m.clone()))
                         .collect(),
                 ),
             ),
@@ -547,27 +503,6 @@ pub fn diff_records(
         }
     }
     diff
-}
-
-/// Parses one `--min-speedup` spec of the form `STAGE=K` (e.g.
-/// `fig2_fp_panel_speedup=5.0`) into a `(name, bound)` pair for
-/// [`BenchDiff::enforce_minimums`].
-pub fn parse_min_speedup(spec: &str) -> Result<(String, f64), String> {
-    let (name, bound) = spec
-        .split_once('=')
-        .ok_or_else(|| format!("--min-speedup expects STAGE=K, got `{spec}`"))?;
-    let name = name.trim();
-    if name.is_empty() {
-        return Err(format!("--min-speedup expects STAGE=K, got `{spec}`"));
-    }
-    let bound: f64 = bound
-        .trim()
-        .parse()
-        .map_err(|_| format!("--min-speedup expects a numeric bound, got `{spec}`"))?;
-    if !bound.is_finite() {
-        return Err(format!("--min-speedup bound must be finite, got `{spec}`"));
-    }
-    Ok((name.to_string(), bound))
 }
 
 /// Resolves the git revision for bench stamping. Honors `CPA_BENCH_GIT_REV`
@@ -723,42 +658,6 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].bench, "a");
         assert!(parse_records("# only comments\n").is_err());
-    }
-
-    #[test]
-    fn min_speedup_specs_parse_and_enforce() {
-        assert_eq!(
-            parse_min_speedup("stage=2.5").unwrap(),
-            ("stage".to_string(), 2.5)
-        );
-        assert!(parse_min_speedup("no-equals").is_err());
-        assert!(parse_min_speedup("=3").is_err());
-        assert!(parse_min_speedup("stage=abc").is_err());
-
-        let mut rec = record("sweep_e2e", &[("sets_per_sec", 100.0)]);
-        rec.push_gate("fig2_fp_panel_speedup", 3.0, 1.5, true);
-        let current = vec![rec];
-        // Throughput floor met, gate floor met.
-        let mut diff = BenchDiff::default();
-        diff.enforce_minimums(
-            &current,
-            &[
-                ("sets_per_sec".to_string(), 90.0),
-                ("fig2_fp_panel_speedup".to_string(), 2.0),
-            ],
-        );
-        assert!(diff.pass(), "{:?}", diff.failed_minimums);
-        // Gate floor violated.
-        let mut diff = BenchDiff::default();
-        diff.enforce_minimums(&current, &[("fig2_fp_panel_speedup".to_string(), 5.0)]);
-        assert_eq!(diff.failed_minimums.len(), 1);
-        assert!(!diff.pass());
-        assert!(diff.render_text().contains("minimum violated"));
-        assert!(diff.to_json().contains("failed_minimums"));
-        // Missing metric fails.
-        let mut diff = BenchDiff::default();
-        diff.enforce_minimums(&current, &[("nonexistent".to_string(), 1.0)]);
-        assert!(!diff.pass());
     }
 
     #[test]

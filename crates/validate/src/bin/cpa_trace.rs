@@ -15,7 +15,7 @@
 //!                    [--mode aware|oblivious] [--sets N] [--threads T]
 //!                    [--chunk C] [SINKS]
 //! cpa-trace bench diff --baseline FILE --current FILE [--current FILE ...]
-//!                    [--threshold F] [--min-speedup STAGE=K ...] [--json]
+//!                    [--threshold F] [--json]
 //!
 //! SINKS: [--trace FILE] [--profile FILE] [--json]
 //!        [--export chrome|openmetrics|json] [--export-out FILE]
@@ -57,11 +57,7 @@
 //! `cpa-trace bench diff --baseline FILE --current FILE...` compares
 //! unified `BenchRecord` documents (the `BENCH_*.json` files or
 //! `results/bench_history.jsonl`) and exits non-zero when any throughput
-//! entry regressed by more than `--threshold` (default 15%). Repeatable
-//! `--min-speedup STAGE=K` flags additionally assert absolute floors: the
-//! named throughput entry or gate in the current records must report a
-//! value of at least `K` (CI uses this to pin the `optimize` bench's
-//! `optimize_speedup` gate declaratively).
+//! entry regressed by more than `--threshold` (default 15%).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -76,8 +72,8 @@ use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
 use cpa_telemetry::{
-    chrome_trace, diff_records, load_records, openmetrics, parse_min_speedup, ExportScope,
-    StageReport, DEFAULT_REGRESSION_THRESHOLD,
+    chrome_trace, diff_records, load_records, openmetrics, ExportScope, StageReport,
+    DEFAULT_REGRESSION_THRESHOLD,
 };
 use cpa_validate::oracle::{arbitration_of, horizon_for};
 use cpa_validate::platform_for_tasks;
@@ -393,7 +389,7 @@ cpa-trace optimize [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 [--bus fp|rr|tdma|perfect] [--slots K] [--mode aware|oblivious] [--sets N] [--threads T] \
 [--chunk C] [SINKS]\n       \
 cpa-trace bench diff --baseline FILE --current FILE [--current FILE ...] [--threshold F] \
-[--min-speedup STAGE=K ...] [--json]\n\
+[--json]\n\
 SINKS: [--trace FILE] [--profile FILE] [--json] [--export chrome|openmetrics|json] \
 [--export-out FILE]";
 
@@ -1125,7 +1121,6 @@ fn bench_diff(args: &mut Args) -> Result<bool, String> {
     let mut baseline_path: Option<String> = None;
     let mut current_paths: Vec<String> = Vec::new();
     let mut threshold = DEFAULT_REGRESSION_THRESHOLD;
-    let mut minimums: Vec<(String, f64)> = Vec::new();
     let mut json = false;
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
@@ -1140,10 +1135,6 @@ fn bench_diff(args: &mut Args) -> Result<bool, String> {
                 if !(0.0..1.0).contains(&threshold) {
                     return Err(format!("--threshold must be in [0, 1), got {threshold}"));
                 }
-            }
-            "--min-speedup" => {
-                let spec: String = args.value_for("--min-speedup").map_err(|e| e.to_string())?;
-                minimums.push(parse_min_speedup(&spec)?);
             }
             "--json" => json = true,
             "--help" | "-h" => return Err(args.help().to_string()),
@@ -1160,8 +1151,7 @@ fn bench_diff(args: &mut Args) -> Result<bool, String> {
     for path in &current_paths {
         current.extend(load_records(path)?);
     }
-    let mut diff = diff_records(&baseline, &current, threshold);
-    diff.enforce_minimums(&current, &minimums);
+    let diff = diff_records(&baseline, &current, threshold);
     if json {
         println!("{}", diff.to_json());
     } else {
