@@ -29,6 +29,9 @@ cargo test -q
 echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
+echo "==> saturation smoke (engine vs literal spec near u64::MAX, release arithmetic)"
+cargo test -q -p cpa-analysis --release --test saturation
+
 echo "==> scratch_reuse smoke (reused scratch vs fresh scratch, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test scratch_reuse
 

@@ -23,13 +23,31 @@ use crate::{cpro, demand, AnalysisContext, PersistenceMode};
 /// `cost = MD_l + γ_{k,l,y}`.
 ///
 /// The paper's numerator `t + R_l − cost·d_mem` is clamped at zero: for
-/// tiny windows no job fits.
+/// tiny windows no job fits. It is computed exactly, even where `t + R_l`
+/// or `cost·d_mem` leaves `u64` (see [`jobs_within`]).
 #[must_use]
 pub fn n_jobs(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time) -> u64 {
-    let numerator = t
-        .saturating_add(r_l)
-        .saturating_sub(d_mem.saturating_mul(cost));
-    numerator.div_floor(period)
+    let sub = u128::from(cost) * u128::from(d_mem.cycles());
+    jobs_within(t.cycles(), r_l.cycles(), sub, period.cycles())
+}
+
+/// `⌊max(t + r − sub, 0) / p⌋` for `p > 0`, exact in every operand. The
+/// sum runs in `u64` unless it overflows, where the exact `u128` form
+/// takes over: saturating `t + r` first would undercount the jobs, and
+/// with them the bound. The quotient exceeds `u64` only for `p = 1`; it
+/// is clamped at `u64::MAX` there, where every charge built from it
+/// saturates too.
+fn jobs_within(t: u64, r: u64, sub: u128, p: u64) -> u64 {
+    match t.checked_add(r) {
+        // `sub` past `u64` exceeds the sum: no job fits either way.
+        Some(sum) => sum.saturating_sub(sat(sub)) / p,
+        None => sat((u128::from(t) + u128::from(r)).saturating_sub(sub) / u128::from(p)),
+    }
+}
+
+/// `v` clamped to `u64`.
+fn sat(v: u128) -> u64 {
+    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 /// Which priority band of the remote core contributes (Eq. (3) vs the
@@ -60,92 +78,42 @@ pub enum CarryOut {
     Capped,
 }
 
-/// `u64::MAX`, the saturation point of the window arithmetic, as `u128`.
-const SAT: u128 = u64::MAX as u128;
-
-/// Smallest `t` with `numerator(t) ≥ bound`, where `numerator(t) =
-/// max(min(t + r, SAT) − c, 0)` is Eq. (6)'s numerator under the engine's
-/// saturating `u64` arithmetic, modelled exactly in `u128`; callers only
-/// ask for bounds already reached at some window, so the result is exact
-/// there.
-fn smallest_t_reaching(bound: u128, r: u128, c: u128) -> u128 {
-    if bound == 0 {
-        return 0;
-    }
-    bound.saturating_add(c).saturating_sub(r).min(SAT)
-}
-
-/// Largest `t ≤ SAT` with `numerator(t) ≤ bound`; callers only ask when
-/// the current window already satisfies the bound.
-fn largest_t_within(bound: u128, r: u128, c: u128) -> u128 {
-    let lim = bound.saturating_add(c);
-    if lim >= SAT {
-        // The saturation plateau never exceeds the bound: constant to the end.
-        SAT
-    } else {
-        lim.saturating_sub(r)
-    }
-}
-
-/// `u64` fast path of [`smallest_t_reaching`] for `u64`-range inputs:
-/// `None` iff the intermediate `bound + c` leaves `u64` (then the caller
-/// falls back to the exact `u128` derivation — by far the uncommon
-/// case). Pinned bitwise against the `u128` model by proptest.
-fn smallest_t_reaching64(bound: u64, r: u64, c: u64) -> Option<u64> {
-    if bound == 0 {
-        return Some(0);
-    }
-    Some(bound.checked_add(c)?.saturating_sub(r))
-}
-
-/// `u64` fast path of [`largest_t_within`] for `u64`-range inputs —
-/// total, no fallback: an overflowing `bound + c` is exactly the `u128`
-/// model's saturation plateau. Pinned bitwise by proptest.
-fn largest_t_within64(bound: u64, r: u64, c: u64) -> u64 {
-    match bound.checked_add(c) {
-        Some(lim) if lim < u64::MAX => lim.saturating_sub(r),
-        // lim ≥ SAT: the saturation plateau never exceeds the bound.
-        _ => u64::MAX,
-    }
-}
-
-/// The `N`-interval `[lo, hi]` a [`BaoTerm`] is valid on, for a member
-/// with period `p > 0`, response-time estimate `r` and pre-saturated
-/// overlap subtrahend `c = min(cost · d_mem, u64::MAX)` at full-job
-/// count `n`. Runs entirely in `u64` — the hot-path win over the former
-/// all-`u128` derivation — dropping to the `u128` saturation model only
-/// when `N·T` (or `bound + c` inside the lower endpoint) overflows;
-/// `term_interval_fast_path_matches_u128_model` pins the two bitwise.
-fn term_interval(n: u64, p: u64, r: u64, c: u64) -> (u64, u64) {
+/// The `N`-interval `[lo, hi]` a [`BaoTerm`] is valid on: the windows
+/// `t ≤ u64::MAX` with `jobs_within(t, r, sub, p) = n`, for a member with
+/// period `p > 0`, response-time estimate `r` and overlap subtrahend
+/// `sub = cost · d_mem`, where `n` is the job count at some window. Runs
+/// in `u64`, dropping to the exact `u128` form only where `n·p` or an
+/// endpoint overflows; `term_interval_fast_path_matches_u128_model` pins
+/// the two bitwise.
+fn term_interval(n: u64, p: u64, r: u64, sub: u128) -> (u64, u64) {
+    // Smallest t with t + r − sub ≥ n·p.
     let lo = if n == 0 {
         0
     } else {
-        match n
-            .checked_mul(p)
-            .and_then(|b| smallest_t_reaching64(b, r, c))
-        {
-            Some(lo) => lo,
-            None => {
-                let exact = smallest_t_reaching(
-                    u128::from(n) * u128::from(p),
-                    u128::from(r),
-                    u128::from(c),
-                );
-                u64::try_from(exact).unwrap_or(u64::MAX)
-            }
-        }
-    };
-    let hi = match n.checked_add(1).and_then(|n1| n1.checked_mul(p)) {
-        Some(b) => largest_t_within64(b - 1, r, c),
-        None => {
-            let exact = largest_t_within(
-                (u128::from(n) + 1) * u128::from(p) - 1,
-                u128::from(r),
-                u128::from(c),
+        n.checked_mul(p)
+            .zip(u64::try_from(sub).ok())
+            .and_then(|(b, sub)| b.checked_add(sub))
+            .map_or_else(
+                || sat((u128::from(n) * u128::from(p) + sub).saturating_sub(u128::from(r))),
+                |lim| lim.saturating_sub(r),
             )
-            .min(SAT);
-            u64::try_from(exact).unwrap_or(u64::MAX)
-        }
+    };
+    // Largest t with t + r − sub ≤ (n + 1)·p − 1; the clamped count
+    // `u64::MAX` holds to the end of the axis.
+    let hi = if n == u64::MAX {
+        u64::MAX
+    } else {
+        (n + 1)
+            .checked_mul(p)
+            .zip(u64::try_from(sub).ok())
+            .and_then(|(b, sub)| (b - 1).checked_add(sub))
+            .map_or_else(
+                || {
+                    let lim = (u128::from(n) + 1) * u128::from(p) - 1;
+                    sat(lim.saturating_add(sub).saturating_sub(u128::from(r)))
+                },
+                |lim| lim.saturating_sub(r),
+            )
     };
     (lo, hi)
 }
@@ -253,11 +221,9 @@ struct BaoTerm {
     cap: u64,
     /// The member's response-time estimate the term was built from.
     r: Time,
-    /// `cost · d_mem`, the first saturating subtrahend of Eq. (5)'s
-    /// overlap.
-    sub1: Time,
-    /// `N · T_l`, the second saturating subtrahend.
-    sub2: Time,
+    /// `cost · d_mem + N · T_l`, exact: the subtrahend of Eq. (5)'s
+    /// overlap `t + R_l − cost · d_mem − N · T_l`.
+    sub: u128,
     /// The member's own `N`-interval `[lo, hi]` in cycles: the term stays
     /// exact for any window inside it (at the response time `r`), letting
     /// [`BaoSegment::refresh`] keep it across segment-level span exits.
@@ -270,22 +236,32 @@ impl BaoMember {
     /// Derives the member's [`BaoTerm`] around window length `t` given its
     /// current response-time estimate `r_l` — the `N`-determined charges
     /// exactly as [`crate::spec::bao`] derives them, plus the `N`-interval
-    /// they are valid on. The endpoints use the `u64` fast path of the
-    /// exact `u128` saturation model, falling
-    /// back to the `u128` derivation only when `N·T` or `bound + c`
-    /// overflows `u64` — the proptests pin the two derivations bitwise.
+    /// they are valid on.
+    ///
+    /// Every charge saturates upward: a value past `u64` becomes
+    /// `u64::MAX`, never a smaller number. `N` is exact (see
+    /// [`jobs_within`]), and where `M̂D(N + 1)` or `ρ̂(N + 1)` saturates,
+    /// the cap takes the largest increment the term can have — `MD_l`
+    /// (`M̂D` grows by at most `MD` per job) and the per-job overlap —
+    /// instead of a difference of saturated values.
     fn term(&self, t: Time, r_l: Time, d_mem: Time, mode: PersistenceMode) -> BaoTerm {
-        let n = n_jobs(t, r_l, self.cost, d_mem, self.period);
-        // Saturating u64 multiply equals the u128 product clamped at SAT.
-        let c = d_mem.cycles().saturating_mul(self.cost);
-        let (lo, hi) = term_interval(n, self.period.cycles(), r_l.cycles(), c);
+        let period = self.period.cycles();
+        let c = (u128::from(self.md) + u128::from(self.gamma))
+            .saturating_mul(u128::from(d_mem.cycles()));
+        let n = jobs_within(t.cycles(), r_l.cycles(), c, period);
+        let (lo, hi) = term_interval(n, period, r_l.cycles(), c);
         let cout_cap = match mode {
             PersistenceMode::Oblivious => self.cost,
             PersistenceMode::Aware => {
                 let md_hat = |jobs| demand::md_hat_parts(self.md, self.md_r, self.pcb_len, jobs);
-                let d_md_hat = md_hat(n.saturating_add(1)).saturating_sub(md_hat(n));
-                let d_cpro = cpro::cpro(self.overlap, n.saturating_add(1))
-                    .saturating_sub(cpro::cpro(self.overlap, n));
+                let d_md_hat = match md_hat(n.saturating_add(1)) {
+                    u64::MAX => self.md,
+                    next => next - md_hat(n),
+                };
+                let d_cpro = match cpro::cpro(self.overlap, n.saturating_add(1)) {
+                    u64::MAX => self.overlap,
+                    next => next - cpro::cpro(self.overlap, n),
+                };
                 self.cost
                     .min(d_md_hat.saturating_add(d_cpro).saturating_add(self.gamma))
             }
@@ -305,8 +281,7 @@ impl BaoMember {
             full_jobs,
             cap: self.cost.min(cout_cap),
             r: r_l,
-            sub1: d_mem.saturating_mul(self.cost),
-            sub2: self.period.saturating_mul(n),
+            sub: c.saturating_add(u128::from(n) * u128::from(period)),
             lo,
             hi,
         }
@@ -479,12 +454,11 @@ impl BaoSegment {
         let exact_total = |terms: &[BaoTerm]| {
             let mut total = 0u64;
             for term in terms {
-                // Eq. (5) with its subtrahends pre-saturated; the same
-                // saturating chain as Eq. (5), then the carry-out cap.
-                let overlap = t
-                    .saturating_add(term.r)
-                    .saturating_sub(term.sub1)
-                    .saturating_sub(term.sub2);
+                // Eq. (5), exact: on the term's N-interval the overlap
+                // is below `T_l` (or, past the clamped count, below
+                // `u64::MAX`), however far `t + R_l` runs past `u64`.
+                let reach = u128::from(t.cycles()) + u128::from(term.r.cycles());
+                let overlap = Time::from_cycles(sat(reach.saturating_sub(term.sub)));
                 let cout = overlap.div_ceil(d_mem).min(term.cap);
                 total = total.saturating_add(term.full_jobs).saturating_add(cout);
             }
@@ -855,44 +829,73 @@ mod tests {
         }
 
         /// The u64 fast path of [`term_interval`] must be bitwise equal
-        /// to the all-u128 derivation it replaced, for the full input
-        /// range — including the overflow regions that force the
-        /// fallback (huge n·p, huge bound + c) and the saturation
-        /// plateau. `shape` remaps part of the full-range draws onto
-        /// those boundaries so the overflow branches are actually
-        /// exercised, not just reachable.
+        /// to the exact all-`u128` derivation, and the interval must be
+        /// exactly the windows with the same job count — across the full
+        /// input range, including `t + r` and `cost · d_mem` past `u64`
+        /// and the clamped count of `p = 1`. `shape` remaps part of the
+        /// full-range draws onto those boundaries so the overflow
+        /// branches are actually exercised, not just reachable.
         #[test]
         fn term_interval_fast_path_matches_u128_model(
-            n in any::<u64>(),
-            p in any::<u64>(),
-            r in any::<u64>(),
-            c in any::<u64>(),
-            shape in proptest::sample::select(vec![0u8, 1, 2, 3, 4]),
+            t in any::<u64>(),
+            (r, p) in (any::<u64>(), any::<u64>()),
+            (sub, sub_hi) in (any::<u64>(), any::<u64>()),
+            shape in proptest::sample::select(vec![0u8, 1, 2, 3, 4, 5]),
         ) {
-            let (n, p, r, c) = match shape {
-                // n·p overflows, bound + c saturates.
-                1 => (u64::MAX - n % 4, u64::MAX - p % 4, r, u64::MAX - c % 4),
-                // n·p at the overflow boundary from below.
-                2 => (n >> 32, u64::MAX, r, c),
+            let (t, r, p, sub) = match shape {
+                // t + r overflows, sub past u64.
+                1 => (u64::MAX - t % 4, u64::MAX - r % 4, p, u128::from(sub) + u128::from(sub_hi)),
+                // n·p at the overflow boundary, p = 1 clamps the count.
+                2 => (t, r, 1 + p % 2, u128::from(sub % 4)),
                 // Small everything: the pure fast path.
-                3 => (n % 8, (p % 8).max(1), r % 8, c % 8),
-                // bound + c overflows with in-range n·p.
-                4 => ((n % 4) + 1, u64::MAX >> 2, r, u64::MAX - c % 4),
-                _ => (n, p, r, c),
+                3 => (t % 64, r % 64, (p % 8).max(1), u128::from(sub % 8)),
+                // Huge period, t + r overflowing.
+                4 => (u64::MAX - t % 8, r | (1 << 63), u64::MAX - p % 4, u128::from(sub >> 1)),
+                // sub beyond u128's reach of t + r.
+                5 => (t, r, p, u128::MAX - u128::from(sub)),
+                _ => (t, r, p, u128::from(sub)),
             };
             let p = p.max(1); // periods are positive
-            let (lo, hi) = term_interval(n, p, r, c);
-            // The former derivation, verbatim: everything in u128 against
-            // the shared SAT model, clamped back to u64 at the end.
-            let (rr, pp, cc) = (u128::from(r), u128::from(p), u128::from(c));
-            let exact_lo = if n == 0 {
-                0
+            let n = jobs_within(t, r, sub, p);
+            let (lo, hi) = term_interval(n, p, r, sub);
+            // The exact derivation, everything in u128.
+            let (nn, pp, rr) = (u128::from(n), u128::from(p), u128::from(r));
+            let exact_lo = if n == 0 { 0 } else { (nn * pp + sub).saturating_sub(rr) };
+            let exact_hi = if n == u64::MAX {
+                u128::from(u64::MAX)
             } else {
-                smallest_t_reaching(u128::from(n) * pp, rr, cc)
+                ((nn + 1) * pp - 1).saturating_add(sub).saturating_sub(rr)
             };
-            let exact_hi = largest_t_within((u128::from(n) + 1) * pp - 1, rr, cc).min(SAT);
-            prop_assert_eq!(lo, u64::try_from(exact_lo).unwrap_or(u64::MAX));
-            prop_assert_eq!(hi, u64::try_from(exact_hi).unwrap_or(u64::MAX));
+            prop_assert_eq!(lo, sat(exact_lo));
+            prop_assert_eq!(hi, sat(exact_hi));
+            // And the interval is the job count's: maximal around t.
+            prop_assert!(lo <= t && t <= hi, "{lo} <= {t} <= {hi}");
+            prop_assert_eq!(jobs_within(lo, r, sub, p), n);
+            prop_assert_eq!(jobs_within(hi, r, sub, p), n);
+            prop_assert!(lo == 0 || jobs_within(lo - 1, r, sub, p) < n);
+            prop_assert!(hi == u64::MAX || jobs_within(hi + 1, r, sub, p) > n);
+        }
+
+        /// `N` is exact where `t + R_l` leaves `u64`: the job count of
+        /// the all-`u128` formula, clamped at `u64::MAX`.
+        #[test]
+        fn n_jobs_is_exact_past_u64(
+            t in any::<u64>(),
+            r in any::<u64>(),
+            cost in any::<u64>(),
+            (d, p) in (1u64..1 << 20, any::<u64>()),
+        ) {
+            let p = p.max(1);
+            let sum = u128::from(t) + u128::from(r);
+            let exact = sum.saturating_sub(u128::from(cost) * u128::from(d)) / u128::from(p);
+            let n = n_jobs(
+                Time::from_cycles(t),
+                Time::from_cycles(r),
+                cost,
+                Time::from_cycles(d),
+                Time::from_cycles(p),
+            );
+            prop_assert_eq!(n, sat(exact));
         }
     }
 }

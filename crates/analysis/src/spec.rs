@@ -16,9 +16,10 @@
 //! | Eq. (19) and the outer loop of §IV | [`analyze`] |
 //!
 //! It shares with the engine only what defines the result beyond the
-//! equations: the model, the `+1` blocking access and the bracket/refine
+//! equations: the model, the `+1` blocking access, the bracket/refine
 //! solver of [`crate::wcrt`], whose bounded downward refinement decides
-//! which pre-fixed point is reported. It fills its own `γ` and
+//! which pre-fixed point is reported, and the arbitrary-precision
+//! utilization test of deviation 2. It fills its own `γ` and
 //! CPRO-overlap tables per call from the definitional
 //! [`crpd::gamma_with`] and [`cpro::cpro_overlap`] instead of reading the
 //! context's incremental tables,
@@ -26,13 +27,22 @@
 //!
 //! # Arithmetic
 //!
-//! Every value is exact `u128`, checked against `u64::MAX` — the range
-//! the engine computes in — after each operation. A value that leaves it
-//! comes back as [`Overflow`], never as a saturated number. Where no value
-//! overflows, the engine's saturating `u64` arithmetic never saturates
-//! either, so the two must agree bit for bit. The clamps at zero that the
-//! equations themselves contain (Eq. (6)'s numerator, `ρ̂(0)`) are written
-//! as such.
+//! Every value is exact `u128`; `u128::MAX` stands for itself and every
+//! larger value, which `+`, `·` and `min` carry correctly. Only a value
+//! that reaches the bound is checked against `u64::MAX`, the range the
+//! engine computes in: each right-hand side of Eq. (19), each initial
+//! estimate and each value a public function returns. Past it, the
+//! result is [`Overflow`], never a saturated number. A value that only
+//! feeds a subtraction, a division or a `min` may leave `u64` on the
+//! way: `t + R_l` in Eq. (5)/(6), RR's `s · BAS`, FP's lower-band sum,
+//! `M̂D(N + 1)`. The engine must compute those exactly, or round the
+//! bound up, so where the spec returns a value the two agree bit for
+//! bit, and where it overflows the engine reports unschedulable. (The
+//! increments `M̂D(N + 1) − M̂D(N)` and `ρ̂(N + 1) − ρ̂(N)` are the only
+//! differences of possibly saturated values; one saturates only where
+//! the member's full-job charge is itself past `u64`, or the cap is
+//! `cost` either way.) The clamps at zero that the equations themselves
+//! contain (Eq. (6)'s numerator, `ρ̂(0)`) are written as such.
 //!
 //! # Deviations from the paper
 //!
@@ -46,9 +56,9 @@
 //!    right-hand side of Eq. (19) would not be monotone in the window.
 //! 2. **Perfect-bus utilization gate.** The perfect bus (Fig. 2's
 //!    reference line) is schedulable only while the residual bus load
-//!    `Σ MD^r_i · d_mem / T_i` is at most 1, compared exactly (in
-//!    arbitrary precision here; the engine falls back to an `f64` sum
-//!    where its `u128` fraction overflows).
+//!    `Σ MD^r_i · d_mem / T_i` is at most 1, compared exactly in
+//!    arbitrary precision ([`bus_overutilized`]; the engine sums a `u128`
+//!    fraction and calls it only where that overflows).
 
 use std::fmt;
 
@@ -73,37 +83,24 @@ impl fmt::Display for Overflow {
 
 impl std::error::Error for Overflow {}
 
-/// An exact value within the `u64` range, or [`Overflow`].
-type Checked = Result<u128, Overflow>;
-
-/// `v`, checked against the `u64` range.
-fn fit(v: u128) -> Checked {
-    if v <= u128::from(u64::MAX) {
-        Ok(v)
-    } else {
-        Err(Overflow)
-    }
+/// A value that reaches the bound, checked against the `u64` range.
+fn fit(v: u128) -> Result<u64, Overflow> {
+    u64::try_from(v).map_err(|_| Overflow)
 }
 
-/// `a + b`, checked. Operands are always within the `u64` range, so the
-/// `u128` sum itself cannot overflow.
-fn add(a: u128, b: u128) -> Checked {
-    fit(a + b)
+/// `a + b`, exact below `u128::MAX`.
+fn add(a: u128, b: u128) -> u128 {
+    a.saturating_add(b)
 }
 
-/// `a · b`, checked (operands within the `u64` range, as for [`add`]).
-fn mul(a: u128, b: u128) -> Checked {
-    fit(a * b)
+/// `a · b`, exact below `u128::MAX`.
+fn mul(a: u128, b: u128) -> u128 {
+    a.saturating_mul(b)
 }
 
 /// `max(a − b, 0)`, the clamp the equations write explicitly.
 fn sub0(a: u128, b: u128) -> u128 {
     a.saturating_sub(b)
-}
-
-/// A checked value back in `u64`.
-fn narrow(v: u128) -> u64 {
-    u64::try_from(v).expect("every checked value fits u64")
 }
 
 fn cycles(t: Time) -> u128 {
@@ -122,17 +119,17 @@ pub fn releases(t: Time, period: Time) -> u64 {
 }
 
 /// Eq. (10): `M̂D(n) = min(n · MD ; n · MD^r + |PCB|)`.
-fn md_hat(task: &Task, n: u128) -> Checked {
-    let full = mul(n, md(task))?;
+fn md_hat(task: &Task, n: u128) -> u128 {
+    let full = mul(n, md(task));
     let persistent = add(
-        mul(n, u128::from(task.residual_memory_demand()))?,
+        mul(n, u128::from(task.residual_memory_demand())),
         task.pcb().len() as u128,
-    )?;
-    Ok(full.min(persistent))
+    );
+    full.min(persistent)
 }
 
 /// Eq. (14): `ρ̂(n) = (n − 1) · overlap`, zero for `n = 0`.
-fn cpro(overlap: u128, n: u128) -> Checked {
+fn cpro(overlap: u128, n: u128) -> u128 {
     mul(sub0(n, 1), overlap)
 }
 
@@ -141,20 +138,19 @@ fn cpro(overlap: u128, n: u128) -> Checked {
 ///
 /// # Errors
 ///
-/// [`Overflow`] when a value exceeds `u64::MAX`.
+/// [`Overflow`] when the value exceeds `u64::MAX`.
 pub fn n_jobs(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time) -> Result<u64, Overflow> {
-    n_jobs_exact(
+    fit(n_jobs_exact(
         cycles(t),
         cycles(r_l),
         u128::from(cost),
         cycles(d_mem),
         cycles(period),
-    )
-    .map(narrow)
+    ))
 }
 
-fn n_jobs_exact(t: u128, r_l: u128, cost: u128, d_mem: u128, period: u128) -> Checked {
-    Ok(sub0(add(t, r_l)?, mul(cost, d_mem)?) / period)
+fn n_jobs_exact(t: u128, r_l: u128, cost: u128, d_mem: u128, period: u128) -> u128 {
+    sub0(add(t, r_l), mul(cost, d_mem)) / period
 }
 
 /// Eq. (5): `W^y_{k,l,cout}(t) = min(⌈max(t + R_l − cost · d_mem − N · T_l,
@@ -162,7 +158,7 @@ fn n_jobs_exact(t: u128, r_l: u128, cost: u128, d_mem: u128, period: u128) -> Ch
 ///
 /// # Errors
 ///
-/// [`Overflow`] when a value exceeds `u64::MAX`.
+/// [`Overflow`] when the value exceeds `u64::MAX`.
 pub fn w_cout(
     t: Time,
     r_l: Time,
@@ -171,20 +167,19 @@ pub fn w_cout(
     period: Time,
     n: u64,
 ) -> Result<u64, Overflow> {
-    w_cout_exact(
+    fit(w_cout_exact(
         cycles(t),
         cycles(r_l),
         u128::from(cost),
         cycles(d_mem),
         cycles(period),
         u128::from(n),
-    )
-    .map(narrow)
+    ))
 }
 
-fn w_cout_exact(t: u128, r_l: u128, cost: u128, d_mem: u128, period: u128, n: u128) -> Checked {
-    let overlap = sub0(sub0(add(t, r_l)?, mul(cost, d_mem)?), mul(n, period)?);
-    Ok(overlap.div_ceil(d_mem).min(cost))
+fn w_cout_exact(t: u128, r_l: u128, cost: u128, d_mem: u128, period: u128, n: u128) -> u128 {
+    let overlap = sub0(sub0(add(t, r_l), mul(cost, d_mem)), mul(n, period));
+    overlap.div_ceil(d_mem).min(cost)
 }
 
 /// The definitional `γ_{i,j}` table of a task set, row-major `n × n`
@@ -254,23 +249,23 @@ impl<'c, 'a> Spec<'c, 'a> {
     /// BÂS_i^x(t) = MD_i + Σ_j min(E_j · MD_j ; M̂D_j(E_j) + ρ̂_{j,i,x}(E_j))
     ///                   + Σ_j E_j · γ_{i,j,x}
     /// ```
-    fn bas(&self, i: TaskId, t: Time, mode: PersistenceMode) -> Checked {
+    fn bas(&self, i: TaskId, t: Time, mode: PersistenceMode) -> u128 {
         let tasks = self.tasks;
         let mut total = md(&tasks[i]);
         for j in tasks.hp_on(i, tasks[i].core()) {
             let e = u128::from(releases(t, tasks[j].period()));
             let gamma = self.gamma(i, j);
             let charge = match mode {
-                PersistenceMode::Oblivious => mul(e, add(md(&tasks[j]), gamma)?)?,
+                PersistenceMode::Oblivious => mul(e, add(md(&tasks[j]), gamma)),
                 PersistenceMode::Aware => {
-                    let oblivious = mul(e, md(&tasks[j]))?;
-                    let persistent = add(md_hat(&tasks[j], e)?, cpro(self.overlap(j, i), e)?)?;
-                    add(oblivious.min(persistent), mul(e, gamma)?)?
+                    let oblivious = mul(e, md(&tasks[j]));
+                    let persistent = add(md_hat(&tasks[j], e), cpro(self.overlap(j, i), e));
+                    add(oblivious.min(persistent), mul(e, gamma))
                 }
             };
-            total = add(total, charge)?;
+            total = add(total, charge);
         }
-        Ok(total)
+        total
     }
 
     /// Eq. (3) (oblivious) and Lemma 2 (aware), over the remote tasks of
@@ -294,7 +289,7 @@ impl<'c, 'a> Spec<'c, 'a> {
         mode: PersistenceMode,
         band: PriorityBand,
         carry: CarryOut,
-    ) -> Checked {
+    ) -> u128 {
         let tasks = self.tasks;
         let d_mem = self.d_mem();
         let members: Vec<TaskId> = match band {
@@ -306,33 +301,33 @@ impl<'c, 'a> Spec<'c, 'a> {
             let task = &tasks[l];
             let gamma = self.gamma(k, l);
             let overlap = self.overlap(l, k);
-            let cost = add(md(task), gamma)?;
+            let cost = add(md(task), gamma);
             let r_l = cycles(resp[l.index()]);
             let period = cycles(task.period());
-            let n = n_jobs_exact(cycles(t), r_l, cost, d_mem, period)?;
+            let n = n_jobs_exact(cycles(t), r_l, cost, d_mem, period);
             let full_jobs = match mode {
-                PersistenceMode::Oblivious => mul(n, cost)?,
+                PersistenceMode::Oblivious => mul(n, cost),
                 PersistenceMode::Aware => {
-                    let oblivious = mul(n, md(task))?;
-                    let persistent = add(md_hat(task, n)?, cpro(overlap, n)?)?;
-                    add(oblivious.min(persistent), mul(n, gamma)?)?
+                    let oblivious = mul(n, md(task));
+                    let persistent = add(md_hat(task, n), cpro(overlap, n));
+                    add(oblivious.min(persistent), mul(n, gamma))
                 }
             };
             let cap = match mode {
                 PersistenceMode::Oblivious => cost,
                 PersistenceMode::Aware => {
-                    let d_md_hat = md_hat(task, n + 1)? - md_hat(task, n)?;
-                    let d_cpro = cpro(overlap, n + 1)? - cpro(overlap, n)?;
-                    cost.min(add(add(d_md_hat, d_cpro)?, gamma)?)
+                    let d_md_hat = md_hat(task, n + 1) - md_hat(task, n);
+                    let d_cpro = cpro(overlap, n + 1) - cpro(overlap, n);
+                    cost.min(add(add(d_md_hat, d_cpro), gamma))
                 }
             };
             let cout = match carry {
-                CarryOut::Exact => w_cout_exact(cycles(t), r_l, cost, d_mem, period, n)?.min(cap),
+                CarryOut::Exact => w_cout_exact(cycles(t), r_l, cost, d_mem, period, n).min(cap),
                 CarryOut::Capped => cap,
             };
-            total = add(total, add(full_jobs, cout)?)?;
+            total = add(total, add(full_jobs, cout));
         }
-        Ok(total)
+        total
     }
 
     /// Eq. (7) (FP), (8) (RR), (9) (TDMA) and the perfect bus:
@@ -354,39 +349,39 @@ impl<'c, 'a> Spec<'c, 'a> {
         resp: &[Time],
         config: &AnalysisConfig,
         carry: CarryOut,
-    ) -> Checked {
+    ) -> u128 {
         let tasks = self.tasks;
         let x = tasks[i].core();
         let mode = config.persistence;
         let cores = self.ctx.platform().cores();
         let remote = || (0..cores).map(CoreId::new).filter(move |&y| y != x);
-        let own = self.bas(i, t, mode)?;
+        let own = self.bas(i, t, mode);
         let cross = match config.bus {
             BusPolicy::FixedPriority => {
                 let mut hep = 0;
                 let mut low = 0;
                 for y in remote() {
                     let band = |b| self.bao(i, y, t, resp, mode, b, carry);
-                    hep = add(hep, band(PriorityBand::HigherOrEqual)?)?;
-                    low = add(low, band(PriorityBand::Lower)?)?;
+                    hep = add(hep, band(PriorityBand::HigherOrEqual));
+                    low = add(low, band(PriorityBand::Lower));
                 }
-                add(hep, own.min(low))?
+                add(hep, own.min(low))
             }
             BusPolicy::RoundRobin { slots } => {
                 let n = tasks.lowest_priority_id();
-                let cap = mul(u128::from(slots), own)?;
+                let cap = mul(u128::from(slots), own);
                 let mut total = 0;
                 for y in remote() {
-                    let all = self.bao(n, y, t, resp, mode, PriorityBand::HigherOrEqual, carry)?;
-                    total = add(total, all.min(cap))?;
+                    let all = self.bao(n, y, t, resp, mode, PriorityBand::HigherOrEqual, carry);
+                    total = add(total, all.min(cap));
                 }
                 total
             }
-            BusPolicy::Tdma { slots } => mul(mul(cores as u128 - 1, u128::from(slots))?, own)?,
+            BusPolicy::Tdma { slots } => mul(mul(cores as u128 - 1, u128::from(slots)), own),
             BusPolicy::Perfect => 0,
         };
         let blocking = config.bus.charges_blocking() && tasks.lp_on(i, x).next().is_some();
-        add(add(own, cross)?, u128::from(blocking))
+        add(add(own, cross), u128::from(blocking))
     }
 
     /// Eq. (19)'s right-hand side at window `t`:
@@ -401,42 +396,37 @@ impl<'c, 'a> Spec<'c, 'a> {
         resp: &[Time],
         config: &AnalysisConfig,
         carry: CarryOut,
-    ) -> Checked {
+    ) -> u128 {
         let tasks = self.tasks;
         let mut interference = 0;
         for j in tasks.hp_on(i, tasks[i].core()) {
             let e = u128::from(releases(t, tasks[j].period()));
-            interference = add(interference, mul(e, cycles(tasks[j].processing_demand()))?)?;
+            interference = add(interference, mul(e, cycles(tasks[j].processing_demand())));
         }
-        let bus = mul(self.bat(i, t, resp, config, carry)?, self.d_mem())?;
-        add(
-            add(cycles(tasks[i].processing_demand()), interference)?,
-            bus,
-        )
+        let bus = mul(self.bat(i, t, resp, config, carry), self.d_mem());
+        add(add(cycles(tasks[i].processing_demand()), interference), bus)
     }
+}
 
-    /// Deviation 2: whether `Σ MD^r_i · d_mem / T_i > 1`, decided exactly
-    /// on the running fraction `num / den` of the sum, in arbitrary
-    /// precision: the product of a whole task set's periods does not fit
-    /// any fixed width.
-    fn bus_overutilized(&self) -> Result<bool, Overflow> {
-        let mut num = Natural::from(0);
-        let mut den = Natural::from(1);
-        for task in self.tasks.iter() {
-            let demand = narrow(mul(
-                u128::from(task.residual_memory_demand()),
-                self.d_mem(),
-            )?);
-            let period = task.period().cycles();
-            // num/den + demand/period = (num·period + demand·den) / (den·period)
-            let mut share = den.clone();
-            share.mul(demand);
-            num.mul(period);
-            num.add(&share);
-            den.mul(period);
-        }
-        Ok(num > den)
+/// Deviation 2: whether `Σ MD^r_i · d_mem / T_i > 1`, decided exactly on
+/// the running fraction `num / den` of the sum, in arbitrary precision:
+/// the product of a whole task set's periods does not fit any fixed
+/// width. The engine's gate takes this path too where its `u128`
+/// fraction overflows.
+pub(crate) fn bus_overutilized(tasks: &TaskSet, d_mem: Time) -> bool {
+    let mut num = Natural::from(0);
+    let mut den = Natural::from(1);
+    for task in tasks.iter() {
+        let period = task.period().cycles();
+        // num/den + MD^r·d_mem/period = (num·period + MD^r·d_mem·den) / (den·period)
+        let mut share = den.clone();
+        share.mul(task.residual_memory_demand());
+        share.mul(d_mem.cycles());
+        num.mul(period);
+        num.add(&share);
+        den.mul(period);
     }
+    num > den
 }
 
 /// A natural number in little-endian base-2^64 digits with no leading
@@ -507,14 +497,14 @@ impl Ord for Natural {
 ///
 /// # Errors
 ///
-/// [`Overflow`] when a value exceeds `u64::MAX`.
+/// [`Overflow`] when the value exceeds `u64::MAX`.
 pub fn bas(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     t: Time,
     mode: PersistenceMode,
 ) -> Result<u64, Overflow> {
-    Spec::new(ctx).bas(i, t, mode).map(narrow)
+    fit(Spec::new(ctx).bas(i, t, mode))
 }
 
 /// `BAO_k^y(t)` (Eq. (3)) or `BÂO_k^y(t)` (Lemma 2) over the tasks of
@@ -523,7 +513,7 @@ pub fn bas(
 ///
 /// # Errors
 ///
-/// [`Overflow`] when a value exceeds `u64::MAX`.
+/// [`Overflow`] when the value exceeds `u64::MAX`.
 #[allow(clippy::too_many_arguments)] // mirrors the equation's parameter list
 pub fn bao(
     ctx: &AnalysisContext<'_>,
@@ -535,9 +525,7 @@ pub fn bao(
     band: PriorityBand,
     carry: CarryOut,
 ) -> Result<u64, Overflow> {
-    Spec::new(ctx)
-        .bao(k, y, t, resp, mode, band, carry)
-        .map(narrow)
+    fit(Spec::new(ctx).bao(k, y, t, resp, mode, band, carry))
 }
 
 /// `BAT_i^x(t)` (Eq. (7)/(8)/(9)) under `config` at the response-time
@@ -545,7 +533,7 @@ pub fn bao(
 ///
 /// # Errors
 ///
-/// [`Overflow`] when a value exceeds `u64::MAX`.
+/// [`Overflow`] when the value exceeds `u64::MAX`.
 pub fn bat(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -554,7 +542,7 @@ pub fn bat(
     config: &AnalysisConfig,
     carry: CarryOut,
 ) -> Result<u64, Overflow> {
-    Spec::new(ctx).bat(i, t, resp, config, carry).map(narrow)
+    fit(Spec::new(ctx).bat(i, t, resp, config, carry))
 }
 
 /// The full WCRT analysis: Eq. (19) per task, nested in the outer loop of
@@ -570,7 +558,8 @@ pub fn bat(
 ///
 /// # Errors
 ///
-/// [`Overflow`] when any value of the analysis exceeds `u64::MAX`.
+/// [`Overflow`] when a value that reaches the bound — an initial
+/// estimate or a right-hand side of Eq. (19) — exceeds `u64::MAX`.
 pub fn analyze(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -579,17 +568,17 @@ pub fn analyze(
     let tasks = ctx.tasks();
     let n = tasks.len();
     let mut inner_iterations = vec![0u64; n];
-    if config.bus == BusPolicy::Perfect && spec.bus_overutilized()? {
+    if config.bus == BusPolicy::Perfect && bus_overutilized(tasks, ctx.d_mem()) {
         return Ok(AnalysisResult::unbounded(n, 0, inner_iterations, false));
     }
 
     let mut resp = Vec::with_capacity(n);
     for task in tasks.iter() {
-        let memory = mul(md(task), spec.d_mem())?;
-        resp.push(Time::from_cycles(narrow(add(
+        let memory = mul(md(task), spec.d_mem());
+        resp.push(Time::from_cycles(fit(add(
             cycles(task.processing_demand()),
             memory,
-        )?)));
+        ))?));
     }
 
     for outer in 1..=config.max_outer_iterations {
@@ -604,8 +593,8 @@ pub fn analyze(
                     if overflow.is_some() {
                         return r; // a fixed point: the solver stops at once
                     }
-                    match spec.rhs(i, r, &resp, config, carry) {
-                        Ok(next) => Time::from_cycles(narrow(next)),
+                    match fit(spec.rhs(i, r, &resp, config, carry)) {
+                        Ok(next) => Time::from_cycles(next),
                         Err(e) => {
                             overflow = Some(e);
                             r

@@ -185,8 +185,8 @@ pub fn analyze_with(
 /// the persistence-aware analyses.
 ///
 /// The sum is exact ([`UtilizationSum`]), so a bus loaded to exactly 1
-/// passes. Only when the exact fraction overflows does the gate fall back
-/// to the `f64` sum.
+/// passes. Where the `u128` fraction overflows, the gate decides in
+/// arbitrary precision ([`crate::spec::bus_overutilized`]).
 pub(crate) fn perfect_bus_check(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -212,7 +212,7 @@ pub(crate) fn perfect_bus_check(
     }
     let overutilized = exact
         .exceeds_one()
-        .unwrap_or_else(|| residual_bus_utilization() > 1.0);
+        .unwrap_or_else(|| crate::spec::bus_overutilized(tasks, d_mem));
     if overutilized {
         cpa_obs::event!(
             "wcrt.bus_overutilized",
@@ -273,12 +273,17 @@ pub(crate) struct InnerSolve {
 /// given a last chance via the sufficiency test `f(D_i) ≤ D_i` (any window
 /// of length `D_i` that contains all charged work ends by `D_i`), again
 /// followed by downward refinement.
+///
+/// The engine's right-hand side saturates at `u64::MAX`, so a bound there
+/// may stand for a larger one: no deadline admits it, and a task with
+/// `D_i = u64::MAX` is tested against `u64::MAX − 1`.
 pub(crate) fn solve_inner(
     deadline: Time,
     start: Time,
     max_inner_iterations: u32,
     mut rhs_at: impl FnMut(Time, CarryOut) -> Time,
 ) -> InnerSolve {
+    let deadline = deadline.min(Time::from_cycles(u64::MAX - 1));
     // Phase 1: capped upward bracket.
     let mut r = start;
     let mut bracket = None;

@@ -10,7 +10,7 @@ use std::hint::black_box;
 use cpa_analysis::{
     analyze, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
 };
-use cpa_experiments::runner::{evaluate_population, platform_for, ChainState, Evaluation};
+use cpa_experiments::runner::{evaluate_population, platform_for, Evaluation};
 use cpa_experiments::{fig2, report, SweepOptions};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
@@ -41,15 +41,7 @@ fn bench_fig2(c: &mut Criterion) {
         ],
     )];
     group.bench_function("evaluate_point_fp_u0.3_10sets", |b| {
-        b.iter(|| {
-            black_box(evaluate_population(
-                &gen,
-                &evaluation,
-                &micro,
-                0,
-                &mut ChainState::default(),
-            ))
-        });
+        b.iter(|| black_box(evaluate_population(&gen, &evaluation, &micro, 0)));
     });
 
     // Single task-set analysis across the six paper configurations.

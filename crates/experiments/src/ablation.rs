@@ -16,7 +16,7 @@ use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
 
 /// Schedulable task sets vs utilization under each CRPD approach
@@ -48,24 +48,17 @@ pub fn crpd_ablation(opts: &SweepOptions) -> ExperimentResult {
             points: Vec::with_capacity(opts.utilization_grid.len()),
         })
         .collect();
-    let mut chain = ChainState::default();
-    sweep_utilization(
-        opts,
-        &base,
-        &evaluations,
-        &mut chain,
-        |utilization, stats| {
-            for (s, point_stats) in series.iter_mut().zip(stats) {
-                let acc = point_stats.config(0);
-                s.points.push(CurvePoint {
-                    x: utilization,
-                    schedulable: acc.schedulable_count(),
-                    total: acc.samples(),
-                    weighted: acc.value(),
-                });
-            }
-        },
-    );
+    sweep_utilization(opts, &base, &evaluations, |utilization, stats| {
+        for (s, point_stats) in series.iter_mut().zip(stats) {
+            let acc = point_stats.config(0);
+            s.points.push(CurvePoint {
+                x: utilization,
+                schedulable: acc.schedulable_count(),
+                total: acc.samples(),
+                weighted: acc.value(),
+            });
+        }
+    });
     ExperimentResult {
         id: "ablation_crpd".to_string(),
         title: "Ablation — CRPD approach (FP bus, persistence-aware)".to_string(),
@@ -103,30 +96,23 @@ pub fn persistence_gain(opts: &SweepOptions) -> ExperimentResult {
             points: Vec::with_capacity(opts.utilization_grid.len()),
         })
         .collect();
-    let mut chain = ChainState::default();
-    sweep_utilization(
-        opts,
-        &base,
-        &evaluations,
-        &mut chain,
-        |utilization, stats| {
-            for (s, point_stats) in series.iter_mut().zip(stats) {
-                let aware = point_stats.config(0).schedulable_count();
-                let oblivious = point_stats.config(1).schedulable_count();
-                let total = point_stats.config(0).samples();
-                s.points.push(CurvePoint {
-                    x: utilization,
-                    schedulable: aware - oblivious, // dominance guarantees ≥ 0
-                    total,
-                    weighted: if total == 0 {
-                        0.0
-                    } else {
-                        (aware - oblivious) as f64 / total as f64
-                    },
-                });
-            }
-        },
-    );
+    sweep_utilization(opts, &base, &evaluations, |utilization, stats| {
+        for (s, point_stats) in series.iter_mut().zip(stats) {
+            let aware = point_stats.config(0).schedulable_count();
+            let oblivious = point_stats.config(1).schedulable_count();
+            let total = point_stats.config(0).samples();
+            s.points.push(CurvePoint {
+                x: utilization,
+                schedulable: aware - oblivious, // dominance guarantees ≥ 0
+                total,
+                weighted: if total == 0 {
+                    0.0
+                } else {
+                    (aware - oblivious) as f64 / total as f64
+                },
+            });
+        }
+    });
     ExperimentResult {
         id: "ablation_gain".to_string(),
         title: "Persistence gain per bus policy (percentage points of task sets)".to_string(),

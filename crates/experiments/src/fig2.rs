@@ -10,7 +10,7 @@ use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
 
 /// The three panels of Fig. 2 in paper order (a: FP, b: RR, c: TDMA),
@@ -78,29 +78,19 @@ fn fig2_panels(opts: &SweepOptions, panels: &[(&str, &str, BusPolicy)]) -> Vec<E
         })
         .collect();
 
-    // One set of worker buffers for the whole figure: scratches persist
-    // across the utilization points, so allocations carry from point to
-    // point.
-    let mut chain = ChainState::default();
-    sweep_utilization(
-        opts,
-        &base,
-        &evaluations,
-        &mut chain,
-        |utilization, stats| {
-            for (panel, panel_stats) in series.iter_mut().zip(stats) {
-                for (si, s) in panel.iter_mut().enumerate() {
-                    let acc = panel_stats.config(si);
-                    s.points.push(CurvePoint {
-                        x: utilization,
-                        schedulable: acc.schedulable_count(),
-                        total: acc.samples(),
-                        weighted: acc.value(),
-                    });
-                }
+    sweep_utilization(opts, &base, &evaluations, |utilization, stats| {
+        for (panel, panel_stats) in series.iter_mut().zip(stats) {
+            for (si, s) in panel.iter_mut().enumerate() {
+                let acc = panel_stats.config(si);
+                s.points.push(CurvePoint {
+                    x: utilization,
+                    schedulable: acc.schedulable_count(),
+                    total: acc.samples(),
+                    weighted: acc.value(),
+                });
             }
-        },
-    );
+        }
+    });
 
     panels
         .iter()

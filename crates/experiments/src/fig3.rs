@@ -14,7 +14,7 @@ use cpa_model::Time;
 use cpa_workload::GeneratorConfig;
 
 use crate::runner::{
-    sweep_utilization, ChainState, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
+    sweep_utilization, CurvePoint, Evaluation, ExperimentResult, Series, SweepOptions,
 };
 
 /// Cycles per microsecond in the evaluation timebase. One benchmark-table
@@ -153,14 +153,13 @@ fn sweep(
 ) -> ExperimentResult {
     let points: Vec<(GeneratorConfig, Evaluation)> = xs.iter().map(|&x| at(x)).collect();
     let mut totals: Vec<Vec<WeightedAccumulator>> = Vec::with_capacity(xs.len());
-    let mut chain = ChainState::default();
     for group in points.chunk_by(|a, b| a.0 == b.0) {
         let evaluations: Vec<Evaluation> = group.iter().map(|(_, e)| e.clone()).collect();
         let mut group_totals: Vec<Vec<WeightedAccumulator>> = evaluations
             .iter()
             .map(|e| vec![WeightedAccumulator::new(); e.configs.len()])
             .collect();
-        sweep_utilization(opts, &group[0].0, &evaluations, &mut chain, |_, stats| {
+        sweep_utilization(opts, &group[0].0, &evaluations, |_, stats| {
             for (total, point_stats) in group_totals.iter_mut().zip(stats) {
                 for (i, t) in total.iter_mut().enumerate() {
                     t.merge(point_stats.config(i));

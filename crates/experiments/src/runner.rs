@@ -166,19 +166,6 @@ impl PointStats {
     }
 }
 
-/// Per-worker buffers kept across adjacent sweep points.
-///
-/// A driver that owns one of these and calls
-/// [`evaluate_population`] per point keeps each worker's
-/// [`AnalysisScratch`] and [`ContextBuffers`] alive from one
-/// utilization point to the next, so allocations survive. The buffers
-/// carry no results between solves: every solve resets them, so output
-/// is bitwise identical to fresh buffers per point.
-#[derive(Debug, Default)]
-pub struct ChainState {
-    states: Vec<(AnalysisScratch, ContextBuffers)>,
-}
-
 /// SplitMix64-style seed derivation: decorrelates per-set RNG streams from
 /// `(base seed, point id, set index)` without any cross-thread state.
 #[must_use]
@@ -308,10 +295,9 @@ fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 /// including the non-associative `f64` utilization sums, is
 /// byte-identical at any thread count and chunk size.
 ///
-/// Worker states live in the caller's [`ChainState`], so their buffers
-/// survive across sets, configurations and adjacent points. Each solve
-/// is an independent [`analyze_with`] call, so every result and every
-/// engine meter is the same at any thread count.
+/// Each worker's buffers survive across its sets and configurations.
+/// Each solve is an independent [`analyze_with`] call, so every result
+/// and every engine meter is the same at any thread count.
 ///
 /// `experiments.sets_evaluated` counts reported samples (set ×
 /// evaluation); `workload.sets_generated` and `pool.items` count sets.
@@ -328,7 +314,6 @@ pub fn evaluate_population(
     evaluations: &[Evaluation],
     opts: &SweepOptions,
     point_id: u64,
-    chain: &mut ChainState,
 ) -> Vec<PointStats> {
     let plan = SolvePlan::new(evaluations);
     let generator = TaskSetGenerator::new(gen_config.clone()).expect("valid generator config");
@@ -344,12 +329,11 @@ pub fn evaluate_population(
     // gives each call a scope block of its own even when point ids repeat
     // across experiments.
     let epoch = cpa_obs::next_scope_epoch();
-    let outcomes: Vec<(Vec<f64>, u64)> = cpa_pool::map_with(
+    let outcomes: Vec<(Vec<f64>, u64)> = cpa_pool::map(
         opts.sets_per_point,
         opts.pool_options(),
         epoch,
         |_worker| (AnalysisScratch::new(), ContextBuffers::new()),
-        &mut chain.states,
         |(scratch, buffers), set| {
             let set_seed = derive_seed(opts.seed, point_id, set as u64);
             let mut rng = ChaCha8Rng::seed_from_u64(set_seed);
@@ -396,8 +380,8 @@ pub fn evaluate_population(
 
 /// Runs `evaluations` over the population of every point of
 /// `opts.utilization_grid` (`base` at that per-core utilization, point id
-/// = grid index) on one set of worker buffers, handing each point's
-/// per-evaluation stats to `visit` in grid order.
+/// = grid index), handing each point's per-evaluation stats to `visit`
+/// in grid order.
 ///
 /// # Panics
 ///
@@ -406,12 +390,11 @@ pub(crate) fn sweep_utilization(
     opts: &SweepOptions,
     base: &GeneratorConfig,
     evaluations: &[Evaluation],
-    chain: &mut ChainState,
     mut visit: impl FnMut(f64, &[PointStats]),
 ) {
     for (ui, &utilization) in opts.utilization_grid.iter().enumerate() {
         let gen = base.clone().with_per_core_utilization(utilization);
-        let stats = evaluate_population(&gen, evaluations, opts, ui as u64, chain);
+        let stats = evaluate_population(&gen, evaluations, opts, ui as u64);
         visit(utilization, &stats);
     }
 }
@@ -438,8 +421,7 @@ mod tests {
         assert_eq!(a, derive_seed(1, 2, 3));
     }
 
-    /// One evaluation of `configs` at the generator's own latency, on
-    /// fresh worker buffers.
+    /// One evaluation of `configs` at the generator's own latency.
     fn evaluate(
         gen: &GeneratorConfig,
         configs: &[AnalysisConfig],
@@ -447,14 +429,7 @@ mod tests {
         point_id: u64,
     ) -> PointStats {
         let evaluation = Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
-        evaluate_population(
-            gen,
-            &[evaluation],
-            opts,
-            point_id,
-            &mut ChainState::default(),
-        )
-        .remove(0)
+        evaluate_population(gen, &[evaluation], opts, point_id).remove(0)
     }
 
     #[test]
@@ -476,44 +451,6 @@ mod tests {
             // Outcomes fold in set-index order on every thread count, so
             // even the f64 sums are bit-identical, not merely close.
             assert_eq!(a.config(i).value().to_bits(), b.config(i).value().to_bits());
-        }
-    }
-
-    #[test]
-    fn chained_evaluation_matches_unchained_bitwise() {
-        let configs = [
-            AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
-            AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious),
-        ];
-        let grid = [0.3, 0.5, 0.7];
-        for threads in [1usize, 3] {
-            let opts = SweepOptions::quick()
-                .with_sets_per_point(5)
-                .with_threads(threads);
-            let mut chain = ChainState::default();
-            for (ui, &u) in grid.iter().enumerate() {
-                let gen = GeneratorConfig::paper_default().with_per_core_utilization(u);
-                let evaluation =
-                    Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
-                let chained =
-                    evaluate_population(&gen, &[evaluation], &opts, ui as u64, &mut chain)
-                        .remove(0);
-                let cold = evaluate(&gen, &configs, &opts, ui as u64);
-                for i in 0..configs.len() {
-                    assert_eq!(
-                        chained.config(i).schedulable_count(),
-                        cold.config(i).schedulable_count(),
-                        "threads {threads} point {ui} config {i}"
-                    );
-                    // Kept buffers carry no results, so even the f64 sums
-                    // are bit-identical, not merely close.
-                    assert_eq!(
-                        chained.config(i).value().to_bits(),
-                        cold.config(i).value().to_bits(),
-                        "threads {threads} point {ui} config {i}"
-                    );
-                }
-            }
         }
     }
 

@@ -19,9 +19,7 @@
 //!   x-values differ in the generator's `d_mem`.
 
 use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode, WeightedAccumulator};
-use cpa_experiments::runner::{
-    derive_seed, evaluate_population, ChainState, Evaluation, PointStats,
-};
+use cpa_experiments::runner::{derive_seed, evaluate_population, Evaluation, PointStats};
 use cpa_experiments::{ablation, fig2, fig3, CurvePoint, ExperimentResult, SweepOptions};
 use cpa_model::{TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -98,14 +96,7 @@ fn evaluate_own(
     approach: CrpdApproach,
 ) -> PointStats {
     let evaluation = Evaluation::new(gen.d_mem, approach, configs.to_vec());
-    evaluate_population(
-        gen,
-        &[evaluation],
-        opts,
-        point_id,
-        &mut ChainState::default(),
-    )
-    .remove(0)
+    evaluate_population(gen, &[evaluation], opts, point_id).remove(0)
 }
 
 /// Fig. 3 reference: per x-value, its own generator and configurations,

@@ -9,7 +9,7 @@
 //! scope-epoch allocator with `cpa_obs::reset()`.
 
 use cpa_analysis::{AnalysisConfig, BusPolicy, CrpdApproach, PersistenceMode};
-use cpa_experiments::runner::{evaluate_population, ChainState, Evaluation};
+use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_workload::GeneratorConfig;
 
@@ -26,8 +26,7 @@ fn traced_sweep(threads: usize) -> String {
         .with_seed(0xFEED)
         .with_threads(threads);
     let evaluation = Evaluation::new(gen.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
-    let point =
-        evaluate_population(&gen, &[evaluation], &opts, 1, &mut ChainState::default()).remove(0);
+    let point = evaluate_population(&gen, &[evaluation], &opts, 1).remove(0);
     cpa_obs::disable();
     assert_eq!(point.config(0).samples(), 8);
     cpa_obs::events_to_json_lines(&cpa_obs::take_events())

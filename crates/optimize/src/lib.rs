@@ -26,8 +26,6 @@
 //! * [`ResultCache`] — content-addressed response store keyed on the
 //!   canonical request fingerprint; warm runs replay the exact cold-run
 //!   bytes ([`cache`]).
-//! * [`AdmissionCheck`] — O(n) sound lower bounds that reject provably
-//!   unschedulable candidates before any engine call ([`prune`]).
 //!
 //! # Determinism contract
 //!
@@ -64,14 +62,12 @@
 
 pub mod cache;
 pub mod candidate;
-pub mod prune;
 pub mod score;
 pub mod search;
 pub mod service;
 
 pub use cache::ResultCache;
 pub use candidate::Candidate;
-pub use prune::{Admission, AdmissionCheck, AdmissionScratch};
 pub use score::{evaluate_result, Evaluation, Score};
 pub use search::{optimize, SearchKnobs, SearchOutcome, SearchStats};
 pub use service::{

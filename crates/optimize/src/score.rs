@@ -36,20 +36,6 @@ pub struct Score {
     pub total_slack: u64,
 }
 
-impl Score {
-    /// The score of a candidate no analysis ever produced: loses to
-    /// everything a real evaluation can return.
-    #[must_use]
-    pub const fn worst() -> Score {
-        Score {
-            schedulable: false,
-            converged: 0,
-            min_slack: 0,
-            total_slack: 0,
-        }
-    }
-}
-
 /// One evaluated candidate: its [`Score`] plus a per-priority-level
 /// convergence mask used by the Audsley seeding pass.
 #[derive(Debug, Clone, Copy)]
@@ -130,6 +116,5 @@ mod tests {
         };
         assert!(sched > unsched_fat, "schedulability dominates slack");
         assert!(sched_wider > sched, "min slack breaks schedulable ties");
-        assert!(unsched_fat > Score::worst());
     }
 }

@@ -23,27 +23,20 @@
 //!
 //! # Candidate evaluation
 //!
-//! Every candidate goes through [`Searcher::evaluate`] (see DESIGN.md
-//! §16):
+//! Every candidate goes through [`Searcher::evaluate`] and is scored by
+//! the full analysis (see DESIGN.md §16):
 //!
-//! 1. **Admission pruning** ([`crate::prune`]) — candidates a cheap O(n)
-//!    lower bound proves unschedulable are assigned the canonical worst
-//!    evaluation without ever being solved. Pruning is part of the search
-//!    semantics (it applies to exhaustive enumeration and local-search
-//!    walks, never to the default configuration or Audsley probes), so it
-//!    is active in *every* evaluation mode.
-//! 2. **Solve memo** — admitted candidates are looked up in a per-request
-//!    map from candidate to evaluation; a point the search meets again (a
+//! 1. **Solve memo** — candidates are looked up in a per-request map from
+//!    candidate to evaluation; a point the search meets again (a
 //!    revisited configuration, a repeated neighbour) replays its
 //!    evaluation instead of re-solving.
-//! 3. **Slot-patched assembly** — a miss builds the candidate's task set
+//! 2. **Slot-patched assembly** — a miss builds the candidate's task set
 //!    by patching the slots that differ from the previous solve
 //!    ([`EvalScratch`]) and runs one [`analyze_with`] call.
 //!
 //! The `full_eval` escape hatch disables the memo and slot-patched
-//! assembly (each candidate is rebuilt with [`Candidate::apply`]; pruning
-//! stays), which the `optimizer_determinism` tests compare against byte
-//! for byte.
+//! assembly (each candidate is rebuilt with [`Candidate::apply`]), which
+//! the `optimizer_determinism` tests compare against byte for byte.
 //!
 //! # Priority seeding
 //!
@@ -70,7 +63,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::candidate::Candidate;
-use crate::prune::{Admission, AdmissionCheck, AdmissionScratch};
 use crate::score::{evaluate_result, Evaluation, Score};
 
 /// Tuning knobs of one optimization run. Part of the request format (all
@@ -164,10 +156,6 @@ pub struct SearchStats {
     pub restarts: u32,
     /// Hill-climbing rounds actually run (0 for exhaustive).
     pub rounds: u32,
-    /// Candidates rejected by admission pruning without an engine call.
-    /// Counted inside `candidates`; identical across evaluation modes
-    /// and thread counts (a search runs on one thread).
-    pub pruned: u64,
 }
 
 /// Result of one optimization run.
@@ -287,20 +275,14 @@ struct Searcher<'a> {
     shifts: Vec<usize>,
     /// Candidates evaluated so far.
     evaluated: u64,
-    /// Candidates rejected by admission pruning.
-    pruned: u64,
-    /// Evaluations of the admitted candidates solved so far. Equal
+    /// Evaluations of the candidates solved so far. Equal
     /// candidates of one request rebuild identical task sets, so a hit
     /// is exact. Unused under `full_eval`.
     memo: HashMap<Candidate, Evaluation>,
     /// Buffers and build cache every solve of this search reuses.
     scratch: EvalScratch,
-    /// Admission bounds of the base set (candidate-independent columns).
-    admission: AdmissionCheck,
-    /// Reused per-core accumulator for the admission loop.
-    admit_scratch: AdmissionScratch,
-    /// Evaluate every admitted candidate independently: no memo, no
-    /// slot-patched assembly.
+    /// Evaluate every candidate independently: no memo, no slot-patched
+    /// assembly.
     full_eval: bool,
 }
 
@@ -323,36 +305,16 @@ impl<'a> Searcher<'a> {
             cores: platform.cores(),
             shifts: (0..colors).map(|c| c * step).collect(),
             evaluated: 0,
-            pruned: 0,
             memo: HashMap::new(),
             scratch: EvalScratch::new(),
-            admission: AdmissionCheck::new(base, platform.memory_latency()),
-            admit_scratch: AdmissionScratch::default(),
             full_eval,
         }
     }
 
-    /// Evaluates one candidate: admission (when `prune` is set — on for
-    /// exhaustive enumeration and local-search walks, off for the default
-    /// configuration and Audsley probes), then the memo, then a solve.
-    fn evaluate(&mut self, candidate: &Candidate, prune: bool) -> Evaluation {
+    /// Evaluates one candidate: the memo, then a solve.
+    fn evaluate(&mut self, candidate: &Candidate) -> Evaluation {
         self.evaluated += 1;
         cpa_obs::counter("optimize.candidates").incr();
-        if prune {
-            let verdict =
-                self.admission
-                    .admit_with(&candidate.cores, self.cores, &mut self.admit_scratch);
-            if verdict != Admission::Admitted {
-                self.pruned += 1;
-                cpa_obs::counter("optimize.pruned_candidates").incr();
-                cpa_obs::counter(match verdict {
-                    Admission::DemandExceedsDeadline => "optimize.pruned_demand",
-                    _ => "optimize.pruned_utilization",
-                })
-                .incr();
-                return PRUNED_EVAL;
-            }
-        }
         if self.full_eval {
             return self.solve(candidate);
         }
@@ -515,10 +477,7 @@ impl<'a> Searcher<'a> {
                     };
                 }
                 cpa_obs::counter("optimize.audsley_probes").incr();
-                // Probes are never pruned: they share the default
-                // partition, and the seeding pass must stay a pure
-                // function of real evaluations.
-                let eval = self.evaluate(&probe, false);
+                let eval = self.evaluate(&probe);
                 (eval.converged_mask >> level) & 1 == 1
             });
             let pick = pick.unwrap_or_else(|| {
@@ -535,13 +494,6 @@ impl<'a> Searcher<'a> {
         }
     }
 }
-
-/// The canonical evaluation of a pruned candidate: the worst score any
-/// real evaluation loses to, no converged tasks.
-const PRUNED_EVAL: Evaluation = Evaluation {
-    score: Score::worst(),
-    converged_mask: 0,
-};
 
 fn factorial(n: u32) -> Option<u64> {
     (1..=u64::from(n)).try_fold(1u64, u64::checked_mul)
@@ -570,9 +522,8 @@ fn ranks_from_lehmer(mut code: u64, n: usize) -> Vec<u32> {
 /// below the default configuration, which is always evaluated first and
 /// kept as fallback.
 ///
-/// `full_eval` evaluates every admitted candidate independently (no memo,
-/// no slot-patched assembly; admission pruning stays because it defines
-/// the search semantics). It walks the same deterministic trajectory, so
+/// `full_eval` evaluates every candidate independently (no memo, no
+/// slot-patched assembly). It walks the same deterministic trajectory, so
 /// the outcome is identical either way.
 #[must_use]
 pub fn optimize(
@@ -586,7 +537,7 @@ pub fn optimize(
     let _span = cpa_obs::span!("optimize.search");
     let mut s = Searcher::new(base, platform, config, knobs, full_eval);
     let default = Candidate::identity(base);
-    let default_eval = s.evaluate(&default, false);
+    let default_eval = s.evaluate(&default);
     let mut best = default.clone();
     let mut best_eval = default_eval;
     let mut stats = SearchStats {
@@ -596,7 +547,6 @@ pub fn optimize(
         moves_rejected: 0,
         restarts: 0,
         rounds: 0,
-        pruned: 0,
     };
 
     let space = s.space_size();
@@ -607,7 +557,7 @@ pub fn optimize(
         // to the default, then to the lowest index.
         for index in 0..size {
             let candidate = s.decode(index);
-            let eval = s.evaluate(&candidate, true);
+            let eval = s.evaluate(&candidate);
             if eval.score > best_eval.score {
                 best = candidate;
                 best_eval = eval;
@@ -634,7 +584,7 @@ pub fn optimize(
                 }
                 c
             };
-            let mut current_eval = s.evaluate(&current, true);
+            let mut current_eval = s.evaluate(&current);
             if current_eval.score > best_eval.score {
                 best = current.clone();
                 best_eval = current_eval;
@@ -647,7 +597,7 @@ pub fn optimize(
                 for _ in 0..knobs.neighbors {
                     let mut neighbor = current.clone();
                     s.mutate(&mut neighbor, &mut rng);
-                    let eval = s.evaluate(&neighbor, true);
+                    let eval = s.evaluate(&neighbor);
                     if round_best
                         .as_ref()
                         .is_none_or(|(_, best)| eval.score > best.score)
@@ -686,7 +636,6 @@ pub fn optimize(
     }
 
     stats.candidates = s.evaluated;
-    stats.pruned = s.pruned;
     cpa_obs::counter("optimize.moves_accepted").add(stats.moves_accepted);
     cpa_obs::counter("optimize.moves_rejected").add(stats.moves_rejected);
     SearchOutcome {
@@ -778,7 +727,7 @@ mod tests {
                     c
                 })
                 .collect();
-            let evals: Vec<Evaluation> = probes.iter().map(|p| s.evaluate(p, false)).collect();
+            let evals: Vec<Evaluation> = probes.iter().map(|p| s.evaluate(p)).collect();
             let pick = evals
                 .iter()
                 .position(|e| (e.converged_mask >> level) & 1 == 1);

@@ -120,11 +120,10 @@ pub struct ServiceOptions {
     pub threads: usize,
     /// Pool chunk size in requests (0 = auto).
     pub chunk: usize,
-    /// Evaluate every admitted candidate independently: disables each
-    /// search's solve memo and slot-patched candidate assembly
-    /// (admission pruning stays — it is search semantics,
-    /// not an accelerator). Slower, byte-identical output; the acceptance
-    /// baseline the delta-scoped fast path is compared against.
+    /// Evaluate every candidate independently: disables each search's
+    /// solve memo and slot-patched candidate assembly. Slower,
+    /// byte-identical output; the acceptance baseline the delta-scoped
+    /// fast path is compared against.
     pub full_eval: bool,
 }
 

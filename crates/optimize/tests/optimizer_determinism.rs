@@ -9,8 +9,8 @@
 //!   default configuration, flipping it to schedulable;
 //! * the delta-scoped fast path (solve memo + slot-patched assembly)
 //!   and the independent full-evaluation path produce
-//!   byte-identical responses, and admission pruning decides identically
-//!   in both;
+//!   byte-identical responses, also for a request no configuration can
+//!   make schedulable;
 //! * over a utilization panel straddling the schedulability cliff, no
 //!   optimized configuration loses the default's schedulability and at
 //!   least one is strictly improved;
@@ -23,6 +23,7 @@ use cpa_optimize::{
     gen_batch, optimize, process_batch, GenOptions, OptimizeRequest, ResultCache, SearchKnobs,
     ServiceOptions,
 };
+use serde::Deserialize;
 
 fn toy_batch() -> String {
     let opts = GenOptions {
@@ -275,7 +276,7 @@ fn the_first_invalid_request_fails_the_batch_before_any_search() {
 
 /// The bench's utilization panel: per-core utilizations straddling the
 /// schedulability cliff, so it holds easy, marginal and hopeless
-/// defaults. At 0.8 and above, admission pruning carries the search.
+/// defaults.
 const PANEL_UTILS: [f64; 6] = [0.4, 0.5, 0.6, 0.8, 0.9, 0.95];
 
 #[test]
@@ -446,40 +447,95 @@ fn full_evaluation_and_delta_scoped_paths_agree_byte_for_byte() {
 }
 
 #[test]
-fn admission_pruning_fires_identically_in_both_modes() {
-    // Overloaded per-core utilization: any Reassign move that doubles up
-    // a core trips the residual-utilization bound, so the walk genuinely
-    // prunes.
-    let opts = GenOptions {
-        sets: 2,
+fn a_request_with_an_infeasible_task_is_searched_identically_in_both_modes() {
+    // One task's own demand `PD + MD · d_mem` exceeds its deadline, so no
+    // configuration is schedulable. The search still scores every
+    // candidate with the full analysis, whose partial slack ranks them.
+    let mut batch = requests(&GenOptions {
+        sets: 3,
         seed: 9,
         cores: 2,
         tasks_per_core: 3,
         cache_sets: 32,
-        util: 0.95,
+        util: 0.5,
         toy: true,
         ..GenOptions::default()
-    };
-    let batch = gen_batch(&opts).expect("batch generates");
-    let run = |full_eval: bool| {
-        let mut cache = ResultCache::in_memory();
+    });
+    for request in [0, 2] {
+        let d_mem = batch[request].d_mem;
+        let t = &batch[request].tasks[1];
+        let own = t.processing_demand().cycles() + t.memory_demand() * d_mem;
+        let infeasible = Task::builder(t.name())
+            .processing_demand(t.processing_demand())
+            .memory_demand(t.memory_demand())
+            .residual_memory_demand(t.residual_memory_demand())
+            .period(t.period())
+            .deadline(Time::from_cycles(own - 1))
+            .core(t.core())
+            .priority(t.priority())
+            .ecb(t.ecb().clone())
+            .ucb(t.ucb().clone())
+            .pcb(t.pcb().clone())
+            .build()
+            .expect("a deadline below the own demand is still a valid task");
+        batch[request].tasks[1] = infeasible;
+    }
+    let batch = serde_json::to_string(&batch).unwrap();
+    let run = |full_eval: bool, threads: usize| {
         let service = ServiceOptions {
+            threads,
             full_eval,
             ..ServiceOptions::default()
         };
-        process_batch(&batch, &service, &mut cache).expect("batch processes")
+        process_batch(&batch, &service, &mut ResultCache::in_memory()).expect("batch processes")
     };
-    let (fast, _) = run(false);
-    let (full, _) = run(true);
-    // `stats.pruned` is part of the response document, so byte equality
-    // pins the pruning decisions across modes.
-    assert_eq!(fast, full);
-    assert!(fast.contains("\"pruned\":"), "stats must report pruning");
-    let some_pruned = fast
-        .split("\"pruned\":")
-        .skip(1)
-        .any(|rest| !rest.starts_with('0'));
-    assert!(some_pruned, "fixture must actually prune candidates");
+    let (fast, _) = run(false, 1);
+    assert_eq!(
+        fast,
+        run(false, 4).0,
+        "1-thread and 4-thread bytes must match"
+    );
+    assert_eq!(
+        fast,
+        run(true, 1).0,
+        "full evaluation must match byte for byte"
+    );
+    /// `Score` as serialized, fields in the order of its derived `Ord`.
+    #[derive(Debug, Deserialize, PartialEq, Eq, PartialOrd, Ord)]
+    struct Score {
+        schedulable: bool,
+        converged: u32,
+        min_slack: u64,
+        total_slack: u64,
+    }
+    #[derive(Deserialize)]
+    struct Response {
+        default_score: Score,
+        optimized_score: Score,
+        stats: Stats,
+    }
+    #[derive(Deserialize)]
+    struct Stats {
+        candidates: u64,
+    }
+    let responses: Vec<Response> = serde_json::from_str(&fast).expect("responses parse");
+    for (k, response) in responses.iter().enumerate() {
+        let (default, optimized) = (&response.default_score, &response.optimized_score);
+        assert!(
+            optimized >= default,
+            "response {k}: {optimized:?} < {default:?}"
+        );
+        if k != 1 {
+            assert!(
+                !optimized.schedulable,
+                "response {k}: an infeasible task is never schedulable"
+            );
+            assert!(
+                response.stats.candidates > 1,
+                "response {k}: the search must run"
+            );
+        }
+    }
 }
 
 #[test]

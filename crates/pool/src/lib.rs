@@ -202,49 +202,23 @@ pub fn scope_key(epoch: u64, item: u64) -> u64 {
 ///   whatever `init` captured; it must not depend on which worker runs
 ///   it or on claim order.
 ///
-/// Worker states are constructed fresh per call; see [`map_with`] for
-/// the variant that chains caller-owned states across calls.
-///
-/// Counters: `pool.chunks_claimed` counts every chunk claim;
-/// `pool.chunks_stolen` counts claims beyond a worker's fair share
-/// (`ceil(chunks / threads)`) — work it would never have seen under
-/// static partitioning. `cpa-trace` reports the stolen/claimed ratio.
-pub fn map<S, R, I, W>(items: usize, opts: PoolOptions, epoch: u64, init: I, work: W) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    W: Fn(&mut S, usize) -> R + Sync,
-{
-    let mut states: Vec<S> = Vec::new();
-    map_with(items, opts, epoch, init, &mut states, work)
-}
-
-/// [`map`] over caller-owned worker states: worker `i` always borrows
-/// `states[i]`, so a driver that re-invokes with the same vector chains
-/// per-worker state *across* parallel regions — analysis scratches and
-/// their buffers survive from one batch (or one sweep point) to the next
-/// instead of being rebuilt per call. Missing states are constructed
-/// with `init` on the calling thread before any worker starts; extra
-/// states (from an earlier call with more threads) are left untouched.
+/// Worker states are constructed fresh per call, on the calling thread
+/// before any worker starts.
 ///
 /// Single-worker runs, and runs of at most one chunk, execute inline on
 /// the calling thread — no spawn, no join — with the caller's obs
 /// ordering state saved and restored around the region and its open
 /// spans detached, so per-item scoping stays canonical, worker spans
 /// record at the profile root as on a spawned worker, and the caller's
-/// own event ordering is unperturbed. Multi-worker runs use
-/// scoped threads exactly like before; outputs are byte-identical
-/// either way (the determinism argument in the crate docs does not
-/// depend on where an item runs).
-pub fn map_with<S, R, I, W>(
-    items: usize,
-    opts: PoolOptions,
-    epoch: u64,
-    init: I,
-    states: &mut Vec<S>,
-    work: W,
-) -> Vec<R>
+/// own event ordering is unperturbed. Multi-worker runs use scoped
+/// threads; outputs are byte-identical either way (the determinism
+/// argument in the crate docs does not depend on where an item runs).
+///
+/// Counters: `pool.chunks_claimed` counts every chunk claim;
+/// `pool.chunks_stolen` counts claims beyond a worker's fair share
+/// (`ceil(chunks / threads)`) — work it would never have seen under
+/// static partitioning. `cpa-trace` reports the stolen/claimed ratio.
+pub fn map<S, R, I, W>(items: usize, opts: PoolOptions, epoch: u64, init: I, work: W) -> Vec<R>
 where
     S: Send,
     R: Send,
@@ -259,9 +233,7 @@ where
     // deterministic exports), the item count depends only on the workload:
     // it is the pool's work-unit counter for per-stage attribution.
     cpa_obs::counter("pool.items").add(items as u64);
-    while states.len() < threads {
-        states.push(init(states.len()));
-    }
+    let mut states: Vec<S> = (0..threads).map(&init).collect();
 
     // A single chunk can only ever go to one worker: run it inline rather
     // than spawning workers that would find nothing to claim.
@@ -429,54 +401,6 @@ mod tests {
             },
         );
         assert_eq!(out, (1..=64).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn map_with_chains_state_across_calls() {
-        let opts = PoolOptions::new().with_threads(1).with_chunk(2);
-        let mut states: Vec<u64> = Vec::new();
-        let a = map_with(
-            4,
-            opts,
-            0,
-            |_| 0u64,
-            &mut states,
-            |acc, i| {
-                *acc += 1;
-                i
-            },
-        );
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        assert_eq!(states, vec![4], "state survives the call");
-        let _ = map_with(3, opts, 1, |_| 0u64, &mut states, |acc, _| *acc += 1);
-        assert_eq!(states, vec![7], "second call chained onto the first");
-    }
-
-    #[test]
-    fn map_with_tops_up_missing_states_and_keeps_extras() {
-        let mut states: Vec<usize> = vec![100];
-        let _ = map_with(
-            8,
-            PoolOptions::new().with_threads(3).with_chunk(1),
-            0,
-            |worker| worker * 10,
-            &mut states,
-            |_, i| i,
-        );
-        // Worker 0 kept its pre-existing state; 1 and 2 were initialized.
-        assert_eq!(states.len(), 3);
-        assert_eq!(states[0], 100);
-        assert_eq!(&states[1..], &[10, 20]);
-        // A later single-threaded call must not drop the extra states.
-        let _ = map_with(
-            2,
-            PoolOptions::new().with_threads(1),
-            1,
-            |_| 0,
-            &mut states,
-            |_, i| i,
-        );
-        assert_eq!(states.len(), 3);
     }
 
     #[test]

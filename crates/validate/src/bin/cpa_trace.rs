@@ -67,7 +67,7 @@ use cpa_analysis::{
     PersistenceMode,
 };
 use cpa_experiments::cli::Args;
-use cpa_experiments::runner::{evaluate_population, ChainState, Evaluation};
+use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
@@ -820,14 +820,7 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
 
     let counters_before = PoolStats::snapshot();
     let evaluation = Evaluation::new(gen_config.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
-    let point = evaluate_population(
-        &gen_config,
-        &[evaluation],
-        &sweep,
-        0,
-        &mut ChainState::default(),
-    )
-    .remove(0);
+    let point = evaluate_population(&gen_config, &[evaluation], &sweep, 0).remove(0);
     let pool = PoolStats::from_delta(counters_before, threads);
 
     let run = finish_run(opts)?;

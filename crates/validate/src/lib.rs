@@ -14,6 +14,7 @@
 //! | *dominance* | persistence-aware bounds never exceed persistence-oblivious ones (Lemmas 1–2 refine, never relax) |
 //! | *determinism* | same seed ⇒ bit-identical task set, analysis result, and [`cpa_sim::SimReport`] |
 //! | *accounting* | simulator bookkeeping invariants (completions ≤ releases, bus-transaction totals consistent, …) |
+//! | *equivalence* | the analysis engine's response times and verdict equal [`cpa_analysis::spec::analyze`]'s on every matrix entry; where the spec overflows `u64`, the engine reports unschedulable |
 //!
 //! # Example
 //!

@@ -14,7 +14,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use cpa_analysis::{
-    analyze, analyze_with, AnalysisConfig, AnalysisContext, AnalysisResult, AnalysisScratch,
+    analyze, analyze_with, spec, AnalysisConfig, AnalysisContext, AnalysisResult, AnalysisScratch,
     BusPolicy, ContextBuffers, CrpdApproach, PersistenceMode,
 };
 use cpa_model::{CacheGeometry, ModelError, Platform, TaskSet, Time};
@@ -38,6 +38,9 @@ pub enum OracleKind {
     Determinism,
     /// Simulator bookkeeping invariants.
     Accounting,
+    /// The analysis engine agrees with the literal spec
+    /// ([`cpa_analysis::spec::analyze`]).
+    Equivalence,
 }
 
 impl OracleKind {
@@ -49,6 +52,7 @@ impl OracleKind {
             OracleKind::Dominance => "dominance",
             OracleKind::Determinism => "determinism",
             OracleKind::Accounting => "accounting",
+            OracleKind::Equivalence => "equivalence",
         }
     }
 }
@@ -317,22 +321,20 @@ pub fn check_task_set_with(
     let buses = BusPolicy::paper_buses(opts.slots);
     let mut out = SetOutcome::default();
 
-    // Analysis matrix + dominance oracle (pure computation, cheap).
+    // Analysis matrix + dominance and equivalence oracles (pure
+    // computation, cheap).
     let analysis_span = cpa_obs::span!("oracle.analysis");
     let mut entries = Vec::with_capacity(opts.approaches.len() * buses.len());
     for &approach in &opts.approaches {
         let ctx = AnalysisContext::with_crpd_approach_buffers(platform, tasks, approach, buffers)?;
         for &bus in &buses {
-            let aware = analyze_with(
-                &ctx,
-                &AnalysisConfig::new(bus, PersistenceMode::Aware),
-                scratch,
-            );
-            let oblivious = analyze_with(
-                &ctx,
-                &AnalysisConfig::new(bus, PersistenceMode::Oblivious),
-                scratch,
-            );
+            let [aware, oblivious] =
+                [PersistenceMode::Aware, PersistenceMode::Oblivious].map(|mode| {
+                    let config = AnalysisConfig::new(bus, mode);
+                    let result = analyze_with(&ctx, &config, scratch);
+                    check_equivalence(&ctx, &config, approach, &result, &mut out);
+                    result
+                });
             check_dominance(
                 tasks,
                 approach,
@@ -353,31 +355,6 @@ pub fn check_task_set_with(
             });
         }
         ctx.recycle(buffers);
-    }
-
-    // Pruning soundness: whatever the optimizer's O(n) admission bounds
-    // would prune, the full analysis must agree is unschedulable, in
-    // every configuration of the matrix. The bounds are mode- and
-    // bus-independent lower bounds, so one admission verdict covers all
-    // columns.
-    let admission = cpa_optimize::AdmissionCheck::new(tasks, platform.memory_latency());
-    let identity_cores: Vec<usize> = tasks.iter().map(|t| t.core().index()).collect();
-    if admission.admit(&identity_cores, platform.cores()) != cpa_optimize::Admission::Admitted {
-        for entry in &entries {
-            for (mode, result) in [
-                (PersistenceMode::Aware, &entry.aware),
-                (PersistenceMode::Oblivious, &entry.oblivious),
-            ] {
-                out.record(OracleKind::Soundness, !result.is_schedulable(), || {
-                    format!(
-                        "{} {} {}: admission-pruned set reported schedulable by the analysis",
-                        entry.bus.label(),
-                        entry.approach.label(),
-                        mode.label()
-                    )
-                });
-            }
-        }
     }
 
     drop(analysis_span);
@@ -441,6 +418,55 @@ pub fn check_task_set_with(
         check_determinism(platform, tasks, opts, &entries, horizon, &mut out)?;
     }
     Ok(out)
+}
+
+/// The engine's result against the literal spec on the same context: the
+/// same response times and verdict. An engine verdict of "schedulable"
+/// where the spec overflows `u64` is a violation too — saturated
+/// arithmetic must end unschedulable.
+fn check_equivalence(
+    ctx: &AnalysisContext<'_>,
+    config: &AnalysisConfig,
+    approach: CrpdApproach,
+    engine: &AnalysisResult,
+    out: &mut SetOutcome,
+) {
+    let tag = || {
+        format!(
+            "{} {} {}",
+            config.bus.label(),
+            approach.label(),
+            config.persistence.label()
+        )
+    };
+    match spec::analyze(ctx, config) {
+        Ok(reference) => {
+            out.record(
+                OracleKind::Equivalence,
+                engine.response_times() == reference.response_times()
+                    && engine.is_schedulable() == reference.is_schedulable(),
+                || {
+                    format!(
+                        "{}: engine response times {:?} (schedulable {}) differ from the spec's \
+                         {:?} (schedulable {})",
+                        tag(),
+                        engine.response_times(),
+                        engine.is_schedulable(),
+                        reference.response_times(),
+                        reference.is_schedulable()
+                    )
+                },
+            );
+        }
+        Err(overflow) => {
+            out.record(OracleKind::Equivalence, !engine.is_schedulable(), || {
+                format!(
+                    "{}: engine reports schedulable where the spec hit {overflow}",
+                    tag()
+                )
+            });
+        }
+    }
 }
 
 fn check_dominance(

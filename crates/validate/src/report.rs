@@ -26,7 +26,7 @@ impl OracleStat {
     }
 }
 
-/// Counters for all four oracles.
+/// Counters for all five oracles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OracleStats {
     /// Observed behaviour within analytical bounds.
@@ -37,6 +37,8 @@ pub struct OracleStats {
     pub determinism: OracleStat,
     /// Simulator bookkeeping invariants.
     pub accounting: OracleStat,
+    /// The analysis engine agrees with the literal spec.
+    pub equivalence: OracleStat,
 }
 
 impl OracleStats {
@@ -47,6 +49,7 @@ impl OracleStats {
             OracleKind::Dominance => &mut self.dominance,
             OracleKind::Determinism => &mut self.determinism,
             OracleKind::Accounting => &mut self.accounting,
+            OracleKind::Equivalence => &mut self.equivalence,
         }
     }
 
@@ -56,6 +59,7 @@ impl OracleStats {
         self.dominance.merge(&other.dominance);
         self.determinism.merge(&other.determinism);
         self.accounting.merge(&other.accounting);
+        self.equivalence.merge(&other.equivalence);
     }
 
     /// Total comparisons across all oracles.
@@ -65,6 +69,7 @@ impl OracleStats {
             + self.dominance.checks
             + self.determinism.checks
             + self.accounting.checks
+            + self.equivalence.checks
     }
 
     /// Total failed comparisons across all oracles.
@@ -74,6 +79,7 @@ impl OracleStats {
             + self.dominance.violations
             + self.determinism.violations
             + self.accounting.violations
+            + self.equivalence.violations
     }
 }
 
@@ -165,8 +171,8 @@ impl ValidationReport {
     pub fn summary(&self) -> String {
         let o = &self.stats.oracles;
         format!(
-            "{}: {} sets, {} checks ({} soundness, {} dominance, {} determinism, {} accounting), \
-             {} violations in {:.1}s ({:.1} sets/s)",
+            "{}: {} sets, {} checks ({} soundness, {} dominance, {} determinism, {} accounting, \
+             {} equivalence), {} violations in {:.1}s ({:.1} sets/s)",
             if self.passed() { "PASS" } else { "FAIL" },
             self.stats.checked_sets,
             o.total_checks(),
@@ -174,6 +180,7 @@ impl ValidationReport {
             o.dominance.checks,
             o.determinism.checks,
             o.accounting.checks,
+            o.equivalence.checks,
             o.total_violations(),
             self.wall_clock_secs,
             self.sets_per_second,
