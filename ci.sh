@@ -8,18 +8,6 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -p cpa-analysis --all-targets -- -D warnings (engine gate)"
-cargo clippy -p cpa-analysis --all-targets -- -D warnings
-
-echo "==> cargo clippy -p cpa-sim --all-targets -- -D warnings (sim fast-path gate)"
-cargo clippy -p cpa-sim --all-targets -- -D warnings
-
-echo "==> cargo clippy -p cpa-pool --all-targets -- -D warnings (worker pool gate)"
-cargo clippy -p cpa-pool --all-targets -- -D warnings
-
-echo "==> cargo clippy -p cpa-optimize --all-targets -- -D warnings (optimizer gate)"
-cargo clippy -p cpa-optimize --all-targets -- -D warnings
-
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
@@ -105,11 +93,18 @@ for workload in reproduce_paper optimize_mixed; do
   }'
 done
 
-echo "==> obs overhead guard (<2% on analysis_micro, emits BENCH_obs.json)"
+echo "==> obs overhead guard (disabled subscriber <2% of analysis_micro)"
 cargo run --release -p cpa-experiments --bin obs_overhead
 
-echo "==> sim engine bench (>=5x on campaign mix, emits BENCH_sim.json)"
-cargo bench -p cpa-bench --bench sim_engine
+echo "==> obs overhead guard can fail (--budget 0 must exit 1)"
+set +e
+cargo run --release -p cpa-experiments --bin obs_overhead -- --budget 0 > /dev/null 2>&1
+zero_budget_rc=$?
+set -e
+[ "$zero_budget_rc" -eq 1 ] || { echo "obs_overhead --budget 0 should exit 1, got $zero_budget_rc"; exit 1; }
+
+echo "==> sim speedup guard (fast == reference reports, >=5x on the campaign mix)"
+cargo run --release -p cpa-validate --bin sim_speedup
 
 echo "==> telemetry export smoke (chrome + openmetrics, 1-vs-4 threads byte-compared)"
 rm -rf ci-telemetry && mkdir ci-telemetry
@@ -126,28 +121,6 @@ cargo run --release -p cpa-validate --bin cpa-trace -- sweep --seed 7 --sets 8 \
 diff ci-telemetry/om-t1.txt ci-telemetry/om-t4.txt
 grep -q '^# EOF$' ci-telemetry/om-t1.txt
 grep -q '^engine_tasks_solved_total ' ci-telemetry/om-t1.txt
-
-echo "==> bench trajectory gate (real suite vs checked-in baseline, exit 0 expected)"
-cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
-  --baseline results/bench_baseline.jsonl \
-  --current BENCH_obs.json --current BENCH_sim.json
-
-echo "==> bench trajectory gate negative test (injected regression must exit 1)"
-cat > ci-telemetry/regressed.jsonl << 'JSON'
-{"schema":1,"bench":"sim_engine","workload":"campaign_mix","git_rev":"injected","date":"2026-01-01","config":{},"metrics":{},"throughput":{"campaign_mix_speedup":1.0},"gates":[]}
-JSON
-set +e
-cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
-  --baseline ci-telemetry/regressed.jsonl --current BENCH_sim.json > /dev/null
-improved_rc=$?
-cargo run --release -p cpa-validate --bin cpa-trace -- bench diff \
-  --baseline results/bench_baseline.jsonl --current ci-telemetry/regressed.jsonl \
-  > ci-telemetry/regressed-diff.txt
-regressed_rc=$?
-set -e
-[ "$improved_rc" -eq 0 ] || { echo "improvement should pass, got exit $improved_rc"; exit 1; }
-[ "$regressed_rc" -eq 1 ] || { echo "injected regression should exit 1, got $regressed_rc"; exit 1; }
-grep -q 'REGRESSED' ci-telemetry/regressed-diff.txt
 rm -rf ci-telemetry
 
 echo "==> ci.sh: all green"

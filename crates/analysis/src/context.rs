@@ -238,6 +238,7 @@ impl<'a> AnalysisContext<'a> {
         tasks: &'a TaskSet,
         approach: CrpdApproach,
     ) -> Result<Self, ModelError> {
+        let _span = cpa_obs::span!("analysis.context");
         tasks.validate_against(platform)?;
         let n = tasks.len();
         let mut gamma = vec![0u64; n * n];
@@ -268,6 +269,7 @@ impl<'a> AnalysisContext<'a> {
         approach: CrpdApproach,
         buffers: &mut ContextBuffers,
     ) -> Result<Self, ModelError> {
+        let _span = cpa_obs::span!("analysis.context");
         tasks.validate_against(platform)?;
         let n = tasks.len();
         let mut gamma = std::mem::take(&mut buffers.gamma);

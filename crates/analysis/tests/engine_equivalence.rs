@@ -69,13 +69,18 @@ fn assert_equivalent(
 }
 
 fn campaign(cores: usize, tasks_per_core: usize, utils: &[f64], seeds: std::ops::Range<u64>) {
+    let shape = GeneratorConfig {
+        cores,
+        tasks_per_core,
+        ..GeneratorConfig::paper_default()
+    };
+    campaign_on(&shape, utils, seeds);
+}
+
+fn campaign_on(shape: &GeneratorConfig, utils: &[f64], seeds: std::ops::Range<u64>) {
+    let (cores, sets) = (shape.cores, shape.cache_sets);
     for &util in utils {
-        let gen_cfg = GeneratorConfig {
-            cores,
-            tasks_per_core,
-            ..GeneratorConfig::paper_default()
-        }
-        .with_per_core_utilization(util);
+        let gen_cfg = shape.clone().with_per_core_utilization(util);
         let generator = TaskSetGenerator::new(gen_cfg.clone()).expect("generator");
         let platform = platform_for(&gen_cfg);
         let mut scratch = AnalysisScratch::new();
@@ -87,7 +92,9 @@ fn campaign(cores: usize, tasks_per_core: usize, utils: &[f64], seeds: std::ops:
             for bus in policies() {
                 for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
                     let config = AnalysisConfig::new(bus, mode);
-                    let tag = format!("cores={cores} util={util} seed={seed} {bus:?} {mode:?}");
+                    let tag = format!(
+                        "cores={cores} cache_sets={sets} util={util} seed={seed} {bus:?} {mode:?}"
+                    );
                     assert_equivalent(&ctx, &config, &mut scratch, &tag);
                 }
             }
@@ -110,4 +117,23 @@ fn engine_matches_reference_on_overloaded_sets() {
 #[test]
 fn engine_matches_reference_on_four_cores() {
     campaign(4, 3, &[0.3, 0.5], 0..4);
+}
+
+/// The Fig. 3a shapes: 8 tasks per core on up to 10 cores, so the
+/// engine's `(core, split)` BAO slots are pinned with many remote cores.
+#[test]
+fn engine_matches_reference_at_fig3a_core_counts() {
+    for cores in [8, 10] {
+        campaign(cores, 8, &[0.1, 0.3, 0.6], 0..2);
+    }
+}
+
+/// The Fig. 3c extremes: the paper-default 4 x 8 shape with 32 and
+/// 1 024 cache sets (heavy and light cache contention).
+#[test]
+fn engine_matches_reference_at_fig3c_cache_sizes() {
+    for sets in [32, 1_024] {
+        let shape = GeneratorConfig::paper_default().with_cache_sets(sets);
+        campaign_on(&shape, &[0.1, 0.3, 0.6], 0..2);
+    }
 }

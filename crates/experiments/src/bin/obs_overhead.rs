@@ -2,7 +2,7 @@
 //! overhead budget on the WCRT hot path.
 //!
 //! ```text
-//! obs_overhead [--out FILE] [--budget FRACTION]
+//! obs_overhead [--budget FRACTION]
 //! ```
 //!
 //! Every `event!`/`span!`/`histogram!` call site costs one relaxed atomic
@@ -17,32 +17,29 @@
 //!    the subscriber once and counting emitted events and span calls;
 //! 4. assert `gate_cost x gates / analyze_time < budget` (default 2%).
 //!
-//! The measured numbers are written as JSON (default `BENCH_obs.json`) so
-//! CI archives the evidence; the process exits non-zero past the budget.
+//! The measured numbers are printed as one JSON line on stdout; the process
+//! exits 1 past the budget and 2 on a usage error. It writes no file.
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use cpa_analysis::{analyze, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa_experiments::cli::Args;
 use cpa_experiments::runner::platform_for;
-use cpa_telemetry::BenchRecord;
+use cpa_telemetry::JsonValue;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-const USAGE: &str = "usage: obs_overhead [--out FILE] [--budget FRACTION]";
+const USAGE: &str = "usage: obs_overhead [--budget FRACTION]";
 
 fn main() -> ExitCode {
-    let mut out = PathBuf::from("BENCH_obs.json");
     let mut budget = 0.02f64;
     let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next_arg() {
         let parsed: Result<(), String> = (|| {
             match arg.as_str() {
-                "--out" => out = args.value_for("--out").map_err(|e| e.to_string())?,
                 "--budget" => budget = args.value_for("--budget").map_err(|e| e.to_string())?,
                 "--help" | "-h" => return Err(args.help().to_string()),
                 other => return Err(args.unknown_flag(other).to_string()),
@@ -92,31 +89,27 @@ fn main() -> ExitCode {
     let fraction = overhead_ns / analyze_ns;
     let pass = fraction < budget;
 
-    let mut record = BenchRecord::new("obs_overhead", "analysis_micro/wcrt_full_fp_aware");
-    record.push_config("budget_fraction", budget);
-    record.push_metric("analyze_ns", analyze_ns);
-    record.push_metric("gate_ns", gate_ns);
-    record.push_metric("gates_per_analyze", gates);
-    record.push_metric("overhead_ns", overhead_ns);
-    record.push_metric("overhead_fraction", fraction);
-    record.push_throughput("analyzes_per_sec", 1e9 / analyze_ns);
-    // The gate bounds overhead from above, so "value below gate" passes.
-    record.push_gate("overhead_fraction", fraction, budget, pass);
-    if let Err(e) = record.write_json_file(&out.to_string_lossy()) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::from(2);
-    }
-    if let Err(e) = record.append_history("results/bench_history.jsonl") {
-        eprintln!("cannot append results/bench_history.jsonl: {e}");
-        return ExitCode::from(2);
-    }
+    let verdict = JsonValue::Object(vec![
+        ("guard".into(), "obs_overhead".into()),
+        (
+            "workload".into(),
+            "analysis_micro/wcrt_full_fp_aware".into(),
+        ),
+        ("analyze_ns".into(), analyze_ns.into()),
+        ("gate_ns".into(), gate_ns.into()),
+        ("gates_per_analyze".into(), gates.into()),
+        ("overhead_ns".into(), overhead_ns.into()),
+        ("overhead_fraction".into(), fraction.into()),
+        ("budget".into(), budget.into()),
+        ("pass".into(), pass.into()),
+    ]);
+    println!("{}", verdict.to_json());
     eprintln!(
         "obs overhead: analyze {analyze_ns:.0} ns, {gates} gates x {gate_ns:.2} ns = \
          {overhead_ns:.0} ns ({:.3}% of budget {:.1}%)",
         fraction * 100.0,
         budget * 100.0
     );
-    eprintln!("wrote {}", out.display());
     if pass {
         ExitCode::SUCCESS
     } else {

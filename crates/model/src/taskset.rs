@@ -71,19 +71,38 @@ impl TryFrom<Vec<Task>> for TaskSet {
     }
 }
 
+/// The most tasks one task set may hold.
+///
+/// The paper's largest set has 80 tasks. The analysis keeps two `n × n`
+/// tables per task set (the CRPD `γ` and CPRO overlap tables), so an
+/// unbounded `n` would let one input exhaust memory; at this ceiling the
+/// tables take 256 MiB together. [`TaskSet::new`] (and so every JSON
+/// input) and the workload generator reject anything larger with
+/// [`ModelError::InvalidTaskSet`].
+pub const MAX_TASKS: usize = 4_096;
+
 impl TaskSet {
     /// Creates a task set, sorting by priority and validating global
     /// invariants.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidTaskSet`] if the set is empty, two tasks
-    /// share a priority level, or the tasks' cache-block sets were built for
-    /// different cache geometries.
+    /// Returns [`ModelError::InvalidTaskSet`] if the set is empty or holds
+    /// more than [`MAX_TASKS`] tasks, two tasks share a priority level, or
+    /// the tasks' cache-block sets were built for different cache
+    /// geometries.
     pub fn new(mut tasks: Vec<Task>) -> Result<Self, ModelError> {
         if tasks.is_empty() {
             return Err(ModelError::InvalidTaskSet {
                 reason: "task set is empty".into(),
+            });
+        }
+        if tasks.len() > MAX_TASKS {
+            return Err(ModelError::InvalidTaskSet {
+                reason: format!(
+                    "{} tasks exceed the limit of {MAX_TASKS} per task set",
+                    tasks.len()
+                ),
             });
         }
         tasks.sort_by_key(|t| t.priority());
@@ -506,6 +525,24 @@ mod tests {
         assert!(TaskSet::new(vec![]).is_err());
         let err = TaskSet::new(vec![task("x", 5, 0), task("y", 5, 1)]).unwrap_err();
         assert!(err.to_string().contains("share priority"));
+    }
+
+    #[test]
+    fn accepts_the_task_ceiling_and_rejects_one_more() {
+        let tasks = |n: usize| -> Vec<Task> {
+            (0..n)
+                .map(|i| task(&format!("t{i}"), i as u32, i % 4))
+                .collect()
+        };
+        assert_eq!(TaskSet::new(tasks(MAX_TASKS)).unwrap().len(), MAX_TASKS);
+        let err = TaskSet::new(tasks(MAX_TASKS + 1)).unwrap_err();
+        assert!(matches!(err, ModelError::InvalidTaskSet { .. }));
+        assert!(err
+            .to_string()
+            .contains("4097 tasks exceed the limit of 4096"));
+        let json = serde_json::to_string(&tasks(MAX_TASKS + 1)).unwrap();
+        let err = TaskSet::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("exceed the limit"), "{err}");
     }
 
     #[test]

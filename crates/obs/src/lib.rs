@@ -23,7 +23,7 @@
 //! Everything but counters is gated behind a global subscriber that is a
 //! no-op when disabled: [`event!`]/[`span!`]/[`histogram!`] cost one relaxed
 //! atomic load and a predictable branch, so instrumented hot paths stay
-//! within the <2% overhead budget enforced by `ci.sh` (`BENCH_obs.json`).
+//! within the <2% overhead budget enforced by the `obs_overhead` guard.
 //! Enable with [`enable`] (events + timing) or [`enable_metrics`]
 //! (timing only, for campaign-scale runs where buffering every event would
 //! be prohibitive).

@@ -210,6 +210,7 @@ impl EvalScratch {
     /// path uses this; full evaluation rebuilds from scratch like an
     /// independent solver would.
     fn assemble(&mut self, base: &TaskSet, c: &Candidate) -> TaskSet {
+        let _span = cpa_obs::span!("optimize.assemble");
         let n = base.len();
         let (mut tasks, mut hashes) = match self.cur.take() {
             Some(cur) if cur.0.len() == n && self.cur_keys.len() == n => cur,

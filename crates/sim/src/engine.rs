@@ -10,7 +10,7 @@
 //!   event-horizon module ([`skip`]), while [`Simulator::run_reference`]
 //!   steps every cycle. Both produce byte-identical [`SimReport`]s —
 //!   pinned by `tests/skip_equivalence.rs` and re-checked in situ by the
-//!   `sim_engine` CI bench.
+//!   `sim_speedup` guard (`cpa-validate`).
 
 use std::collections::VecDeque;
 
@@ -153,7 +153,7 @@ impl<'a> Simulator<'a> {
 
     /// Runs the simulation stepping every single cycle — the pre-fast-path
     /// loop, retained as the differential reference for
-    /// `tests/skip_equivalence.rs`, the `sim_engine` bench gate, and
+    /// `tests/skip_equivalence.rs`, the `sim_speedup` guard, and
     /// `cpa-validate --reference-sim`.
     #[must_use]
     pub fn run_reference(mut self) -> SimReport {

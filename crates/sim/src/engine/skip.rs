@@ -70,7 +70,7 @@
 //! ownership, statistics, and the bus trace evolve bit-identically.
 //!
 //! The equivalence is pinned by `tests/skip_equivalence.rs` across every
-//! arbitration × release model and by the `sim_engine` bench, which
+//! arbitration × release model and by the `sim_speedup` guard, which
 //! cross-checks full reports while timing the ≥5× speedup gate.
 
 use super::Simulator;

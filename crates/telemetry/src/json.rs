@@ -3,8 +3,8 @@
 //! `cpa-telemetry`, like `cpa-obs`, takes no external dependencies, so it
 //! carries its own tiny JSON value type: a writer whose byte output is a pure
 //! function of the value (object keys keep insertion order — callers insert in
-//! canonical order), and a recursive-descent parser for reading bench records
-//! and validating exported artifacts in tests and `cpa-trace bench diff`.
+//! canonical order), and a recursive-descent parser that the export tests use
+//! to read back Chrome Trace and stage-breakdown documents.
 
 use std::fmt::Write as _;
 

@@ -1,7 +1,7 @@
-//! `cpa-telemetry`: deterministic exporters and bench trajectory tooling over
+//! `cpa-telemetry`: deterministic exporters and per-stage attribution over
 //! [`cpa-obs`](cpa_obs).
 //!
-//! Three layers (see DESIGN.md §14):
+//! Two layers (see DESIGN.md §14):
 //!
 //! * **Exporters** — [`chrome_trace`] renders the structured event stream and
 //!   span-tree self-profile as a Chrome Trace Event / Perfetto JSON document;
@@ -11,9 +11,9 @@
 //! * **Stage attribution** — [`StageReport`] folds a counter-delta snapshot
 //!   and the self-profile into per-pipeline-stage rows (wall time, calls,
 //!   work items, throughput), the breakdown shown by `cpa-trace`.
-//! * **Bench records** — [`BenchRecord`] is the versioned schema shared by
-//!   every `BENCH_*.json` gate and `results/bench_history.jsonl`;
-//!   [`diff_records`] implements the `cpa-trace bench diff` regression gate.
+//!
+//! The [`json`] module's value type also prints the one-line verdicts of
+//! the two guard binaries, `obs_overhead` and `sim_speedup`.
 //!
 //! ## Determinism contract
 //!
@@ -31,17 +31,11 @@
 mod chrome;
 pub mod json;
 mod openmetrics;
-mod record;
 mod stage;
 
 pub use chrome::chrome_trace;
 pub use json::{parse as parse_json, JsonValue};
 pub use openmetrics::{openmetrics, sanitize_metric_name, validate as validate_openmetrics};
-pub use record::{
-    civil_from_epoch_secs, diff_records, git_rev, latest_per_bench, load_records, parse_records,
-    utc_date, BenchDiff, BenchRecord, DiffEntry, GateCheck, BENCH_SCHEMA_VERSION,
-    DEFAULT_REGRESSION_THRESHOLD,
-};
 pub use stage::{
     stage_for_counter, stage_for_span, StageReport, StageRow, StageSpec, PIPELINE_STAGES,
 };

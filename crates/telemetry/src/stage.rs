@@ -2,8 +2,9 @@
 //!
 //! A [`StageReport`] folds the span-tree self-profile and a counter-delta
 //! snapshot into the pipeline phases of a run — workload generation,
-//! cache/CFG extraction, the analysis fixed point, simulation, oracle/shrink
-//! validation, optimizer moves, and the optimizer result cache — answering
+//! cache/CFG extraction, context (CRPD/CPRO table) fill, the analysis fixed
+//! point, simulation, oracle/shrink validation, candidate assembly,
+//! optimizer moves, and the optimizer result cache — answering
 //! "where did the time go and how fast was each stage" in one table.
 //!
 //! Attribution is prefix-driven: every profile node contributes its **self**
@@ -32,8 +33,9 @@ pub struct StageSpec {
 }
 
 /// The pipeline stages, in attribution order (first matching prefix wins, so
-/// the more specific `optimize.cache_` row precedes the general `optimize.`
-/// row).
+/// the more specific `analysis.context`, `optimize.cache_` and
+/// `optimize.assemble` rows precede the general `analysis.` and `optimize.`
+/// rows).
 pub const PIPELINE_STAGES: &[StageSpec] = &[
     StageSpec {
         name: "workload-gen",
@@ -45,6 +47,12 @@ pub const PIPELINE_STAGES: &[StageSpec] = &[
         name: "extraction",
         span_prefixes: &["cfg.", "cache."],
         counter_prefixes: &["cfg.", "cache."],
+        work_counter: None,
+    },
+    StageSpec {
+        name: "context",
+        span_prefixes: &["analysis.context"],
+        counter_prefixes: &["analysis.context"],
         work_counter: None,
     },
     StageSpec {
@@ -70,6 +78,12 @@ pub const PIPELINE_STAGES: &[StageSpec] = &[
         span_prefixes: &[],
         counter_prefixes: &["optimize.cache_"],
         work_counter: Some("optimize.cache_hits"),
+    },
+    StageSpec {
+        name: "assembly",
+        span_prefixes: &["optimize.assemble"],
+        counter_prefixes: &[],
+        work_counter: None,
     },
     StageSpec {
         name: "optimizer",
@@ -346,6 +360,15 @@ mod tests {
             stage_for_counter("optimize.candidates").map(|i| PIPELINE_STAGES[i].name),
             Some("optimizer")
         );
+    }
+
+    #[test]
+    fn context_and_assembly_spans_outrank_their_general_rows() {
+        let stage_of = |span| stage_for_span(span).map(|i| PIPELINE_STAGES[i].name);
+        assert_eq!(stage_of("analysis.context"), Some("context"));
+        assert_eq!(stage_of("wcrt.analyze"), Some("analysis"));
+        assert_eq!(stage_of("optimize.assemble"), Some("assembly"));
+        assert_eq!(stage_of("optimize.search"), Some("optimizer"));
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!                    [--bus fp|rr|tdma|perfect] [--slots K]
 //!                    [--mode aware|oblivious] [--sets N] [--threads T]
 //!                    [--chunk C] [SINKS]
-//! cpa-trace bench diff --baseline FILE --current FILE [--current FILE ...]
-//!                    [--threshold F] [--json]
 //!
 //! SINKS: [--trace FILE] [--profile FILE] [--json]
 //!        [--export chrome|openmetrics|json] [--export-out FILE]
@@ -53,11 +51,6 @@
 //! export is written beside the normal report; without it the export
 //! document replaces the report on stdout (`cpa-trace sweep --export
 //! chrome > sweep.json`, then open in Perfetto).
-//!
-//! `cpa-trace bench diff --baseline FILE --current FILE...` compares
-//! unified `BenchRecord` documents (the `BENCH_*.json` files or
-//! `results/bench_history.jsonl`) and exits non-zero when any throughput
-//! entry regressed by more than `--threshold` (default 15%).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -71,10 +64,7 @@ use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
-use cpa_telemetry::{
-    chrome_trace, diff_records, load_records, openmetrics, ExportScope, StageReport,
-    DEFAULT_REGRESSION_THRESHOLD,
-};
+use cpa_telemetry::{chrome_trace, openmetrics, ExportScope, StageReport};
 use cpa_validate::oracle::{arbitration_of, horizon_for};
 use cpa_validate::platform_for_tasks;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -387,9 +377,7 @@ cpa-trace sweep [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 [--bus fp|rr|tdma|perfect] [--slots K] [--sets N] [--threads T] [--chunk C] [SINKS]\n       \
 cpa-trace optimize [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 [--bus fp|rr|tdma|perfect] [--slots K] [--mode aware|oblivious] [--sets N] [--threads T] \
-[--chunk C] [SINKS]\n       \
-cpa-trace bench diff --baseline FILE --current FILE [--current FILE ...] [--threshold F] \
-[--json]\n\
+[--chunk C] [SINKS]\n\
 SINKS: [--trace FILE] [--profile FILE] [--json] [--export chrome|openmetrics|json] \
 [--export-out FILE]";
 
@@ -539,7 +527,6 @@ fn main() -> ExitCode {
         Some("sim") => dispatch(&mut args, sim_cmd),
         Some("sweep") => dispatch(&mut args, sweep_cmd),
         Some("optimize") => dispatch(&mut args, optimize_cmd),
-        Some("bench") => bench_cmd(&mut args),
         Some("--help" | "-h") => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -807,6 +794,8 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
         ..GeneratorConfig::paper_default()
     }
     .with_per_core_utilization(opts.util);
+    // `evaluate_population` expects a valid generator: reject a bad shape here.
+    TaskSetGenerator::new(gen_config.clone()).map_err(|e| e.to_string())?;
     let configs = [
         AnalysisConfig::new(bus, PersistenceMode::Aware),
         AnalysisConfig::new(bus, PersistenceMode::Oblivious),
@@ -1076,81 +1065,6 @@ fn print_stages(stages: &StageReport) {
     println!();
     println!("stage breakdown:");
     print!("{}", stages.render_text());
-}
-
-/// `cpa-trace bench ...`: exit 0 when the gate passes, 1 when it reports
-/// a regression (or missing data), 2 on usage/parse errors.
-fn bench_cmd(args: &mut Args) -> ExitCode {
-    match args.next_arg().as_deref() {
-        Some("diff") => {}
-        Some("--help" | "-h") => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => {
-            eprintln!("unknown bench subcommand `{other}` (expected diff)\n{USAGE}");
-            return ExitCode::from(2);
-        }
-        None => {
-            eprintln!("bench needs a subcommand (expected diff)\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    match bench_diff(args) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Compares baseline and current `BenchRecord` files; returns `Ok(false)`
-/// when the gate fails (throughput regression beyond `--threshold`, a
-/// bench or metric missing from the current set, or a failed in-record
-/// gate).
-fn bench_diff(args: &mut Args) -> Result<bool, String> {
-    let mut baseline_path: Option<String> = None;
-    let mut current_paths: Vec<String> = Vec::new();
-    let mut threshold = DEFAULT_REGRESSION_THRESHOLD;
-    let mut json = false;
-    while let Some(arg) = args.next_arg() {
-        match arg.as_str() {
-            "--baseline" => {
-                baseline_path = Some(args.value_for("--baseline").map_err(|e| e.to_string())?);
-            }
-            "--current" => {
-                current_paths.push(args.value_for("--current").map_err(|e| e.to_string())?);
-            }
-            "--threshold" => {
-                threshold = args.value_for("--threshold").map_err(|e| e.to_string())?;
-                if !(0.0..1.0).contains(&threshold) {
-                    return Err(format!("--threshold must be in [0, 1), got {threshold}"));
-                }
-            }
-            "--json" => json = true,
-            "--help" | "-h" => return Err(args.help().to_string()),
-            other => return Err(args.unknown_flag(other).to_string()),
-        }
-    }
-    let baseline_path =
-        baseline_path.ok_or_else(|| format!("bench diff needs --baseline\n{USAGE}"))?;
-    if current_paths.is_empty() {
-        return Err(format!("bench diff needs at least one --current\n{USAGE}"));
-    }
-    let baseline = load_records(&baseline_path)?;
-    let mut current = Vec::new();
-    for path in &current_paths {
-        current.extend(load_records(path)?);
-    }
-    let diff = diff_records(&baseline, &current, threshold);
-    if json {
-        println!("{}", diff.to_json());
-    } else {
-        print!("{}", diff.render_text());
-    }
-    Ok(diff.pass())
 }
 
 fn print_profile(profile: &cpa_obs::ProfileNode) {

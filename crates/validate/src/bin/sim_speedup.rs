@@ -1,23 +1,29 @@
-//! Fast-path-vs-reference simulator benchmark: the event-skipping
-//! [`Simulator::run`] against the cycle-stepped
-//! [`Simulator::run_reference`], on the validation campaign's workload
-//! mix (the simulator's hot caller: `cpa-validate` spends most of its
-//! time here).
+//! Guard: the event-skipping simulator must stay at least 5× faster than
+//! its cycle-stepped reference, and report exactly what the reference
+//! reports.
 //!
-//! Hand-rolled harness (like `analysis_engine`) rather than criterion's,
-//! because this bench is also a CI gate: it writes the measured numbers to
-//! `BENCH_sim.json` and exits non-zero unless the fast path is at least
-//! [`SPEEDUP_GATE`]× faster than the reference on the campaign mix — the
-//! PR's headline acceptance criterion. Every benchmarked run is also
+//! ```text
+//! sim_speedup
+//! ```
+//!
+//! Times [`Simulator::run`] against [`Simulator::run_reference`] on the
+//! validation campaign's workload mix (the simulator's hot caller:
+//! `cpa-validate` spends most of its time here), under every bus and
+//! release model the campaign simulates. Before timing, every run is
 //! cross-checked for full-report equality, so a speedup obtained by
-//! diverging from the stepped semantics fails loudly here too.
+//! diverging from the stepped semantics fails here too.
+//!
+//! The measured numbers are printed as one JSON line on stdout. The
+//! process exits 1 when a report differs or the campaign-mix speedup is
+//! below [`SPEEDUP_GATE`], and writes no file.
 
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use cpa_model::{Platform, TaskSet};
 use cpa_sim::{BusArbitration, ReleaseModel, SimConfig, SimReport, Simulator};
-use cpa_telemetry::BenchRecord;
+use cpa_telemetry::JsonValue;
 use cpa_validate::oracle::{horizon_for, platform_for_tasks};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::{Rng, SeedableRng};
@@ -28,7 +34,7 @@ use rand_chacha::ChaCha8Rng;
 const SETS: u64 = 8;
 /// Horizon cap, matching the full campaign profile.
 const HORIZON_CAP: u64 = 1_500_000;
-/// Required fast-path speedup on the campaign mix (the acceptance gate).
+/// Required fast-path speedup on the campaign mix.
 const SPEEDUP_GATE: f64 = 5.0;
 
 struct Case {
@@ -37,8 +43,11 @@ struct Case {
     config: SimConfig,
 }
 
-fn main() {
-    // `cargo bench` passes flags like `--bench`; this harness ignores them.
+fn main() -> ExitCode {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: sim_speedup (takes no arguments)");
+        return ExitCode::from(2);
+    }
     let base = GeneratorConfig::paper_default();
     let mut systems = Vec::new();
     for seed in 0..SETS {
@@ -87,7 +96,8 @@ fn main() {
         ),
     ];
 
-    let mut measured: Vec<(&str, f64, f64, f64)> = Vec::new();
+    let mut configs = Vec::new();
+    let mut mismatches = Vec::new();
     let mut mix_reference_ns = 0.0f64;
     let mut mix_engine_ns = 0.0f64;
     for (label, bus, releases) in matrix {
@@ -103,12 +113,9 @@ fn main() {
             .collect();
 
         // Semantics first: the differential pin, re-checked in situ.
-        for case in &cases {
-            assert_eq!(
-                run(case, false),
-                run(case, true),
-                "{label}: fast path diverged from the reference"
-            );
+        if cases.iter().any(|case| run(case, false) != run(case, true)) {
+            eprintln!("{label}: fast path diverged from the reference");
+            mismatches.push(JsonValue::from(label));
         }
 
         let reference_ns = time_sweep(&cases, true);
@@ -117,48 +124,56 @@ fn main() {
         mix_engine_ns += engine_ns;
         let speedup = reference_ns / engine_ns;
         eprintln!(
-            "{label:<12} reference {:>12.0} ns/sweep   fast {:>12.0} ns/sweep   speedup {speedup:.2}x",
-            reference_ns, engine_ns
+            "{label:<12} reference {reference_ns:>12.0} ns/sweep   fast {engine_ns:>12.0} \
+             ns/sweep   speedup {speedup:.2}x"
         );
-        measured.push((label, reference_ns, engine_ns, speedup));
+        configs.push((
+            label.to_string(),
+            JsonValue::Object(vec![
+                ("reference_ns".into(), reference_ns.round().into()),
+                ("engine_ns".into(), engine_ns.round().into()),
+                ("speedup".into(), speedup.into()),
+            ]),
+        ));
     }
 
     let speedup = mix_reference_ns / mix_engine_ns;
     let sims = (SETS * matrix.len() as u64) as f64;
     let reference_sims_per_sec = sims / (mix_reference_ns * 1e-9);
     let engine_sims_per_sec = sims / (mix_engine_ns * 1e-9);
-    let pass = speedup >= SPEEDUP_GATE;
+    let reports_equal = mismatches.is_empty();
+    let pass = reports_equal && speedup >= SPEEDUP_GATE;
     eprintln!(
         "campaign mix: reference {reference_sims_per_sec:.1} sims/s -> fast \
          {engine_sims_per_sec:.1} sims/s ({speedup:.2}x)"
     );
-    let mut record = BenchRecord::new("sim_engine", "campaign_mix");
-    record.push_config("sets", SETS);
-    record.push_config("horizon_cap", HORIZON_CAP);
-    for (label, reference_ns, engine_ns, config_speedup) in &measured {
-        record.push_metric(&format!("{label}_reference_ns"), reference_ns.round());
-        record.push_metric(&format!("{label}_engine_ns"), engine_ns.round());
-        record.push_throughput(&format!("{label}_speedup"), *config_speedup);
+    let verdict = JsonValue::Object(vec![
+        ("guard".into(), "sim_speedup".into()),
+        ("workload".into(), "campaign_mix".into()),
+        ("sets".into(), SETS.into()),
+        ("horizon_cap".into(), HORIZON_CAP.into()),
+        ("configs".into(), JsonValue::Object(configs)),
+        (
+            "reference_sims_per_sec".into(),
+            reference_sims_per_sec.into(),
+        ),
+        ("engine_sims_per_sec".into(), engine_sims_per_sec.into()),
+        ("speedup".into(), speedup.into()),
+        ("gate".into(), SPEEDUP_GATE.into()),
+        ("reports_equal".into(), reports_equal.into()),
+        ("mismatches".into(), JsonValue::Array(mismatches)),
+        ("pass".into(), pass.into()),
+    ]);
+    println!("{}", verdict.to_json());
+    if !reports_equal {
+        eprintln!("FAIL: the fast path's reports differ from the reference's");
+        return ExitCode::FAILURE;
     }
-    record.push_metric("reference_sims_per_sec", reference_sims_per_sec);
-    record.push_throughput("engine_sims_per_sec", engine_sims_per_sec);
-    record.push_throughput("campaign_mix_speedup", speedup);
-    record.push_gate("campaign_mix_speedup", speedup, SPEEDUP_GATE, pass);
-    // Anchor to the workspace root: `cargo bench` sets the CWD to the
-    // crate directory, but the gate artifact belongs next to ci.sh.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    record.write_json_file(out).expect("write BENCH_sim.json");
-    record
-        .append_history(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../results/bench_history.jsonl"
-        ))
-        .expect("append bench history");
-    eprintln!("wrote {out}");
     if !pass {
         eprintln!("FAIL: campaign-mix speedup {speedup:.2}x below the {SPEEDUP_GATE}x gate");
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }
 
 fn run(case: &Case, reference: bool) -> SimReport {

@@ -1,7 +1,7 @@
 //! End-to-end CLI contract for `cpa-trace`: every subcommand must fail
 //! with exit code 2 and a diagnostic (never a panic) on malformed input,
 //! the telemetry exports must be byte-identical across worker counts and
-//! chunk sizes, and `bench diff` must gate regressions with exit code 1.
+//! chunk sizes.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -127,135 +127,20 @@ fn unwritable_trace_sink_is_reported_not_panicked() {
 }
 
 #[test]
-fn bench_without_subcommand_exits_with_usage() {
-    assert_usage_error(&["bench"], "bench needs a subcommand");
-}
-
-#[test]
-fn bench_diff_requires_baseline_and_current() {
-    assert_usage_error(&["bench", "diff"], "bench diff needs --baseline");
-    let baseline = fixture_record("fixture", 100.0);
-    let path = write_fixture("only-baseline.json", &baseline);
+fn oversized_task_sets_exit_with_a_diagnostic_not_an_abort() {
     assert_usage_error(
-        &["bench", "diff", "--baseline", path.to_str().unwrap()],
-        "bench diff needs at least one --current",
+        &["sweep", "--cores", "100000"],
+        "100000 cores x 4 tasks per core exceed the limit of 4096",
+    );
+    assert_usage_error(
+        &["analyze", "--cores", "3", "--tasks-per-core", "100000"],
+        "3 cores x 100000 tasks per core exceed the limit of 4096",
     );
 }
 
 #[test]
-fn bench_diff_reports_missing_files() {
-    assert_usage_error(
-        &[
-            "bench",
-            "diff",
-            "--baseline",
-            "/nonexistent/baseline.jsonl",
-            "--current",
-            "/nonexistent/current.json",
-        ],
-        "read /nonexistent/baseline.jsonl",
-    );
-}
-
-#[test]
-fn bench_diff_reports_malformed_records() {
-    let path = scratch("malformed.json");
-    std::fs::write(&path, "{\"bench\": truncated").expect("write fixture");
-    let out = cpa_trace(&[
-        "bench",
-        "diff",
-        "--baseline",
-        path.to_str().unwrap(),
-        "--current",
-        path.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(!stderr_of(&out).contains("panicked"));
-}
-
-#[test]
-fn bench_diff_rejects_out_of_range_thresholds() {
-    assert_usage_error(
-        &["bench", "diff", "--threshold", "1.5"],
-        "--threshold must be in [0, 1)",
-    );
-}
-
-/// One minimal BenchRecord document with a single throughput entry.
-fn fixture_record(bench: &str, throughput: f64) -> String {
-    format!(
-        "{{\"schema\":1,\"bench\":\"{bench}\",\"workload\":\"cli-test\",\
-         \"git_rev\":\"fixture00000\",\"date\":\"2026-01-01\",\
-         \"config\":{{}},\"metrics\":{{}},\
-         \"throughput\":{{\"items_per_sec\":{throughput}}},\"gates\":[]}}\n"
-    )
-}
-
-fn write_fixture(name: &str, contents: &str) -> PathBuf {
-    let path = scratch(name);
-    std::fs::write(&path, contents).expect("write fixture");
-    path
-}
-
-#[test]
-fn bench_diff_passes_within_threshold_and_fails_beyond_it() {
-    let baseline = write_fixture("diff-baseline.json", &fixture_record("suite", 100.0));
-    let ok = write_fixture("diff-ok.json", &fixture_record("suite", 90.0));
-    let regressed = write_fixture("diff-regressed.json", &fixture_record("suite", 80.0));
-
-    // -10% is inside the default 15% threshold: exit 0, verdict PASS.
-    let out = cpa_trace(&[
-        "bench",
-        "diff",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--current",
-        ok.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
-    assert!(stdout_of(&out).contains("PASS"), "{}", stdout_of(&out));
-
-    // -20% breaches it: exit 1 (regression, not usage error).
-    let out = cpa_trace(&[
-        "bench",
-        "diff",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--current",
-        regressed.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
-    let report = stdout_of(&out);
-    assert!(report.contains("REGRESSED"), "{report}");
-    assert!(report.contains("FAIL"), "{report}");
-
-    // A tighter threshold flags the -10% run too.
-    let out = cpa_trace(&[
-        "bench",
-        "diff",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--current",
-        ok.to_str().unwrap(),
-        "--threshold",
-        "0.05",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
-}
-
-#[test]
-fn bench_diff_fails_when_a_bench_disappears() {
-    let baseline = write_fixture("gone-baseline.json", &fixture_record("suite", 100.0));
-    let other = write_fixture("gone-current.json", &fixture_record("other_suite", 100.0));
-    let out = cpa_trace(&[
-        "bench",
-        "diff",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--current",
-        other.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+fn bench_is_an_unknown_subcommand() {
+    assert_usage_error(&["bench"], "unknown flag `bench`");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Random task-set construction following §V of the paper.
 
-use cpa_model::{CacheBlockSet, CoreId, ModelError, Priority, Task, TaskSet, Time};
+use cpa_model::{CacheBlockSet, CoreId, ModelError, Priority, Task, TaskSet, Time, MAX_TASKS};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -144,8 +144,9 @@ impl TaskSetGenerator {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidTaskSet`] if the configuration is
-    /// degenerate: zero cores or tasks, non-positive utilization, empty or
-    /// inconsistent benchmark pool, or a zero-sized cache.
+    /// degenerate: zero cores or tasks, more than [`MAX_TASKS`] tasks in
+    /// all, non-positive utilization, empty or inconsistent benchmark pool,
+    /// or a zero-sized cache.
     pub fn new(config: GeneratorConfig) -> Result<Self, ModelError> {
         let invalid = |reason: String| ModelError::InvalidTaskSet { reason };
         if config.cores == 0 {
@@ -153,6 +154,15 @@ impl TaskSetGenerator {
         }
         if config.tasks_per_core == 0 {
             return Err(invalid("generator needs at least one task per core".into()));
+        }
+        match config.cores.checked_mul(config.tasks_per_core) {
+            Some(n) if n <= MAX_TASKS => {}
+            _ => {
+                return Err(invalid(format!(
+                    "{} cores x {} tasks per core exceed the limit of {MAX_TASKS} tasks per set",
+                    config.cores, config.tasks_per_core
+                )))
+            }
         }
         if config.per_core_utilization <= 0.0 || !config.per_core_utilization.is_finite() {
             return Err(invalid(format!(
@@ -450,6 +460,22 @@ mod tests {
         let mut cfg = base();
         cfg.d_mem = Time::ZERO;
         assert!(TaskSetGenerator::new(cfg).is_err());
+    }
+
+    #[test]
+    fn task_count_ceiling_is_checked_before_any_draw() {
+        let shape = |cores, tasks_per_core| GeneratorConfig {
+            cores,
+            tasks_per_core,
+            ..GeneratorConfig::paper_default()
+        };
+        assert!(TaskSetGenerator::new(shape(4, MAX_TASKS / 4)).is_ok());
+        assert!(TaskSetGenerator::new(shape(1, MAX_TASKS)).is_ok());
+        for (cores, tasks_per_core) in [(1, MAX_TASKS + 1), (MAX_TASKS + 1, 1), (usize::MAX, 2)] {
+            let err = TaskSetGenerator::new(shape(cores, tasks_per_core)).unwrap_err();
+            assert!(matches!(err, ModelError::InvalidTaskSet { .. }));
+            assert!(err.to_string().contains("limit of 4096"), "{err}");
+        }
     }
 
     #[test]
