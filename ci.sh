@@ -14,6 +14,17 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench/ is a workspace of its own: the root fmt, clippy and test
+# steps above never enter it.
+echo "==> perfbench: cargo fmt --check"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench: cargo clippy --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
+echo "==> perfbench: cargo test --release"
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 

@@ -14,8 +14,31 @@
 
 use cpa_model::{TaskId, Time};
 
-use crate::curve::Span;
 use crate::{cpro, demand, AnalysisContext, PersistenceMode};
+
+/// A closed window interval `[lo, hi]` on which a [`BaoSegment`]'s terms
+/// are valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Smallest window length of the interval.
+    pub lo: Time,
+    /// Largest window length of the interval.
+    pub hi: Time,
+}
+
+impl Span {
+    /// The empty interval: it contains no window.
+    const EMPTY: Span = Span {
+        lo: Time::from_cycles(1),
+        hi: Time::ZERO,
+    };
+
+    /// Whether `t` lies in the interval.
+    #[must_use]
+    pub fn contains(&self, t: Time) -> bool {
+        self.lo <= t && t <= self.hi
+    }
+}
 
 /// Eq. (6): `N_{k,l}^y(t)`, the maximum number of jobs of a remote task
 /// that fully execute within a window of length `t`, given the remote
@@ -300,7 +323,7 @@ impl BaoMember {
 /// [`CarryOut::Exact`] at a few arithmetic operations per member — no
 /// band-membership filtering, no persistence-demand (`M̂D`), CPRO or CRPD
 /// lookups; those are all `N`-determined and folded into the stored terms.
-/// This is what makes the engine's curve cache pay: the span covers whole
+/// This is what makes the engine's segment cache pay: the span covers whole
 /// job periods rather than single `d_mem` carry-out cells (the constancy
 /// grain of a *scalar* [`CarryOut::Exact`] value), and
 /// one segment serves both bands of the FP bus and both the Capped bracket
@@ -336,10 +359,7 @@ impl BaoSegment {
     #[must_use]
     pub fn new() -> Self {
         BaoSegment {
-            span: Span {
-                lo: Time::from_cycles(1),
-                hi: Time::ZERO,
-            },
+            span: Span::EMPTY,
             terms: Vec::new(),
             split: 0,
             capped: (0, 0),
@@ -352,10 +372,7 @@ impl BaoSegment {
     /// what a segment recycled onto a *different* task set needs: stale
     /// terms must never be served, but their allocation is still good.
     pub fn reset(&mut self) {
-        self.span = Span {
-            lo: Time::from_cycles(1),
-            hi: Time::ZERO,
-        };
+        self.span = Span::EMPTY;
         self.terms.clear();
         self.split = 0;
         self.capped = (0, 0);

@@ -6,7 +6,6 @@
 
 use cpa_model::{TaskId, Time};
 
-use crate::curve::Span;
 use crate::{cpro, demand, AnalysisContext};
 
 /// `E_j(t) = ⌈t / T_j⌉`: maximum jobs of `τj` released in a window of
@@ -20,10 +19,6 @@ pub fn releases(t: Time, period: Time) -> u64 {
 /// same-core higher-priority tasks at one window length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SameCoreTerms {
-    /// Maximal window interval containing the window on which every
-    /// release count `E_j(t) = ⌈t/T_j⌉` is constant — and with it every
-    /// other field: they are functions of the `E_j` only.
-    pub span: Span,
     /// The same-core preemption interference of Eq. (19),
     /// `Σ_j E_j · PD_j`.
     pub interference: Time,
@@ -38,15 +33,14 @@ pub struct SameCoreTerms {
     pub cpro: u64,
 }
 
-/// The engine's fused same-core walk: the `E_j`-constancy span, the
-/// Eq. (19) preemption interference and `BAS` in *both* persistence
-/// modes, with the CRPD and CPRO shares the decomposition reports — in
-/// one pass over `hp`: `τi`'s same-core higher-priority tasks in id
-/// order, precomputed by the caller. All of them are functions of the
-/// release counts `E_j` only, so a single walk computes each `E_j` once.
-/// Producing both modes makes the engine's cached tuple
-/// configuration-independent; the `fused_same_core_terms_match_standalone`
-/// test pins every field against [`crate::spec`].
+/// The engine's fused same-core walk: the Eq. (19) preemption
+/// interference and `BAS` in *both* persistence modes, with the CRPD and
+/// CPRO shares the decomposition reports — in one pass over `hp`: `τi`'s
+/// same-core higher-priority tasks in id order, precomputed by the
+/// caller. All of them are functions of the release counts `E_j` only,
+/// so a single walk computes each `E_j` once; the
+/// `fused_same_core_terms_match_standalone` test pins every field
+/// against [`crate::spec`].
 ///
 /// The walk reads the per-task scalars from the context's
 /// struct-of-arrays [`crate::context::TaskColumns`] rather than striding
@@ -62,7 +56,6 @@ pub fn same_core_terms(
     let cols = ctx.columns();
     let own = cols.md[i.index()];
     let mut terms = SameCoreTerms {
-        span: Span::full(),
         interference: Time::ZERO,
         bas_oblivious: own,
         bas_aware: own,
@@ -73,19 +66,6 @@ pub fn same_core_terms(
         let jx = j.index();
         let period = Time::from_cycles(cols.period[jx]);
         let e = releases(t, period);
-        // E_j = ⌈t/T_j⌉ is e exactly on ((e−1)·T_j, e·T_j] (and 0 only at
-        // t = 0).
-        let p128 = cols.period[jx] as u128;
-        let (lo, hi) = if e == 0 {
-            (0u128, 0u128)
-        } else {
-            let e128 = e as u128;
-            ((e128 - 1) * p128 + 1, e128 * p128)
-        };
-        terms.span = terms.span.intersect(Span {
-            lo: Time::from_cycles(u64::try_from(lo).unwrap_or(u64::MAX)),
-            hi: Time::from_cycles(u64::try_from(hi).unwrap_or(u64::MAX)),
-        });
         // Same-core preemption interference of Eq. (19).
         terms.interference = terms
             .interference
@@ -111,7 +91,6 @@ pub fn same_core_terms(
             .saturating_add(oblivious.min(persistent))
             .saturating_add(crpd);
     }
-    debug_assert!(terms.span.contains(t));
     terms
 }
 
@@ -247,31 +226,6 @@ mod tests {
             for i in tasks.ids() {
                 let terms = terms(&ctx, i, Time::from_cycles(t));
                 prop_assert!(terms.bas_aware <= terms.bas_oblivious);
-            }
-        }
-
-        /// The span the walk reports really is a constancy interval of
-        /// both BAS variants (the engine's cache contract), and maximal on
-        /// the right.
-        #[test]
-        fn releases_span_is_constant_for_bas(t in 0u64..10_000) {
-            let (platform, tasks) = fig1();
-            let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
-            for i in tasks.ids() {
-                let t = Time::from_cycles(t);
-                let span = terms(&ctx, i, t).span;
-                prop_assert!(span.contains(t));
-                for mode in modes() {
-                    let v = spec::bas(&ctx, i, t, mode);
-                    prop_assert_eq!(spec::bas(&ctx, i, span.lo, mode), v);
-                    if span.hi.cycles() < u64::MAX {
-                        prop_assert_eq!(spec::bas(&ctx, i, span.hi, mode), v);
-                        // The next window changes some release count
-                        // unless the span is unbounded.
-                        let next = Time::from_cycles(span.hi.cycles() + 1);
-                        prop_assert!(terms(&ctx, i, next).span != span);
-                    }
-                }
             }
         }
 

@@ -85,18 +85,6 @@ impl BusPolicy {
         *self != BusPolicy::Perfect
     }
 
-    /// Whether the cross-core term reads remote tasks' response-time
-    /// estimates (through Eq. (5)/(6)). TDMA and the perfect bus do not,
-    /// which lets the engine's worklist skip re-enqueuing on remote
-    /// response-time changes under those policies.
-    #[must_use]
-    pub fn consumes_remote_response_times(&self) -> bool {
-        matches!(
-            self,
-            BusPolicy::FixedPriority | BusPolicy::RoundRobin { .. }
-        )
-    }
-
     /// The three arbitration policies the paper evaluates (Fig. 2/3), in
     /// its canonical FP / RR / TDMA order, with the given slot count for
     /// the slotted policies.
@@ -240,17 +228,14 @@ mod tests {
 
     #[test]
     fn policy_facts_match_the_equations() {
-        // Only the perfect bus skips the +1 blocking access; only FP and RR
-        // consume remote response times.
-        let perfect = BusPolicy::Perfect;
-        assert!(!perfect.charges_blocking());
-        assert!(!perfect.consumes_remote_response_times());
-        let tdma = BusPolicy::Tdma { slots: 2 };
-        assert!(tdma.charges_blocking());
-        assert!(!tdma.consumes_remote_response_times());
-        for policy in [BusPolicy::FixedPriority, BusPolicy::RoundRobin { slots: 2 }] {
+        // Only the perfect bus skips the +1 blocking access.
+        assert!(!BusPolicy::Perfect.charges_blocking());
+        for policy in [
+            BusPolicy::FixedPriority,
+            BusPolicy::RoundRobin { slots: 2 },
+            BusPolicy::Tdma { slots: 2 },
+        ] {
             assert!(policy.charges_blocking());
-            assert!(policy.consumes_remote_response_times());
         }
     }
 

@@ -9,7 +9,7 @@
 //! # Map from paper to code
 //!
 //! Every equation has exactly two evaluators: the engine behind
-//! [`analyze_with`] (memoized, fused, worklist-driven) and the literal
+//! [`analyze_with`] (fused same-core walk, cached `BAO`) and the literal
 //! oracle [`spec`] (the equation as printed, in checked arithmetic), which
 //! the engine is pinned against bit for bit.
 //!
@@ -25,8 +25,8 @@
 //! | "perfect bus" reference (Fig. 2) | [`BusPolicy::Perfect`] | [`spec`] (deviation 2) |
 //! | weighted schedulability (Fig. 3) | [`sched::weighted_schedulability`] | |
 //!
-//! The engine memoizes demand bounds as monotone step curves ([`curve`]),
-//! runs the outer fixed point as a dependency-driven worklist, and
+//! The engine caches `BAO` as period-scale segments ([`bao::BaoSegment`]),
+//! runs the outer fixed point as the spec's Gauss–Seidel sweep, and
 //! composes Eq. (7)/(8)/(9) in one `match` on the bus policy ([`engine`]).
 //! It also emits the BAS/BAO/CPRO/CRPD split of each bound
 //! ([`decompose`]). [`analyze_with`] is the one entry point;
@@ -92,7 +92,6 @@ mod config;
 mod context;
 pub mod cpro;
 pub mod crpd;
-pub mod curve;
 pub mod demand;
 pub mod diagnose;
 pub mod engine;

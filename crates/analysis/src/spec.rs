@@ -3,9 +3,9 @@
 //! engine is pinned against.
 //!
 //! The analysis engine ([`crate::analyze_with`]) evaluates Eq. (19)
-//! through memoized step curves, fused walks and a dependency-driven
-//! worklist. This module evaluates the same bound the way the paper
-//! prints it:
+//! through a fused same-core walk and cached `BAO` segments, in the same
+//! outer sweep as [`analyze`]. This module evaluates the same bound the
+//! way the paper prints it:
 //!
 //! | Paper | Here |
 //! |---|---|

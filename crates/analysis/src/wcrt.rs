@@ -154,10 +154,10 @@ pub fn analyze(ctx: &AnalysisContext<'_>, config: &AnalysisConfig) -> AnalysisRe
 }
 
 /// The analysis entry point: Eq. (19) for every task under `config`,
-/// through the memoized engine (demand-curve cache plus dependency-driven
-/// outer worklist), on caller-provided working storage. Sweep workers
-/// keep one [`crate::AnalysisScratch`] each and reuse it across thousands
-/// of calls; results never depend on what the scratch served before.
+/// through the engine (cached `BAO` segments, swept like the spec), on
+/// caller-provided working storage. Sweep workers keep one
+/// [`crate::AnalysisScratch`] each and reuse it across thousands of
+/// calls; results never depend on what the scratch served before.
 /// [`crate::spec::analyze`] computes the same result from the literal
 /// equations (the `engine_equivalence` differential test).
 ///
@@ -252,7 +252,7 @@ pub(crate) struct InnerSolve {
 /// recurrence; `bound` is `None` when the deadline cannot be met.
 ///
 /// The solver is generic over the right-hand-side evaluator so the engine
-/// (memoized curves) and the spec ([`crate::spec::analyze`], the literal
+/// (cached `BAO` segments) and the spec ([`crate::spec::analyze`], the literal
 /// equations) share one algorithm — identical results follow from the
 /// evaluators agreeing pointwise. The recurrence is solved in two phases:
 ///

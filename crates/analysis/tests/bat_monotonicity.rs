@@ -5,9 +5,9 @@
 //!
 //! Both monotonicities are load-bearing: monotonicity in `t` makes the
 //! inner fixed point of Eq. (19) well-defined, and monotonicity in each
-//! `resp` entry makes the outer loop (and the engine's dependency-driven
-//! worklist) sound — estimates only ever grow, so a bound computed against
-//! stale smaller estimates is never an over-commitment.
+//! `resp` entry makes the outer loop sound — estimates only ever grow, so
+//! a bound computed against stale smaller estimates is never an
+//! over-commitment.
 
 use cpa_analysis::bao::CarryOut;
 use cpa_analysis::{spec, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};

@@ -1,7 +1,8 @@
-//! Differential pin: the memoized, worklist-driven engine behind
-//! [`analyze_with`] must be *byte-identical* to the literal oracle
-//! [`spec::analyze`] — same response times, same schedulability verdict,
-//! same outer-round count, same cap flag — across every bus policy ×
+//! Differential pin: the engine behind [`analyze_with`] must be
+//! *byte-identical* to the literal oracle [`spec::analyze`] — same
+//! response times, same schedulability verdict, same outer-round count,
+//! same cap flag, and, since both run the same sweep, the same per-task
+//! inner-iteration counts — across every bus policy ×
 //! persistence mode on seeded paper-style campaigns. The spec must never
 //! overflow on these inputs, so no case is skipped.
 //!
@@ -60,6 +61,11 @@ fn assert_equivalent(
         engine.outer_iterations(),
         reference.outer_iterations(),
         "{tag}: outer round count diverged"
+    );
+    assert_eq!(
+        engine.inner_iteration_counts(),
+        reference.inner_iteration_counts(),
+        "{tag}: inner iteration counts diverged"
     );
     assert_eq!(
         engine.hit_outer_iteration_cap(),

@@ -421,7 +421,10 @@ impl Default for GenOptions {
 ///
 /// # Errors
 ///
-/// Returns a message when the generator configuration is invalid.
+/// Returns a message when the generator configuration is invalid, or
+/// when a generated request fails the per-request check
+/// [`process_batch`] applies (unknown bus/mode, zero RR/TDMA slots, more
+/// cores than tasks): `gen` never writes a batch that `run` rejects.
 pub fn gen_batch(opts: &GenOptions) -> Result<String, String> {
     let mut config = GeneratorConfig::paper_default()
         .with_cores(opts.cores)
@@ -449,6 +452,9 @@ pub fn gen_batch(opts: &GenOptions) -> Result<String, String> {
             },
             tasks: set.into(),
         });
+    }
+    for request in &requests {
+        Job::new(request)?;
     }
     serde_json::to_string_pretty(&requests).map_err(|e| e.to_string())
 }

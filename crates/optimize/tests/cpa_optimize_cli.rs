@@ -1,7 +1,8 @@
-//! CLI contract for `cpa-optimize` on oversized input: a request with more
+//! CLI contract for `cpa-optimize` on bad input: a request with more
 //! tasks than a task set may hold fails its batch with a diagnostic (exit
 //! 1, nothing written), and `gen` refuses to draw one, instead of the
-//! process aborting on the analysis tables' allocation.
+//! process aborting on the analysis tables' allocation. `gen` also applies
+//! `run`'s per-request check, so it never writes a batch `run` rejects.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -89,4 +90,56 @@ fn gen_refuses_shapes_past_the_task_ceiling() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty());
+}
+
+/// Runs `gen --sets 1` with `extra` flags into a fresh path and asserts
+/// it exits 1 with `needle` on stderr and writes no file.
+fn assert_gen_refuses(name: &str, extra: &[&str], needle: &str) {
+    let out_path = scratch(name);
+    let mut args = vec!["gen", "--sets", "1", "--out", out_path.to_str().unwrap()];
+    args.extend_from_slice(extra);
+    let out = cpa_optimize(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{extra:?} stderr: {stderr}");
+    assert!(stderr.contains(needle), "{extra:?}: {stderr}");
+    assert!(
+        !out_path.exists(),
+        "{extra:?}: a refused batch writes no file"
+    );
+}
+
+#[test]
+fn gen_refuses_round_robin_without_slots() {
+    assert_gen_refuses(
+        "rr0.json",
+        &["--bus", "rr", "--slots", "0"],
+        "request 'req-000': bus `rr` needs at least one slot (got 0)",
+    );
+}
+
+#[test]
+fn gen_refuses_tdma_without_slots() {
+    assert_gen_refuses(
+        "tdma0.json",
+        &["--bus", "tdma", "--slots", "0"],
+        "request 'req-000': bus `tdma` needs at least one slot (got 0)",
+    );
+}
+
+#[test]
+fn gen_refuses_an_unknown_bus() {
+    assert_gen_refuses(
+        "bogus-bus.json",
+        &["--bus", "bogus"],
+        "request 'req-000': unknown bus `bogus`",
+    );
+}
+
+#[test]
+fn gen_refuses_an_unknown_mode() {
+    assert_gen_refuses(
+        "bogus-mode.json",
+        &["--mode", "bogus"],
+        "request 'req-000': unknown persistence mode `bogus`",
+    );
 }

@@ -95,22 +95,32 @@ fn repeated_batches_are_served_from_the_cache() {
 #[test]
 fn zero_slot_requests_fail_with_a_per_request_error() {
     // A slotted bus needs s ≥ 1: a zero-slot TDMA request used to be
-    // analysed with no wait slots at all and come back schedulable.
+    // analysed with no wait slots at all and come back schedulable. `gen`
+    // refuses to write one, so the batch is edited by hand.
     for bus in ["rr", "tdma"] {
-        let batch = gen_batch(&GenOptions {
+        let opts = GenOptions {
             sets: 1,
             cores: 2,
             tasks_per_core: 3,
             cache_sets: 32,
             util: 0.5,
             bus: bus.to_string(),
-            slots: 0,
             toy: true,
             ..GenOptions::default()
+        };
+        let refused = gen_batch(&GenOptions {
+            slots: 0,
+            ..opts.clone()
         })
-        .expect("generation does not analyse");
+        .expect_err("gen applies the per-request check");
+        assert!(
+            refused.contains(&format!("bus `{bus}` needs at least one slot")),
+            "{refused}"
+        );
+        let mut batch = requests(&opts);
+        batch[0].slots = 0;
         let err = process_batch(
-            &batch,
+            &serde_json::to_string(&batch).unwrap(),
             &ServiceOptions::default(),
             &mut ResultCache::in_memory(),
         )

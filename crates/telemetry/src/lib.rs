@@ -85,7 +85,7 @@ mod tests {
         assert!(is_scheduling_meter("analysis.context_recycles"));
         assert!(!is_scheduling_meter("experiments.sets_evaluated"));
         assert!(!is_scheduling_meter("optimize.audsley_probes"));
-        assert!(!is_scheduling_meter("engine.curve_hit"));
+        assert!(!is_scheduling_meter("engine.bao_hit"));
         assert!(!is_scheduling_meter("pool.items"));
         assert!(!is_scheduling_meter("sim.runs"));
         assert!(is_scheduling_span("pool.chunk"));

@@ -90,74 +90,31 @@ struct AnalyzeTaskRow {
     blocking: u64,
 }
 
-/// Engine-internals section of the `analyze` report: demand-curve cache
-/// effectiveness and outer-worklist statistics, from the `engine.*`
-/// counter deltas of this run.
+/// Engine-internals section of the `analyze` report: `BAO` segment-cache
+/// effectiveness and solve counts, from the `engine.*` counters.
 #[derive(Serialize)]
 struct EngineStats {
-    curve_hits: u64,
-    curve_misses: u64,
-    curve_hit_rate: f64,
-    same_core_hits: u64,
-    same_core_misses: u64,
     bao_hits: u64,
     bao_misses: u64,
     tasks_solved: u64,
-    tasks_skipped: u64,
-    worklist_rounds: u32,
-    mean_worklist_depth: f64,
     scratch_reuses: u64,
 }
 
 impl EngineStats {
-    /// Snapshot of the always-on engine counters, for delta-ing around one
-    /// `analyze` call.
-    fn snapshot() -> [u64; 9] {
-        [
-            cpa_obs::counter("engine.curve_hit").get(),
-            cpa_obs::counter("engine.curve_miss").get(),
-            cpa_obs::counter("engine.tasks_solved").get(),
-            cpa_obs::counter("engine.tasks_skipped").get(),
-            cpa_obs::counter("engine.same_core_hit").get(),
-            cpa_obs::counter("engine.same_core_miss").get(),
-            cpa_obs::counter("engine.bao_hit").get(),
-            cpa_obs::counter("engine.bao_miss").get(),
-            cpa_obs::counter("engine.scratch_reuses").get(),
-        ]
-    }
-
-    fn from_delta(before: [u64; 9], rounds: u32) -> EngineStats {
-        let after = EngineStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
-        let (hits, misses, solved, skipped) = (d(0), d(1), d(2), d(3));
-        let probes = hits + misses;
+    /// Reads the engine counters after the `analyze` run, the only work
+    /// that bumps them.
+    fn read() -> EngineStats {
         EngineStats {
-            curve_hits: hits,
-            curve_misses: misses,
-            curve_hit_rate: if probes == 0 {
-                0.0
-            } else {
-                hits as f64 / probes as f64
-            },
-            same_core_hits: d(4),
-            same_core_misses: d(5),
-            bao_hits: d(6),
-            bao_misses: d(7),
-            tasks_solved: solved,
-            tasks_skipped: skipped,
-            worklist_rounds: rounds,
-            mean_worklist_depth: if rounds == 0 {
-                0.0
-            } else {
-                solved as f64 / f64::from(rounds)
-            },
-            scratch_reuses: d(8),
+            bao_hits: count("engine.bao_hit"),
+            bao_misses: count("engine.bao_miss"),
+            tasks_solved: count("engine.tasks_solved"),
+            scratch_reuses: count("engine.scratch_reuses"),
         }
     }
 }
 
 /// Pool section of the `sweep` report: dynamic-scheduling statistics from
-/// the `pool.*` counter deltas of one pooled evaluation, plus the engine's
+/// the `pool.*` counters of one pooled evaluation, plus the engine's
 /// scratch-reuse count (DESIGN.md §12).
 #[derive(Serialize)]
 struct PoolStats {
@@ -169,30 +126,16 @@ struct PoolStats {
 }
 
 impl PoolStats {
-    /// Snapshot of the always-on pool/scratch counters, for delta-ing
-    /// around one pooled evaluation.
-    fn snapshot() -> [u64; 3] {
-        [
-            cpa_obs::counter("pool.chunks_claimed").get(),
-            cpa_obs::counter("pool.chunks_stolen").get(),
-            cpa_obs::counter("engine.scratch_reuses").get(),
-        ]
-    }
-
-    fn from_delta(before: [u64; 3], threads: usize) -> PoolStats {
-        let after = PoolStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
-        let (claimed, stolen) = (d(0), d(1));
+    /// Reads the pool and scratch counters after the pooled evaluation,
+    /// the only work that bumps them.
+    fn read(threads: usize) -> PoolStats {
+        let (claimed, stolen) = (count("pool.chunks_claimed"), count("pool.chunks_stolen"));
         PoolStats {
             threads,
             chunks_claimed: claimed,
             chunks_stolen: stolen,
-            steal_ratio: if claimed == 0 {
-                0.0
-            } else {
-                stolen as f64 / claimed as f64
-            },
-            scratch_reuses: d(2),
+            steal_ratio: ratio(stolen, claimed),
+            scratch_reuses: count("engine.scratch_reuses"),
         }
     }
 }
@@ -217,7 +160,7 @@ struct SweepDoc {
 }
 
 /// Search section of the `optimize` report: design-space search activity
-/// from the `optimize.*` counter deltas across both batch runs
+/// from the `optimize.*` counters across both batch runs
 /// (DESIGN.md §13).
 #[derive(Serialize)]
 struct OptimizeStats {
@@ -237,37 +180,20 @@ struct OptimizeStats {
 }
 
 impl OptimizeStats {
-    /// Snapshot of the always-on optimizer counters, for delta-ing around
-    /// the cold + warm batch runs.
-    fn snapshot() -> [u64; 10] {
-        [
-            cpa_obs::counter("optimize.candidates").get(),
-            cpa_obs::counter("optimize.cache_hits").get(),
-            cpa_obs::counter("optimize.cache_misses").get(),
-            cpa_obs::counter("optimize.moves_accepted").get(),
-            cpa_obs::counter("optimize.moves_rejected").get(),
-            cpa_obs::counter("optimize.restarts").get(),
-            cpa_obs::counter("optimize.exhaustive_runs").get(),
-            cpa_obs::counter("optimize.improved").get(),
-            cpa_obs::counter("optimize.audsley_probes").get(),
-            cpa_obs::counter("optimize.audsley_fallbacks").get(),
-        ]
-    }
-
-    fn from_delta(before: [u64; 10]) -> OptimizeStats {
-        let after = OptimizeStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
+    /// Reads the optimizer counters after the cold and warm batch runs,
+    /// the only work that bumps them.
+    fn read() -> OptimizeStats {
         OptimizeStats {
-            candidates: d(0),
-            cache_hits: d(1),
-            cache_misses: d(2),
-            moves_accepted: d(3),
-            moves_rejected: d(4),
-            restarts: d(5),
-            exhaustive_runs: d(6),
-            improved: d(7),
-            audsley_probes: d(8),
-            audsley_fallbacks: d(9),
+            candidates: count("optimize.candidates"),
+            cache_hits: count("optimize.cache_hits"),
+            cache_misses: count("optimize.cache_misses"),
+            moves_accepted: count("optimize.moves_accepted"),
+            moves_rejected: count("optimize.moves_rejected"),
+            restarts: count("optimize.restarts"),
+            exhaustive_runs: count("optimize.exhaustive_runs"),
+            improved: count("optimize.improved"),
+            audsley_probes: count("optimize.audsley_probes"),
+            audsley_fallbacks: count("optimize.audsley_fallbacks"),
         }
     }
 }
@@ -310,8 +236,8 @@ struct SimTaskRow {
     deadline_misses: u64,
 }
 
-/// Event-skip section of the `sim` report, from the `sim.*` counter
-/// deltas of this run (see `cpa_sim::Simulator::run`).
+/// Event-skip section of the `sim` report, from the `sim.*` counters of
+/// this run (see `cpa_sim::Simulator::run`).
 #[derive(Serialize)]
 struct SkipStats {
     spans: u64,
@@ -322,35 +248,33 @@ struct SkipStats {
 }
 
 impl SkipStats {
-    /// Snapshot of the always-on simulator counters, for delta-ing around
-    /// one simulation run.
-    fn snapshot() -> [u64; 3] {
-        [
-            cpa_obs::counter("sim.skip_spans").get(),
-            cpa_obs::counter("sim.cycles_skipped").get(),
-            cpa_obs::counter("sim.cycles_stepped").get(),
-        ]
-    }
-
-    fn from_delta(before: [u64; 3], horizon: u64) -> SkipStats {
-        let after = SkipStats::snapshot();
-        let d = |i: usize| after[i].saturating_sub(before[i]);
-        let (spans, skipped, stepped) = (d(0), d(1), d(2));
+    /// Reads the simulator counters after the one simulation run that
+    /// bumps them.
+    fn read(horizon: u64) -> SkipStats {
+        let spans = count("sim.skip_spans");
+        let skipped = count("sim.cycles_skipped");
         SkipStats {
             spans,
             cycles_skipped: skipped,
-            cycles_stepped: stepped,
-            mean_span: if spans == 0 {
-                0.0
-            } else {
-                skipped as f64 / spans as f64
-            },
-            skip_ratio: if horizon == 0 {
-                0.0
-            } else {
-                skipped as f64 / horizon as f64
-            },
+            cycles_stepped: count("sim.cycles_stepped"),
+            mean_span: ratio(skipped, spans),
+            skip_ratio: ratio(skipped, horizon),
         }
+    }
+}
+
+/// The current value of an always-on counter. Counters start at zero in
+/// this process, so after a run it is exactly that run's tally.
+fn count(name: &'static str) -> u64 {
+    cpa_obs::counter(name).get()
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -567,9 +491,8 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
     let (gen_config, platform, tasks) = opts.workload()?;
     let ctx = AnalysisContext::new(&platform, &tasks).map_err(|e| e.to_string())?;
     let config = AnalysisConfig::new(bus, mode);
-    let counters_before = EngineStats::snapshot();
     let result = analyze(&ctx, &config);
-    let engine = EngineStats::from_delta(counters_before, result.outer_iterations());
+    let engine = EngineStats::read();
 
     // Decomposition windows: the fixed point where one exists, the
     // deadline (the last window the sufficiency test probed) otherwise.
@@ -642,19 +565,11 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
         }
     );
     println!(
-        "engine: curve cache {:.1}% hit ({} hits / {} misses; same-core {}/{}, \
-         bao {}/{}); worklist solved {}, skipped {} over {} rounds (mean depth {:.1})",
-        engine.curve_hit_rate * 100.0,
-        engine.curve_hits,
-        engine.curve_misses,
-        engine.same_core_hits,
-        engine.same_core_misses,
+        "engine: bao cache {:.1}% hit ({} hits / {} misses); {} task solves",
+        ratio(engine.bao_hits, engine.bao_hits + engine.bao_misses) * 100.0,
         engine.bao_hits,
         engine.bao_misses,
         engine.tasks_solved,
-        engine.tasks_skipped,
-        engine.worklist_rounds,
-        engine.mean_worklist_depth,
     );
     if engine.scratch_reuses > 0 {
         println!("engine: {} scratch reuses", engine.scratch_reuses);
@@ -703,17 +618,21 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
 
 fn sim_cmd(opts: &TraceOptions) -> Result<(), String> {
     let bus = opts.bus_policy()?;
+    if bus == BusPolicy::Perfect {
+        return Err(
+            "sim: bus `perfect` has no arbiter to simulate (expected fp, rr, or tdma)".to_string(),
+        );
+    }
     let (gen_config, platform, tasks) = opts.workload()?;
     let horizon = horizon_for(&tasks, opts.horizon);
     let config = SimConfig::new(arbitration_of(bus)).with_horizon(horizon);
     let sim = Simulator::new(&platform, &tasks, config).map_err(|e| e.to_string())?;
-    let counters_before = SkipStats::snapshot();
     let report = if opts.reference_sim {
         sim.run_reference()
     } else {
         sim.run()
     };
-    let skip = SkipStats::from_delta(counters_before, report.horizon.cycles());
+    let skip = SkipStats::read(report.horizon.cycles());
 
     let run = finish_run(opts)?;
     if run.exported_to_stdout {
@@ -807,10 +726,9 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
     sweep.threads = opts.threads;
     let threads = cpa_pool::resolve_threads(opts.threads);
 
-    let counters_before = PoolStats::snapshot();
     let evaluation = Evaluation::new(gen_config.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
     let point = evaluate_population(&gen_config, &[evaluation], &sweep, 0).remove(0);
-    let pool = PoolStats::from_delta(counters_before, threads);
+    let pool = PoolStats::read(threads);
 
     let run = finish_run(opts)?;
     if run.exported_to_stdout {
@@ -892,11 +810,10 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
 
     // Run the same batch twice against one cache: the cold run searches,
     // the warm run must replay the exact bytes from the cache.
-    let counters_before = OptimizeStats::snapshot();
     let mut cache = cpa_optimize::ResultCache::in_memory();
     let (cold_doc, cold) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
     let (warm_doc, warm) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
-    let counters = OptimizeStats::from_delta(counters_before);
+    let counters = OptimizeStats::read();
     let replay_identical = cold_doc == warm_doc;
 
     let run = finish_run(opts)?;

@@ -65,6 +65,13 @@ fn zero_slots_are_rejected_before_analysis_or_simulation() {
 }
 
 #[test]
+fn sim_rejects_the_perfect_bus_with_a_diagnostic() {
+    // The perfect bus is an analysis reference line with no arbiter: `sim`
+    // must not run it under another bus's arbitration and label it perfect.
+    assert_usage_error(&["sim", "--bus", "perfect"], "expected fp, rr, or tdma");
+}
+
+#[test]
 fn validate_rejects_zero_slots_with_a_diagnostic() {
     let out = Command::new(env!("CARGO_BIN_EXE_cpa-validate"))
         .args([
