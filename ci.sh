@@ -15,15 +15,16 @@ echo "==> cargo test -q"
 cargo test -q
 
 # perfbench/ is a workspace of its own: the root fmt, clippy and test
-# steps above never enter it.
+# steps above never enter it. `--locked` makes a dependency-edge change in
+# any crate it builds fail here instead of rewriting perfbench/Cargo.lock.
 echo "==> perfbench: cargo fmt --check"
 cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "==> perfbench: cargo clippy --all-targets -- -D warnings"
-cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo clippy --locked --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> perfbench: cargo test --release"
-cargo test --offline --release --manifest-path perfbench/Cargo.toml
+cargo test --locked --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
@@ -91,7 +92,7 @@ rm -rf ci-threads-1 ci-threads-4
 
 echo "==> perfbench floor (5 s per workload: outputs correct, items_per_s >= (1 - 0.25) x results/perfbench_floor.json)"
 for workload in reproduce_paper optimize_mixed; do
-  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  result=$(cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1)
   echo "$result"
   echo "$result" | grep -q '"correct": true'

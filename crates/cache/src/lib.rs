@@ -8,9 +8,8 @@
 //!
 //! * [`concrete`] — an executable set-associative LRU cache model; the
 //!   ground-truth oracle that the static analysis is validated against;
-//! * [`must`] / [`may`] — abstract-interpretation *must* and *may*
-//!   analyses with LRU age bounds (Ferdinand-style), classifying accesses
-//!   as always-hit / always-miss ([`mod@classify`]);
+//! * [`must`] — the abstract-interpretation *must* analysis with LRU age
+//!   bounds (Ferdinand-style) that the `MD`/`MD^r` walk threads;
 //! * [`analysis`] — the structural walk over a program computing
 //!   worst-case miss counts (`MD`), residual miss counts (`MD^r`),
 //!   persistence (`PCB`: blocks whose cache set hosts at most
@@ -19,6 +18,12 @@
 //! * [`mod@extract`] — the public entry point bundling everything into
 //!   [`ExtractedParams`] ready to instantiate a
 //!   [`cpa_model::Task`].
+//!
+//! There is no *may* analysis and no always-hit/always-miss census: the
+//! paper's bound reads neither, and on its direct-mapped platform the
+//! set-occupancy rule for `PCB` is already exact (any reachable block that
+//! conflicts in the set evicts), so a finer persistence analysis would
+//! change no parameter.
 //!
 //! # Example
 //!
@@ -46,14 +51,10 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod analysis;
-pub mod classify;
 pub mod concrete;
 pub mod extract;
-pub mod may;
 pub mod must;
 
-pub use classify::{classify, ClassificationCensus};
 pub use concrete::{AccessOutcome, CacheSim, SimulationStats};
 pub use extract::{extract, ExtractedParams};
-pub use may::MayCache;
 pub use must::MustCache;

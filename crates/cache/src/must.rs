@@ -55,12 +55,6 @@ impl MustCache {
         state
     }
 
-    /// The geometry this state is for.
-    #[must_use]
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
     /// `true` if `block` is guaranteed resident.
     #[must_use]
     pub fn contains_block(&self, block: u64) -> bool {

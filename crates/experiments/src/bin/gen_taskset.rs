@@ -4,8 +4,12 @@
 //!
 //! ```text
 //! gen_taskset [--seed S] [--utilization U] [--cores M] [--tasks-per-core N]
-//!             [--cache-sets C] [--summary]
+//!             [--cache-sets C] [--d-mem D] [--summary]
 //! ```
+//!
+//! Exits 0 on success and on `--help`, 2 on an unknown flag, a malformed
+//! value or an invalid generator configuration, and 1 when generation
+//! itself fails.
 
 use std::process::ExitCode;
 
@@ -24,6 +28,10 @@ fn main() -> ExitCode {
     let mut summary = false;
     let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next_arg() {
+        if matches!(arg.as_str(), "--help" | "-h") {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         let result: Result<(), String> = (|| {
             match arg.as_str() {
                 "--seed" => seed = args.value_for("--seed").map_err(|e| e.to_string())?,
@@ -46,14 +54,13 @@ fn main() -> ExitCode {
                         Time::from_cycles(args.value_for("--d-mem").map_err(|e| e.to_string())?);
                 }
                 "--summary" => summary = true,
-                "--help" | "-h" => return Err(args.help().to_string()),
                 other => return Err(args.unknown_flag(other).to_string()),
             }
             Ok(())
         })();
         if let Err(msg) = result {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     }
 
@@ -61,7 +68,7 @@ fn main() -> ExitCode {
         Ok(g) => g,
         Err(e) => {
             eprintln!("invalid configuration: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -27,10 +27,10 @@ use std::time::Instant;
 use cpa_analysis::{analyze, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa_experiments::cli::Args;
 use cpa_experiments::runner::platform_for;
-use cpa_telemetry::JsonValue;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use serde::Serialize;
 
 const USAGE: &str = "usage: obs_overhead [--budget FRACTION]";
 
@@ -89,21 +89,21 @@ fn main() -> ExitCode {
     let fraction = overhead_ns / analyze_ns;
     let pass = fraction < budget;
 
-    let verdict = JsonValue::Object(vec![
-        ("guard".into(), "obs_overhead".into()),
-        (
-            "workload".into(),
-            "analysis_micro/wcrt_full_fp_aware".into(),
-        ),
-        ("analyze_ns".into(), analyze_ns.into()),
-        ("gate_ns".into(), gate_ns.into()),
-        ("gates_per_analyze".into(), gates.into()),
-        ("overhead_ns".into(), overhead_ns.into()),
-        ("overhead_fraction".into(), fraction.into()),
-        ("budget".into(), budget.into()),
-        ("pass".into(), pass.into()),
-    ]);
-    println!("{}", verdict.to_json());
+    let verdict = Verdict {
+        guard: "obs_overhead",
+        workload: "analysis_micro/wcrt_full_fp_aware",
+        analyze_ns,
+        gate_ns,
+        gates_per_analyze: gates,
+        overhead_ns,
+        overhead_fraction: fraction,
+        budget,
+        pass,
+    };
+    println!(
+        "{}",
+        serde_json::to_string(&verdict).expect("verdict serializes")
+    );
     eprintln!(
         "obs overhead: analyze {analyze_ns:.0} ns, {gates} gates x {gate_ns:.2} ns = \
          {overhead_ns:.0} ns ({:.3}% of budget {:.1}%)",
@@ -120,6 +120,20 @@ fn main() -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// The one JSON line this guard prints.
+#[derive(Serialize)]
+struct Verdict {
+    guard: &'static str,
+    workload: &'static str,
+    analyze_ns: f64,
+    gate_ns: f64,
+    gates_per_analyze: u64,
+    overhead_ns: f64,
+    overhead_fraction: f64,
+    budget: f64,
+    pass: bool,
 }
 
 /// Median-of-three per-iteration wall time in nanoseconds.

@@ -13,6 +13,9 @@
 //! deterministic JSON-lines event stream when every experiment has run;
 //! `--metrics FILE` enables timing collection only and writes counters,
 //! histograms, and the span-tree self-profile as one JSON document.
+//!
+//! Exits 0 on success and on `--help`, 2 on an unknown flag, a malformed
+//! value or an unknown experiment, and 1 when an output cannot be written.
 
 use std::fs;
 use std::path::PathBuf;
@@ -29,7 +32,8 @@ struct Cli {
     sinks: ObsSinks,
 }
 
-fn parse_args() -> Result<Cli, String> {
+/// The parsed command line, or `None` when `--help` asked for the usage.
+fn parse_args() -> Result<Option<Cli>, String> {
     let mut opts = SweepOptions::paper();
     let mut out_dir = PathBuf::from("results");
     let mut experiments: Vec<String> = Vec::new();
@@ -47,7 +51,7 @@ fn parse_args() -> Result<Cli, String> {
         }
         match arg.as_str() {
             "--out" => out_dir = args.value_for("--out").map_err(|e| e.to_string())?,
-            "--help" | "-h" => return Err(args.help().to_string()),
+            "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => return Err(args.unknown_flag(other).to_string()),
             name => experiments.push(name.to_string()),
         }
@@ -55,12 +59,12 @@ fn parse_args() -> Result<Cli, String> {
     if experiments.is_empty() {
         experiments.push("all".to_string());
     }
-    Ok(Cli {
+    Ok(Some(Cli {
         opts,
         out_dir,
         experiments,
         sinks,
-    })
+    }))
 }
 
 const USAGE: &str = "usage: run_experiments [--quick] [--sets N] [--seed S] [--threads T] \
@@ -69,10 +73,14 @@ const USAGE: &str = "usage: run_experiments [--quick] [--sets N] [--seed S] [--t
 
 fn main() -> ExitCode {
     let cli = match parse_args() {
-        Ok(cli) => cli,
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     if let Err(e) = fs::create_dir_all(&cli.out_dir) {
@@ -120,7 +128,7 @@ fn main() -> ExitCode {
 
     if !ran_any {
         eprintln!("no experiment matched {:?}\n{USAGE}", cli.experiments);
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     }
     if let Err(e) = cli.sinks.write() {
         eprintln!("{e}");

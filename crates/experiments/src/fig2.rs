@@ -33,14 +33,7 @@ pub fn fig2(opts: &SweepOptions) -> Vec<ExperimentResult> {
 
 /// One Fig. 2 panel for an arbitrary bus policy.
 #[must_use]
-pub fn fig2_panel(
-    opts: &SweepOptions,
-    id: &str,
-    name: &str,
-    bus: BusPolicy,
-    panel: u64,
-) -> ExperimentResult {
-    let _ = panel; // panel kept for API stability / future per-panel seeding
+pub fn fig2_panel(opts: &SweepOptions, id: &str, name: &str, bus: BusPolicy) -> ExperimentResult {
     fig2_panels(opts, &[(id, name, bus)]).remove(0)
 }
 

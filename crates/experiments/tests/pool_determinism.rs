@@ -23,7 +23,6 @@ fn panel_bytes(threads: usize, chunk: usize) -> (String, String) {
         "fig2a",
         "FP bus",
         BusPolicy::FixedPriority,
-        0,
     );
     (report::to_csv(&result), report::to_markdown(&result))
 }

@@ -226,10 +226,13 @@ impl Task {
     }
 
     /// Utilization of the task with memory time included:
-    /// `(PD_i + MD_i · d_mem) / T_i`.
+    /// `(PD_i + MD_i · d_mem) / T_i`. The numerator is exact in `u128`, so
+    /// a demand past `u64::MAX` cycles still yields a (huge) utilization.
     #[must_use]
     pub fn utilization(&self, d_mem: Time) -> f64 {
-        self.total_demand(d_mem).cycles() as f64 / self.period.cycles() as f64
+        let demand =
+            u128::from(self.pd.cycles()) + u128::from(d_mem.cycles()) * u128::from(self.md);
+        demand as f64 / self.period.cycles() as f64
     }
 
     /// Feeds the task's canonical encoding into a [`crate::ContentHasher`]
@@ -592,6 +595,18 @@ mod tests {
         assert_eq!(t.total_demand(d_mem), Time::from_cycles(30));
         let u = t.utilization(d_mem);
         assert!((u - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn utilization_survives_a_demand_past_u64() {
+        let t = base().build().unwrap();
+        let d_mem = Time::from_cycles(u64::MAX);
+        let exact = (10.0 + 5.0 * u64::MAX as f64) / 100.0;
+        assert_eq!(t.utilization(d_mem), exact);
+        // Where the demand fits in u64, the bits match the u64 quotient.
+        let d_mem = Time::from_cycles(1 << 60);
+        let demand = t.total_demand(d_mem).cycles();
+        assert_eq!(t.utilization(d_mem), demand as f64 / 100.0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Structured trace events and their JSON-lines / human renderings.
 
-use crate::value::{write_json_string, FieldValue};
+use crate::json::write_json_string;
+use crate::value::FieldValue;
 use std::fmt::Write as _;
 
 /// One structured trace event.
@@ -96,6 +97,23 @@ mod tests {
             "{\"scope\":3,\"seq\":7,\"name\":\"wcrt.outer\",\"fields\":{\"iter\":2,\"changed\":5}}"
         );
         assert_eq!(event.render_human(), "[3.7] wcrt.outer iter=2 changed=5");
+    }
+
+    #[test]
+    fn integral_float_fields_keep_their_decimal_point() {
+        let event = Event {
+            scope: 0,
+            seq: 1,
+            name: "wcrt.x",
+            fields: vec![("v", FieldValue::F64(3.0)), ("big", FieldValue::F64(1e20))],
+        };
+        let mut out = String::new();
+        event.write_json(&mut out);
+        assert_eq!(
+            out,
+            "{\"scope\":0,\"seq\":1,\"name\":\"wcrt.x\",\"fields\":\
+             {\"v\":3.0,\"big\":100000000000000000000}}"
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 mod registry;

@@ -1,6 +1,6 @@
 //! Counters, histograms, and the metrics snapshot they aggregate into.
 
-use crate::value::write_json_string;
+use crate::json::write_json_string;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -4,7 +4,7 @@
 //! never carry time, so the event stream stays deterministic while the profile
 //! answers "where did the time go".
 
-use crate::value::write_json_string;
+use crate::json::write_json_string;
 use std::fmt::Write as _;
 
 /// One node of the aggregated span tree.

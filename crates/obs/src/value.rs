@@ -1,19 +1,14 @@
-//! Field values carried by events, and the hand-rolled JSON encoding they
-//! share with every other `cpa-obs` artefact.
-//!
-//! `cpa-obs` must stay dependency-free (it sits below every other crate in
-//! the workspace), so it does not use `serde`; the JSON subset emitted here
-//! is deliberately tiny: objects, arrays, strings, booleans, and integers /
-//! finite floats.
+//! Field values carried by events, encoded with the [`crate::json`] writer.
 
 use std::fmt::Write as _;
+
+use crate::json::{write_json_f64, write_json_string};
 
 /// A single typed field value attached to an [`crate::Event`].
 ///
 /// Values are deliberately restricted to deterministic encodings: integers
-/// render exactly, floats render through Rust's shortest-roundtrip `Display`
-/// (identical across runs for identical bits), and strings are escaped per
-/// RFC 8259.
+/// render exactly, floats render through [`write_json_f64`] (identical
+/// across runs for identical bits), and strings are escaped per RFC 8259.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer (cycle counts, iteration numbers, indices).
@@ -38,25 +33,7 @@ impl FieldValue {
             FieldValue::I64(v) => {
                 let _ = write!(out, "{v}");
             }
-            FieldValue::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                    // `Display` omits the decimal point for integral floats;
-                    // keep the type visible in the stream.
-                    if !out.ends_with(['.', 'e']) && v.fract() == 0.0 {
-                        let tail: String = out
-                            .chars()
-                            .rev()
-                            .take_while(|c| c.is_ascii_digit() || *c == '-')
-                            .collect();
-                        if tail.len() == out.len() || !out.contains('.') {
-                            out.push_str(".0");
-                        }
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            FieldValue::F64(v) => write_json_f64(*v, out),
             FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             FieldValue::Str(s) => write_json_string(s, out),
         }
@@ -123,25 +100,6 @@ impl From<String> for FieldValue {
     }
 }
 
-/// Appends `s` to `out` as a quoted, RFC 8259-escaped JSON string.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +121,8 @@ mod tests {
         assert_eq!(json(FieldValue::F64(0.5)), "0.5");
         assert_eq!(json(FieldValue::F64(3.0)), "3.0");
         assert_eq!(json(FieldValue::F64(f64::NAN)), "null");
+        assert_eq!(json(FieldValue::F64(-2.0)), "-2.0");
+        assert_eq!(json(FieldValue::F64(1e20)), "100000000000000000000");
     }
 
     #[test]

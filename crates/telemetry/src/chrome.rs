@@ -20,6 +20,7 @@
 //! remaining tree shape depends only on the workload.
 
 use crate::{is_scheduling_span, ExportScope};
+use cpa_obs::json::write_json_string;
 use cpa_obs::{Event, ProfileNode};
 use std::fmt::Write as _;
 
@@ -50,10 +51,12 @@ pub fn chrome_trace(events: &[Event], profile: &ProfileNode, scope: ExportScope)
 }
 
 fn write_instant(event: &Event, out: &mut String) {
+    out.push_str("{\"name\":");
+    write_json_string(event.name, out);
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}",
-        event.name, event.scope, event.seq
+        ",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{}",
+        event.scope, event.seq
     );
     if !event.fields.is_empty() {
         out.push_str(",\"args\":{");
@@ -61,7 +64,8 @@ fn write_instant(event: &Event, out: &mut String) {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{key}\":");
+            write_json_string(key, out);
+            out.push(':');
             value.write_json(out);
         }
         out.push('}');
@@ -78,11 +82,13 @@ fn weight(node: &ProfileNode) -> u64 {
 fn write_span(node: &ProfileNode, cursor: &mut u64, scope: ExportScope, out: &mut String) {
     let dur = weight(node);
     let start = *cursor;
+    out.push_str(",\n{\"name\":");
+    write_json_string(&node.name, out);
     let _ = write!(
         out,
-        ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{start},\"dur\":{dur},\
+        ",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{start},\"dur\":{dur},\
          \"args\":{{\"calls\":{}",
-        node.name, node.calls
+        node.calls
     );
     if scope == ExportScope::Full {
         let _ = write!(out, ",\"nanos\":{}", node.nanos);
@@ -132,6 +138,7 @@ fn merge_child(parent: &mut ProfileNode, child: ProfileNode) {
 mod tests {
     use super::*;
     use cpa_obs::FieldValue;
+    use serde_json::Value;
 
     fn profile_fixture() -> ProfileNode {
         let mut root = ProfileNode::new("");
@@ -178,14 +185,14 @@ mod tests {
             "{\"name\":\"wcrt.outer\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":3,\"ts\":7,\
              \"args\":{\"iter\":2}}"
         ));
-        crate::json::parse(&trace).expect("chrome trace must be valid JSON");
+        serde_json::from_str::<Value>(&trace).expect("chrome trace must be valid JSON");
     }
 
     #[test]
     fn spans_nest_and_siblings_merge() {
         let trace = chrome_trace(&[], &profile_fixture(), ExportScope::Deterministic);
-        let doc = crate::json::parse(&trace).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let doc: Value = serde_json::from_str(&trace).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_seq().unwrap();
         let spans: Vec<_> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
@@ -200,5 +207,29 @@ mod tests {
             wcrt.get("args").unwrap().get("calls").unwrap().as_u64(),
             Some(2)
         );
+    }
+
+    #[test]
+    fn names_are_escaped() {
+        let mut root = ProfileNode::new("");
+        root.record(&["a\"b"], 5);
+        let events = vec![Event {
+            scope: 0,
+            seq: 0,
+            name: "quote\"d",
+            fields: vec![("k\\ey", FieldValue::U64(1))],
+        }];
+        let trace = chrome_trace(&events, &root, ExportScope::Deterministic);
+        let doc: Value = serde_json::from_str(&trace).expect("chrome trace must be valid JSON");
+        let names: Vec<&str> = doc
+            .get("traceEvents")
+            .and_then(Value::as_seq)
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Value::as_str))
+            .collect();
+        assert!(names.contains(&"a\"b"));
+        assert!(names.contains(&"quote\"d"));
+        assert!(trace.contains("\"args\":{\"k\\\\ey\":1}"));
     }
 }

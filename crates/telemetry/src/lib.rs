@@ -12,9 +12,6 @@
 //!   and the self-profile into per-pipeline-stage rows (wall time, calls,
 //!   work items, throughput), the breakdown shown by `cpa-trace`.
 //!
-//! The [`json`] module's value type also prints the one-line verdicts of
-//! the two guard binaries, `obs_overhead` and `sim_speedup`.
-//!
 //! ## Determinism contract
 //!
 //! Events are deterministic by construction (the `(scope, seq)` canonical
@@ -26,15 +23,15 @@
 //! timeline uses logical call-count ticks instead. [`ExportScope::Full`]
 //! keeps everything (and is correspondingly not byte-stable).
 //!
-//! Like `cpa-obs`, this crate has no external dependencies.
+//! Like `cpa-obs`, this crate has no external dependencies: every export is
+//! written with `cpa-obs`'s one JSON writer. Its tests read the exports
+//! back with the vendored `serde_json`, a dev-dependency only.
 
 mod chrome;
-pub mod json;
 mod openmetrics;
 mod stage;
 
 pub use chrome::chrome_trace;
-pub use json::{parse as parse_json, JsonValue};
 pub use openmetrics::{openmetrics, sanitize_metric_name, validate as validate_openmetrics};
 pub use stage::{
     stage_for_counter, stage_for_span, StageReport, StageRow, StageSpec, PIPELINE_STAGES,

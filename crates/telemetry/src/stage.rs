@@ -13,7 +13,7 @@
 //! counter prefix matches. Unmatched time/counters fall into the `other` row,
 //! so the table always sums to the observed total.
 
-use crate::json::JsonValue;
+use cpa_obs::json::{write_json_f64, write_json_string};
 use cpa_obs::{format_nanos, MetricsSnapshot, ProfileNode};
 use std::fmt::Write as _;
 
@@ -230,44 +230,37 @@ impl StageReport {
         out
     }
 
-    /// Encodes the report as a JSON value (stable key order).
-    #[must_use]
-    pub fn to_json_value(&self) -> JsonValue {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut fields = vec![
-                    ("stage".to_string(), JsonValue::from(row.stage)),
-                    ("wall_nanos".to_string(), JsonValue::U64(row.wall_nanos)),
-                    ("calls".to_string(), JsonValue::U64(row.calls)),
-                    ("items".to_string(), JsonValue::U64(row.work_items)),
-                ];
-                if let Some(rate) = row.throughput_per_s() {
-                    fields.push(("items_per_s".to_string(), JsonValue::F64(rate)));
-                }
-                fields.push((
-                    "counters".to_string(),
-                    JsonValue::Object(
-                        row.counters
-                            .iter()
-                            .map(|(name, value)| (name.clone(), JsonValue::U64(*value)))
-                            .collect(),
-                    ),
-                ));
-                JsonValue::Object(fields)
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("total_nanos".to_string(), JsonValue::U64(self.total_nanos)),
-            ("stages".to_string(), JsonValue::Array(rows)),
-        ])
-    }
-
-    /// Encodes the report as a standalone JSON document.
+    /// Encodes the report as a standalone JSON document (stable key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
+        let mut out = format!("{{\"total_nanos\":{},\"stages\":[", self.total_nanos);
+        for (i, row) in self.rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"stage\":");
+            write_json_string(row.stage, &mut out);
+            let _ = write!(
+                out,
+                ",\"wall_nanos\":{},\"calls\":{},\"items\":{}",
+                row.wall_nanos, row.calls, row.work_items
+            );
+            if let Some(rate) = row.throughput_per_s() {
+                out.push_str(",\"items_per_s\":");
+                write_json_f64(rate, &mut out);
+            }
+            out.push_str(",\"counters\":{");
+            for (j, (name, value)) in row.counters.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write_json_string(name, &mut out);
+                let _ = write!(out, ":{value}");
+            }
+            out.push_str("}}");
+        }
+        out.push_str("]}");
+        out
     }
 }
 
@@ -413,8 +406,34 @@ mod tests {
     #[test]
     fn json_encoding_is_stable_and_parses() {
         let report = StageReport::from_parts(&delta_fixture(), &profile_fixture());
-        let doc = crate::json::parse(&report.to_json()).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
         assert_eq!(doc.get("total_nanos").unwrap().as_u64(), Some(1_750));
-        assert!(doc.get("stages").unwrap().as_array().unwrap().len() >= 4);
+        let stages = doc.get("stages").unwrap().as_seq().unwrap();
+        assert!(stages.len() >= 4);
+        let analysis = stages
+            .iter()
+            .find(|s| s.get("stage").and_then(serde_json::Value::as_str) == Some("analysis"))
+            .unwrap();
+        let keys: Vec<&str> = analysis
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "stage",
+                "wall_nanos",
+                "calls",
+                "items",
+                "items_per_s",
+                "counters"
+            ]
+        );
+        assert_eq!(
+            analysis.get("counters").unwrap().get("engine.tasks_solved"),
+            Some(&serde_json::Value::U64(200))
+        );
     }
 }

@@ -23,11 +23,11 @@ use std::time::Instant;
 
 use cpa_model::{Platform, TaskSet};
 use cpa_sim::{BusArbitration, ReleaseModel, SimConfig, SimReport, Simulator};
-use cpa_telemetry::JsonValue;
 use cpa_validate::oracle::{horizon_for, platform_for_tasks};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde::{Content, Serialize};
 
 /// Task sets in the campaign mix. Each draws its utilization, task count
 /// and cache pressure from the same bands `cpa-validate` samples.
@@ -41,6 +41,44 @@ struct Case {
     platform: Platform,
     tasks: TaskSet,
     config: SimConfig,
+}
+
+/// The one JSON line this guard prints.
+#[derive(Serialize)]
+struct Verdict {
+    guard: &'static str,
+    workload: &'static str,
+    sets: u64,
+    horizon_cap: u64,
+    configs: Configs,
+    reference_sims_per_sec: f64,
+    engine_sims_per_sec: f64,
+    speedup: f64,
+    gate: f64,
+    reports_equal: bool,
+    mismatches: Vec<&'static str>,
+    pass: bool,
+}
+
+/// Per-configuration timings, keyed by configuration label in matrix order.
+struct Configs(Vec<(&'static str, ConfigTiming)>);
+
+impl Serialize for Configs {
+    fn serialize_content(&self) -> Content {
+        Content::Map(
+            self.0
+                .iter()
+                .map(|(label, timing)| (label.to_string(), timing.serialize_content()))
+                .collect(),
+        )
+    }
+}
+
+#[derive(Serialize)]
+struct ConfigTiming {
+    reference_ns: f64,
+    engine_ns: f64,
+    speedup: f64,
 }
 
 fn main() -> ExitCode {
@@ -96,7 +134,7 @@ fn main() -> ExitCode {
         ),
     ];
 
-    let mut configs = Vec::new();
+    let mut configs = Configs(Vec::new());
     let mut mismatches = Vec::new();
     let mut mix_reference_ns = 0.0f64;
     let mut mix_engine_ns = 0.0f64;
@@ -115,7 +153,7 @@ fn main() -> ExitCode {
         // Semantics first: the differential pin, re-checked in situ.
         if cases.iter().any(|case| run(case, false) != run(case, true)) {
             eprintln!("{label}: fast path diverged from the reference");
-            mismatches.push(JsonValue::from(label));
+            mismatches.push(label);
         }
 
         let reference_ns = time_sweep(&cases, true);
@@ -127,13 +165,13 @@ fn main() -> ExitCode {
             "{label:<12} reference {reference_ns:>12.0} ns/sweep   fast {engine_ns:>12.0} \
              ns/sweep   speedup {speedup:.2}x"
         );
-        configs.push((
-            label.to_string(),
-            JsonValue::Object(vec![
-                ("reference_ns".into(), reference_ns.round().into()),
-                ("engine_ns".into(), engine_ns.round().into()),
-                ("speedup".into(), speedup.into()),
-            ]),
+        configs.0.push((
+            label,
+            ConfigTiming {
+                reference_ns: reference_ns.round(),
+                engine_ns: engine_ns.round(),
+                speedup,
+            },
         ));
     }
 
@@ -147,24 +185,24 @@ fn main() -> ExitCode {
         "campaign mix: reference {reference_sims_per_sec:.1} sims/s -> fast \
          {engine_sims_per_sec:.1} sims/s ({speedup:.2}x)"
     );
-    let verdict = JsonValue::Object(vec![
-        ("guard".into(), "sim_speedup".into()),
-        ("workload".into(), "campaign_mix".into()),
-        ("sets".into(), SETS.into()),
-        ("horizon_cap".into(), HORIZON_CAP.into()),
-        ("configs".into(), JsonValue::Object(configs)),
-        (
-            "reference_sims_per_sec".into(),
-            reference_sims_per_sec.into(),
-        ),
-        ("engine_sims_per_sec".into(), engine_sims_per_sec.into()),
-        ("speedup".into(), speedup.into()),
-        ("gate".into(), SPEEDUP_GATE.into()),
-        ("reports_equal".into(), reports_equal.into()),
-        ("mismatches".into(), JsonValue::Array(mismatches)),
-        ("pass".into(), pass.into()),
-    ]);
-    println!("{}", verdict.to_json());
+    let verdict = Verdict {
+        guard: "sim_speedup",
+        workload: "campaign_mix",
+        sets: SETS,
+        horizon_cap: HORIZON_CAP,
+        configs,
+        reference_sims_per_sec,
+        engine_sims_per_sec,
+        speedup,
+        gate: SPEEDUP_GATE,
+        reports_equal,
+        mismatches,
+        pass,
+    };
+    println!(
+        "{}",
+        serde_json::to_string(&verdict).expect("verdict serializes")
+    );
     if !reports_equal {
         eprintln!("FAIL: the fast path's reports differ from the reference's");
         return ExitCode::FAILURE;

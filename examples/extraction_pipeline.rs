@@ -7,7 +7,6 @@
 //! cargo run --release --example extraction_pipeline [--seed S]
 //! ```
 
-use cpa::cache::classify::classify;
 use cpa::cache::extract::extract;
 use cpa::cfg::{ProgramGenerator, ProgramShape};
 use cpa::model::CacheGeometry;
@@ -32,15 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             function.worst_case_instruction_count()
         );
         println!(
-            "  {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}   {:>9} {:>9} {:>9}",
-            "sets", "PD", "MD", "MD^r", "|ECB|", "|PCB|", "|UCB|", "alw-hit", "alw-miss", "unclass"
+            "  {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}",
+            "sets", "PD", "MD", "MD^r", "|ECB|", "|PCB|", "|UCB|"
         );
         for sets in [32usize, 64, 128, 256, 512] {
             let geometry = CacheGeometry::direct_mapped(sets, 32);
             let p = extract(&function, geometry);
-            let census = classify(&function, geometry);
             println!(
-                "  {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}   {:>9} {:>9} {:>9}",
+                "  {:>6} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6}",
                 sets,
                 p.pd,
                 p.md,
@@ -48,9 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.ecb.len(),
                 p.pcb.len(),
                 p.ucb.len(),
-                census.always_hit,
-                census.always_miss,
-                census.unclassified,
             );
         }
         println!();
