@@ -90,14 +90,19 @@ cargo run --release -p cpa-experiments --bin run_experiments -- \
 diff -r ci-threads-1 ci-threads-4
 rm -rf ci-threads-1 ci-threads-4
 
-echo "==> perfbench floor (5 s per workload: outputs correct, items_per_s >= (1 - 0.25) x results/perfbench_floor.json)"
+echo "==> perfbench floor (5 s per workload: outputs correct, digest and items_per_s >= (1 - 0.25) x results/perfbench_floor.json)"
 for workload in reproduce_paper optimize_mixed; do
-  result=$(cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1)
+  record=$(cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 5 --trace 0)
+  result=$(echo "$record" | tail -n 1)
   echo "$result"
   echo "$result" | grep -q '"correct": true'
+  digest=$(echo "$record" | head -n 1 | sed -n 's/.*"digest": "\([0-9a-f]*\)".*/\1/p')
+  golden=$(sed -n "s/.*\"$workload\": \"\([0-9a-f]*\)\".*/\1/p" results/perfbench_floor.json)
+  echo "$workload: digest $digest, golden $golden"
+  test "${digest:-missing}" = "$golden"
   rate=$(echo "$result" | sed -n 's/.*"items_per_s": {"value": \([0-9.e+-]*\).*/\1/p')
-  reference=$(sed -n "s/.*\"$workload\": \([0-9.]*\).*/\1/p" results/perfbench_floor.json)
+  reference=$(sed -n "s/.*\"$workload\": \([0-9][0-9.]*\).*/\1/p" results/perfbench_floor.json)
   awk -v rate="$rate" -v reference="$reference" -v w="$workload" 'BEGIN {
     floor = reference * (1 - 0.25)
     printf "%s: %.1f items/s, floor %.1f\n", w, rate, floor

@@ -54,18 +54,12 @@ pub fn n_jobs(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time) -> u64 {
     jobs_within(t.cycles(), r_l.cycles(), sub, period.cycles())
 }
 
-/// `⌊max(t + r − sub, 0) / p⌋` for `p > 0`, exact in every operand. The
-/// sum runs in `u64` unless it overflows, where the exact `u128` form
-/// takes over: saturating `t + r` first would undercount the jobs, and
-/// with them the bound. The quotient exceeds `u64` only for `p = 1`; it
-/// is clamped at `u64::MAX` there, where every charge built from it
-/// saturates too.
+/// `⌊max(t + r − sub, 0) / p⌋` for `p > 0`, exact in every operand:
+/// saturating `t + r` first would undercount the jobs, and with them the
+/// bound. The quotient exceeds `u64` only for `p = 1`; it is clamped at
+/// `u64::MAX` there, where every charge built from it saturates too.
 fn jobs_within(t: u64, r: u64, sub: u128, p: u64) -> u64 {
-    match t.checked_add(r) {
-        // `sub` past `u64` exceeds the sum: no job fits either way.
-        Some(sum) => sum.saturating_sub(sat(sub)) / p,
-        None => sat((u128::from(t) + u128::from(r)).saturating_sub(sub) / u128::from(p)),
-    }
+    sat((u128::from(t) + u128::from(r)).saturating_sub(sub) / u128::from(p))
 }
 
 /// `v` clamped to `u64`.
@@ -104,39 +98,23 @@ pub enum CarryOut {
 /// The `N`-interval `[lo, hi]` a [`BaoTerm`] is valid on: the windows
 /// `t ≤ u64::MAX` with `jobs_within(t, r, sub, p) = n`, for a member with
 /// period `p > 0`, response-time estimate `r` and overlap subtrahend
-/// `sub = cost · d_mem`, where `n` is the job count at some window. Runs
-/// in `u64`, dropping to the exact `u128` form only where `n·p` or an
-/// endpoint overflows; `term_interval_fast_path_matches_u128_model` pins
-/// the two bitwise.
+/// `sub = cost · d_mem`, where `n` is the job count at some window.
 fn term_interval(n: u64, p: u64, r: u64, sub: u128) -> (u64, u64) {
+    let (p, r) = (u128::from(p), u128::from(r));
     // Smallest t with t + r − sub ≥ n·p.
     let lo = if n == 0 {
         0
     } else {
-        n.checked_mul(p)
-            .zip(u64::try_from(sub).ok())
-            .and_then(|(b, sub)| b.checked_add(sub))
-            .map_or_else(
-                || sat((u128::from(n) * u128::from(p) + sub).saturating_sub(u128::from(r))),
-                |lim| lim.saturating_sub(r),
-            )
+        sat((u128::from(n) * p).saturating_add(sub).saturating_sub(r))
     };
     // Largest t with t + r − sub ≤ (n + 1)·p − 1; the clamped count
     // `u64::MAX` holds to the end of the axis.
     let hi = if n == u64::MAX {
         u64::MAX
     } else {
-        (n + 1)
-            .checked_mul(p)
-            .zip(u64::try_from(sub).ok())
-            .and_then(|(b, sub)| (b - 1).checked_add(sub))
-            .map_or_else(
-                || {
-                    let lim = (u128::from(n) + 1) * u128::from(p) - 1;
-                    sat(lim.saturating_add(sub).saturating_sub(u128::from(r)))
-                },
-                |lim| lim.saturating_sub(r),
-            )
+        sat(((u128::from(n) + 1) * p - 1)
+            .saturating_add(sub)
+            .saturating_sub(r))
     };
     (lo, hi)
 }
@@ -845,13 +823,13 @@ mod tests {
             prop_assert!(spec::w_cout(t, r, cost, d, p, n).unwrap() <= cost);
         }
 
-        /// The u64 fast path of [`term_interval`] must be bitwise equal
-        /// to the exact all-`u128` derivation, and the interval must be
-        /// exactly the windows with the same job count — across the full
-        /// input range, including `t + r` and `cost · d_mem` past `u64`
-        /// and the clamped count of `p = 1`. `shape` remaps part of the
-        /// full-range draws onto those boundaries so the overflow
-        /// branches are actually exercised, not just reachable.
+        /// [`term_interval`], the segment cache's validity interval,
+        /// matches the exact `u128` job-count model: it is exactly the
+        /// windows with the same job count, maximal around `t` — across
+        /// the full input range, including `t + r` and `cost · d_mem` past
+        /// `u64` and the clamped count of `p = 1`. `shape` remaps part of
+        /// the full-range draws onto those boundaries so they are actually
+        /// exercised, not just reachable.
         #[test]
         fn term_interval_fast_path_matches_u128_model(
             t in any::<u64>(),
@@ -864,7 +842,7 @@ mod tests {
                 1 => (u64::MAX - t % 4, u64::MAX - r % 4, p, u128::from(sub) + u128::from(sub_hi)),
                 // n·p at the overflow boundary, p = 1 clamps the count.
                 2 => (t, r, 1 + p % 2, u128::from(sub % 4)),
-                // Small everything: the pure fast path.
+                // Small everything.
                 3 => (t % 64, r % 64, (p % 8).max(1), u128::from(sub % 8)),
                 // Huge period, t + r overflowing.
                 4 => (u64::MAX - t % 8, r | (1 << 63), u64::MAX - p % 4, u128::from(sub >> 1)),
@@ -875,17 +853,6 @@ mod tests {
             let p = p.max(1); // periods are positive
             let n = jobs_within(t, r, sub, p);
             let (lo, hi) = term_interval(n, p, r, sub);
-            // The exact derivation, everything in u128.
-            let (nn, pp, rr) = (u128::from(n), u128::from(p), u128::from(r));
-            let exact_lo = if n == 0 { 0 } else { (nn * pp + sub).saturating_sub(rr) };
-            let exact_hi = if n == u64::MAX {
-                u128::from(u64::MAX)
-            } else {
-                ((nn + 1) * pp - 1).saturating_add(sub).saturating_sub(rr)
-            };
-            prop_assert_eq!(lo, sat(exact_lo));
-            prop_assert_eq!(hi, sat(exact_hi));
-            // And the interval is the job count's: maximal around t.
             prop_assert!(lo <= t && t <= hi, "{lo} <= {t} <= {hi}");
             prop_assert_eq!(jobs_within(lo, r, sub, p), n);
             prop_assert_eq!(jobs_within(hi, r, sub, p), n);

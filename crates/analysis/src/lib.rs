@@ -22,7 +22,7 @@
 //! | Eq. (10) `M̂D_i(n)` | [`demand::md_hat_parts`] | [`spec`] |
 //! | Eq. (14) `ρ̂_{j,i,x}(n)` (CPRO-union) | [`AnalysisContext::cpro`] | [`cpro::cpro_overlap`] |
 //! | Eq. (19) WCRT recurrence + outer loop | [`analyze_with`] | [`spec::analyze`] |
-//! | "perfect bus" reference (Fig. 2) | [`BusPolicy::Perfect`] | [`spec`] (deviation 2) |
+//! | "perfect bus" reference (Fig. 2), its bus-utilization gate (deviation 2) | [`BusPolicy::Perfect`], gate summed in [`cpa_model::UtilizationSum`] | [`spec::analyze`], same exact sum |
 //! | weighted schedulability (Fig. 3) | [`sched::weighted_schedulability`] | |
 //!
 //! The engine caches `BAO` as period-scale segments ([`bao::BaoSegment`]),

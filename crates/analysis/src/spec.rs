@@ -18,8 +18,8 @@
 //! It shares with the engine only what defines the result beyond the
 //! equations: the model, the `+1` blocking access, the bracket/refine
 //! solver of [`crate::wcrt`], whose bounded downward refinement decides
-//! which pre-fixed point is reported, and the arbitrary-precision
-//! utilization test of deviation 2. It fills its own `γ` and
+//! which pre-fixed point is reported, and the model's exact
+//! [`cpa_model::UtilizationSum`] behind deviation 2. It fills its own `γ` and
 //! CPRO-overlap tables per call from the definitional
 //! [`crpd::gamma_with`] and [`cpro::cpro_overlap`] instead of reading the
 //! context's incremental tables,
@@ -57,12 +57,12 @@
 //! 2. **Perfect-bus utilization gate.** The perfect bus (Fig. 2's
 //!    reference line) is schedulable only while the residual bus load
 //!    `Σ MD^r_i · d_mem / T_i` is at most 1, compared exactly in
-//!    arbitrary precision ([`bus_overutilized`]; the engine sums a `u128`
-//!    fraction and calls it only where that overflows).
+//!    arbitrary precision ([`cpa_model::UtilizationSum`], which the
+//!    engine's gate sums too).
 
 use std::fmt;
 
-use cpa_model::{CoreId, Task, TaskId, TaskSet, Time};
+use cpa_model::{CoreId, Task, TaskId, TaskSet, Time, UtilizationSum};
 
 use crate::bao::{CarryOut, PriorityBand};
 use crate::wcrt::{self, AnalysisResult};
@@ -408,91 +408,6 @@ impl<'c, 'a> Spec<'c, 'a> {
     }
 }
 
-/// Deviation 2: whether `Σ MD^r_i · d_mem / T_i > 1`, decided exactly on
-/// the running fraction `num / den` of the sum, in arbitrary precision:
-/// the product of a whole task set's periods does not fit any fixed
-/// width. The engine's gate takes this path too where its `u128`
-/// fraction overflows.
-pub(crate) fn bus_overutilized(tasks: &TaskSet, d_mem: Time) -> bool {
-    let mut num = Natural::from(0);
-    let mut den = Natural::from(1);
-    for task in tasks.iter() {
-        let period = task.period().cycles();
-        // num/den + MD^r·d_mem/period = (num·period + MD^r·d_mem·den) / (den·period)
-        let mut share = den.clone();
-        share.mul(task.residual_memory_demand());
-        share.mul(d_mem.cycles());
-        num.mul(period);
-        num.add(&share);
-        den.mul(period);
-    }
-    num > den
-}
-
-/// A natural number in little-endian base-2^64 digits with no leading
-/// zero digit: just enough arithmetic for deviation 2's exact fraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Natural(Vec<u64>);
-
-impl Natural {
-    fn from(v: u64) -> Self {
-        let mut n = Natural(vec![v]);
-        n.trim();
-        n
-    }
-
-    fn trim(&mut self) {
-        while self.0.last() == Some(&0) {
-            self.0.pop();
-        }
-    }
-
-    fn mul(&mut self, m: u64) {
-        let mut carry = 0u128;
-        for digit in &mut self.0 {
-            let p = u128::from(*digit) * u128::from(m) + carry;
-            *digit = p as u64; // the low 64 bits
-            carry = p >> 64;
-        }
-        if carry > 0 {
-            self.0.push(carry as u64);
-        }
-        self.trim();
-    }
-
-    fn add(&mut self, other: &Natural) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        let mut carry = false;
-        for (k, digit) in self.0.iter_mut().enumerate() {
-            let rhs = other.0.get(k).copied().unwrap_or(0);
-            let (sum, c1) = digit.overflowing_add(rhs);
-            let (sum, c2) = sum.overflowing_add(u64::from(carry));
-            *digit = sum;
-            carry = c1 || c2;
-        }
-        if carry {
-            self.0.push(1);
-        }
-    }
-}
-
-impl PartialOrd for Natural {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Natural {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .len()
-            .cmp(&other.0.len())
-            .then_with(|| self.0.iter().rev().cmp(other.0.iter().rev()))
-    }
-}
-
 /// `BAS_i^x(t)` (Eq. (1)) or `BÂS_i^x(t)` (Lemma 1).
 ///
 /// # Errors
@@ -568,8 +483,19 @@ pub fn analyze(
     let tasks = ctx.tasks();
     let n = tasks.len();
     let mut inner_iterations = vec![0u64; n];
-    if config.bus == BusPolicy::Perfect && bus_overutilized(tasks, ctx.d_mem()) {
-        return Ok(AnalysisResult::unbounded(n, 0, inner_iterations, false));
+    if config.bus == BusPolicy::Perfect {
+        // Deviation 2: `Σ MD^r_i · d_mem / T_i > 1`, decided exactly.
+        let mut load = UtilizationSum::new();
+        for task in tasks.iter() {
+            load.add(
+                task.residual_memory_demand(),
+                ctx.d_mem().cycles(),
+                task.period().cycles(),
+            );
+        }
+        if load.exceeds_one() {
+            return Ok(AnalysisResult::unbounded(n, 0, inner_iterations, false));
+        }
     }
 
     let mut resp = Vec::with_capacity(n);

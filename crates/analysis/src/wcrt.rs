@@ -185,8 +185,7 @@ pub fn analyze_with(
 /// the persistence-aware analyses.
 ///
 /// The sum is exact ([`UtilizationSum`]), so a bus loaded to exactly 1
-/// passes. Where the `u128` fraction overflows, the gate decides in
-/// arbitrary precision ([`crate::spec::bus_overutilized`]).
+/// passes.
 pub(crate) fn perfect_bus_check(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -205,15 +204,15 @@ pub(crate) fn perfect_bus_check(
             })
             .sum()
     };
-    let mut exact = UtilizationSum::ZERO;
+    let mut exact = UtilizationSum::new();
     for t in tasks.iter() {
-        let demand = u128::from(t.residual_memory_demand()) * u128::from(d_mem.cycles());
-        exact.add(demand, t.period().cycles());
+        exact.add(
+            t.residual_memory_demand(),
+            d_mem.cycles(),
+            t.period().cycles(),
+        );
     }
-    let overutilized = exact
-        .exceeds_one()
-        .unwrap_or_else(|| crate::spec::bus_overutilized(tasks, d_mem));
-    if overutilized {
+    if exact.exceeds_one() {
         cpa_obs::event!(
             "wcrt.bus_overutilized",
             bus = config.bus.label(),

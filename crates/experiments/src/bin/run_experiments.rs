@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cpa_experiments::cli::{self, Args, ObsSinks};
+use cpa_experiments::cli::{Args, ObsSinks, SweepFlags};
 use cpa_experiments::{ablation, fig2, fig3, report, table1, ExperimentResult, SweepOptions};
 
 struct Cli {
@@ -34,13 +34,16 @@ struct Cli {
 
 /// The parsed command line, or `None` when `--help` asked for the usage.
 fn parse_args() -> Result<Option<Cli>, String> {
-    let mut opts = SweepOptions::paper();
+    let mut sweep = SweepFlags::default();
     let mut out_dir = PathBuf::from("results");
     let mut experiments: Vec<String> = Vec::new();
     let mut sinks = ObsSinks::default();
     let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next_arg() {
-        if cli::apply_sweep_flag(&mut args, arg.as_str(), &mut opts).map_err(|e| e.to_string())? {
+        if sweep
+            .apply(&mut args, arg.as_str())
+            .map_err(|e| e.to_string())?
+        {
             continue;
         }
         if sinks
@@ -60,7 +63,7 @@ fn parse_args() -> Result<Option<Cli>, String> {
         experiments.push("all".to_string());
     }
     Ok(Some(Cli {
-        opts,
+        opts: sweep.options(),
         out_dir,
         experiments,
         sinks,

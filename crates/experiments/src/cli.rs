@@ -100,6 +100,24 @@ impl Args {
             .map_err(|e| CliError::new(format!("{flag}: {e} (got `{raw}`)")))
     }
 
+    /// The value of a count flag such as `--sets`, which must be at
+    /// least 1: a run over zero sets would report nothing as a result.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CliError`] when the value is missing, malformed or 0.
+    pub fn count_for<T>(&mut self, flag: &str) -> Result<T, CliError>
+    where
+        T: FromStr + Default + PartialEq,
+        T::Err: fmt::Display,
+    {
+        let count = self.value_for(flag)?;
+        if count == T::default() {
+            return Err(CliError::new(format!("{flag}: must be at least 1 (got 0)")));
+        }
+        Ok(count)
+    }
+
     /// The value of a `--slots`-style flag: a slot count the slotted buses
     /// accept ([`cpa_analysis::BusPolicy::parse`] rejects zero).
     ///
@@ -129,32 +147,57 @@ impl Args {
     }
 }
 
-/// Applies one sweep-related flag to `opts`, consuming its value from
-/// `args`. Returns `Ok(true)` when `flag` was one of the shared sweep
-/// flags (`--quick`, `--sets`, `--seed`, `--threads`, `--chunk`) and
-/// `Ok(false)` when the caller should handle it itself.
+/// The shared sweep flags (`--quick`, `--sets`, `--seed`, `--threads`,
+/// `--chunk`), collected in any order and resolved by
+/// [`SweepFlags::options`].
 ///
 /// Binaries that run sweeps share this so `--threads`/`--chunk` reach
 /// [`SweepOptions`](crate::SweepOptions) — and therefore
 /// [`cpa_pool`](cpa_pool::PoolOptions) — identically everywhere.
-///
-/// # Errors
-///
-/// Returns a [`CliError`] when the flag's value is missing or malformed.
-pub fn apply_sweep_flag(
-    args: &mut Args,
-    flag: &str,
-    opts: &mut crate::SweepOptions,
-) -> Result<bool, CliError> {
-    match flag {
-        "--quick" => *opts = crate::SweepOptions::quick(),
-        "--sets" => opts.sets_per_point = args.value_for("--sets")?,
-        "--seed" => opts.seed = args.value_for("--seed")?,
-        "--threads" => opts.threads = args.value_for("--threads")?,
-        "--chunk" => opts.chunk = args.value_for("--chunk")?,
-        _ => return Ok(false),
+/// `--quick` picks [`SweepOptions::quick`](crate::SweepOptions::quick)'s
+/// set count and nothing else, and an explicit `--sets` wins over it
+/// wherever it appears.
+#[derive(Debug, Clone, Default)]
+pub struct SweepFlags {
+    opts: crate::SweepOptions,
+    quick: bool,
+    sets: Option<usize>,
+}
+
+impl SweepFlags {
+    /// Applies one sweep flag, consuming its value from `args`. Returns
+    /// `Ok(true)` when `flag` was one of the shared sweep flags and
+    /// `Ok(false)` when the caller should handle it itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CliError`] when the flag's value is missing or
+    /// malformed, or `--sets` is 0.
+    pub fn apply(&mut self, args: &mut Args, flag: &str) -> Result<bool, CliError> {
+        match flag {
+            "--quick" => self.quick = true,
+            "--sets" => self.sets = Some(args.count_for("--sets")?),
+            "--seed" => self.opts.seed = args.value_for("--seed")?,
+            "--threads" => self.opts.threads = args.value_for("--threads")?,
+            "--chunk" => self.opts.chunk = args.value_for("--chunk")?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
-    Ok(true)
+
+    /// The options the flags select, on top of the paper defaults.
+    #[must_use]
+    pub fn options(self) -> crate::SweepOptions {
+        let default = if self.quick {
+            crate::SweepOptions::quick()
+        } else {
+            crate::SweepOptions::paper()
+        };
+        crate::SweepOptions {
+            sets_per_point: self.sets.unwrap_or(default.sets_per_point),
+            ..self.opts
+        }
+    }
 }
 
 /// The shared `--trace FILE` / `--metrics FILE` observability sinks.
@@ -278,29 +321,65 @@ mod tests {
         assert!(a.help().to_string().contains("usage: test"));
     }
 
+    fn sweep_options(list: &[&str]) -> Result<crate::SweepOptions, CliError> {
+        let mut a = args(list);
+        let mut flags = SweepFlags::default();
+        while let Some(flag) = a.next_arg() {
+            assert!(flags.apply(&mut a, &flag)?, "{flag} is a sweep flag");
+        }
+        Ok(flags.options())
+    }
+
     #[test]
     fn sweep_flags_reach_the_options() {
-        let mut a = args(&["3", "2", "9", "77"]);
-        let mut opts = crate::SweepOptions::paper();
-        for flag in ["--threads", "--chunk", "--sets", "--seed"] {
-            assert_eq!(apply_sweep_flag(&mut a, flag, &mut opts), Ok(true));
-        }
+        let opts = sweep_options(&[
+            "--threads",
+            "3",
+            "--chunk",
+            "2",
+            "--sets",
+            "9",
+            "--seed",
+            "77",
+        ])
+        .unwrap();
         assert_eq!(opts.threads, 3);
         assert_eq!(opts.chunk, 2);
         assert_eq!(opts.sets_per_point, 9);
         assert_eq!(opts.seed, 77);
+        assert_eq!(sweep_options(&[]).unwrap(), crate::SweepOptions::paper());
     }
 
     #[test]
     fn quick_resets_and_unshared_flags_fall_through() {
+        let quick = crate::SweepOptions::quick();
+        assert_eq!(sweep_options(&["--quick"]).unwrap(), quick);
         let mut a = args(&[]);
-        let mut opts = crate::SweepOptions::paper().with_sets_per_point(500);
-        assert_eq!(apply_sweep_flag(&mut a, "--quick", &mut opts), Ok(true));
-        assert_eq!(
-            opts.sets_per_point,
-            crate::SweepOptions::quick().sets_per_point
+        assert_eq!(SweepFlags::default().apply(&mut a, "--out"), Ok(false));
+    }
+
+    #[test]
+    fn quick_keeps_explicit_flags_in_any_order() {
+        let explicit = ["--sets", "3", "--seed", "9", "--threads", "1"];
+        let expected = crate::SweepOptions::quick()
+            .with_sets_per_point(3)
+            .with_seed(9)
+            .with_threads(1);
+        let mut quick_last = explicit.to_vec();
+        quick_last.push("--quick");
+        let mut quick_first = vec!["--quick"];
+        quick_first.extend(explicit);
+        assert_eq!(sweep_options(&quick_last).unwrap(), expected);
+        assert_eq!(sweep_options(&quick_first).unwrap(), expected);
+    }
+
+    #[test]
+    fn zero_sets_are_rejected() {
+        let err = sweep_options(&["--quick", "--sets", "0"]).unwrap_err();
+        assert!(
+            err.to_string().contains("--sets: must be at least 1"),
+            "{err}"
         );
-        assert_eq!(apply_sweep_flag(&mut a, "--out", &mut opts), Ok(false));
     }
 
     #[test]
@@ -340,9 +419,7 @@ mod tests {
 
     #[test]
     fn sweep_flag_errors_name_the_flag() {
-        let mut a = args(&["lots"]);
-        let mut opts = crate::SweepOptions::paper();
-        let err = apply_sweep_flag(&mut a, "--threads", &mut opts).unwrap_err();
+        let err = sweep_options(&["--threads", "lots"]).unwrap_err();
         assert!(err.to_string().contains("--threads"), "{err}");
     }
 }

@@ -14,34 +14,21 @@ use crate::runner::{
 };
 
 /// The three panels of Fig. 2 in paper order (a: FP, b: RR, c: TDMA),
-/// evaluated over one generated population per utilization point.
+/// over one shared population: every panel sees the same task sets at a
+/// utilization point, exactly as one generated population evaluated
+/// under each policy, so each set is generated once and the perfect-bus
+/// line is solved once for all panels.
 #[must_use]
 pub fn fig2(opts: &SweepOptions) -> Vec<ExperimentResult> {
-    fig2_panels(
-        opts,
-        &[
-            ("fig2a", "FP bus", BusPolicy::FixedPriority),
-            (
-                "fig2b",
-                "RR bus",
-                BusPolicy::RoundRobin { slots: opts.slots },
-            ),
-            ("fig2c", "TDMA bus", BusPolicy::Tdma { slots: opts.slots }),
-        ],
-    )
-}
-
-/// One Fig. 2 panel for an arbitrary bus policy.
-#[must_use]
-pub fn fig2_panel(opts: &SweepOptions, id: &str, name: &str, bus: BusPolicy) -> ExperimentResult {
-    fig2_panels(opts, &[(id, name, bus)]).remove(0)
-}
-
-/// Fig. 2 panels `(id, name, bus)` over one shared population: every
-/// panel sees the same task sets at a utilization point, exactly as one
-/// generated population evaluated under each policy, so each set is
-/// generated once and the perfect-bus line is solved once for all panels.
-fn fig2_panels(opts: &SweepOptions, panels: &[(&str, &str, BusPolicy)]) -> Vec<ExperimentResult> {
+    let panels = [
+        ("fig2a", "FP bus", BusPolicy::FixedPriority),
+        (
+            "fig2b",
+            "RR bus",
+            BusPolicy::RoundRobin { slots: opts.slots },
+        ),
+        ("fig2c", "TDMA bus", BusPolicy::Tdma { slots: opts.slots }),
+    ];
     let base = GeneratorConfig::paper_default();
     let evaluations: Vec<Evaluation> = panels
         .iter()

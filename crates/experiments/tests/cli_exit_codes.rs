@@ -38,6 +38,28 @@ fn zero_cores_exit_2_with_a_diagnostic() {
 }
 
 #[test]
+fn zero_sets_exit_2_with_a_diagnostic() {
+    // Zero sets per point used to write `0,0,0` rows that read as
+    // nothing schedulable.
+    let dir = std::env::temp_dir().join(format!("cpa-zero-sets-{}", std::process::id()));
+    let out = run(
+        env!("CARGO_BIN_EXE_run_experiments"),
+        &[
+            "--quick",
+            "--sets",
+            "0",
+            "--out",
+            dir.to_str().unwrap(),
+            "fig2",
+        ],
+    );
+    assert!(!dir.exists(), "created {}", dir.display());
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("--sets: must be at least 1"));
+    assert!(out.stdout.is_empty(), "wrote output on bad input");
+}
+
+#[test]
 fn help_prints_the_usage_and_exits_0() {
     for bin in BINARIES {
         let out = run(bin, &["--help"]);

@@ -5,7 +5,6 @@
 //! order and the runner folds them sequentially, so even the non-
 //! associative `f64` accumulations cannot drift.
 
-use cpa_analysis::BusPolicy;
 use cpa_experiments::{fig2, report, SweepOptions};
 
 fn tiny(threads: usize, chunk: usize) -> SweepOptions {
@@ -18,13 +17,11 @@ fn tiny(threads: usize, chunk: usize) -> SweepOptions {
 }
 
 fn panel_bytes(threads: usize, chunk: usize) -> (String, String) {
-    let result = fig2::fig2_panel(
-        &tiny(threads, chunk),
-        "fig2a",
-        "FP bus",
-        BusPolicy::FixedPriority,
-    );
-    (report::to_csv(&result), report::to_markdown(&result))
+    let results = fig2::fig2(&tiny(threads, chunk));
+    (
+        results.iter().map(report::to_csv).collect(),
+        results.iter().map(report::to_markdown).collect(),
+    )
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!   [`evaluate_population`] call per panel or x-value, each with that
 //!   x-value's own
 //!   [`GeneratorConfig`] — the pre-sharing definition of the figures;
-//! * each x-value's own generator yields task sets with the same
-//!   [`TaskSet::task_content_hashes`] as the shared population. Fig. 2,
+//! * each x-value's own generator yields the same task sets as the
+//!   shared population. Fig. 2,
 //!   Fig. 3d and the ablations use one generator configuration for every
 //!   panel by definition; Fig. 3b is the case to check, since its
 //!   x-values differ in the generator's `d_mem`.
@@ -129,10 +129,9 @@ fn fig3_reference(
     expected
 }
 
-fn hashes(generator: &TaskSetGenerator, opts: &SweepOptions, point: u64, set: u64) -> Vec<u64> {
+fn draw(generator: &TaskSetGenerator, opts: &SweepOptions, point: u64, set: u64) -> TaskSet {
     let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(opts.seed, point, set));
-    let tasks: TaskSet = generator.generate(&mut rng).expect("generation succeeds");
-    tasks.task_content_hashes().to_vec()
+    generator.generate(&mut rng).expect("generation succeeds")
 }
 
 /// Asserts every x-value's own generator draws the shared population's
@@ -149,8 +148,8 @@ fn assert_same_population(
             let generator = TaskSetGenerator::new(at(config, u)).expect("valid generator");
             for set in 0..opts.sets_per_point as u64 {
                 assert_eq!(
-                    hashes(&generator, opts, ui as u64, set),
-                    hashes(&population, opts, ui as u64, set),
+                    draw(&generator, opts, ui as u64, set),
+                    draw(&population, opts, ui as u64, set),
                     "d_mem {} point {ui} set {set}",
                     config.d_mem
                 );

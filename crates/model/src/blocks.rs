@@ -304,73 +304,6 @@ impl CacheBlockSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Returns `true` if the sets share no block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    #[must_use]
-    pub fn is_disjoint(&self, other: &CacheBlockSet) -> bool {
-        self.assert_same_capacity(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Folds the union of many sets over `capacity` cache sets.
-    ///
-    /// ```
-    /// use cpa_model::CacheBlockSet;
-    /// # fn main() -> Result<(), cpa_model::ModelError> {
-    /// let a = CacheBlockSet::from_blocks(16, [1, 2])?;
-    /// let b = CacheBlockSet::from_blocks(16, [2, 3])?;
-    /// let u = CacheBlockSet::union_of(16, [&a, &b]);
-    /// assert_eq!(u.len(), 3);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if any set has a different capacity.
-    #[must_use]
-    pub fn union_of<'a, I>(capacity: usize, sets: I) -> CacheBlockSet
-    where
-        I: IntoIterator<Item = &'a CacheBlockSet>,
-    {
-        let mut acc = CacheBlockSet::new(capacity);
-        for set in sets {
-            acc.union_in_place(set);
-        }
-        acc
-    }
-
-    /// Re-maps every block into a cache with `new_capacity` sets by taking
-    /// the block index modulo `new_capacity`, the direct-mapped placement
-    /// function. Used by the cache-size sweep (Fig. 3c) to project benchmark
-    /// footprints extracted for one geometry onto another.
-    ///
-    /// ```
-    /// use cpa_model::CacheBlockSet;
-    /// # fn main() -> Result<(), cpa_model::ModelError> {
-    /// let s = CacheBlockSet::from_blocks(256, [0, 32, 64])?;
-    /// let small = s.remap(32);
-    /// assert_eq!(small.iter().collect::<Vec<_>>(), vec![0]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity` is zero.
-    #[must_use]
-    pub fn remap(&self, new_capacity: usize) -> CacheBlockSet {
-        assert!(new_capacity > 0, "cannot remap into an empty cache");
-        let mut out = CacheBlockSet::new(new_capacity);
-        for block in self.iter() {
-            out.set_bit(block % new_capacity);
-        }
-        out
-    }
-
     /// Rotates every block by `shift` cache sets, wrapping modulo the
     /// capacity — the cache-coloring move of `cpa-optimize`. Shifting a
     /// task's whole footprint (`ECB`, `UCB`, `PCB` by the same amount)
@@ -574,8 +507,8 @@ mod tests {
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
         assert!(a.is_subset(&a));
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
+        assert_eq!(a.intersection_len(&c), 0);
+        assert_eq!(a.intersection_len(&b), 2);
         assert!(CacheBlockSet::new(256).is_subset(&a));
     }
 
@@ -587,14 +520,6 @@ mod tests {
         assert_eq!(full.len(), 8);
         let empty = CacheBlockSet::contiguous(8, 2, 0);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn union_of_many() {
-        let sets = [set([1]), set([2]), set([2, 3])];
-        let u = CacheBlockSet::union_of(256, &sets);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(CacheBlockSet::union_of(256, []).is_empty());
     }
 
     #[test]
@@ -613,16 +538,6 @@ mod tests {
             pcb.intersection_len(&ecb)
         );
         assert!(CacheBlockSet::new(0).rotated(3).is_empty());
-    }
-
-    #[test]
-    fn remap_mod_placement() {
-        let s = set([0, 32, 64, 100]);
-        let r = s.remap(32);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(r.capacity(), 32);
-        // Identity when capacity unchanged.
-        assert_eq!(s.remap(256), s);
     }
 
     #[test]
@@ -782,19 +697,6 @@ mod tests {
             for x in items {
                 prop_assert!(sa.contains(x));
             }
-        }
-
-        #[test]
-        fn remap_preserves_membership_mod(
-            a in proptest::collection::hash_set(0usize..256, 0..64),
-            cap in 1usize..512,
-        ) {
-            let sa = set(a.iter().copied());
-            let r = sa.remap(cap);
-            for x in a {
-                prop_assert!(r.contains(x % cap));
-            }
-            prop_assert!(r.len() <= sa.len());
         }
     }
 }

@@ -79,7 +79,7 @@ impl fmt::Display for CoreId {
 /// use cpa_model::Priority;
 /// let high = Priority::new(1);
 /// let low = Priority::new(9);
-/// assert!(high.is_higher_than(low));
+/// assert!(high < low); // sorts first: τ1 is the highest priority
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
@@ -96,13 +96,6 @@ impl Priority {
     #[must_use]
     pub const fn level(self) -> u32 {
         self.0
-    }
-
-    /// Returns `true` if `self` is a strictly higher priority than `other`
-    /// (i.e. a numerically smaller level).
-    #[must_use]
-    pub const fn is_higher_than(self, other: Priority) -> bool {
-        self.0 < other.0
     }
 }
 
@@ -127,11 +120,9 @@ mod tests {
     fn priority_ordering_convention() {
         let p1 = Priority::new(1);
         let p2 = Priority::new(2);
-        assert!(p1.is_higher_than(p2));
-        assert!(!p2.is_higher_than(p1));
-        assert!(!p1.is_higher_than(p1));
-        // Ord follows the numeric level, not the "higher priority" relation.
+        // Ord follows the numeric level: the higher priority sorts first.
         assert!(p1 < p2);
+        assert_eq!(p1.level(), 1);
     }
 
     #[test]

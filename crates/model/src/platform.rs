@@ -16,7 +16,6 @@ use crate::{ModelError, Time};
 /// use cpa_model::CacheGeometry;
 /// let g = CacheGeometry::direct_mapped(256, 32);
 /// assert_eq!(g.sets(), 256);
-/// assert_eq!(g.size_bytes(), 256 * 32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheGeometry {
@@ -69,12 +68,6 @@ impl CacheGeometry {
     #[must_use]
     pub const fn associativity(&self) -> usize {
         self.associativity
-    }
-
-    /// Total cache size in bytes.
-    #[must_use]
-    pub const fn size_bytes(&self) -> usize {
-        self.sets * self.block_size * self.associativity
     }
 
     /// Maps a byte address to the cache set its block belongs to.
@@ -171,27 +164,6 @@ impl Platform {
     /// Returns [`ModelError::InvalidPlatform`] if `cores` is zero.
     pub fn with_cores(&self, cores: usize) -> Result<Platform, ModelError> {
         PlatformBuilder::from(self.clone()).cores(cores).build()
-    }
-
-    /// Returns a copy with a different memory latency (the Fig. 3b sweep).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidPlatform`] if `d_mem` is zero.
-    pub fn with_memory_latency(&self, d_mem: Time) -> Result<Platform, ModelError> {
-        PlatformBuilder::from(self.clone())
-            .memory_latency(d_mem)
-            .build()
-    }
-
-    /// Returns a copy with a different cache geometry (the Fig. 3c sweep).
-    ///
-    /// # Errors
-    ///
-    /// Never fails today; returns `Result` for uniformity with the other
-    /// `with_` constructors.
-    pub fn with_cache(&self, cache: CacheGeometry) -> Result<Platform, ModelError> {
-        PlatformBuilder::from(self.clone()).cache(cache).build()
     }
 }
 
@@ -293,9 +265,7 @@ mod tests {
         assert_eq!(g.sets(), 256);
         assert_eq!(g.block_size(), 32);
         assert_eq!(g.associativity(), 1);
-        assert_eq!(g.size_bytes(), 8192);
         let a = CacheGeometry::set_associative(64, 32, 4);
-        assert_eq!(a.size_bytes(), 8192);
         assert_eq!(a.to_string(), "64 sets × 4 way(s) × 32 B");
     }
 
@@ -340,15 +310,6 @@ mod tests {
         let p = Platform::builder().build().unwrap();
         assert_eq!(p.with_cores(8).unwrap().cores(), 8);
         assert!(p.with_cores(0).is_err());
-        assert_eq!(
-            p.with_memory_latency(Time::from_cycles(2_000))
-                .unwrap()
-                .memory_latency()
-                .cycles(),
-            2_000
-        );
-        let g = CacheGeometry::direct_mapped(1024, 32);
-        assert_eq!(p.with_cache(g).unwrap().cache().sets(), 1024);
         // The original is untouched.
         assert_eq!(p.cores(), 4);
     }

@@ -200,31 +200,6 @@ impl Task {
         &self.pcb
     }
 
-    /// Worst-case execution demand of one job including memory service time:
-    /// `PD_i + MD_i · d_mem`. This is the paper's initialisation value for
-    /// the WCRT iteration (§IV) and the natural utilization numerator.
-    ///
-    /// ```
-    /// # use cpa_model::{CoreId, Priority, Task, Time};
-    /// # fn main() -> Result<(), cpa_model::ModelError> {
-    /// # let t = Task::builder("t")
-    /// #     .processing_demand(Time::from_cycles(100))
-    /// #     .memory_demand(10)
-    /// #     .period(Time::from_cycles(10_000))
-    /// #     .deadline(Time::from_cycles(10_000))
-    /// #     .core(CoreId::new(0))
-    /// #     .priority(Priority::new(1))
-    /// #     .cache_sets(16)
-    /// #     .build()?;
-    /// assert_eq!(t.total_demand(Time::from_cycles(5)), Time::from_cycles(150));
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn total_demand(&self, d_mem: Time) -> Time {
-        self.pd + d_mem * self.md
-    }
-
     /// Utilization of the task with memory time included:
     /// `(PD_i + MD_i · d_mem) / T_i`. The numerator is exact in `u128`, so
     /// a demand past `u64::MAX` cycles still yields a (huge) utilization.
@@ -592,7 +567,6 @@ mod tests {
     fn demand_and_utilization() {
         let t = base().build().unwrap();
         let d_mem = Time::from_cycles(4);
-        assert_eq!(t.total_demand(d_mem), Time::from_cycles(30));
         let u = t.utilization(d_mem);
         assert!((u - 0.3).abs() < 1e-12);
     }
@@ -605,7 +579,7 @@ mod tests {
         assert_eq!(t.utilization(d_mem), exact);
         // Where the demand fits in u64, the bits match the u64 quotient.
         let d_mem = Time::from_cycles(1 << 60);
-        let demand = t.total_demand(d_mem).cycles();
+        let demand = 10 + 5 * d_mem.cycles();
         assert_eq!(t.utilization(d_mem), demand as f64 / 100.0);
     }
 

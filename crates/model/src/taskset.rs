@@ -46,17 +46,12 @@ use crate::{ContentHasher, CoreId, ModelError, Platform, Task, TaskId, Time};
 #[serde(try_from = "Vec<Task>", into = "Vec<Task>")]
 pub struct TaskSet {
     tasks: Vec<Task>,
-    /// Per-task canonical content hashes ([`Task::hash_content`]), in
-    /// the same order as `tasks`. Computed once at construction — task
-    /// sets are immutable — so content-addressed keys
-    /// ([`TaskSet::hash_content`]) fold one word per task instead of
-    /// re-hashing every cache-block set. Derived state:
-    /// excluded from serialization by the `Vec<Task>` conversions and
-    /// rebuilt on deserialization.
-    task_hashes: Vec<u64>,
 }
 
 impl From<TaskSet> for Vec<Task> {
+    /// The sorted tasks — the inverse of [`TaskSet::from_sorted_parts`],
+    /// for hot paths that patch a few tasks in place and reassemble
+    /// instead of rebuilding from scratch.
     fn from(set: TaskSet) -> Vec<Task> {
         set.tasks
     }
@@ -129,36 +124,26 @@ impl TaskSet {
                 ),
             });
         }
-        let task_hashes = tasks
-            .iter()
-            .map(|t| {
-                let mut hasher = ContentHasher::new();
-                t.hash_content(&mut hasher);
-                hasher.finish()
-            })
-            .collect();
-        Ok(TaskSet { tasks, task_hashes })
+        Ok(TaskSet { tasks })
     }
 
-    /// Assembles a task set from parts the caller has already validated
-    /// and hashed — the hot-path constructor for code that builds many
+    /// Assembles a task set from tasks the caller has already validated
+    /// — the hot-path constructor for code that builds many
     /// near-identical sets (the optimizer applies thousands of candidate
-    /// configurations per search, and re-sorting, re-validating and
-    /// re-hashing every cache-block set dominated its evaluation cost).
+    /// configurations per search, and re-sorting and re-validating every
+    /// set dominated its evaluation cost).
     ///
     /// # Caller contract
     ///
     /// `tasks` must already be sorted by strictly increasing priority,
-    /// share one cache capacity, and be non-empty; `task_hashes[k]` must
-    /// equal `Task::hash_content` of `tasks[k]`. Every invariant is
-    /// `debug_assert`ed, and debug builds re-derive the hashes, so a
-    /// violating caller fails loudly under `cargo test`; release builds
-    /// trust the contract. Sets built here are indistinguishable from
-    /// [`TaskSet::new`] output — same order, same hashes, same bytes.
+    /// share one cache capacity, and be non-empty. Every invariant is
+    /// `debug_assert`ed, so a violating caller fails loudly under
+    /// `cargo test`; release builds trust the contract. Sets built here
+    /// are indistinguishable from [`TaskSet::new`] output — same order,
+    /// same bytes.
     #[must_use]
-    pub fn from_sorted_parts(tasks: Vec<Task>, task_hashes: Vec<u64>) -> TaskSet {
+    pub fn from_sorted_parts(tasks: Vec<Task>) -> TaskSet {
         debug_assert!(!tasks.is_empty(), "task set is empty");
-        debug_assert_eq!(tasks.len(), task_hashes.len(), "one hash per task");
         debug_assert!(
             tasks.windows(2).all(|p| p[0].priority() < p[1].priority()),
             "tasks must be sorted by strictly increasing priority"
@@ -169,22 +154,7 @@ impl TaskSet {
                 .all(|t| t.ecb().capacity() == tasks[0].ecb().capacity()),
             "tasks must share one cache capacity"
         );
-        #[cfg(debug_assertions)]
-        for (t, &h) in tasks.iter().zip(&task_hashes) {
-            let mut hasher = ContentHasher::new();
-            t.hash_content(&mut hasher);
-            debug_assert_eq!(hasher.finish(), h, "stale content hash for `{}`", t.name());
-        }
-        TaskSet { tasks, task_hashes }
-    }
-
-    /// Disassembles the set into its sorted tasks and their content
-    /// hashes — the inverse of [`TaskSet::from_sorted_parts`], for hot
-    /// paths that patch a few tasks in place and reassemble instead of
-    /// rebuilding from scratch.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<Task>, Vec<u64>) {
-        (self.tasks, self.task_hashes)
+        TaskSet { tasks }
     }
 
     /// Number of tasks.
@@ -412,20 +382,17 @@ impl TaskSet {
 
     /// Feeds the set's canonical encoding into an existing
     /// [`ContentHasher`], for callers that fold more context (bus policy,
-    /// search parameters) into one composite key.
+    /// search parameters) into one composite key: the task count, the
+    /// cache capacity, then one word per task in priority order, that
+    /// task's own [`Task::hash_content`] digest.
     pub fn hash_content(&self, hasher: &mut ContentHasher) {
         hasher.write_usize(self.tasks.len());
         hasher.write_usize(self.cache_sets());
-        for &h in &self.task_hashes {
-            hasher.write_u64(h);
+        for task in &self.tasks {
+            let mut task_hasher = ContentHasher::new();
+            task.hash_content(&mut task_hasher);
+            hasher.write_u64(task_hasher.finish());
         }
-    }
-
-    /// The cached per-task canonical content hashes, in priority (id)
-    /// order — the words [`TaskSet::hash_content`] folds.
-    #[must_use]
-    pub fn task_content_hashes(&self) -> &[u64] {
-        &self.task_hashes
     }
 
     /// Serializes the task set as pretty-printed JSON (an array of task

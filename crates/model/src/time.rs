@@ -88,15 +88,6 @@ impl Time {
         Time(self.0.saturating_mul(count))
     }
 
-    /// Checked subtraction; `None` on underflow.
-    #[must_use]
-    pub const fn checked_sub(self, rhs: Time) -> Option<Time> {
-        match self.0.checked_sub(rhs.0) {
-            Some(v) => Some(Time(v)),
-            None => None,
-        }
-    }
-
     /// Checked multiplication by a scalar count; `None` on overflow.
     #[must_use]
     pub const fn checked_mul(self, count: u64) -> Option<Time> {
@@ -118,17 +109,6 @@ impl Time {
     pub const fn div_ceil(self, divisor: Time) -> u64 {
         assert!(divisor.0 != 0, "division of Time by zero duration");
         self.0.div_ceil(divisor.0)
-    }
-
-    /// Floor division by another duration: `⌊self / divisor⌋` (Eq. (6)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    #[must_use]
-    pub const fn div_floor(self, divisor: Time) -> u64 {
-        assert!(divisor.0 != 0, "division of Time by zero duration");
-        self.0 / divisor.0
     }
 
     /// Returns the larger of two times.
@@ -270,8 +250,6 @@ mod tests {
         let b = Time::from_cycles(5);
         assert_eq!(a.saturating_sub(b), Time::ZERO);
         assert_eq!(b.saturating_sub(a), Time::from_cycles(2));
-        assert_eq!(a.checked_sub(b), None);
-        assert_eq!(b.checked_sub(a), Some(Time::from_cycles(2)));
         assert_eq!(Time::MAX.saturating_add(a), Time::MAX);
         assert_eq!(Time::MAX.saturating_mul(2), Time::MAX);
         assert_eq!(Time::MAX.checked_mul(2), None);
@@ -283,7 +261,6 @@ mod tests {
         let t = Time::from_cycles(10);
         let p = Time::from_cycles(4);
         assert_eq!(t.div_ceil(p), 3);
-        assert_eq!(t.div_floor(p), 2);
         assert_eq!(Time::ZERO.div_ceil(p), 0);
         assert_eq!(Time::from_cycles(8).div_ceil(p), 2);
     }
@@ -326,13 +303,6 @@ mod tests {
             let q = Time::from_cycles(t).div_ceil(Time::from_cycles(p));
             prop_assert!(q * p >= t);
             prop_assert!(q.saturating_sub(1) * p < t || q == 0);
-        }
-
-        #[test]
-        fn floor_le_ceil(t in 0u64..1_000_000, p in 1u64..10_000) {
-            let t = Time::from_cycles(t);
-            let p = Time::from_cycles(p);
-            prop_assert!(t.div_floor(p) <= t.div_ceil(p));
         }
 
         #[test]

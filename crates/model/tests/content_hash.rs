@@ -127,3 +127,14 @@ fn hash_composes_into_larger_keys() {
     assert_eq!(key(7), key(7));
     assert_ne!(key(7), key(8), "request context must reach the key");
 }
+
+/// The hash is an on-disk format: `cpa-optimize` names its result-cache
+/// entries by keys built from it, so a change to the encoding would turn
+/// every existing cache directory into misses.
+#[test]
+fn hash_is_pinned() {
+    assert_eq!(
+        TaskSet::new(sample()).unwrap().content_hash(),
+        0xe964_39b0_d6c9_7000
+    );
+}

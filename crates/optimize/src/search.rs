@@ -179,16 +179,16 @@ struct EvalScratch {
     scratch: AnalysisScratch,
     buffers: ContextBuffers,
     /// Built tasks of this search's base set, keyed by
-    /// `(base index, core, rank, shift)` with their content hashes.
+    /// `(base index, core, rank, shift)`.
     /// A neighbour differs from the current point in one or two tasks, so
     /// nearly every per-task build is a repeat; caching them turns
     /// [`Candidate::apply`]'s full rebuild (rotate three block sets,
-    /// re-validate, re-hash every task) into a few map hits and clones.
-    assembled: HashMap<(usize, usize, u32, usize), (Task, u64)>,
-    /// Parts of the set assembled last, handed back through
+    /// re-validate every task) into a few map hits and clones.
+    assembled: HashMap<(usize, usize, u32, usize), Task>,
+    /// Tasks of the set assembled last, handed back through
     /// [`EvalScratch::recycle_set`]. Successive solves differ in a slot
-    /// or two, so patching the kept parts beats cloning every task again.
-    cur: Option<(Vec<Task>, Vec<u64>)>,
+    /// or two, so patching the kept tasks beats cloning every task again.
+    cur: Option<Vec<Task>>,
     /// The build key each slot of `cur` was assembled from.
     cur_keys: Vec<(usize, usize, u32, usize)>,
 }
@@ -205,22 +205,22 @@ impl EvalScratch {
     }
 
     /// [`Candidate::apply`] through the build cache: bitwise the same
-    /// `TaskSet` (same task order, same content hashes), built by
+    /// `TaskSet` (same task order, same tasks), built by
     /// patching the slots that differ from the previous solve. The fast
     /// path uses this; full evaluation rebuilds from scratch like an
     /// independent solver would.
     fn assemble(&mut self, base: &TaskSet, c: &Candidate) -> TaskSet {
         let _span = cpa_obs::span!("optimize.assemble");
         let n = base.len();
-        let (mut tasks, mut hashes) = match self.cur.take() {
-            Some(cur) if cur.0.len() == n && self.cur_keys.len() == n => cur,
+        let mut tasks = match self.cur.take() {
+            Some(cur) if cur.len() == n && self.cur_keys.len() == n => cur,
             _ => {
                 // First solve of this search: placeholder-fill, then
                 // let the sentinel keys force every slot to be patched.
                 self.cur_keys.clear();
                 self.cur_keys.resize(n, (usize::MAX, 0, 0, 0));
                 let seed_task = base.iter().next().expect("sets are non-empty");
-                (vec![seed_task.clone(); n], vec![0u64; n])
+                vec![seed_task.clone(); n]
             }
         };
         for (k, t) in base.iter().enumerate() {
@@ -231,8 +231,8 @@ impl EvalScratch {
             if self.cur_keys[r] == key {
                 continue;
             }
-            let (task, hash) = self.assembled.entry(key).or_insert_with(|| {
-                let task = Task::builder(t.name())
+            let task = self.assembled.entry(key).or_insert_with(|| {
+                Task::builder(t.name())
                     .processing_demand(t.processing_demand())
                     .memory_demand(t.memory_demand())
                     .residual_memory_demand(t.residual_memory_demand())
@@ -244,23 +244,19 @@ impl EvalScratch {
                     .ucb(t.ucb().rotated(c.shifts[k]))
                     .pcb(t.pcb().rotated(c.shifts[k]))
                     .build()
-                    .expect("rotation and reassignment preserve task invariants");
-                let mut h = ContentHasher::new();
-                task.hash_content(&mut h);
-                (task, h.finish())
+                    .expect("rotation and reassignment preserve task invariants")
             });
             tasks[r].clone_from(task);
-            hashes[r] = *hash;
             self.cur_keys[r] = key;
         }
-        TaskSet::from_sorted_parts(tasks, hashes)
+        TaskSet::from_sorted_parts(tasks)
     }
 
-    /// Returns an assembled set's parts for the next [`EvalScratch::
+    /// Returns an assembled set's tasks for the next [`EvalScratch::
     /// assemble`] to patch. Skipping this (a panic, a code path that
     /// drops the set) only costs the next candidate a full rebuild.
     fn recycle_set(&mut self, set: TaskSet) {
-        self.cur = Some(set.into_parts());
+        self.cur = Some(set.into());
     }
 }
 

@@ -20,8 +20,8 @@
 use cpa_analysis::{AnalysisConfig, BusPolicy, PersistenceMode};
 use cpa_model::{CacheBlockSet, CacheGeometry, CoreId, Platform, Priority, Task, TaskSet, Time};
 use cpa_optimize::{
-    gen_batch, optimize, process_batch, GenOptions, OptimizeRequest, ResultCache, SearchKnobs,
-    ServiceOptions,
+    gen_batch, optimize, process_batch, request_key, GenOptions, OptimizeRequest, ResultCache,
+    SearchKnobs, ServiceOptions,
 };
 use serde::Deserialize;
 
@@ -90,6 +90,22 @@ fn repeated_batches_are_served_from_the_cache() {
         warm_stats.schedulable_optimized,
         cold_stats.schedulable_optimized
     );
+}
+
+/// Result-cache entries are named by `request_key`, so the key is an
+/// on-disk format: cache directories written by earlier builds must keep
+/// hitting.
+#[test]
+fn request_keys_are_pinned() {
+    let opts = GenOptions {
+        sets: 1,
+        seed: 42,
+        toy: true,
+        ..GenOptions::default()
+    };
+    let request = &requests(&opts)[0];
+    let tasks = TaskSet::new(request.tasks.clone()).expect("generated tasks are valid");
+    assert_eq!(request_key(request, &tasks), 0x5fd4_8f43_2744_10a2);
 }
 
 #[test]

@@ -12,14 +12,8 @@
 //!   Wall-clock nanoseconds are scheduling noise, so they never drive the
 //!   timeline; in [`ExportScope::Full`] they are attached as an `args` field
 //!   instead (and the export is no longer byte-stable across runs).
-//!
-//! In [`ExportScope::Deterministic`] (the default for `--export chrome`),
-//! scheduling-artifact span nodes (the `pool.*` chunk machinery, whose call
-//! counts depend on `--chunk`/`--threads`) are hoisted out of the tree: their
-//! children are merged into the parent, summing same-name siblings, so the
-//! remaining tree shape depends only on the workload.
 
-use crate::{is_scheduling_span, ExportScope};
+use crate::ExportScope;
 use cpa_obs::json::write_json_string;
 use cpa_obs::{Event, ProfileNode};
 use std::fmt::Write as _;
@@ -41,7 +35,7 @@ pub fn chrome_trace(events: &[Event], profile: &ProfileNode, scope: ExportScope)
         out.push_str(",\n");
         write_instant(event, &mut out);
     }
-    let normalized = normalize_profile(profile, scope);
+    let normalized = normalize_profile(profile);
     let mut cursor = 0u64;
     for child in &normalized.children {
         write_span(child, &mut cursor, scope, &mut out);
@@ -101,22 +95,15 @@ fn write_span(node: &ProfileNode, cursor: &mut u64, scope: ExportScope, out: &mu
     *cursor = start + dur;
 }
 
-/// Rebuilds the span tree for export: merges same-name siblings, sorts every
-/// level by name (the registry sorts by wall time, which is nondeterministic),
-/// and in deterministic scope hoists scheduling-artifact nodes.
-fn normalize_profile(node: &ProfileNode, scope: ExportScope) -> ProfileNode {
+/// Rebuilds the span tree for export: merges same-name siblings and sorts
+/// every level by name (the registry sorts by wall time, which is
+/// nondeterministic).
+fn normalize_profile(node: &ProfileNode) -> ProfileNode {
     let mut out = ProfileNode::new(&node.name);
     out.calls = node.calls;
     out.nanos = node.nanos;
     for child in &node.children {
-        let child = normalize_profile(child, scope);
-        if scope == ExportScope::Deterministic && is_scheduling_span(&child.name) {
-            for grandchild in child.children {
-                merge_child(&mut out, grandchild);
-            }
-        } else {
-            merge_child(&mut out, child);
-        }
+        merge_child(&mut out, normalize_profile(child));
     }
     out.children.sort_by(|a, b| a.name.cmp(&b.name));
     out
@@ -142,26 +129,12 @@ mod tests {
 
     fn profile_fixture() -> ProfileNode {
         let mut root = ProfileNode::new("");
-        // Two pool.chunk executions whose split differs with chunk size: the
-        // same wcrt.analyze work lands under both.
         root.record(&["pool.chunk", "wcrt.analyze"], 100);
         root.record(&["pool.chunk", "wcrt.analyze"], 50);
         root.record(&["pool.chunk"], 10);
         root.record(&["pool.chunk"], 10);
         root.record(&["sim.run"], 30);
         root
-    }
-
-    #[test]
-    fn deterministic_export_hoists_pool_spans() {
-        let trace = chrome_trace(&[], &profile_fixture(), ExportScope::Deterministic);
-        assert!(!trace.contains("pool.chunk"), "pool spans must be hoisted");
-        assert!(trace.contains("\"name\":\"wcrt.analyze\""));
-        assert!(trace.contains("\"name\":\"sim.run\""));
-        assert!(
-            !trace.contains("nanos"),
-            "deterministic export carries no wall time"
-        );
     }
 
     #[test]
@@ -197,15 +170,23 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
             .collect();
-        // pool.chunk hoisted: wcrt.analyze (merged 2 calls) and sim.run remain.
-        assert_eq!(spans.len(), 2);
-        let wcrt = spans
-            .iter()
-            .find(|s| s.get("name").unwrap().as_str() == Some("wcrt.analyze"))
-            .unwrap();
-        assert_eq!(
-            wcrt.get("args").unwrap().get("calls").unwrap().as_u64(),
-            Some(2)
+        assert_eq!(spans.len(), 3);
+        let span = |name: &str| {
+            let span = spans
+                .iter()
+                .find(|s| s.get("name").unwrap().as_str() == Some(name))
+                .unwrap();
+            let field = |key: &str| span.get(key).unwrap().as_u64().unwrap();
+            let calls = span.get("args").unwrap().get("calls").unwrap().as_u64();
+            (field("ts"), field("ts") + field("dur"), calls)
+        };
+        let (chunk_start, chunk_end, chunk_calls) = span("pool.chunk");
+        let (wcrt_start, wcrt_end, wcrt_calls) = span("wcrt.analyze");
+        assert_eq!((chunk_calls, wcrt_calls), (Some(2), Some(2)));
+        assert!(chunk_start <= wcrt_start && wcrt_end <= chunk_end);
+        assert!(
+            !trace.contains("nanos"),
+            "deterministic export carries no wall time"
         );
     }
 

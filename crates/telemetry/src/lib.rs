@@ -15,13 +15,12 @@
 //! ## Determinism contract
 //!
 //! Events are deterministic by construction (the `(scope, seq)` canonical
-//! order), but two meter families are **scheduling artifacts**: counters that
-//! measure the worker pool itself ([`SCHEDULING_METERS`] — chunk claims,
-//! steals, scratch reuses vary with `--threads`/`--chunk`), and `pool.*`
-//! spans (chunk counts vary with `--chunk`). Deterministic exports drop the
-//! former and hoist the latter, and never carry wall-clock values; the span
-//! timeline uses logical call-count ticks instead. [`ExportScope::Full`]
-//! keeps everything (and is correspondingly not byte-stable).
+//! order), but counters that measure the worker pool itself
+//! ([`SCHEDULING_METERS`] — chunk claims, steals, scratch reuses vary with
+//! `--threads`/`--chunk`) are **scheduling artifacts**. Deterministic
+//! exports drop them and never carry wall-clock values; the span timeline
+//! uses logical call-count ticks instead. [`ExportScope::Full`] keeps
+//! everything (and is correspondingly not byte-stable).
 //!
 //! Like `cpa-obs`, this crate has no external dependencies: every export is
 //! written with `cpa-obs`'s one JSON writer. Its tests read the exports
@@ -64,13 +63,6 @@ pub fn is_scheduling_meter(name: &str) -> bool {
     SCHEDULING_METERS.contains(&name)
 }
 
-/// Whether a span name is a scheduling artifact (the pool's chunk machinery —
-/// its call counts depend on `--chunk`).
-#[must_use]
-pub fn is_scheduling_span(name: &str) -> bool {
-    name.starts_with("pool.")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +77,5 @@ mod tests {
         assert!(!is_scheduling_meter("engine.bao_hit"));
         assert!(!is_scheduling_meter("pool.items"));
         assert!(!is_scheduling_meter("sim.runs"));
-        assert!(is_scheduling_span("pool.chunk"));
-        assert!(!is_scheduling_span("wcrt.analyze"));
     }
 }

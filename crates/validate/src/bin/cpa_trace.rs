@@ -369,7 +369,7 @@ impl TraceOptions {
                 "--horizon" => {
                     opts.horizon = args.value_for("--horizon").map_err(|e| e.to_string())?;
                 }
-                "--sets" => opts.sets = args.value_for("--sets").map_err(|e| e.to_string())?,
+                "--sets" => opts.sets = args.count_for("--sets").map_err(|e| e.to_string())?,
                 "--threads" => {
                     opts.threads = args.value_for("--threads").map_err(|e| e.to_string())?;
                 }

@@ -137,10 +137,10 @@ impl CampaignOptions {
     /// # Errors
     ///
     /// Returns a [`CliError`] when the flag's value is missing or
-    /// malformed.
+    /// malformed, or `--sets` or `--slots` is 0.
     pub fn apply_cli_flag(&mut self, args: &mut Args, flag: &str) -> Result<bool, CliError> {
         match flag {
-            "--sets" => self.sets = args.value_for("--sets")?,
+            "--sets" => self.sets = args.count_for("--sets")?,
             "--seed" => self.seed = args.value_for("--seed")?,
             "--threads" => self.threads = args.value_for("--threads")?,
             "--slots" => self.slots = args.slots_for("--slots")?,

@@ -92,6 +92,24 @@ fn validate_rejects_zero_slots_with_a_diagnostic() {
 }
 
 #[test]
+fn zero_sets_are_rejected_with_a_diagnostic() {
+    // A run over no sets used to pass vacuously (`PASS: 0 sets, 0 checks`).
+    for cmd in ["sweep", "optimize"] {
+        assert_usage_error(&[cmd, "--sets", "0"], "--sets: must be at least 1");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_cpa-validate"))
+        .args(["run", "--quick", "--sets", "0", "--no-progress"])
+        .output()
+        .expect("spawn cpa-validate");
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--sets: must be at least 1"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn sim_rejects_malformed_horizon_with_a_diagnostic() {
     assert_usage_error(&["sim", "--horizon", "soon"], "--horizon");
 }
