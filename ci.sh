@@ -49,6 +49,22 @@ cargo run --release -p cpa-validate --bin cpa-trace -- sweep --seed 7 --sets 16 
 cargo run --release -p cpa-validate --bin cpa-trace -- optimize --seed 7 --sets 3 \
   --tasks-per-core 3 --util 0.5 --json > /dev/null
 
+echo "==> CLI exit rule (all seven binaries: --help exits 0 with usage on stdout, --bogus exits 2)"
+cargo build --release --bins
+for bin in run_experiments gen_taskset obs_overhead cpa-validate cpa-trace cpa-optimize sim_speedup; do
+  usage=$("./target/release/$bin" --help)
+  if [ -z "$usage" ]; then
+    echo "$bin --help printed nothing on stdout"
+    exit 1
+  fi
+  code=0
+  "./target/release/$bin" --bogus > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "$bin --bogus exited $code, expected 2"
+    exit 1
+  fi
+done
+
 echo "==> optimizer determinism smoke (exhaustive-vs-local agreement, thread invariance, panel gates)"
 cargo test -q -p cpa-optimize --release --test optimizer_determinism
 

@@ -40,21 +40,13 @@ impl Span {
     }
 }
 
-/// Eq. (6): `N_{k,l}^y(t)`, the maximum number of jobs of a remote task
-/// that fully execute within a window of length `t`, given the remote
-/// task's current response-time estimate `r_l` and its per-job bus charge
-/// `cost = MD_l + γ_{k,l,y}`.
-///
-/// The paper's numerator `t + R_l − cost·d_mem` is clamped at zero: for
-/// tiny windows no job fits. It is computed exactly, even where `t + R_l`
-/// or `cost·d_mem` leaves `u64` (see [`jobs_within`]).
-#[must_use]
-pub fn n_jobs(t: Time, r_l: Time, cost: u64, d_mem: Time, period: Time) -> u64 {
-    let sub = u128::from(cost) * u128::from(d_mem.cycles());
-    jobs_within(t.cycles(), r_l.cycles(), sub, period.cycles())
-}
-
-/// `⌊max(t + r − sub, 0) / p⌋` for `p > 0`, exact in every operand:
+/// Eq. (6): `N_{k,l}^y(t) = ⌊max(t + r − sub, 0) / p⌋`, the jobs of a
+/// remote task with period `p > 0` and response-time estimate `r` that
+/// fully execute within a window of length `t`, where
+/// `sub = cost · d_mem` for the per-job bus charge `cost = MD_l + γ_{k,l,y}`
+/// ([`spec::n_jobs`](crate::spec::n_jobs) is the literal form). The
+/// numerator is clamped at zero: for tiny windows no job fits. It is exact
+/// in every operand:
 /// saturating `t + r` first would undercount the jobs, and with them the
 /// bound. The quotient exceeds `u64` only for `p = 1`; it is clamped at
 /// `u64::MAX` there, where every charge built from it saturates too.
@@ -562,11 +554,16 @@ mod tests {
         let d = Time::from_cycles(10);
         let p = Time::from_cycles(100);
         // t + R − cost·d_mem = 0 + 50 − 60 < 0 ⇒ 0 jobs.
-        assert_eq!(n_jobs(Time::ZERO, Time::from_cycles(50), 6, d, p), 0);
-        // 300 + 50 − 60 = 290 ⇒ 2 full periods.
+        assert_eq!(jobs_within(0, 50, 6 * 10, 100), 0);
         assert_eq!(
-            n_jobs(Time::from_cycles(300), Time::from_cycles(50), 6, d, p),
-            2
+            spec::n_jobs(Time::ZERO, Time::from_cycles(50), 6, d, p),
+            Ok(0)
+        );
+        // 300 + 50 − 60 = 290 ⇒ 2 full periods.
+        assert_eq!(jobs_within(300, 50, 6 * 10, 100), 2);
+        assert_eq!(
+            spec::n_jobs(Time::from_cycles(300), Time::from_cycles(50), 6, d, p),
+            Ok(2)
         );
     }
 
@@ -576,13 +573,13 @@ mod tests {
         let p = Time::from_cycles(100);
         let t = Time::from_cycles(300);
         let r = Time::from_cycles(50);
-        let n = n_jobs(t, r, 6, d, p);
+        let n = spec::n_jobs(t, r, 6, d, p).unwrap();
         assert_eq!(n, 2);
         // Overlap = 290 − 200 = 90 ⇒ ⌈90/10⌉ = 9, capped at cost 6.
         assert_eq!(spec::w_cout(t, r, 6, d, p, n), Ok(6));
         // Tiny leftover: t = 215 ⇒ overlap = 5 ⇒ 1 access.
         let t = Time::from_cycles(215);
-        let n = n_jobs(t, r, 6, d, p);
+        let n = spec::n_jobs(t, r, 6, d, p).unwrap();
         assert_eq!(n, 2);
         assert_eq!(spec::w_cout(t, r, 6, d, p, n), Ok(1));
         // No overlap at all.
@@ -605,8 +602,8 @@ mod tests {
         let mut resp = vec![Time::ZERO; 3];
         resp[t3.index()] = Time::from_cycles(10);
         assert_eq!(
-            n_jobs(t, resp[t3.index()], 6, ctx.d_mem(), Time::from_cycles(16)),
-            4
+            spec::n_jobs(t, resp[t3.index()], 6, ctx.d_mem(), Time::from_cycles(16)),
+            Ok(4)
         );
         let hep = |k, mode| pair(&ctx, k, y, t, &resp, mode, CarryOut::Exact).0;
         // The paper evaluates BAO at level 3 (τ3's own priority); from τ2's
@@ -814,11 +811,8 @@ mod tests {
             d in 1u64..100,
             p in 1u64..10_000,
         ) {
-            let d = Time::from_cycles(d);
-            let p = Time::from_cycles(p);
-            let t = Time::from_cycles(t);
-            let r = Time::from_cycles(r);
-            let n = n_jobs(t, r, cost, d, p);
+            let n = jobs_within(t, r, u128::from(cost) * u128::from(d), p);
+            let [t, r, d, p] = [t, r, d, p].map(Time::from_cycles);
             prop_assert_eq!(spec::n_jobs(t, r, cost, d, p), Ok(n));
             prop_assert!(spec::w_cout(t, r, cost, d, p, n).unwrap() <= cost);
         }
@@ -861,7 +855,8 @@ mod tests {
         }
 
         /// `N` is exact where `t + R_l` leaves `u64`: the job count of
-        /// the all-`u128` formula, clamped at `u64::MAX`.
+        /// the all-`u128` formula, clamped at `u64::MAX`, and equal to the
+        /// spec's wherever that fits.
         #[test]
         fn n_jobs_is_exact_past_u64(
             t in any::<u64>(),
@@ -872,14 +867,12 @@ mod tests {
             let p = p.max(1);
             let sum = u128::from(t) + u128::from(r);
             let exact = sum.saturating_sub(u128::from(cost) * u128::from(d)) / u128::from(p);
-            let n = n_jobs(
-                Time::from_cycles(t),
-                Time::from_cycles(r),
-                cost,
-                Time::from_cycles(d),
-                Time::from_cycles(p),
-            );
+            let n = jobs_within(t, r, u128::from(cost) * u128::from(d), p);
             prop_assert_eq!(n, sat(exact));
+            let [t, r, d, p] = [t, r, d, p].map(Time::from_cycles);
+            if let Ok(spec_n) = spec::n_jobs(t, r, cost, d, p) {
+                prop_assert_eq!(n, spec_n);
+            }
         }
     }
 }

@@ -246,9 +246,9 @@ mod tests {
                 for j in tasks.hp_on(i, tasks[i].core()) {
                     let e = spec::releases(t, tasks[j].period());
                     interference += tasks[j].processing_demand() * e;
-                    crpd += e * crate::crpd::gamma(&tasks, i, j);
+                    crpd += e * crate::crpd::gamma_with(&tasks, i, j, crate::CrpdApproach::EcbUnion);
                     let reload = e.saturating_sub(1) * cpro::cpro_overlap(&tasks, j, i);
-                    if demand::md_hat(&tasks[j], e) + reload < e * tasks[j].memory_demand() {
+                    if spec::md_hat(&tasks[j], e).unwrap() + reload < e * tasks[j].memory_demand() {
                         cpro_share += reload;
                     }
                 }

@@ -129,6 +129,22 @@ impl PersistenceMode {
             PersistenceMode::Aware => "aware",
         }
     }
+
+    /// Parses a [`PersistenceMode::label`] back into a mode, with a
+    /// diagnostic for command-line and request errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming an unknown label.
+    pub fn try_parse(label: &str) -> Result<PersistenceMode, String> {
+        match label {
+            "aware" => Ok(PersistenceMode::Aware),
+            "oblivious" => Ok(PersistenceMode::Oblivious),
+            _ => Err(format!(
+                "unknown persistence mode `{label}` (expected aware or oblivious)"
+            )),
+        }
+    }
 }
 
 impl fmt::Display for PersistenceMode {
@@ -224,6 +240,12 @@ mod tests {
             BusPolicy::paper_buses(2).map(|b| b.label()),
             ["fp", "rr", "tdma"]
         );
+        for mode in [PersistenceMode::Aware, PersistenceMode::Oblivious] {
+            assert_eq!(PersistenceMode::try_parse(mode.label()), Ok(mode));
+        }
+        assert!(PersistenceMode::try_parse("forgetful")
+            .unwrap_err()
+            .contains("unknown persistence mode `forgetful`"));
     }
 
     #[test]

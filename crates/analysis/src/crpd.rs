@@ -77,12 +77,14 @@ pub fn ecb_union_hep(tasks: &TaskSet, j: TaskId) -> CacheBlockSet {
     acc
 }
 
-/// `γ_{i,j}`: the ECB-union CRPD bound of Eq. (2), evaluated on the core of
-/// the preempting task `τj`.
+/// `γ_{i,j}` under a selectable CRPD approach (see [`CrpdApproach`]);
+/// [`CrpdApproach::EcbUnion`] is the bound of Eq. (2). It is evaluated on
+/// the core of the preempting task `τj`.
 ///
 /// Returns 0 when `τj` does not have higher priority than `τi` (then
 /// `aff(i, j)` is empty — a task is never preempted by lower-priority work)
-/// and when no intermediate task shares `τj`'s core.
+/// and when no intermediate task shares `τj`'s core
+/// (`aff(i, j) ∩ Γ_{core(j)} = ∅`) — all approaches agree on that case.
 ///
 /// # Example
 ///
@@ -90,7 +92,7 @@ pub fn ecb_union_hep(tasks: &TaskSet, j: TaskId) -> CacheBlockSet {
 /// ECBs `{5..10}` on two blocks.
 ///
 /// ```
-/// use cpa_analysis::crpd::gamma;
+/// use cpa_analysis::crpd::{gamma_with, CrpdApproach};
 /// # use cpa_model::{CacheBlockSet, CoreId, Priority, Task, TaskId, TaskSet, Time};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// # let tau1 = Task::builder("tau1")
@@ -109,19 +111,10 @@ pub fn ecb_union_hep(tasks: &TaskSet, j: TaskId) -> CacheBlockSet {
 /// # let tasks = TaskSet::new(vec![tau1, tau2])?;
 /// let i = tasks.id_of("tau2").unwrap();
 /// let j = tasks.id_of("tau1").unwrap();
-/// assert_eq!(gamma(&tasks, i, j), 2);
+/// assert_eq!(gamma_with(&tasks, i, j, CrpdApproach::EcbUnion), 2);
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn gamma(tasks: &TaskSet, i: TaskId, j: TaskId) -> u64 {
-    gamma_with(tasks, i, j, CrpdApproach::EcbUnion)
-}
-
-/// `γ_{i,j}` under a selectable CRPD approach (see [`CrpdApproach`]).
-///
-/// All approaches agree on the trivial case: zero when no intermediate
-/// task shares `τj`'s core (`aff(i, j) ∩ Γ_{core(j)} = ∅`).
 #[must_use]
 pub fn gamma_with(tasks: &TaskSet, i: TaskId, j: TaskId, approach: CrpdApproach) -> u64 {
     let core = tasks[j].core();
@@ -186,11 +179,11 @@ mod tests {
         let hi = ts.id_of("hi").unwrap();
         let lo = ts.id_of("lo").unwrap();
         // A task cannot be preempted by itself or by lower-priority tasks.
-        assert_eq!(gamma(&ts, hi, hi), 0);
-        assert_eq!(gamma(&ts, hi, lo), 0);
+        assert_eq!(gamma_with(&ts, hi, hi, CrpdApproach::EcbUnion), 0);
+        assert_eq!(gamma_with(&ts, hi, lo, CrpdApproach::EcbUnion), 0);
         // But the low-priority task does suffer CRPD from the high one:
         // UCB_lo {5..15} ∩ ECB_hi {0..10} = {5..10}.
-        assert_eq!(gamma(&ts, lo, hi), 5);
+        assert_eq!(gamma_with(&ts, lo, hi, CrpdApproach::EcbUnion), 5);
     }
 
     #[test]
@@ -206,7 +199,7 @@ mod tests {
         // "remote" shares blocks with both, but is on another core: neither
         // its UCBs (as a victim) nor its ECBs (as an evictor) participate.
         // UCB_lo {5..15} ∩ ECB_hi {0..10} = {5..10}.
-        assert_eq!(gamma(&ts, lo, hi), 5);
+        assert_eq!(gamma_with(&ts, lo, hi, CrpdApproach::EcbUnion), 5);
     }
 
     #[test]
@@ -235,10 +228,10 @@ mod tests {
         .unwrap();
         let lo = ts.id_of("lo").unwrap();
         let hi = ts.id_of("hi").unwrap();
-        assert_eq!(gamma(&ts, lo, hi), 6);
+        assert_eq!(gamma_with(&ts, lo, hi, CrpdApproach::EcbUnion), 6);
         // For i = mid, aff = {mid} only.
         let mid = ts.id_of("mid").unwrap();
-        assert_eq!(gamma(&ts, mid, hi), 3);
+        assert_eq!(gamma_with(&ts, mid, hi, CrpdApproach::EcbUnion), 3);
     }
 
     #[test]
@@ -309,7 +302,12 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            gamma(&ts, ts.id_of("lo").unwrap(), ts.id_of("hi").unwrap()),
+            gamma_with(
+                &ts,
+                ts.id_of("lo").unwrap(),
+                ts.id_of("hi").unwrap(),
+                CrpdApproach::EcbUnion
+            ),
             0
         );
     }

@@ -1,7 +1,5 @@
 //! Multi-job memory access demand under cache persistence (Eq. (10)).
 
-use cpa_model::Task;
-
 /// `M̂D_i(n)`: upper bound on the total bus accesses of `n` successive jobs
 /// of a task executing in isolation (Eq. (10)):
 ///
@@ -31,17 +29,6 @@ pub fn md_hat_parts(md: u64, md_r: u64, pcb_len: u64, jobs: u64) -> u64 {
     let full = jobs.saturating_mul(md);
     let persistent = jobs.saturating_mul(md_r).saturating_add(pcb_len);
     full.min(persistent)
-}
-
-/// [`md_hat_parts`] reading the parameters off a [`Task`].
-#[must_use]
-pub fn md_hat(task: &Task, jobs: u64) -> u64 {
-    md_hat_parts(
-        task.memory_demand(),
-        task.residual_memory_demand(),
-        task.pcb().len() as u64,
-        jobs,
-    )
 }
 
 #[cfg(test)]
@@ -98,7 +85,15 @@ mod tests {
             .pcb(CacheBlockSet::contiguous(16, 0, 5))
             .build()
             .unwrap();
-        assert_eq!(md_hat(&t, 3), 8);
+        // The spec's Eq. (10) reads the same fields off the task.
+        let parts = md_hat_parts(
+            t.memory_demand(),
+            t.residual_memory_demand(),
+            t.pcb().len() as u64,
+            3,
+        );
+        assert_eq!(parts, 8);
+        assert_eq!(crate::spec::md_hat(&t, 3), Ok(parts));
     }
 
     proptest! {

@@ -17,9 +17,9 @@
 //! |---|---|---|
 //! | Eq. (1) `BAS_i^x(t)`, Lemma 1 `BÂS_i^x(t)` | [`bas::same_core_terms`] | [`spec::bas`] |
 //! | Eq. (2) `γ_{i,j,x}` (ECB-union CRPD) | [`AnalysisContext::gamma`] | [`crpd::gamma_with`] |
-//! | Eq. (3)–(6) `BAO_k^y(t)`, Lemma 2 `BÂO_k^y(t)` | [`bao::BaoSegment`] | [`spec::bao`] |
+//! | Eq. (3)–(6) `BAO_k^y(t)`, Lemma 2 `BÂO_k^y(t)` | [`bao::BaoSegment`] | [`spec::bao`], Eq. (6) [`spec::n_jobs`] |
 //! | Eq. (7)/(8)/(9) FP / RR / TDMA `BAT_i^x(t)` | the engine's cross-core step | [`spec::bat`] |
-//! | Eq. (10) `M̂D_i(n)` | [`demand::md_hat_parts`] | [`spec`] |
+//! | Eq. (10) `M̂D_i(n)` | [`demand::md_hat_parts`] | [`spec::md_hat`] |
 //! | Eq. (14) `ρ̂_{j,i,x}(n)` (CPRO-union) | [`AnalysisContext::cpro`] | [`cpro::cpro_overlap`] |
 //! | Eq. (19) WCRT recurrence + outer loop | [`analyze_with`] | [`spec::analyze`] |
 //! | "perfect bus" reference (Fig. 2), its bus-utilization gate (deviation 2) | [`BusPolicy::Perfect`], gate summed in [`cpa_model::UtilizationSum`] | [`spec::analyze`], same exact sum |

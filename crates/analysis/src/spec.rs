@@ -118,8 +118,17 @@ pub fn releases(t: Time, period: Time) -> u64 {
     t.cycles().div_ceil(period.cycles())
 }
 
-/// Eq. (10): `M̂D(n) = min(n · MD ; n · MD^r + |PCB|)`.
-fn md_hat(task: &Task, n: u128) -> u128 {
+/// Eq. (10): `M̂D(n) = min(n · MD ; n · MD^r + |PCB|)`, the bus accesses
+/// of `n` successive jobs of `task` in isolation.
+///
+/// # Errors
+///
+/// [`Overflow`] when the value exceeds `u64::MAX`.
+pub fn md_hat(task: &Task, n: u64) -> Result<u64, Overflow> {
+    fit(md_hat_exact(task, u128::from(n)))
+}
+
+fn md_hat_exact(task: &Task, n: u128) -> u128 {
     let full = mul(n, md(task));
     let persistent = add(
         mul(n, u128::from(task.residual_memory_demand())),
@@ -259,7 +268,7 @@ impl<'c, 'a> Spec<'c, 'a> {
                 PersistenceMode::Oblivious => mul(e, add(md(&tasks[j]), gamma)),
                 PersistenceMode::Aware => {
                     let oblivious = mul(e, md(&tasks[j]));
-                    let persistent = add(md_hat(&tasks[j], e), cpro(self.overlap(j, i), e));
+                    let persistent = add(md_hat_exact(&tasks[j], e), cpro(self.overlap(j, i), e));
                     add(oblivious.min(persistent), mul(e, gamma))
                 }
             };
@@ -309,14 +318,14 @@ impl<'c, 'a> Spec<'c, 'a> {
                 PersistenceMode::Oblivious => mul(n, cost),
                 PersistenceMode::Aware => {
                     let oblivious = mul(n, md(task));
-                    let persistent = add(md_hat(task, n), cpro(overlap, n));
+                    let persistent = add(md_hat_exact(task, n), cpro(overlap, n));
                     add(oblivious.min(persistent), mul(n, gamma))
                 }
             };
             let cap = match mode {
                 PersistenceMode::Oblivious => cost,
                 PersistenceMode::Aware => {
-                    let d_md_hat = md_hat(task, n + 1) - md_hat(task, n);
+                    let d_md_hat = md_hat_exact(task, n + 1) - md_hat_exact(task, n);
                     let d_cpro = cpro(overlap, n + 1) - cpro(overlap, n);
                     cost.min(add(add(d_md_hat, d_cpro), gamma))
                 }

@@ -9,11 +9,11 @@
 //!
 //! Exits 0 on success and on `--help`, 2 on an unknown flag, a malformed
 //! value or an invalid generator configuration, and 1 when generation
-//! itself fails.
+//! itself fails (`cpa_experiments::cli`).
 
 use std::process::ExitCode;
 
-use cpa_experiments::cli::Args;
+use cpa_experiments::cli::{self, Args, CliError};
 use cpa_model::Time;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
@@ -23,62 +23,32 @@ const USAGE: &str = "usage: gen_taskset [--seed S] [--utilization U] [--cores M]
 [--tasks-per-core N] [--cache-sets C] [--d-mem D] [--summary]";
 
 fn main() -> ExitCode {
+    cli::run(USAGE, run)
+}
+
+fn run(mut args: Args) -> Result<(), CliError> {
     let mut seed = 1u64;
     let mut config = GeneratorConfig::paper_default();
     let mut summary = false;
-    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next_arg() {
-        if matches!(arg.as_str(), "--help" | "-h") {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        let result: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--seed" => seed = args.value_for("--seed").map_err(|e| e.to_string())?,
-                "--utilization" => {
-                    config.per_core_utilization =
-                        args.value_for("--utilization").map_err(|e| e.to_string())?;
-                }
-                "--cores" => config.cores = args.value_for("--cores").map_err(|e| e.to_string())?,
-                "--tasks-per-core" => {
-                    config.tasks_per_core = args
-                        .value_for("--tasks-per-core")
-                        .map_err(|e| e.to_string())?;
-                }
-                "--cache-sets" => {
-                    config.cache_sets =
-                        args.value_for("--cache-sets").map_err(|e| e.to_string())?;
-                }
-                "--d-mem" => {
-                    config.d_mem =
-                        Time::from_cycles(args.value_for("--d-mem").map_err(|e| e.to_string())?);
-                }
-                "--summary" => summary = true,
-                other => return Err(args.unknown_flag(other).to_string()),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+        match arg.as_str() {
+            "--seed" => seed = args.value_for("--seed")?,
+            "--utilization" => config.per_core_utilization = args.value_for("--utilization")?,
+            "--cores" => config.cores = args.value_for("--cores")?,
+            "--tasks-per-core" => config.tasks_per_core = args.value_for("--tasks-per-core")?,
+            "--cache-sets" => config.cache_sets = args.value_for("--cache-sets")?,
+            "--d-mem" => config.d_mem = Time::from_cycles(args.value_for("--d-mem")?),
+            "--summary" => summary = true,
+            other => return Err(args.unknown_flag(other)),
         }
     }
 
-    let generator = match TaskSetGenerator::new(config.clone()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("invalid configuration: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let generator = TaskSetGenerator::new(config.clone())
+        .map_err(|e| CliError::bad_input(format!("invalid configuration: {e}")))?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let tasks = match generator.generate(&mut rng) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let tasks = generator
+        .generate(&mut rng)
+        .map_err(|e| CliError::failed(format!("generation failed: {e}")))?;
 
     if summary {
         print!("{tasks}");
@@ -87,8 +57,8 @@ fn main() -> ExitCode {
             tasks.total_utilization(config.d_mem),
             tasks.bus_utilization(config.d_mem)
         );
-        return ExitCode::SUCCESS;
+    } else {
+        println!("{}", tasks.to_json());
     }
-    println!("{}", tasks.to_json());
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -18,14 +18,15 @@
 //! 4. assert `gate_cost x gates / analyze_time < budget` (default 2%).
 //!
 //! The measured numbers are printed as one JSON line on stdout; the process
-//! exits 1 past the budget and 2 on a usage error. It writes no file.
+//! exits 1 past the budget and 2 on a usage error (`cpa_experiments::cli`).
+//! It writes no file.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use cpa_analysis::{analyze, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
-use cpa_experiments::cli::Args;
+use cpa_experiments::cli::{self, Args, CliError};
 use cpa_experiments::runner::platform_for;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use rand::SeedableRng;
@@ -35,21 +36,21 @@ use serde::Serialize;
 const USAGE: &str = "usage: obs_overhead [--budget FRACTION]";
 
 fn main() -> ExitCode {
+    cli::run(USAGE, run)
+}
+
+fn run(mut args: Args) -> Result<(), CliError> {
     let mut budget = 0.02f64;
-    let mut args = Args::from_env(USAGE);
     while let Some(arg) = args.next_arg() {
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--budget" => budget = args.value_for("--budget").map_err(|e| e.to_string())?,
-                "--help" | "-h" => return Err(args.help().to_string()),
-                other => return Err(args.unknown_flag(other).to_string()),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = parsed {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+        match arg.as_str() {
+            "--budget" => budget = args.value_for("--budget")?,
+            other => return Err(args.unknown_flag(other)),
         }
+    }
+    if !(budget >= 0.0 && budget.is_finite()) {
+        return Err(CliError::bad_input(format!(
+            "--budget: must be a finite fraction of at least 0 (got {budget})"
+        )));
     }
 
     let gen = GeneratorConfig::paper_default().with_per_core_utilization(0.3);
@@ -111,14 +112,13 @@ fn main() -> ExitCode {
         budget * 100.0
     );
     if pass {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!(
+        Err(CliError::failed(format!(
             "FAIL: disabled-subscriber overhead {:.3}% exceeds the {:.1}% budget",
             fraction * 100.0,
             budget * 100.0
-        );
-        ExitCode::FAILURE
+        )))
     }
 }
 

@@ -1,9 +1,20 @@
-//! Minimal shared argument parsing for the workspace binaries.
+//! The one command-line front end of the workspace binaries.
 //!
-//! All CLIs here follow the same `--flag value` convention; this module
-//! centralizes the boilerplate the binaries used to hand-roll separately:
-//! pulling a flag's value, parsing it with a contextualized error, and
-//! formatting unknown-flag/usage errors consistently.
+//! Every binary's `main` is one call to [`run`], which owns the exit
+//! rule:
+//!
+//! * `--help`/`-h` anywhere, also after a subcommand, prints the usage on
+//!   stdout and exits 0;
+//! * bad input ([`CliError::bad_input`]) exits 2 with a diagnostic on
+//!   stderr, before any output is written: an unknown flag or subcommand,
+//!   a missing, malformed or out-of-range value, an invalid generator
+//!   shape, or an unreadable or invalid input file;
+//! * a run that started and then failed ([`CliError::failed`]) exits 1:
+//!   an oracle violation, a guard breach, a repro that no longer
+//!   reproduces, or a write error.
+//!
+//! [`Args`] pulls flag values with errors that name the flag, and
+//! [`SweepFlags`] and [`ObsSinks`] parse the flags several binaries share.
 //!
 //! # Example
 //!
@@ -25,19 +36,38 @@
 
 use std::fmt;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::str::FromStr;
 
-/// A CLI parsing failure: carries the message to print before exiting.
+/// A failed run of a binary: the diagnostic to print and which of the two
+/// failure exit codes it maps to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliError {
+    code: u8,
     msg: String,
 }
 
 impl CliError {
-    fn new(msg: impl fmt::Display) -> Self {
+    /// Bad input, found before the run writes anything: exit code 2.
+    pub fn bad_input(msg: impl fmt::Display) -> Self {
         CliError {
+            code: 2,
             msg: msg.to_string(),
         }
+    }
+
+    /// A run that started and then failed: exit code 1.
+    pub fn failed(msg: impl fmt::Display) -> Self {
+        CliError {
+            code: 1,
+            msg: msg.to_string(),
+        }
+    }
+
+    /// The process exit code this error maps to: 2 for bad input, 1 for
+    /// a failed run.
+    fn code(&self) -> u8 {
+        self.code
     }
 }
 
@@ -49,6 +79,29 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// Runs a binary's `body` over the process arguments (without the program
+/// name) under the exit rule of the module docs, and returns the exit
+/// code for `main` to return.
+pub fn run(usage: &'static str, body: impl FnOnce(Args) -> Result<(), CliError>) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        println!("{usage}");
+        return ExitCode::SUCCESS;
+    }
+    match body(Args::new(args, usage)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(e.code())
+        }
+    }
+}
+
+/// Whether `--help` or `-h` appears anywhere in `args`.
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
+}
+
 /// A stream of command-line arguments with flag-value helpers.
 #[derive(Debug)]
 pub struct Args {
@@ -57,24 +110,12 @@ pub struct Args {
 }
 
 impl Args {
-    /// Wraps an explicit argument list (mainly for tests).
+    /// Wraps an explicit argument list (without the program name).
     pub fn new(args: impl IntoIterator<Item = String>, usage: &'static str) -> Self {
         Args {
             args: args.into_iter().collect::<Vec<_>>().into_iter(),
             usage,
         }
-    }
-
-    /// Wraps the process arguments (without the program name).
-    #[must_use]
-    pub fn from_env(usage: &'static str) -> Self {
-        Args::new(std::env::args().skip(1), usage)
-    }
-
-    /// The usage string passed at construction.
-    #[must_use]
-    pub fn usage(&self) -> &'static str {
-        self.usage
     }
 
     /// The next raw argument, if any.
@@ -86,8 +127,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] naming `flag` when the value is missing or
-    /// fails to parse.
+    /// Returns a bad-input [`CliError`] naming `flag` when the value is
+    /// missing or fails to parse.
     pub fn value_for<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError>
     where
         T::Err: fmt::Display,
@@ -95,17 +136,19 @@ impl Args {
         let raw = self
             .args
             .next()
-            .ok_or_else(|| CliError::new(format!("{flag} needs a value\n{}", self.usage)))?;
+            .ok_or_else(|| CliError::bad_input(format!("{flag} needs a value\n{}", self.usage)))?;
         raw.parse()
-            .map_err(|e| CliError::new(format!("{flag}: {e} (got `{raw}`)")))
+            .map_err(|e| CliError::bad_input(format!("{flag}: {e} (got `{raw}`)")))
     }
 
-    /// The value of a count flag such as `--sets`, which must be at
-    /// least 1: a run over zero sets would report nothing as a result.
+    /// The value of a count flag such as `--sets` or `--horizon`, which
+    /// must be at least 1: a run over zero sets would report nothing as a
+    /// result.
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] when the value is missing, malformed or 0.
+    /// Returns a bad-input [`CliError`] when the value is missing,
+    /// malformed or 0.
     pub fn count_for<T>(&mut self, flag: &str) -> Result<T, CliError>
     where
         T: FromStr + Default + PartialEq,
@@ -113,7 +156,9 @@ impl Args {
     {
         let count = self.value_for(flag)?;
         if count == T::default() {
-            return Err(CliError::new(format!("{flag}: must be at least 1 (got 0)")));
+            return Err(CliError::bad_input(format!(
+                "{flag}: must be at least 1 (got 0)"
+            )));
         }
         Ok(count)
     }
@@ -123,12 +168,13 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] when the value is missing, malformed or 0.
+    /// Returns a bad-input [`CliError`] when the value is missing,
+    /// malformed or 0.
     pub fn slots_for(&mut self, flag: &str) -> Result<u64, CliError> {
         let slots = self.value_for(flag)?;
         match cpa_analysis::BusPolicy::parse("rr", slots) {
             Some(_) => Ok(slots),
-            None => Err(CliError::new(format!(
+            None => Err(CliError::bad_input(format!(
                 "{flag}: rr and tdma need at least one slot (got {slots})"
             ))),
         }
@@ -137,21 +183,28 @@ impl Args {
     /// The error to report for an unrecognized flag.
     #[must_use]
     pub fn unknown_flag(&self, flag: &str) -> CliError {
-        CliError::new(format!("unknown flag `{flag}`\n{}", self.usage))
+        CliError::bad_input(format!("unknown flag `{flag}`\n{}", self.usage))
     }
 
-    /// The error to report for a `--help` request (the usage text itself).
+    /// The error to report for a subcommand position holding `arg`: an
+    /// unknown flag when it starts with `-`, an unknown subcommand
+    /// otherwise, and a missing one for `None`.
     #[must_use]
-    pub fn help(&self) -> CliError {
-        CliError::new(self.usage)
+    pub fn unknown_subcommand(&self, arg: Option<&str>) -> CliError {
+        match arg {
+            Some(flag) if flag.starts_with('-') => self.unknown_flag(flag),
+            Some(name) => {
+                CliError::bad_input(format!("unknown subcommand `{name}`\n{}", self.usage))
+            }
+            None => CliError::bad_input(format!("missing subcommand\n{}", self.usage)),
+        }
     }
 }
 
-/// The shared sweep flags (`--quick`, `--sets`, `--seed`, `--threads`,
-/// `--chunk`), collected in any order and resolved by
-/// [`SweepFlags::options`].
+/// The shared sweep flags (`--quick`, `--sets`, `--seed`, `--threads`),
+/// collected in any order and resolved by [`SweepFlags::options`].
 ///
-/// Binaries that run sweeps share this so `--threads`/`--chunk` reach
+/// Binaries that run sweeps share this so `--threads` reaches
 /// [`SweepOptions`](crate::SweepOptions) — and therefore
 /// [`cpa_pool`](cpa_pool::PoolOptions) — identically everywhere.
 /// `--quick` picks [`SweepOptions::quick`](crate::SweepOptions::quick)'s
@@ -179,7 +232,6 @@ impl SweepFlags {
             "--sets" => self.sets = Some(args.count_for("--sets")?),
             "--seed" => self.opts.seed = args.value_for("--seed")?,
             "--threads" => self.opts.threads = args.value_for("--threads")?,
-            "--chunk" => self.opts.chunk = args.value_for("--chunk")?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -203,8 +255,8 @@ impl SweepFlags {
 /// The shared `--trace FILE` / `--metrics FILE` observability sinks.
 ///
 /// Every binary that exposes these flags (`run_experiments`, `cpa-validate`,
-/// `cpa-optimize run`) routes them through this one helper so the semantics
-/// cannot drift: `--trace` enables the full `cpa-obs` subscriber and writes
+/// `cpa-optimize run`, `cpa-trace`) routes them through this one helper so
+/// the semantics cannot drift: `--trace` enables the full `cpa-obs` subscriber and writes
 /// the deterministic JSON-lines event stream; `--metrics` enables timing
 /// collection only and writes the counters + span-profile JSON document.
 #[derive(Debug, Clone, Default)]
@@ -246,7 +298,8 @@ impl ObsSinks {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] naming the destination on any write failure.
+    /// Returns a failed-run [`CliError`] naming the destination on any
+    /// write failure.
     pub fn write(&self) -> Result<(), CliError> {
         self.write_events(&cpa_obs::take_events())
     }
@@ -256,12 +309,13 @@ impl ObsSinks {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] naming the destination on any write failure.
+    /// Returns a failed-run [`CliError`] naming the destination on any
+    /// write failure.
     pub fn write_events(&self, events: &[cpa_obs::Event]) -> Result<(), CliError> {
         if let Some(path) = &self.trace_path {
             let lines = cpa_obs::events_to_json_lines(events);
             std::fs::write(path, lines)
-                .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))?;
+                .map_err(|e| CliError::failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
         if let Some(path) = &self.metrics_path {
@@ -271,7 +325,7 @@ impl ObsSinks {
                 cpa_obs::profile_snapshot().to_json()
             );
             std::fs::write(path, doc)
-                .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))?;
+                .map_err(|e| CliError::failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
         Ok(())
@@ -317,8 +371,25 @@ mod tests {
     #[test]
     fn unknown_flag_and_help_carry_usage() {
         let a = args(&[]);
-        assert!(a.unknown_flag("--bogus").to_string().contains("`--bogus`"));
-        assert!(a.help().to_string().contains("usage: test"));
+        let err = a.unknown_flag("--bogus");
+        assert!(err.to_string().contains("unknown flag `--bogus`"), "{err}");
+        assert!(err.to_string().contains("usage: test"), "{err}");
+        assert_eq!(err.code(), 2);
+        for (arg, needle) in [
+            (Some("--bogus"), "unknown flag `--bogus`"),
+            (Some("bench"), "unknown subcommand `bench`"),
+            (None, "missing subcommand"),
+        ] {
+            let err = a.unknown_subcommand(arg);
+            assert!(err.to_string().contains(needle), "{err}");
+            assert!(err.to_string().contains("usage: test"), "{err}");
+            assert_eq!(err.code(), 2);
+        }
+        let help =
+            |list: &[&str]| wants_help(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert!(help(&["run", "--sets", "3", "--help"]));
+        assert!(help(&["-h"]));
+        assert!(!help(&["run", "--helpful"]));
     }
 
     fn sweep_options(list: &[&str]) -> Result<crate::SweepOptions, CliError> {
@@ -332,19 +403,8 @@ mod tests {
 
     #[test]
     fn sweep_flags_reach_the_options() {
-        let opts = sweep_options(&[
-            "--threads",
-            "3",
-            "--chunk",
-            "2",
-            "--sets",
-            "9",
-            "--seed",
-            "77",
-        ])
-        .unwrap();
+        let opts = sweep_options(&["--threads", "3", "--sets", "9", "--seed", "77"]).unwrap();
         assert_eq!(opts.threads, 3);
-        assert_eq!(opts.chunk, 2);
         assert_eq!(opts.sets_per_point, 9);
         assert_eq!(opts.seed, 77);
         assert_eq!(sweep_options(&[]).unwrap(), crate::SweepOptions::paper());
@@ -405,6 +465,7 @@ mod tests {
         let mut sinks = ObsSinks::default();
         let err = sinks.apply_flag(&mut a, "--trace").unwrap_err();
         assert!(err.to_string().contains("--trace needs a value"), "{err}");
+        assert_eq!(err.code(), 2);
     }
 
     #[test]
@@ -415,6 +476,7 @@ mod tests {
         };
         let err = sinks.write_events(&[]).unwrap_err();
         assert!(err.to_string().contains("cannot write"), "{err}");
+        assert_eq!(err.code(), 1, "a write error is a failed run");
     }
 
     #[test]

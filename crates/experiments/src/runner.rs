@@ -24,9 +24,6 @@ pub struct SweepOptions {
     /// [`cpa_pool::MAX_AUTO_THREADS`]; the one shared policy of
     /// [`cpa_pool::resolve_threads`]).
     pub threads: usize,
-    /// Pool chunk size (0 = pool default). Results are byte-identical at
-    /// any chunk size; the knob exists for benchmarks and tests.
-    pub chunk: usize,
     /// Core-utilization grid (paper: 0.05 to 1.0 in steps of 0.05).
     pub utilization_grid: Vec<f64>,
 }
@@ -40,7 +37,6 @@ impl SweepOptions {
             seed: 0x0DA7_E202_0000,
             slots: 2,
             threads: 0,
-            chunk: 0,
             utilization_grid: default_grid(),
         }
     }
@@ -83,17 +79,8 @@ impl SweepOptions {
         self
     }
 
-    /// Returns a copy with a different pool chunk size (0 = default).
-    #[must_use]
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
     fn pool_options(&self) -> cpa_pool::PoolOptions {
-        cpa_pool::PoolOptions::new()
-            .with_threads(self.threads)
-            .with_chunk(self.chunk)
+        cpa_pool::PoolOptions::new().with_threads(self.threads)
     }
 }
 

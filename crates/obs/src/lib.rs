@@ -58,9 +58,9 @@ pub use event::{events_to_json_lines, Event};
 pub use metrics::{Counter, Histogram, MetricsSnapshot};
 pub use profile::{format_nanos, ProfileNode};
 pub use registry::{
-    active, counter, detach_spans, disable, emit, enable, enable_metrics, events_enabled,
-    histogram_record, metrics_snapshot, next_scope_epoch, profile_snapshot, reattach_spans, reset,
-    restore_scope_state, scope, scope_state, set_scope, span_enter, take_events, timing_enabled,
+    active, counter, disable, emit, enable, enable_metrics, events_enabled, histogram_record,
+    metrics_snapshot, next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope,
+    scope_state, set_scope, set_span_path, span_enter, span_path, take_events, timing_enabled,
     SpanGuard,
 };
 pub use value::FieldValue;

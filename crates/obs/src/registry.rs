@@ -119,24 +119,24 @@ pub fn restore_scope_state(state: (u64, u64)) {
     SEQ.with(|s| s.set(state.1));
 }
 
-/// Detaches the spans open on this thread, so spans opened until
-/// [`reattach_spans`] record at the profile root — where every span of a
-/// freshly spawned thread starts. An inline parallel region (a pool
-/// running its items on the calling thread) brackets its items with the
-/// pair, so its span tree does not depend on whether it ran inline.
-/// Costs one flag load while timing is off.
+/// The spans open on this thread, outermost first; empty while timing is
+/// off. A pool hands it to each worker it spawns ([`set_span_path`]), so
+/// the spans the worker opens nest under the span that dispatched its work,
+/// as they do when the pool runs the items on the calling thread.
 #[must_use]
-pub fn detach_spans() -> Vec<&'static str> {
+pub fn span_path() -> Vec<&'static str> {
     if !timing_enabled() {
         return Vec::new();
     }
-    SPAN_PATH.with(|path| std::mem::take(&mut *path.borrow_mut()))
+    SPAN_PATH.with(|path| path.borrow().clone())
 }
 
-/// Reopens the spans [`detach_spans`] took off this thread.
-pub fn reattach_spans(spans: Vec<&'static str>) {
-    if !spans.is_empty() {
-        SPAN_PATH.with(|path| *path.borrow_mut() = spans);
+/// Makes `path` (from [`span_path`] on the dispatching thread) the parent
+/// of every span this thread opens from now on. Call it first thing on a
+/// freshly spawned worker.
+pub fn set_span_path(path: &[&'static str]) {
+    if !path.is_empty() {
+        SPAN_PATH.with(|spans| *spans.borrow_mut() = path.to_vec());
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cpa-optimize run --requests FILE [--out FILE] [--cache DIR]
-//!                  [--threads N] [--chunk N] [--stats FILE]
+//!                  [--threads N] [--stats FILE]
 //!                  [--trace FILE] [--metrics FILE]
 //! cpa-optimize gen --sets N [--seed S] [--cores N] [--tasks-per-core N]
 //!                  [--cache-sets N] [--util F] [--d-mem N] [--bus P]
@@ -11,19 +11,25 @@
 //!
 //! `run` processes a JSON batch of optimization requests and writes the
 //! response array to `--out` (or stdout). The response bytes depend only
-//! on the batch content: `--threads`, `--chunk` and cache temperature are
-//! invisible in the output. Batch statistics (cache hits, candidates
-//! evaluated, improvements) go to stderr and optionally to `--stats` as
-//! JSON. `gen` emits a seeded batch of generator-drawn requests.
+//! on the batch content: `--threads` and cache temperature are invisible
+//! in the output. Batch statistics (cache hits, candidates evaluated,
+//! improvements) go to stderr and optionally to `--stats` as JSON. `gen`
+//! emits a seeded batch of generator-drawn requests.
+//!
+//! Exits 2 on bad input (`cpa_experiments::cli`): an unknown flag or
+//! subcommand, a malformed value, an unreadable `--requests` file, or a
+//! `gen` shape or label a request would be refused for. `run` exits 1 for
+//! everything `process_batch` rejects (a batch that does not parse, or a
+//! request that fails validation) and on a write error.
 
 use std::process::ExitCode;
 
-use cpa_experiments::cli::{Args, ObsSinks};
+use cpa_experiments::cli::{self, Args, CliError, ObsSinks};
 use cpa_optimize::{gen_batch, process_batch, GenOptions, ResultCache, ServiceOptions};
 
 const USAGE: &str = "usage:
   cpa-optimize run --requests FILE [--out FILE] [--cache DIR]
-                   [--threads N] [--chunk N] [--stats FILE]
+                   [--threads N] [--stats FILE]
                    [--trace FILE] [--metrics FILE]
   cpa-optimize gen --sets N [--seed S] [--cores N] [--tasks-per-core N]
                    [--cache-sets N] [--util F] [--d-mem N] [--bus P]
@@ -36,35 +42,18 @@ statistics. Results are served from a content-addressed cache when one is
 configured; --threads never changes the output bytes.";
 
 fn main() -> ExitCode {
-    let mut args = Args::from_env(USAGE);
-    let outcome = match args.next_arg().as_deref() {
+    cli::run(USAGE, |mut args| match args.next_arg().as_deref() {
         Some("run") => run(args),
         Some("gen") => gen(args),
-        Some("--help" | "-h") => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => {
-            eprintln!("unknown subcommand `{other}`\n{USAGE}");
-            return ExitCode::from(2);
-        }
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+        other => Err(args.unknown_subcommand(other)),
+    })
 }
 
-fn write_out(path: Option<&str>, body: &str) -> Result<(), String> {
+fn write_out(path: Option<&str>, body: &str) -> Result<(), CliError> {
     match path {
-        Some(path) => std::fs::write(path, body).map_err(|e| format!("write {path}: {e}")),
+        Some(path) => {
+            std::fs::write(path, body).map_err(|e| CliError::failed(format!("write {path}: {e}")))
+        }
         None => {
             print!("{body}");
             Ok(())
@@ -72,7 +61,7 @@ fn write_out(path: Option<&str>, body: &str) -> Result<(), String> {
     }
 }
 
-fn run(mut args: Args) -> Result<(), String> {
+fn run(mut args: Args) -> Result<(), CliError> {
     let mut requests_path: Option<String> = None;
     let mut out: Option<String> = None;
     let mut cache_dir: Option<String> = None;
@@ -80,74 +69,60 @@ fn run(mut args: Args) -> Result<(), String> {
     let mut service = ServiceOptions::default();
     let mut sinks = ObsSinks::default();
     while let Some(arg) = args.next_arg() {
-        if sinks
-            .apply_flag(&mut args, arg.as_str())
-            .map_err(|e| e.to_string())?
-        {
+        if sinks.apply_flag(&mut args, &arg)? {
             continue;
         }
         match arg.as_str() {
-            "--requests" => {
-                requests_path = Some(args.value_for("--requests").map_err(|e| e.to_string())?);
-            }
-            "--out" => out = Some(args.value_for("--out").map_err(|e| e.to_string())?),
-            "--cache" => cache_dir = Some(args.value_for("--cache").map_err(|e| e.to_string())?),
-            "--stats" => stats_path = Some(args.value_for("--stats").map_err(|e| e.to_string())?),
-            "--threads" => {
-                service.threads = args.value_for("--threads").map_err(|e| e.to_string())?
-            }
-            "--chunk" => service.chunk = args.value_for("--chunk").map_err(|e| e.to_string())?,
-            "--help" | "-h" => return Err(args.help().to_string()),
-            other => return Err(args.unknown_flag(other).to_string()),
+            "--requests" => requests_path = Some(args.value_for("--requests")?),
+            "--out" => out = Some(args.value_for("--out")?),
+            "--cache" => cache_dir = Some(args.value_for("--cache")?),
+            "--stats" => stats_path = Some(args.value_for("--stats")?),
+            "--threads" => service.threads = args.value_for("--threads")?,
+            other => return Err(args.unknown_flag(other)),
         }
     }
-    let requests_path = requests_path.ok_or_else(|| format!("run needs --requests\n{USAGE}"))?;
+    let requests_path = requests_path
+        .ok_or_else(|| CliError::bad_input(format!("run needs --requests\n{USAGE}")))?;
     let batch = std::fs::read_to_string(&requests_path)
-        .map_err(|e| format!("read {requests_path}: {e}"))?;
+        .map_err(|e| CliError::bad_input(format!("read {requests_path}: {e}")))?;
     let mut cache = match &cache_dir {
-        Some(dir) => ResultCache::persistent(dir).map_err(|e| format!("open cache {dir}: {e}"))?,
+        Some(dir) => ResultCache::persistent(dir)
+            .map_err(|e| CliError::failed(format!("open cache {dir}: {e}")))?,
         None => ResultCache::in_memory(),
     };
     sinks.enable();
-    let (body, stats) = process_batch(&batch, &service, &mut cache)?;
+    let (body, stats) = process_batch(&batch, &service, &mut cache).map_err(CliError::failed)?;
     write_out(out.as_deref(), &body)?;
-    sinks.write().map_err(|e| e.to_string())?;
-    let stats_doc = serde_json::to_string(&stats).map_err(|e| format!("stats: {e}"))?;
+    sinks.write()?;
+    let stats_doc = serde_json::to_string(&stats).map_err(CliError::failed)?;
     eprintln!("{stats_doc}");
     if let Some(path) = stats_path {
         std::fs::write(&path, format!("{stats_doc}\n"))
-            .map_err(|e| format!("write {path}: {e}"))?;
+            .map_err(|e| CliError::failed(format!("write {path}: {e}")))?;
     }
     Ok(())
 }
 
-fn gen(mut args: Args) -> Result<(), String> {
+fn gen(mut args: Args) -> Result<(), CliError> {
     let mut opts = GenOptions::default();
     let mut out: Option<String> = None;
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
-            "--sets" => opts.sets = args.value_for("--sets").map_err(|e| e.to_string())?,
-            "--seed" => opts.seed = args.value_for("--seed").map_err(|e| e.to_string())?,
-            "--cores" => opts.cores = args.value_for("--cores").map_err(|e| e.to_string())?,
-            "--tasks-per-core" => {
-                opts.tasks_per_core = args
-                    .value_for("--tasks-per-core")
-                    .map_err(|e| e.to_string())?;
-            }
-            "--cache-sets" => {
-                opts.cache_sets = args.value_for("--cache-sets").map_err(|e| e.to_string())?;
-            }
-            "--util" => opts.util = args.value_for("--util").map_err(|e| e.to_string())?,
-            "--d-mem" => opts.d_mem = args.value_for("--d-mem").map_err(|e| e.to_string())?,
-            "--bus" => opts.bus = args.value_for("--bus").map_err(|e| e.to_string())?,
-            "--slots" => opts.slots = args.value_for("--slots").map_err(|e| e.to_string())?,
-            "--mode" => opts.mode = args.value_for("--mode").map_err(|e| e.to_string())?,
+            "--sets" => opts.sets = args.value_for("--sets")?,
+            "--seed" => opts.seed = args.value_for("--seed")?,
+            "--cores" => opts.cores = args.value_for("--cores")?,
+            "--tasks-per-core" => opts.tasks_per_core = args.value_for("--tasks-per-core")?,
+            "--cache-sets" => opts.cache_sets = args.value_for("--cache-sets")?,
+            "--util" => opts.util = args.value_for("--util")?,
+            "--d-mem" => opts.d_mem = args.value_for("--d-mem")?,
+            "--bus" => opts.bus = args.value_for("--bus")?,
+            "--slots" => opts.slots = args.value_for("--slots")?,
+            "--mode" => opts.mode = args.value_for("--mode")?,
             "--toy" => opts.toy = true,
-            "--out" => out = Some(args.value_for("--out").map_err(|e| e.to_string())?),
-            "--help" | "-h" => return Err(args.help().to_string()),
-            other => return Err(args.unknown_flag(other).to_string()),
+            "--out" => out = Some(args.value_for("--out")?),
+            other => return Err(args.unknown_flag(other)),
         }
     }
-    let batch = gen_batch(&opts)?;
+    let batch = gen_batch(&opts).map_err(CliError::bad_input)?;
     write_out(out.as_deref(), &format!("{batch}\n"))
 }

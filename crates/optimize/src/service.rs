@@ -274,11 +274,7 @@ impl<'a> Job<'a> {
         let fail = |what: String| request.error(what);
         let tasks = TaskSet::new(request.tasks.clone()).map_err(|e| fail(e.to_string()))?;
         let bus = BusPolicy::try_parse(&request.bus, request.slots).map_err(fail)?;
-        let mode = match request.mode.as_str() {
-            "aware" => PersistenceMode::Aware,
-            "oblivious" => PersistenceMode::Oblivious,
-            other => return Err(fail(format!("unknown persistence mode `{other}`"))),
-        };
+        let mode = PersistenceMode::try_parse(&request.mode).map_err(fail)?;
         let highest_core = tasks.iter().map(|t| t.core().index()).max().unwrap_or(0);
         if request.cores <= highest_core {
             return Err(fail(format!(

@@ -1,8 +1,9 @@
 //! CLI contract for `cpa-optimize` on bad input: a request with more
 //! tasks than a task set may hold fails its batch with a diagnostic (exit
-//! 1, nothing written), and `gen` refuses to draw one, instead of the
-//! process aborting on the analysis tables' allocation. `gen` also applies
-//! `run`'s per-request check, so it never writes a batch `run` rejects.
+//! 1, the per-request case, nothing written), and `gen` refuses to draw
+//! one as bad input (exit 2), instead of the process aborting on the
+//! analysis tables' allocation. `gen` also applies `run`'s per-request
+//! check, so it never writes a batch `run` rejects.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -84,7 +85,7 @@ fn gen_refuses_shapes_past_the_task_ceiling() {
         "--toy",
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(
         stderr.contains("4 cores x 20000 tasks per core exceed the limit of 4096"),
         "{stderr}"
@@ -93,14 +94,14 @@ fn gen_refuses_shapes_past_the_task_ceiling() {
 }
 
 /// Runs `gen --sets 1` with `extra` flags into a fresh path and asserts
-/// it exits 1 with `needle` on stderr and writes no file.
+/// it exits 2 (bad input) with `needle` on stderr and writes no file.
 fn assert_gen_refuses(name: &str, extra: &[&str], needle: &str) {
     let out_path = scratch(name);
     let mut args = vec!["gen", "--sets", "1", "--out", out_path.to_str().unwrap()];
     args.extend_from_slice(extra);
     let out = cpa_optimize(&args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{extra:?} stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{extra:?} stderr: {stderr}");
     assert!(stderr.contains(needle), "{extra:?}: {stderr}");
     assert!(
         !out_path.exists(),
@@ -142,4 +143,21 @@ fn gen_refuses_an_unknown_mode() {
         &["--mode", "bogus"],
         "request 'req-000': unknown persistence mode `bogus`",
     );
+}
+
+#[test]
+fn run_refuses_a_missing_requests_file_as_bad_input() {
+    let missing = scratch("no-such-batch.json");
+    let out_path = scratch("missing-out.json");
+    let out = cpa_optimize(&[
+        "run",
+        "--requests",
+        missing.to_str().unwrap(),
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("no-such-batch.json"), "{stderr}");
+    assert!(!out_path.exists(), "bad input writes no response");
 }

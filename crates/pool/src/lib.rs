@@ -48,17 +48,8 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Auto-detected parallelism is capped here; see the crate docs for why.
-/// An explicit `threads` request is never capped. The cap itself can be
-/// overridden per-process via [`MAX_AUTO_THREADS_ENV`].
+/// An explicit `threads` request (`--threads N`) is never capped.
 pub const MAX_AUTO_THREADS: usize = 8;
-
-/// Environment variable overriding [`MAX_AUTO_THREADS`] for auto-detected
-/// worker counts (`CPA_MAX_AUTO_THREADS=16`). Unset, empty, zero, or
-/// unparsable values fall back to the built-in cap. Explicit `--threads`
-/// requests are never capped, so this only matters on hosts with more
-/// cores than the default cap where re-running with a flag is awkward
-/// (CI images, batch schedulers).
-pub const MAX_AUTO_THREADS_ENV: &str = "CPA_MAX_AUTO_THREADS";
 
 /// Items per claimed chunk when the caller does not fix one.
 ///
@@ -128,9 +119,9 @@ impl PoolOptions {
 
 /// Resolves a requested worker count to an actual one: explicit requests
 /// (`requested > 0`) are honored verbatim; `0` auto-detects and caps at
-/// [`MAX_AUTO_THREADS`] (or the [`MAX_AUTO_THREADS_ENV`] override). A
-/// clamped auto-detection emits one `pool.threads_clamped` event so a
-/// trace of the run records that the host had more cores than were used.
+/// [`MAX_AUTO_THREADS`]. A clamped auto-detection emits one
+/// `pool.threads_clamped` event so a trace of the run records that the
+/// host had more cores than were used.
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
@@ -139,17 +130,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     let detected = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
-    clamp_auto(detected, auto_cap())
-}
-
-/// The effective auto-detect cap: [`MAX_AUTO_THREADS_ENV`] when it parses
-/// to a positive integer, the built-in [`MAX_AUTO_THREADS`] otherwise.
-fn auto_cap() -> usize {
-    std::env::var(MAX_AUTO_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&cap| cap > 0)
-        .unwrap_or(MAX_AUTO_THREADS)
+    clamp_auto(detected, MAX_AUTO_THREADS)
 }
 
 /// Applies the cap to a detected core count, recording a clamp as a
@@ -207,12 +188,15 @@ pub fn scope_key(epoch: u64, item: u64) -> u64 {
 ///
 /// Single-worker runs, and runs of at most one chunk, execute inline on
 /// the calling thread — no spawn, no join — with the caller's obs
-/// ordering state saved and restored around the region and its open
-/// spans detached, so per-item scoping stays canonical, worker spans
-/// record at the profile root as on a spawned worker, and the caller's
-/// own event ordering is unperturbed. Multi-worker runs use scoped
-/// threads; outputs are byte-identical either way (the determinism
-/// argument in the crate docs does not depend on where an item runs).
+/// ordering state saved and restored around the region, so per-item
+/// scoping stays canonical and the caller's own event ordering is
+/// unperturbed. Multi-worker runs use scoped threads; outputs are
+/// byte-identical either way (the determinism argument in the crate docs
+/// does not depend on where an item runs). Either way the spans an item
+/// opens nest under the spans open where `map` was called: a spawned
+/// worker starts from the caller's span path. The profile therefore
+/// counts the items' time once, inside the dispatching span, at any
+/// thread count.
 ///
 /// Counters: `pool.chunks_claimed` counts every chunk claim;
 /// `pool.chunks_stolen` counts claims beyond a worker's fair share
@@ -238,11 +222,9 @@ where
     // A single chunk can only ever go to one worker: run it inline rather
     // than spawning workers that would find nothing to claim.
     if threads == 1 || items <= chunk {
-        // Items run on the calling thread, but with the ordering state and
-        // span parentage of a spawned worker, so traces and profiles do
-        // not depend on the thread count.
+        // Items run on the calling thread, but with the ordering state of
+        // a spawned worker, so traces do not depend on the thread count.
         let caller = cpa_obs::scope_state();
-        let caller_spans = cpa_obs::detach_spans();
         let state = &mut states[0];
         let mut out = Vec::with_capacity(items);
         chunks_claimed.add(items.div_ceil(chunk) as u64);
@@ -250,7 +232,6 @@ where
             cpa_obs::set_scope(scope_key(epoch, item as u64));
             out.push(work(state, item));
         }
-        cpa_obs::reattach_spans(caller_spans);
         cpa_obs::restore_scope_state(caller);
         return out;
     }
@@ -258,6 +239,7 @@ where
     let total_chunks = items.div_ceil(chunk);
     let fair_share = total_chunks.div_ceil(threads.max(1));
     let cursor = AtomicUsize::new(0);
+    let caller_spans = cpa_obs::span_path();
 
     // Each worker collects (chunk_start, results) pairs; the claim order
     // is racy but the post-join sort keyed on chunk_start restores the
@@ -269,7 +251,9 @@ where
             .map(|state| {
                 let cursor = &cursor;
                 let work = &work;
+                let caller_spans = &caller_spans;
                 scope.spawn(move || {
+                    cpa_obs::set_span_path(caller_spans);
                     let mut claimed = Vec::new();
                     let mut claims = 0usize;
                     loop {
@@ -323,22 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_detection_is_capped_and_env_overrides() {
-        // One test, run serially within itself: the override variable is
-        // process-global, so splitting these assertions across #[test]
-        // functions would race under the parallel test runner.
-        std::env::remove_var(MAX_AUTO_THREADS_ENV);
+    fn auto_detection_is_capped() {
         let auto = resolve_threads(0);
         assert!(auto >= 1);
         assert!(auto <= MAX_AUTO_THREADS);
-        assert_eq!(auto_cap(), MAX_AUTO_THREADS);
-        for bogus in ["", "0", "-3", "lots"] {
-            std::env::set_var(MAX_AUTO_THREADS_ENV, bogus);
-            assert_eq!(auto_cap(), MAX_AUTO_THREADS, "bogus value {bogus:?}");
-        }
-        std::env::set_var(MAX_AUTO_THREADS_ENV, " 16 ");
-        assert_eq!(auto_cap(), 16);
-        std::env::remove_var(MAX_AUTO_THREADS_ENV);
 
         // The clamp policy itself, independent of the host's core count.
         assert_eq!(clamp_auto(4, 8), 4);
@@ -423,6 +395,41 @@ mod tests {
             },
         );
         assert_eq!(cpa_obs::scope_state(), before);
+    }
+
+    #[test]
+    fn item_spans_nest_under_the_dispatching_span_at_any_thread_count() {
+        cpa_obs::enable_metrics();
+        for threads in [1, 4] {
+            let _dispatch = cpa_obs::span!("pool.test_dispatch");
+            let _ = map(
+                8,
+                PoolOptions::new().with_threads(threads).with_chunk(1),
+                0,
+                |_| (),
+                |(), i| {
+                    let _item = cpa_obs::span!("pool.test_item");
+                    i
+                },
+            );
+        }
+        let profile = cpa_obs::profile_snapshot();
+        let dispatch = profile
+            .children
+            .iter()
+            .find(|c| c.name == "pool.test_dispatch")
+            .expect("dispatching span at the root");
+        assert_eq!(dispatch.calls, 2);
+        let items = dispatch
+            .children
+            .iter()
+            .find(|c| c.name == "pool.test_item")
+            .expect("item spans under the dispatching span");
+        assert_eq!(items.calls, 16, "every item, inline and spawned");
+        assert!(
+            profile.children.iter().all(|c| c.name != "pool.test_item"),
+            "no item span at the root"
+        );
     }
 
     proptest! {

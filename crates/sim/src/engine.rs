@@ -153,8 +153,8 @@ impl<'a> Simulator<'a> {
 
     /// Runs the simulation stepping every single cycle — the pre-fast-path
     /// loop, retained as the differential reference for
-    /// `tests/skip_equivalence.rs`, the `sim_speedup` guard, and
-    /// `cpa-validate --reference-sim`.
+    /// `tests/skip_equivalence.rs`, `tests/trace_invariants.rs` and the
+    /// `sim_speedup` guard.
     #[must_use]
     pub fn run_reference(mut self) -> SimReport {
         let _span = cpa_obs::span!("sim.run");

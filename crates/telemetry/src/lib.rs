@@ -7,7 +7,7 @@
 //!   span-tree self-profile as a Chrome Trace Event / Perfetto JSON document;
 //!   [`openmetrics`] renders counters and histograms as an OpenMetrics text
 //!   exposition. In [`ExportScope::Deterministic`] both are byte-identical
-//!   for the same seed at any `--threads`/`--chunk` setting.
+//!   for the same seed at any thread count and pool chunk size.
 //! * **Stage attribution** — [`StageReport`] folds a counter-delta snapshot
 //!   and the self-profile into per-pipeline-stage rows (wall time, calls,
 //!   work items, throughput), the breakdown shown by `cpa-trace`.
@@ -17,7 +17,7 @@
 //! Events are deterministic by construction (the `(scope, seq)` canonical
 //! order), but counters that measure the worker pool itself
 //! ([`SCHEDULING_METERS`] — chunk claims, steals, scratch reuses vary with
-//! `--threads`/`--chunk`) are **scheduling artifacts**. Deterministic
+//! the thread count and pool chunk size) are **scheduling artifacts**. Deterministic
 //! exports drop them and never carry wall-clock values; the span timeline
 //! uses logical call-count ticks instead. [`ExportScope::Full`] keeps
 //! everything (and is correspondingly not byte-stable).
@@ -47,7 +47,7 @@ pub enum ExportScope {
     Full,
 }
 
-/// Counters whose values depend on scheduling (`--threads`/`--chunk`), not on
+/// Counters whose values depend on scheduling (thread count, pool chunk size), not on
 /// the workload: excluded from deterministic exports. Buffer recycling
 /// counts depend on how many items each worker claimed.
 pub const SCHEDULING_METERS: &[&str] = &[

@@ -7,7 +7,8 @@
 //! (bucket `b` covers `[2^(b-1), 2^b)`, so its inclusive upper bound is
 //! `2^b - 1`). In [`ExportScope::Deterministic`] the scheduling meters
 //! (chunk-claim and scratch-reuse counters, whose values depend on
-//! `--threads`/`--chunk`) are omitted so the bytes depend only on the seed.
+//! the thread count and pool chunk size) are omitted so the bytes depend
+//! only on the seed.
 
 use crate::{is_scheduling_meter, ExportScope};
 use cpa_obs::{Histogram, MetricsSnapshot};

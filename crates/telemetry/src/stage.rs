@@ -188,15 +188,6 @@ impl StageReport {
         StageReport { rows, total_nanos }
     }
 
-    /// Captures a report from the live `cpa-obs` registry: counter deltas
-    /// relative to `baseline`, profile as currently accumulated.
-    #[must_use]
-    pub fn capture(baseline: &MetricsSnapshot) -> StageReport {
-        let delta = cpa_obs::metrics_snapshot().delta_since(baseline);
-        let profile = cpa_obs::profile_snapshot();
-        StageReport::from_parts(&delta, &profile)
-    }
-
     /// Renders the breakdown as an aligned text table.
     #[must_use]
     pub fn render_text(&self) -> String {

@@ -5,17 +5,16 @@
 //!                    [--bus fp|rr|tdma|perfect] [--slots K]
 //!                    [--mode aware|oblivious] [SINKS]
 //! cpa-trace sim      [--seed S] [--cores N] [--tasks-per-core K] [--util U]
-//!                    [--bus fp|rr|tdma] [--slots K] [--horizon H]
-//!                    [--reference-sim] [SINKS]
+//!                    [--bus fp|rr|tdma] [--slots K] [--horizon H] [SINKS]
 //! cpa-trace sweep    [--seed S] [--cores N] [--tasks-per-core K] [--util U]
 //!                    [--bus fp|rr|tdma|perfect] [--slots K] [--sets N]
-//!                    [--threads T] [--chunk C] [SINKS]
+//!                    [--threads T] [SINKS]
 //! cpa-trace optimize [--seed S] [--cores N] [--tasks-per-core K] [--util U]
 //!                    [--bus fp|rr|tdma|perfect] [--slots K]
 //!                    [--mode aware|oblivious] [--sets N] [--threads T]
-//!                    [--chunk C] [SINKS]
+//!                    [SINKS]
 //!
-//! SINKS: [--trace FILE] [--profile FILE] [--json]
+//! SINKS: [--trace FILE] [--metrics FILE] [--json]
 //!        [--export chrome|openmetrics|json] [--export-out FILE]
 //! ```
 //!
@@ -27,13 +26,11 @@
 //! cycle-accurate simulator on the same workload instead and reports the
 //! observed per-task statistics, bus occupancy, and an event-skip summary
 //! (spans executed, mean span length, fraction of the horizon jumped).
-//! `--reference-sim` drives the cycle-stepped reference loop instead of
-//! the event-skipping fast path (DESIGN.md §11). `sweep` evaluates one
-//! experiment grid point (`--sets` task sets, persistence-aware and
-//! -oblivious under the chosen bus) through the shared `cpa-pool` worker
-//! pool and reports the pool's dynamic-scheduling statistics — chunks
-//! claimed, chunks stolen beyond the fair share, steal ratio — together
-//! with the engine's scratch-reuse count (DESIGN.md §12).
+//! `sweep` evaluates one experiment grid point (`--sets` task sets,
+//! persistence-aware and -oblivious under the chosen bus) through the
+//! shared `cpa-pool` worker pool and reports the pool's dynamic-scheduling
+//! statistics — chunks claimed, chunks stolen beyond the fair share, steal
+//! ratio — together with the engine's scratch-reuse count (DESIGN.md §12).
 //!
 //! Every run subcommand ends with a per-stage pipeline breakdown (wall
 //! time, calls, work items, and throughput per phase — DESIGN.md §14) and
@@ -41,16 +38,20 @@
 //! pretty-printed (or embedded in the `--json` document).
 //! `--trace FILE` writes the deterministic JSON-lines event stream
 //! (payloads carry iterations and seeds, never wall-clock values);
-//! `--profile FILE` writes the metrics + profile JSON document.
+//! `--metrics FILE` writes the metrics + profile JSON document. Both go
+//! through the shared `cpa_experiments::cli::ObsSinks`.
 //!
 //! `--export chrome|openmetrics|json` renders the run through
 //! `cpa-telemetry`: a Chrome Trace Event / Perfetto JSON document, an
 //! OpenMetrics text exposition, or the stage-breakdown JSON. Chrome and
 //! OpenMetrics exports are byte-deterministic (same seed ⇒ identical
-//! bytes at any `--threads`/`--chunk`). With `--export-out FILE` the
+//! bytes at any `--threads`). With `--export-out FILE` the
 //! export is written beside the normal report; without it the export
 //! document replaces the report on stdout (`cpa-trace sweep --export
 //! chrome > sweep.json`, then open in Perfetto).
+//!
+//! Exits 2 on bad input and 1 when a sink or export cannot be written
+//! (`cpa_experiments::cli`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -59,7 +60,7 @@ use cpa_analysis::{
     analyze, decompose, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, DominantTerm,
     PersistenceMode,
 };
-use cpa_experiments::cli::Args;
+use cpa_experiments::cli::{self, Args, CliError, ObsSinks};
 use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
@@ -296,13 +297,13 @@ struct SimDoc {
 const USAGE: &str = "usage: cpa-trace analyze [--seed S] [--cores N] [--tasks-per-core K] \
 [--util U] [--bus fp|rr|tdma|perfect] [--slots K] [--mode aware|oblivious] [SINKS]\n       \
 cpa-trace sim [--seed S] [--cores N] [--tasks-per-core K] [--util U] [--bus fp|rr|tdma] \
-[--slots K] [--horizon H] [--reference-sim] [SINKS]\n       \
+[--slots K] [--horizon H] [SINKS]\n       \
 cpa-trace sweep [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
-[--bus fp|rr|tdma|perfect] [--slots K] [--sets N] [--threads T] [--chunk C] [SINKS]\n       \
+[--bus fp|rr|tdma|perfect] [--slots K] [--sets N] [--threads T] [SINKS]\n       \
 cpa-trace optimize [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 [--bus fp|rr|tdma|perfect] [--slots K] [--mode aware|oblivious] [--sets N] [--threads T] \
-[--chunk C] [SINKS]\n\
-SINKS: [--trace FILE] [--profile FILE] [--json] [--export chrome|openmetrics|json] \
+[SINKS]\n\
+SINKS: [--trace FILE] [--metrics FILE] [--json] [--export chrome|openmetrics|json] \
 [--export-out FILE]";
 
 /// Everything both subcommands share.
@@ -317,11 +318,8 @@ struct TraceOptions {
     horizon: u64,
     sets: usize,
     threads: usize,
-    chunk: usize,
-    trace_path: Option<PathBuf>,
-    profile_path: Option<PathBuf>,
+    sinks: ObsSinks,
     json: bool,
-    reference_sim: bool,
     export: Option<String>,
     export_out: Option<PathBuf>,
 }
@@ -339,11 +337,8 @@ impl Default for TraceOptions {
             horizon: 1_500_000,
             sets: 32,
             threads: 0,
-            chunk: 0,
-            trace_path: None,
-            profile_path: None,
+            sinks: ObsSinks::default(),
             json: false,
-            reference_sim: false,
             export: None,
             export_out: None,
         }
@@ -351,84 +346,66 @@ impl Default for TraceOptions {
 }
 
 impl TraceOptions {
-    fn parse(args: &mut Args) -> Result<TraceOptions, String> {
+    fn parse(mut args: Args) -> Result<TraceOptions, CliError> {
         let mut opts = TraceOptions::default();
         while let Some(arg) = args.next_arg() {
+            if opts.sinks.apply_flag(&mut args, &arg)? {
+                continue;
+            }
             match arg.as_str() {
-                "--seed" => opts.seed = args.value_for("--seed").map_err(|e| e.to_string())?,
-                "--cores" => opts.cores = args.value_for("--cores").map_err(|e| e.to_string())?,
-                "--tasks-per-core" => {
-                    opts.tasks_per_core = args
-                        .value_for("--tasks-per-core")
-                        .map_err(|e| e.to_string())?;
-                }
-                "--util" => opts.util = args.value_for("--util").map_err(|e| e.to_string())?,
-                "--bus" => opts.bus = args.value_for("--bus").map_err(|e| e.to_string())?,
-                "--slots" => opts.slots = args.value_for("--slots").map_err(|e| e.to_string())?,
-                "--mode" => opts.mode = args.value_for("--mode").map_err(|e| e.to_string())?,
-                "--horizon" => {
-                    opts.horizon = args.value_for("--horizon").map_err(|e| e.to_string())?;
-                }
-                "--sets" => opts.sets = args.count_for("--sets").map_err(|e| e.to_string())?,
-                "--threads" => {
-                    opts.threads = args.value_for("--threads").map_err(|e| e.to_string())?;
-                }
-                "--chunk" => opts.chunk = args.value_for("--chunk").map_err(|e| e.to_string())?,
-                "--trace" => {
-                    opts.trace_path = Some(args.value_for("--trace").map_err(|e| e.to_string())?);
-                }
-                "--profile" => {
-                    opts.profile_path =
-                        Some(args.value_for("--profile").map_err(|e| e.to_string())?);
-                }
+                "--seed" => opts.seed = args.value_for("--seed")?,
+                "--cores" => opts.cores = args.value_for("--cores")?,
+                "--tasks-per-core" => opts.tasks_per_core = args.value_for("--tasks-per-core")?,
+                "--util" => opts.util = args.value_for("--util")?,
+                "--bus" => opts.bus = args.value_for("--bus")?,
+                "--slots" => opts.slots = args.value_for("--slots")?,
+                "--mode" => opts.mode = args.value_for("--mode")?,
+                "--horizon" => opts.horizon = args.count_for("--horizon")?,
+                "--sets" => opts.sets = args.count_for("--sets")?,
+                "--threads" => opts.threads = args.value_for("--threads")?,
                 "--json" => opts.json = true,
-                "--reference-sim" => opts.reference_sim = true,
                 "--export" => {
-                    let format: String = args.value_for("--export").map_err(|e| e.to_string())?;
+                    let format: String = args.value_for("--export")?;
                     if !matches!(format.as_str(), "chrome" | "openmetrics" | "json") {
-                        return Err(format!(
+                        return Err(CliError::bad_input(format!(
                             "unknown export format `{format}` (expected chrome, openmetrics, \
                              or json)"
-                        ));
+                        )));
                     }
                     opts.export = Some(format);
                 }
-                "--export-out" => {
-                    opts.export_out =
-                        Some(args.value_for("--export-out").map_err(|e| e.to_string())?);
-                }
-                "--help" | "-h" => return Err(args.help().to_string()),
-                other => return Err(args.unknown_flag(other).to_string()),
+                "--export-out" => opts.export_out = Some(args.value_for("--export-out")?),
+                other => return Err(args.unknown_flag(other)),
             }
         }
         Ok(opts)
     }
 
-    fn bus_policy(&self) -> Result<BusPolicy, String> {
-        BusPolicy::try_parse(&self.bus, self.slots)
+    fn bus_policy(&self) -> Result<BusPolicy, CliError> {
+        BusPolicy::try_parse(&self.bus, self.slots).map_err(CliError::bad_input)
     }
 
-    fn persistence(&self) -> Result<PersistenceMode, String> {
-        match self.mode.as_str() {
-            "aware" => Ok(PersistenceMode::Aware),
-            "oblivious" => Ok(PersistenceMode::Oblivious),
-            other => Err(format!(
-                "unknown mode `{other}` (expected aware or oblivious)"
-            )),
-        }
+    fn persistence(&self) -> Result<PersistenceMode, CliError> {
+        PersistenceMode::try_parse(&self.mode).map_err(CliError::bad_input)
     }
 
-    fn workload(&self) -> Result<(GeneratorConfig, Platform, TaskSet), String> {
+    /// The generator for the requested shape; a bad shape is bad input.
+    fn generator(&self) -> Result<(GeneratorConfig, TaskSetGenerator), CliError> {
         let config = GeneratorConfig {
             cores: self.cores,
             tasks_per_core: self.tasks_per_core,
             ..GeneratorConfig::paper_default()
         }
         .with_per_core_utilization(self.util);
-        let generator = TaskSetGenerator::new(config.clone()).map_err(|e| e.to_string())?;
+        let generator = TaskSetGenerator::new(config.clone()).map_err(CliError::bad_input)?;
+        Ok((config, generator))
+    }
+
+    fn workload(&self) -> Result<(GeneratorConfig, Platform, TaskSet), CliError> {
+        let (config, generator) = self.generator()?;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let tasks = generator.generate(&mut rng).map_err(|e| e.to_string())?;
-        let platform = platform_for_tasks(&tasks, config.d_mem).map_err(|e| e.to_string())?;
+        let tasks = generator.generate(&mut rng).map_err(CliError::bad_input)?;
+        let platform = platform_for_tasks(&tasks, config.d_mem).map_err(CliError::bad_input)?;
         Ok((config, platform, tasks))
     }
 
@@ -445,51 +422,26 @@ impl TraceOptions {
 }
 
 fn main() -> ExitCode {
-    let mut args = Args::from_env(USAGE);
-    match args.next_arg().as_deref() {
-        Some("analyze") => dispatch(&mut args, analyze_cmd),
-        Some("sim") => dispatch(&mut args, sim_cmd),
-        Some("sweep") => dispatch(&mut args, sweep_cmd),
-        Some("optimize") => dispatch(&mut args, optimize_cmd),
-        Some("--help" | "-h") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("{}", args.unknown_flag(other));
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    cli::run(USAGE, |mut args| {
+        let cmd: fn(&TraceOptions) -> Result<(), CliError> = match args.next_arg().as_deref() {
+            Some("analyze") => analyze_cmd,
+            Some("sim") => sim_cmd,
+            Some("sweep") => sweep_cmd,
+            Some("optimize") => optimize_cmd,
+            other => return Err(args.unknown_subcommand(other)),
+        };
+        let opts = TraceOptions::parse(args)?;
+        cpa_obs::enable();
+        cpa_obs::set_scope(0);
+        cmd(&opts)
+    })
 }
 
-fn dispatch(args: &mut Args, cmd: fn(&TraceOptions) -> Result<(), String>) -> ExitCode {
-    let opts = match TraceOptions::parse(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    cpa_obs::enable();
-    cpa_obs::set_scope(0);
-    match cmd(&opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
+fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     let bus = opts.bus_policy()?;
     let mode = opts.persistence()?;
     let (gen_config, platform, tasks) = opts.workload()?;
-    let ctx = AnalysisContext::new(&platform, &tasks).map_err(|e| e.to_string())?;
+    let ctx = AnalysisContext::new(&platform, &tasks).map_err(CliError::bad_input)?;
     let config = AnalysisConfig::new(bus, mode);
     let result = analyze(&ctx, &config);
     let engine = EngineStats::read();
@@ -616,22 +568,19 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn sim_cmd(opts: &TraceOptions) -> Result<(), String> {
+fn sim_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     let bus = opts.bus_policy()?;
     if bus == BusPolicy::Perfect {
-        return Err(
-            "sim: bus `perfect` has no arbiter to simulate (expected fp, rr, or tdma)".to_string(),
-        );
+        return Err(CliError::bad_input(
+            "sim: bus `perfect` has no arbiter to simulate (expected fp, rr, or tdma)",
+        ));
     }
     let (gen_config, platform, tasks) = opts.workload()?;
     let horizon = horizon_for(&tasks, opts.horizon);
     let config = SimConfig::new(arbitration_of(bus)).with_horizon(horizon);
-    let sim = Simulator::new(&platform, &tasks, config).map_err(|e| e.to_string())?;
-    let report = if opts.reference_sim {
-        sim.run_reference()
-    } else {
-        sim.run()
-    };
+    let report = Simulator::new(&platform, &tasks, config)
+        .map_err(CliError::bad_input)?
+        .run();
     let skip = SkipStats::read(report.horizon.cycles());
 
     let run = finish_run(opts)?;
@@ -658,14 +607,9 @@ fn sim_cmd(opts: &TraceOptions) -> Result<(), String> {
 
     println!("{}", opts.describe(&gen_config));
     println!(
-        "simulation: bus {}, horizon {} cycles{}",
+        "simulation: bus {}, horizon {} cycles",
         bus.label(),
-        report.horizon.cycles(),
-        if opts.reference_sim {
-            " (cycle-stepped reference)"
-        } else {
-            ""
-        }
+        report.horizon.cycles()
     );
     println!(
         "event-skip: {} spans jumped {} cycles (mean span {:.1}), {} stepped ({:.1}% of the horizon skipped)",
@@ -705,25 +649,18 @@ fn sim_cmd(opts: &TraceOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
+fn sweep_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     let bus = opts.bus_policy()?;
-    let gen_config = GeneratorConfig {
-        cores: opts.cores,
-        tasks_per_core: opts.tasks_per_core,
-        ..GeneratorConfig::paper_default()
-    }
-    .with_per_core_utilization(opts.util);
     // `evaluate_population` expects a valid generator: reject a bad shape here.
-    TaskSetGenerator::new(gen_config.clone()).map_err(|e| e.to_string())?;
+    let (gen_config, _) = opts.generator()?;
     let configs = [
         AnalysisConfig::new(bus, PersistenceMode::Aware),
         AnalysisConfig::new(bus, PersistenceMode::Oblivious),
     ];
-    let mut sweep = SweepOptions::quick()
+    let sweep = SweepOptions::quick()
         .with_sets_per_point(opts.sets)
-        .with_chunk(opts.chunk);
-    sweep.seed = opts.seed;
-    sweep.threads = opts.threads;
+        .with_seed(opts.seed)
+        .with_threads(opts.threads);
     let threads = cpa_pool::resolve_threads(opts.threads);
 
     let evaluation = Evaluation::new(gen_config.d_mem, CrpdApproach::EcbUnion, configs.to_vec());
@@ -785,7 +722,7 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), String> {
     Ok(())
 }
 
-fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
+fn optimize_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     // Validate the labels up front for consistent CLI errors.
     opts.bus_policy()?;
     opts.persistence()?;
@@ -801,18 +738,19 @@ fn optimize_cmd(opts: &TraceOptions) -> Result<(), String> {
         toy: true,
         ..cpa_optimize::GenOptions::default()
     };
-    let batch = cpa_optimize::gen_batch(&gen)?;
+    let batch = cpa_optimize::gen_batch(&gen).map_err(CliError::bad_input)?;
     let service = cpa_optimize::ServiceOptions {
         threads: opts.threads,
-        chunk: opts.chunk,
         ..cpa_optimize::ServiceOptions::default()
     };
 
     // Run the same batch twice against one cache: the cold run searches,
     // the warm run must replay the exact bytes from the cache.
     let mut cache = cpa_optimize::ResultCache::in_memory();
-    let (cold_doc, cold) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
-    let (warm_doc, warm) = cpa_optimize::process_batch(&batch, &service, &mut cache)?;
+    let (cold_doc, cold) =
+        cpa_optimize::process_batch(&batch, &service, &mut cache).map_err(CliError::failed)?;
+    let (warm_doc, warm) =
+        cpa_optimize::process_batch(&batch, &service, &mut cache).map_err(CliError::failed)?;
     let counters = OptimizeStats::read();
     let replay_identical = cold_doc == warm_doc;
 
@@ -895,11 +833,11 @@ struct RunArtifacts {
     exported_to_stdout: bool,
 }
 
-/// Drains the event buffer once, writes the `--trace`/`--profile` sinks,
+/// Drains the event buffer once, writes the `--trace`/`--metrics` sinks,
 /// captures the profile + stage breakdown, and renders any `--export`.
-fn finish_run(opts: &TraceOptions) -> Result<RunArtifacts, String> {
+fn finish_run(opts: &TraceOptions) -> Result<RunArtifacts, CliError> {
     let events = cpa_obs::take_events();
-    write_sinks(opts, &events)?;
+    opts.sinks.write_events(&events)?;
     let profile = cpa_obs::profile_snapshot();
     // Counters start at zero in this process, so the full snapshot is
     // exactly this run's delta.
@@ -920,20 +858,20 @@ fn write_export(
     events: &[cpa_obs::Event],
     profile: &cpa_obs::ProfileNode,
     stages: &StageReport,
-) -> Result<bool, String> {
-    let Some(format) = opts.export.as_deref() else {
-        return Ok(false);
-    };
-    let body = match format {
-        "chrome" => chrome_trace(events, profile, ExportScope::Deterministic),
-        "openmetrics" => openmetrics(&cpa_obs::metrics_snapshot(), ExportScope::Deterministic),
-        "json" => format!("{}\n", stages.to_json()),
-        other => return Err(format!("unknown export format `{other}`")),
+) -> Result<bool, CliError> {
+    let body = match opts.export.as_deref() {
+        None => return Ok(false),
+        Some("chrome") => chrome_trace(events, profile, ExportScope::Deterministic),
+        Some("openmetrics") => {
+            openmetrics(&cpa_obs::metrics_snapshot(), ExportScope::Deterministic)
+        }
+        // The parser admits no format but these three.
+        Some(_json) => format!("{}\n", stages.to_json()),
     };
     match &opts.export_out {
         Some(path) => {
             std::fs::write(path, &body)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                .map_err(|e| CliError::failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
             Ok(false)
         }
@@ -947,35 +885,16 @@ fn write_export(
 /// Serializes `doc` and splices the stage breakdown and span-tree profile
 /// in as top-level `"stages"` / `"profile"` keys (both render their own
 /// JSON).
-fn with_profile<T: Serialize>(doc: &T, run: &RunArtifacts) -> Result<String, String> {
-    let body = serde_json::to_string(doc).map_err(|e| e.to_string())?;
+fn with_profile<T: Serialize>(doc: &T, run: &RunArtifacts) -> Result<String, CliError> {
+    let body = serde_json::to_string(doc).map_err(CliError::failed)?;
     let without_brace = body
         .strip_suffix('}')
-        .ok_or_else(|| "report did not serialize to a JSON object".to_string())?;
+        .ok_or_else(|| CliError::failed("report did not serialize to a JSON object"))?;
     Ok(format!(
         "{without_brace},\"stages\":{},\"profile\":{}}}",
         run.stages.to_json(),
         run.profile.to_json()
     ))
-}
-
-/// Writes the `--trace` / `--profile` sinks from the drained event buffer.
-fn write_sinks(opts: &TraceOptions, events: &[cpa_obs::Event]) -> Result<(), String> {
-    if let Some(path) = &opts.trace_path {
-        let lines = cpa_obs::events_to_json_lines(events);
-        std::fs::write(path, lines).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("wrote {}", path.display());
-    }
-    if let Some(path) = &opts.profile_path {
-        let doc = format!(
-            "{{\"metrics\":{},\"profile\":{}}}\n",
-            cpa_obs::metrics_snapshot().to_json(),
-            cpa_obs::profile_snapshot().to_json()
-        );
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("wrote {}", path.display());
-    }
-    Ok(())
 }
 
 fn print_stages(stages: &StageReport) {

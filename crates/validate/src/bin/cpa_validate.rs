@@ -4,14 +4,16 @@
 //! cpa-validate run [--sets N] [--seed S] [--threads T] [--slots K] [--quick]
 //!                  [--inject none|soundness|dominance] [--report FILE]
 //!                  [--repro-dir DIR] [--max-shrinks M] [--no-progress]
-//!                  [--trace FILE] [--metrics FILE] [--reference-sim]
+//!                  [--trace FILE] [--metrics FILE]
 //! cpa-validate replay FILE...
 //! ```
 //!
-//! `run` prints the JSON report to stdout (or `--report FILE`) and exits
-//! non-zero when any oracle fired; violations are minimized and written as
+//! `run` prints the JSON report to stdout (or `--report FILE`) and exits 1
+//! when any oracle fired; violations are minimized and written as
 //! replayable repro files under `--repro-dir`. `replay` re-executes stored
-//! repros and exits non-zero when one no longer reproduces.
+//! repros and exits 1 when one no longer reproduces. Bad input — a flag,
+//! value or repro file that cannot be read — exits 2
+//! (`cpa_experiments::cli`).
 //!
 //! `--trace FILE` enables the `cpa-obs` event subscriber and writes the
 //! canonical JSON-lines event stream after the campaign (deterministic:
@@ -19,45 +21,28 @@
 //! `--threads`). `--metrics FILE` enables timing collection only and
 //! writes a JSON document with counters, histograms, and the span-tree
 //! self-profile.
-//!
-//! `--reference-sim` drives the cycle-stepped reference simulator loop
-//! instead of the default event-skipping fast path. The two are pinned
-//! byte-identical (DESIGN.md §11), so the campaign verdict is unchanged —
-//! the flag exists as a cross-check and for timing comparisons.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cpa_experiments::cli::{Args, ObsSinks};
-use cpa_validate::repro::REPRO_SCHEMA;
+use cpa_experiments::cli::{self, Args, CliError, ObsSinks};
+use cpa_validate::repro::{ReproError, REPRO_SCHEMA};
 use cpa_validate::{run_campaign, shrink_case, CampaignOptions, OracleKind, Repro, ViolationCase};
 
 const USAGE: &str = "usage: cpa-validate run [--sets N] [--seed S] [--threads T] [--slots K] \
 [--quick] [--inject none|soundness|dominance] [--report FILE] [--repro-dir DIR] \
-[--max-shrinks M] [--no-progress] [--trace FILE] [--metrics FILE] [--reference-sim]\n       \
+[--max-shrinks M] [--no-progress] [--trace FILE] [--metrics FILE]\n       \
 cpa-validate replay FILE...";
 
 fn main() -> ExitCode {
-    let mut args = Args::from_env(USAGE);
-    match args.next_arg().as_deref() {
+    cli::run(USAGE, |mut args| match args.next_arg().as_deref() {
         Some("run") => run_cmd(args),
         Some("replay") => replay_cmd(args),
-        Some("--help" | "-h") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!("{}", args.unknown_flag(other));
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+        other => Err(args.unknown_subcommand(other)),
+    })
 }
 
-fn run_cmd(mut args: Args) -> ExitCode {
+fn run_cmd(mut args: Args) -> Result<(), CliError> {
     let mut opts = CampaignOptions::new();
     opts.progress = true;
     let mut report_path: Option<PathBuf> = None;
@@ -65,37 +50,14 @@ fn run_cmd(mut args: Args) -> ExitCode {
     let mut repro_dir = PathBuf::from("validate-repros");
     let mut max_shrinks: usize = 3;
     while let Some(arg) = args.next_arg() {
-        let parsed: Result<(), String> = (|| {
-            if opts
-                .apply_cli_flag(&mut args, arg.as_str())
-                .map_err(|e| e.to_string())?
-            {
-                return Ok(());
-            }
-            if sinks
-                .apply_flag(&mut args, arg.as_str())
-                .map_err(|e| e.to_string())?
-            {
-                return Ok(());
-            }
-            match arg.as_str() {
-                "--report" => {
-                    report_path = Some(args.value_for("--report").map_err(|e| e.to_string())?);
-                }
-                "--repro-dir" => {
-                    repro_dir = args.value_for("--repro-dir").map_err(|e| e.to_string())?;
-                }
-                "--max-shrinks" => {
-                    max_shrinks = args.value_for("--max-shrinks").map_err(|e| e.to_string())?;
-                }
-                "--help" | "-h" => return Err(args.help().to_string()),
-                other => return Err(args.unknown_flag(other).to_string()),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = parsed {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
+        if opts.apply_cli_flag(&mut args, &arg)? || sinks.apply_flag(&mut args, &arg)? {
+            continue;
+        }
+        match arg.as_str() {
+            "--report" => report_path = Some(args.value_for("--report")?),
+            "--repro-dir" => repro_dir = args.value_for("--repro-dir")?,
+            "--max-shrinks" => max_shrinks = args.value_for("--max-shrinks")?,
+            other => return Err(args.unknown_flag(other)),
         }
     }
 
@@ -110,11 +72,7 @@ fn run_cmd(mut args: Args) -> ExitCode {
         opts.inject
     );
     let mut outcome = run_campaign(&opts);
-
-    if let Err(e) = sinks.write() {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
+    sinks.write()?;
 
     let shrinks = outcome.cases.len().min(max_shrinks);
     for case in outcome.cases.iter().take(shrinks) {
@@ -138,18 +96,16 @@ fn run_cmd(mut args: Args) -> ExitCode {
     let json = outcome.report.to_json();
     match &report_path {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
+            std::fs::write(path, json + "\n")
+                .map_err(|e| CliError::failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
         None => println!("{json}"),
     }
     if outcome.report.passed() {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(CliError::failed("oracle violations found"))
     }
 }
 
@@ -212,42 +168,25 @@ fn write_repro(
     Ok(path.display().to_string())
 }
 
-fn replay_cmd(mut args: Args) -> ExitCode {
+fn replay_cmd(mut args: Args) -> Result<(), CliError> {
     let mut files = Vec::new();
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{}", args.usage());
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("{}", args.unknown_flag(other));
-                return ExitCode::from(2);
-            }
+            other if other.starts_with('-') => return Err(args.unknown_flag(other)),
             file => files.push(PathBuf::from(file)),
         }
     }
     if files.is_empty() {
-        eprintln!("replay needs at least one repro file\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(CliError::bad_input(format!(
+            "replay needs at least one repro file\n{USAGE}"
+        )));
     }
 
-    let mut all_reproduced = true;
+    let mut not_reproduced = 0;
     for file in &files {
-        let repro = match Repro::load(file) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
-        let replay = match repro.replay() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}: {e}", file.display());
-                return ExitCode::from(2);
-            }
-        };
+        let input_error = |e: ReproError| CliError::bad_input(format!("{}: {e}", file.display()));
+        let repro = Repro::load(file).map_err(input_error)?;
+        let replay = repro.replay().map_err(input_error)?;
         if replay.reproduced {
             println!(
                 "{}: {} violation reproduced ({} tasks): {}",
@@ -262,7 +201,7 @@ fn replay_cmd(mut args: Args) -> ExitCode {
                     .map_or("", |v| v.message.as_str())
             );
         } else {
-            all_reproduced = false;
+            not_reproduced += 1;
             println!(
                 "{}: {} violation did NOT reproduce (recorded: {})",
                 file.display(),
@@ -271,9 +210,12 @@ fn replay_cmd(mut args: Args) -> ExitCode {
             );
         }
     }
-    if all_reproduced {
-        ExitCode::SUCCESS
+    if not_reproduced == 0 {
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(CliError::failed(format!(
+            "{not_reproduced} of {} repros did not reproduce",
+            files.len()
+        )))
     }
 }

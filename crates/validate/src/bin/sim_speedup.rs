@@ -15,12 +15,14 @@
 //!
 //! The measured numbers are printed as one JSON line on stdout. The
 //! process exits 1 when a report differs or the campaign-mix speedup is
-//! below [`SPEEDUP_GATE`], and writes no file.
+//! below [`SPEEDUP_GATE`], and 2 when given any argument
+//! (`cpa_experiments::cli`). It writes no file.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use cpa_experiments::cli::{self, Args, CliError};
 use cpa_model::{Platform, TaskSet};
 use cpa_sim::{BusArbitration, ReleaseModel, SimConfig, SimReport, Simulator};
 use cpa_validate::oracle::{horizon_for, platform_for_tasks};
@@ -81,10 +83,15 @@ struct ConfigTiming {
     speedup: f64,
 }
 
+const USAGE: &str = "usage: sim_speedup (takes no arguments)";
+
 fn main() -> ExitCode {
-    if std::env::args().len() > 1 {
-        eprintln!("usage: sim_speedup (takes no arguments)");
-        return ExitCode::from(2);
+    cli::run(USAGE, guard)
+}
+
+fn guard(mut args: Args) -> Result<(), CliError> {
+    if let Some(arg) = args.next_arg() {
+        return Err(args.unknown_flag(&arg));
     }
     let base = GeneratorConfig::paper_default();
     let mut systems = Vec::new();
@@ -204,14 +211,16 @@ fn main() -> ExitCode {
         serde_json::to_string(&verdict).expect("verdict serializes")
     );
     if !reports_equal {
-        eprintln!("FAIL: the fast path's reports differ from the reference's");
-        return ExitCode::FAILURE;
+        return Err(CliError::failed(
+            "FAIL: the fast path's reports differ from the reference's",
+        ));
     }
     if !pass {
-        eprintln!("FAIL: campaign-mix speedup {speedup:.2}x below the {SPEEDUP_GATE}x gate");
-        return ExitCode::FAILURE;
+        return Err(CliError::failed(format!(
+            "FAIL: campaign-mix speedup {speedup:.2}x below the {SPEEDUP_GATE}x gate"
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn run(case: &Case, reference: bool) -> SimReport {

@@ -59,9 +59,6 @@ pub struct CampaignOptions {
     pub inject: Inject,
     /// Stream progress to stderr.
     pub progress: bool,
-    /// Drive the cycle-stepped reference simulator instead of the default
-    /// event-skipping fast path (`--reference-sim`).
-    pub reference_sim: bool,
 }
 
 impl Default for CampaignOptions {
@@ -74,7 +71,6 @@ impl Default for CampaignOptions {
             quick: false,
             inject: Inject::None,
             progress: false,
-            reference_sim: false,
         }
     }
 }
@@ -121,18 +117,11 @@ impl CampaignOptions {
         self
     }
 
-    /// Toggles the cycle-stepped reference simulator escape hatch.
-    #[must_use]
-    pub fn with_reference_sim(mut self, reference_sim: bool) -> Self {
-        self.reference_sim = reference_sim;
-        self
-    }
-
     /// Applies one campaign-related flag, consuming its value from `args`.
     /// Returns `Ok(true)` when `flag` was one of the shared campaign flags
     /// (`--sets`, `--seed`, `--threads`, `--slots`, `--quick`, `--inject`,
-    /// `--reference-sim`, `--no-progress`) and `Ok(false)` when the caller
-    /// should handle it itself.
+    /// `--no-progress`) and `Ok(false)` when the caller should handle it
+    /// itself.
     ///
     /// # Errors
     ///
@@ -146,7 +135,6 @@ impl CampaignOptions {
             "--slots" => self.slots = args.slots_for("--slots")?,
             "--quick" => self.quick = true,
             "--inject" => self.inject = args.value_for("--inject")?,
-            "--reference-sim" => self.reference_sim = true,
             "--no-progress" => self.progress = false,
             _ => return Ok(false),
         }
@@ -171,7 +159,6 @@ impl CampaignOptions {
         };
         check.slots = self.slots;
         check.inject = self.inject;
-        check.reference_sim = self.reference_sim;
         check
     }
 }
@@ -333,7 +320,6 @@ pub fn run_campaign(opts: &CampaignOptions) -> CampaignOutcome {
             slots: opts.slots,
             quick: opts.quick,
             inject: opts.inject.label().to_string(),
-            reference_sim: opts.reference_sim,
         },
         stats,
         wall_clock_secs,
@@ -493,7 +479,7 @@ mod tests {
         for flag in ["--sets", "--seed", "--threads", "--slots"] {
             assert_eq!(opts.apply_cli_flag(&mut args, flag), Ok(true));
         }
-        for flag in ["--quick", "--reference-sim", "--no-progress"] {
+        for flag in ["--quick", "--no-progress"] {
             assert_eq!(opts.apply_cli_flag(&mut args, flag), Ok(true));
         }
         assert_eq!(opts.sets, 12);
@@ -503,7 +489,6 @@ mod tests {
         assert_eq!(opts.worker_threads(), 3);
         assert_eq!(opts.slots, 4);
         assert!(opts.quick);
-        assert!(opts.reference_sim);
         assert!(!opts.progress);
         // A slotted bus needs s ≥ 1: `--slots 0` is a usage error.
         let mut args = Args::new(["0".to_string()], "usage: test");

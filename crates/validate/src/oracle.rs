@@ -138,12 +138,6 @@ pub struct CheckOptions {
     pub determinism: bool,
     /// Fault injection mode.
     pub inject: Inject,
-    /// Escape hatch: drive the cycle-stepped reference simulator loop
-    /// instead of the event-skipping fast path (see DESIGN.md §11). The
-    /// two are pinned byte-identical, so this only changes wall-clock
-    /// time; it exists to cross-check the fast path in the field.
-    #[serde(default)]
-    pub reference_sim: bool,
 }
 
 impl Default for CheckOptions {
@@ -160,7 +154,6 @@ impl Default for CheckOptions {
             ],
             determinism: true,
             inject: Inject::None,
-            reference_sim: false,
         }
     }
 }
@@ -210,23 +203,6 @@ impl SetOutcome {
             }
         }
     }
-}
-
-/// Runs one simulation, honouring the [`CheckOptions::reference_sim`]
-/// escape hatch: the event-skipping fast path by default, the retained
-/// cycle-stepped loop when asked.
-fn run_sim(
-    platform: &Platform,
-    tasks: &TaskSet,
-    config: SimConfig,
-    reference: bool,
-) -> Result<cpa_sim::SimReport, ModelError> {
-    let sim = Simulator::new(platform, tasks, config)?;
-    Ok(if reference {
-        sim.run_reference()
-    } else {
-        sim.run()
-    })
 }
 
 /// Maps an analysed bus policy to its simulated counterpart.
@@ -386,7 +362,7 @@ pub fn check_task_set_with(
             let config = SimConfig::new(arbitration_of(bus))
                 .with_horizon(horizon)
                 .with_releases(releases);
-            let report = run_sim(platform, tasks, config, opts.reference_sim)?;
+            let report = Simulator::new(platform, tasks, config)?.run();
             check_accounting(platform, tasks, &report, releases, &mut out);
             for entry in &bus_entries {
                 for (mode, result) in [
@@ -676,8 +652,8 @@ fn check_determinism(
     // (`SimReport` is `PartialEq` over every counter).
     let config = SimConfig::new(BusArbitration::FixedPriority)
         .with_horizon(horizon.min(Time::from_cycles(200_000)));
-    let first = run_sim(platform, tasks, config, opts.reference_sim)?;
-    let second = run_sim(platform, tasks, config, opts.reference_sim)?;
+    let first = Simulator::new(platform, tasks, config)?.run();
+    let second = Simulator::new(platform, tasks, config)?.run();
     out.record(OracleKind::Determinism, first == second, || {
         "two simulator runs with the same seed and config diverged".to_string()
     });

@@ -130,9 +130,6 @@ pub struct OptionsSummary {
     pub quick: bool,
     /// Fault-injection mode label.
     pub inject: String,
-    /// Whether the cycle-stepped reference simulator was used instead of
-    /// the event-skipping fast path.
-    pub reference_sim: bool,
 }
 
 /// The full campaign report.
@@ -218,7 +215,6 @@ mod tests {
                 slots: 2,
                 quick: true,
                 inject: "none".to_string(),
-                reference_sim: false,
             },
             stats: CampaignStats {
                 checked_sets: 10,

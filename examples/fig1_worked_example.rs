@@ -6,7 +6,6 @@
 //! ```
 
 use cpa::analysis::bao::{CarryOut, PriorityBand};
-use cpa::analysis::demand::md_hat;
 use cpa::analysis::spec;
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
@@ -90,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "Eq. (10)  M̂D_1(3) = min(3·6, 3·1 + |PCB_1|)   = {}",
-        md_hat(&tasks[t1], 3)
+        spec::md_hat(&tasks[t1], 3).expect("fits u64")
     );
     println!(
         "Eq. (14)  ρ̂_1,2,x(3) = 2·|PCB_1 ∩ ECB_2|      = {}",

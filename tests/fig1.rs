@@ -9,8 +9,7 @@
 mod common;
 
 use cpa::analysis::bao::{CarryOut, PriorityBand};
-use cpa::analysis::demand::md_hat;
-use cpa::analysis::spec::{self, n_jobs, releases};
+use cpa::analysis::spec::{self, md_hat, n_jobs, releases};
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CoreId, Time};
 
@@ -30,7 +29,7 @@ fn fig1_worked_example_numbers() {
     assert_eq!(ctx.gamma(t2, t1), 2);
 
     // M̂D_1(3) = min(3·6, 3·1 + 5) = 8 — "6 + 1 + 1 = 8" in the paper.
-    assert_eq!(md_hat(&tasks[t1], 3), 8);
+    assert_eq!(md_hat(&tasks[t1], 3), Ok(8));
 
     // ρ̂_{1,2,x}(3) = (3−1)·|PCB_1 ∩ ECB_2| = 2·2 = 4.
     assert_eq!(ctx.cpro(t1, t2, 3), 4);
