@@ -139,7 +139,7 @@ set -e
 echo "==> sim speedup guard (fast == reference reports, >=5x on the campaign mix)"
 cargo run --release -p cpa-validate --bin sim_speedup
 
-echo "==> telemetry export smoke (chrome + openmetrics, 1-vs-4 threads byte-compared)"
+echo "==> telemetry export smoke (chrome + openmetrics, 1-vs-4 threads byte-compared; sim openmetrics run twice)"
 rm -rf ci-telemetry && mkdir ci-telemetry
 cargo run --release -p cpa-validate --bin cpa-trace -- sweep --seed 7 --sets 8 \
   --threads 1 --export chrome > ci-telemetry/chrome-t1.json
@@ -154,6 +154,18 @@ cargo run --release -p cpa-validate --bin cpa-trace -- sweep --seed 7 --sets 8 \
 diff ci-telemetry/om-t1.txt ci-telemetry/om-t4.txt
 grep -q '^# EOF$' ci-telemetry/om-t1.txt
 grep -q '^engine_tasks_solved_total ' ci-telemetry/om-t1.txt
+# The simulator's export: two runs byte-compared, counters only.
+for run in 1 2; do
+  cargo run --release -p cpa-validate --bin cpa-trace -- sim --seed 7 --horizon 200000 \
+    --export openmetrics > "ci-telemetry/sim-$run.txt"
+done
+diff ci-telemetry/sim-1.txt ci-telemetry/sim-2.txt
+test "$(tail -n 1 ci-telemetry/sim-1.txt)" = "# EOF"
+grep -q '^sim_runs_total 1$' ci-telemetry/sim-1.txt
+if grep -q '^# TYPE .* histogram$' ci-telemetry/sim-1.txt; then
+  echo "sim OpenMetrics export carries a histogram"
+  exit 1
+fi
 rm -rf ci-telemetry
 
 echo "==> ci.sh: all green"

@@ -87,13 +87,6 @@ impl TaskColumns {
             self.deadline.push(task.deadline().cycles());
         }
     }
-
-    /// Freshly filled columns for `tasks`.
-    fn of(tasks: &TaskSet) -> Self {
-        let mut columns = TaskColumns::default();
-        columns.refill(tasks);
-        columns
-    }
 }
 
 /// Fills the flattened `γ` and CPRO-overlap tables with one incremental
@@ -112,6 +105,11 @@ impl TaskColumns {
 ///   `∪_{s ∈ Γx ∩ hep(w) \ {p}} ECB_s` gains exactly index `w` as the
 ///   window task `w` ascends (skipping `s = p`), so one running union per
 ///   `p` serves its whole row.
+///
+/// Kept out of line: inlined into its one caller, the fill ran the whole
+/// `reproduce_paper` perfbench workload about 12% slower (10 alternating
+/// runs per build on a shared 2-CPU x86-64 host).
+#[inline(never)]
 fn fill_tables(tasks: &TaskSet, approach: CrpdApproach, gamma: &mut [u64], overlap: &mut [u64]) {
     let n = tasks.len();
     let cache_sets = tasks.cache_sets();
@@ -238,20 +236,9 @@ impl<'a> AnalysisContext<'a> {
         tasks: &'a TaskSet,
         approach: CrpdApproach,
     ) -> Result<Self, ModelError> {
-        let _span = cpa_obs::span!("analysis.context");
-        tasks.validate_against(platform)?;
-        let n = tasks.len();
-        let mut gamma = vec![0u64; n * n];
-        let mut cpro_overlap = vec![0u64; n * n];
-        fill_tables(tasks, approach, &mut gamma, &mut cpro_overlap);
-        Ok(AnalysisContext {
-            platform,
-            tasks,
-            gamma,
-            cpro_overlap,
-            columns: TaskColumns::of(tasks),
-            crpd_approach: approach,
-        })
+        // Fresh buffers have no capacity and task sets are never empty, so
+        // this build is not counted as a recycle.
+        Self::with_crpd_approach_buffers(platform, tasks, approach, &mut ContextBuffers::new())
     }
 
     /// [`AnalysisContext::with_crpd_approach`] backed by recycled table

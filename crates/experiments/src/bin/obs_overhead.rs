@@ -5,7 +5,7 @@
 //! obs_overhead [--budget FRACTION]
 //! ```
 //!
-//! Every `event!`/`span!`/`histogram!` call site costs one relaxed atomic
+//! Every `event!`/`span!` call site costs one relaxed atomic
 //! load and a predictable branch when the subscriber is disabled. This
 //! binary bounds that cost against the `analysis_micro` workload
 //! (`wcrt_full_fp_aware`: one full `analyze()` on the paper-default

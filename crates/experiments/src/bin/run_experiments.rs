@@ -11,8 +11,8 @@
 //!
 //! `--trace FILE` enables the `cpa-obs` event subscriber and writes the
 //! deterministic JSON-lines event stream when every experiment has run;
-//! `--metrics FILE` enables timing collection only and writes counters,
-//! histograms, and the span-tree self-profile as one JSON document.
+//! `--metrics FILE` enables span timing only and writes the counters and
+//! the span-tree self-profile as one JSON document.
 //!
 //! Exits 0 on success and on `--help`, 2 on an unknown flag, a malformed
 //! value or an unknown experiment, and 1 when an output cannot be written

@@ -282,30 +282,6 @@ impl TaskSet {
         self.tasks.iter().map(|t| t.utilization(d_mem)).sum()
     }
 
-    /// Utilization of the tasks on one core.
-    #[must_use]
-    pub fn core_utilization(&self, core: CoreId, d_mem: Time) -> f64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.core() == core)
-            .map(|t| t.utilization(d_mem))
-            .sum()
-    }
-
-    /// Bus utilization: fraction of time the memory bus is busy if every
-    /// task posts its full isolation demand every period,
-    /// `Σ MD_i · d_mem / T_i`. Used by the "perfect bus" reference bound of
-    /// the paper's Fig. 2.
-    #[must_use]
-    pub fn bus_utilization(&self, d_mem: Time) -> f64 {
-        self.tasks
-            .iter()
-            .map(|t| {
-                (t.memory_demand() as f64 * d_mem.cycles() as f64) / t.period().cycles() as f64
-            })
-            .sum()
-    }
-
     /// Checks that every task's core exists on `platform` and that footprint
     /// capacities match the platform's cache geometry.
     ///
@@ -572,9 +548,6 @@ mod tests {
         let d_mem = Time::from_cycles(5);
         // Each task: (10 + 4*5)/100 = 0.3
         assert!((ts.total_utilization(d_mem) - 1.2).abs() < 1e-12);
-        assert!((ts.core_utilization(CoreId::new(0), d_mem) - 0.6).abs() < 1e-12);
-        // Bus: 4 tasks × 4·5/100
-        assert!((ts.bus_utilization(d_mem) - 0.8).abs() < 1e-12);
     }
 
     #[test]

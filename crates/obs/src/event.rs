@@ -1,4 +1,4 @@
-//! Structured trace events and their JSON-lines / human renderings.
+//! Structured trace events and their JSON-lines rendering.
 
 use crate::json::write_json_string;
 use crate::value::FieldValue;
@@ -50,18 +50,6 @@ impl Event {
         }
         out.push('}');
     }
-
-    /// Renders the event as one human-readable line
-    /// (`[scope.seq] name key=value …`).
-    pub fn render_human(&self) -> String {
-        let mut line = format!("[{}.{}] {}", self.scope, self.seq, self.name);
-        for (key, value) in &self.fields {
-            let mut rendered = String::new();
-            value.write_json(&mut rendered);
-            let _ = write!(line, " {key}={rendered}");
-        }
-        line
-    }
 }
 
 /// Renders a slice of events as JSON lines (one event per line, trailing
@@ -96,7 +84,6 @@ mod tests {
             out,
             "{\"scope\":3,\"seq\":7,\"name\":\"wcrt.outer\",\"fields\":{\"iter\":2,\"changed\":5}}"
         );
-        assert_eq!(event.render_human(), "[3.7] wcrt.outer iter=2 changed=5");
     }
 
     #[test]

@@ -17,16 +17,17 @@
 //!   quarantined from the event stream.
 //! * **Counters** ([`counter`]) — always-on atomic totals (one relaxed
 //!   `fetch_add`), shared by progress reporting and `--metrics`.
-//! * **Histograms** ([`histogram!`]) — power-of-two-bucketed distributions
-//!   (queue depths, iteration counts).
 //!
-//! Everything but counters is gated behind a global subscriber that is a
-//! no-op when disabled: [`event!`]/[`span!`]/[`histogram!`] cost one relaxed
-//! atomic load and a predictable branch, so instrumented hot paths stay
-//! within the <2% overhead budget enforced by the `obs_overhead` guard.
-//! Enable with [`enable`] (events + timing) or [`enable_metrics`]
-//! (timing only, for campaign-scale runs where buffering every event would
-//! be prohibitive).
+//! Counters and spans are the only meters: recording a distribution sample
+//! takes the registry's lock, which a per-event hot path such as the
+//! simulator's bus grant cannot afford.
+//!
+//! Events and spans are gated behind a global subscriber that is a no-op
+//! when disabled: [`event!`]/[`span!`] cost one relaxed atomic load and a
+//! predictable branch, so instrumented hot paths stay within the <2%
+//! overhead budget enforced by the `obs_overhead` guard. Enable with
+//! [`enable`] (events + spans) or [`enable_metrics`] (spans only, for
+//! campaign-scale runs where buffering every event would be prohibitive).
 //!
 //! # Example
 //!
@@ -37,10 +38,12 @@
 //!     let _span = cpa_obs::span!("demo.work");
 //!     cpa_obs::event!("demo.step", iter = 1u64, done = false);
 //!     cpa_obs::counter("demo.items").incr();
-//!     cpa_obs::histogram!("demo.depth", 3);
 //! }
 //! let events = cpa_obs::take_events();
-//! assert_eq!(events[0].render_human(), "[7.0] demo.step iter=1 done=false");
+//! assert_eq!(
+//!     cpa_obs::events_to_json_lines(&events),
+//!     "{\"scope\":7,\"seq\":0,\"name\":\"demo.step\",\"fields\":{\"iter\":1,\"done\":false}}\n"
+//! );
 //! cpa_obs::disable();
 //! ```
 
@@ -55,13 +58,12 @@ mod registry;
 pub mod value;
 
 pub use event::{events_to_json_lines, Event};
-pub use metrics::{Counter, Histogram, MetricsSnapshot};
+pub use metrics::{Counter, MetricsSnapshot};
 pub use profile::{format_nanos, ProfileNode};
 pub use registry::{
-    active, counter, disable, emit, enable, enable_metrics, events_enabled, histogram_record,
-    metrics_snapshot, next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope,
-    scope_state, set_scope, set_span_path, span_enter, span_path, take_events, timing_enabled,
-    SpanGuard,
+    active, counter, disable, emit, enable, enable_metrics, events_enabled, metrics_snapshot,
+    next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope, scope_state, set_scope,
+    set_span_path, span_enter, span_path, take_events, timing_enabled, SpanGuard,
 };
 pub use value::FieldValue;
 
@@ -101,20 +103,6 @@ macro_rules! span {
     };
 }
 
-/// Records a `u64` sample into a named histogram when timing is enabled.
-///
-/// ```
-/// cpa_obs::histogram!("sim.queue_depth", 4u64);
-/// ```
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $value:expr) => {
-        if $crate::timing_enabled() {
-            $crate::histogram_record($name, $value);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     // The global subscriber is process-wide state; every test that toggles
@@ -137,16 +125,10 @@ mod tests {
         crate::disable();
         crate::reset();
         crate::event!("test.never", x = 1u64);
-        crate::histogram!("test.never_hist", 1);
         {
             let _span = crate::span!("test.never_span");
         }
         assert!(crate::take_events().is_empty());
-        let metrics = crate::metrics_snapshot();
-        assert!(metrics
-            .histograms
-            .iter()
-            .all(|(name, _)| !name.starts_with("test.never")));
         assert!(crate::profile_snapshot()
             .children
             .iter()

@@ -35,7 +35,7 @@ impl ProfileNode {
     }
 
     /// Returns the child named `name`, creating it if absent.
-    pub fn child_mut(&mut self, name: &str) -> &mut ProfileNode {
+    fn child_mut(&mut self, name: &str) -> &mut ProfileNode {
         if let Some(i) = self.children.iter().position(|c| c.name == name) {
             return &mut self.children[i];
         }

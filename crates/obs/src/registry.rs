@@ -1,8 +1,8 @@
-//! The global subscriber: enable flags, event buffer, counter/histogram
-//! registries, scope bookkeeping, and span timing.
+//! The global subscriber: enable flags, event buffer, counter registry,
+//! scope bookkeeping, and span timing.
 
 use crate::event::Event;
-use crate::metrics::{Counter, Histogram, MetricsSnapshot};
+use crate::metrics::{Counter, MetricsSnapshot};
 use crate::profile::ProfileNode;
 use crate::value::FieldValue;
 use std::cell::{Cell, RefCell};
@@ -13,13 +13,12 @@ use std::time::Instant;
 
 /// Gates [`emit`] / the [`crate::event!`] macro.
 static EVENTS_ON: AtomicBool = AtomicBool::new(false);
-/// Gates spans and histograms (wall-clock / distribution recording).
+/// Gates spans (wall-clock recording).
 static TIMING_ON: AtomicBool = AtomicBool::new(false);
 
 struct Registry {
     events: Mutex<Vec<Event>>,
     counters: Mutex<BTreeMap<&'static str, &'static AtomicU64>>,
-    histograms: Mutex<BTreeMap<&'static str, Histogram>>,
     profile: Mutex<ProfileNode>,
 }
 
@@ -28,7 +27,6 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         events: Mutex::new(Vec::new()),
         counters: Mutex::new(BTreeMap::new()),
-        histograms: Mutex::new(BTreeMap::new()),
         profile: Mutex::new(ProfileNode::new("")),
     })
 }
@@ -42,22 +40,22 @@ thread_local! {
     static SPAN_PATH: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Enables everything: events, spans, and histograms.
+/// Enables everything: events and spans.
 pub fn enable() {
     EVENTS_ON.store(true, Ordering::Relaxed);
     TIMING_ON.store(true, Ordering::Relaxed);
 }
 
-/// Enables spans and histograms but not the event stream.
+/// Enables spans but not the event stream.
 ///
 /// This is the `--metrics`-only mode: campaign-scale runs keep their
-/// counters, distributions, and self-profile without buffering a
-/// potentially huge event stream.
+/// counters and self-profile without buffering a potentially huge event
+/// stream.
 pub fn enable_metrics() {
     TIMING_ON.store(true, Ordering::Relaxed);
 }
 
-/// Disables events, spans, and histograms (counters always stay on).
+/// Disables events and spans (counters always stay on).
 pub fn disable() {
     EVENTS_ON.store(false, Ordering::Relaxed);
     TIMING_ON.store(false, Ordering::Relaxed);
@@ -70,7 +68,7 @@ pub fn events_enabled() -> bool {
     EVENTS_ON.load(Ordering::Relaxed)
 }
 
-/// True when spans and histograms are being recorded.
+/// True when spans are being recorded.
 #[inline]
 #[must_use]
 pub fn timing_enabled() -> bool {
@@ -203,36 +201,17 @@ pub fn counter(name: &'static str) -> Counter {
     Counter { name, cell }
 }
 
-/// Records `value` into the histogram registered under `name`; used by
-/// [`crate::histogram!`], which performs the [`timing_enabled`] check first.
-pub fn histogram_record(name: &'static str, value: u64) {
-    if let Ok(mut histograms) = registry().histograms.lock() {
-        histograms.entry(name).or_default().record(value);
-    }
-}
-
-/// Copies every registered counter and histogram into a sorted snapshot.
+/// Copies every registered counter into a name-sorted snapshot.
 #[must_use]
 pub fn metrics_snapshot() -> MetricsSnapshot {
-    let registry = registry();
-    let counters = match registry.counters.lock() {
+    let counters = match registry().counters.lock() {
         Ok(guard) => guard
             .iter()
             .map(|(name, cell)| ((*name).to_string(), cell.load(Ordering::Relaxed)))
             .collect(),
         Err(_) => Vec::new(),
     };
-    let histograms = match registry.histograms.lock() {
-        Ok(guard) => guard
-            .iter()
-            .map(|(name, hist)| ((*name).to_string(), hist.clone()))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    MetricsSnapshot {
-        counters,
-        histograms,
-    }
+    MetricsSnapshot { counters }
 }
 
 /// Copies the aggregated span tree, sorted by descending wall time.
@@ -246,16 +225,13 @@ pub fn profile_snapshot() -> ProfileNode {
     root
 }
 
-/// Clears events, histograms, and the profile, and zeroes every counter.
+/// Clears events and the profile, and zeroes every counter.
 /// Enable flags are left untouched. Intended for tests and for separating
 /// phases within one process.
 pub fn reset() {
     let registry = registry();
     if let Ok(mut events) = registry.events.lock() {
         events.clear();
-    }
-    if let Ok(mut histograms) = registry.histograms.lock() {
-        histograms.clear();
     }
     if let Ok(mut profile) = registry.profile.lock() {
         *profile = ProfileNode::new("");

@@ -198,10 +198,12 @@ pub fn process_batch(
     };
 
     // Look up the first occurrence of each key; a repeat waits for its
-    // first occurrence's response to reach the cache.
+    // first occurrence's response to reach the cache. Every cache read and
+    // write runs inside an `optimize.cache` span.
     let mut seen = HashSet::new();
     let mut docs: Vec<Option<String>> = Vec::with_capacity(jobs.len());
     let mut misses = Vec::new();
+    let lookup_span = cpa_obs::span!("optimize.cache");
     for (i, job) in jobs.iter().enumerate() {
         let doc = if seen.insert(job.key) {
             let doc = cache.get(job.key);
@@ -214,6 +216,7 @@ pub fn process_batch(
         };
         docs.push(doc);
     }
+    drop(lookup_span);
 
     let searched = {
         let _span = cpa_obs::span!("optimize.evaluate_batch");
@@ -230,6 +233,7 @@ pub fn process_batch(
     };
     for (&i, result) in misses.iter().zip(searched) {
         let (doc, candidates) = result?;
+        let _span = cpa_obs::span!("optimize.cache");
         cache
             .put(jobs[i].key, &doc)
             .map_err(|e| jobs[i].request.error(format!("cache write: {e}")))?;
@@ -243,9 +247,12 @@ pub fn process_batch(
         let doc = match doc {
             Some(doc) => doc,
             // A repeat: its first occurrence is in the cache by now.
-            None => cache
-                .get(job.key)
-                .expect("a repeat's first occurrence is cached"),
+            None => {
+                let _span = cpa_obs::span!("optimize.cache");
+                cache
+                    .get(job.key)
+                    .expect("a repeat's first occurrence is cached")
+            }
         };
         tally(&mut stats, &doc);
         body.push(doc);

@@ -194,9 +194,11 @@ pub fn scope_key(epoch: u64, item: u64) -> u64 {
 /// byte-identical either way (the determinism argument in the crate docs
 /// does not depend on where an item runs). Either way the spans an item
 /// opens nest under the spans open where `map` was called: a spawned
-/// worker starts from the caller's span path. The profile therefore
-/// counts the items' time once, inside the dispatching span, at any
-/// thread count.
+/// worker starts from the caller's span path, which includes the
+/// `pool.map` span `map` opens around the whole region. The profile
+/// therefore counts the items' time once, inside the dispatching span, at
+/// any thread count, and `pool.map`'s self time is the pool's own cost:
+/// state set-up, dispatch, join and the final sort.
 ///
 /// Counters: `pool.chunks_claimed` counts every chunk claim;
 /// `pool.chunks_stolen` counts claims beyond a worker's fair share
@@ -209,6 +211,7 @@ where
     I: Fn(usize) -> S + Sync,
     W: Fn(&mut S, usize) -> R + Sync,
 {
+    let _span = cpa_obs::span!("pool.map");
     let threads = opts.threads();
     let chunk = opts.chunk();
     let chunks_claimed = cpa_obs::counter("pool.chunks_claimed");
@@ -420,11 +423,17 @@ mod tests {
             .find(|c| c.name == "pool.test_dispatch")
             .expect("dispatching span at the root");
         assert_eq!(dispatch.calls, 2);
-        let items = dispatch
+        let region = dispatch
+            .children
+            .iter()
+            .find(|c| c.name == "pool.map")
+            .expect("the pool's own span under the dispatching span");
+        assert_eq!(region.calls, 2);
+        let items = region
             .children
             .iter()
             .find(|c| c.name == "pool.test_item")
-            .expect("item spans under the dispatching span");
+            .expect("item spans under the pool's span");
         assert_eq!(items.calls, 16, "every item, inline and spawned");
         assert!(
             profile.children.iter().all(|c| c.name != "pool.test_item"),

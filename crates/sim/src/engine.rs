@@ -221,11 +221,6 @@ impl<'a> Simulator<'a> {
         cpa_obs::counter("sim.deadline_misses").add(misses);
         cpa_obs::counter("sim.bus_transactions").add(self.report.bus_transactions);
         cpa_obs::counter("sim.bus_busy_cycles").add(self.report.bus_busy_cycles);
-        // Bus-slot occupancy in permille, binned for the distribution view.
-        cpa_obs::histogram!(
-            "sim.bus_occupancy_permille",
-            (self.report.bus_utilization() * 1000.0) as u64
-        );
         cpa_obs::event!(
             "sim.report",
             horizon = horizon,
@@ -502,13 +497,6 @@ impl<'a> Simulator<'a> {
             self.bus.busy_until = self.now + d_mem;
             self.recorder
                 .record_bus(self.jobs[job].task, self.now, self.now + d_mem);
-            // Queue depth at grant time: cores left waiting on the bus.
-            if cpa_obs::timing_enabled() {
-                let waiting = (0..cores)
-                    .filter(|&c| self.requesting_job(c).is_some_and(|j| j != job))
-                    .count() as u64;
-                cpa_obs::histogram_record("sim.bus_queue_depth", waiting);
-            }
         }
     }
 }

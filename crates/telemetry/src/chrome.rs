@@ -9,11 +9,9 @@
 //! * **pid 1 — self-profile.** The span tree becomes nested complete events
 //!   (`"ph":"X"`) on a **logical-tick** timeline: a node's duration is its
 //!   call count plus the durations of its children, laid out depth-first.
-//!   Wall-clock nanoseconds are scheduling noise, so they never drive the
-//!   timeline; in [`ExportScope::Full`] they are attached as an `args` field
-//!   instead (and the export is no longer byte-stable across runs).
+//!   Wall-clock nanoseconds are scheduling noise, so the export never
+//!   carries them.
 
-use crate::ExportScope;
 use cpa_obs::json::write_json_string;
 use cpa_obs::{Event, ProfileNode};
 use std::fmt::Write as _;
@@ -21,7 +19,7 @@ use std::fmt::Write as _;
 /// Renders events plus the span-tree self-profile as a Chrome Trace Event
 /// JSON document (one trace event per line inside `traceEvents`).
 #[must_use]
-pub fn chrome_trace(events: &[Event], profile: &ProfileNode, scope: ExportScope) -> String {
+pub fn chrome_trace(events: &[Event], profile: &ProfileNode) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
@@ -38,7 +36,7 @@ pub fn chrome_trace(events: &[Event], profile: &ProfileNode, scope: ExportScope)
     let normalized = normalize_profile(profile);
     let mut cursor = 0u64;
     for child in &normalized.children {
-        write_span(child, &mut cursor, scope, &mut out);
+        write_span(child, &mut cursor, &mut out);
     }
     out.push_str("\n]}\n");
     out
@@ -73,7 +71,7 @@ fn weight(node: &ProfileNode) -> u64 {
     node.calls.max(1) + node.children.iter().map(weight).sum::<u64>()
 }
 
-fn write_span(node: &ProfileNode, cursor: &mut u64, scope: ExportScope, out: &mut String) {
+fn write_span(node: &ProfileNode, cursor: &mut u64, out: &mut String) {
     let dur = weight(node);
     let start = *cursor;
     out.push_str(",\n{\"name\":");
@@ -81,27 +79,22 @@ fn write_span(node: &ProfileNode, cursor: &mut u64, scope: ExportScope, out: &mu
     let _ = write!(
         out,
         ",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{start},\"dur\":{dur},\
-         \"args\":{{\"calls\":{}",
+         \"args\":{{\"calls\":{}}}}}",
         node.calls
     );
-    if scope == ExportScope::Full {
-        let _ = write!(out, ",\"nanos\":{}", node.nanos);
-    }
-    out.push_str("}}");
     let mut child_cursor = start;
     for child in &node.children {
-        write_span(child, &mut child_cursor, scope, out);
+        write_span(child, &mut child_cursor, out);
     }
     *cursor = start + dur;
 }
 
-/// Rebuilds the span tree for export: merges same-name siblings and sorts
+/// Rebuilds the span tree for export: merges same-name siblings, sorts
 /// every level by name (the registry sorts by wall time, which is
-/// nondeterministic).
+/// nondeterministic) and keeps only the call counts.
 fn normalize_profile(node: &ProfileNode) -> ProfileNode {
     let mut out = ProfileNode::new(&node.name);
     out.calls = node.calls;
-    out.nanos = node.nanos;
     for child in &node.children {
         merge_child(&mut out, normalize_profile(child));
     }
@@ -112,7 +105,6 @@ fn normalize_profile(node: &ProfileNode) -> ProfileNode {
 fn merge_child(parent: &mut ProfileNode, child: ProfileNode) {
     if let Some(existing) = parent.children.iter_mut().find(|c| c.name == child.name) {
         existing.calls += child.calls;
-        existing.nanos = existing.nanos.saturating_add(child.nanos);
         for grandchild in child.children {
             merge_child(existing, grandchild);
         }
@@ -138,13 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn full_export_keeps_pool_spans_and_nanos() {
-        let trace = chrome_trace(&[], &profile_fixture(), ExportScope::Full);
-        assert!(trace.contains("pool.chunk"));
-        assert!(trace.contains("\"nanos\":150"));
-    }
-
-    #[test]
     fn events_map_to_instants_on_their_scope_track() {
         let events = vec![Event {
             scope: 3,
@@ -153,7 +138,7 @@ mod tests {
             fields: vec![("iter", FieldValue::U64(2))],
         }];
         let root = ProfileNode::new("");
-        let trace = chrome_trace(&events, &root, ExportScope::Deterministic);
+        let trace = chrome_trace(&events, &root);
         assert!(trace.contains(
             "{\"name\":\"wcrt.outer\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":3,\"ts\":7,\
              \"args\":{\"iter\":2}}"
@@ -163,7 +148,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_siblings_merge() {
-        let trace = chrome_trace(&[], &profile_fixture(), ExportScope::Deterministic);
+        let trace = chrome_trace(&[], &profile_fixture());
         let doc: Value = serde_json::from_str(&trace).unwrap();
         let events = doc.get("traceEvents").unwrap().as_seq().unwrap();
         let spans: Vec<_> = events
@@ -184,10 +169,7 @@ mod tests {
         let (wcrt_start, wcrt_end, wcrt_calls) = span("wcrt.analyze");
         assert_eq!((chunk_calls, wcrt_calls), (Some(2), Some(2)));
         assert!(chunk_start <= wcrt_start && wcrt_end <= chunk_end);
-        assert!(
-            !trace.contains("nanos"),
-            "deterministic export carries no wall time"
-        );
+        assert!(!trace.contains("nanos"), "the export carries no wall time");
     }
 
     #[test]
@@ -200,7 +182,7 @@ mod tests {
             name: "quote\"d",
             fields: vec![("k\\ey", FieldValue::U64(1))],
         }];
-        let trace = chrome_trace(&events, &root, ExportScope::Deterministic);
+        let trace = chrome_trace(&events, &root);
         let doc: Value = serde_json::from_str(&trace).expect("chrome trace must be valid JSON");
         let names: Vec<&str> = doc
             .get("traceEvents")

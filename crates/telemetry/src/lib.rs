@@ -5,9 +5,9 @@
 //!
 //! * **Exporters** — [`chrome_trace`] renders the structured event stream and
 //!   span-tree self-profile as a Chrome Trace Event / Perfetto JSON document;
-//!   [`openmetrics`] renders counters and histograms as an OpenMetrics text
-//!   exposition. In [`ExportScope::Deterministic`] both are byte-identical
-//!   for the same seed at any thread count and pool chunk size.
+//!   [`openmetrics`] renders the counters as an OpenMetrics text exposition.
+//!   Both are byte-identical for the same seed at any thread count and pool
+//!   chunk size.
 //! * **Stage attribution** — [`StageReport`] folds a counter-delta snapshot
 //!   and the self-profile into per-pipeline-stage rows (wall time, calls,
 //!   work items, throughput), the breakdown shown by `cpa-trace`.
@@ -17,10 +17,10 @@
 //! Events are deterministic by construction (the `(scope, seq)` canonical
 //! order), but counters that measure the worker pool itself
 //! ([`SCHEDULING_METERS`] — chunk claims, steals, scratch reuses vary with
-//! the thread count and pool chunk size) are **scheduling artifacts**. Deterministic
+//! the thread count and pool chunk size) are **scheduling artifacts**. The
 //! exports drop them and never carry wall-clock values; the span timeline
-//! uses logical call-count ticks instead. [`ExportScope::Full`] keeps
-//! everything (and is correspondingly not byte-stable).
+//! uses logical call-count ticks instead. Wall time is reported only by the
+//! [`StageReport`] and the self-profile, which make no determinism claim.
 //!
 //! Like `cpa-obs`, this crate has no external dependencies: every export is
 //! written with `cpa-obs`'s one JSON writer. Its tests read the exports
@@ -36,19 +36,8 @@ pub use stage::{
     stage_for_counter, stage_for_span, StageReport, StageRow, StageSpec, PIPELINE_STAGES,
 };
 
-/// How much of the observed state an export includes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExportScope {
-    /// Only seed-deterministic meters: byte-identical output across thread
-    /// counts and chunk sizes for the same seed.
-    #[default]
-    Deterministic,
-    /// Everything, including scheduling meters and wall-clock nanoseconds.
-    Full,
-}
-
 /// Counters whose values depend on scheduling (thread count, pool chunk size), not on
-/// the workload: excluded from deterministic exports. Buffer recycling
+/// the workload: excluded from every export. Buffer recycling
 /// counts depend on how many items each worker claimed.
 pub const SCHEDULING_METERS: &[&str] = &[
     "analysis.context_recycles",
@@ -57,7 +46,7 @@ pub const SCHEDULING_METERS: &[&str] = &[
     "pool.chunks_stolen",
 ];
 
-/// Whether a counter/histogram name is a scheduling artifact.
+/// Whether a counter name is a scheduling artifact.
 #[must_use]
 pub fn is_scheduling_meter(name: &str) -> bool {
     SCHEDULING_METERS.contains(&name)

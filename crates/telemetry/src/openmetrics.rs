@@ -1,65 +1,30 @@
-//! OpenMetrics text exposition for `cpa-obs` counters and histograms.
+//! OpenMetrics text exposition for `cpa-obs` counters.
 //!
 //! The exposition is a pure function of a [`MetricsSnapshot`]: snapshot
-//! entries are already name-sorted, metric names are sanitized
-//! deterministically, and histogram buckets expand to cumulative `le` series
-//! with power-of-two upper bounds matching `cpa_obs::Histogram`'s bucketing
-//! (bucket `b` covers `[2^(b-1), 2^b)`, so its inclusive upper bound is
-//! `2^b - 1`). In [`ExportScope::Deterministic`] the scheduling meters
-//! (chunk-claim and scratch-reuse counters, whose values depend on
-//! the thread count and pool chunk size) are omitted so the bytes depend
-//! only on the seed.
+//! entries are already name-sorted and metric names are sanitized
+//! deterministically. The scheduling meters (chunk-claim and scratch-reuse
+//! counters, whose values depend on the thread count and pool chunk size)
+//! are omitted, so the bytes depend only on the seed.
 
-use crate::{is_scheduling_meter, ExportScope};
-use cpa_obs::{Histogram, MetricsSnapshot};
+use crate::is_scheduling_meter;
+use cpa_obs::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// Renders the snapshot as an OpenMetrics text exposition, terminated by
 /// `# EOF`.
 #[must_use]
-pub fn openmetrics(snapshot: &MetricsSnapshot, scope: ExportScope) -> String {
+pub fn openmetrics(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
-        if scope == ExportScope::Deterministic && is_scheduling_meter(name) {
+        if is_scheduling_meter(name) {
             continue;
         }
         let metric = sanitize_metric_name(name);
         let _ = writeln!(out, "# TYPE {metric} counter");
         let _ = writeln!(out, "{metric}_total {value}");
     }
-    for (name, hist) in &snapshot.histograms {
-        if scope == ExportScope::Deterministic && is_scheduling_meter(name) {
-            continue;
-        }
-        write_histogram(&sanitize_metric_name(name), hist, &mut out);
-    }
     out.push_str("# EOF\n");
     out
-}
-
-fn write_histogram(metric: &str, hist: &Histogram, out: &mut String) {
-    let _ = writeln!(out, "# TYPE {metric} histogram");
-    let mut cumulative = 0u64;
-    for (b, &n) in hist.buckets.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        cumulative += n;
-        // Bucket 0 holds exactly the value 0; bucket b>0 covers
-        // [2^(b-1), 2^b), inclusive upper bound 2^b - 1 (saturating at the
-        // top bucket, which holds everything up to u64::MAX).
-        let le: u64 = if b == 0 {
-            0
-        } else if b >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << b) - 1
-        };
-        let _ = writeln!(out, "{metric}_bucket{{le=\"{le}\"}} {cumulative}");
-    }
-    let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", hist.count);
-    let _ = writeln!(out, "{metric}_sum {}", hist.sum);
-    let _ = writeln!(out, "{metric}_count {}", hist.count);
 }
 
 /// Maps a dotted `cpa-obs` meter name onto the OpenMetrics name charset
@@ -135,9 +100,8 @@ mod tests {
     fn counters_render_as_total_samples() {
         let snapshot = MetricsSnapshot {
             counters: vec![("sim.runs".into(), 42)],
-            histograms: vec![],
         };
-        let text = openmetrics(&snapshot, ExportScope::Deterministic);
+        let text = openmetrics(&snapshot);
         assert_eq!(text, "# TYPE sim_runs counter\nsim_runs_total 42\n# EOF\n");
         assert_eq!(validate(&text), Ok(1));
     }
@@ -146,34 +110,10 @@ mod tests {
     fn deterministic_scope_drops_scheduling_meters() {
         let snapshot = MetricsSnapshot {
             counters: vec![("pool.chunks_claimed".into(), 9), ("sim.runs".into(), 1)],
-            histograms: vec![],
         };
-        let det = openmetrics(&snapshot, ExportScope::Deterministic);
-        assert!(!det.contains("pool_chunks_claimed"));
-        assert!(det.contains("sim_runs_total 1"));
-        let full = openmetrics(&snapshot, ExportScope::Full);
-        assert!(full.contains("pool_chunks_claimed_total 9"));
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_power_of_two_bounds() {
-        let mut hist = Histogram::default();
-        for v in [0u64, 1, 2, 3, 1000] {
-            hist.record(v);
-        }
-        let snapshot = MetricsSnapshot {
-            counters: vec![],
-            histograms: vec![("sim.queue".into(), hist)],
-        };
-        let text = openmetrics(&snapshot, ExportScope::Deterministic);
-        assert!(text.contains("sim_queue_bucket{le=\"0\"} 1"));
-        assert!(text.contains("sim_queue_bucket{le=\"1\"} 2"));
-        assert!(text.contains("sim_queue_bucket{le=\"3\"} 4"));
-        assert!(text.contains("sim_queue_bucket{le=\"1023\"} 5"));
-        assert!(text.contains("sim_queue_bucket{le=\"+Inf\"} 5"));
-        assert!(text.contains("sim_queue_sum 1006"));
-        assert!(text.contains("sim_queue_count 5"));
-        assert_eq!(validate(&text), Ok(7));
+        let text = openmetrics(&snapshot);
+        assert!(!text.contains("pool_chunks_claimed"));
+        assert!(text.contains("sim_runs_total 1"));
     }
 
     #[test]

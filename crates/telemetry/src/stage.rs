@@ -33,7 +33,7 @@ pub struct StageSpec {
 }
 
 /// The pipeline stages, in attribution order (first matching prefix wins, so
-/// the more specific `analysis.context`, `optimize.cache_` and
+/// the more specific `analysis.context`, `optimize.cache` and
 /// `optimize.assemble` rows precede the general `analysis.` and `optimize.`
 /// rows).
 pub const PIPELINE_STAGES: &[StageSpec] = &[
@@ -75,7 +75,7 @@ pub const PIPELINE_STAGES: &[StageSpec] = &[
     },
     StageSpec {
         name: "result-cache",
-        span_prefixes: &[],
+        span_prefixes: &["optimize.cache"],
         counter_prefixes: &["optimize.cache_"],
         work_counter: Some("optimize.cache_hits"),
     },
@@ -321,7 +321,6 @@ mod tests {
                 ("unmapped.counter".into(), 3),
                 ("wcrt.outer_cap_hits".into(), 0),
             ],
-            histograms: vec![],
         }
     }
 
@@ -352,6 +351,7 @@ mod tests {
         assert_eq!(stage_of("analysis.context"), Some("context"));
         assert_eq!(stage_of("wcrt.analyze"), Some("analysis"));
         assert_eq!(stage_of("optimize.assemble"), Some("assembly"));
+        assert_eq!(stage_of("optimize.cache"), Some("result-cache"));
         assert_eq!(stage_of("optimize.search"), Some("optimizer"));
     }
 

@@ -65,7 +65,7 @@ use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
 use cpa_model::{Platform, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
-use cpa_telemetry::{chrome_trace, openmetrics, ExportScope, StageReport};
+use cpa_telemetry::{chrome_trace, openmetrics, StageReport};
 use cpa_validate::oracle::{arbitration_of, horizon_for};
 use cpa_validate::platform_for_tasks;
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -861,10 +861,8 @@ fn write_export(
 ) -> Result<bool, CliError> {
     let body = match opts.export.as_deref() {
         None => return Ok(false),
-        Some("chrome") => chrome_trace(events, profile, ExportScope::Deterministic),
-        Some("openmetrics") => {
-            openmetrics(&cpa_obs::metrics_snapshot(), ExportScope::Deterministic)
-        }
+        Some("chrome") => chrome_trace(events, profile),
+        Some("openmetrics") => openmetrics(&cpa_obs::metrics_snapshot()),
         // The parser admits no format but these three.
         Some(_json) => format!("{}\n", stages.to_json()),
     };

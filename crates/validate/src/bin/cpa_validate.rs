@@ -18,9 +18,8 @@
 //! `--trace FILE` enables the `cpa-obs` event subscriber and writes the
 //! canonical JSON-lines event stream after the campaign (deterministic:
 //! same seed and set count produce byte-identical output regardless of
-//! `--threads`). `--metrics FILE` enables timing collection only and
-//! writes a JSON document with counters, histograms, and the span-tree
-//! self-profile.
+//! `--threads`). `--metrics FILE` enables span timing only and writes a
+//! JSON document with the counters and the span-tree self-profile.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -301,6 +301,51 @@ fn json_reports_embed_stages_and_profile() {
 }
 
 #[test]
+fn pool_and_result_cache_stages_are_timed() {
+    // The pool's own set-up, dispatch and join time lands on the `pool`
+    // row and the optimizer's cache reads and writes on `result-cache`;
+    // neither may read 0 ns in a run that exercised it.
+    let runs: [(&[&str], &[&str]); 2] = [
+        (&["sweep", "--seed", "7", "--sets", "8"], &["pool"]),
+        (
+            &[
+                "optimize",
+                "--seed",
+                "7",
+                "--sets",
+                "3",
+                "--tasks-per-core",
+                "3",
+            ],
+            &["pool", "result-cache"],
+        ),
+    ];
+    for (args, stages) in runs {
+        let out = cpa_trace(&[args, &["--threads", "1", "--json"]].concat());
+        assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+        let doc: serde_json::Value =
+            serde_json::from_str(&stdout_of(&out)).expect("--json report parses");
+        let rows = doc
+            .get("stages")
+            .and_then(|s| s.get("stages"))
+            .and_then(serde_json::Value::as_seq)
+            .expect("stage rows");
+        for stage in stages {
+            let wall = rows
+                .iter()
+                .find(|r| r.get("stage").and_then(serde_json::Value::as_str) == Some(stage))
+                .and_then(|r| r.get("wall_nanos"))
+                .and_then(serde_json::Value::as_u64);
+            assert!(
+                wall.is_some_and(|ns| ns > 0),
+                "{}: `{stage}` row wall_nanos {wall:?}",
+                args[0]
+            );
+        }
+    }
+}
+
+#[test]
 fn sweep_counts_each_layer_once() {
     // The items a pool dispatches nest under the dispatching span, so on
     // one thread the per-stage self times add up to exactly the

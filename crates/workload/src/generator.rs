@@ -370,7 +370,10 @@ mod tests {
         let d_mem = gen.config().d_mem;
         let ts = gen.generate(&mut ChaCha8Rng::seed_from_u64(2)).unwrap();
         for core in 0..4 {
-            let u = ts.core_utilization(CoreId::new(core), d_mem);
+            let u: f64 = ts
+                .on_core(CoreId::new(core))
+                .map(|id| ts[id].utilization(d_mem))
+                .sum();
             // Ceil-rounding of periods only makes utilization smaller.
             assert!(u <= 0.5 + 1e-9, "core {core}: {u}");
             assert!(u > 0.45, "core {core}: {u}");
