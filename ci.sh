@@ -29,6 +29,12 @@ cargo test --locked --offline --release --manifest-path perfbench/Cargo.toml
 echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
+echo "==> bao_split smoke (levels sharing a split read the same gamma and CPRO overlap)"
+cargo test -q -p cpa-analysis --release --test bao_split
+
+echo "==> span_budget smoke (one engine run opens one span, the spec none)"
+cargo test -q -p cpa-analysis --release --test span_budget
+
 echo "==> saturation smoke (engine vs literal spec near u64::MAX, release arithmetic)"
 cargo test -q -p cpa-analysis --release --test saturation
 

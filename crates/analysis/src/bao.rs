@@ -26,13 +26,17 @@ pub struct Span {
     pub hi: Time,
 }
 
-impl Span {
+impl Default for Span {
     /// The empty interval: it contains no window.
-    const EMPTY: Span = Span {
-        lo: Time::from_cycles(1),
-        hi: Time::ZERO,
-    };
+    fn default() -> Span {
+        Span {
+            lo: Time::from_cycles(1),
+            hi: Time::ZERO,
+        }
+    }
+}
 
+impl Span {
     /// Whether `t` lies in the interval.
     #[must_use]
     pub fn contains(&self, t: Time) -> bool {
@@ -111,91 +115,6 @@ fn term_interval(n: u64, p: u64, r: u64, sub: u128) -> (u64, u64) {
     (lo, hi)
 }
 
-/// The window- and response-time-independent inputs one band member
-/// contributes to `BAO` (Lemma 2, [`crate::spec::bao`]), precomputed once per `(core, split)` key:
-/// rebuilding a [`BaoSegment`] walks these compact records instead of
-/// re-filtering the task set and re-reading the CRPD/CPRO matrices on
-/// every rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BaoMember {
-    /// The member's index into the response-time estimate slice.
-    idx: usize,
-    /// Per-job bus charge `MD_l + γ_{k,l}`.
-    cost: u64,
-    /// `γ_{k,l}`: the member's CRPD charge at the slot's priority level.
-    gamma: u64,
-    /// `|PCB_l ∩ ECB-union|`: the per-job CPRO overlap of Eq. (14).
-    overlap: u64,
-    /// `MD_l`.
-    md: u64,
-    /// `MD_l^r` (the residual demand of persistent jobs).
-    md_r: u64,
-    /// `|PCB_l|`.
-    pcb_len: u64,
-    /// `T_l`.
-    period: Time,
-}
-
-/// Both priority bands' [`BaoMember`] records for one level `k` and
-/// remote core `y`: the `hep(k)` members first, then the `lp(k)` members
-/// from [`BaoMembers::split`] on, each sub-slice in its band's iteration
-/// order (the accumulation order of [`crate::spec::bao`]). The bands are
-/// kept together because the FP bus consumes both at the same window —
-/// one fused record set (and one [`BaoSegment`]) serves every `BAO` query
-/// of the key.
-///
-/// The records depend on `k` only through the split — the number of
-/// tasks on `y` with id ≤ `k`: `γ_{k,l}` reads the `y`-tasks with ids in
-/// `(l, k]` and the CPRO overlap of `l` within `k`'s window the
-/// `y`-tasks with ids ≤ `k`, under every [`crate::CrpdApproach`]. The
-/// engine therefore keys its slots by `(core, split)` (DESIGN.md §17),
-/// and the `bao_split` proptests pin the identity.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BaoMembers {
-    /// `hep(k)` prefix followed by `lp(k)` suffix.
-    members: Vec<BaoMember>,
-    /// First index of the `lp(k)` suffix.
-    split: usize,
-}
-
-impl BaoMembers {
-    /// Refills the records in place for level `k`, walking `on_core`: the
-    /// remote core's task ids in id order. Task ids are priority order, so
-    /// the `hep(k)` prefix is exactly the ids `≤ k` and one ordered walk
-    /// yields both bands. The storage is recycled across analyses (see
-    /// [`crate::AnalysisScratch`]).
-    pub fn refill_on(&mut self, ctx: &AnalysisContext<'_>, k: TaskId, on_core: &[TaskId]) {
-        self.members.clear();
-        self.split = 0;
-        for &l in on_core {
-            self.members.push(member_record(ctx, k, l));
-            if l.index() <= k.index() {
-                self.split = self.members.len();
-            }
-        }
-    }
-}
-
-/// One member's static record (see [`BaoMember`]), read off the
-/// context's struct-of-arrays task columns (verbatim per-task scalars,
-/// contiguous per field).
-fn member_record(ctx: &AnalysisContext<'_>, k: TaskId, l: TaskId) -> BaoMember {
-    let cols = ctx.columns();
-    let lx = l.index();
-    let gamma = ctx.gamma(k, l);
-    let md = cols.md[lx];
-    BaoMember {
-        idx: lx,
-        cost: md.saturating_add(gamma),
-        gamma,
-        overlap: ctx.cpro_overlap(l, k),
-        md,
-        md_r: cols.md_r[lx],
-        pcb_len: cols.pcb_len[lx],
-        period: Time::from_cycles(cols.period[lx]),
-    }
-}
-
 /// One band member's contribution to `BAO` on a fixed `N`-interval of
 /// the window axis: the full-job charge and the carry-out cap of Eq. (5)
 /// are constant there, so only the [`CarryOut::Exact`] carry-out term
@@ -225,64 +144,72 @@ struct BaoTerm {
     hi: u64,
 }
 
-impl BaoMember {
-    /// Derives the member's [`BaoTerm`] around window length `t` given its
-    /// current response-time estimate `r_l` — the `N`-determined charges
-    /// exactly as [`crate::spec::bao`] derives them, plus the `N`-interval
-    /// they are valid on.
-    ///
-    /// Every charge saturates upward: a value past `u64` becomes
-    /// `u64::MAX`, never a smaller number. `N` is exact (see
-    /// [`jobs_within`]), and where `M̂D(N + 1)` or `ρ̂(N + 1)` saturates,
-    /// the cap takes the largest increment the term can have — `MD_l`
-    /// (`M̂D` grows by at most `MD` per job) and the per-job overlap —
-    /// instead of a difference of saturated values.
-    fn term(&self, t: Time, r_l: Time, d_mem: Time, mode: PersistenceMode) -> BaoTerm {
-        let period = self.period.cycles();
-        let c = (u128::from(self.md) + u128::from(self.gamma))
-            .saturating_mul(u128::from(d_mem.cycles()));
-        let n = jobs_within(t.cycles(), r_l.cycles(), c, period);
-        let (lo, hi) = term_interval(n, period, r_l.cycles(), c);
-        let cout_cap = match mode {
-            PersistenceMode::Oblivious => self.cost,
-            PersistenceMode::Aware => {
-                let md_hat = |jobs| demand::md_hat_parts(self.md, self.md_r, self.pcb_len, jobs);
-                let d_md_hat = match md_hat(n.saturating_add(1)) {
-                    u64::MAX => self.md,
-                    next => next - md_hat(n),
-                };
-                let d_cpro = match cpro::cpro(self.overlap, n.saturating_add(1)) {
-                    u64::MAX => self.overlap,
-                    next => next - cpro::cpro(self.overlap, n),
-                };
-                self.cost
-                    .min(d_md_hat.saturating_add(d_cpro).saturating_add(self.gamma))
-            }
-        };
-        let full_jobs = match mode {
-            PersistenceMode::Oblivious => n.saturating_mul(self.cost),
-            PersistenceMode::Aware => {
-                let oblivious = n.saturating_mul(self.md);
-                let persistent = demand::md_hat_parts(self.md, self.md_r, self.pcb_len, n)
-                    .saturating_add(cpro::cpro(self.overlap, n));
-                oblivious
-                    .min(persistent)
-                    .saturating_add(n.saturating_mul(self.gamma))
-            }
-        };
-        BaoTerm {
-            full_jobs,
-            cap: self.cost.min(cout_cap),
-            r: r_l,
-            sub: c.saturating_add(u128::from(n) * u128::from(period)),
-            lo,
-            hi,
+/// Derives member `l`'s [`BaoTerm`] for level `k` around window `t` at
+/// its estimate `r_l`: the `N`-determined charges exactly as
+/// [`crate::spec::bao`] derives them, plus the `N`-interval they hold on.
+/// `γ_{k,l}` and the CPRO overlap of `l` within `k`'s window depend on `k`
+/// only through the split on `l`'s core, so every level with the same
+/// split derives the same term (DESIGN.md §17).
+///
+/// Every charge saturates upward: a value past `u64` becomes
+/// `u64::MAX`, never a smaller number. `N` is exact (see
+/// [`jobs_within`]), and where `M̂D(N + 1)` or `ρ̂(N + 1)` saturates,
+/// the cap takes the largest increment the term can have — `MD_l`
+/// (`M̂D` grows by at most `MD` per job) and the per-job overlap —
+/// instead of a difference of saturated values.
+fn term(
+    ctx: &AnalysisContext<'_>,
+    k: TaskId,
+    l: TaskId,
+    t: Time,
+    r_l: Time,
+    mode: PersistenceMode,
+) -> BaoTerm {
+    let cols = ctx.columns();
+    let [md, md_r, pcb_len, period] =
+        [&cols.md, &cols.md_r, &cols.pcb_len, &cols.period].map(|col| col[l.index()]);
+    let (gamma, overlap) = (ctx.gamma(k, l), ctx.cpro_overlap(l, k));
+    // The per-job bus charge `MD_l + γ_{k,l}`, and its bus time.
+    let cost = md.saturating_add(gamma);
+    let c = (u128::from(md) + u128::from(gamma)).saturating_mul(u128::from(ctx.d_mem().cycles()));
+    let n = jobs_within(t.cycles(), r_l.cycles(), c, period);
+    let (lo, hi) = term_interval(n, period, r_l.cycles(), c);
+    let md_hat = |jobs| demand::md_hat_parts(md, md_r, pcb_len, jobs);
+    let (full_jobs, cap) = match mode {
+        PersistenceMode::Oblivious => (n.saturating_mul(cost), cost),
+        PersistenceMode::Aware => {
+            let d_md_hat = match md_hat(n.saturating_add(1)) {
+                u64::MAX => md,
+                next => next - md_hat(n),
+            };
+            let d_cpro = match cpro::cpro(overlap, n.saturating_add(1)) {
+                u64::MAX => overlap,
+                next => next - cpro::cpro(overlap, n),
+            };
+            let persistent = md_hat(n).saturating_add(cpro::cpro(overlap, n));
+            let full_jobs = n
+                .saturating_mul(md)
+                .min(persistent)
+                .saturating_add(n.saturating_mul(gamma));
+            (
+                full_jobs,
+                cost.min(d_md_hat.saturating_add(d_cpro).saturating_add(gamma)),
+            )
         }
+    };
+    BaoTerm {
+        full_jobs,
+        cap,
+        r: r_l,
+        sub: c.saturating_add(u128::from(n) * u128::from(period)),
+        lo,
+        hi,
     }
 }
 
-/// `BAO` (Eq. (3), Lemma 2) — for one fixed `(level, core)`, *both*
-/// priority bands and *both* carry-out modes — restricted to a window
+/// `BAO` (Eq. (3), Lemma 2) — for one remote core and every level with
+/// one split on it, *both* priority bands and *both* carry-out modes —
+/// restricted to a window
 /// interval on which every member's full-job count `N` (Eq. (6)) is
 /// constant.
 ///
@@ -300,7 +227,9 @@ impl BaoMember {
 /// phase and the Exact refine phase of the WCRT solver. When the window
 /// leaves the span or a member's response-time estimate moves,
 /// [`BaoSegment::refresh`] re-derives only the affected members' terms.
-#[derive(Debug, Clone)]
+/// The default segment is empty: it covers no window, so every lookup
+/// misses until the first [`BaoSegment::refresh`].
+#[derive(Debug, Clone, Default)]
 pub struct BaoSegment {
     /// Maximal window interval — containing the seed `t` — on which the
     /// stored terms are valid (the intersection of the members'
@@ -317,55 +246,42 @@ pub struct BaoSegment {
     capped: (u64, u64),
 }
 
-impl Default for BaoSegment {
-    fn default() -> Self {
-        BaoSegment::new()
-    }
-}
-
 impl BaoSegment {
-    /// An empty segment covering no window (every lookup misses until the
-    /// first [`BaoSegment::refresh`]).
-    #[must_use]
-    pub fn new() -> Self {
-        BaoSegment {
-            span: Span::EMPTY,
-            terms: Vec::new(),
-            split: 0,
-            capped: (0, 0),
-        }
-    }
-
     /// Returns the segment to its freshly-constructed state — empty span,
     /// no terms — while keeping the term storage. Every subsequent lookup
     /// misses until the first [`BaoSegment::refresh`], which is exactly
     /// what a segment recycled onto a *different* task set needs: stale
     /// terms must never be served, but their allocation is still good.
     pub fn reset(&mut self) {
-        self.span = Span::EMPTY;
+        self.span = Span::default();
         self.terms.clear();
         self.split = 0;
         self.capped = (0, 0);
     }
 
-    /// Rebuilds every term in place around window length `t`: one walk
-    /// over the precomputed `members`. The term storage is reused —
-    /// steady-state rebuilds allocate nothing.
+    /// Rebuilds every term in place for level `level` around window
+    /// length `t`: one walk over `on_core`, the remote core's task ids in
+    /// id order, whose first `split` entries (the ids `≤ level`; ids are
+    /// priority order) form the `hep(level)` band and the rest the
+    /// `lp(level)` band. The term storage is reused — steady-state
+    /// rebuilds allocate nothing.
+    #[allow(clippy::too_many_arguments)]
     pub fn rebuild(
         &mut self,
-        members: &BaoMembers,
+        ctx: &AnalysisContext<'_>,
+        level: TaskId,
+        on_core: &[TaskId],
+        split: usize,
         t: Time,
         resp: &[Time],
-        d_mem: Time,
         mode: PersistenceMode,
     ) {
         self.terms.clear();
-        self.split = members.split;
+        self.split = split;
         self.terms.extend(
-            members
-                .members
+            on_core
                 .iter()
-                .map(|m| m.term(t, resp[m.idx], d_mem, mode)),
+                .map(|&l| term(ctx, level, l, t, resp[l.index()], mode)),
         );
         self.commit(t);
     }
@@ -375,24 +291,29 @@ impl BaoSegment {
     /// term is kept verbatim when its member's response time is unchanged
     /// and `t` still lies in the member's own `N`-interval. A typical span
     /// exit crosses one member's period boundary, so this costs one term
-    /// derivation plus a cheap scan — not a full rebuild.
+    /// derivation plus a cheap scan — not a full rebuild. The arguments
+    /// are [`BaoSegment::rebuild`]'s; `level` may differ from the level
+    /// the kept terms were derived at as long as the split is the same.
+    #[allow(clippy::too_many_arguments)]
     pub fn refresh(
         &mut self,
-        members: &BaoMembers,
+        ctx: &AnalysisContext<'_>,
+        level: TaskId,
+        on_core: &[TaskId],
+        split: usize,
         t: Time,
         resp: &[Time],
-        d_mem: Time,
         mode: PersistenceMode,
     ) {
-        if self.terms.len() != members.members.len() || self.split != members.split {
-            self.rebuild(members, t, resp, d_mem, mode);
+        if self.terms.len() != on_core.len() || self.split != split {
+            self.rebuild(ctx, level, on_core, split, t, resp, mode);
             return;
         }
         let tc = t.cycles();
-        for (term, m) in self.terms.iter_mut().zip(&members.members) {
-            let r_l = resp[m.idx];
-            if r_l != term.r || tc < term.lo || term.hi < tc {
-                *term = m.term(t, r_l, d_mem, mode);
+        for (slot, &l) in self.terms.iter_mut().zip(on_core) {
+            let r_l = resp[l.index()];
+            if r_l != slot.r || tc < slot.lo || slot.hi < tc {
+                *slot = term(ctx, level, l, t, r_l, mode);
             }
         }
         self.commit(t);
@@ -510,7 +431,7 @@ mod tests {
     }
 
     /// The engine's segment for level `k` on core `y` around window `t`:
-    /// the slot's members refilled, then one rebuild.
+    /// one rebuild.
     fn segment(
         ctx: &AnalysisContext<'_>,
         k: TaskId,
@@ -519,17 +440,18 @@ mod tests {
         resp: &[Time],
         mode: PersistenceMode,
     ) -> BaoSegment {
-        let mut seg = BaoSegment::new();
-        seg.rebuild(&members(ctx, k, y), t, resp, ctx.d_mem(), mode);
+        let (on_core, split) = band(ctx, k, y);
+        let mut seg = BaoSegment::default();
+        seg.rebuild(ctx, k, &on_core, split, t, resp, mode);
         seg
     }
 
-    fn members(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId) -> BaoMembers {
+    /// Core `y`'s task ids in id order and the split of level `k` on it.
+    fn band(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId) -> (Vec<TaskId>, usize) {
         let tasks = ctx.tasks();
         let on_core: Vec<TaskId> = tasks.ids().filter(|&l| tasks[l].core() == y).collect();
-        let mut members = BaoMembers::default();
-        members.refill_on(ctx, k, &on_core);
-        members
+        let split = on_core.iter().filter(|l| l.index() <= k.index()).count();
+        (on_core, split)
     }
 
     /// The engine's `(hep, lower)` pair at `t`, from a segment built there.
@@ -783,12 +705,12 @@ mod tests {
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
                     for mode in MODES {
-                        let members = members(&ctx, k, y);
-                        let mut seg = BaoSegment::new();
+                        let (on_core, split) = band(&ctx, k, y);
+                        let mut seg = BaoSegment::default();
                         // Empty → falls back to a rebuild.
-                        seg.refresh(&members, t, &resp, ctx.d_mem(), mode);
+                        seg.refresh(&ctx, k, &on_core, split, t, &resp, mode);
                         // Incremental: window and one response time move.
-                        seg.refresh(&members, t2, &resp2, ctx.d_mem(), mode);
+                        seg.refresh(&ctx, k, &on_core, split, t2, &resp2, mode);
                         let fresh = segment(&ctx, k, y, t2, &resp2, mode);
                         prop_assert_eq!(seg.span, fresh.span, "k={:?} y={:?} {:?}", k, y, mode);
                         for carry in CARRIES {

@@ -8,13 +8,6 @@ use cpa_model::{TaskId, Time};
 
 use crate::{cpro, demand, AnalysisContext};
 
-/// `E_j(t) = ⌈t / T_j⌉`: maximum jobs of `τj` released in a window of
-/// length `t` (Lemma 1).
-#[must_use]
-pub fn releases(t: Time, period: Time) -> u64 {
-    t.div_ceil(period)
-}
-
 /// Everything [`same_core_terms`] derives from one walk over `τi`'s
 /// same-core higher-priority tasks at one window length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +57,8 @@ pub fn same_core_terms(
     };
     for &j in hp {
         let jx = j.index();
-        let period = Time::from_cycles(cols.period[jx]);
-        let e = releases(t, period);
+        // E_j(t) = ⌈t / T_j⌉, the releases of Lemma 1.
+        let e = t.div_ceil(Time::from_cycles(cols.period[jx]));
         // Same-core preemption interference of Eq. (19).
         terms.interference = terms
             .interference
@@ -173,7 +166,7 @@ mod tests {
         let t2 = tasks.id_of("tau2").unwrap();
         // A window with exactly 3 releases of τ1 (period 20): t ∈ (40, 60].
         let window = Time::from_cycles(60);
-        assert_eq!(releases(window, Time::from_cycles(20)), 3);
+        assert_eq!(spec::releases(window, Time::from_cycles(20)), 3);
         let terms = terms(&ctx, t2, window);
         // Eq. (12): BAS_2^x = 8 + 3·(6 + 2) = 32.
         assert_eq!(terms.bas_oblivious, 32);

@@ -42,17 +42,8 @@ impl BusPolicy {
     }
 
     /// Parses a [`BusPolicy::label`] back into a policy, instantiating the
-    /// slotted policies with `slots`. The inverse of `label` for every
-    /// policy (labels deliberately drop the slot count); `None` for
-    /// unknown labels and for RR/TDMA with zero slots (the paper requires
-    /// `s ≥ 1`; see [`BusPolicy::try_parse`] for the reason).
-    #[must_use]
-    pub fn parse(label: &str, slots: u64) -> Option<BusPolicy> {
-        BusPolicy::try_parse(label, slots).ok()
-    }
-
-    /// [`BusPolicy::parse`] with a diagnostic naming why a label was
-    /// rejected, for command-line and request errors.
+    /// slotted policies with `slots`: the inverse of `label` for every
+    /// policy (labels deliberately drop the slot count).
     ///
     /// # Errors
     ///
@@ -160,45 +151,19 @@ pub struct AnalysisConfig {
     pub bus: BusPolicy,
     /// Whether cache persistence is exploited.
     pub persistence: PersistenceMode,
-    /// Safety cap on inner fixed-point iterations per task.
-    pub max_inner_iterations: u32,
     /// Safety cap on outer iterations over the whole task set.
     pub max_outer_iterations: u32,
 }
 
 impl AnalysisConfig {
-    /// Creates a configuration with default iteration caps.
+    /// Creates a configuration with the default outer iteration cap.
     #[must_use]
     pub fn new(bus: BusPolicy, persistence: PersistenceMode) -> Self {
         AnalysisConfig {
             bus,
             persistence,
-            max_inner_iterations: 100_000,
             max_outer_iterations: 1_000,
         }
-    }
-
-    /// All six policy × persistence combinations the paper evaluates, for
-    /// the given RR/TDMA slot count, in the order FP / RR / TDMA ×
-    /// oblivious-first.
-    #[must_use]
-    pub fn paper_matrix(slots: u64) -> Vec<AnalysisConfig> {
-        let buses = BusPolicy::paper_buses(slots);
-        let modes = [PersistenceMode::Oblivious, PersistenceMode::Aware];
-        buses
-            .iter()
-            .flat_map(|&bus| {
-                modes
-                    .iter()
-                    .map(move |&persistence| AnalysisConfig::new(bus, persistence))
-            })
-            .collect()
-    }
-}
-
-impl fmt::Display for AnalysisConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.bus, self.persistence)
     }
 }
 
@@ -213,8 +178,6 @@ mod tests {
         assert_eq!(BusPolicy::Tdma { slots: 1 }.to_string(), "TDMA(s=1)");
         assert_eq!(BusPolicy::Perfect.to_string(), "perfect");
         assert_eq!(PersistenceMode::Aware.to_string(), "aware");
-        let cfg = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Oblivious);
-        assert_eq!(cfg.to_string(), "FP/oblivious");
     }
 
     #[test]
@@ -225,17 +188,16 @@ mod tests {
             BusPolicy::Tdma { slots: 3 },
             BusPolicy::Perfect,
         ] {
-            assert_eq!(BusPolicy::parse(bus.label(), 3), Some(bus));
+            assert_eq!(BusPolicy::try_parse(bus.label(), 3), Ok(bus));
         }
-        assert_eq!(BusPolicy::parse("bogus", 2), None);
+        assert!(BusPolicy::try_parse("bogus", 2).is_err());
         // Slotted policies need s ≥ 1; the others ignore the count.
-        assert_eq!(BusPolicy::parse("rr", 0), None);
-        assert_eq!(BusPolicy::parse("tdma", 0), None);
-        assert_eq!(BusPolicy::parse("fp", 0), Some(BusPolicy::FixedPriority));
-        assert_eq!(BusPolicy::parse("perfect", 0), Some(BusPolicy::Perfect));
+        assert!(BusPolicy::try_parse("rr", 0).is_err());
         assert!(BusPolicy::try_parse("tdma", 0)
             .unwrap_err()
             .contains("at least one slot"));
+        assert_eq!(BusPolicy::try_parse("fp", 0), Ok(BusPolicy::FixedPriority));
+        assert_eq!(BusPolicy::try_parse("perfect", 0), Ok(BusPolicy::Perfect));
         assert_eq!(
             BusPolicy::paper_buses(2).map(|b| b.label()),
             ["fp", "rr", "tdma"]
@@ -258,22 +220,6 @@ mod tests {
             BusPolicy::Tdma { slots: 2 },
         ] {
             assert!(policy.charges_blocking());
-        }
-    }
-
-    #[test]
-    fn paper_matrix_covers_all_six() {
-        let m = AnalysisConfig::paper_matrix(2);
-        assert_eq!(m.len(), 6);
-        assert!(m
-            .iter()
-            .any(|c| c.bus == BusPolicy::Tdma { slots: 2 }
-                && c.persistence == PersistenceMode::Aware));
-        // No duplicates.
-        for (a, i) in m.iter().zip(0..) {
-            for b in &m[i + 1..] {
-                assert_ne!(a, b);
-            }
         }
     }
 }

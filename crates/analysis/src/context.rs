@@ -43,10 +43,9 @@ pub struct AnalysisContext<'a> {
 /// arrays indexed by task id.
 ///
 /// The [`cpa_model::Task`] record interleaves these hot words with cold
-/// data (the name string, three cache block sets), so the fused BAS/BAO
-/// walks of [`crate::bas::same_core_terms`] and
-/// [`crate::bao::BaoMembers`] striding over `&TaskSet` touch one cache
-/// line per scalar read. The columns pack each scalar contiguously —
+/// data (the name string, three cache block sets), so the BAS/BAO walks
+/// of [`crate::bas::same_core_terms`] and [`crate::bao::BaoSegment`]
+/// striding over `&TaskSet` would touch one cache line per scalar read. The columns pack each scalar contiguously —
 /// walking a core's eight tasks reads eight adjacent words per field,
 /// which both caches well and lets the release-count loops vectorize.
 /// Filled once per context build (`O(n)`, recycled via

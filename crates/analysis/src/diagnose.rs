@@ -66,8 +66,6 @@ impl std::fmt::Display for DominantTerm {
 /// equals `BAT_i^x(window)` ([`crate::spec::bat`], exact carry-out).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermDecomposition {
-    /// The window length the decomposition was evaluated at.
-    pub window: Time,
     /// BAS share: own-core memory demand net of the CRPD/CPRO shares.
     pub bas_accesses: u64,
     /// BAO share: cross-core accesses after the policy-specific caps.

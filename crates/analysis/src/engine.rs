@@ -21,7 +21,7 @@
 //!    is the costly term, so the engine caches it as
 //!    [`crate::bao::BaoSegment`]s — one segment per remote core `y` and
 //!    split `s` (the number of tasks on `y` with id ≤ the level; a slot's
-//!    members depend on the level only through `s`, DESIGN.md §17)
+//!    terms depend on the level only through `s`, DESIGN.md §17)
 //!    serving every level with that split, both priority bands and both
 //!    carry-out modes: per-member terms valid on a whole period-scale
 //!    `N`-interval, re-evaluated in a few operations per hit (no band
@@ -50,30 +50,22 @@
 
 use cpa_model::{CoreId, TaskId, Time};
 
-use crate::bao::{BaoMembers, BaoSegment, CarryOut};
+use crate::bao::{BaoSegment, CarryOut};
 use crate::diagnose::TermDecomposition;
 use crate::wcrt::{self, AnalysisResult};
 use crate::{bas, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 
 /// One memoized `BAO` slot for a fixed `(core, split)` key — remote core
 /// `y` and split `s`, the number of tasks on `y` with id ≤ the queried
-/// level. Every level with the same split on `y` has identical members
+/// level. Every level with the same split on `y` derives identical terms
 /// (γ(k,l) and the CPRO overlap(l,k) depend on the level `k` only
-/// through `s`), so they all share the slot: the
-/// precomputed member statics of both priority bands plus the most
-/// recently built [`BaoSegment`]. When the window leaves the segment's
-/// span or a response time on the remote core moves (tracked by the
-/// stamped core version), [`BaoSegment::refresh`] re-derives only the
-/// members actually affected — a full rebuild happens once, on first
-/// touch.
+/// through `s`), so they all share the slot: a segment plus the core
+/// version it was built against. When the window leaves the segment's
+/// span or a response time on the remote core moves (the stamp no longer
+/// matches), [`BaoSegment::refresh`] re-derives only the terms actually
+/// affected — a full rebuild happens once, on first touch.
 #[derive(Debug, Clone, Default)]
 struct BaoSlot {
-    /// Window- and response-independent member records, filled on first
-    /// touch and kept for the whole run. Context-dependent, hence
-    /// refilled (in place) on the first touch of every run.
-    members: BaoMembers,
-    /// Whether `members` holds the current run's records.
-    filled: bool,
     /// The most recently built segment for this key.
     seg: BaoSegment,
     /// Core version [`BaoSlot::seg`] was last refreshed against.
@@ -82,104 +74,12 @@ struct BaoSlot {
 
 impl BaoSlot {
     /// Prepares the slot for a run on a (potentially) different task set:
-    /// members marked stale, segment emptied — storage kept. A reset
-    /// slot can never serve stale data: the emptied segment span contains
-    /// no window, so the first lookup always misses and refills.
+    /// segment emptied, storage kept. A reset slot can never serve stale
+    /// data: the emptied segment span contains no window, so the first
+    /// lookup always misses and rebuilds.
     fn reset(&mut self) {
-        self.filled = false;
         self.seg.reset();
         self.stamp = 0;
-    }
-}
-
-/// The engine's `BAO` source: the segment cache over a scratch's slots at
-/// its current estimates; one (incremental) [`BaoSegment::refresh`] on a
-/// miss.
-struct CachedBao<'e, 'ctx, 'a> {
-    ctx: &'ctx AnalysisContext<'a>,
-    resp: &'e [Time],
-    core_version: &'e [u64],
-    /// Slots per remote core, indexed by split.
-    slots: &'e mut [Vec<BaoSlot>],
-    /// Split of every `(level, core)` pair, flat-indexed
-    /// `level · cores + core`.
-    splits: &'e [usize],
-    /// Per-core task ids in id order (walked by
-    /// [`BaoMembers::refill_on`]).
-    on_core: &'e [Vec<TaskId>],
-    /// `(hits, misses)` of the lookups.
-    tally: &'e mut (u64, u64),
-    mode: PersistenceMode,
-    cores: usize,
-}
-
-impl CachedBao<'_, '_, '_> {
-    /// The `(hep, lower)` pair from the `(core, split)` slot of `level`.
-    /// Neither the level itself, the priority band nor the carry-out mode
-    /// is part of the key: one segment's terms serve every level with the
-    /// same split, both bands and both modes (see [`BaoSegment`]), so
-    /// neighbouring FP levels, RR's lowest-level queries, the FP bus's two
-    /// band queries and the Exact refine phase all hit the segments the
-    /// Capped bracket phase filled.
-    fn lookup(&mut self, level: TaskId, core: CoreId, t: Time, carry: CarryOut) -> (u64, u64) {
-        let split = self.splits[level.index() * self.cores + core.index()];
-        let version = self.core_version[core.index()];
-        let ctx = self.ctx;
-        let d_mem = ctx.d_mem();
-        let slot = &mut self.slots[core.index()][split];
-        if slot.stamp == version && slot.seg.span.contains(t) {
-            self.tally.0 += 1;
-            return slot.seg.eval(t, d_mem, carry);
-        }
-        self.tally.1 += 1;
-        if !slot.filled {
-            slot.members
-                .refill_on(ctx, level, &self.on_core[core.index()]);
-            slot.filled = true;
-        }
-        slot.seg
-            .refresh(&slot.members, t, self.resp, d_mem, self.mode);
-        slot.stamp = version;
-        slot.seg.eval(t, d_mem, carry)
-    }
-
-    /// The cross-core access bound of Eq. (7)/(8)/(9) for `τi` in a window
-    /// of length `t`, given its own-core demand `own = BAS_i^x(t)`.
-    fn cross_core(&mut self, bus: BusPolicy, i: TaskId, t: Time, own: u64, carry: CarryOut) -> u64 {
-        let tasks = self.ctx.tasks();
-        let core = tasks[i].core();
-        let remote = (0..self.cores).map(CoreId::new).filter(|&y| y != core);
-        match bus {
-            // Eq. (7): all remote higher-or-equal-priority demand, plus
-            // lower-priority accesses capped at one per own access — both
-            // bands from one pass over the remote cores.
-            BusPolicy::FixedPriority => {
-                let (mut higher, mut lower) = (0u64, 0u64);
-                for y in remote {
-                    let (hep, low) = self.lookup(i, y, t, carry);
-                    higher = higher.saturating_add(hep);
-                    lower = lower.saturating_add(low);
-                }
-                higher.saturating_add(own.min(lower))
-            }
-            // Eq. (8): each remote core contributes at most `slots`
-            // accesses per own access, with BAO at the lowest priority
-            // level (RR ignores priorities).
-            BusPolicy::RoundRobin { slots } => {
-                let level = tasks.lowest_priority_id();
-                let cap = slots.saturating_mul(own);
-                remote.fold(0u64, |total, y| {
-                    total.saturating_add(self.lookup(level, y, t, carry).0.min(cap))
-                })
-            }
-            // Eq. (9): every own access may wait for the other cores'
-            // slots, whatever their demand.
-            BusPolicy::Tdma { slots } => (self.cores as u64)
-                .saturating_sub(1)
-                .saturating_mul(slots)
-                .saturating_mul(own),
-            BusPolicy::Perfect => 0,
-        }
     }
 }
 
@@ -213,9 +113,6 @@ pub struct AnalysisScratch {
     /// Split of every `(level, core)` pair: the number of tasks on the
     /// core with id ≤ the level, flat-indexed `level · cores + core`.
     bao_split: Vec<usize>,
-    /// Window-independent `+1` blocking access per task (policy fact ×
-    /// existence of a same-core lower-priority task).
-    blocking: Vec<u64>,
     /// Task ids per core, in id (= priority) order.
     on_core: Vec<Vec<TaskId>>,
     /// `τi`'s position in its core's `on_core` list — the id list of its
@@ -249,10 +146,9 @@ impl AnalysisScratch {
         self.last_bao
     }
 
-    /// Resets every buffer for a run on `ctx` under a policy that does
-    /// (or does not) charge blocking — clears and refills in place,
-    /// growing only beyond the largest problem seen so far.
-    fn reset(&mut self, ctx: &AnalysisContext<'_>, charges_blocking: bool) {
+    /// Resets every buffer for a run on `ctx` — clears and refills in
+    /// place, growing only beyond the largest problem seen so far.
+    fn reset(&mut self, ctx: &AnalysisContext<'_>) {
         if self.uses > 0 {
             cpa_obs::counter("engine.scratch_reuses").incr();
         }
@@ -261,7 +157,14 @@ impl AnalysisScratch {
         let tasks = ctx.tasks();
         let cores = ctx.platform().cores();
 
-        wcrt::fill_initial_estimates(ctx, &mut self.resp);
+        // Initial estimates `R_i = PD_i + MD_i · d_mem` (§IV), the floor
+        // every monotone outer iteration starts from.
+        let d_mem = ctx.d_mem();
+        self.resp.clear();
+        self.resp.extend(tasks.iter().map(|t| {
+            t.processing_demand()
+                .saturating_add(d_mem.saturating_mul(t.memory_demand()))
+        }));
 
         self.core_version.clear();
         self.core_version.resize(cores, 0);
@@ -294,37 +197,23 @@ impl AnalysisScratch {
                 slot.reset();
             }
         }
-
-        self.blocking.clear();
-        self.blocking.extend(tasks.ids().map(|i| {
-            u64::from(charges_blocking && tasks.lp_on(i, tasks[i].core()).next().is_some())
-        }));
-    }
-
-    /// The `BAO` segment cache over this scratch at its current estimates.
-    fn bao<'s, 'ctx, 'a>(
-        &'s mut self,
-        ctx: &'ctx AnalysisContext<'a>,
-        mode: PersistenceMode,
-        tally: &'s mut (u64, u64),
-    ) -> CachedBao<'s, 'ctx, 'a> {
-        CachedBao {
-            ctx,
-            resp: &self.resp,
-            core_version: &self.core_version,
-            slots: &mut self.bao_slots,
-            splits: &self.bao_split,
-            on_core: &self.on_core,
-            tally,
-            mode,
-            cores: ctx.platform().cores(),
-        }
     }
 
     /// `τi`'s same-core higher-priority tasks, in id order.
     fn hp(&self, ctx: &AnalysisContext<'_>, i: TaskId) -> &[TaskId] {
         let core = ctx.tasks()[i].core().index();
         &self.on_core[core][..self.hp_prefix[i.index()]]
+    }
+
+    /// The `+1` already-in-service blocking access of `τi` (the footnote
+    /// to Eq. (12)): charged when `bus` charges blocking and a
+    /// lower-priority task shares `τi`'s core, i.e. `τi` is not last in
+    /// its core's id list.
+    fn blocking(&self, ctx: &AnalysisContext<'_>, bus: BusPolicy, i: TaskId) -> u64 {
+        let core = ctx.tasks()[i].core().index();
+        u64::from(
+            bus.charges_blocking() && self.hp_prefix[i.index()] + 1 < self.on_core[core].len(),
+        )
     }
 }
 
@@ -351,7 +240,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         config: &'e AnalysisConfig,
         scratch: &'e mut AnalysisScratch,
     ) -> Self {
-        scratch.reset(ctx, config.bus.charges_blocking());
+        scratch.reset(ctx);
         AnalysisEngine {
             ctx,
             config,
@@ -368,6 +257,71 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         self
     }
 
+    /// The `(hep, lower)` pair from the `(core, split)` slot of `level`
+    /// at the current estimates; one (incremental) [`BaoSegment::refresh`]
+    /// on a miss. Neither the level itself, the priority band nor the
+    /// carry-out mode is part of the key: one segment's terms serve every
+    /// level with the same split, both bands and both modes (see
+    /// [`BaoSegment`]), so neighbouring FP levels, RR's lowest-level
+    /// queries, the FP bus's two band queries and the Exact refine phase
+    /// all hit the segments the Capped bracket phase filled.
+    fn lookup(&mut self, level: TaskId, core: CoreId, t: Time, carry: CarryOut) -> (u64, u64) {
+        let (ctx, scratch) = (self.ctx, &mut *self.scratch);
+        let split = scratch.bao_split[level.index() * ctx.platform().cores() + core.index()];
+        let version = scratch.core_version[core.index()];
+        let slot = &mut scratch.bao_slots[core.index()][split];
+        if slot.stamp == version && slot.seg.span.contains(t) {
+            self.bao_tally.0 += 1;
+            return slot.seg.eval(t, ctx.d_mem(), carry);
+        }
+        self.bao_tally.1 += 1;
+        let (on_core, mode) = (&scratch.on_core[core.index()], self.config.persistence);
+        slot.seg
+            .refresh(ctx, level, on_core, split, t, &scratch.resp, mode);
+        slot.stamp = version;
+        slot.seg.eval(t, ctx.d_mem(), carry)
+    }
+
+    /// The cross-core access bound of Eq. (7)/(8)/(9) for `τi` in a window
+    /// of length `t`, given its own-core demand `own = BAS_i^x(t)`.
+    fn cross_core(&mut self, i: TaskId, t: Time, own: u64, carry: CarryOut) -> u64 {
+        let tasks = self.ctx.tasks();
+        let cores = self.ctx.platform().cores();
+        let core = tasks[i].core();
+        let remote = (0..cores).map(CoreId::new).filter(|&y| y != core);
+        match self.config.bus {
+            // Eq. (7): all remote higher-or-equal-priority demand, plus
+            // lower-priority accesses capped at one per own access — both
+            // bands from one pass over the remote cores.
+            BusPolicy::FixedPriority => {
+                let (mut higher, mut lower) = (0u64, 0u64);
+                for y in remote {
+                    let (hep, low) = self.lookup(i, y, t, carry);
+                    higher = higher.saturating_add(hep);
+                    lower = lower.saturating_add(low);
+                }
+                higher.saturating_add(own.min(lower))
+            }
+            // Eq. (8): each remote core contributes at most `slots`
+            // accesses per own access, with BAO at the lowest priority
+            // level (RR ignores priorities).
+            BusPolicy::RoundRobin { slots } => {
+                let level = tasks.lowest_priority_id();
+                let cap = slots.saturating_mul(own);
+                remote.fold(0u64, |total, y| {
+                    total.saturating_add(self.lookup(level, y, t, carry).0.min(cap))
+                })
+            }
+            // Eq. (9): every own access may wait for the other cores'
+            // slots, whatever their demand.
+            BusPolicy::Tdma { slots } => (cores as u64)
+                .saturating_sub(1)
+                .saturating_mul(slots)
+                .saturating_mul(own),
+            BusPolicy::Perfect => 0,
+        }
+    }
+
     /// Eq. (19)'s right-hand side at window length `r`: the fused
     /// same-core walk plus the cross-core step over the cached `BAO`
     /// segments. Agrees pointwise with the literal [`crate::spec`]
@@ -378,13 +332,10 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             PersistenceMode::Oblivious => terms.bas_oblivious,
             PersistenceMode::Aware => terms.bas_aware,
         };
-        let cross = self
-            .scratch
-            .bao(self.ctx, self.config.persistence, &mut self.bao_tally)
-            .cross_core(self.config.bus, i, r, own, carry);
+        let cross = self.cross_core(i, r, own, carry);
         let bus_accesses = own
             .saturating_add(cross)
-            .saturating_add(self.scratch.blocking[i.index()]);
+            .saturating_add(self.scratch.blocking(self.ctx, self.config.bus, i));
         self.ctx.tasks()[i]
             .processing_demand()
             .saturating_add(terms.interference)
@@ -397,27 +348,20 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     /// decomposition is not part of a solve.
     pub(crate) fn decompose(&mut self, i: TaskId, window: Time) -> TermDecomposition {
         let ctx = self.ctx;
-        let mode = self.config.persistence;
-        let scratch = &mut *self.scratch;
-        let terms = bas::same_core_terms(ctx, i, window, scratch.hp(ctx, i));
-        let (own, cpro) = match mode {
+        let terms = bas::same_core_terms(ctx, i, window, self.scratch.hp(ctx, i));
+        let (own, cpro) = match self.config.persistence {
             PersistenceMode::Oblivious => (terms.bas_oblivious, 0),
             PersistenceMode::Aware => (terms.bas_aware, terms.cpro),
         };
-        let bao = scratch.bao(ctx, mode, &mut (0, 0)).cross_core(
-            self.config.bus,
-            i,
-            window,
-            own,
-            CarryOut::Exact,
-        );
+        let tally = self.bao_tally;
+        let bao = self.cross_core(i, window, own, CarryOut::Exact);
+        self.bao_tally = tally;
         TermDecomposition {
-            window,
             bas_accesses: own.saturating_sub(terms.crpd).saturating_sub(cpro),
             bao_accesses: bao,
             cpro_accesses: cpro,
             crpd_accesses: terms.crpd,
-            blocking_accesses: scratch.blocking[i.index()],
+            blocking_accesses: self.scratch.blocking(ctx, self.config.bus, i),
         }
     }
 
@@ -475,10 +419,8 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             for i in tasks.ids() {
                 self.tasks_solved += 1;
                 let start = self.scratch.resp[i.index()];
-                let max_inner = self.config.max_inner_iterations;
-                let solve = wcrt::solve_inner(tasks[i].deadline(), start, max_inner, |r, carry| {
-                    self.rhs(i, r, carry)
-                });
+                let solve =
+                    wcrt::solve_inner(tasks[i].deadline(), start, |r, carry| self.rhs(i, r, carry));
                 inner_iterations[i.index()] += solve.iterations;
                 let Some(r) = solve.bound else {
                     cpa_obs::event!(
@@ -538,30 +480,11 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_with, spec};
-    use cpa_model::{CacheBlockSet, Platform, Priority, Task, TaskSet};
-
-    fn task(name: &str, prio: u32, core: usize, pd: u64, md: u64, md_r: u64, period: u64) -> Task {
-        Task::builder(name)
-            .processing_demand(Time::from_cycles(pd))
-            .memory_demand(md)
-            .residual_memory_demand(md_r)
-            .period(Time::from_cycles(period))
-            .deadline(Time::from_cycles(period))
-            .core(CoreId::new(core))
-            .priority(Priority::new(prio))
-            .ecb(CacheBlockSet::contiguous(256, (prio as usize) * 20, 10))
-            .pcb(CacheBlockSet::contiguous(256, (prio as usize) * 20, 8))
-            .build()
-            .unwrap()
-    }
+    use crate::wcrt::tests::{platform, task};
+    use crate::{analyze, analyze_with};
+    use cpa_model::{Platform, TaskSet};
 
     fn two_core_set() -> (Platform, TaskSet) {
-        let platform = Platform::builder()
-            .cores(2)
-            .memory_latency(Time::from_cycles(20))
-            .build()
-            .unwrap();
         let tasks = TaskSet::new(vec![
             task("a", 1, 0, 100, 20, 2, 4_000),
             task("b", 2, 1, 100, 20, 2, 4_000),
@@ -569,46 +492,17 @@ mod tests {
             task("d", 4, 1, 200, 20, 2, 8_000),
         ])
         .unwrap();
-        (platform, tasks)
-    }
-
-    #[test]
-    fn engine_matches_reference_on_the_worked_set() {
-        let (platform, tasks) = two_core_set();
-        let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
-        for bus in [
-            BusPolicy::FixedPriority,
-            BusPolicy::RoundRobin { slots: 2 },
-            BusPolicy::Tdma { slots: 2 },
-            BusPolicy::Perfect,
-        ] {
-            for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
-                let config = AnalysisConfig::new(bus, mode);
-                let engine = analyze(&ctx, &config);
-                let reference = spec::analyze(&ctx, &config).unwrap();
-                assert_eq!(
-                    engine.response_times(),
-                    reference.response_times(),
-                    "{bus:?} {mode:?}"
-                );
-                assert_eq!(engine.is_schedulable(), reference.is_schedulable());
-                assert_eq!(engine.outer_iterations(), reference.outer_iterations());
-            }
-        }
+        (platform(2, 20), tasks)
     }
 
     #[test]
     fn recycled_scratch_matches_fresh_scratch() {
         // One scratch serving every (bus, mode) combination back to back —
-        // including across a *different* task set in between — must
-        // reproduce the fresh-scratch results exactly.
+        // including across a *different* task set on fewer cores in
+        // between — must reproduce the fresh-scratch results exactly.
         let (platform, tasks) = two_core_set();
         let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
-        let small_platform = Platform::builder()
-            .cores(1)
-            .memory_latency(Time::from_cycles(5))
-            .build()
-            .unwrap();
+        let small_platform = crate::wcrt::tests::platform(1, 5);
         let small_tasks = TaskSet::new(vec![task("only", 1, 0, 50, 4, 1, 1_000)]).unwrap();
         let small_ctx = AnalysisContext::new(&small_platform, &small_tasks).unwrap();
 
@@ -625,14 +519,7 @@ mod tests {
                 // before every measured run: reuse must erase all of it.
                 let _ = analyze_with(&small_ctx, &config, &mut scratch);
                 let recycled = analyze_with(&ctx, &config, &mut scratch);
-                let fresh = analyze(&ctx, &config);
-                assert_eq!(
-                    recycled.response_times(),
-                    fresh.response_times(),
-                    "{bus:?} {mode:?}"
-                );
-                assert_eq!(recycled.is_schedulable(), fresh.is_schedulable());
-                assert_eq!(recycled.outer_iterations(), fresh.outer_iterations());
+                assert_eq!(recycled, analyze(&ctx, &config), "{bus:?} {mode:?}");
             }
         }
     }

@@ -520,23 +520,18 @@ pub fn analyze(
         let mut changed = false;
         for i in tasks.ids() {
             let mut overflow = None;
-            let solve = wcrt::solve_inner(
-                tasks[i].deadline(),
-                resp[i.index()],
-                config.max_inner_iterations,
-                |r, carry| {
-                    if overflow.is_some() {
-                        return r; // a fixed point: the solver stops at once
+            let solve = wcrt::solve_inner(tasks[i].deadline(), resp[i.index()], |r, carry| {
+                if overflow.is_some() {
+                    return r; // a fixed point: the solver stops at once
+                }
+                match fit(spec.rhs(i, r, &resp, config, carry)) {
+                    Ok(next) => Time::from_cycles(next),
+                    Err(e) => {
+                        overflow = Some(e);
+                        r
                     }
-                    match fit(spec.rhs(i, r, &resp, config, carry)) {
-                        Ok(next) => Time::from_cycles(next),
-                        Err(e) => {
-                            overflow = Some(e);
-                            r
-                        }
-                    }
-                },
-            );
+                }
+            });
             if let Some(e) = overflow {
                 return Err(e);
             }

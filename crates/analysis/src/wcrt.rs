@@ -37,25 +37,11 @@ impl AnalysisResult {
         self.schedulable
     }
 
-    /// `true` iff `τi`'s WCRT converged within its deadline — the ergonomic
-    /// form of `response_time(i).is_some()`.
-    #[must_use]
-    pub fn converged(&self, i: TaskId) -> bool {
-        self.response_time(i).is_some()
-    }
-
     /// Per-task totals of inner fixed-point iterations (bracket + refine
     /// steps, summed across every outer sweep), in priority order.
     #[must_use]
     pub fn inner_iteration_counts(&self) -> &[u64] {
         &self.inner_iterations
-    }
-
-    /// Total inner fixed-point iterations spent on one task (see
-    /// [`AnalysisResult::inner_iteration_counts`]).
-    #[must_use]
-    pub fn inner_iterations(&self, i: TaskId) -> u64 {
-        self.inner_iterations.get(i.index()).copied().unwrap_or(0)
     }
 
     /// `true` when the outer loop exhausted
@@ -228,16 +214,9 @@ pub(crate) fn perfect_bus_check(
     None
 }
 
-/// Initial estimates `R_i = PD_i + MD_i · d_mem` (§IV), the floor every
-/// monotone outer iteration starts from, into a recycled buffer.
-pub(crate) fn fill_initial_estimates(ctx: &AnalysisContext<'_>, out: &mut Vec<Time>) {
-    let d_mem = ctx.d_mem();
-    out.clear();
-    out.extend(ctx.tasks().iter().map(|t| {
-        t.processing_demand()
-            .saturating_add(d_mem.saturating_mul(t.memory_demand()))
-    }));
-}
+/// Cap on the bracket steps of one solve; past it the sufficiency test
+/// decides, as for a bracket past the deadline.
+const MAX_INNER_ITERATIONS: u32 = 100_000;
 
 /// Outcome of one per-task inner fixed-point solve: the bound (`None` when
 /// the deadline cannot be met) and the iterations it took (bracket steps +
@@ -276,10 +255,10 @@ pub(crate) struct InnerSolve {
 /// The engine's right-hand side saturates at `u64::MAX`, so a bound there
 /// may stand for a larger one: no deadline admits it, and a task with
 /// `D_i = u64::MAX` is tested against `u64::MAX − 1`.
+/// It opens no span: its phases are counted, not timed (DESIGN.md §9).
 pub(crate) fn solve_inner(
     deadline: Time,
     start: Time,
-    max_inner_iterations: u32,
     mut rhs_at: impl FnMut(Time, CarryOut) -> Time,
 ) -> InnerSolve {
     let deadline = deadline.min(Time::from_cycles(u64::MAX - 1));
@@ -287,19 +266,16 @@ pub(crate) fn solve_inner(
     let mut r = start;
     let mut bracket = None;
     let mut iterations = 0u64;
-    {
-        let _span = cpa_obs::span!("wcrt.bracket");
-        for _ in 0..max_inner_iterations {
-            iterations += 1;
-            let next = rhs_at(r, CarryOut::Capped);
-            if next == r {
-                bracket = Some(r);
-                break;
-            }
-            r = next;
-            if r > deadline {
-                break;
-            }
+    for _ in 0..MAX_INNER_ITERATIONS {
+        iterations += 1;
+        let next = rhs_at(r, CarryOut::Capped);
+        if next == r {
+            bracket = Some(r);
+            break;
+        }
+        r = next;
+        if r > deadline {
+            break;
         }
     }
 
@@ -309,7 +285,6 @@ pub(crate) fn solve_inner(
         iterations: &mut u64,
         rhs_at: &mut F,
     ) -> Time {
-        let _span = cpa_obs::span!("wcrt.refine");
         for _ in 0..REFINE_STEPS {
             *iterations += 1;
             let next = rhs_at(r, CarryOut::Exact);
@@ -335,12 +310,12 @@ pub(crate) fn solve_inner(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::PersistenceMode;
     use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet};
 
-    fn platform(cores: usize, d_mem: u64) -> Platform {
+    pub fn platform(cores: usize, d_mem: u64) -> Platform {
         Platform::builder()
             .cores(cores)
             .memory_latency(Time::from_cycles(d_mem))
@@ -348,13 +323,14 @@ mod tests {
             .unwrap()
     }
 
-    fn task(name: &str, prio: u32, core: usize, pd: u64, md: u64, md_r: u64, period: u64) -> Task {
+    /// A task with `D = T = t`, 10 ECBs and 8 PCBs placed by priority.
+    pub fn task(name: &str, prio: u32, core: usize, pd: u64, md: u64, md_r: u64, t: u64) -> Task {
         Task::builder(name)
             .processing_demand(Time::from_cycles(pd))
             .memory_demand(md)
             .residual_memory_demand(md_r)
-            .period(Time::from_cycles(period))
-            .deadline(Time::from_cycles(period))
+            .period(Time::from_cycles(t))
+            .deadline(Time::from_cycles(t))
             .core(CoreId::new(core))
             .priority(Priority::new(prio))
             .ecb(CacheBlockSet::contiguous(256, (prio as usize) * 20, 10))
@@ -570,13 +546,13 @@ mod tests {
         assert!(!res.hit_outer_iteration_cap());
         assert_eq!(res.inner_iteration_counts().len(), 2);
         for i in ts.ids() {
-            assert!(res.converged(i), "{i:?}");
+            assert!(res.response_time(i).is_some(), "{i:?}");
             // Every task needs at least one bracket step per outer sweep.
-            assert!(res.inner_iterations(i) >= u64::from(res.outer_iterations()));
+            let inner = res.inner_iteration_counts()[i.index()];
+            assert!(inner >= u64::from(res.outer_iterations()));
         }
         // Out-of-range ids degrade gracefully.
-        assert!(!res.converged(TaskId::new(99)));
-        assert_eq!(res.inner_iterations(TaskId::new(99)), 0);
+        assert_eq!(res.response_time(TaskId::new(99)), None);
     }
 
     #[test]
@@ -593,8 +569,15 @@ mod tests {
             &AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware),
         );
         assert!(!res.is_schedulable());
-        assert!(res.converged(TaskId::new(0)));
-        assert!(!res.converged(TaskId::new(1)));
+        // A deadline miss, not an exhausted outer loop.
+        assert!(!res.hit_outer_iteration_cap());
+        // The miss shows in the per-task slice: hi bounded, lo not, and the
+        // iterations spent on lo before it failed are still counted.
+        let resp = res.response_times();
+        assert_eq!(resp.len(), 2);
+        assert!(resp[0].is_some());
+        assert_eq!(resp[1], None);
+        assert!(res.inner_iteration_counts()[1] > 0);
     }
 
     #[test]
@@ -621,7 +604,7 @@ mod tests {
         assert!(!res.is_schedulable());
         assert!(res.hit_outer_iteration_cap());
         assert_eq!(res.outer_iterations(), 1);
-        assert!(ts.ids().all(|i| !res.converged(i)));
+        assert!(res.response_times().iter().all(Option::is_none));
         assert!(cap_hits.get() > before, "cap hit must bump the counter");
         let events = cpa_obs::take_events();
         let warn = events

@@ -1,14 +1,18 @@
-//! Property pin for the engine's `BAO` slot key (DESIGN.md §17): the
-//! member records of level `k` on remote core `y` depend on `k` only
-//! through the split — the number of tasks on `y` with id ≤ `k`. So
-//! [`BaoMembers::refill_on`] must fill identical records for every two levels
-//! with the same split on `y`, whatever core the levels themselves sit on,
+//! Property pin for the engine's `BAO` slot key (DESIGN.md §17): a
+//! segment term for member `l` of remote core `y` reads the level `k`
+//! only through `ctx.gamma(k, l)` and `ctx.cpro_overlap(l, k)`, and both
+//! depend on `k` only through the split — the number of tasks on `y`
+//! with id ≤ `k`. So the two tables must agree for every two levels with
+//! the same split on `y`, whatever core the levels themselves sit on,
 //! under every [`CrpdApproach`]. The engine shares one cached slot between
-//! all of them; this is the identity that makes the sharing sound.
+//! all of them and refreshes its terms at whichever of those levels is
+//! queried; this is the identity that makes both sound.
 
-use cpa_analysis::bao::BaoMembers;
-use cpa_analysis::{AnalysisContext, CrpdApproach};
-use cpa_model::{CacheGeometry, Platform, TaskId, TaskSet};
+use cpa_analysis::bao::{BaoSegment, CarryOut, PriorityBand};
+use cpa_analysis::{
+    analyze, spec, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
+};
+use cpa_model::{CacheGeometry, CoreId, Platform, TaskId, TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -40,37 +44,42 @@ fn generate(seed: u64, cores: usize, tasks_per_core: usize, util: f64) -> (TaskS
     (tasks, platform)
 }
 
+/// Every `(core y, y's ids, split, first level, later level)` whose two
+/// levels share a split on `y`. Levels in id order have non-decreasing
+/// splits, so each split's levels form one run; every level is paired
+/// with its run's first.
+fn shared_splits(
+    tasks: &TaskSet,
+    cores: usize,
+) -> Vec<(CoreId, Vec<TaskId>, usize, TaskId, TaskId)> {
+    let mut pairs = Vec::new();
+    for y in (0..cores).map(CoreId::new) {
+        let on_core: Vec<TaskId> = tasks.ids().filter(|&l| tasks[l].core() == y).collect();
+        let mut first: Option<(usize, TaskId)> = None;
+        for k in tasks.ids() {
+            let split = on_core.iter().filter(|l| l.index() <= k.index()).count();
+            match first {
+                Some((s, k0)) if s == split => pairs.push((y, on_core.clone(), split, k0, k)),
+                _ => first = Some((split, k)),
+            }
+        }
+    }
+    pairs
+}
+
 /// Checks every core of `tasks` under `approach`; returns how many level
 /// pairs shared a split (so callers can assert the check is not vacuous).
 fn check_split_identity(tasks: &TaskSet, platform: &Platform, approach: CrpdApproach) -> usize {
     let ctx = AnalysisContext::with_crpd_approach(platform, tasks, approach).expect("context");
-    let mut shared = 0;
-    for y in 0..platform.cores() {
-        let on_core: Vec<TaskId> = tasks
-            .ids()
-            .filter(|&l| tasks[l].core().index() == y)
-            .collect();
-        // Levels in id order have non-decreasing splits, so each split's
-        // levels form one run; compare every level against the run's
-        // first.
-        let mut first: Option<(usize, TaskId, _)> = None;
-        for k in tasks.ids() {
-            let mut members = BaoMembers::default();
-            members.refill_on(&ctx, k, &on_core);
-            let split = on_core.iter().filter(|l| l.index() <= k.index()).count();
-            match &first {
-                Some((s, k0, m0)) if *s == split => {
-                    assert_eq!(
-                        &members, m0,
-                        "{approach:?}: core {y} levels {k0:?} and {k:?} share split {split}"
-                    );
-                    shared += 1;
-                }
-                _ => first = Some((split, k, members)),
-            }
+    let pairs = shared_splits(tasks, platform.cores());
+    for (_, on_core, split, k0, k) in &pairs {
+        for &l in on_core {
+            let tables = |k| (ctx.gamma(k, l), ctx.cpro_overlap(l, k));
+            let tag = format!("{approach:?}: member {l:?}, split {split}");
+            assert_eq!(tables(*k), tables(*k0), "{tag}, levels {k:?} and {k0:?}");
         }
     }
-    shared
+    pairs.len()
 }
 
 proptest! {
@@ -103,5 +112,39 @@ fn paper_default_sets_share_members_per_split() {
         // distinct splits: 0..=8 on the three cores without the top
         // priority task, 1..=8 on the core that has it.
         assert_eq!(check_split_identity(&tasks, &platform, approach), 128 - 35);
+    }
+}
+
+/// What the engine does with the identity: a segment built at one level,
+/// then refreshed at another with the same split after a window move and
+/// an estimate move, equals the literal `BAO` of the first level.
+#[test]
+fn segment_refreshed_at_one_level_matches_the_spec_at_another() {
+    let (tasks, platform) = generate(7, 4, 8, 0.5);
+    let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
+    let config = AnalysisConfig::new(BusPolicy::FixedPriority, PersistenceMode::Aware);
+    let result = analyze(&ctx, &config);
+    let resp: Vec<Time> = tasks
+        .ids()
+        .map(|i| result.response_time(i).unwrap_or(tasks[i].deadline()))
+        .collect();
+    let mut moved = resp.clone();
+    moved[0] = moved[0].saturating_add(Time::from_cycles(1_000));
+    for (y, on_core, split, k0, k) in shared_splits(&tasks, platform.cores()) {
+        let t = tasks[k].deadline();
+        for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
+            let mut seg = BaoSegment::default();
+            seg.rebuild(&ctx, k0, &on_core, split, tasks[k0].deadline(), &resp, mode);
+            seg.refresh(&ctx, k, &on_core, split, t, &moved, mode);
+            for carry in [CarryOut::Exact, CarryOut::Capped] {
+                let spec = |band| spec::bao(&ctx, k0, y, t, &moved, mode, band, carry);
+                let (hep, lower) = seg.eval(t, ctx.d_mem(), carry);
+                assert_eq!(
+                    (Ok(hep), Ok(lower)),
+                    (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
+                    "{y:?} levels {k0:?} -> {k:?} {mode:?} {carry:?}"
+                );
+            }
+        }
     }
 }

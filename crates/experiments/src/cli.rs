@@ -164,19 +164,18 @@ impl Args {
     }
 
     /// The value of a `--slots`-style flag: a slot count the slotted buses
-    /// accept ([`cpa_analysis::BusPolicy::parse`] rejects zero).
+    /// accept (at least one).
     ///
     /// # Errors
     ///
     /// Returns a bad-input [`CliError`] when the value is missing,
     /// malformed or 0.
     pub fn slots_for(&mut self, flag: &str) -> Result<u64, CliError> {
-        let slots = self.value_for(flag)?;
-        match cpa_analysis::BusPolicy::parse("rr", slots) {
-            Some(_) => Ok(slots),
-            None => Err(CliError::bad_input(format!(
-                "{flag}: rr and tdma need at least one slot (got {slots})"
+        match self.value_for(flag)? {
+            0 => Err(CliError::bad_input(format!(
+                "{flag}: rr and tdma need at least one slot (got 0)"
             ))),
+            slots => Ok(slots),
         }
     }
 

@@ -100,8 +100,7 @@ pub fn fig3d(opts: &SweepOptions) -> ExperimentResult {
 /// count `s`.
 fn paper_configs(slots: u64) -> ([AnalysisConfig; 6], [String; 6]) {
     let [fp, rr, tdma] = BusPolicy::paper_buses(slots);
-    // Aware-first per bus (the plotting order of the figure), unlike
-    // `AnalysisConfig::paper_matrix`'s oblivious-first order.
+    // Aware-first per bus: the plotting order of the figure.
     let configs = [
         AnalysisConfig::new(fp, PersistenceMode::Aware),
         AnalysisConfig::new(fp, PersistenceMode::Oblivious),

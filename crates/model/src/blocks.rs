@@ -36,9 +36,37 @@ const WORD_BITS: usize = 64;
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(try_from = "BlockSetData")]
 pub struct CacheBlockSet {
     capacity: usize,
     words: Vec<u64>,
+}
+
+/// Deserialization shadow of [`CacheBlockSet`]. Conversion checks what
+/// every set operation relies on: one word per 64 cache sets and no block
+/// at or past `capacity`.
+#[derive(Deserialize)]
+struct BlockSetData {
+    capacity: usize,
+    words: Vec<u64>,
+}
+
+impl TryFrom<BlockSetData> for CacheBlockSet {
+    type Error = ModelError;
+
+    fn try_from(BlockSetData { capacity, words }: BlockSetData) -> Result<Self, ModelError> {
+        if words.len() != capacity.div_ceil(WORD_BITS) {
+            let words = words.len();
+            return Err(ModelError::MalformedBlockSet { capacity, words });
+        }
+        let set = CacheBlockSet { capacity, words };
+        match set.iter().last() {
+            Some(block) if block >= capacity => {
+                Err(ModelError::BlockOutOfRange { block, capacity })
+            }
+            _ => Ok(set),
+        }
+    }
 }
 
 impl CacheBlockSet {
@@ -561,6 +589,17 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: CacheBlockSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn decoding_rejects_words_that_do_not_fit_the_capacity() {
+        let decode = |json| serde_json::from_str::<CacheBlockSet>(json).map_err(|e| e.to_string());
+        let needs = decode(r#"{"capacity": 0, "words": [1]}"#).unwrap_err();
+        assert!(needs.contains("needs 0 words, got 1"), "{needs}");
+        let past = decode(r#"{"capacity": 10, "words": [1024]}"#).unwrap_err();
+        assert!(past.contains("block 10 out of range"), "{past}");
+        let nine = CacheBlockSet::from_blocks(10, [9]).unwrap();
+        assert_eq!(decode(r#"{"capacity": 10, "words": [512]}"#), Ok(nine));
     }
 
     #[test]

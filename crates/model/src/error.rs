@@ -14,6 +14,13 @@ pub enum ModelError {
         /// The number of cache sets.
         capacity: usize,
     },
+    /// A decoded block set's word count does not match its capacity.
+    MalformedBlockSet {
+        /// The number of cache sets the set claims.
+        capacity: usize,
+        /// The number of 64-bit words it carried.
+        words: usize,
+    },
     /// A required task field was not supplied to the builder.
     MissingField {
         /// Name of the missing builder field.
@@ -55,6 +62,13 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "cache block {block} out of range for {capacity} cache sets"
+                )
+            }
+            ModelError::MalformedBlockSet { capacity, words } => {
+                let needs = capacity.div_ceil(64);
+                write!(
+                    f,
+                    "block set over {capacity} cache sets needs {needs} words, got {words}"
                 )
             }
             ModelError::MissingField { field } => {

@@ -62,7 +62,7 @@ pub use metrics::{Counter, MetricsSnapshot};
 pub use profile::{format_nanos, ProfileNode};
 pub use registry::{
     active, counter, disable, emit, enable, enable_metrics, events_enabled, metrics_snapshot,
-    next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope, scope_state, set_scope,
+    next_scope_epoch, profile_snapshot, reset, restore_scope_state, scope_state, set_scope,
     set_span_path, span_enter, span_path, take_events, timing_enabled, SpanGuard,
 };
 pub use value::FieldValue;

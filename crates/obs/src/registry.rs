@@ -93,12 +93,6 @@ pub fn set_scope(scope: u64) {
     SEQ.with(|s| s.set(0));
 }
 
-/// This thread's current ordering scope.
-#[must_use]
-pub fn scope() -> u64 {
-    SCOPE.with(Cell::get)
-}
-
 /// Saves this thread's ordering state — scope *and* next sequence
 /// number — so an inline parallel region (a pool running its items on
 /// the calling thread) can re-scope per item and then hand the thread
@@ -270,20 +264,20 @@ pub fn span_enter(name: &'static str) -> SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    /// Records the span under the borrowed thread-local path, then pops
+    /// it: one mutex acquisition and a tree walk, no copy of the path.
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let path: Vec<&'static str> = SPAN_PATH.with(|path| {
+        SPAN_PATH.with(|path| {
             let mut path = path.borrow_mut();
-            let snapshot = path.clone();
+            if path.is_empty() {
+                return;
+            }
+            if let Ok(mut profile) = registry().profile.lock() {
+                profile.record(&path, elapsed);
+            }
             path.pop();
-            snapshot
         });
-        if path.is_empty() {
-            return;
-        }
-        if let Ok(mut profile) = registry().profile.lock() {
-            profile.record(&path, elapsed);
-        }
     }
 }

@@ -741,7 +741,7 @@ mod tests {
         let (mut late_picks, mut fallbacks) = (0, 0);
         for bus in ["fp", "rr", "tdma", "perfect"] {
             for mode in [PersistenceMode::Aware, PersistenceMode::Oblivious] {
-                let config = AnalysisConfig::new(BusPolicy::parse(bus, 2).unwrap(), mode);
+                let config = AnalysisConfig::new(BusPolicy::try_parse(bus, 2).unwrap(), mode);
                 for (seed, util) in [(3u64, 0.3), (4, 0.6), (5, 0.9)] {
                     let tag = format!("{bus} {mode:?} seed {seed} util {util}");
                     let (base, platform) = generated(seed, util);

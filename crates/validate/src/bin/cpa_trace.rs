@@ -15,7 +15,7 @@
 //!                    [SINKS]
 //!
 //! SINKS: [--trace FILE] [--metrics FILE] [--json]
-//!        [--export chrome|openmetrics|json] [--export-out FILE]
+//!        [--export chrome|openmetrics] [--export-out FILE]
 //! ```
 //!
 //! `analyze` generates one task set (paper-default profile with the given
@@ -41,11 +41,11 @@
 //! `--metrics FILE` writes the metrics + profile JSON document. Both go
 //! through the shared `cpa_experiments::cli::ObsSinks`.
 //!
-//! `--export chrome|openmetrics|json` renders the run through
-//! `cpa-telemetry`: a Chrome Trace Event / Perfetto JSON document, an
-//! OpenMetrics text exposition, or the stage-breakdown JSON. Chrome and
-//! OpenMetrics exports are byte-deterministic (same seed ⇒ identical
-//! bytes at any `--threads`). With `--export-out FILE` the
+//! `--export chrome|openmetrics` renders the run through
+//! `cpa-telemetry`: a Chrome Trace Event / Perfetto JSON document or an
+//! OpenMetrics text exposition (the stage breakdown is part of the
+//! `--json` report). Both exports are byte-deterministic (same seed ⇒
+//! identical bytes at any `--threads`). With `--export-out FILE` the
 //! export is written beside the normal report; without it the export
 //! document replaces the report on stdout (`cpa-trace sweep --export
 //! chrome > sweep.json`, then open in Perfetto).
@@ -303,7 +303,7 @@ cpa-trace sweep [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 cpa-trace optimize [--seed S] [--cores N] [--tasks-per-core K] [--util U] \
 [--bus fp|rr|tdma|perfect] [--slots K] [--mode aware|oblivious] [--sets N] [--threads T] \
 [SINKS]\n\
-SINKS: [--trace FILE] [--metrics FILE] [--json] [--export chrome|openmetrics|json] \
+SINKS: [--trace FILE] [--metrics FILE] [--json] [--export chrome|openmetrics] \
 [--export-out FILE]";
 
 /// Everything both subcommands share.
@@ -366,10 +366,9 @@ impl TraceOptions {
                 "--json" => opts.json = true,
                 "--export" => {
                     let format: String = args.value_for("--export")?;
-                    if !matches!(format.as_str(), "chrome" | "openmetrics" | "json") {
+                    if !matches!(format.as_str(), "chrome" | "openmetrics") {
                         return Err(CliError::bad_input(format!(
-                            "unknown export format `{format}` (expected chrome, openmetrics, \
-                             or json)"
+                            "unknown export format `{format}` (expected chrome or openmetrics)"
                         )));
                     }
                     opts.export = Some(format);
@@ -478,8 +477,8 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
                     priority: task.priority().level(),
                     wcrt: result.response_time(i).map(|t| t.cycles()),
                     deadline: task.deadline().cycles(),
-                    converged: result.converged(i),
-                    inner_iterations: result.inner_iterations(i),
+                    converged: result.response_time(i).is_some(),
+                    inner_iterations: result.inner_iteration_counts()[i.index()],
                     dominant: d.dominant().label(),
                     bas: d.bas_accesses,
                     bao: d.bao_accesses,
@@ -552,8 +551,12 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
             task.priority().level(),
             wcrt,
             task.deadline().cycles(),
-            if result.converged(i) { "yes" } else { "no" },
-            result.inner_iterations(i),
+            if result.response_time(i).is_some() {
+                "yes"
+            } else {
+                "no"
+            },
+            result.inner_iteration_counts()[i.index()],
             d.dominant().label(),
             shares
         );
@@ -842,7 +845,7 @@ fn finish_run(opts: &TraceOptions) -> Result<RunArtifacts, CliError> {
     // Counters start at zero in this process, so the full snapshot is
     // exactly this run's delta.
     let stages = StageReport::from_parts(&cpa_obs::metrics_snapshot(), &profile);
-    let exported_to_stdout = write_export(opts, &events, &profile, &stages)?;
+    let exported_to_stdout = write_export(opts, &events, &profile)?;
     Ok(RunArtifacts {
         profile,
         stages,
@@ -857,14 +860,12 @@ fn write_export(
     opts: &TraceOptions,
     events: &[cpa_obs::Event],
     profile: &cpa_obs::ProfileNode,
-    stages: &StageReport,
 ) -> Result<bool, CliError> {
     let body = match opts.export.as_deref() {
         None => return Ok(false),
         Some("chrome") => chrome_trace(events, profile),
-        Some("openmetrics") => openmetrics(&cpa_obs::metrics_snapshot()),
-        // The parser admits no format but these three.
-        Some(_json) => format!("{}\n", stages.to_json()),
+        // The parser admits no format but these two.
+        Some(_openmetrics) => openmetrics(&cpa_obs::metrics_snapshot()),
     };
     match &opts.export_out {
         Some(path) => {

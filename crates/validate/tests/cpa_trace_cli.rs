@@ -141,10 +141,13 @@ fn unknown_subcommand_exits_with_usage() {
 
 #[test]
 fn export_rejects_unknown_formats_before_running() {
-    assert_usage_error(
-        &["sweep", "--export", "protobuf"],
-        "unknown export format `protobuf`",
-    );
+    // `json` is not an export: the stage breakdown is part of `--json`.
+    for format in ["protobuf", "json"] {
+        assert_usage_error(
+            &["sweep", "--export", format],
+            &format!("unknown export format `{format}`"),
+        );
+    }
 }
 
 #[test]
