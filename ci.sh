@@ -29,6 +29,9 @@ cargo test --locked --offline --release --manifest-path perfbench/Cargo.toml
 echo "==> engine_equivalence smoke (engine vs literal spec, all policy x mode combos)"
 cargo test -q -p cpa-analysis --release --test engine_equivalence
 
+echo "==> config_dominance smoke (a dominating configuration bounds the dominated one)"
+cargo test -q -p cpa-analysis --release --test config_dominance
+
 echo "==> bao_split smoke (levels sharing a split read the same gamma and CPRO overlap)"
 cargo test -q -p cpa-analysis --release --test bao_split
 
@@ -111,6 +114,17 @@ cargo run --release -p cpa-experiments --bin run_experiments -- \
   --quick --threads 4 --out ci-threads-4 fig2 fig3b fig3d ablation gain > /dev/null
 diff -r ci-threads-1 ci-threads-4
 rm -rf ci-threads-1 ci-threads-4
+
+echo "==> paper-scale reproduction (the README's three commands at --threads 2) == results/*.csv"
+rm -rf ci-repro
+cargo run --release -p cpa-experiments --bin run_experiments -- \
+  --sets 1000 --threads 2 --out ci-repro fig2 table1 > /dev/null
+cargo run --release -p cpa-experiments --bin run_experiments -- \
+  --sets 200 --threads 2 --out ci-repro fig3a fig3b fig3c fig3d > /dev/null
+cargo run --release -p cpa-experiments --bin run_experiments -- \
+  --sets 200 --threads 2 --out ci-repro ablation gain > /dev/null
+diff -r --exclude=perfbench_floor.json results ci-repro
+rm -rf ci-repro
 
 echo "==> perfbench floor (5 s per workload: outputs correct, digest and items_per_s >= (1 - 0.25) x results/perfbench_floor.json)"
 for workload in reproduce_paper optimize_mixed; do

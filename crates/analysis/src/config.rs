@@ -165,6 +165,33 @@ impl AnalysisConfig {
             max_outer_iterations: 1_000,
         }
     }
+
+    /// Whether `self`'s right-hand side of Eq. (19) is at least `other`'s
+    /// at every window and estimate, so that `self` schedulable implies
+    /// `other` schedulable on the same context (DESIGN.md §10). Reflexive
+    /// and transitive; it holds when all three parts do:
+    ///
+    /// - **bus**: the same bus, or TDMA(s) over TDMA(t) or RR(t), or
+    ///   RR(s) over RR(t), with `s ≥ t`. Eq. (8) caps each remote core
+    ///   at `t · BAS`, while Eq. (9) charges `(m − 1) · s · BAS`
+    ///   unconditionally. FP is unrelated to the slotted buses, and the
+    ///   perfect bus relates only to itself: its utilization gate is not
+    ///   a term of the right-hand side;
+    /// - **mode**: the same mode, or oblivious over aware (the `min`s of
+    ///   Lemmas 1 and 2, and the aware carry-out cap of DESIGN.md §4);
+    /// - **cap**: equal `max_outer_iterations`.
+    #[must_use]
+    pub fn dominates(&self, other: &AnalysisConfig) -> bool {
+        let bus = match (self.bus, other.bus) {
+            (BusPolicy::Tdma { slots: s }, BusPolicy::Tdma { slots: t })
+            | (BusPolicy::Tdma { slots: s }, BusPolicy::RoundRobin { slots: t })
+            | (BusPolicy::RoundRobin { slots: s }, BusPolicy::RoundRobin { slots: t }) => s >= t,
+            (a, b) => a == b,
+        };
+        let mode =
+            self.persistence == other.persistence || self.persistence == PersistenceMode::Oblivious;
+        bus && mode && self.max_outer_iterations == other.max_outer_iterations
+    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ pub fn fig3c(opts: &SweepOptions) -> ExperimentResult {
 /// The same task-set population is evaluated at every slot count (only the
 /// analysis parameter changes), so the FP curves — which have no slot
 /// parameter — are exactly flat references, as in the paper; the FP
-/// configurations are solved once per set for all six slot counts.
+/// configurations are solved at most once per set for all six slot counts.
 #[must_use]
 pub fn fig3d(opts: &SweepOptions) -> ExperimentResult {
     let xs: Vec<f64> = (1..=6).map(f64::from).collect();

@@ -216,8 +216,13 @@ impl Evaluation {
 }
 
 /// Which work one set of a population costs: every distinct context
-/// built once, every distinct (context, configuration) solved once, and
-/// the route from each evaluation's configurations back to those solves.
+/// built once, every distinct (context, configuration) solved at most
+/// once, and the route from each evaluation's configurations back to
+/// those solves.
+///
+/// A context's solves run dominators first ([`AnalysisConfig::dominates`]):
+/// once a solve is schedulable, every solve it dominates is schedulable
+/// too and is recorded without a call (DESIGN.md §10).
 #[derive(Debug)]
 struct SolvePlan {
     /// Distinct `(d_mem, CRPD approach)` contexts, in first-use order.
@@ -225,6 +230,12 @@ struct SolvePlan {
     /// Distinct `(context, configuration)` solves, in first-use order; a
     /// solve's index is its bit in a set's schedulability mask.
     solves: Vec<(usize, AnalysisConfig)>,
+    /// Per context: its solves' bits in run order, each after every
+    /// solve that dominates it.
+    order: Vec<Vec<usize>>,
+    /// Per solve bit: the mask of the other solves of its context that
+    /// dominate it.
+    dominators: Vec<u64>,
     /// Per evaluation: its context index and, per configuration, the
     /// index of the solve that answers it.
     routes: Vec<(usize, Vec<usize>)>,
@@ -247,9 +258,36 @@ impl SolvePlan {
             })
             .collect();
         assert!(solves.len() <= 64, "schedulability mask is 64 bits");
+        let dominators: Vec<u64> = solves
+            .iter()
+            .enumerate()
+            .map(|(bit, (context, cfg))| {
+                solves
+                    .iter()
+                    .enumerate()
+                    .filter(|&(other, (c, d))| other != bit && c == context && d.dominates(cfg))
+                    .fold(0, |mask, (other, _)| mask | 1 << other)
+            })
+            .collect();
+        // A strict dominator dominates everything its dominee does and the
+        // dominee itself, so more dominees first is a valid run order; the
+        // stable sort keeps first-use order among ties.
+        let order = (0..contexts.len())
+            .map(|context| {
+                let mut bits: Vec<usize> = (0..solves.len())
+                    .filter(|&bit| solves[bit].0 == context)
+                    .collect();
+                bits.sort_by_key(|&bit| {
+                    std::cmp::Reverse(dominators.iter().filter(|&&m| m & 1 << bit != 0).count())
+                });
+                bits
+            })
+            .collect();
         SolvePlan {
             contexts,
             solves,
+            order,
+            dominators,
             routes,
         }
     }
@@ -270,9 +308,12 @@ fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 /// `gen_config` (deterministically in `opts.seed`, `point_id` and the set
 /// index); one [`AnalysisContext`] is built per distinct
 /// `(d_mem, CRPD approach)`, each distinct configuration of a context is
-/// solved once, and its verdict is recorded for every evaluation that
-/// lists it. The tallies are exactly those of one call per evaluation,
-/// each with its own generator — the population depends only on the
+/// solved at most once, and its verdict is recorded for every evaluation
+/// that lists it. A context solves dominators first: a configuration
+/// dominated by one already schedulable is recorded schedulable without
+/// a solve: the verdict Eq. (19) gives it, and on every population
+/// measured the one its own solve gives (DESIGN.md §10). The tallies are exactly those of one call per evaluation, each
+/// with its own generator — the population depends only on the
 /// generator, not on the analysed latency or configurations.
 ///
 /// Work is scheduled on the deterministic [`cpa_pool`] chunk-claiming
@@ -287,7 +328,8 @@ fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 /// and every engine meter is the same at any thread count.
 ///
 /// `experiments.sets_evaluated` counts reported samples (set ×
-/// evaluation); `workload.sets_generated` and `pool.items` count sets.
+/// evaluation), `experiments.verdicts_implied` the solves decided by a
+/// dominator; `workload.sets_generated` and `pool.items` count sets.
 ///
 /// # Panics
 ///
@@ -312,6 +354,7 @@ pub fn evaluate_population(
 
     let _span = cpa_obs::span!("experiments.evaluate_point");
     let evaluated = cpa_obs::counter("experiments.sets_evaluated");
+    let implied = cpa_obs::counter("experiments.verdicts_implied");
     // Evaluations run sequentially from the driver, so a process-wide epoch
     // gives each call a scope block of its own even when point ids repeat
     // across experiments.
@@ -327,6 +370,7 @@ pub fn evaluate_population(
             let tasks = generator.generate(&mut rng).expect("generation succeeds");
             let mut utilizations = Vec::with_capacity(plan.contexts.len());
             let mut schedulable_mask = 0u64;
+            let mut implied_here = 0;
             for (context, (platform, &(d_mem, crpd))) in
                 platforms.iter().zip(&plan.contexts).enumerate()
             {
@@ -334,19 +378,18 @@ pub fn evaluate_population(
                     AnalysisContext::with_crpd_approach_buffers(platform, &tasks, crpd, buffers)
                         .expect("task set fits platform");
                 utilizations.push(tasks.total_utilization(d_mem));
-                for (bit, (_, cfg)) in plan
-                    .solves
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (c, _))| *c == context)
-                {
-                    if analyze_with(&ctx, cfg, scratch).is_schedulable() {
+                for &bit in &plan.order[context] {
+                    if schedulable_mask & plan.dominators[bit] != 0 {
+                        implied_here += 1;
+                        schedulable_mask |= 1 << bit;
+                    } else if analyze_with(&ctx, &plan.solves[bit].1, scratch).is_schedulable() {
                         schedulable_mask |= 1 << bit;
                     }
                 }
                 ctx.recycle(buffers);
             }
             evaluated.add(evaluations.len() as u64);
+            implied.add(implied_here);
             (utilizations, schedulable_mask)
         },
     );
@@ -478,6 +521,101 @@ mod tests {
                 "config {i}"
             );
             assert_eq!(got.value().to_bits(), want.value().to_bits(), "config {i}");
+        }
+    }
+
+    /// Fig. 2's plan (each paper bus aware and oblivious, plus the perfect
+    /// bus, per panel) and Fig. 3d's (the paper's six configurations at
+    /// s = 1..6) through the dominance-ordered pool, at one and two
+    /// workers, against one `analyze_with` per set and configuration.
+    #[test]
+    fn dominance_ordered_plans_match_one_solve_per_configuration() {
+        use BusPolicy::Perfect;
+        use PersistenceMode::{Aware, Oblivious};
+        let base = GeneratorConfig::paper_default();
+        let evaluation = |configs: Vec<AnalysisConfig>| {
+            Evaluation::new(base.d_mem, CrpdApproach::EcbUnion, configs)
+        };
+        let modes = |bus| [Aware, Oblivious].map(|mode| AnalysisConfig::new(bus, mode));
+        let fig2: Vec<Evaluation> = BusPolicy::paper_buses(2)
+            .into_iter()
+            .map(|bus| {
+                let mut configs = modes(bus).to_vec();
+                configs.push(AnalysisConfig::new(Perfect, Aware));
+                evaluation(configs)
+            })
+            .collect();
+        let fig3d: Vec<Evaluation> = (1..=6)
+            .map(|slots| {
+                evaluation(
+                    BusPolicy::paper_buses(slots)
+                        .into_iter()
+                        .flat_map(modes)
+                        .collect(),
+                )
+            })
+            .collect();
+
+        for (evaluations, utilization) in [(fig2, 0.3), (fig3d, 0.2)] {
+            let gen = base.clone().with_per_core_utilization(utilization);
+            let opts = SweepOptions::quick().with_sets_per_point(8);
+            let plan = SolvePlan::new(&evaluations);
+            // Every dominator of a solve runs before it.
+            for run in &plan.order {
+                for (k, &bit) in run.iter().enumerate() {
+                    let later = run[k..].iter().fold(0u64, |mask, &b| mask | 1 << b);
+                    assert_eq!(plan.dominators[bit] & later, 0, "solve {bit}");
+                }
+            }
+
+            let generator = TaskSetGenerator::new(gen.clone()).unwrap();
+            let platform = platform_for(&gen);
+            let mut scratch = AnalysisScratch::new();
+            let mut expected: Vec<Vec<WeightedAccumulator>> = evaluations
+                .iter()
+                .map(|e| vec![WeightedAccumulator::new(); e.configs.len()])
+                .collect();
+            let mut implied = 0;
+            for set in 0..opts.sets_per_point {
+                let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(opts.seed, 5, set as u64));
+                let tasks = generator.generate(&mut rng).unwrap();
+                let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
+                let set_utilization = tasks.total_utilization(gen.d_mem);
+                for (accs, e) in expected.iter_mut().zip(&evaluations) {
+                    for (acc, cfg) in accs.iter_mut().zip(&e.configs) {
+                        let schedulable = analyze_with(&ctx, cfg, &mut scratch).is_schedulable();
+                        acc.record(set_utilization, schedulable);
+                    }
+                }
+                // The solves a dominator's schedulable verdict decides.
+                let schedulable: Vec<bool> = plan
+                    .solves
+                    .iter()
+                    .map(|(_, cfg)| analyze_with(&ctx, cfg, &mut scratch).is_schedulable())
+                    .collect();
+                implied += plan
+                    .dominators
+                    .iter()
+                    .filter(|&&mask| (0..64).any(|b| mask & 1 << b != 0 && schedulable[b]))
+                    .count();
+            }
+            assert!(implied > 0, "no verdict implied at U = {utilization}");
+
+            for threads in [1, 2] {
+                let pooled =
+                    evaluate_population(&gen, &evaluations, &opts.clone().with_threads(threads), 5);
+                for (e, (got, want)) in pooled.iter().zip(&expected).enumerate() {
+                    for (i, want) in want.iter().enumerate() {
+                        let got = got.config(i);
+                        let tag = format!(
+                            "U {utilization}, evaluation {e}, config {i}, {threads} threads"
+                        );
+                        assert_eq!(got.samples(), want.samples(), "{tag}");
+                        assert_eq!(got.schedulable_count(), want.schedulable_count(), "{tag}");
+                        assert_eq!(got.value().to_bits(), want.value().to_bits(), "{tag}");
+                    }
+                }
+            }
         }
     }
 

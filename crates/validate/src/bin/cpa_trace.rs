@@ -116,7 +116,8 @@ impl EngineStats {
 
 /// Pool section of the `sweep` report: dynamic-scheduling statistics from
 /// the `pool.*` counters of one pooled evaluation, plus the engine's
-/// scratch-reuse count (DESIGN.md §12).
+/// scratch-reuse count (DESIGN.md §12) and the solves a dominating
+/// configuration's verdict decided (DESIGN.md §10).
 #[derive(Serialize)]
 struct PoolStats {
     threads: usize,
@@ -124,6 +125,7 @@ struct PoolStats {
     chunks_stolen: u64,
     steal_ratio: f64,
     scratch_reuses: u64,
+    verdicts_implied: u64,
 }
 
 impl PoolStats {
@@ -137,6 +139,7 @@ impl PoolStats {
             chunks_stolen: stolen,
             steal_ratio: ratio(stolen, claimed),
             scratch_reuses: count("engine.scratch_reuses"),
+            verdicts_implied: count("experiments.verdicts_implied"),
         }
     }
 }
@@ -707,11 +710,12 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     );
     println!(
         "pool: {} chunks claimed, {} stolen beyond the fair share ({:.1}% steal ratio); \
-         {} scratch reuses",
+         {} scratch reuses; {} verdicts implied",
         pool.chunks_claimed,
         pool.chunks_stolen,
         pool.steal_ratio * 100.0,
         pool.scratch_reuses,
+        pool.verdicts_implied,
     );
     println!();
     for row in &rows {
