@@ -38,6 +38,9 @@ cargo test -q -p cpa-analysis --release --test bao_split
 echo "==> span_budget smoke (one engine run opens one span, the spec none)"
 cargo test -q -p cpa-analysis --release --test span_budget
 
+echo "==> certificate smoke (a verdict certified at the deadlines == the engine's; certified => spec schedulable)"
+cargo test -q -p cpa-analysis --release --test certificate
+
 echo "==> saturation smoke (engine vs literal spec near u64::MAX, release arithmetic)"
 cargo test -q -p cpa-analysis --release --test saturation
 

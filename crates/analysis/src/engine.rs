@@ -389,15 +389,49 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         }
     }
 
-    /// Flushes the run's tallies into the always-on counters and hands
-    /// the result back.
-    fn finish(&mut self, result: AnalysisResult) -> AnalysisResult {
+    /// Flushes the run's tallies into the always-on counters.
+    fn flush(&mut self) {
         let (bao_hits, bao_misses) = self.bao_tally;
         self.scratch.last_bao = self.bao_tally;
         cpa_obs::counter("engine.bao_hit").add(bao_hits);
         cpa_obs::counter("engine.bao_miss").add(bao_misses);
         cpa_obs::counter("engine.tasks_solved").add(self.tasks_solved);
+    }
+
+    /// [`AnalysisEngine::flush`], then hands the result back.
+    fn finish(&mut self, result: AnalysisResult) -> AnalysisResult {
+        self.flush();
         result
+    }
+
+    /// The deadline certificate behind [`crate::verdict_with`]:
+    /// `Some(false)` when the perfect-bus gate fails, `Some(true)` when
+    /// every estimate at its deadline satisfies `rhs_i(D_i; D) ≤ D_i`
+    /// (then the least fixed point lies at or below `D`, DESIGN.md §10),
+    /// and `None` when some task fails it and only a run can decide.
+    /// Tasks are checked lowest priority first, where a failure is most
+    /// likely, so a failing certificate stops early.
+    pub(crate) fn certify(mut self) -> Option<bool> {
+        let _span = cpa_obs::span!("wcrt.certify");
+        if wcrt::perfect_bus_check(self.ctx, self.config).is_some() {
+            self.flush();
+            return Some(false);
+        }
+        let tasks = self.ctx.tasks();
+        // The deadlines `solve_inner` tests against.
+        let deadline = |i: TaskId| tasks[i].deadline().min(Time::from_cycles(u64::MAX - 1));
+        for (r, i) in self.scratch.resp.iter_mut().zip(tasks.ids()) {
+            *r = deadline(i);
+        }
+        let certified = tasks
+            .ids()
+            .rev()
+            .all(|i| self.rhs(i, deadline(i), CarryOut::Exact) <= deadline(i));
+        self.flush();
+        if certified {
+            cpa_obs::counter("engine.verdicts_certified").incr();
+        }
+        certified.then_some(true)
     }
 
     /// Runs the analysis to its fixed point (or deadline miss / outer

@@ -30,7 +30,9 @@
 //! composes Eq. (7)/(8)/(9) in one `match` on the bus policy ([`engine`]).
 //! It also emits the BAS/BAO/CPRO/CRPD split of each bound
 //! ([`decompose`]). [`analyze_with`] is the one entry point;
-//! [`analyze`] is its one-line form with a fresh scratch.
+//! [`analyze`] is its one-line form with a fresh scratch, and
+//! [`verdict_with`] its verdict alone, certified at the deadlines when it
+//! can be.
 //!
 //! # Example
 //!
@@ -105,4 +107,4 @@ pub use crpd::CrpdApproach;
 pub use diagnose::{decompose, DominantTerm, TermDecomposition};
 pub use engine::AnalysisScratch;
 pub use sched::{weighted_schedulability, WeightedAccumulator};
-pub use wcrt::{analyze, analyze_with, AnalysisResult};
+pub use wcrt::{analyze, analyze_with, verdict_with, AnalysisResult};

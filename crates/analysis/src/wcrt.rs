@@ -160,6 +160,29 @@ pub fn analyze_with(
     crate::engine::AnalysisEngine::new(ctx, config, scratch).run()
 }
 
+/// The schedulability verdict [`analyze_with`] reports, for callers that
+/// need no response times (the sweep runner): the perfect-bus gate, then
+/// one exact right-hand side per task with every estimate at its
+/// deadline. When every task passes, `R = D` is a pre-fixed point of
+/// Eq. (19) (`rhs(D) ≤ D`), so the least fixed point lies at or below it
+/// and the set is schedulable without a solve; otherwise the verdict is
+/// [`analyze_with`]'s, on the same scratch (DESIGN.md §10).
+///
+/// A certified set is schedulable by Eq. (19) however many outer rounds
+/// its fixed point needs, so only a set [`analyze_with`] stops at
+/// [`AnalysisConfig::max_outer_iterations`] can get a different answer:
+/// `true` here, unschedulable with the cap flag there.
+#[must_use]
+pub fn verdict_with(
+    ctx: &AnalysisContext<'_>,
+    config: &AnalysisConfig,
+    scratch: &mut crate::engine::AnalysisScratch,
+) -> bool {
+    crate::engine::AnalysisEngine::new(ctx, config, scratch)
+        .certify()
+        .unwrap_or_else(|| analyze_with(ctx, config, scratch).is_schedulable())
+}
+
 /// The engine's perfect-bus residual bus-utilization gate:
 /// `Some(unschedulable)` when the bus itself is oversubscribed, `None`
 /// when the fixed point should run.

@@ -9,8 +9,8 @@
 //! come out exact — the case `BAO` used to undercount.
 
 use cpa_analysis::{
-    analyze, analyze_with, spec, AnalysisConfig, AnalysisContext, AnalysisResult, AnalysisScratch,
-    BusPolicy, PersistenceMode,
+    analyze, analyze_with, spec, verdict_with, AnalysisConfig, AnalysisContext, AnalysisResult,
+    AnalysisScratch, BusPolicy, PersistenceMode,
 };
 use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
 use proptest::prelude::*;
@@ -44,13 +44,21 @@ fn plain(name: &str, prio: u32, core: usize, pd: u64, md: u64, period: u64, dead
 
 /// Spec `Ok` ⇒ the engine's result is the same, bit for bit; spec
 /// `Overflow` ⇒ the engine reports unschedulable. Checked with a fresh
-/// and with a reused scratch.
+/// and with a reused scratch, and [`verdict_with`]'s certificate at the
+/// deadlines gives the engine's verdict.
 fn check(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
     scratch: &mut AnalysisScratch,
 ) -> Result<(), String> {
     let engines = [analyze(ctx, config), analyze_with(ctx, config, scratch)];
+    let verdict = verdict_with(ctx, config, scratch);
+    if verdict != engines[0].is_schedulable() {
+        return Err(format!(
+            "verdict_with {verdict}, analyze_with {:?}",
+            engines[0].response_times()
+        ));
+    }
     let reference = spec::analyze(ctx, config);
     for engine in &engines {
         match &reference {
@@ -149,7 +157,49 @@ fn a_saturated_bound_misses_even_the_largest_deadline() {
         for mode in MODES {
             let config = AnalysisConfig::new(bus, mode);
             assert!(!analyze(&ctx, &config).is_schedulable(), "{bus:?} {mode:?}");
+            let verdict = verdict_with(&ctx, &config, &mut AnalysisScratch::new());
+            assert!(!verdict, "{bus:?} {mode:?}: certified past u64::MAX − 1");
             assert!(spec::analyze(&ctx, &config).is_err(), "{bus:?} {mode:?}");
+        }
+    }
+}
+
+/// Deadlines and periods near `u64::MAX`: the certificate evaluates each
+/// right-hand side at `D_i` capped to `u64::MAX − 1`, with remote
+/// carry-in windows `t + R_l` far past `u64`, and certifies exactly what
+/// the solve and the spec find schedulable.
+#[test]
+fn the_certificate_holds_at_deadlines_near_u64_max() {
+    let platform = platform(2, 1);
+    let max = u64::MAX;
+    let tasks = TaskSet::new(vec![
+        plain("hi", 0, 0, 1 << 62, 1 << 40, max, max),
+        plain("mid", 1, 1, 1 << 61, 1 << 40, max - 1, max - 7),
+        plain("lo", 2, 0, 1 << 62, 1 << 40, max, max - 1),
+    ])
+    .unwrap();
+    let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
+    for bus in [
+        BusPolicy::FixedPriority,
+        BusPolicy::RoundRobin { slots: 2 },
+        BusPolicy::Tdma { slots: 2 },
+        BusPolicy::Perfect,
+    ] {
+        for mode in MODES {
+            let config = AnalysisConfig::new(bus, mode);
+            let mut scratch = AnalysisScratch::new();
+            assert!(
+                verdict_with(&ctx, &config, &mut scratch),
+                "{bus:?} {mode:?}"
+            );
+            assert_eq!(
+                scratch.reuses(),
+                0,
+                "{bus:?} {mode:?}: certified, not solved"
+            );
+            let reference = spec::analyze(&ctx, &config).expect("no bound leaves u64");
+            assert!(reference.is_schedulable(), "{bus:?} {mode:?}");
+            check(&ctx, &config, &mut scratch).unwrap();
         }
     }
 }

@@ -11,7 +11,8 @@
 //!   shape, or an unreadable or invalid input file;
 //! * a run that started and then failed ([`CliError::failed`]) exits 1:
 //!   an oracle violation, a guard breach, a repro that no longer
-//!   reproduces, or a write error.
+//!   reproduces, or a write error — also a closed stdout, which ends the
+//!   run quietly instead of panicking.
 //!
 //! [`Args`] pulls flag values with errors that name the flag, and
 //! [`SweepFlags`] and [`ObsSinks`] parse the flags several binaries share.
@@ -35,6 +36,7 @@
 //! ```
 
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -82,19 +84,52 @@ impl std::error::Error for CliError {}
 /// Runs a binary's `body` over the process arguments (without the program
 /// name) under the exit rule of the module docs, and returns the exit
 /// code for `main` to return.
+///
+/// A `print!` to stdout that fails is a write error: it exits 1, never
+/// with a panic. When the reader closed the pipe (`… | head`), the run
+/// ends quietly; any other stdout failure is named on stderr.
 pub fn run(usage: &'static str, body: impl FnOnce(Args) -> Result<(), CliError>) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if wants_help(&args) {
-        println!("{usage}");
-        return ExitCode::SUCCESS;
-    }
-    match body(Args::new(args, usage)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !failed_printing(info.payload_as_str()) {
+            default_hook(info);
+        }
+    }));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if wants_help(&args) {
+            println!("{usage}");
+            return Ok(());
+        }
+        body(Args::new(args, usage))
+    }));
+    match outcome {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
             eprintln!("{e}");
             ExitCode::from(e.code())
         }
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            if !failed_printing(msg) {
+                std::panic::resume_unwind(payload);
+            }
+            let msg = msg.unwrap_or_default();
+            if !msg.contains("Broken pipe") {
+                eprintln!("{msg}");
+            }
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Whether a panic message is the standard library's report of a failed
+/// `print!` to stdout.
+fn failed_printing(msg: Option<&str>) -> bool {
+    msg.is_some_and(|m| m.starts_with("failed printing to stdout"))
 }
 
 /// Whether `--help` or `-h` appears anywhere in `args`.

@@ -2,7 +2,7 @@
 //! result containers.
 
 use cpa_analysis::{
-    analyze_with, AnalysisConfig, AnalysisContext, AnalysisScratch, ContextBuffers, CrpdApproach,
+    verdict_with, AnalysisConfig, AnalysisContext, AnalysisScratch, ContextBuffers, CrpdApproach,
     WeightedAccumulator,
 };
 use cpa_model::{CacheGeometry, Platform, Time};
@@ -324,8 +324,9 @@ fn index_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 /// byte-identical at any thread count and chunk size.
 ///
 /// Each worker's buffers survive across its sets and configurations.
-/// Each solve is an independent [`analyze_with`] call, so every result
-/// and every engine meter is the same at any thread count.
+/// Each solve is an independent [`verdict_with`] call — certified at the
+/// deadlines when it can be, solved otherwise — so every result and
+/// every engine meter is the same at any thread count.
 ///
 /// `experiments.sets_evaluated` counts reported samples (set ×
 /// evaluation), `experiments.verdicts_implied` the solves decided by a
@@ -382,7 +383,7 @@ pub fn evaluate_population(
                     if schedulable_mask & plan.dominators[bit] != 0 {
                         implied_here += 1;
                         schedulable_mask |= 1 << bit;
-                    } else if analyze_with(&ctx, &plan.solves[bit].1, scratch).is_schedulable() {
+                    } else if verdict_with(&ctx, &plan.solves[bit].1, scratch) {
                         schedulable_mask |= 1 << bit;
                     }
                 }
@@ -432,7 +433,7 @@ pub(crate) fn sweep_utilization(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpa_analysis::{BusPolicy, PersistenceMode};
+    use cpa_analysis::{analyze_with, BusPolicy, PersistenceMode};
 
     #[test]
     fn default_grid_matches_paper() {

@@ -167,3 +167,34 @@ fn unknown_experiments_exit_2_before_anything_runs() {
     assert!(out.stdout.is_empty(), "wrote output on bad input");
     assert!(!dir.exists(), "created {}", dir.display());
 }
+
+/// Runs `bin` with its stdout on a pipe whose reader is already closed,
+/// as `… | head` leaves it once `head` has read enough.
+fn run_into_closed_pipe(bin: &str, args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(bin)
+        .args(args)
+        .stdout(writer)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e} (build the workspace binaries first)"))
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut cases: Vec<(&str, &[&str])> = TABLE
+        .iter()
+        .map(|&(name, _, _)| (name, &["--help"][..]))
+        .collect();
+    cases.extend([
+        ("cpa-trace", &["sweep", "--seed", "7", "--sets", "16"][..]),
+        ("cpa-trace", &["analyze", "--seed", "7"][..]),
+    ]);
+    for (name, args) in cases {
+        let out = run_into_closed_pipe(&bin(name), args);
+        let stderr = stderr_of(&out);
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{name} {args:?}: {stderr}");
+    }
+}

@@ -350,6 +350,7 @@ mod tests {
         let stage_of = |span| stage_for_span(span).map(|i| PIPELINE_STAGES[i].name);
         assert_eq!(stage_of("analysis.context"), Some("context"));
         assert_eq!(stage_of("wcrt.analyze"), Some("analysis"));
+        assert_eq!(stage_of("wcrt.certify"), Some("analysis"));
         assert_eq!(stage_of("optimize.assemble"), Some("assembly"));
         assert_eq!(stage_of("optimize.cache"), Some("result-cache"));
         assert_eq!(stage_of("optimize.search"), Some("optimizer"));

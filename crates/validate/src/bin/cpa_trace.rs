@@ -116,8 +116,9 @@ impl EngineStats {
 
 /// Pool section of the `sweep` report: dynamic-scheduling statistics from
 /// the `pool.*` counters of one pooled evaluation, plus the engine's
-/// scratch-reuse count (DESIGN.md §12) and the solves a dominating
-/// configuration's verdict decided (DESIGN.md §10).
+/// scratch-reuse count (DESIGN.md §12), the solves a dominating
+/// configuration's verdict decided and the verdicts certified at the
+/// deadlines without a solve (DESIGN.md §10).
 #[derive(Serialize)]
 struct PoolStats {
     threads: usize,
@@ -126,6 +127,7 @@ struct PoolStats {
     steal_ratio: f64,
     scratch_reuses: u64,
     verdicts_implied: u64,
+    verdicts_certified: u64,
 }
 
 impl PoolStats {
@@ -140,6 +142,7 @@ impl PoolStats {
             steal_ratio: ratio(stolen, claimed),
             scratch_reuses: count("engine.scratch_reuses"),
             verdicts_implied: count("experiments.verdicts_implied"),
+            verdicts_certified: count("engine.verdicts_certified"),
         }
     }
 }
@@ -710,12 +713,13 @@ fn sweep_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     );
     println!(
         "pool: {} chunks claimed, {} stolen beyond the fair share ({:.1}% steal ratio); \
-         {} scratch reuses; {} verdicts implied",
+         {} scratch reuses; {} verdicts implied, {} verdicts certified",
         pool.chunks_claimed,
         pool.chunks_stolen,
         pool.steal_ratio * 100.0,
         pool.scratch_reuses,
         pool.verdicts_implied,
+        pool.verdicts_certified,
     );
     println!();
     for row in &rows {
