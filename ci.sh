@@ -149,6 +149,26 @@ for workload in reproduce_paper optimize_mixed; do
   }'
 done
 
+echo "==> telemetry cost while on (traced perfbench, 5 s per workload: obs.trace_overhead <= 1.5; budget 0 must fail)"
+# obs.trace_overhead is the traced pass's wall time over an untraced pass
+# of the same work. The bound sits below the 2.04x the deleted histogram
+# layer cost; the same comparison at budget 0 proves the gate can fail.
+within_budget() {
+  awk -v overhead="$1" -v budget="$2" 'BEGIN { exit !(overhead != "" && overhead + 0 <= budget + 0) }'
+}
+for workload in reproduce_paper optimize_mixed; do
+  result=$(cargo run --locked --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 5 --trace 1 | tail -n 1)
+  echo "$result" | grep -q '"correct": true'
+  overhead=$(echo "$result" | sed -n 's/.*"obs.trace_overhead": {"value": \([0-9.e+-]*\).*/\1/p')
+  echo "$workload: obs.trace_overhead ${overhead:-missing}, bound 1.5"
+  within_budget "$overhead" 1.5 || { echo "$workload: telemetry costs more than 1.5x"; exit 1; }
+  if within_budget "$overhead" 0; then
+    echo "$workload: the trace-overhead gate passed at budget 0"
+    exit 1
+  fi
+done
+
 echo "==> obs overhead guard (disabled subscriber <2% of analysis_micro)"
 cargo run --release -p cpa-experiments --bin obs_overhead
 

@@ -73,24 +73,6 @@ pub enum PriorityBand {
     Lower,
 }
 
-/// How the carry-out job of Eq. (5) is charged.
-///
-/// The exact term grows by one access per elapsed `d_mem`, which makes the
-/// WCRT fixed point advance in `d_mem`-sized steps ("creep") near
-/// convergence. [`CarryOut::Capped`] replaces Eq. (5) by its own upper cap
-/// `MD_l + γ` — a sound over-approximation whose value only changes at
-/// period-scale events, so fixed-point iterations converge in a number of
-/// steps bounded by the job releases in the window. The WCRT driver uses
-/// `Capped` to bracket the fixed point and then refines downwards with
-/// `Exact` (see [`crate::wcrt`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CarryOut {
-    /// Eq. (5) as printed.
-    Exact,
-    /// The cap `MD_l + γ_{k,l,y}` (the `min`'s second argument).
-    Capped,
-}
-
 /// The `N`-interval `[lo, hi]` a [`BaoTerm`] is valid on: the windows
 /// `t ≤ u64::MAX` with `jobs_within(t, r, sub, p) = n`, for a member with
 /// period `p > 0`, response-time estimate `r` and overlap subtrahend
@@ -117,25 +99,43 @@ fn term_interval(n: u64, p: u64, r: u64, sub: u128) -> (u64, u64) {
 
 /// One band member's contribution to `BAO` on a fixed `N`-interval of
 /// the window axis: the full-job charge and the carry-out cap of Eq. (5)
-/// are constant there, so only the [`CarryOut::Exact`] carry-out term
-/// still depends on `t` — and its window-independent pieces (the two
-/// subtrahends of Eq. (5)'s overlap and the combined cap) are
-/// pre-saturated here, leaving a handful of operations per evaluation.
+/// are constant there, so only the carry-out term still depends on `t` —
+/// and its window-independent pieces (the offset of Eq. (5)'s overlap
+/// from the window, the combined cap and the window from which the cap
+/// binds) are pre-saturated here, leaving a few `u64` operations per
+/// evaluation, and none past `full_after`.
 #[derive(Debug, Clone, Copy)]
 struct BaoTerm {
     /// The `N` full jobs' charge (at the persistence mode's bound),
     /// including their CRPD.
     full_jobs: u64,
-    /// The exact carry-out's combined cap `min(cost, cout_cap)` — the two
-    /// `min`s of Eq. (5)'s `W_cout` and the cap folded into one. Also the
-    /// member's [`CarryOut::Capped`] carry-out charge (the cap formulas
-    /// never exceed `cost`).
+    /// The carry-out's combined cap `min(cost, cout_cap)` — the two
+    /// `min`s of Eq. (5)'s `W_cout` and the cap folded into one (the cap
+    /// formulas never exceed `cost`).
     cap: u64,
+    /// The last window whose carry-out may still fall short of `cap`:
+    /// every window past it charges exactly `cap`, without the division.
+    /// It is one below the smallest window whose overlap exceeds
+    /// `(cap − 1) · d_mem`, i.e. `(cap − 1) · d_mem + down − up`, each
+    /// step saturating; `0` when `cap = 0`. Stored one below so that
+    /// `u64::MAX` means "never" (the window `0` merely takes the
+    /// division). The saturating steps are exact on the member's
+    /// `N`-interval, the only windows it is compared with: where
+    /// `(cap − 1) · d_mem` leaves `u64` and `up > 0`, the result
+    /// `u64::MAX − up` still lies past every such window, since there
+    /// `t + up` is an overlap below `T_l`.
+    full_after: u64,
     /// The member's response-time estimate the term was built from.
     r: Time,
-    /// `cost · d_mem + N · T_l`, exact: the subtrahend of Eq. (5)'s
-    /// overlap `t + R_l − cost · d_mem − N · T_l`.
-    sub: u128,
+    /// Eq. (5)'s overlap `t + R_l − sub` is `(t + up) − down`, both steps
+    /// saturating: `up = max(R_l − sub, 0)` and `down = max(sub − R_l,
+    /// 0)` clamped to `u64`. At most one is non-zero, and the result is
+    /// the exact overlap clamped to `[0, u64::MAX]`; on the term's
+    /// `N`-interval it is below `T_l` (or, past the clamped count, below
+    /// `u64::MAX`), however far `t + R_l` runs past `u64`.
+    up: u64,
+    /// See [`BaoTerm::up`].
+    down: u64,
     /// The member's own `N`-interval `[lo, hi]` in cycles: the term stays
     /// exact for any window inside it (at the response time `r`), letting
     /// [`BaoSegment::refresh`] keep it across segment-level span exits.
@@ -197,34 +197,61 @@ fn term(
             )
         }
     };
+    let sub = c.saturating_add(u128::from(n) * u128::from(period));
+    let r = r_l.cycles();
+    let (up, down) = match u64::try_from(sub) {
+        Ok(sub) => (r.saturating_sub(sub), sub.saturating_sub(r)),
+        Err(_) => (0, sat(sub - u128::from(r))),
+    };
+    let full_after = cap.checked_sub(1).map_or(0, |steps| {
+        steps
+            .saturating_mul(ctx.d_mem().cycles())
+            .saturating_add(down)
+            .saturating_sub(up)
+    });
     BaoTerm {
         full_jobs,
         cap,
+        full_after,
         r: r_l,
-        sub: c.saturating_add(u128::from(n) * u128::from(period)),
+        up,
+        down,
         lo,
         hi,
     }
 }
 
+impl BaoTerm {
+    /// A placeholder whose `N`-interval is empty, so the next
+    /// [`BaoSegment::refresh`] re-derives it at any window.
+    const STALE: BaoTerm = BaoTerm {
+        full_jobs: 0,
+        cap: 0,
+        full_after: 0,
+        r: Time::ZERO,
+        up: 0,
+        down: 0,
+        lo: 1,
+        hi: 0,
+    };
+}
+
 /// `BAO` (Eq. (3), Lemma 2) — for one remote core and every level with
-/// one split on it, *both* priority bands and *both* carry-out modes —
-/// restricted to a window
+/// one split on it, *both* priority bands — restricted to a window
 /// interval on which every member's full-job count `N` (Eq. (6)) is
 /// constant.
 ///
 /// [`BaoSegment::eval`] reproduces [`crate::spec::bao`]'s per-band values
-/// bit-for-bit anywhere in [`BaoSegment::span`]: [`CarryOut::Capped`] in
-/// O(1) (the
-/// whole sum is window-independent there, precomputed per band), and
-/// [`CarryOut::Exact`] at a few arithmetic operations per member — no
-/// band-membership filtering, no persistence-demand (`M̂D`), CPRO or CRPD
-/// lookups; those are all `N`-determined and folded into the stored terms.
-/// This is what makes the engine's segment cache pay: the span covers whole
-/// job periods rather than single `d_mem` carry-out cells (the constancy
-/// grain of a *scalar* [`CarryOut::Exact`] value), and
-/// one segment serves both bands of the FP bus and both the Capped bracket
-/// phase and the Exact refine phase of the WCRT solver. When the window
+/// bit-for-bit anywhere in [`BaoSegment::span`], at a few arithmetic
+/// operations per member — no band-membership filtering, no
+/// persistence-demand (`M̂D`), CPRO or CRPD lookups; those are all
+/// `N`-determined and folded into the stored terms. A member past its
+/// cut-off (`full_after`) charges its carry-out cap without a division,
+/// and past the last member's the whole pair is the precomputed
+/// saturated totals. This is what makes the engine's segment cache pay:
+/// the span covers whole job periods rather than single `d_mem`
+/// carry-out cells (the constancy grain of a scalar `BAO` value), and
+/// one segment serves both bands of the FP bus. When the window
 /// leaves the span or a member's response-time estimate moves,
 /// [`BaoSegment::refresh`] re-derives only the affected members' terms.
 /// The default segment is empty: it covers no window, so every lookup
@@ -241,9 +268,12 @@ pub struct BaoSegment {
     terms: Vec<BaoTerm>,
     /// First index of the `lp(k)` suffix in `terms`.
     split: usize,
-    /// The window-independent [`CarryOut::Capped`] totals on the span,
-    /// `(hep, lower)`.
-    capped: (u64, u64),
+    /// The `(hep, lower)` totals with every member's carry-out at its
+    /// cap: the exact value at every window past `saturated_after`.
+    saturated: (u64, u64),
+    /// The largest member `full_after`: past it every member
+    /// charges its cap, so [`BaoSegment::eval`] returns `saturated`.
+    saturated_after: u64,
 }
 
 impl BaoSegment {
@@ -256,7 +286,8 @@ impl BaoSegment {
         self.span = Span::default();
         self.terms.clear();
         self.split = 0;
-        self.capped = (0, 0);
+        self.saturated = (0, 0);
+        self.saturated_after = 0;
     }
 
     /// Rebuilds every term in place for level `level` around window
@@ -277,13 +308,9 @@ impl BaoSegment {
         mode: PersistenceMode,
     ) {
         self.terms.clear();
+        self.terms.resize(on_core.len(), BaoTerm::STALE);
         self.split = split;
-        self.terms.extend(
-            on_core
-                .iter()
-                .map(|&l| term(ctx, level, l, t, resp[l.index()], mode)),
-        );
-        self.commit(t);
+        self.refresh(ctx, level, on_core, split, t, resp, mode);
     }
 
     /// Brings the segment to window length `t` and the current estimates
@@ -291,9 +318,13 @@ impl BaoSegment {
     /// term is kept verbatim when its member's response time is unchanged
     /// and `t` still lies in the member's own `N`-interval. A typical span
     /// exit crosses one member's period boundary, so this costs one term
-    /// derivation plus a cheap scan — not a full rebuild. The arguments
-    /// are [`BaoSegment::rebuild`]'s; `level` may differ from the level
-    /// the kept terms were derived at as long as the split is the same.
+    /// derivation plus a cheap scan — not a full rebuild. The same scan
+    /// re-derives the aggregate state: the span (the intersection of the
+    /// member `N`-intervals), the per-band saturated totals, accumulated
+    /// in member order like [`BaoSegment::eval`]'s, and the window past
+    /// which they hold. The arguments are [`BaoSegment::rebuild`]'s;
+    /// `level` may differ from the level the kept terms were derived at
+    /// as long as the split is the same.
     #[allow(clippy::too_many_arguments)]
     pub fn refresh(
         &mut self,
@@ -310,39 +341,33 @@ impl BaoSegment {
             return;
         }
         let tc = t.cycles();
-        for (slot, &l) in self.terms.iter_mut().zip(on_core) {
+        let mut lo = 0u64;
+        let mut hi = u64::MAX;
+        let mut saturated = (0u64, 0u64);
+        let mut saturated_after = 0u64;
+        for (i, (slot, &l)) in self.terms.iter_mut().zip(on_core).enumerate() {
             let r_l = resp[l.index()];
             if r_l != slot.r || tc < slot.lo || slot.hi < tc {
                 *slot = term(ctx, level, l, t, r_l, mode);
             }
-        }
-        self.commit(t);
-    }
-
-    /// Re-derives the aggregate state from the terms: the span (the
-    /// intersection of the member `N`-intervals) and the per-band
-    /// [`CarryOut::Capped`] totals, accumulated in member order.
-    fn commit(&mut self, t: Time) {
-        let mut lo = 0u64;
-        let mut hi = u64::MAX;
-        let mut capped = (0u64, 0u64);
-        for (i, term) in self.terms.iter().enumerate() {
-            lo = lo.max(term.lo);
-            hi = hi.min(term.hi);
-            let total = if i < self.split {
-                &mut capped.0
+            lo = lo.max(slot.lo);
+            hi = hi.min(slot.hi);
+            saturated_after = saturated_after.max(slot.full_after);
+            let total = if i < split {
+                &mut saturated.0
             } else {
-                &mut capped.1
+                &mut saturated.1
             };
             *total = total
-                .saturating_add(term.full_jobs)
-                .saturating_add(term.cap);
+                .saturating_add(slot.full_jobs)
+                .saturating_add(slot.cap);
         }
         self.span = Span {
             lo: Time::from_cycles(lo),
             hi: Time::from_cycles(hi),
         };
-        self.capped = capped;
+        self.saturated = saturated;
+        self.saturated_after = saturated_after;
         debug_assert!(
             self.span.contains(t),
             "segment span {:?} must contain t={t}",
@@ -352,30 +377,29 @@ impl BaoSegment {
 
     /// Evaluates the `(hep, lower)` bounds at window length `t ∈ span` —
     /// identical to [`crate::spec::bao`] per band with the arguments the
-    /// segment was built from and `carry`.
+    /// segment was built from.
     #[must_use]
-    pub fn eval(&self, t: Time, d_mem: Time, carry: CarryOut) -> (u64, u64) {
+    pub fn eval(&self, t: Time, d_mem: Time) -> (u64, u64) {
         debug_assert!(self.span.contains(t), "eval outside span {:?}", self.span);
-        if carry == CarryOut::Capped {
-            return self.capped;
+        let tc = t.cycles();
+        if tc > self.saturated_after {
+            return self.saturated;
         }
-        let exact_total = |terms: &[BaoTerm]| {
+        let total = |terms: &[BaoTerm]| {
             let mut total = 0u64;
             for term in terms {
-                // Eq. (5), exact: on the term's N-interval the overlap
-                // is below `T_l` (or, past the clamped count, below
-                // `u64::MAX`), however far `t + R_l` runs past `u64`.
-                let reach = u128::from(t.cycles()) + u128::from(term.r.cycles());
-                let overlap = Time::from_cycles(sat(reach.saturating_sub(term.sub)));
-                let cout = overlap.div_ceil(d_mem).min(term.cap);
+                let cout = if tc > term.full_after {
+                    term.cap
+                } else {
+                    let overlap = tc.saturating_add(term.up).saturating_sub(term.down);
+                    Time::from_cycles(overlap).div_ceil(d_mem).min(term.cap)
+                };
                 total = total.saturating_add(term.full_jobs).saturating_add(cout);
             }
             total
         };
-        (
-            exact_total(&self.terms[..self.split]),
-            exact_total(&self.terms[self.split..]),
-        )
+        let (hep, lower) = self.terms.split_at(self.split);
+        (total(hep), total(lower))
     }
 }
 
@@ -463,13 +487,11 @@ mod tests {
         t: Time,
         resp: &[Time],
         mode: PersistenceMode,
-        carry: CarryOut,
     ) -> (u64, u64) {
-        segment(ctx, k, y, t, resp, mode).eval(t, ctx.d_mem(), carry)
+        segment(ctx, k, y, t, resp, mode).eval(t, ctx.d_mem())
     }
 
     const MODES: [PersistenceMode; 2] = [PersistenceMode::Oblivious, PersistenceMode::Aware];
-    const CARRIES: [CarryOut; 2] = [CarryOut::Exact, CarryOut::Capped];
 
     #[test]
     fn n_jobs_clamps_small_windows() {
@@ -527,7 +549,7 @@ mod tests {
             spec::n_jobs(t, resp[t3.index()], 6, ctx.d_mem(), Time::from_cycles(16)),
             Ok(4)
         );
-        let hep = |k, mode| pair(&ctx, k, y, t, &resp, mode, CarryOut::Exact).0;
+        let hep = |k, mode| pair(&ctx, k, y, t, &resp, mode).0;
         // The paper evaluates BAO at level 3 (τ3's own priority); from τ2's
         // level the hep-band on core y is empty.
         assert_eq!(hep(t2, PersistenceMode::Oblivious), 0);
@@ -549,9 +571,9 @@ mod tests {
         // the lower band holds the whole bound for k = τ2 and the hep band
         // is empty (τ3 ∉ hep(τ2)) ...
         let obl = PersistenceMode::Oblivious;
-        assert_eq!(pair(&ctx, t2, y, t, &resp, obl, CarryOut::Exact), (0, 24));
+        assert_eq!(pair(&ctx, t2, y, t, &resp, obl), (0, 24));
         // ... while from the lowest priority's level hep covers τ3.
-        assert_eq!(pair(&ctx, t3, y, t, &resp, obl, CarryOut::Exact), (24, 0));
+        assert_eq!(pair(&ctx, t3, y, t, &resp, obl), (24, 0));
     }
 
     proptest! {
@@ -566,11 +588,9 @@ mod tests {
             let t = Time::from_cycles(t);
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
-                    for carry in CARRIES {
-                        let aware = pair(&ctx, k, y, t, &resp, PersistenceMode::Aware, carry);
-                        let obl = pair(&ctx, k, y, t, &resp, PersistenceMode::Oblivious, carry);
-                        prop_assert!(aware.0 <= obl.0 && aware.1 <= obl.1);
-                    }
+                    let aware = pair(&ctx, k, y, t, &resp, PersistenceMode::Aware);
+                    let obl = pair(&ctx, k, y, t, &resp, PersistenceMode::Oblivious);
+                    prop_assert!(aware.0 <= obl.0 && aware.1 <= obl.1);
                 }
             }
         }
@@ -589,62 +609,19 @@ mod tests {
             let k = tasks.lowest_priority_id();
             for y in [CoreId::new(0), CoreId::new(1)] {
                 for mode in MODES {
-                    for carry in CARRIES {
-                        let lo = pair(&ctx, k, y, t_lo, &r_lo, mode, carry).0;
-                        let hi = pair(&ctx, k, y, t_hi, &r_hi, mode, carry).0;
-                        prop_assert!(lo <= hi);
-                    }
-                    // Capped carry-out over-approximates the exact term.
-                    let exact = pair(&ctx, k, y, t_hi, &r_hi, mode, CarryOut::Exact).0;
-                    let capped = pair(&ctx, k, y, t_hi, &r_hi, mode, CarryOut::Capped).0;
-                    prop_assert!(exact <= capped);
-                }
-            }
-        }
-
-        /// A segment's span is a constancy interval of the capped bound:
-        /// every member's `N` — and with it its full-job charge and
-        /// carry-out cap — is constant there. The span is what the engine's
-        /// cache keys each segment on, so this is its soundness contract.
-        #[test]
-        fn bao_span_is_a_constancy_interval(
-            t in 0u64..5_000,
-            ra in 0u64..2_000,
-            rb in 0u64..2_000,
-            rc in 0u64..2_000,
-        ) {
-            let (platform, tasks) = fig1();
-            let ctx = AnalysisContext::new(&platform, &tasks).unwrap();
-            let resp = [ra, rb, rc].map(Time::from_cycles).to_vec();
-            let t = Time::from_cycles(t);
-            for k in tasks.ids() {
-                for y in [CoreId::new(0), CoreId::new(1)] {
-                    for mode in MODES {
-                        let span = segment(&ctx, k, y, t, &resp, mode).span;
-                        prop_assert!(span.contains(t));
-                        let lo = span.lo.cycles();
-                        let hi = span.hi.cycles().min(lo.saturating_add(100_000));
-                        for band in [PriorityBand::HigherOrEqual, PriorityBand::Lower] {
-                            let capped = |w| {
-                                spec::bao(&ctx, k, y, w, &resp, mode, band, CarryOut::Capped)
-                            };
-                            let v = capped(t);
-                            for p in [lo, (lo + hi) / 2, hi] {
-                                let w = Time::from_cycles(p);
-                                prop_assert_eq!(
-                                    capped(w), v,
-                                    "{:?} {:?} k={:?} y={:?} t={} probe={} span={:?}",
-                                    mode, band, k, y, t, w, span
-                                );
-                            }
-                        }
-                    }
+                    let lo = pair(&ctx, k, y, t_lo, &r_lo, mode).0;
+                    let hi = pair(&ctx, k, y, t_hi, &r_hi, mode).0;
+                    prop_assert!(lo <= hi);
                 }
             }
         }
 
         /// A segment must evaluate to exactly the spec's `BAO` everywhere
-        /// on its span — the engine's cache hits return `eval`.
+        /// on its span — the engine's cache hits return `eval`. Besides
+        /// the span's ends, middle and seed, the probes straddle both
+        /// shortcuts: each member's last window short of its cap and the
+        /// first one past it, and the segment's saturation point, wherever
+        /// they lie in the span.
         #[test]
         fn bao_segment_evaluates_bao_across_its_span(
             t in 0u64..5_000,
@@ -663,21 +640,25 @@ mod tests {
                         prop_assert!(seg.span.contains(t));
                         let lo = seg.span.lo.cycles();
                         let hi = seg.span.hi.cycles().min(lo.saturating_add(100_000));
-                        let probes = [lo, lo + (hi - lo) / 2, hi, t.cycles()];
-                        for carry in CARRIES {
-                            for p in probes {
-                                let w = Time::from_cycles(p);
-                                let (hep, lower) = seg.eval(w, ctx.d_mem(), carry);
-                                let spec = |band| {
-                                    spec::bao(&ctx, k, y, w, &resp, mode, band, carry)
-                                };
-                                prop_assert_eq!(
-                                    (Ok(hep), Ok(lower)),
-                                    (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
-                                    "{:?} {:?} k={:?} y={:?} t={} probe={} span={:?}",
-                                    mode, carry, k, y, t, w, seg.span
-                                );
-                            }
+                        let mut probes = vec![lo, lo + (hi - lo) / 2, hi, t.cycles()];
+                        for edge in seg
+                            .terms
+                            .iter()
+                            .map(|term| term.full_after)
+                            .chain([seg.saturated_after])
+                        {
+                            probes.extend([edge, edge.saturating_add(1)]);
+                        }
+                        let probes = probes.into_iter().map(Time::from_cycles);
+                        for w in probes.filter(|&w| seg.span.contains(w)) {
+                            let (hep, lower) = seg.eval(w, ctx.d_mem());
+                            let spec = |band| spec::bao(&ctx, k, y, w, &resp, mode, band);
+                            prop_assert_eq!(
+                                (Ok(hep), Ok(lower)),
+                                (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
+                                "{:?} k={:?} y={:?} t={} probe={} span={:?}",
+                                mode, k, y, t, w, seg.span
+                            );
                         }
                     }
                 }
@@ -713,13 +694,11 @@ mod tests {
                         seg.refresh(&ctx, k, &on_core, split, t2, &resp2, mode);
                         let fresh = segment(&ctx, k, y, t2, &resp2, mode);
                         prop_assert_eq!(seg.span, fresh.span, "k={:?} y={:?} {:?}", k, y, mode);
-                        for carry in CARRIES {
-                            prop_assert_eq!(
-                                seg.eval(t2, ctx.d_mem(), carry),
-                                fresh.eval(t2, ctx.d_mem(), carry),
-                                "k={:?} y={:?} {:?} {:?}", k, y, mode, carry
-                            );
-                        }
+                        prop_assert_eq!(
+                            seg.eval(t2, ctx.d_mem()),
+                            fresh.eval(t2, ctx.d_mem()),
+                            "k={:?} y={:?} {:?}", k, y, mode
+                        );
                     }
                 }
             }

@@ -63,7 +63,7 @@ impl std::fmt::Display for DominantTerm {
 /// Bus-access decomposition of `BAT_i^x(window)` along the paper's terms.
 ///
 /// The parts always reassemble exactly: [`TermDecomposition::total_accesses`]
-/// equals `BAT_i^x(window)` ([`crate::spec::bat`], exact carry-out).
+/// equals `BAT_i^x(window)` ([`crate::spec::bat`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermDecomposition {
     /// BAS share: own-core memory demand net of the CRPD/CPRO shares.
@@ -125,7 +125,7 @@ impl TermDecomposition {
     }
 }
 
-/// Decomposes `BAT_i^x(window)` (exact carry-out) into the paper's terms
+/// Decomposes `BAT_i^x(window)` into the paper's terms
 /// at the response-time estimates `resp`, through the analysis engine.
 ///
 /// Pass a converged [`crate::AnalysisResult`]'s response times as `resp`
@@ -147,7 +147,6 @@ pub fn decompose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bao::CarryOut;
     use crate::{analyze, spec, BusPolicy, PersistenceMode};
     use cpa_model::{CacheBlockSet, CacheGeometry, CoreId, Platform, Priority, Task, TaskSet};
     use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -208,7 +207,7 @@ mod tests {
 
     /// Every task's engine-emitted decomposition reassembles the spec's
     /// `BAT` at its window — the fixed point where one exists, the
-    /// deadline (the sufficiency test's window) for tasks that miss —
+    /// deadline for tasks that miss —
     /// under every bus × mode.
     fn assert_shares_reassemble_bat(platform: &Platform, tasks: &TaskSet) -> usize {
         let ctx = AnalysisContext::new(platform, tasks).unwrap();
@@ -234,7 +233,7 @@ mod tests {
                 for i in tasks.ids() {
                     let window = resp[i.index()];
                     let d = decompose(&ctx, &cfg, i, window, &resp);
-                    let bat = spec::bat(&ctx, i, window, &resp, &cfg, CarryOut::Exact);
+                    let bat = spec::bat(&ctx, i, window, &resp, &cfg);
                     assert_eq!(Ok(d.total_accesses()), bat, "{bus:?} {mode:?} {i:?}");
                 }
             }

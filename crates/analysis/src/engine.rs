@@ -22,8 +22,8 @@
 //!    [`crate::bao::BaoSegment`]s — one segment per remote core `y` and
 //!    split `s` (the number of tasks on `y` with id ≤ the level; a slot's
 //!    terms depend on the level only through `s`, DESIGN.md §17)
-//!    serving every level with that split, both priority bands and both
-//!    carry-out modes: per-member terms valid on a whole period-scale
+//!    serving every level with that split and both priority bands:
+//!    per-member terms valid on a whole period-scale
 //!    `N`-interval, re-evaluated in a few operations per hit (no band
 //!    filtering, no persistence/CPRO/CRPD re-derivation). `BAO` reads
 //!    remote response-time estimates, so each segment carries a per-core
@@ -50,7 +50,7 @@
 
 use cpa_model::{CoreId, TaskId, Time};
 
-use crate::bao::{BaoSegment, CarryOut};
+use crate::bao::BaoSegment;
 use crate::diagnose::TermDecomposition;
 use crate::wcrt::{self, AnalysisResult};
 use crate::{bas, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
@@ -107,8 +107,8 @@ pub struct AnalysisScratch {
     /// core changes, lazily invalidating that core's `BAO` segments.
     core_version: Vec<u64>,
     /// `BAO` segments per remote core, indexed by split (`0..=` the core's
-    /// task count) — one segment serves every level with that split, both
-    /// priority bands and both carry-out modes.
+    /// task count) — one segment serves every level with that split and
+    /// both priority bands.
     bao_slots: Vec<Vec<BaoSlot>>,
     /// Split of every `(level, core)` pair: the number of tasks on the
     /// core with id ≤ the level, flat-indexed `level · cores + core`.
@@ -259,32 +259,31 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
 
     /// The `(hep, lower)` pair from the `(core, split)` slot of `level`
     /// at the current estimates; one (incremental) [`BaoSegment::refresh`]
-    /// on a miss. Neither the level itself, the priority band nor the
-    /// carry-out mode is part of the key: one segment's terms serve every
-    /// level with the same split, both bands and both modes (see
-    /// [`BaoSegment`]), so neighbouring FP levels, RR's lowest-level
-    /// queries, the FP bus's two band queries and the Exact refine phase
-    /// all hit the segments the Capped bracket phase filled.
-    fn lookup(&mut self, level: TaskId, core: CoreId, t: Time, carry: CarryOut) -> (u64, u64) {
+    /// on a miss. Neither the level itself nor the priority band is part
+    /// of the key: one segment's terms serve every level with the same
+    /// split and both bands (see [`BaoSegment`]), so neighbouring FP
+    /// levels, RR's lowest-level queries and the FP bus's two band
+    /// queries all hit the same segments.
+    fn lookup(&mut self, level: TaskId, core: CoreId, t: Time) -> (u64, u64) {
         let (ctx, scratch) = (self.ctx, &mut *self.scratch);
         let split = scratch.bao_split[level.index() * ctx.platform().cores() + core.index()];
         let version = scratch.core_version[core.index()];
         let slot = &mut scratch.bao_slots[core.index()][split];
         if slot.stamp == version && slot.seg.span.contains(t) {
             self.bao_tally.0 += 1;
-            return slot.seg.eval(t, ctx.d_mem(), carry);
+            return slot.seg.eval(t, ctx.d_mem());
         }
         self.bao_tally.1 += 1;
         let (on_core, mode) = (&scratch.on_core[core.index()], self.config.persistence);
         slot.seg
             .refresh(ctx, level, on_core, split, t, &scratch.resp, mode);
         slot.stamp = version;
-        slot.seg.eval(t, ctx.d_mem(), carry)
+        slot.seg.eval(t, ctx.d_mem())
     }
 
     /// The cross-core access bound of Eq. (7)/(8)/(9) for `τi` in a window
     /// of length `t`, given its own-core demand `own = BAS_i^x(t)`.
-    fn cross_core(&mut self, i: TaskId, t: Time, own: u64, carry: CarryOut) -> u64 {
+    fn cross_core(&mut self, i: TaskId, t: Time, own: u64) -> u64 {
         let tasks = self.ctx.tasks();
         let cores = self.ctx.platform().cores();
         let core = tasks[i].core();
@@ -296,7 +295,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             BusPolicy::FixedPriority => {
                 let (mut higher, mut lower) = (0u64, 0u64);
                 for y in remote {
-                    let (hep, low) = self.lookup(i, y, t, carry);
+                    let (hep, low) = self.lookup(i, y, t);
                     higher = higher.saturating_add(hep);
                     lower = lower.saturating_add(low);
                 }
@@ -309,7 +308,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
                 let level = tasks.lowest_priority_id();
                 let cap = slots.saturating_mul(own);
                 remote.fold(0u64, |total, y| {
-                    total.saturating_add(self.lookup(level, y, t, carry).0.min(cap))
+                    total.saturating_add(self.lookup(level, y, t).0.min(cap))
                 })
             }
             // Eq. (9): every own access may wait for the other cores'
@@ -326,13 +325,13 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     /// same-core walk plus the cross-core step over the cached `BAO`
     /// segments. Agrees pointwise with the literal [`crate::spec`]
     /// right-hand side — that is the whole equivalence argument.
-    fn rhs(&mut self, i: TaskId, r: Time, carry: CarryOut) -> Time {
+    fn rhs(&mut self, i: TaskId, r: Time) -> Time {
         let terms = bas::same_core_terms(self.ctx, i, r, self.scratch.hp(self.ctx, i));
         let own = match self.config.persistence {
             PersistenceMode::Oblivious => terms.bas_oblivious,
             PersistenceMode::Aware => terms.bas_aware,
         };
-        let cross = self.cross_core(i, r, own, carry);
+        let cross = self.cross_core(i, r, own);
         let bus_accesses = own
             .saturating_add(cross)
             .saturating_add(self.scratch.blocking(self.ctx, self.config.bus, i));
@@ -342,7 +341,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             .saturating_add(self.ctx.d_mem().saturating_mul(bus_accesses))
     }
 
-    /// `BAT_i^x(window)` (exact carry-out) at the current estimates, split
+    /// `BAT_i^x(window)` at the current estimates, split
     /// into the paper's terms (see [`crate::diagnose`]) by the engine's own
     /// same-core walk and cross-core step. Kept off the cache meters: a
     /// decomposition is not part of a solve.
@@ -354,7 +353,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             PersistenceMode::Aware => (terms.bas_aware, terms.cpro),
         };
         let tally = self.bao_tally;
-        let bao = self.cross_core(i, window, own, CarryOut::Exact);
+        let bao = self.cross_core(i, window, own);
         self.bao_tally = tally;
         TermDecomposition {
             bas_accesses: own.saturating_sub(terms.crpd).saturating_sub(cpro),
@@ -426,7 +425,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
         let certified = tasks
             .ids()
             .rev()
-            .all(|i| self.rhs(i, deadline(i), CarryOut::Exact) <= deadline(i));
+            .all(|i| self.rhs(i, deadline(i)) <= deadline(i));
         self.flush();
         if certified {
             cpa_obs::counter("engine.verdicts_certified").incr();
@@ -453,8 +452,7 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
             for i in tasks.ids() {
                 self.tasks_solved += 1;
                 let start = self.scratch.resp[i.index()];
-                let solve =
-                    wcrt::solve_inner(tasks[i].deadline(), start, |r, carry| self.rhs(i, r, carry));
+                let solve = wcrt::solve_inner(tasks[i].deadline(), start, |r| self.rhs(i, r));
                 inner_iterations[i.index()] += solve.iterations;
                 let Some(r) = solve.bound else {
                     cpa_obs::event!(

@@ -16,14 +16,13 @@
 //! | Eq. (19) and the outer loop of §IV | [`analyze`] |
 //!
 //! It shares with the engine only what defines the result beyond the
-//! equations: the model, the `+1` blocking access, the bracket/refine
-//! solver of [`crate::wcrt`], whose bounded downward refinement decides
-//! which pre-fixed point is reported, and the model's exact
-//! [`cpa_model::UtilizationSum`] behind deviation 2. It fills its own `γ` and
-//! CPRO-overlap tables per call from the definitional
-//! [`crpd::gamma_with`] and [`cpro::cpro_overlap`] instead of reading the
-//! context's incremental tables,
-//! and it keeps no memo, spans or counters.
+//! equations: the model, the `+1` blocking access, the plain fixed-point
+//! loop of [`crate::wcrt`] (whose iteration count both sides report), and
+//! the model's exact [`cpa_model::UtilizationSum`] behind deviation 2.
+//! It fills its own `γ` and CPRO-overlap tables per call from the
+//! definitional [`crpd::gamma_with`] and [`cpro::cpro_overlap`] instead
+//! of reading the context's incremental tables, and it keeps no memo,
+//! spans or counters.
 //!
 //! # Arithmetic
 //!
@@ -53,7 +52,9 @@
 //!    job's share of the persistence bound, instead of `MD_l + γ` alone.
 //!    With the printed cap an `N` increment can trade a carry-out worth
 //!    `MD + γ` for a full-job increment worth as little as `MD^r`, so the
-//!    right-hand side of Eq. (19) would not be monotone in the window.
+//!    right-hand side of Eq. (19) would not be monotone in the window,
+//!    and plain iteration from below would not be sure to reach the
+//!    least fixed point.
 //! 2. **Perfect-bus utilization gate.** The perfect bus (Fig. 2's
 //!    reference line) is schedulable only while the residual bus load
 //!    `Σ MD^r_i · d_mem / T_i` is at most 1, compared exactly in
@@ -64,7 +65,7 @@ use std::fmt;
 
 use cpa_model::{CoreId, Task, TaskId, TaskSet, Time, UtilizationSum};
 
-use crate::bao::{CarryOut, PriorityBand};
+use crate::bao::PriorityBand;
 use crate::wcrt::{self, AnalysisResult};
 use crate::{
     cpro, crpd, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
@@ -286,8 +287,7 @@ impl<'c, 'a> Spec<'c, 'a> {
     /// ```
     ///
     /// with `N` from Eq. (6) and `W_cout` from Eq. (5), capped as in
-    /// deviation 1 of the module docs; [`CarryOut::Capped`] charges the
-    /// cap itself.
+    /// deviation 1 of the module docs.
     #[allow(clippy::too_many_arguments)] // mirrors the equation's parameter list
     fn bao(
         &self,
@@ -297,7 +297,6 @@ impl<'c, 'a> Spec<'c, 'a> {
         resp: &[Time],
         mode: PersistenceMode,
         band: PriorityBand,
-        carry: CarryOut,
     ) -> u128 {
         let tasks = self.tasks;
         let d_mem = self.d_mem();
@@ -330,10 +329,7 @@ impl<'c, 'a> Spec<'c, 'a> {
                     cost.min(add(add(d_md_hat, d_cpro), gamma))
                 }
             };
-            let cout = match carry {
-                CarryOut::Exact => w_cout_exact(cycles(t), r_l, cost, d_mem, period, n).min(cap),
-                CarryOut::Capped => cap,
-            };
+            let cout = w_cout_exact(cycles(t), r_l, cost, d_mem, period, n).min(cap);
             total = add(total, add(full_jobs, cout));
         }
         total
@@ -351,14 +347,7 @@ impl<'c, 'a> Spec<'c, 'a> {
     /// where `n` is the lowest priority level and the `+1` — one access of
     /// a same-core lower-priority task already in service (the footnote
     /// to Eq. (12)) — is only charged when such a task exists.
-    fn bat(
-        &self,
-        i: TaskId,
-        t: Time,
-        resp: &[Time],
-        config: &AnalysisConfig,
-        carry: CarryOut,
-    ) -> u128 {
+    fn bat(&self, i: TaskId, t: Time, resp: &[Time], config: &AnalysisConfig) -> u128 {
         let tasks = self.tasks;
         let x = tasks[i].core();
         let mode = config.persistence;
@@ -370,7 +359,7 @@ impl<'c, 'a> Spec<'c, 'a> {
                 let mut hep = 0;
                 let mut low = 0;
                 for y in remote() {
-                    let band = |b| self.bao(i, y, t, resp, mode, b, carry);
+                    let band = |b| self.bao(i, y, t, resp, mode, b);
                     hep = add(hep, band(PriorityBand::HigherOrEqual));
                     low = add(low, band(PriorityBand::Lower));
                 }
@@ -381,7 +370,7 @@ impl<'c, 'a> Spec<'c, 'a> {
                 let cap = mul(u128::from(slots), own);
                 let mut total = 0;
                 for y in remote() {
-                    let all = self.bao(n, y, t, resp, mode, PriorityBand::HigherOrEqual, carry);
+                    let all = self.bao(n, y, t, resp, mode, PriorityBand::HigherOrEqual);
                     total = add(total, all.min(cap));
                 }
                 total
@@ -398,21 +387,14 @@ impl<'c, 'a> Spec<'c, 'a> {
     /// ```text
     /// PD_i + Σ_{j ∈ Γx ∩ hp(i)} ⌈t / T_j⌉ · PD_j + BAT_i^x(t) · d_mem
     /// ```
-    fn rhs(
-        &self,
-        i: TaskId,
-        t: Time,
-        resp: &[Time],
-        config: &AnalysisConfig,
-        carry: CarryOut,
-    ) -> u128 {
+    fn rhs(&self, i: TaskId, t: Time, resp: &[Time], config: &AnalysisConfig) -> u128 {
         let tasks = self.tasks;
         let mut interference = 0;
         for j in tasks.hp_on(i, tasks[i].core()) {
             let e = u128::from(releases(t, tasks[j].period()));
             interference = add(interference, mul(e, cycles(tasks[j].processing_demand())));
         }
-        let bus = mul(self.bat(i, t, resp, config, carry), self.d_mem());
+        let bus = mul(self.bat(i, t, resp, config), self.d_mem());
         add(add(cycles(tasks[i].processing_demand()), interference), bus)
     }
 }
@@ -447,9 +429,8 @@ pub fn bao(
     resp: &[Time],
     mode: PersistenceMode,
     band: PriorityBand,
-    carry: CarryOut,
 ) -> Result<u64, Overflow> {
-    fit(Spec::new(ctx).bao(k, y, t, resp, mode, band, carry))
+    fit(Spec::new(ctx).bao(k, y, t, resp, mode, band))
 }
 
 /// `BAT_i^x(t)` (Eq. (7)/(8)/(9)) under `config` at the response-time
@@ -464,9 +445,8 @@ pub fn bat(
     t: Time,
     resp: &[Time],
     config: &AnalysisConfig,
-    carry: CarryOut,
 ) -> Result<u64, Overflow> {
-    fit(Spec::new(ctx).bat(i, t, resp, config, carry))
+    fit(Spec::new(ctx).bat(i, t, resp, config))
 }
 
 /// The full WCRT analysis: Eq. (19) per task, nested in the outer loop of
@@ -476,9 +456,10 @@ pub fn bat(
 /// [`AnalysisConfig::max_outer_iterations`] runs out.
 ///
 /// Estimates start at `R_i = PD_i + MD_i · d_mem`. Each per-task fixed
-/// point is found by the engine's bracket/refine solver, fed this
-/// module's right-hand side. Response times, verdict, outer rounds and
-/// the cap flag must equal [`crate::analyze_with`]'s.
+/// point is found by plain iteration upward from the current estimate
+/// (the engine's loop, fed this module's right-hand side), so it is the
+/// least one. Response times, verdict, outer rounds, inner iteration
+/// counts and the cap flag must equal [`crate::analyze_with`]'s.
 ///
 /// # Errors
 ///
@@ -520,11 +501,11 @@ pub fn analyze(
         let mut changed = false;
         for i in tasks.ids() {
             let mut overflow = None;
-            let solve = wcrt::solve_inner(tasks[i].deadline(), resp[i.index()], |r, carry| {
+            let solve = wcrt::solve_inner(tasks[i].deadline(), resp[i.index()], |r| {
                 if overflow.is_some() {
                     return r; // a fixed point: the solver stops at once
                 }
-                match fit(spec.rhs(i, r, &resp, config, carry)) {
+                match fit(spec.rhs(i, r, &resp, config)) {
                     Ok(next) => Time::from_cycles(next),
                     Err(e) => {
                         overflow = Some(e);
@@ -612,8 +593,7 @@ mod tests {
         (platform, TaskSet::new(vec![tau1, tau2, tau3]).unwrap())
     }
 
-    /// `BAT` with the exact carry-out, which never overflows on these
-    /// fixtures.
+    /// `BAT`, which never overflows on these fixtures.
     fn exact_bat(
         ctx: &AnalysisContext<'_>,
         i: TaskId,
@@ -621,7 +601,7 @@ mod tests {
         resp: &[Time],
         config: &AnalysisConfig,
     ) -> u64 {
-        bat(ctx, i, t, resp, config, CarryOut::Exact).expect("no overflow")
+        bat(ctx, i, t, resp, config).expect("no overflow")
     }
 
     fn buses(slots: u64) -> [BusPolicy; 4] {

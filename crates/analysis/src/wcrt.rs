@@ -16,7 +16,6 @@
 
 use cpa_model::{TaskId, TaskSet, Time, UtilizationSum};
 
-use crate::bao::CarryOut;
 use crate::{AnalysisConfig, AnalysisContext, BusPolicy};
 
 /// Result of a full WCRT analysis of a task set.
@@ -37,8 +36,10 @@ impl AnalysisResult {
         self.schedulable
     }
 
-    /// Per-task totals of inner fixed-point iterations (bracket + refine
-    /// steps, summed across every outer sweep), in priority order.
+    /// Per-task totals of inner fixed-point iterations (right-hand-side
+    /// evaluations of Eq. (19), summed across every outer sweep), in
+    /// priority order. One solve takes at most [`MAX_INNER_ITERATIONS`]
+    /// of them.
     #[must_use]
     pub fn inner_iteration_counts(&self) -> &[u64] {
         &self.inner_iterations
@@ -168,10 +169,12 @@ pub fn analyze_with(
 /// and the set is schedulable without a solve; otherwise the verdict is
 /// [`analyze_with`]'s, on the same scratch (DESIGN.md §10).
 ///
-/// A certified set is schedulable by Eq. (19) however many outer rounds
-/// its fixed point needs, so only a set [`analyze_with`] stops at
-/// [`AnalysisConfig::max_outer_iterations`] can get a different answer:
-/// `true` here, unschedulable with the cap flag there.
+/// A certified set is schedulable by Eq. (19) however many iterations
+/// its fixed point needs, so only a set [`analyze_with`] stops at an
+/// iteration cap can get a different answer: `true` here, unschedulable
+/// there, either with the cap flag after
+/// [`AnalysisConfig::max_outer_iterations`] rounds or as a deadline miss
+/// of a solve that took [`MAX_INNER_ITERATIONS`] steps.
 #[must_use]
 pub fn verdict_with(
     ctx: &AnalysisContext<'_>,
@@ -237,99 +240,59 @@ pub(crate) fn perfect_bus_check(
     None
 }
 
-/// Cap on the bracket steps of one solve; past it the sufficiency test
-/// decides, as for a bracket past the deadline.
-const MAX_INNER_ITERATIONS: u32 = 100_000;
+/// Cap on the right-hand-side evaluations of one solve. Reaching it
+/// reports a deadline miss: sound, since the iteration had not yet shown
+/// a fixed point at or below the deadline. Plain iteration creeps towards
+/// the fixed point in steps as small as `d_mem`, but no solve of the
+/// paper's populations comes near the cap (DESIGN.md §15).
+pub const MAX_INNER_ITERATIONS: u64 = 100_000;
 
 /// Outcome of one per-task inner fixed-point solve: the bound (`None` when
-/// the deadline cannot be met) and the iterations it took (bracket steps +
-/// refine steps + the sufficiency test, when taken).
+/// the deadline cannot be met) and the right-hand-side evaluations it
+/// took.
 pub(crate) struct InnerSolve {
     pub(crate) bound: Option<Time>,
     pub(crate) iterations: u64,
 }
 
-/// Sound WCRT bound for one task given the right-hand side of its
-/// recurrence; `bound` is `None` when the deadline cannot be met.
+/// The least fixed point of one task's Eq. (19) at or above `start`, or
+/// `None` when it exceeds the deadline: `r ← rhs_at(r)` from `start` until
+/// `rhs_at(r) = r` (the bound, if `r ≤ D_i`) or `r > D_i` (a miss).
 ///
-/// The solver is generic over the right-hand-side evaluator so the engine
-/// (cached `BAO` segments) and the spec ([`crate::spec::analyze`], the literal
-/// equations) share one algorithm — identical results follow from the
-/// evaluators agreeing pointwise. The recurrence is solved in two phases:
-///
-/// 1. **Bracket** — iterate upward with the *capped* carry-out bound
-///    ([`CarryOut::Capped`], an over-approximation of Eq. (5) whose
-///    value only changes at period-scale events). The exact Eq. (5) term
-///    grows by one access per elapsed `d_mem`, making naive upward
-///    iteration creep in `d_mem`-sized steps for up to millions of
-///    iterations; the capped bound converges in a number of steps bounded
-///    by the job releases in the window.
-/// 2. **Refine** — from the capped fixed point `r*` (which satisfies
-///    `f(r*) ≤ r*` for the exact right-hand side `f`), iterate `r ← f(r)`
-///    *downwards*. Every iterate remains a pre-fixed point of `f`
-///    (monotonicity), hence a sound WCRT bound, so refinement can stop
-///    after a bounded number of steps without losing soundness.
-///
-/// If the capped bracket exceeds the deadline, the exact recurrence is
-/// given a last chance via the sufficiency test `f(D_i) ≤ D_i` (any window
-/// of length `D_i` that contains all charged work ends by `D_i`), again
-/// followed by downward refinement.
+/// `rhs_at` is monotone in the window, and `start` lies at or below the
+/// least fixed point (the initial estimate `PD_i + MD_i · d_mem`, or the
+/// task's bound under smaller remote estimates), so every iterate stays at
+/// or below it and the first repeated value is the least fixed point
+/// itself — the paper's bound, not merely a sound one. The solver is
+/// generic over the right-hand-side evaluator so the engine (cached `BAO`
+/// segments) and the spec ([`crate::spec::analyze`], the literal
+/// equations) share one loop; identical results follow from the
+/// evaluators agreeing pointwise.
 ///
 /// The engine's right-hand side saturates at `u64::MAX`, so a bound there
 /// may stand for a larger one: no deadline admits it, and a task with
-/// `D_i = u64::MAX` is tested against `u64::MAX − 1`.
-/// It opens no span: its phases are counted, not timed (DESIGN.md §9).
+/// `D_i = u64::MAX` is tested against `u64::MAX − 1`. After
+/// [`MAX_INNER_ITERATIONS`] evaluations the solve reports a miss.
+/// It opens no span: its steps are counted, not timed (DESIGN.md §9).
 pub(crate) fn solve_inner(
     deadline: Time,
     start: Time,
-    mut rhs_at: impl FnMut(Time, CarryOut) -> Time,
+    mut rhs_at: impl FnMut(Time) -> Time,
 ) -> InnerSolve {
     let deadline = deadline.min(Time::from_cycles(u64::MAX - 1));
-    // Phase 1: capped upward bracket.
     let mut r = start;
-    let mut bracket = None;
-    let mut iterations = 0u64;
-    for _ in 0..MAX_INNER_ITERATIONS {
-        iterations += 1;
-        let next = rhs_at(r, CarryOut::Capped);
-        if next == r {
-            bracket = Some(r);
-            break;
+    for iterations in 1..=MAX_INNER_ITERATIONS {
+        let next = rhs_at(r);
+        if next == r || next > deadline {
+            let bound = (next == r && r <= deadline).then_some(r);
+            return InnerSolve { bound, iterations };
         }
         r = next;
-        if r > deadline {
-            break;
-        }
     }
-
-    const REFINE_STEPS: u32 = 64;
-    fn refine<F: FnMut(Time, CarryOut) -> Time>(
-        mut r: Time,
-        iterations: &mut u64,
-        rhs_at: &mut F,
-    ) -> Time {
-        for _ in 0..REFINE_STEPS {
-            *iterations += 1;
-            let next = rhs_at(r, CarryOut::Exact);
-            debug_assert!(next <= r, "downward refinement must not increase");
-            if next == r {
-                break;
-            }
-            r = next;
-        }
-        r
+    InnerSolve {
+        bound: None,
+        iterations: MAX_INNER_ITERATIONS,
     }
-
-    let bound = match bracket {
-        Some(r_star) if r_star <= deadline => Some(refine(r_star, &mut iterations, &mut rhs_at)),
-        _ => {
-            // Exact sufficiency test at the deadline.
-            iterations += 1;
-            let at_deadline = rhs_at(deadline, CarryOut::Exact);
-            (at_deadline <= deadline).then(|| refine(at_deadline, &mut iterations, &mut rhs_at))
-        }
-    };
-    InnerSolve { bound, iterations }
 }
 
 #[cfg(test)]
@@ -570,7 +533,7 @@ pub(crate) mod tests {
         assert_eq!(res.inner_iteration_counts().len(), 2);
         for i in ts.ids() {
             assert!(res.response_time(i).is_some(), "{i:?}");
-            // Every task needs at least one bracket step per outer sweep.
+            // Every task needs at least one step per outer sweep.
             let inner = res.inner_iteration_counts()[i.index()];
             assert!(inner >= u64::from(res.outer_iterations()));
         }

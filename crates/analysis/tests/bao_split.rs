@@ -8,7 +8,7 @@
 //! all of them and refreshes its terms at whichever of those levels is
 //! queried; this is the identity that makes both sound.
 
-use cpa_analysis::bao::{BaoSegment, CarryOut, PriorityBand};
+use cpa_analysis::bao::{BaoSegment, PriorityBand};
 use cpa_analysis::{
     analyze, spec, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, PersistenceMode,
 };
@@ -136,15 +136,13 @@ fn segment_refreshed_at_one_level_matches_the_spec_at_another() {
             let mut seg = BaoSegment::default();
             seg.rebuild(&ctx, k0, &on_core, split, tasks[k0].deadline(), &resp, mode);
             seg.refresh(&ctx, k, &on_core, split, t, &moved, mode);
-            for carry in [CarryOut::Exact, CarryOut::Capped] {
-                let spec = |band| spec::bao(&ctx, k0, y, t, &moved, mode, band, carry);
-                let (hep, lower) = seg.eval(t, ctx.d_mem(), carry);
-                assert_eq!(
-                    (Ok(hep), Ok(lower)),
-                    (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
-                    "{y:?} levels {k0:?} -> {k:?} {mode:?} {carry:?}"
-                );
-            }
+            let spec = |band| spec::bao(&ctx, k0, y, t, &moved, mode, band);
+            let (hep, lower) = seg.eval(t, ctx.d_mem());
+            assert_eq!(
+                (Ok(hep), Ok(lower)),
+                (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
+                "{y:?} levels {k0:?} -> {k:?} {mode:?}"
+            );
         }
     }
 }

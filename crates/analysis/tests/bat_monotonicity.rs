@@ -1,5 +1,5 @@
 //! Property pin: `BAT_i^x(t)` (Eq. (7)/(8)/(9), the literal
-//! [`spec::bat`] with the exact carry-out) is monotone non-decreasing
+//! [`spec::bat`]) is monotone non-decreasing
 //! in the window length `t` *and* in every individual remote response-time
 //! estimate, for each arbitration policy and persistence mode.
 //!
@@ -9,7 +9,6 @@
 //! a bound computed against stale smaller estimates is never an
 //! over-commitment.
 
-use cpa_analysis::bao::CarryOut;
 use cpa_analysis::{spec, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa_model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskId, TaskSet, Time};
 use proptest::prelude::*;
@@ -48,7 +47,7 @@ fn fixture() -> (Platform, TaskSet) {
 }
 
 fn bat(ctx: &AnalysisContext<'_>, i: TaskId, t: Time, resp: &[Time], cfg: &AnalysisConfig) -> u64 {
-    spec::bat(ctx, i, t, resp, cfg, CarryOut::Exact).expect("no overflow")
+    spec::bat(ctx, i, t, resp, cfg).expect("no overflow")
 }
 
 fn policies() -> [BusPolicy; 3] {

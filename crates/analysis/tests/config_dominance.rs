@@ -3,14 +3,12 @@
 //! solving it. Whenever `a.dominates(b)`:
 //!
 //! - the literal `BAT` of `a` is at least `b`'s at every window and
-//!   estimate, under both carry-out flavours, so the right-hand side of
-//!   Eq. (19) is too;
+//!   estimate, so the right-hand side of Eq. (19) is too;
 //! - `a` schedulable implies `b` schedulable with every `R_b ≤ R_a`.
 //!
 //! The table tests pin the relation itself over the configurations the
 //! experiments use.
 
-use cpa_analysis::bao::CarryOut;
 use cpa_analysis::{analyze, spec, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa_model::{CacheGeometry, Platform, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
@@ -80,19 +78,14 @@ proptest! {
 
         let configs = configs();
         let results: Vec<_> = configs.iter().map(|cfg| analyze(&ctx, cfg)).collect();
-        // Per configuration: BAT at every (sample, carry-out, task).
+        // Per configuration: BAT at every (sample, task).
         let bats: Vec<Vec<u64>> = configs
             .iter()
             .map(|cfg| {
                 let mut out = Vec::new();
                 for (window, resp) in &samples {
-                    for carry in [CarryOut::Exact, CarryOut::Capped] {
-                        for i in tasks.ids() {
-                            out.push(
-                                spec::bat(&ctx, i, *window, resp, cfg, carry)
-                                    .expect("no overflow"),
-                            );
-                        }
+                    for i in tasks.ids() {
+                        out.push(spec::bat(&ctx, i, *window, resp, cfg).expect("no overflow"));
                     }
                 }
                 out
@@ -106,7 +99,7 @@ proptest! {
                 for (k, (bat_a, bat_b)) in bats_a.iter().zip(bats_b).enumerate() {
                     prop_assert!(
                         bat_a >= bat_b,
-                        "{a:?} over {b:?}, sample {k} (window, carry-out, task): \
+                        "{a:?} over {b:?}, sample {k} (window, task): \
                          BAT {bat_a} < {bat_b}"
                     );
                 }

@@ -7,7 +7,12 @@
 //! whose intermediate values (`t + R_l` in Eq. (5)/(6), RR's `s · BAS`,
 //! FP's lower-band sum) leave `u64` while the bound stays inside it must
 //! come out exact — the case `BAO` used to undercount.
+//!
+//! Periods near `u64::MAX` are also where plain fixed-point iteration
+//! could creep longest, so every per-task inner count must stay below
+//! [`MAX_INNER_ITERATIONS`]: no verdict here is the iteration cap's.
 
+use cpa_analysis::wcrt::MAX_INNER_ITERATIONS;
 use cpa_analysis::{
     analyze, analyze_with, spec, verdict_with, AnalysisConfig, AnalysisContext, AnalysisResult,
     AnalysisScratch, BusPolicy, PersistenceMode,
@@ -45,7 +50,8 @@ fn plain(name: &str, prio: u32, core: usize, pd: u64, md: u64, period: u64, dead
 /// Spec `Ok` ⇒ the engine's result is the same, bit for bit; spec
 /// `Overflow` ⇒ the engine reports unschedulable. Checked with a fresh
 /// and with a reused scratch, and [`verdict_with`]'s certificate at the
-/// deadlines gives the engine's verdict.
+/// deadlines gives the engine's verdict. No task's inner iterations,
+/// summed over its outer rounds, reach the per-solve cap.
 fn check(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -61,6 +67,12 @@ fn check(
     }
     let reference = spec::analyze(ctx, config);
     for engine in &engines {
+        let counts = engine.inner_iteration_counts();
+        if let Some(count) = counts.iter().find(|&&c| c >= MAX_INNER_ITERATIONS) {
+            return Err(format!(
+                "{count} inner iterations reach the cap: {counts:?}"
+            ));
+        }
         match &reference {
             Ok(reference) => same(engine, reference)?,
             Err(_) if engine.is_schedulable() => {

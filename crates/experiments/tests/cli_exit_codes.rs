@@ -123,6 +123,27 @@ fn zero_cores_exit_2_with_a_diagnostic() {
 }
 
 #[test]
+fn oversized_caches_exit_2_with_a_diagnostic() {
+    // `u64::MAX` sets used to abort on a 2^61-byte block-set allocation
+    // (exit 134). Only values past the limit are tried: a large one under
+    // it would start a real allocation.
+    let too_many = (cpa_model::MAX_CACHE_SETS + 1).to_string();
+    for sets in ["18446744073709551615", too_many.as_str()] {
+        for (name, prefix) in [("gen_taskset", &[][..]), ("cpa-optimize", &["gen"][..])] {
+            let args = [prefix, &["--cache-sets", sets]].concat();
+            let out = run(&bin(name), &args);
+            let stderr = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(
+                stderr.contains("cache sets exceed"),
+                "{name} {args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{name} {args:?}: wrote output");
+        }
+    }
+}
+
+#[test]
 fn zero_sets_exit_2_with_a_diagnostic() {
     // Zero sets per point used to write `0,0,0` rows that read as
     // nothing schedulable.

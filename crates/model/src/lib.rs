@@ -80,6 +80,6 @@ pub use error::ModelError;
 pub use ids::{CoreId, Priority, TaskId};
 pub use platform::{CacheGeometry, Platform, PlatformBuilder};
 pub use task::{Task, TaskBuilder};
-pub use taskset::{TaskSet, MAX_TASKS};
+pub use taskset::{TaskSet, MAX_CACHE_SETS, MAX_TASKS};
 pub use time::Time;
 pub use utilization::UtilizationSum;

@@ -76,6 +76,16 @@ impl TryFrom<Vec<Task>> for TaskSet {
 /// [`ModelError::InvalidTaskSet`].
 pub const MAX_TASKS: usize = 4_096;
 
+/// The most cache sets a generated task set may span.
+///
+/// The paper's largest cache has 1 024 sets (Fig. 3c). Every task's
+/// cache-block sets are bitsets over all sets, so an unbounded count lets
+/// one flag value ask for an allocation that aborts the process. The
+/// workload generator rejects anything larger with
+/// [`ModelError::InvalidTaskSet`]. A decoded task set needs no such check:
+/// its block sets carry every word in the input itself.
+pub const MAX_CACHE_SETS: usize = 65_536;
+
 impl TaskSet {
     /// Creates a task set, sorting by priority and validating global
     /// invariants.

@@ -452,7 +452,7 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     let engine = EngineStats::read();
 
     // Decomposition windows: the fixed point where one exists, the
-    // deadline (the last window the sufficiency test probed) otherwise.
+    // deadline otherwise.
     let windows: Vec<Time> = tasks
         .ids()
         .map(|i| {

@@ -1,6 +1,8 @@
 //! Random task-set construction following §V of the paper.
 
-use cpa_model::{CacheBlockSet, CoreId, ModelError, Priority, Task, TaskSet, Time, MAX_TASKS};
+use cpa_model::{
+    CacheBlockSet, CoreId, ModelError, Priority, Task, TaskSet, Time, MAX_CACHE_SETS, MAX_TASKS,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -146,7 +148,7 @@ impl TaskSetGenerator {
     /// Returns [`ModelError::InvalidTaskSet`] if the configuration is
     /// degenerate: zero cores or tasks, more than [`MAX_TASKS`] tasks in
     /// all, non-positive utilization, empty or inconsistent benchmark pool,
-    /// or a zero-sized cache.
+    /// or a cache of zero or more than [`MAX_CACHE_SETS`] sets.
     pub fn new(config: GeneratorConfig) -> Result<Self, ModelError> {
         let invalid = |reason: String| ModelError::InvalidTaskSet { reason };
         if config.cores == 0 {
@@ -172,6 +174,12 @@ impl TaskSetGenerator {
         }
         if config.cache_sets == 0 {
             return Err(invalid("cache must have at least one set".into()));
+        }
+        if config.cache_sets > MAX_CACHE_SETS {
+            return Err(invalid(format!(
+                "{} cache sets exceed the limit of {MAX_CACHE_SETS}",
+                config.cache_sets
+            )));
         }
         if config.d_mem.is_zero() {
             return Err(invalid("d_mem must be positive".into()));
@@ -478,6 +486,17 @@ mod tests {
             let err = TaskSetGenerator::new(shape(cores, tasks_per_core)).unwrap_err();
             assert!(matches!(err, ModelError::InvalidTaskSet { .. }));
             assert!(err.to_string().contains("limit of 4096"), "{err}");
+        }
+    }
+
+    #[test]
+    fn cache_set_ceiling_is_checked_before_any_draw() {
+        let sets = |cache_sets| GeneratorConfig::paper_default().with_cache_sets(cache_sets);
+        assert!(TaskSetGenerator::new(sets(MAX_CACHE_SETS)).is_ok());
+        for cache_sets in [MAX_CACHE_SETS + 1, usize::MAX] {
+            let err = TaskSetGenerator::new(sets(cache_sets)).unwrap_err();
+            assert!(matches!(err, ModelError::InvalidTaskSet { .. }));
+            assert!(err.to_string().contains("limit of 65536"), "{err}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example fig1_worked_example
 //! ```
 
-use cpa::analysis::bao::{CarryOut, PriorityBand};
+use cpa::analysis::bao::PriorityBand;
 use cpa::analysis::spec;
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CacheBlockSet, CoreId, Platform, Priority, Task, TaskSet, Time};
@@ -70,12 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             resp,
             mode,
             PriorityBand::HigherOrEqual,
-            CarryOut::Exact,
         )
     };
-    let bat = |resp: &[Time], cfg: &AnalysisConfig| {
-        spec::bat(&ctx, t2, window, resp, cfg, CarryOut::Exact)
-    };
+    let bat = |resp: &[Time], cfg: &AnalysisConfig| spec::bat(&ctx, t2, window, resp, cfg);
 
     println!("Fig. 1 — execution of τ1, τ2 on core π_x and τ3 on core π_y");
     println!("(window of length 60 ⇒ 3 jobs of τ1, 4 full jobs of τ3)\n");

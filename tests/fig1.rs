@@ -8,7 +8,7 @@
 
 mod common;
 
-use cpa::analysis::bao::{CarryOut, PriorityBand};
+use cpa::analysis::bao::PriorityBand;
 use cpa::analysis::spec::{self, md_hat, n_jobs, releases};
 use cpa::analysis::{AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
 use cpa::model::{CoreId, Time};
@@ -50,7 +50,7 @@ fn fig1_worked_example_numbers() {
     );
     let bao = |mode| {
         let hep = PriorityBand::HigherOrEqual;
-        spec::bao(&ctx, t3, y, window, &resp, mode, hep, CarryOut::Exact)
+        spec::bao(&ctx, t3, y, window, &resp, mode, hep)
     };
     assert_eq!(bao(PersistenceMode::Oblivious), Ok(24));
     // Persistence-aware: MD_3 + 3·MD_3^r = 9.
@@ -63,7 +63,7 @@ fn fig1_worked_example_numbers() {
         PersistenceMode::Oblivious,
     );
     let aware = AnalysisConfig::new(BusPolicy::RoundRobin { slots: 1 }, PersistenceMode::Aware);
-    let bat = |cfg| spec::bat(&ctx, t2, window, &resp, cfg, CarryOut::Exact);
+    let bat = |cfg| spec::bat(&ctx, t2, window, &resp, cfg);
     assert_eq!(bat(&oblivious), Ok(56));
     assert_eq!(bat(&aware), Ok(35));
 }
