@@ -11,6 +11,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps (rustdoc warnings, unresolved and private links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
 echo "==> cargo test -q"
 cargo test -q
 

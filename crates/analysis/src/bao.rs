@@ -16,34 +16,6 @@ use cpa_model::{TaskId, Time};
 
 use crate::{cpro, demand, AnalysisContext, PersistenceMode};
 
-/// A closed window interval `[lo, hi]` on which a [`BaoSegment`]'s terms
-/// are valid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// Smallest window length of the interval.
-    pub lo: Time,
-    /// Largest window length of the interval.
-    pub hi: Time,
-}
-
-impl Default for Span {
-    /// The empty interval: it contains no window.
-    fn default() -> Span {
-        Span {
-            lo: Time::from_cycles(1),
-            hi: Time::ZERO,
-        }
-    }
-}
-
-impl Span {
-    /// Whether `t` lies in the interval.
-    #[must_use]
-    pub fn contains(&self, t: Time) -> bool {
-        self.lo <= t && t <= self.hi
-    }
-}
-
 /// Eq. (6): `N_{k,l}^y(t) = ⌊max(t + r − sub, 0) / p⌋`, the jobs of a
 /// remote task with period `p > 0` and response-time estimate `r` that
 /// fully execute within a window of length `t`, where
@@ -104,7 +76,7 @@ fn term_interval(n: u64, p: u64, r: u64, sub: u128) -> (u64, u64) {
 /// from the window, the combined cap and the window from which the cap
 /// binds) are pre-saturated here, leaving a few `u64` operations per
 /// evaluation, and none past `full_after`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BaoTerm {
     /// The `N` full jobs' charge (at the persistence mode's bound),
     /// including their CRPD.
@@ -137,8 +109,8 @@ struct BaoTerm {
     /// See [`BaoTerm::up`].
     down: u64,
     /// The member's own `N`-interval `[lo, hi]` in cycles: the term stays
-    /// exact for any window inside it (at the response time `r`), letting
-    /// [`BaoSegment::refresh`] keep it across segment-level span exits.
+    /// exact for any window inside it (at the response time `r`), so
+    /// [`BaoSegment::eval`] keeps it for every such window.
     lo: u64,
     /// Upper end of the member's `N`-interval.
     hi: u64,
@@ -223,7 +195,7 @@ fn term(
 
 impl BaoTerm {
     /// A placeholder whose `N`-interval is empty, so the next
-    /// [`BaoSegment::refresh`] re-derives it at any window.
+    /// [`BaoSegment::eval`] re-derives it at any window.
     const STALE: BaoTerm = BaoTerm {
         full_jobs: 0,
         cap: 0,
@@ -237,67 +209,52 @@ impl BaoTerm {
 }
 
 /// `BAO` (Eq. (3), Lemma 2) — for one remote core and every level with
-/// one split on it, *both* priority bands — restricted to a window
-/// interval on which every member's full-job count `N` (Eq. (6)) is
-/// constant.
+/// one split on it, *both* priority bands — as one stored `BaoTerm` per
+/// member of the remote core.
 ///
 /// [`BaoSegment::eval`] reproduces [`crate::spec::bao`]'s per-band values
-/// bit-for-bit anywhere in [`BaoSegment::span`], at a few arithmetic
-/// operations per member — no band-membership filtering, no
+/// bit-for-bit at any window, at a few arithmetic operations per member
+/// whose term still holds — no band-membership filtering, no
 /// persistence-demand (`M̂D`), CPRO or CRPD lookups; those are all
-/// `N`-determined and folded into the stored terms. A member past its
-/// cut-off (`full_after`) charges its carry-out cap without a division,
-/// and past the last member's the whole pair is the precomputed
-/// saturated totals. This is what makes the engine's segment cache pay:
-/// the span covers whole job periods rather than single `d_mem`
-/// carry-out cells (the constancy grain of a scalar `BAO` value), and
-/// one segment serves both bands of the FP bus. When the window
-/// leaves the span or a member's response-time estimate moves,
-/// [`BaoSegment::refresh`] re-derives only the affected members' terms.
-/// The default segment is empty: it covers no window, so every lookup
-/// misses until the first [`BaoSegment::refresh`].
+/// `N`-determined and folded into the stored terms. A term holds while
+/// its member's estimate is the one it was built from and the window lies
+/// in its `N`-interval, which covers a whole job period rather than a
+/// single `d_mem` carry-out cell (the constancy grain of a scalar `BAO`
+/// value); one segment serves both bands of the FP bus. The default
+/// segment holds no terms, so its first evaluation derives every one.
 #[derive(Debug, Clone, Default)]
 pub struct BaoSegment {
-    /// Maximal window interval — containing the seed `t` — on which the
-    /// stored terms are valid (the intersection of the members'
-    /// `N`-intervals).
-    pub span: Span,
     /// Per-member terms: `hep(k)` prefix then `lp(k)` suffix, each in its
     /// band's iteration order (the accumulation order of
     /// [`crate::spec::bao`]).
     terms: Vec<BaoTerm>,
     /// First index of the `lp(k)` suffix in `terms`.
     split: usize,
-    /// The `(hep, lower)` totals with every member's carry-out at its
-    /// cap: the exact value at every window past `saturated_after`.
-    saturated: (u64, u64),
-    /// The largest member `full_after`: past it every member
-    /// charges its cap, so [`BaoSegment::eval`] returns `saturated`.
-    saturated_after: u64,
 }
 
 impl BaoSegment {
-    /// Returns the segment to its freshly-constructed state — empty span,
-    /// no terms — while keeping the term storage. Every subsequent lookup
-    /// misses until the first [`BaoSegment::refresh`], which is exactly
-    /// what a segment recycled onto a *different* task set needs: stale
-    /// terms must never be served, but their allocation is still good.
+    /// Returns the segment to its freshly-constructed state — no terms —
+    /// while keeping the term storage. A segment recycled onto a
+    /// *different* task set needs exactly this: a term left over from
+    /// another set could pass the validity check by chance, but its
+    /// allocation is still good.
     pub fn reset(&mut self) {
-        self.span = Span::default();
         self.terms.clear();
         self.split = 0;
-        self.saturated = (0, 0);
-        self.saturated_after = 0;
     }
 
-    /// Rebuilds every term in place for level `level` around window
-    /// length `t`: one walk over `on_core`, the remote core's task ids in
-    /// id order, whose first `split` entries (the ids `≤ level`; ids are
-    /// priority order) form the `hep(level)` band and the rest the
-    /// `lp(level)` band. The term storage is reused — steady-state
-    /// rebuilds allocate nothing.
+    /// The `(hep, lower)` bounds of level `level` at window length `t` and
+    /// the estimates `resp` — identical to [`crate::spec::bao`] per band —
+    /// and whether every stored term was reused. One walk over `on_core`,
+    /// the remote core's task ids in id order, whose first `split` entries
+    /// (the ids `≤ level`; ids are priority order) form the `hep(level)`
+    /// band and the rest the `lp(level)` band. A member's term is
+    /// re-derived when its estimate moved or `t` left its `N`-interval, in
+    /// either direction; `level` may differ from the level a kept term was
+    /// derived at as long as the split is the same. The term storage is
+    /// reused — steady-state evaluations allocate nothing.
     #[allow(clippy::too_many_arguments)]
-    pub fn rebuild(
+    pub fn eval(
         &mut self,
         ctx: &AnalysisContext<'_>,
         level: TaskId,
@@ -306,100 +263,35 @@ impl BaoSegment {
         t: Time,
         resp: &[Time],
         mode: PersistenceMode,
-    ) {
-        self.terms.clear();
-        self.terms.resize(on_core.len(), BaoTerm::STALE);
-        self.split = split;
-        self.refresh(ctx, level, on_core, split, t, resp, mode);
-    }
-
-    /// Brings the segment to window length `t` and the current estimates
-    /// `resp`, re-deriving only the terms that actually changed: a stored
-    /// term is kept verbatim when its member's response time is unchanged
-    /// and `t` still lies in the member's own `N`-interval. A typical span
-    /// exit crosses one member's period boundary, so this costs one term
-    /// derivation plus a cheap scan — not a full rebuild. The same scan
-    /// re-derives the aggregate state: the span (the intersection of the
-    /// member `N`-intervals), the per-band saturated totals, accumulated
-    /// in member order like [`BaoSegment::eval`]'s, and the window past
-    /// which they hold. The arguments are [`BaoSegment::rebuild`]'s;
-    /// `level` may differ from the level the kept terms were derived at
-    /// as long as the split is the same.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refresh(
-        &mut self,
-        ctx: &AnalysisContext<'_>,
-        level: TaskId,
-        on_core: &[TaskId],
-        split: usize,
-        t: Time,
-        resp: &[Time],
-        mode: PersistenceMode,
-    ) {
+    ) -> ((u64, u64), bool) {
         if self.terms.len() != on_core.len() || self.split != split {
-            self.rebuild(ctx, level, on_core, split, t, resp, mode);
-            return;
+            self.terms.clear();
+            self.terms.resize(on_core.len(), BaoTerm::STALE);
+            self.split = split;
         }
-        let tc = t.cycles();
-        let mut lo = 0u64;
-        let mut hi = u64::MAX;
-        let mut saturated = (0u64, 0u64);
-        let mut saturated_after = 0u64;
+        let (tc, d_mem) = (t.cycles(), ctx.d_mem());
+        let mut totals = (0u64, 0u64);
+        let mut reused = true;
         for (i, (slot, &l)) in self.terms.iter_mut().zip(on_core).enumerate() {
             let r_l = resp[l.index()];
             if r_l != slot.r || tc < slot.lo || slot.hi < tc {
                 *slot = term(ctx, level, l, t, r_l, mode);
+                reused = false;
             }
-            lo = lo.max(slot.lo);
-            hi = hi.min(slot.hi);
-            saturated_after = saturated_after.max(slot.full_after);
-            let total = if i < split {
-                &mut saturated.0
+            let cout = if tc > slot.full_after {
+                slot.cap
             } else {
-                &mut saturated.1
+                let overlap = tc.saturating_add(slot.up).saturating_sub(slot.down);
+                Time::from_cycles(overlap).div_ceil(d_mem).min(slot.cap)
             };
-            *total = total
-                .saturating_add(slot.full_jobs)
-                .saturating_add(slot.cap);
+            let total = if i < split {
+                &mut totals.0
+            } else {
+                &mut totals.1
+            };
+            *total = total.saturating_add(slot.full_jobs).saturating_add(cout);
         }
-        self.span = Span {
-            lo: Time::from_cycles(lo),
-            hi: Time::from_cycles(hi),
-        };
-        self.saturated = saturated;
-        self.saturated_after = saturated_after;
-        debug_assert!(
-            self.span.contains(t),
-            "segment span {:?} must contain t={t}",
-            self.span
-        );
-    }
-
-    /// Evaluates the `(hep, lower)` bounds at window length `t ∈ span` —
-    /// identical to [`crate::spec::bao`] per band with the arguments the
-    /// segment was built from.
-    #[must_use]
-    pub fn eval(&self, t: Time, d_mem: Time) -> (u64, u64) {
-        debug_assert!(self.span.contains(t), "eval outside span {:?}", self.span);
-        let tc = t.cycles();
-        if tc > self.saturated_after {
-            return self.saturated;
-        }
-        let total = |terms: &[BaoTerm]| {
-            let mut total = 0u64;
-            for term in terms {
-                let cout = if tc > term.full_after {
-                    term.cap
-                } else {
-                    let overlap = tc.saturating_add(term.up).saturating_sub(term.down);
-                    Time::from_cycles(overlap).div_ceil(d_mem).min(term.cap)
-                };
-                total = total.saturating_add(term.full_jobs).saturating_add(cout);
-            }
-            total
-        };
-        let (hep, lower) = self.terms.split_at(self.split);
-        (total(hep), total(lower))
+        (totals, reused)
     }
 }
 
@@ -454,22 +346,6 @@ mod tests {
         (platform, TaskSet::new(vec![tau1, tau2, tau3]).unwrap())
     }
 
-    /// The engine's segment for level `k` on core `y` around window `t`:
-    /// one rebuild.
-    fn segment(
-        ctx: &AnalysisContext<'_>,
-        k: TaskId,
-        y: CoreId,
-        t: Time,
-        resp: &[Time],
-        mode: PersistenceMode,
-    ) -> BaoSegment {
-        let (on_core, split) = band(ctx, k, y);
-        let mut seg = BaoSegment::default();
-        seg.rebuild(ctx, k, &on_core, split, t, resp, mode);
-        seg
-    }
-
     /// Core `y`'s task ids in id order and the split of level `k` on it.
     fn band(ctx: &AnalysisContext<'_>, k: TaskId, y: CoreId) -> (Vec<TaskId>, usize) {
         let tasks = ctx.tasks();
@@ -478,8 +354,7 @@ mod tests {
         (on_core, split)
     }
 
-    /// The engine's `(hep, lower)` pair at `t`, from a segment built there.
-    #[allow(clippy::too_many_arguments)]
+    /// The engine's `(hep, lower)` pair at `t`, from a fresh segment.
     fn pair(
         ctx: &AnalysisContext<'_>,
         k: TaskId,
@@ -488,7 +363,10 @@ mod tests {
         resp: &[Time],
         mode: PersistenceMode,
     ) -> (u64, u64) {
-        segment(ctx, k, y, t, resp, mode).eval(t, ctx.d_mem())
+        let (on_core, split) = band(ctx, k, y);
+        BaoSegment::default()
+            .eval(ctx, k, &on_core, split, t, resp, mode)
+            .0
     }
 
     const MODES: [PersistenceMode; 2] = [PersistenceMode::Oblivious, PersistenceMode::Aware];
@@ -616,12 +494,14 @@ mod tests {
             }
         }
 
-        /// A segment must evaluate to exactly the spec's `BAO` everywhere
-        /// on its span — the engine's cache hits return `eval`. Besides
-        /// the span's ends, middle and seed, the probes straddle both
-        /// shortcuts: each member's last window short of its cap and the
-        /// first one past it, and the segment's saturation point, wherever
-        /// they lie in the span.
+        /// A segment must evaluate to exactly the spec's `BAO` at every
+        /// window it is asked for — the engine's lookups return `eval`.
+        /// From a segment built at `t`, the probes sit just below, at and
+        /// just above each member's `N`-interval ends and carry-out cut-off
+        /// (`full_after`), visited upward and then back down, so terms are
+        /// re-derived in both directions. A probe inside every stored
+        /// term's interval must reuse them all, and repeating a lookup must
+        /// report `reused` with the same pair.
         #[test]
         fn bao_segment_evaluates_bao_across_its_span(
             t in 0u64..5_000,
@@ -636,38 +516,41 @@ mod tests {
             for k in tasks.ids() {
                 for y in [CoreId::new(0), CoreId::new(1)] {
                     for mode in MODES {
-                        let seg = segment(&ctx, k, y, t, &resp, mode);
-                        prop_assert!(seg.span.contains(t));
-                        let lo = seg.span.lo.cycles();
-                        let hi = seg.span.hi.cycles().min(lo.saturating_add(100_000));
-                        let mut probes = vec![lo, lo + (hi - lo) / 2, hi, t.cycles()];
-                        for edge in seg
-                            .terms
-                            .iter()
-                            .map(|term| term.full_after)
-                            .chain([seg.saturated_after])
-                        {
-                            probes.extend([edge, edge.saturating_add(1)]);
+                        let (on_core, split) = band(&ctx, k, y);
+                        let mut seg = BaoSegment::default();
+                        let eval = |seg: &mut BaoSegment, w| {
+                            seg.eval(&ctx, k, &on_core, split, w, &resp, mode)
+                        };
+                        let _ = eval(&mut seg, t);
+                        let mut probes = vec![t.cycles()];
+                        for term in &seg.terms {
+                            for edge in [term.lo, term.hi, term.full_after] {
+                                probes.extend([edge.saturating_sub(1), edge, edge.saturating_add(1)]);
+                            }
                         }
-                        let probes = probes.into_iter().map(Time::from_cycles);
-                        for w in probes.filter(|&w| seg.span.contains(w)) {
-                            let (hep, lower) = seg.eval(w, ctx.d_mem());
+                        probes.sort_unstable();
+                        probes.dedup();
+                        for &w in probes.iter().chain(probes.iter().rev()) {
+                            let held = seg.terms.iter().all(|term| term.lo <= w && w <= term.hi);
+                            let w = Time::from_cycles(w);
+                            let (pair, reused) = eval(&mut seg, w);
                             let spec = |band| spec::bao(&ctx, k, y, w, &resp, mode, band);
                             prop_assert_eq!(
-                                (Ok(hep), Ok(lower)),
+                                (Ok(pair.0), Ok(pair.1)),
                                 (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
-                                "{:?} k={:?} y={:?} t={} probe={} span={:?}",
-                                mode, k, y, t, w, seg.span
+                                "{:?} k={:?} y={:?} t={} probe={}", mode, k, y, t, w
                             );
+                            prop_assert_eq!(reused, held, "probe={}", w);
+                            prop_assert_eq!(eval(&mut seg, w), (pair, true), "repeat at {}", w);
                         }
                     }
                 }
             }
         }
 
-        /// `refresh` — keeping unchanged members' terms across a window
-        /// move and a response-time move — must land on exactly the state
-        /// a from-scratch rebuild produces.
+        /// A segment carried across a window move (up or down) and a
+        /// response-time move — keeping every term that still holds —
+        /// must land on exactly the terms and pair of a fresh segment.
         #[test]
         fn refresh_matches_full_rebuild(
             t in 0u64..5_000,
@@ -688,17 +571,12 @@ mod tests {
                     for mode in MODES {
                         let (on_core, split) = band(&ctx, k, y);
                         let mut seg = BaoSegment::default();
-                        // Empty → falls back to a rebuild.
-                        seg.refresh(&ctx, k, &on_core, split, t, &resp, mode);
-                        // Incremental: window and one response time move.
-                        seg.refresh(&ctx, k, &on_core, split, t2, &resp2, mode);
-                        let fresh = segment(&ctx, k, y, t2, &resp2, mode);
-                        prop_assert_eq!(seg.span, fresh.span, "k={:?} y={:?} {:?}", k, y, mode);
-                        prop_assert_eq!(
-                            seg.eval(t2, ctx.d_mem()),
-                            fresh.eval(t2, ctx.d_mem()),
-                            "k={:?} y={:?} {:?}", k, y, mode
-                        );
+                        let _ = seg.eval(&ctx, k, &on_core, split, t, &resp, mode);
+                        let (moved, _) = seg.eval(&ctx, k, &on_core, split, t2, &resp2, mode);
+                        let mut fresh = BaoSegment::default();
+                        let (built, _) = fresh.eval(&ctx, k, &on_core, split, t2, &resp2, mode);
+                        prop_assert_eq!(moved, built, "k={:?} y={:?} {:?}", k, y, mode);
+                        prop_assert_eq!(&seg.terms, &fresh.terms, "k={:?} y={:?} {:?}", k, y, mode);
                     }
                 }
             }

@@ -12,7 +12,7 @@ use crate::crpd::CrpdApproach;
 /// so the block-set intersections behind Eq. (2) and Eq. (14) are computed
 /// once here and then served as table lookups. The tables are flat
 /// row-major `n × n` arrays filled by an incremental sweep (see
-/// [`fill_tables`]): evictor unions grow monotonically along the priority
+/// `fill_tables`): evictor unions grow monotonically along the priority
 /// order, so each entry costs one word-parallel set operation instead of
 /// re-folding a union per pair — `O(n²)` set operations and a handful of
 /// allocations for the whole context, where the definitional per-pair

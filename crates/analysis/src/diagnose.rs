@@ -42,6 +42,15 @@ pub enum DominantTerm {
 }
 
 impl DominantTerm {
+    /// The four terms in tie order: [`TermDecomposition::dominant`] names
+    /// the first of the terms tied for the largest share.
+    pub const ALL: [DominantTerm; 4] = [
+        DominantTerm::Bas,
+        DominantTerm::Bao,
+        DominantTerm::Cpro,
+        DominantTerm::Crpd,
+    ];
+
     /// Upper-case paper name (`"BAS"`, `"BAO"`, `"CPRO"`, `"CRPD"`).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -90,22 +99,35 @@ impl TermDecomposition {
     }
 
     /// The largest of the four named terms (blocking never dominates); ties
-    /// resolve in the order BAS, BAO, CPRO, CRPD.
+    /// resolve in the order of [`DominantTerm::ALL`]: BAS, BAO, CPRO, CRPD.
     #[must_use]
     pub fn dominant(&self) -> DominantTerm {
-        let candidates = [
-            (DominantTerm::Bas, self.bas_accesses),
-            (DominantTerm::Bao, self.bao_accesses),
-            (DominantTerm::Cpro, self.cpro_accesses),
-            (DominantTerm::Crpd, self.crpd_accesses),
-        ];
-        let mut best = candidates[0];
-        for c in &candidates[1..] {
-            if c.1 > best.1 {
-                best = *c;
-            }
+        self.tied()[0]
+    }
+
+    /// Every named term tied for the largest count, in the order of
+    /// [`DominantTerm::ALL`] — so the first is
+    /// [`TermDecomposition::dominant`], and a bound without a tie has one.
+    #[must_use]
+    pub fn tied(&self) -> Vec<DominantTerm> {
+        let largest = DominantTerm::ALL
+            .map(|t| self.accesses(t))
+            .into_iter()
+            .max();
+        DominantTerm::ALL
+            .into_iter()
+            .filter(|&t| Some(self.accesses(t)) == largest)
+            .collect()
+    }
+
+    /// The access count of `term`.
+    fn accesses(&self, term: DominantTerm) -> u64 {
+        match term {
+            DominantTerm::Bas => self.bas_accesses,
+            DominantTerm::Bao => self.bao_accesses,
+            DominantTerm::Cpro => self.cpro_accesses,
+            DominantTerm::Crpd => self.crpd_accesses,
         }
-        best.0
     }
 
     /// Share of `term` in the total access count, in `[0, 1]`.
@@ -115,13 +137,7 @@ impl TermDecomposition {
         if total == 0 {
             return 0.0;
         }
-        let part = match term {
-            DominantTerm::Bas => self.bas_accesses,
-            DominantTerm::Bao => self.bao_accesses,
-            DominantTerm::Cpro => self.cpro_accesses,
-            DominantTerm::Crpd => self.crpd_accesses,
-        };
-        part as f64 / total as f64
+        self.accesses(term) as f64 / total as f64
     }
 }
 
@@ -283,16 +299,39 @@ mod tests {
         let low = tasks.id_of("d").unwrap();
         let d = decompose(&ctx, &cfg, low, resp[low.index()], &resp);
         let dom = d.dominant();
-        for term in [
-            DominantTerm::Bas,
-            DominantTerm::Bao,
-            DominantTerm::Cpro,
-            DominantTerm::Crpd,
-        ] {
+        for term in DominantTerm::ALL {
             assert!(d.share(dom) >= d.share(term), "{dom} vs {term}");
         }
         let label = dom.label();
         assert!(["BAS", "BAO", "CPRO", "CRPD"].contains(&label));
+        assert_eq!(d.tied()[0], dom);
+    }
+
+    #[test]
+    fn ties_list_every_largest_term_in_tie_order() {
+        let d = TermDecomposition {
+            bas_accesses: 7,
+            bao_accesses: 9,
+            cpro_accesses: 2,
+            crpd_accesses: 9,
+            blocking_accesses: 30,
+        };
+        assert_eq!(d.tied(), [DominantTerm::Bao, DominantTerm::Crpd]);
+        assert_eq!(d.dominant(), DominantTerm::Bao);
+        let d = TermDecomposition {
+            bao_accesses: 4,
+            ..d
+        };
+        assert_eq!(d.tied(), [DominantTerm::Crpd]);
+        let zero = TermDecomposition {
+            bas_accesses: 0,
+            bao_accesses: 0,
+            cpro_accesses: 0,
+            crpd_accesses: 0,
+            blocking_accesses: 1,
+        };
+        assert_eq!(zero.tied(), DominantTerm::ALL);
+        assert_eq!(zero.dominant(), DominantTerm::Bas);
     }
 
     #[test]

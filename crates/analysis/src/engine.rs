@@ -16,20 +16,18 @@
 //!    both persistence modes come from one pass over the task's same-core
 //!    higher-priority tasks ([`crate::bas::same_core_terms`]), recomputed
 //!    at every window.
-//! 2. **Cached `BAO` segments.** `BAO` is a monotone step function of the
-//!    window length on the fine `d_mem` grid of the carry-out job, and it
-//!    is the costly term, so the engine caches it as
+//! 2. **Cached `BAO` terms.** `BAO` is a sum of one term per remote task,
+//!    and it is the costly term, so the engine keeps the terms in
 //!    [`crate::bao::BaoSegment`]s — one segment per remote core `y` and
-//!    split `s` (the number of tasks on `y` with id ≤ the level; a slot's
-//!    terms depend on the level only through `s`, DESIGN.md §17)
-//!    serving every level with that split and both priority bands:
-//!    per-member terms valid on a whole period-scale
-//!    `N`-interval, re-evaluated in a few operations per hit (no band
-//!    filtering, no persistence/CPRO/CRPD re-derivation). `BAO` reads
-//!    remote response-time estimates, so each segment carries a per-core
-//!    version stamp; when the stamp moves or the window leaves the span,
-//!    [`crate::bao::BaoSegment::refresh`] re-derives just the members
-//!    whose inputs changed.
+//!    split `s` (the number of tasks on `y` with id ≤ the level; a
+//!    segment's terms depend on the level only through `s`, DESIGN.md
+//!    §17) serving every level with that split and both priority bands.
+//!    A member's term holds while its estimate `R_l` is unchanged and the
+//!    window stays in its period-scale `N`-interval; it is re-evaluated
+//!    in a few operations (no band filtering, no persistence/CPRO/CRPD
+//!    re-derivation). Every lookup is one
+//!    [`crate::bao::BaoSegment::eval`], which checks each member's term
+//!    and re-derives just the ones that no longer hold.
 //!
 //! The cross-core step of Eq. (7)/(8)/(9) is one `match` on the bus
 //! policy over the cached `BAO` segments. The same walk and step also
@@ -44,7 +42,8 @@
 //! place). [`crate::analyze`] is the one-line form with a fresh scratch.
 //!
 //! Cache effectiveness is observable through the always-on counters
-//! `engine.bao_hit` / `engine.bao_miss` / `engine.tasks_solved` /
+//! `engine.bao_hit` / `engine.bao_miss` (lookups that derived no term /
+//! at least one term) / `engine.tasks_solved` /
 //! `engine.scratch_reuses` (`cpa-trace analyze` reports all of them);
 //! the `wcrt.outer` event carries each round's change count.
 
@@ -54,34 +53,6 @@ use crate::bao::BaoSegment;
 use crate::diagnose::TermDecomposition;
 use crate::wcrt::{self, AnalysisResult};
 use crate::{bas, AnalysisConfig, AnalysisContext, BusPolicy, PersistenceMode};
-
-/// One memoized `BAO` slot for a fixed `(core, split)` key — remote core
-/// `y` and split `s`, the number of tasks on `y` with id ≤ the queried
-/// level. Every level with the same split on `y` derives identical terms
-/// (γ(k,l) and the CPRO overlap(l,k) depend on the level `k` only
-/// through `s`), so they all share the slot: a segment plus the core
-/// version it was built against. When the window leaves the segment's
-/// span or a response time on the remote core moves (the stamp no longer
-/// matches), [`BaoSegment::refresh`] re-derives only the terms actually
-/// affected — a full rebuild happens once, on first touch.
-#[derive(Debug, Clone, Default)]
-struct BaoSlot {
-    /// The most recently built segment for this key.
-    seg: BaoSegment,
-    /// Core version [`BaoSlot::seg`] was last refreshed against.
-    stamp: u64,
-}
-
-impl BaoSlot {
-    /// Prepares the slot for a run on a (potentially) different task set:
-    /// segment emptied, storage kept. A reset slot can never serve stale
-    /// data: the emptied segment span contains no window, so the first
-    /// lookup always misses and rebuilds.
-    fn reset(&mut self) {
-        self.seg.reset();
-        self.stamp = 0;
-    }
-}
 
 /// Reusable working storage for analysis engine runs: response-time
 /// estimates, `BAO` segments, per-core index structures.
@@ -103,13 +74,10 @@ pub struct AnalysisScratch {
     /// Current response-time estimates, updated in task-id order within a
     /// round (Gauss–Seidel, exactly like the spec's sweep).
     resp: Vec<Time>,
-    /// Per-core version counters; bumped whenever a response time on the
-    /// core changes, lazily invalidating that core's `BAO` segments.
-    core_version: Vec<u64>,
     /// `BAO` segments per remote core, indexed by split (`0..=` the core's
     /// task count) — one segment serves every level with that split and
-    /// both priority bands.
-    bao_slots: Vec<Vec<BaoSlot>>,
+    /// both priority bands (DESIGN.md §17).
+    bao_slots: Vec<Vec<BaoSegment>>,
     /// Split of every `(level, core)` pair: the number of tasks on the
     /// core with id ≤ the level, flat-indexed `level · cores + core`.
     bao_split: Vec<usize>,
@@ -166,9 +134,6 @@ impl AnalysisScratch {
                 .saturating_add(d_mem.saturating_mul(t.memory_demand()))
         }));
 
-        self.core_version.clear();
-        self.core_version.resize(cores, 0);
-
         if self.on_core.len() < cores {
             self.on_core.resize_with(cores, Vec::new);
         }
@@ -191,10 +156,12 @@ impl AnalysisScratch {
         for (core, slots) in self.bao_slots[..cores].iter_mut().enumerate() {
             let splits = self.on_core[core].len() + 1;
             if slots.len() < splits {
-                slots.resize_with(splits, BaoSlot::default);
+                slots.resize_with(splits, BaoSegment::default);
             }
-            for slot in &mut slots[..splits] {
-                slot.reset();
+            // A term left over from another task set could pass the
+            // validity check by chance: every slot starts empty.
+            for seg in &mut slots[..splits] {
+                seg.reset();
             }
         }
     }
@@ -258,27 +225,30 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
     }
 
     /// The `(hep, lower)` pair from the `(core, split)` slot of `level`
-    /// at the current estimates; one (incremental) [`BaoSegment::refresh`]
-    /// on a miss. Neither the level itself nor the priority band is part
-    /// of the key: one segment's terms serve every level with the same
-    /// split and both bands (see [`BaoSegment`]), so neighbouring FP
+    /// at the current estimates: one [`BaoSegment::eval`], a hit when it
+    /// derived no term. Neither the level itself nor the priority band is
+    /// part of the key: one segment's terms serve every level with the
+    /// same split and both bands (see [`BaoSegment`]), so neighbouring FP
     /// levels, RR's lowest-level queries and the FP bus's two band
-    /// queries all hit the same segments.
+    /// queries all share the same segments.
     fn lookup(&mut self, level: TaskId, core: CoreId, t: Time) -> (u64, u64) {
         let (ctx, scratch) = (self.ctx, &mut *self.scratch);
         let split = scratch.bao_split[level.index() * ctx.platform().cores() + core.index()];
-        let version = scratch.core_version[core.index()];
-        let slot = &mut scratch.bao_slots[core.index()][split];
-        if slot.stamp == version && slot.seg.span.contains(t) {
+        let (pair, reused) = scratch.bao_slots[core.index()][split].eval(
+            ctx,
+            level,
+            &scratch.on_core[core.index()],
+            split,
+            t,
+            &scratch.resp,
+            self.config.persistence,
+        );
+        if reused {
             self.bao_tally.0 += 1;
-            return slot.seg.eval(t, ctx.d_mem());
+        } else {
+            self.bao_tally.1 += 1;
         }
-        self.bao_tally.1 += 1;
-        let (on_core, mode) = (&scratch.on_core[core.index()], self.config.persistence);
-        slot.seg
-            .refresh(ctx, level, on_core, split, t, &scratch.resp, mode);
-        slot.stamp = version;
-        slot.seg.eval(t, ctx.d_mem())
+        pair
     }
 
     /// The cross-core access bound of Eq. (7)/(8)/(9) for `τi` in a window
@@ -480,9 +450,6 @@ impl<'e, 'a> AnalysisEngine<'e, 'a> {
                     );
                     self.scratch.resp[i.index()] = r;
                     changed_tasks += 1;
-                    // τi's estimate is read (through BAO) only by tasks on
-                    // other cores: their segments over τi's core go stale.
-                    self.scratch.core_version[tasks[i].core().index()] += 1;
                 }
             }
             cpa_obs::event!("wcrt.outer", iter = round, changed = changed_tasks);

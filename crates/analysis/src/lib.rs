@@ -25,7 +25,9 @@
 //! | "perfect bus" reference (Fig. 2), its bus-utilization gate (deviation 2) | [`BusPolicy::Perfect`], gate summed in [`cpa_model::UtilizationSum`] | [`spec::analyze`], same exact sum |
 //! | weighted schedulability (Fig. 3) | [`sched::weighted_schedulability`] | |
 //!
-//! The engine caches `BAO` as period-scale segments ([`bao::BaoSegment`]),
+//! The engine caches `BAO` as one term per remote task, valid on a
+//! period-scale window interval and checked on every lookup
+//! ([`bao::BaoSegment`]),
 //! runs the outer fixed point as the spec's Gauss–Seidel sweep, and
 //! composes Eq. (7)/(8)/(9) in one `match` on the bus policy ([`engine`]).
 //! It also emits the BAS/BAO/CPRO/CRPD split of each bound

@@ -5,8 +5,9 @@
 //! with id ≤ `k`. So the two tables must agree for every two levels with
 //! the same split on `y`, whatever core the levels themselves sit on,
 //! under every [`CrpdApproach`]. The engine shares one cached slot between
-//! all of them and refreshes its terms at whichever of those levels is
-//! queried; this is the identity that makes both sound.
+//! all of them and re-derives its terms at whichever of those levels is
+//! queried; this is the identity that makes both sound. The last test
+//! drives such shared slots through an engine-like lookup sequence.
 
 use cpa_analysis::bao::{BaoSegment, PriorityBand};
 use cpa_analysis::{
@@ -15,7 +16,7 @@ use cpa_analysis::{
 use cpa_model::{CacheGeometry, CoreId, Platform, TaskId, TaskSet, Time};
 use cpa_workload::{GeneratorConfig, TaskSetGenerator};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const APPROACHES: [CrpdApproach; 3] = [
@@ -116,7 +117,7 @@ fn paper_default_sets_share_members_per_split() {
 }
 
 /// What the engine does with the identity: a segment built at one level,
-/// then refreshed at another with the same split after a window move and
+/// then evaluated at another with the same split after a window move and
 /// an estimate move, equals the literal `BAO` of the first level.
 #[test]
 fn segment_refreshed_at_one_level_matches_the_spec_at_another() {
@@ -134,14 +135,88 @@ fn segment_refreshed_at_one_level_matches_the_spec_at_another() {
         let t = tasks[k].deadline();
         for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
             let mut seg = BaoSegment::default();
-            seg.rebuild(&ctx, k0, &on_core, split, tasks[k0].deadline(), &resp, mode);
-            seg.refresh(&ctx, k, &on_core, split, t, &moved, mode);
+            let _ = seg.eval(&ctx, k0, &on_core, split, tasks[k0].deadline(), &resp, mode);
+            let ((hep, lower), _) = seg.eval(&ctx, k, &on_core, split, t, &moved, mode);
             let spec = |band| spec::bao(&ctx, k0, y, t, &moved, mode, band);
-            let (hep, lower) = seg.eval(t, ctx.d_mem());
             assert_eq!(
                 (Ok(hep), Ok(lower)),
                 (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
                 "{y:?} levels {k0:?} -> {k:?} {mode:?}"
+            );
+        }
+    }
+}
+
+/// One segment per `(core, split)`, as the engine keeps them, driven
+/// through a seeded lookup sequence on paper-default 4 × 8 sets. Two
+/// sweeps solve every level in id order: before each solve one estimate
+/// grows, the solve's windows climb from the level's own estimate (often
+/// below the previous solve's last window, as between consecutive tasks'
+/// solves and in `decompose`), and each window looks up the level's split
+/// on every remote core — so the levels that share a split take turns on
+/// its slot. Every pair must equal the literal `BAO`, and repeating a
+/// lookup must reuse every term and return the same pair.
+#[test]
+fn shared_slots_follow_the_spec_through_a_lookup_sequence() {
+    for seed in 0..2u64 {
+        let (tasks, platform) = generate(seed, 4, 8, 0.5);
+        let ctx = AnalysisContext::new(&platform, &tasks).expect("context");
+        let cores = platform.cores();
+        let on_core: Vec<Vec<TaskId>> = (0..cores)
+            .map(|y| {
+                tasks
+                    .ids()
+                    .filter(|&l| tasks[l].core().index() == y)
+                    .collect()
+            })
+            .collect();
+        let periods: Vec<u64> = tasks.ids().map(|i| tasks[i].period().cycles()).collect();
+        let shortest = *periods.iter().min().unwrap();
+        for mode in [PersistenceMode::Oblivious, PersistenceMode::Aware] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // The engine's initial estimates `PD + MD · d_mem`.
+            let mut resp: Vec<Time> = tasks
+                .iter()
+                .map(|task| {
+                    let bus = ctx.d_mem().saturating_mul(task.memory_demand());
+                    task.processing_demand().saturating_add(bus)
+                })
+                .collect();
+            let mut slots: Vec<Vec<BaoSegment>> = on_core
+                .iter()
+                .map(|ids| vec![BaoSegment::default(); ids.len() + 1])
+                .collect();
+            let (mut lookups, mut reused) = (0usize, 0usize);
+            for k in tasks.ids().chain(tasks.ids()) {
+                let grown = rng.gen_range(0..tasks.len());
+                let step = rng.gen_range(1..=periods[grown]);
+                resp[grown] = resp[grown].saturating_add(Time::from_cycles(step));
+                let mut t = resp[k.index()].cycles();
+                for _ in 0..2 {
+                    let w = Time::from_cycles(t);
+                    for y in (0..cores).filter(|&y| y != tasks[k].core().index()) {
+                        let ids = &on_core[y];
+                        let split = ids.iter().filter(|l| l.index() <= k.index()).count();
+                        let seg = &mut slots[y][split];
+                        let (pair, kept) = seg.eval(&ctx, k, ids, split, w, &resp, mode);
+                        let spec = |band| spec::bao(&ctx, k, CoreId::new(y), w, &resp, mode, band);
+                        assert_eq!(
+                            (Ok(pair.0), Ok(pair.1)),
+                            (spec(PriorityBand::HigherOrEqual), spec(PriorityBand::Lower)),
+                            "seed {seed} {mode:?}: level {k:?} core {y} split {split} t={t}"
+                        );
+                        let repeat = seg.eval(&ctx, k, ids, split, w, &resp, mode);
+                        assert_eq!(repeat, (pair, true), "repeat at t={t}");
+                        lookups += 1;
+                        reused += usize::from(kept);
+                    }
+                    t = t.saturating_add(rng.gen_range(0..shortest / 4));
+                }
+            }
+            // Neither all reuse nor none: both paths of `eval` were taken.
+            assert!(
+                0 < reused && reused < lookups,
+                "{reused} of {lookups} reused"
             );
         }
     }

@@ -143,6 +143,49 @@ fn oversized_caches_exit_2_with_a_diagnostic() {
     }
 }
 
+/// Edge values of the generator flags: each binary, its arguments, and a
+/// piece of the diagnostic. Counts at `u64::MAX` are rejected against the
+/// task limit before anything is allocated.
+const EDGE_VALUES: [(&str, &[&str], &str); 10] = [
+    ("cpa-trace", &["analyze", "--util", "NaN"], "got NaN"),
+    ("cpa-trace", &["analyze", "--util", "-0.5"], "got -0.5"),
+    ("cpa-trace", &["analyze", "--util", "inf"], "got inf"),
+    (
+        "cpa-trace",
+        &["analyze", "--tasks-per-core", "0"],
+        "at least one task per core",
+    ),
+    (
+        "cpa-trace",
+        &["analyze", "--tasks-per-core", "18446744073709551615"],
+        "exceed the limit of 4096 tasks",
+    ),
+    (
+        "cpa-trace",
+        &["analyze", "--cores", "18446744073709551615"],
+        "exceed the limit of 4096 tasks",
+    ),
+    (
+        "cpa-trace",
+        &["sim", "--horizon", "0"],
+        "--horizon: must be at least 1",
+    ),
+    ("gen_taskset", &["--utilization", "NaN"], "got NaN"),
+    ("gen_taskset", &["--d-mem", "0"], "d_mem must be positive"),
+    ("gen_taskset", &["--cache-sets", "0"], "at least one set"),
+];
+
+#[test]
+fn edge_values_exit_2_with_a_diagnostic() {
+    for (name, args, needle) in EDGE_VALUES {
+        let out = run(&bin(name), args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{name} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?}: wrote output");
+    }
+}
+
 #[test]
 fn zero_sets_exit_2_with_a_diagnostic() {
     // Zero sets per point used to write `0,0,0` rows that read as

@@ -23,7 +23,7 @@
 //!
 //! # Candidate evaluation
 //!
-//! Every candidate goes through [`Searcher::evaluate`] and is scored by
+//! Every candidate goes through `Searcher::evaluate` and is scored by
 //! the full analysis (see DESIGN.md §16):
 //!
 //! 1. **Solve memo** — candidates are looked up in a per-request map from
@@ -32,7 +32,7 @@
 //!    evaluation instead of re-solving.
 //! 2. **Slot-patched assembly** — a miss builds the candidate's task set
 //!    by patching the slots that differ from the previous solve
-//!    ([`EvalScratch`]) and runs one [`analyze_with`] call.
+//!    (`EvalScratch`) and runs one [`analyze_with`] call.
 //!
 //! The `full_eval` escape hatch disables the memo and slot-patched
 //! assembly (each candidate is rebuilt with [`Candidate::apply`]), which
@@ -40,7 +40,7 @@
 //!
 //! # Priority seeding
 //!
-//! [`Searcher::audsley`] is textbook OPA: levels are assigned lowest
+//! `Searcher::audsley` is textbook OPA: levels are assigned lowest
 //! first, and at each level the unassigned tasks are probed one at a time
 //! in base order until one converges there.
 //!

@@ -138,7 +138,7 @@ impl<'a> Simulator<'a> {
     ///
     /// This is the event-skipping fast path: it steps every *interesting*
     /// cycle exactly and jumps the dead spans in between (see the
-    /// [`skip`] module for the event-horizon computation). The result is
+    /// `skip` module for the event-horizon computation). The result is
     /// byte-identical to [`Simulator::run_reference`].
     #[must_use]
     pub fn run(mut self) -> SimReport {

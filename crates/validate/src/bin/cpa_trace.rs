@@ -20,9 +20,11 @@
 //!
 //! `analyze` generates one task set (paper-default profile with the given
 //! overrides), runs the WCRT analysis with the `cpa-obs` subscriber
-//! enabled, and prints a per-task convergence report: WCRT, inner
-//! iteration counts, and the BAS/BAO/CPRO/CRPD decomposition of the bound
-//! at its fixed point, naming the dominant term. `sim` runs the
+//! enabled, and prints a per-task convergence report: WCRT, slack
+//! `D − R`, inner iteration counts, and the BAS/BAO/CPRO/CRPD
+//! decomposition of the bound at its fixed point, naming the dominant
+//! term — every one of the terms tied for the largest share, in the order
+//! BAS, BAO, CPRO, CRPD, whose first is `dominant`. `sim` runs the
 //! cycle-accurate simulator on the same workload instead and reports the
 //! observed per-task statistics, bus occupancy, and an event-skip summary
 //! (spans executed, mean span length, fraction of the horizon jumped).
@@ -58,12 +60,12 @@ use std::process::ExitCode;
 
 use cpa_analysis::{
     analyze, decompose, AnalysisConfig, AnalysisContext, BusPolicy, CrpdApproach, DominantTerm,
-    PersistenceMode,
+    PersistenceMode, TermDecomposition,
 };
 use cpa_experiments::cli::{self, Args, CliError, ObsSinks};
 use cpa_experiments::runner::{evaluate_population, Evaluation};
 use cpa_experiments::SweepOptions;
-use cpa_model::{Platform, TaskSet, Time};
+use cpa_model::{Platform, TaskId, TaskSet, Time};
 use cpa_sim::{SimConfig, SimReport, Simulator};
 use cpa_telemetry::{chrome_trace, openmetrics, StageReport};
 use cpa_validate::oracle::{arbitration_of, horizon_for};
@@ -81,9 +83,14 @@ struct AnalyzeTaskRow {
     priority: u32,
     wcrt: Option<u64>,
     deadline: u64,
+    /// `D_i − R_i`; `null` when the task is unbounded.
+    slack: Option<u64>,
     converged: bool,
     inner_iterations: u64,
+    /// The first of `tied` in [`DominantTerm::ALL`]'s order.
     dominant: &'static str,
+    /// Every term tied for the largest share, in `tie_order`.
+    tied: Vec<&'static str>,
     bas: u64,
     bao: u64,
     cpro: u64,
@@ -229,6 +236,8 @@ struct AnalyzeDoc {
     outer_iterations: u32,
     hit_outer_cap: bool,
     engine: EngineStats,
+    /// The order ties for the dominant term resolve in.
+    tie_order: [&'static str; 4],
     tasks: Vec<AnalyzeTaskRow>,
 }
 
@@ -465,6 +474,13 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
         .ids()
         .map(|i| decompose(&ctx, &config, i, windows[i.index()], &windows))
         .collect();
+    let slack = |i: TaskId| {
+        let deadline = tasks[i].deadline().cycles();
+        result.response_time(i).map(|r| deadline - r.cycles())
+    };
+    let labels = |d: &TermDecomposition| -> Vec<&'static str> {
+        d.tied().into_iter().map(DominantTerm::label).collect()
+    };
 
     let run = finish_run(opts)?;
     if run.exported_to_stdout {
@@ -483,9 +499,11 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
                     priority: task.priority().level(),
                     wcrt: result.response_time(i).map(|t| t.cycles()),
                     deadline: task.deadline().cycles(),
+                    slack: slack(i),
                     converged: result.response_time(i).is_some(),
                     inner_iterations: result.inner_iteration_counts()[i.index()],
                     dominant: d.dominant().label(),
+                    tied: labels(d),
                     bas: d.bas_accesses,
                     bao: d.bao_accesses,
                     cpro: d.cpro_accesses,
@@ -503,6 +521,7 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
             outer_iterations: result.outer_iterations(),
             hit_outer_cap: result.hit_outer_iteration_cap(),
             engine,
+            tie_order: DominantTerm::ALL.map(DominantTerm::label),
             tasks: task_rows,
         };
         println!("{}", with_profile(&doc, &run)?);
@@ -533,40 +552,38 @@ fn analyze_cmd(opts: &TraceOptions) -> Result<(), CliError> {
     }
     println!();
     println!(
-        "{:<14} {:>4} {:>4} {:>10} {:>10} {:>5} {:>7}  {:<8} shares",
-        "task", "core", "prio", "wcrt", "deadline", "conv", "inner", "dominant"
+        "{:<14} {:>4} {:>4} {:>10} {:>10} {:>10} {:>5} {:>7}  {:<8} shares",
+        "task", "core", "prio", "wcrt", "deadline", "slack", "conv", "inner", "dominant"
     );
+    let or_dash = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
     for i in tasks.ids() {
         let task = &tasks[i];
         let d = &decompositions[i.index()];
-        let wcrt = result
-            .response_time(i)
-            .map_or_else(|| "-".to_string(), |t| t.cycles().to_string());
-        let shares = [
-            DominantTerm::Bas,
-            DominantTerm::Bao,
-            DominantTerm::Cpro,
-            DominantTerm::Crpd,
-        ]
-        .map(|t| format!("{}={:.1}%", t.label(), d.share(t) * 100.0))
-        .join(" ");
+        let shares = DominantTerm::ALL
+            .map(|t| format!("{}={:.1}%", t.label(), d.share(t) * 100.0))
+            .join(" ");
         println!(
-            "{:<14} {:>4} {:>4} {:>10} {:>10} {:>5} {:>7}  {:<8} {}",
+            "{:<14} {:>4} {:>4} {:>10} {:>10} {:>10} {:>5} {:>7}  {:<8} {}",
             task.name(),
             task.core().index(),
             task.priority().level(),
-            wcrt,
+            or_dash(result.response_time(i).map(Time::cycles)),
             task.deadline().cycles(),
+            or_dash(slack(i)),
             if result.response_time(i).is_some() {
                 "yes"
             } else {
                 "no"
             },
             result.inner_iteration_counts()[i.index()],
-            d.dominant().label(),
+            labels(d).join("="),
             shares
         );
     }
+    println!(
+        "dominant: the largest share; tied terms are all printed, joined by `=`, in the order {}",
+        DominantTerm::ALL.map(DominantTerm::label).join(", ")
+    );
     println!();
     println!(
         "schedulable: {}",

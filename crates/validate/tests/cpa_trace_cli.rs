@@ -303,6 +303,63 @@ fn json_reports_embed_stages_and_profile() {
     assert!(doc.get("profile").is_some(), "missing profile key");
 }
 
+/// Seed 7's two highest-priority tasks split their bounds evenly between
+/// BAS and BAO: the report names both, and every bounded task carries its
+/// slack `D − R`, an unbounded one none.
+#[test]
+fn analyze_reports_slack_and_every_tied_term() {
+    let out = cpa_trace(&["analyze", "--seed", "7", "--util", "0.9", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let doc: serde_json::Value = serde_json::from_str(&stdout_of(&out)).expect("parses");
+    let strs = |v: Option<&serde_json::Value>| -> Vec<String> {
+        let seq = v.and_then(serde_json::Value::as_seq).expect("a list");
+        seq.iter()
+            .map(|s| s.as_str().expect("a string").to_string())
+            .collect()
+    };
+    assert_eq!(strs(doc.get("tie_order")), ["BAS", "BAO", "CPRO", "CRPD"]);
+    let rows = doc
+        .get("tasks")
+        .and_then(serde_json::Value::as_seq)
+        .expect("rows");
+    let field = |row: &serde_json::Value, key| row.get(key).expect(key).clone();
+    assert_eq!(field(&rows[0], "task").as_str(), Some("bs#1.0"));
+    assert_eq!(strs(rows[0].get("tied")), ["BAS", "BAO"]);
+    let mut unbounded = 0;
+    for row in rows {
+        let dominant = field(row, "dominant");
+        assert_eq!(dominant.as_str(), Some(strs(row.get("tied"))[0].as_str()));
+        let slack = field(row, "slack");
+        match field(row, "wcrt").as_u64() {
+            Some(r) => {
+                let deadline = field(row, "deadline").as_u64().unwrap();
+                assert_eq!(slack.as_u64(), Some(deadline - r));
+            }
+            None => {
+                assert_eq!(slack.kind(), "null");
+                unbounded += 1;
+            }
+        }
+    }
+    assert!(unbounded > 0, "util 0.9 leaves a task unbounded");
+
+    let out = cpa_trace(&["analyze", "--seed", "7", "--util", "0.9"]);
+    let report = stdout_of(&out);
+    let line = |name: &str| {
+        report
+            .lines()
+            .find(|l| l.starts_with(name))
+            .unwrap()
+            .to_string()
+    };
+    assert!(line("bs#1.0").contains(" BAS=BAO "), "{report}");
+    assert!(line("compress#0.3").contains("          -"), "{report}");
+    assert!(
+        report.contains("in the order BAS, BAO, CPRO, CRPD"),
+        "{report}"
+    );
+}
+
 #[test]
 fn pool_and_result_cache_stages_are_timed() {
     // The pool's own set-up, dispatch and join time lands on the `pool`
